@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -80,7 +81,7 @@ func BenchmarkE1MapView(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.MapView(req); err != nil {
+		if _, err := f.MapViewContext(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +280,7 @@ func BenchmarkE8Exploration(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Explore(req); err != nil {
+		if _, err := f.ExploreContext(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +313,7 @@ func BenchmarkE11Flows(b *testing.B) {
 	req := core.Request{Points: pts, Regions: scene.Neighborhoods, Agg: core.Count}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rj.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr); err != nil {
+		if _, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,14 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"os"
-	"path/filepath"
 	"runtime"
-
 	"sort"
 	"time"
 
@@ -17,13 +12,8 @@ import (
 	"repro/internal/cube"
 	"repro/internal/data"
 	"repro/internal/fsum"
-	"repro/internal/geoblocks"
 	"repro/internal/geom"
-	"repro/internal/gpu"
 	"repro/internal/index"
-	"repro/internal/segment"
-	"repro/internal/shard"
-	"repro/internal/tcache"
 	"repro/internal/urbane"
 	"repro/internal/workload"
 )
@@ -92,7 +82,7 @@ func runE1(scale float64) {
 		var ch *urbane.Choropleth
 		lat := timeMedian(3, func() {
 			var err error
-			ch, err = f.MapView(urbane.MapViewRequest{
+			ch, err = f.MapViewContext(context.Background(), urbane.MapViewRequest{
 				Dataset: "taxi", Layer: "neighborhoods",
 				Agg: core.Count, Time: w.tf,
 			})
@@ -342,7 +332,7 @@ func runE8(scale float64) {
 	var ex *urbane.Exploration
 	lat := timeMedian(1, func() {
 		var err error
-		ex, err = f.Explore(urbane.ExplorationRequest{
+		ex, err = f.ExploreContext(context.Background(), urbane.ExplorationRequest{
 			Datasets:  []string{"taxi", "311", "photos"},
 			Layer:     "neighborhoods",
 			Agg:       core.Count,
@@ -366,7 +356,7 @@ func runE8(scale float64) {
 	rj := core.NewRasterJoin(core.WithResolution(1024))
 	req := core.Request{Points: scene.Taxi, Regions: scene.Neighborhoods, Agg: core.Count}
 	seriesLat := timeMedian(3, func() {
-		_, err := rj.SeriesJoin(req, jan.Start, jan.End, 12)
+		_, err := rj.SeriesJoinContext(context.Background(), req, jan.Start, jan.End, 12)
 		must(err)
 	})
 	width := (jan.End - jan.Start) / 12
@@ -474,7 +464,7 @@ func runE11(scale float64) {
 	var flow *core.FlowResult
 	var err error
 	rasterLat := timeMedian(3, func() {
-		flow, err = rj.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr)
+		flow, err = rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 		must(err)
 	})
 
@@ -595,533 +585,6 @@ func runE13(scale float64) {
 		t.row(tol, layer.VertexCount(), lat, relErr(res, exact))
 	}
 	t.flush()
-}
-
-// ---------------------------------------------------------------- E16
-
-// pointpassJSON is the machine-readable mirror of E16/E17, written to
-// BENCH_pointpass.json so the perf trajectory is diffable across PRs.
-// Running either experiment rewrites its section and preserves the other.
-type pointpassJSON struct {
-	Cores     int              `json:"cores"`
-	Scaling   []scalingRowJSON `json:"scaling,omitempty"`
-	SpanCache *spanCacheJSON   `json:"span_cache,omitempty"`
-}
-
-type scalingRowJSON struct {
-	Workers      int     `json:"workers"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	PointsPerSec float64 `json:"points_per_sec"`
-	Speedup      float64 `json:"speedup_vs_sequential"`
-}
-
-type spanCacheJSON struct {
-	Regions     int     `json:"regions"`
-	ColdNsPerOp int64   `json:"cold_ns_per_op"`
-	WarmNsPerOp int64   `json:"warm_ns_per_op"`
-	DisabledNs  int64   `json:"disabled_ns_per_op"`
-	WarmSpeedup float64 `json:"warm_speedup_vs_disabled"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
-}
-
-const pointpassFile = "BENCH_pointpass.json"
-
-// mergeBenchJSON read-modify-writes BENCH_pointpass.json so E16 and E17
-// can run independently without clobbering each other's section.
-func mergeBenchJSON(update func(*pointpassJSON)) {
-	var rep pointpassJSON
-	if raw, err := os.ReadFile(pointpassFile); err == nil {
-		_ = json.Unmarshal(raw, &rep) // a stale/corrupt file is overwritten
-	}
-	rep.Cores = runtime.NumCPU()
-	update(&rep)
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile(pointpassFile, append(out, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", pointpassFile)
-}
-
-// runE16 measures the parallel sharded point pass: the E1 workload joined
-// with the accurate kernel while the point pass fans out over 1/2/4/8
-// goroutines. Results are bit-identical at every worker count (the stripe
-// replay preserves per-pixel fragment order), so this is purely a
-// throughput experiment; speedup is bounded by available cores.
-func runE16(scale float64) {
-	n := scaled(1_000_000, scale, 100_000)
-	scene := workload.NYC(n, 2009)
-	regions := scene.Neighborhoods
-	req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count,
-		Time: workload.JanWeek(1)}
-	fmt.Printf("workload: %d points, %d neighborhoods, accurate join, %d cores\n",
-		n, regions.Len(), runtime.NumCPU())
-
-	var rows []scalingRowJSON
-	var seqNs int64
-	t := newTable("workers", "latency", "points/sec", "speedup vs workers=1")
-	for _, workers := range []int{1, 2, 4, 8} {
-		rj := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate),
-			core.WithPointWorkers(workers))
-		_, err := rj.Join(req) // warm pools
-		must(err)
-		lat := timeMedian(7, func() { _, err := rj.Join(req); must(err) })
-		if workers == 1 {
-			seqNs = lat.Nanoseconds()
-		}
-		speedup := float64(seqNs) / float64(lat.Nanoseconds())
-		pps := float64(n) / lat.Seconds()
-		t.row(workers, lat, pps, speedup)
-		rows = append(rows, scalingRowJSON{Workers: workers, NsPerOp: lat.Nanoseconds(),
-			PointsPerSec: pps, Speedup: speedup})
-	}
-	t.flush()
-	mergeBenchJSON(func(rep *pointpassJSON) { rep.Scaling = rows })
-}
-
-// ---------------------------------------------------------------- E17
-
-// runE17 measures the cross-query region span cache on a polygon-heavy
-// workload: the 2048-tract layer with a small point load, so pass 2 and
-// the outline pass (the scan-conversion consumers) dominate. Cold pays
-// compilation once; warm queries replay the compiled spans; disabled
-// re-rasterizes every polygon per join. All three produce bit-identical
-// results.
-func runE17(scale float64) {
-	n := scaled(50_000, scale, 20_000)
-	scene := workload.NYC(n, 2009)
-	tracts := scene.Tracts
-	req := core.Request{Points: scene.Taxi, Regions: tracts, Agg: core.Count}
-	fmt.Printf("workload: %d points, %d tracts, accurate join\n", n, tracts.Len())
-
-	// Disabled: every join pays full scan conversion.
-	devOff := gpu.New(gpu.WithSpanCacheBytes(0))
-	off := core.NewRasterJoin(core.WithDevice(devOff), core.WithResolution(1024),
-		core.WithMode(core.Accurate))
-	_, err := off.Join(req) // warm pools
-	must(err)
-	offLat := timeMedian(3, func() { _, err := off.Join(req); must(err) })
-
-	// Enabled: the first join compiles and caches (cold), repeats replay.
-	devOn := gpu.New()
-	on := core.NewRasterJoin(core.WithDevice(devOn), core.WithResolution(1024),
-		core.WithMode(core.Accurate))
-	coldLat := timeMedian(1, func() { _, err := on.Join(req); must(err) })
-	warmLat := timeMedian(3, func() { _, err := on.Join(req); must(err) })
-	st := devOn.SpanCache().Stats()
-
-	t := newTable("cache state", "latency", "speedup vs disabled")
-	t.row("disabled", offLat, 1.0)
-	t.row("cold (compile + join)", coldLat, float64(offLat)/float64(coldLat))
-	t.row("warm (span replay)", warmLat, float64(offLat)/float64(warmLat))
-	t.flush()
-	fmt.Printf("\nspan cache: %d entries, %d bytes, %d hits / %d misses\n",
-		st.Entries, st.Bytes, st.Hits, st.Misses)
-
-	mergeBenchJSON(func(rep *pointpassJSON) {
-		rep.SpanCache = &spanCacheJSON{
-			Regions:     tracts.Len(),
-			ColdNsPerOp: coldLat.Nanoseconds(),
-			WarmNsPerOp: warmLat.Nanoseconds(),
-			DisabledNs:  offLat.Nanoseconds(),
-			WarmSpeedup: float64(offLat) / float64(warmLat),
-			CacheHits:   st.Hits,
-			CacheMisses: st.Misses,
-		}
-	})
-}
-
-// ---------------------------------------------------------------- E19
-
-// geoblocksJSON is the machine-readable mirror of E19, written to
-// BENCH_geoblocks.json.
-type geoblocksJSON struct {
-	Cores    int                `json:"cores"`
-	Points   int                `json:"points"`
-	MaxLevel int                `json:"max_level"`
-	Rows     []geoblocksRowJSON `json:"selectivity_sweep"`
-}
-
-type geoblocksRowJSON struct {
-	Shape        string  `json:"shape"`
-	Vertices     int     `json:"vertices"`
-	Count        int64   `json:"count"`
-	RasterWarmNs int64   `json:"raster_warm_ns_per_op"`
-	HybridWarmNs int64   `json:"hybrid_warm_ns_per_op"`
-	HybridColdNs int64   `json:"hybrid_cold_ns_per_op"`
-	WarmSpeedup  float64 `json:"warm_speedup_vs_raster"`
-}
-
-// runE19 sweeps arbitrary-polygon aggregation selectivity through the
-// geoblocks hierarchy against the warm span-cache raster path. Three
-// polygon scales: "tiny" (a few blocks), "city" (a district-sized star),
-// "borough" (roughly half the city). The raster side gets every advantage
-// we ship — accurate mode, warm pools, warm span cache — so the speedup
-// column is hierarchy vs our best full-join path, not vs a strawman.
-// Counts are asserted identical before any timing is reported.
-func runE19(scale float64) {
-	n := scaled(500_000, scale, 100_000)
-	scene := workload.NYC(n, 2009)
-	ps := scene.Taxi
-	b := ps.Bounds()
-	cx, cy := (b.MinX+b.MaxX)/2, (b.MinY+b.MaxY)/2
-	span := b.MaxX - b.MinX
-	if h := b.MaxY - b.MinY; h < span {
-		span = h
-	}
-	shapes := []struct {
-		name string
-		pg   geom.Polygon
-	}{
-		{"tiny", geom.NewPolygon(geom.RegularRing(geom.Point{X: cx + span*0.1, Y: cy - span*0.05}, span*0.01, 8))},
-		{"city", geom.NewPolygon(geom.StarRing(geom.Point{X: cx, Y: cy + span*0.08}, span*0.18, span*0.09, 9))},
-		{"borough", geom.NewPolygon(geom.RegularRing(geom.Point{X: cx, Y: cy}, span*0.45, 20))},
-	}
-
-	const maxLevel = 8
-	dev := gpu.New()
-	raster := core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(1024),
-		core.WithMode(core.Accurate))
-	eng := geoblocks.NewEngine(raster, maxLevel)
-	fmt.Printf("workload: %d points, accurate 1024px raster vs geoblocks maxlevel=%d\n", n, maxLevel)
-
-	rep := geoblocksJSON{Cores: runtime.NumCPU(), Points: n, MaxLevel: maxLevel}
-	t := newTable("polygon", "count", "raster warm", "hybrid cold", "hybrid warm", "warm speedup")
-	gen := uint64(1)
-	for _, sh := range shapes {
-		rs := &data.RegionSet{Name: "poly", Regions: []data.Region{{ID: 0, Name: sh.name, Poly: sh.pg}}}
-		req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "fare"}
-
-		want, err := raster.Join(req) // also warms pools + span cache
-		must(err)
-		rasterLat := timeMedian(5, func() { _, err := raster.Join(req); must(err) })
-
-		// Cold: the store drops on a generation bump, so the first query
-		// pays the full pyramid build.
-		gen++
-		eng.Store().SetGeneration(gen)
-		var coldRes *core.Result
-		coldLat := timeMedian(1, func() { r, err := eng.Join(req); must(err); coldRes = r })
-		warmLat := timeMedian(5, func() { _, err := eng.Join(req); must(err) })
-
-		if coldRes.Stats[0].Count != want.Stats[0].Count {
-			panic(fmt.Sprintf("E19 %s: hybrid count %d != raster count %d",
-				sh.name, coldRes.Stats[0].Count, want.Stats[0].Count))
-		}
-		speedup := float64(rasterLat) / float64(warmLat)
-		t.row(sh.name, want.Stats[0].Count, rasterLat, coldLat, warmLat, speedup)
-		rep.Rows = append(rep.Rows, geoblocksRowJSON{
-			Shape: sh.name, Vertices: len(sh.pg.Outer), Count: want.Stats[0].Count,
-			RasterWarmNs: rasterLat.Nanoseconds(), HybridWarmNs: warmLat.Nanoseconds(),
-			HybridColdNs: coldLat.Nanoseconds(), WarmSpeedup: speedup,
-		})
-	}
-	t.flush()
-
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile("BENCH_geoblocks.json", append(out, '\n'), 0o644))
-	fmt.Printf("\nwrote BENCH_geoblocks.json\n")
-}
-
-// ---------------------------------------------------------------- E20
-
-// segmentsJSON is the machine-readable mirror of E20, written to
-// BENCH_segments.json.
-type segmentsJSON struct {
-	Cores     int               `json:"cores"`
-	Points    int               `json:"points"`
-	Blocks    int               `json:"blocks"`
-	BlockSize int               `json:"block_size"`
-	FileBytes int64             `json:"file_bytes"`
-	RawBytes  int64             `json:"raw_bytes"`
-	Rows      []segmentsRowJSON `json:"selectivity_sweep"`
-}
-
-type segmentsRowJSON struct {
-	Selectivity   float64 `json:"selectivity"`
-	Count         int64   `json:"count"`
-	PruneNs       int64   `json:"prune_ns_per_op"`
-	NoPruneNs     int64   `json:"noprune_ns_per_op"`
-	InRAMNs       int64   `json:"inram_ns_per_op"`
-	BlocksScanned int64   `json:"blocks_scanned_per_op"`
-	BlocksPruned  int64   `json:"blocks_pruned_per_op"`
-	Speedup       float64 `json:"speedup_vs_noprune"`
-}
-
-// runE20 sweeps filter selectivity over the columnar segment store: the
-// same COUNT-by-neighborhood join answered from a segment file with
-// zone-map block pruning on (default), with pruning disabled (every block
-// decoded), and from the in-RAM point set. The filter lands on an
-// ingest-ordered attribute (a monotone trip odometer — the common shape of
-// ids, sequence numbers, and secondary timestamps in append-ordered data),
-// so a predicate keeping fraction s of the points lets the per-block
-// attribute zones eliminate ~(1-s) of the blocks before decoding; the
-// speedup column is the decode work the zone maps save. Time filters do
-// not exercise this path — on time-sorted segments they narrow the scan
-// range by binary search before pruning is even consulted. Counts are
-// asserted identical across all three paths before any timing is
-// reported.
-func runE20(scale float64) {
-	n := scaled(2_000_000, scale, 200_000)
-	scene := workload.NYC(n, 2009)
-	ps := scene.Taxi
-	regions := scene.Neighborhoods
-
-	// The swept attribute: monotone in ingest order, 0..100.
-	odo := make([]float64, ps.Len())
-	for i := range odo {
-		odo[i] = 100 * float64(i) / float64(ps.Len())
-	}
-	ps.Attrs = append(ps.Attrs, data.Column{Name: "odometer", Values: odo})
-
-	dir, err := os.MkdirTemp("", "urbane-e20-")
-	must(err)
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "taxi.useg")
-	file, err := os.Create(path)
-	must(err)
-	must(segment.Write(file, ps))
-	must(file.Close())
-	st, err := segment.Open(path)
-	must(err)
-	defer st.Close()
-	info, err := os.Stat(path)
-	must(err)
-	rawBytes := int64(ps.Len()) * int64(8+8+8+8*len(ps.Attrs))
-	fmt.Printf("workload: %d points, %d neighborhoods; segment: %d blocks x %d, %.1f MiB on disk (%.1f MiB raw)\n",
-		n, regions.Len(), st.NumBlocks(), st.BlockSize(),
-		float64(info.Size())/(1<<20), float64(rawBytes)/(1<<20))
-
-	prune := core.NewRasterJoin(core.WithResolution(1024))
-	noprune := core.NewRasterJoin(core.WithResolution(1024), core.WithBlockPrune(false))
-
-	// Warm pools, the span cache, and the decoded-block cache.
-	warm := core.Request{Source: st, Regions: regions, Agg: core.Count}
-	_, err = prune.Join(warm)
-	must(err)
-	_, err = noprune.Join(warm)
-	must(err)
-
-	rep := segmentsJSON{Cores: runtime.NumCPU(), Points: n,
-		Blocks: st.NumBlocks(), BlockSize: st.BlockSize(),
-		FileBytes: info.Size(), RawBytes: rawBytes}
-	t := newTable("selectivity", "count", "blocks scanned", "blocks pruned",
-		"segment pruned", "segment full-scan", "in-RAM", "speedup vs full-scan")
-	for _, sel := range []float64{0.001, 0.01, 0.1, 0.5, 1.0} {
-		width := 100 * sel
-		lo := (100 - width) / 2 // centered, so both file ends prune
-		filters := []core.Filter{{Attr: "odometer", Min: lo, Max: lo + width}}
-		segReq := core.Request{Source: st, Regions: regions, Agg: core.Count, Filters: filters}
-		ramReq := core.Request{Points: ps, Regions: regions, Agg: core.Count, Filters: filters}
-
-		// One bracketed join for the per-query pruning counters, then the
-		// timed repetitions.
-		s0, p0 := core.ScanStats()
-		pres, err := prune.Join(segReq)
-		must(err)
-		s1, p1 := core.ScanStats()
-		scanned, pruned := s1-s0, p1-p0
-
-		pruneLat := timeMedian(5, func() { _, err := prune.Join(segReq); must(err) })
-		var nres, rres *core.Result
-		nopruneLat := timeMedian(5, func() { nres, err = noprune.Join(segReq); must(err) })
-		ramLat := timeMedian(5, func() { rres, err = prune.Join(ramReq); must(err) })
-
-		if pres.TotalCount() != nres.TotalCount() || pres.TotalCount() != rres.TotalCount() {
-			panic(fmt.Sprintf("E20 sel=%g: counts diverge: pruned %d, full-scan %d, in-RAM %d",
-				sel, pres.TotalCount(), nres.TotalCount(), rres.TotalCount()))
-		}
-		speedup := float64(nopruneLat) / float64(pruneLat)
-		t.row(sel, pres.TotalCount(), scanned, pruned, pruneLat, nopruneLat, ramLat, speedup)
-		rep.Rows = append(rep.Rows, segmentsRowJSON{
-			Selectivity: sel, Count: pres.TotalCount(),
-			PruneNs: pruneLat.Nanoseconds(), NoPruneNs: nopruneLat.Nanoseconds(),
-			InRAMNs: ramLat.Nanoseconds(), BlocksScanned: scanned, BlocksPruned: pruned,
-			Speedup: speedup,
-		})
-	}
-	t.flush()
-
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile("BENCH_segments.json", append(out, '\n'), 0o644))
-	fmt.Printf("\nwrote BENCH_segments.json\n")
-}
-
-// ---------------------------------------------------------------- E21
-
-// incrementalJSON is the machine-readable mirror of E21, written to
-// BENCH_incremental.json.
-type incrementalJSON struct {
-	Cores   int                  `json:"cores"`
-	Points  int                  `json:"points"`
-	GranSec int64                `json:"gran_sec"`
-	Rows    []incrementalRowJSON `json:"window_sweep"`
-}
-
-type incrementalRowJSON struct {
-	Slabs        int     `json:"slabs"`
-	Count        int64   `json:"count"`
-	WarmSlideNs  int64   `json:"warm_slide_ns_per_op"`
-	ColdFoldNs   int64   `json:"cold_fold_ns_per_op"`
-	SlabsReused  uint64  `json:"slabs_reused"`
-	SpeedupSlide float64 `json:"slide_speedup_vs_cold"`
-}
-
-// runE21 measures incremental temporal view maintenance: the time-slider's
-// one-slab slide (window advances one slab; W-1 cached partials fold with
-// 1 recomputed slab) against the cold fold a whole-window invalidation
-// would force (every slab recomputed through the raster join). Window
-// widths 4, 8, and 16 slabs at 6h granularity over the Jan-2009 month.
-// Counts are asserted identical against the monolithic raster join before
-// any timing is reported — the fold is an optimization, never an
-// approximation.
-func runE21(scale float64) {
-	n := scaled(1_000_000, scale, 200_000)
-	scene := workload.NYC(n, 2009)
-	ps := scene.Taxi
-	regions := scene.Neighborhoods
-	const gran = int64(6 * 3600)
-	start0 := workload.Jan2009().Start // slab-aligned: midnight is a 6h boundary
-
-	raster := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate))
-	base := core.Request{Points: ps, Regions: regions, Agg: core.Sum, Attr: "fare"}
-	ctx := context.Background()
-	fmt.Printf("workload: %d points, %d regions, %dh slabs; one-slab slide vs cold fold\n",
-		n, regions.Len(), gran/3600)
-
-	rep := incrementalJSON{Cores: runtime.NumCPU(), Points: n, GranSec: gran}
-	t := newTable("window", "count", "warm slide", "cold fold", "slabs reused", "slide speedup")
-	for _, w := range []int{4, 8, 16} {
-		j := tcache.New(raster, gran, 0, 0)
-		cursor := start0
-		windowReq := func() core.Request {
-			req := base
-			req.Time = &core.TimeFilter{Start: cursor, End: cursor + int64(w)*gran}
-			return req
-		}
-		if _, err := j.JoinContext(ctx, windowReq()); err != nil { // initial fill
-			must(err)
-		}
-		cursor += gran // one untimed slide pages in pools before timing
-		if _, err := j.JoinContext(ctx, windowReq()); err != nil {
-			must(err)
-		}
-		var folded *core.Result
-		warmLat := timeMedian(5, func() {
-			cursor += gran // each op slides one slab: 1 recompute + w-1 reuses
-			r, err := j.JoinContext(ctx, windowReq())
-			must(err)
-			folded = r
-		})
-		coldLat := timeMedian(3, func() {
-			cold := tcache.New(raster, gran, 0, 0)
-			_, err := cold.JoinContext(ctx, windowReq())
-			must(err)
-		})
-
-		want, err := raster.JoinContext(ctx, windowReq())
-		must(err)
-		if folded.TotalCount() != want.TotalCount() {
-			panic(fmt.Sprintf("E21 w=%d: fold count %d != raster count %d",
-				w, folded.TotalCount(), want.TotalCount()))
-		}
-		speedup := float64(coldLat) / float64(warmLat)
-		t.row(fmt.Sprintf("%d slabs", w), want.TotalCount(), warmLat, coldLat, j.SlabsReused(), speedup)
-		rep.Rows = append(rep.Rows, incrementalRowJSON{
-			Slabs: w, Count: want.TotalCount(),
-			WarmSlideNs: warmLat.Nanoseconds(), ColdFoldNs: coldLat.Nanoseconds(),
-			SlabsReused: j.SlabsReused(), SpeedupSlide: speedup,
-		})
-	}
-	t.flush()
-
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile("BENCH_incremental.json", append(out, '\n'), 0o644))
-	fmt.Printf("\nwrote BENCH_incremental.json\n")
-}
-
-type shardJSON struct {
-	Cores  int            `json:"cores"`
-	Points int            `json:"points"`
-	Note   string         `json:"note"`
-	Rows   []shardRowJSON `json:"shard_sweep"`
-}
-
-type shardRowJSON struct {
-	Shards       int     `json:"shards"`
-	Count        int64   `json:"count"`
-	ShardedNs    int64   `json:"sharded_ns_per_op"`
-	LocalNs      int64   `json:"local_ns_per_op"`
-	BitIdentical bool    `json:"bit_identical"`
-	Overhead     float64 `json:"overhead_vs_local"`
-}
-
-// runE22 sweeps the scatter-gather shard count and proves the headline
-// property on the full NYC workload: the sharded result is bit-identical
-// to the local path at every count, with the coordination overhead (or
-// speedup, on multi-core hosts) measured against the unsharded join.
-func runE22(scale float64) {
-	n := scaled(1_000_000, scale, 200_000)
-	scene := workload.NYC(n, 2009)
-	ps := scene.Taxi
-	regions := scene.Neighborhoods
-	raster := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate))
-	req := core.Request{Points: ps, Regions: regions, Agg: core.Sum, Attr: "fare"}
-	ctx := context.Background()
-
-	cores := runtime.NumCPU()
-	note := fmt.Sprintf("%d-core host: shard passes run goroutine-per-shard, so wall-clock "+
-		"gains need real cores; on a 1-core box the sweep measures pure coordination overhead", cores)
-	fmt.Printf("workload: %d points, %d regions; scatter-gather vs local raster join\n%s\n",
-		n, regions.Len(), note)
-
-	want, err := raster.JoinContext(ctx, req)
-	must(err)
-	localLat := timeMedian(3, func() {
-		_, err := raster.JoinContext(ctx, req)
-		must(err)
-	})
-
-	rep := shardJSON{Cores: cores, Points: n, Note: note}
-	t := newTable("shards", "count", "sharded", "local", "bit-identical", "overhead")
-	for _, ns := range []int{1, 2, 4, 8} {
-		co := shard.New(raster, ns)
-		var got *core.Result
-		shardLat := timeMedian(3, func() {
-			r, err := co.JoinContext(ctx, req)
-			must(err)
-			got = r
-		})
-		identical := len(got.Stats) == len(want.Stats)
-		for k := range got.Stats {
-			if !identical {
-				break
-			}
-			identical = got.Stats[k].Count == want.Stats[k].Count &&
-				math.Float64bits(got.Stats[k].Sum) == math.Float64bits(want.Stats[k].Sum) &&
-				math.Float64bits(got.Stats[k].Min) == math.Float64bits(want.Stats[k].Min) &&
-				math.Float64bits(got.Stats[k].Max) == math.Float64bits(want.Stats[k].Max)
-		}
-		if !identical {
-			panic(fmt.Sprintf("E22 shards=%d: sharded result diverged from local path", ns))
-		}
-		overhead := float64(shardLat)/float64(localLat) - 1
-		t.row(fmt.Sprintf("%d", ns), want.TotalCount(), shardLat, localLat, identical,
-			fmt.Sprintf("%+.1f%%", 100*overhead))
-		rep.Rows = append(rep.Rows, shardRowJSON{
-			Shards: ns, Count: want.TotalCount(),
-			ShardedNs: shardLat.Nanoseconds(), LocalNs: localLat.Nanoseconds(),
-			BitIdentical: identical, Overhead: overhead,
-		})
-	}
-	t.flush()
-
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	must(err)
-	must(os.WriteFile("BENCH_shard.json", append(out, '\n'), 0o644))
-	fmt.Printf("\nwrote BENCH_shard.json\n")
 }
 
 func must(err error) {

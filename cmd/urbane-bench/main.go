@@ -1,5 +1,7 @@
-// Command urbane-bench regenerates every exhibit of the evaluation: one
-// experiment per table/figure in DESIGN.md's per-experiment index (E1–E9).
+// Command urbane-bench regenerates the paper's own exhibits: one experiment
+// per table/figure in DESIGN.md's per-experiment index (E1–E13). Per-layer
+// and end-to-end performance numbers come from the benchmark instead
+// (`bash benchmark/run.sh --trace 1`, see benchmark/README.md).
 // Output is textual — the same rows the paper's plots are drawn from.
 //
 // Usage:
@@ -43,16 +45,10 @@ var experiments = []experiment{
 	{"E11", "OD flow view: raster flow join vs geometric baseline", runE11},
 	{"E12", "Filter selectivity: ad-hoc constraints cost nothing extra", runE12},
 	{"E13", "Polygon level-of-detail: simplification tolerance ablation", runE13},
-	{"E16", "Parallel sharded point pass: worker scaling, bit-identical results", runE16},
-	{"E17", "Region span cache: cold vs warm vs disabled on the tract layer", runE17},
-	{"E19", "GeoBlocks hierarchy: arbitrary-polygon selectivity sweep vs raster path", runE19},
-	{"E20", "Columnar segments: filter-selectivity sweep, block pruning vs full scan", runE20},
-	{"E21", "Incremental windows: one-slab slide over cached partials vs cold fold", runE21},
-	{"E22", "Spatial sharding: scatter-gather shard-count sweep, bit-identical results", runE22},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E9) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (E1..E13) or 'all'")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (points multiply by this)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -96,7 +97,7 @@ func main() {
 }
 
 func runStatement(f *urbane.Framework, stmt string, top int) {
-	exec, err := f.Query(stmt)
+	exec, err := f.QueryContext(context.Background(), stmt)
 	if err != nil {
 		fmt.Printf("error: %v\n", err)
 		return

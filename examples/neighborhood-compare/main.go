@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -32,7 +33,7 @@ func main() {
 
 	// The candidate site's neighborhood: pick the one with the most taxi
 	// activity as a stand-in for "the neighborhood the architect works in".
-	ch, err := f.MapView(urbane.MapViewRequest{
+	ch, err := f.MapViewContext(context.Background(), urbane.MapViewRequest{
 		Dataset: "taxi", Layer: "neighborhoods", Agg: core.Count,
 	})
 	must(err)
@@ -52,7 +53,7 @@ func main() {
 		{Name: "photo density", Dataset: "photos", Agg: core.Count},
 	}
 	start := time.Now()
-	scores, err := f.RankSimilar("neighborhoods", target.ID, metrics)
+	scores, err := f.RankSimilarContext(context.Background(), "neighborhoods", target.ID, metrics)
 	must(err)
 	elapsed := time.Since(start)
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,7 +28,7 @@ func main() {
 		scene.Taxi.Len(), scene.Neighborhoods.Len())
 
 	// The full month's strongest flows.
-	view, err := f.FlowView(urbane.FlowViewRequest{
+	view, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
 		Dataset: "taxi", Layer: "neighborhoods", Top: 8,
 	})
 	must(err)
@@ -36,7 +37,7 @@ func main() {
 	printEdges(view)
 
 	// Ad-hoc refinement: premium trips only.
-	premium, err := f.FlowView(urbane.FlowViewRequest{
+	premium, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
 		Dataset: "taxi", Layer: "neighborhoods", Top: 8,
 		Filters: []core.Filter{{Attr: "fare", Min: 40, Max: 1e9}},
 	})
@@ -47,7 +48,7 @@ func main() {
 
 	// Self-flows vs cross-flows: how local is taxi traffic?
 	var self, cross int64
-	all, err := f.FlowView(urbane.FlowViewRequest{
+	all, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
 		Dataset: "taxi", Layer: "neighborhoods", Top: 1 << 30,
 	})
 	must(err)

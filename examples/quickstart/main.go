@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,7 +37,7 @@ func main() {
 	stmt := fmt.Sprintf(
 		"SELECT COUNT(*) FROM taxi, neighborhoods WHERE time BETWEEN %d AND %d GROUP BY id",
 		jan.Start, jan.End)
-	exec, err := f.Query(stmt)
+	exec, err := f.QueryContext(context.Background(), stmt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"image"
@@ -32,7 +33,7 @@ func main() {
 	must(f.AddRegionSet(scene.Neighborhoods))
 
 	// 1. Choropleth: pickups per neighborhood, January 2009.
-	pngBytes, err := f.RenderChoropleth(urbane.MapViewRequest{
+	pngBytes, err := f.RenderChoroplethContext(context.Background(), urbane.MapViewRequest{
 		Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: workload.Jan2009(),
 	}, 1000)
@@ -40,7 +41,7 @@ func main() {
 	write(filepath.Join(*out, "choropleth.png"), pngBytes)
 
 	// 2. Density heatmap of raw pickups.
-	hm, err := f.Heatmap(urbane.HeatmapRequest{Dataset: "taxi", W: 1000})
+	hm, err := f.HeatmapContext(context.Background(), urbane.HeatmapRequest{Dataset: "taxi", W: 1000})
 	must(err)
 	img, err := render.Density(hm.Counts, hm.W, hm.H, render.HeatRamp)
 	must(err)

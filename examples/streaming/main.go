@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,9 +49,9 @@ func main() {
 	must(err)
 	defer in.Close()
 	must(data.StreamCSV(in, "taxi", batchRows, func(batch *data.PointSet) error {
-		return stream.Add(batch)
+		return stream.AddContext(context.Background(), batch)
 	}))
-	res, err := stream.Finalize()
+	res, err := stream.FinalizeContext(context.Background())
 	must(err)
 	elapsed := time.Since(start)
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 
 	// Interaction 4: the raw density heatmap, rendered straight through
 	// the GPU substrate's point pass and printed as a terminal shade map.
-	hm, err := f.Heatmap(urbane.HeatmapRequest{Dataset: "taxi", W: 72})
+	hm, err := f.HeatmapContext(context.Background(), urbane.HeatmapRequest{Dataset: "taxi", W: 72})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func log2(v float64) float64 {
 
 // view runs one map-view interaction and reports its latency and extremes.
 func view(f *urbane.Framework, label string, req urbane.MapViewRequest) {
-	ch, err := f.MapView(req)
+	ch, err := f.MapViewContext(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestMultiJoinContextCancelReleasesResources(t *testing.T) {
 	requireDevDrained(t, dev, "after multi-join cancel")
 
 	// Pool must still serve a complete multi join.
-	if _, err := rj.MultiJoin(core.Request{Points: ps, Regions: rs}, specs); err != nil {
+	if _, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs); err != nil {
 		t.Fatalf("multi join after cancel: %v", err)
 	}
 	requireDevDrained(t, dev, "after multi-join reuse")
@@ -183,10 +183,10 @@ func TestStreamJoinAbortOnCancel(t *testing.T) {
 		t.Fatalf("canceled AddContext returned %v, want context.Canceled", err)
 	}
 	requireDevDrained(t, dev, "after stream abort")
-	if err := s.Add(ps); err == nil {
+	if err := s.AddContext(context.Background(), ps); err == nil {
 		t.Fatal("Add after abort succeeded; aborted stream must reject batches")
 	}
-	if _, err := s.Finalize(); err == nil {
+	if _, err := s.FinalizeContext(context.Background()); err == nil {
 		t.Fatal("Finalize after abort succeeded")
 	}
 	s.Abort() // idempotent

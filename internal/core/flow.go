@@ -78,22 +78,17 @@ func (f *FlowResult) Top(n int) []Flow {
 	return flows
 }
 
-// FlowJoin evaluates the OD aggregation with the polygons-first pipeline:
-// the regions are rendered once into a polygon-ID texture, then each
-// filtered point reads the owner of its origin pixel and of its destination
-// pixel; one (o,d) matrix cell is incremented per point whose both ends
-// resolve. In Approximate mode assignment uses the pixel-center rule, so
-// per-end error is bounded by the pixel diagonal; in Accurate mode ends
-// landing in boundary pixels take exact point-in-polygon tests and the
+// FlowJoinContext evaluates the OD aggregation with the polygons-first
+// pipeline: the regions are rendered once into a polygon-ID texture, then
+// each filtered point reads the owner of its origin pixel and of its
+// destination pixel; one (o,d) matrix cell is incremented per point whose
+// both ends resolve. In Approximate mode assignment uses the pixel-center
+// rule, so per-end error is bounded by the pixel diagonal; in Accurate mode
+// ends landing in boundary pixels take exact point-in-polygon tests and the
 // matrix is exact. With overlapping regions each end resolves to its
 // first-matching region.
 //
-// dxAttr/dyAttr name the destination coordinate columns.
-func (r *RasterJoin) FlowJoin(req Request, dxAttr, dyAttr string) (*FlowResult, error) {
-	return r.FlowJoinContext(context.Background(), req, dxAttr, dyAttr)
-}
-
-// FlowJoinContext is FlowJoin under a request context: cancellation is
+// dxAttr/dyAttr name the destination coordinate columns. Cancellation is
 // checked between ID-pass polygons and between OD-pass point batches, and
 // the canvas is released on every exit path.
 func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, dyAttr string) (*FlowResult, error) {
@@ -158,16 +153,9 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	var scratch *raster.Bitmap
 	var regionPixels [][]int32
 	if r.mode == Accurate {
-		var boundaryList []int32
-		boundaryList, regionPixels = r.outlinePass(c, req.Regions, sp)
-		slotOf = make([]int32, c.T.W*c.T.H)
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		for s, idx := range boundaryList {
-			slotOf[idx] = int32(s)
-		}
-		candidates = make([][]int32, len(boundaryList))
+		var nslots int
+		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
+		candidates = make([][]int32, nslots)
 		for k := range regionPixels {
 			for _, idx := range regionPixels[k] {
 				candidates[slotOf[idx]] = append(candidates[slotOf[idx]], int32(k))
@@ -272,7 +260,7 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 			defer wg.Done()
 			// Cancellation surfaces as ctx.Err() after the barrier, so the
 			// per-shard error can be dropped here.
-			_ = sc.piecesRange(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
+			_ = sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
 				base := blk.Base
 				dx, dy := blk.Attr[dxIdx], blk.Attr[dyIdx]
 				batch := r.pointBatch

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func bruteFlow(ps *data.PointSet, rs *data.RegionSet, pred func(i int) bool) map
 func TestFlowJoinApproximatesBruteForce(t *testing.T) {
 	ps, rs := flowScene(4000, 8, 301)
 	rj := core.NewRasterJoin(core.WithResolution(1024))
-	got, err := rj.FlowJoin(core.Request{Points: ps, Regions: rs, Agg: core.Count},
+	got, err := rj.FlowJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count},
 		data.DropoffXAttr, data.DropoffYAttr)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +112,7 @@ func TestFlowJoinApproximatesBruteForce(t *testing.T) {
 func TestAccurateFlowJoinIsExact(t *testing.T) {
 	ps, rs := flowScene(3000, 7, 307)
 	rj := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate))
-	got, err := rj.FlowJoin(core.Request{Points: ps, Regions: rs, Agg: core.Count},
+	got, err := rj.FlowJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count},
 		data.DropoffXAttr, data.DropoffYAttr)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestAccurateFlowJoinIsExact(t *testing.T) {
 	}
 	// Exact even at a coarse canvas where most pixels are boundary.
 	coarse := core.NewRasterJoin(core.WithResolution(48), core.WithMode(core.Accurate))
-	got, err = coarse.FlowJoin(core.Request{Points: ps, Regions: rs, Agg: core.Count},
+	got, err = coarse.FlowJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count},
 		data.DropoffXAttr, data.DropoffYAttr)
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +145,14 @@ func TestFlowJoinFilters(t *testing.T) {
 	rj := core.NewRasterJoin(core.WithResolution(512))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
 		Filters: []core.Filter{{Attr: "v", Min: 0, Max: 5}}}
-	got, err := rj.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr)
+	got, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Filtered == 0 {
 		t.Error("filter should have discarded points")
 	}
-	all, _ := rj.FlowJoin(core.Request{Points: ps, Regions: rs, Agg: core.Count},
+	all, _ := rj.FlowJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count},
 		data.DropoffXAttr, data.DropoffYAttr)
 	if got.Total() >= all.Total() {
 		t.Errorf("filtered total %d should be < %d", got.Total(), all.Total())
@@ -184,16 +185,16 @@ func TestFlowJoinErrors(t *testing.T) {
 	ps, rs := flowScene(100, 4, 305)
 	rj := core.NewRasterJoin(core.WithResolution(64))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	if _, err := rj.FlowJoin(req, "nope_x", "nope_y"); err == nil {
+	if _, err := rj.FlowJoinContext(context.Background(), req, "nope_x", "nope_y"); err == nil {
 		t.Error("missing destination columns should fail")
 	}
 	eps := core.NewRasterJoin(core.WithEpsilon(5))
-	if _, err := eps.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr); err == nil {
+	if _, err := eps.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr); err == nil {
 		t.Error("epsilon mode should be refused")
 	}
 	// Empty inputs return an empty matrix.
 	empty := &data.PointSet{Name: "e"}
-	res, err := rj.FlowJoin(core.Request{Points: empty, Regions: rs, Agg: core.Count},
+	res, err := rj.FlowJoinContext(context.Background(), core.Request{Points: empty, Regions: rs, Agg: core.Count},
 		data.DropoffXAttr, data.DropoffYAttr)
 	if err == nil {
 		// empty has no dest columns, so an error is also acceptable; when

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,11 +100,11 @@ func TestMinMaxValidation(t *testing.T) {
 		t.Error("MIN without attribute should fail validation")
 	}
 	// Series and multi joins reject MIN/MAX.
-	if _, err := rj.SeriesJoin(core.Request{Points: ps, Regions: rs,
+	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
 		Agg: core.Min, Attr: "v"}, 0, 100, 2); err == nil {
 		t.Error("series MIN should be rejected")
 	}
-	if _, err := rj.MultiJoin(core.Request{Points: ps, Regions: rs},
+	if _, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs},
 		[]core.AggSpec{{Agg: core.Max, Attr: "v"}}); err == nil {
 		t.Error("multi MAX should be rejected")
 	}

@@ -14,7 +14,7 @@ import (
 // AggSpec is one aggregate of a multi-aggregate join: its function,
 // attribute, and the per-aggregate constraints layered on top of the
 // request's own filters. Urbane's ranking view computes several metrics
-// over the same data and layer; MultiJoin evaluates them in one render
+// over the same data and layer; MultiJoinContext evaluates them in one render
 // instead of one render per metric.
 type AggSpec struct {
 	Agg     Agg
@@ -23,23 +23,17 @@ type AggSpec struct {
 	Time    *TimeFilter
 }
 
-// MultiJoin evaluates all specs against the request's points and regions in
-// a single raster pipeline: one point pass feeding per-spec textures, one
-// polygon pass reading them all. The request's Agg/Attr are ignored; its
-// Filters and Time apply to every spec, and each spec's own Filters/Time
-// compose on top. Results are identical to running each spec as its own
-// Join, per mode.
+// MultiJoinContext evaluates all specs against the request's points and
+// regions in a single raster pipeline: one point pass feeding per-spec
+// textures, one polygon pass reading them all. The request's Agg/Attr are
+// ignored; its Filters and Time apply to every spec, and each spec's own
+// Filters/Time compose on top. Results are identical to running each spec as
+// its own join, per mode.
 //
-// MultiJoin runs the points-first strategy (the texture-sharing win does
-// not exist polygons-first) and supports both Approximate and Accurate
-// modes, with tiling.
-func (r *RasterJoin) MultiJoin(req Request, specs []AggSpec) ([]*Result, error) {
-	return r.MultiJoinContext(context.Background(), req, specs)
-}
-
-// MultiJoinContext is MultiJoin under a request context, with the same
-// cancellation granularity as JoinContext: between point batches, between
-// region claims, and between canvas tiles.
+// It runs the points-first strategy (the texture-sharing win does not exist
+// polygons-first) and supports both Approximate and Accurate modes, with
+// tiling and JoinContext's cancellation granularity: between point batches,
+// between region claims, and between canvas tiles.
 func (r *RasterJoin) MultiJoinContext(ctx context.Context, req Request, specs []AggSpec) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: MultiJoin needs at least one spec")
@@ -128,8 +122,11 @@ type multiObs struct {
 	val  []float64
 }
 
-// renderTileMulti is renderTile generalized to several aggregates sharing
-// the point and polygon passes.
+// renderTileMulti is the tile pipeline generalized to several aggregates
+// sharing the point and polygon passes. It stays separate from tile: a
+// boundary observation must remember which specs it passed, and folding N
+// single-spec tiles instead would repeat the exact poly.Contains test of
+// pass 3 once per spec.
 func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Request, results []*Result,
 	specs []AggSpec, attrIdxs []int, preds []residualPred, sc *Scan) error {
 
@@ -144,16 +141,9 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 	var bins [][]multiObs
 	var regionPixels [][]int32
 	if r.mode == Accurate {
-		var boundaryList []int32
-		boundaryList, regionPixels = r.outlinePass(c, req.Regions, sp)
-		slotOf = make([]int32, w*h)
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		for s, idx := range boundaryList {
-			slotOf[idx] = int32(s)
-		}
-		bins = make([][]multiObs, len(boundaryList))
+		var nslots int
+		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
+		bins = make([][]multiObs, nslots)
 	}
 
 	// Point pass: one texture pair per spec, all pooled and released on
@@ -172,9 +162,9 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 			sumTex[s] = r.dev.AcquireTexture(w, h)
 		}
 	}
-	err = sc.piecesRange(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
+	err = sc.pieces(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
 		base := blk.Base
-		return r.drawPointsBatchedParallel(ctx, c, lo, hi,
+		return r.drawPoints(ctx, c, r.pointWorkers, lo, hi,
 			func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
 			func(px, py, i int) {
 				if needPred && !sc.pred(blk, i) {

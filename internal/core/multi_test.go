@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -19,7 +20,7 @@ func TestMultiJoinMatchesIndividualJoins(t *testing.T) {
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		rj := core.NewRasterJoin(core.WithResolution(256), core.WithMode(mode))
 		req := core.Request{Points: ps, Regions: rs}
-		multi, err := rj.MultiJoin(req, specs)
+		multi, err := rj.MultiJoinContext(context.Background(), req, specs)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -50,7 +51,7 @@ func TestMultiJoinGlobalFilters(t *testing.T) {
 		{Agg: core.Count, Filters: []core.Filter{{Attr: "v", Min: 5, Max: 9}}},
 	}
 	rj := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate))
-	multi, err := rj.MultiJoin(req, specs)
+	multi, err := rj.MultiJoinContext(context.Background(), req, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +77,20 @@ func TestMultiJoinErrors(t *testing.T) {
 	ps, rs := scene(100, 4, 405)
 	rj := core.NewRasterJoin(core.WithResolution(64))
 	req := core.Request{Points: ps, Regions: rs}
-	if _, err := rj.MultiJoin(req, nil); err == nil {
+	if _, err := rj.MultiJoinContext(context.Background(), req, nil); err == nil {
 		t.Error("no specs should fail")
 	}
-	if _, err := rj.MultiJoin(req, []core.AggSpec{{Agg: core.Sum, Attr: "nope"}}); err == nil {
+	if _, err := rj.MultiJoinContext(context.Background(), req, []core.AggSpec{{Agg: core.Sum, Attr: "nope"}}); err == nil {
 		t.Error("unknown spec attribute should fail")
 	}
-	if _, err := rj.MultiJoin(req, []core.AggSpec{
+	if _, err := rj.MultiJoinContext(context.Background(), req, []core.AggSpec{
 		{Agg: core.Count, Filters: []core.Filter{{Attr: "nope"}}}}); err == nil {
 		t.Error("unknown spec filter attribute should fail")
 	}
 	// Field-wise copy: PointSet carries an atomic identity stamp, so a
 	// by-value copy is both a vet violation and semantically wrong.
 	noTCopy := &data.PointSet{Name: ps.Name, X: ps.X, Y: ps.Y, Attrs: ps.Attrs}
-	if _, err := rj.MultiJoin(core.Request{Points: noTCopy, Regions: rs},
+	if _, err := rj.MultiJoinContext(context.Background(), core.Request{Points: noTCopy, Regions: rs},
 		[]core.AggSpec{{Agg: core.Count, Time: &core.TimeFilter{Start: 0, End: 1}}}); err == nil {
 		t.Error("spec time filter without timestamps should fail")
 	}

@@ -177,14 +177,14 @@ func TestSeriesJoinAcrossPointWorkers(t *testing.T) {
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(1))
-		want, err := seq.SeriesJoin(req, 0, int64(ps.Len()), 6)
+		want, err := seq.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(4))
 		for round := 0; round < 2; round++ { // cold then warm span cache
-			got, err := par.SeriesJoin(req, 0, int64(ps.Len()), 6)
+			got, err := par.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,13 +203,13 @@ func TestFlowJoinAcrossPointWorkers(t *testing.T) {
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(1))
-		want, err := seq.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr)
+		want, err := seq.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(5))
-		got, err := par.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr)
+		got, err := par.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,13 +236,13 @@ func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(1))
-		wantMulti, err := seq.MultiJoin(core.Request{Points: ps, Regions: rs}, specs)
+		wantMulti, err := seq.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithPointWorkers(4))
-		gotMulti, err := par.MultiJoin(core.Request{Points: ps, Regions: rs}, specs)
+		gotMulti, err := par.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,10 +254,10 @@ func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ws.Add(ps); err != nil {
+		if err := ws.AddContext(context.Background(), ps); err != nil {
 			t.Fatal(err)
 		}
-		wantStream, err := ws.Finalize()
+		wantStream, err := ws.FinalizeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,10 +265,10 @@ func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := gs.Add(ps); err != nil {
+		if err := gs.AddContext(context.Background(), ps); err != nil {
 			t.Fatal(err)
 		}
-		gotStream, err := gs.Finalize()
+		gotStream, err := gs.FinalizeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,16 +112,9 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 	var candidates [][]int32 // per boundary-pixel slot
 	var regionPixels [][]int32
 	if r.mode == Accurate {
-		var boundaryList []int32
-		boundaryList, regionPixels = r.outlinePass(c, req.Regions, sp)
-		slotOf = make([]int32, w*h)
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		for s, idx := range boundaryList {
-			slotOf[idx] = int32(s)
-		}
-		candidates = make([][]int32, len(boundaryList))
+		var nslots int
+		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
+		candidates = make([][]int32, nslots)
 		for k := range regionPixels {
 			for _, idx := range regionPixels[k] {
 				s := slotOf[idx]
@@ -210,13 +203,13 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 			// Each shard issues its own (possibly batched) draw calls on
 			// the shared canvas; cancellation surfaces as ctx.Err() after
 			// the barrier, so the per-shard error can be dropped here.
-			_ = sc.piecesRange(ctx, s, e, func(blk *data.Block, plo, phi int, needPred bool) error {
+			_ = sc.pieces(ctx, s, e, func(blk *data.Block, plo, phi int, needPred bool) error {
 				base := blk.Base
 				var attr []float64
 				if attrIdx >= 0 {
 					attr = blk.Attr[attrIdx]
 				}
-				return r.drawPointsBatched(ctx, c, plo, phi,
+				return r.drawPoints(ctx, c, 1, plo, phi,
 					func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
 					func(px, py, i int) {
 						if needPred && !sc.pred(blk, i) {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/fault"
@@ -127,55 +125,22 @@ func WithPointBatch(n int) RJOption {
 // either way; pruned blocks provably contribute no fragments.
 func WithBlockPrune(on bool) RJOption { return func(r *RasterJoin) { r.blockPrune = on } }
 
-// drawPointsBatched streams point indices [lo, hi) to the canvas in
-// batches of at most pointBatch vertices. pos and shader receive absolute
-// point indices. The context is checked between batches — the batch size is
+// drawPoints streams point indices [lo, hi) to the canvas in batches of at
+// most pointBatch vertices, each fanned out across up to workers goroutines
+// via Canvas.DrawPointsParallel (workers <= 1 is the sequential draw). pos
+// and shader receive absolute point indices. The context and the
+// `core.pointpass` fault site are polled once per batch — the batch size is
 // the cancellation granularity of the point pass — and each submitted batch
 // increments the request trace's "batches" counter.
-func (r *RasterJoin) drawPointsBatched(ctx context.Context, c *gpu.Canvas, lo, hi int,
+//
+// workers > 1 requires the DrawPointsParallel safety contract — shader
+// writes keyed by the fragment's pixel — which holds for the texture-and-bin
+// shaders of the tile and multi joiners. Passes with region-keyed
+// accumulators (polygons-first, flow) shard those accumulators per worker
+// instead and draw with workers = 1.
+func (r *RasterJoin) drawPoints(ctx context.Context, c *gpu.Canvas, workers, lo, hi int,
 	pos func(i int) (float64, float64), shader func(px, py, i int)) error {
 
-	batch := r.pointBatch
-	if batch <= 0 {
-		batch = hi - lo
-	}
-	tr := trace.FromContext(ctx)
-	for s := lo; s < hi; s += batch {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		// `core.pointpass` is a fault injection site, polled at the same
-		// granularity as cancellation — once per batch.
-		if err := fault.Inject(ctx, "core.pointpass"); err != nil {
-			return err
-		}
-		e := s + batch
-		if e > hi {
-			e = hi
-		}
-		base := s
-		c.DrawPoints(e-s,
-			func(j int) (float64, float64) { return pos(base + j) },
-			func(px, py, j int) { shader(px, py, base+j) })
-		tr.Count("batches", 1)
-	}
-	return nil
-}
-
-// drawPointsBatchedParallel is drawPointsBatched on the sharded point pass:
-// each batch fans out across r.pointWorkers goroutines via
-// Canvas.DrawPointsParallel. It requires the DrawPointsParallel safety
-// contract — shader writes keyed by the fragment's pixel — which holds for
-// the texture-and-bin shaders of the standard, series, streaming, and multi
-// joiners. Passes with region-keyed accumulators (polygons-first, flow)
-// shard those accumulators per worker instead and keep the sequential draw.
-func (r *RasterJoin) drawPointsBatchedParallel(ctx context.Context, c *gpu.Canvas, lo, hi int,
-	pos func(i int) (float64, float64), shader func(px, py, i int)) error {
-
-	workers := r.pointWorkers
-	if workers <= 1 {
-		return r.drawPointsBatched(ctx, c, lo, hi, pos, shader)
-	}
 	batch := r.pointBatch
 	if batch <= 0 {
 		batch = hi - lo
@@ -185,12 +150,8 @@ func (r *RasterJoin) drawPointsBatchedParallel(ctx context.Context, c *gpu.Canva
 		if err := fault.Inject(ctx, "core.pointpass"); err != nil {
 			return err
 		}
-		e := s + batch
-		if e > hi {
-			e = hi
-		}
-		base := s
-		err := c.DrawPointsParallel(ctx, workers, e-s,
+		base, n := s, min(batch, hi-s)
+		err := c.DrawPointsParallel(ctx, workers, n,
 			func(j int) (float64, float64) { return pos(base + j) },
 			func(px, py, j int) { shader(px, py, base+j) })
 		if err != nil {
@@ -286,6 +247,14 @@ func (r *RasterJoin) Join(req Request) (*Result, error) {
 // canvas and pooled texture is released before returning, so an aborted
 // query leaves the device pool fully reusable.
 func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, error) {
+	return r.join(ctx, req, nil)
+}
+
+// join is the one tile pipeline. With a nil plan pass 1 scans the request's
+// source locally; with a plan (JoinScattered) pass 1 is scattered across
+// shard executors and gathered into the same tile state. Everything around
+// pass 1 is shared.
+func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -307,9 +276,12 @@ func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, err
 	res.CanvasW, res.CanvasH = full.W, full.H
 	res.PixelSize = full.PixelWidth()
 
-	sc, err := r.newScan(req)
-	if err != nil {
-		return nil, err
+	var sc *Scan
+	if plan == nil {
+		var err error
+		if sc, err = r.newScan(req); err != nil {
+			return nil, err
+		}
 	}
 	attrIdx := -1
 	if req.Agg.NeedsAttr() {
@@ -317,19 +289,34 @@ func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, err
 	}
 
 	tr := trace.FromContext(ctx)
-	err = r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
+	err := r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		res.Tiles++
 		tr.Count("tiles", 1)
-		// Tiles render sequentially, so re-aiming the scan's spatial bound
-		// per tile is safe; within a tile the scan is only read.
-		sc.setWorld(c.T.World)
+		if sc != nil {
+			// Tiles render sequentially, so re-aiming the scan's spatial
+			// bound per tile is safe; within a tile the scan is only read.
+			sc.setWorld(c.T.World)
+		}
 		if r.strategy == PolygonsFirst {
 			return r.renderTilePolygonsFirst(ctx, c, req, res.Stats, sc, attrIdx)
 		}
-		return r.renderTile(ctx, c, req, res.Stats, sc, attrIdx)
+		t, err := r.newTile(ctx, c, req.Regions, req.Agg)
+		if err != nil {
+			return err
+		}
+		defer t.release()
+		if plan != nil {
+			err = t.gather(ctx, req, attrIdx, plan)
+		} else {
+			err = t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx)
+		}
+		if err != nil {
+			return err
+		}
+		return t.resolve(ctx, res.Stats)
 	})
 	if err != nil {
 		return nil, err
@@ -350,220 +337,6 @@ func (r *RasterJoin) fullTransform(window geom.BBox) raster.Transform {
 		pixel = 1
 	}
 	return raster.SquareTransform(window, pixel)
-}
-
-// renderTile runs the drawing passes for one canvas tile, accumulating into
-// stats. The passes mirror the paper's shader pipeline:
-//
-//  1. Point pass — filtered points are drawn with additive blending into a
-//     per-pixel count texture and (for SUM/AVG) an attribute-sum texture.
-//  2. Polygon pass — each region is drawn; every covered fragment adds the
-//     point textures into the region's accumulator.
-//  3. (Accurate only) Outline pass + exact pass — fragments in boundary
-//     pixels are excluded from pass 2 and instead resolved by exact
-//     point-in-polygon tests against the points binned in those pixels.
-func (r *RasterJoin) renderTile(ctx context.Context, c *gpu.Canvas, req Request, stats []RegionStat,
-	sc *Scan, attrIdx int) error {
-
-	w, h := c.T.W, c.T.H
-
-	// Compiled region spans (cache hit or one-time compile). nil when the
-	// span cache is disabled — every draw below then falls back to direct
-	// scanline rasterization, which visits identical pixels.
-	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
-	if err != nil {
-		return err
-	}
-
-	// Accurate: outline pass first — point binning below needs to know
-	// which pixels are boundary pixels for some region.
-	var slotOf []int32
-	var bins [][]obs
-	var regionPixels [][]int32
-	if r.mode == Accurate {
-		slotOf, bins, regionPixels = r.prepareAccurate(c, req.Regions, sp)
-	}
-
-	// Pass 1: point textures. COUNT/SUM/AVG blend additively; MIN/MAX use
-	// the min/max blend equations over targets initialized to ±Inf. The
-	// textures come from the device pool and are released on every exit
-	// path, including cancellation.
-	countTex := r.dev.AcquireTexture(w, h)
-	defer r.dev.ReleaseTexture(countTex)
-	var sumTex, minTex, maxTex *gpu.Texture
-	switch req.Agg {
-	case Sum, Avg:
-		sumTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(sumTex)
-	case Min:
-		minTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(minTex)
-		minTex.Fill(math.Inf(1))
-	case Max:
-		maxTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(maxTex)
-		maxTex.Fill(math.Inf(-1))
-	}
-	err = sc.piecesRange(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
-		base := blk.Base
-		var attr []float64
-		if attrIdx >= 0 {
-			attr = blk.Attr[attrIdx]
-		}
-		return r.drawPointsBatchedParallel(ctx, c, lo, hi,
-			func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
-			func(px, py, i int) {
-				if needPred && !sc.pred(blk, i) {
-					return // fragment discarded by the filter condition
-				}
-				j := i - base
-				countTex.Add(px, py, 1)
-				var v float64
-				if attr != nil {
-					v = attr[j]
-				}
-				switch {
-				case sumTex != nil:
-					sumTex.Add(px, py, v)
-				case minTex != nil:
-					minTex.TakeMin(px, py, v)
-				case maxTex != nil:
-					maxTex.TakeMax(px, py, v)
-				}
-				if slotOf != nil {
-					if s := slotOf[py*w+px]; s >= 0 {
-						bins[s] = append(bins[s], obs{x: blk.X[j], y: blk.Y[j], v: v})
-					}
-				}
-			})
-	})
-	if err != nil {
-		return err
-	}
-
-	return r.regionPasses(ctx, c, req, stats, sp,
-		countTex, sumTex, minTex, maxTex, slotOf, bins, regionPixels, attrIdx)
-}
-
-// prepareAccurate runs the outline pass and builds the boundary-pixel
-// bookkeeping the accurate mode needs before the point pass: slotOf maps a
-// boundary pixel's index to a dense bucket slot (-1 elsewhere), so the hot
-// point loop pays one array lookup instead of a map operation. Bins hold
-// the observation (coordinates plus aggregated value), not the point index:
-// with an out-of-core source the block a point came from may be evicted
-// before the fix-up pass runs.
-func (r *RasterJoin) prepareAccurate(c *gpu.Canvas, regions *data.RegionSet, sp *raster.RegionSpans) (slotOf []int32, bins [][]obs, regionPixels [][]int32) {
-	w, h := c.T.W, c.T.H
-	var boundaryList []int32
-	boundaryList, regionPixels = r.outlinePass(c, regions, sp)
-	slotOf = make([]int32, w*h)
-	for i := range slotOf {
-		slotOf[i] = -1
-	}
-	for s, idx := range boundaryList {
-		slotOf[idx] = int32(s)
-	}
-	bins = make([][]obs, len(boundaryList))
-	return slotOf, bins, regionPixels
-}
-
-// regionPasses runs passes 2 and 3 over finished point textures: per-region
-// accumulation, parallel across regions, plus the accurate-mode boundary
-// fix-up from the point bins. It is shared by the local renderTile and the
-// scatter-gather driver — after the gather the merged textures and bins are
-// indistinguishable from a local pass 1, so running the identical code here
-// is what makes sharded results byte-identical to the unsharded path.
-//
-// Race audit (sharedwrite-clean): the atomic cursor assigns each
-// region index k to exactly one goroutine, so stats[k] has a single
-// writer; countTex/sumTex/minTex/maxTex, bins, slotOf and
-// regionPixels are frozen after pass 1 and only read here. Each
-// goroutine's scratch bitmap is goroutine-local. wg.Wait() orders the
-// caller's reads after all writes.
-func (r *RasterJoin) regionPasses(ctx context.Context, c *gpu.Canvas, req Request, stats []RegionStat,
-	sp *raster.RegionSpans, countTex, sumTex, minTex, maxTex *gpu.Texture,
-	slotOf []int32, bins [][]obs, regionPixels [][]int32, attrIdx int) error {
-
-	w, h := c.T.W, c.T.H
-	regions := req.Regions.Regions
-	workers := r.workers
-	if workers > len(regions) {
-		workers = len(regions)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			var scratch *raster.Bitmap
-			if r.mode == Accurate {
-				scratch = raster.NewBitmap(w, h)
-			}
-			for ctx.Err() == nil {
-				k := int(next.Add(1)) - 1
-				if k >= len(regions) {
-					return
-				}
-				poly := regions[k].Poly
-				var local RegionStat
-
-				if scratch != nil {
-					for _, idx := range regionPixels[k] {
-						scratch.Set(int(idx)%w, int(idx)/w)
-					}
-				}
-				drawRegion(c, sp, poly, k, func(px, py int) {
-					if scratch != nil && scratch.Get(px, py) {
-						return // boundary fragment: resolved exactly below
-					}
-					v := countTex.At(px, py)
-					if v == 0 {
-						return
-					}
-					pixel := RegionStat{Count: int64(v)}
-					switch {
-					case sumTex != nil:
-						pixel.Sum = sumTex.At(px, py)
-					case minTex != nil:
-						m := minTex.At(px, py)
-						pixel.Min, pixel.Max = m, m
-					case maxTex != nil:
-						m := maxTex.At(px, py)
-						pixel.Min, pixel.Max = m, m
-					}
-					local.Merge(pixel)
-				})
-				if scratch != nil {
-					for _, idx := range regionPixels[k] {
-						px, py := int(idx)%w, int(idx)/w
-						scratch.Unset(px, py)
-						for _, o := range bins[slotOf[idx]] {
-							if !poly.Contains(geom.Point{X: o.x, Y: o.y}) {
-								continue
-							}
-							switch {
-							case minTex != nil || maxTex != nil:
-								local.Observe(o.v)
-							case attrIdx >= 0:
-								local.Count++
-								//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
-								local.Sum += o.v
-							default:
-								local.Count++
-							}
-						}
-					}
-				}
-				stats[k].Merge(local)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // outlinePass conservatively rasterizes every region's boundary, returning

@@ -62,7 +62,7 @@ func BenchmarkSeriesJoinVsPerBin(b *testing.B) {
 	end := int64(ps.Len())
 	b.Run("series", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rj.SeriesJoin(req, 0, end, bins); err != nil {
+			if _, err := rj.SeriesJoinContext(context.Background(), req, 0, end, bins); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -159,15 +159,4 @@ func BenchmarkSpanCacheWarm(b *testing.B) {
 		run(b, core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(1024),
 			core.WithMode(core.Accurate)))
 	})
-}
-
-func BenchmarkFragmentCacheBuild(b *testing.B) {
-	_, rs := scene(100, 64, 109)
-	rj := core.NewRasterJoin(core.WithResolution(1024))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rj.BuildFragmentCache(rs); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -80,13 +80,20 @@ func (p *residualPred) eval(blk *data.Block, i int) bool {
 
 // Scan is a compiled point scan: the index range to cover (narrowed by
 // binary search when the source is time-sorted), the residual per-point
-// predicate, and the zone-map bounds that let piecesRange skip whole
-// blocks. One Scan serves all tiles of a join; setWorld re-aims the
-// spatial bound per tile. piecesRange is safe for concurrent callers once
-// the scan is configured.
+// predicate, and the zone-map bounds that let pieces skip whole blocks. One
+// Scan serves all tiles of a join; setWorld re-aims the spatial bound per
+// tile. pieces is safe for concurrent callers once the scan is configured.
 type Scan struct {
 	Src    data.PointSource
 	Lo, Hi int
+	// blocks, when non-nil, is the ascending block list the walk is limited
+	// to (a shard's assignment); nil walks every block. owned restricts the
+	// scan to points with world-x in [xlo, xhi) — see own.
+	blocks   []int
+	owned    bool
+	xlo, xhi float64
+	// scanned and pruned total the blocks pieces drew vs. eliminated.
+	scanned, pruned atomic.Int64
 
 	res      residualPred
 	world    geom.BBox
@@ -104,15 +111,8 @@ type Scan struct {
 // filter narrows [Lo, Hi) by binary search on a time-sorted source and
 // joins the residual predicate otherwise.
 func (r *RasterJoin) newScan(req Request) (*Scan, error) {
-	return newScanPrune(req, r.blockPrune)
-}
-
-// newScanPrune is newScan with an explicit pruning flag, for callers that
-// are not a *RasterJoin (the shard executors compile their own scans from a
-// wire-able spec).
-func newScanPrune(req Request, prune bool) (*Scan, error) {
 	src := req.Data()
-	sc := &Scan{Src: src, Lo: 0, Hi: src.Len(), prune: prune}
+	sc := &Scan{Src: src, Lo: 0, Hi: src.Len(), prune: r.blockPrune}
 	tf := req.Time
 	if tf != nil && src.TimeSorted() {
 		var err error
@@ -129,6 +129,25 @@ func newScanPrune(req Request, prune bool) (*Scan, error) {
 	}
 	return sc, nil
 }
+
+// own limits the scan to one shard: walk only the assigned blocks and keep
+// only points with world-x in [xlo, xhi). Blocks whose x zone cannot
+// intersect the range are pruned, and a piece reports needPred = false only
+// when the zone also proves the whole block lies inside the range — sound
+// under NaN coordinates, because zone min/max ignore NaN and NaN positions
+// are canvas-culled before any per-point test runs. Where needPred is true
+// the caller tests owns beside pred (kept out of pred so the filter
+// predicate of every other scan stays inlinable in the point loop).
+func (sc *Scan) own(blocks []int, xlo, xhi float64) {
+	if blocks == nil {
+		blocks = []int{} // an empty assignment walks nothing, not everything
+	}
+	sc.blocks = blocks
+	sc.owned, sc.xlo, sc.xhi = true, xlo, xhi
+}
+
+// owns reports whether an owned scan keeps a point at world-x x.
+func (sc *Scan) owns(x float64) bool { return x >= sc.xlo && x < sc.xhi }
 
 // setWorld bounds the scan spatially: blocks whose coordinate zones are
 // disjoint from the canvas window are pruned. The test keeps blocks that
@@ -151,7 +170,7 @@ func (sc *Scan) pred(blk *data.Block, i int) bool { return sc.res.eval(blk, i) }
 // and full containment requires a NaN-free zone.
 func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 	if !sc.prune {
-		return true, sc.res.empty()
+		return true, sc.res.empty() && !sc.owned
 	}
 	if sc.worldSet {
 		if z.X.Min > sc.world.MaxX || z.X.Max < sc.world.MinX ||
@@ -160,6 +179,14 @@ func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 		}
 	}
 	full = true
+	if sc.owned {
+		if z.X.Max < sc.xlo || z.X.Min >= sc.xhi {
+			return false, false
+		}
+		if !(sc.xlo <= z.X.Min && z.X.Max < sc.xhi) {
+			full = false
+		}
+	}
 	if sc.res.hasTime {
 		if !sc.spatialOnly && (z.MaxT < sc.res.tStart || z.MinT >= sc.res.tEnd) {
 			return false, false
@@ -180,36 +207,38 @@ func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 	return true, full
 }
 
-// piecesRange streams the surviving blocks overlapping [s, e) ∩ [Lo, Hi)
-// to fn in ascending index order, with the clipped absolute range and
-// whether the residual predicate still needs evaluating. On a Slabber
-// source (in-RAM columns) maximal runs of surviving blocks with equal
-// needPred collapse into one zero-copy piece, so an unpruned in-RAM scan
-// issues exactly the draws the pre-source code did. The context is checked
-// once per block — pruning sweeps over cold zones stay cancelable.
-func (sc *Scan) piecesRange(ctx context.Context, s, e int, fn func(blk *data.Block, lo, hi int, needPred bool) error) error {
-	if s < sc.Lo {
-		s = sc.Lo
-	}
-	if e > sc.Hi {
-		e = sc.Hi
-	}
+// pieces streams the surviving blocks overlapping [s, e) ∩ [Lo, Hi) to fn
+// in ascending index order, with the clipped absolute range and whether the
+// residual predicate still needs evaluating. The walk covers every block of
+// the source, or only sc.blocks when a shard's assignment is set. On a
+// Slabber source (in-RAM columns) maximal runs of contiguous surviving
+// blocks with equal needPred collapse into one zero-copy piece, so an
+// unpruned in-RAM scan issues exactly the draws the pre-source code did.
+// The context is checked once per block — pruning sweeps over cold zones
+// stay cancelable.
+func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, lo, hi int, needPred bool) error) error {
+	s, e = max(s, sc.Lo), min(e, sc.Hi)
 	if s >= e {
 		return nil
 	}
 	src := sc.Src
 	slabber, _ := src.(data.Slabber)
-	nb := src.NumBlocks()
-	b0 := sort.Search(nb, func(b int) bool { _, bhi := src.BlockSpan(b); return bhi > s })
+	// Walk positions index sc.blocks when set, block numbers otherwise;
+	// either way ascending, starting at the first block reaching past s.
+	n := src.NumBlocks()
+	blockAt := func(i int) int { return i }
+	if sc.blocks != nil {
+		n = len(sc.blocks)
+		blockAt = func(i int) int { return sc.blocks[i] }
+	}
+	i0 := sort.Search(n, func(i int) bool { _, bhi := src.BlockSpan(blockAt(i)); return bhi > s })
 
 	var scanned, pruned int64
 	defer func() {
-		if scanned > 0 {
-			scanBlocksScanned.Add(scanned)
-		}
-		if pruned > 0 {
-			scanBlocksPruned.Add(pruned)
-		}
+		sc.scanned.Add(scanned)
+		sc.pruned.Add(pruned)
+		scanBlocksScanned.Add(scanned)
+		scanBlocksPruned.Add(pruned)
 		tr := trace.FromContext(ctx)
 		if scanned > 0 {
 			tr.Count("segment.blocks_scanned", scanned)
@@ -233,7 +262,8 @@ func (sc *Scan) piecesRange(ctx context.Context, s, e int, fn func(blk *data.Blo
 		runS = -1
 		return err
 	}
-	for b := b0; b < nb; b++ {
+	for i := i0; i < n; i++ {
+		b := blockAt(i)
 		blo, bhi := src.BlockSpan(b)
 		if blo >= e {
 			break
@@ -241,13 +271,7 @@ func (sc *Scan) piecesRange(ctx context.Context, s, e int, fn func(blk *data.Blo
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cs, ce := blo, bhi
-		if cs < s {
-			cs = s
-		}
-		if ce > e {
-			ce = e
-		}
+		cs, ce := max(blo, s), min(bhi, e)
 		ok, full := sc.survives(src.Zone(b))
 		if !ok {
 			pruned++
@@ -278,112 +302,6 @@ func (sc *Scan) piecesRange(ctx context.Context, s, e int, fn func(blk *data.Blo
 		}
 	}
 	return flush()
-}
-
-// piecesBlocks is piecesRange over an explicit ascending block list with an
-// additional world-x ownership range [xlo, xhi): blocks whose x zone cannot
-// intersect the range are skipped, and fn additionally learns whether the
-// per-point ownership test is still needed (needX=false when the zone proves
-// the whole block lies inside the range). Like piecesRange, maximal runs of
-// contiguous surviving blocks with equal flags collapse into one zero-copy
-// slab on a Slabber source, and the context is checked once per block. The
-// scanned/pruned counts are returned so shard partials can report them.
-func (sc *Scan) piecesBlocks(ctx context.Context, blocks []int, xlo, xhi float64,
-	fn func(blk *data.Block, lo, hi int, needPred, needX bool) error) (int64, int64, error) {
-
-	src := sc.Src
-	slabber, _ := src.(data.Slabber)
-
-	var scanned, pruned int64
-	defer func() {
-		if scanned > 0 {
-			scanBlocksScanned.Add(scanned)
-		}
-		if pruned > 0 {
-			scanBlocksPruned.Add(pruned)
-		}
-		tr := trace.FromContext(ctx)
-		if scanned > 0 {
-			tr.Count("segment.blocks_scanned", scanned)
-		}
-		if pruned > 0 {
-			tr.Count("segment.blocks_pruned", pruned)
-		}
-	}()
-
-	runS, runE := -1, -1
-	runPred, runX := false, false
-	flush := func() error {
-		if runS < 0 {
-			return nil
-		}
-		blk, ok := slabber.Slab(runS, runE)
-		if !ok {
-			return fmt.Errorf("core: source %q refused slab [%d,%d)", src.Name(), runS, runE)
-		}
-		err := fn(blk, runS, runE, runPred, runX)
-		runS = -1
-		return err
-	}
-	for _, b := range blocks {
-		blo, bhi := src.BlockSpan(b)
-		cs, ce := blo, bhi
-		if cs < sc.Lo {
-			cs = sc.Lo
-		}
-		if ce > sc.Hi {
-			ce = sc.Hi
-		}
-		if cs >= ce {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return scanned, pruned, err
-		}
-		z := src.Zone(b)
-		// Ownership pruning: no point of the block can fall in [xlo, xhi).
-		// Sound under NaN coordinates — zone min/max ignore NaN and NaN
-		// positions are canvas-culled before the ownership test runs.
-		if z.X.Max < xlo || z.X.Min >= xhi {
-			pruned++
-			if err := flush(); err != nil {
-				return scanned, pruned, err
-			}
-			continue
-		}
-		ok, full := sc.survives(z)
-		if !ok {
-			pruned++
-			if err := flush(); err != nil {
-				return scanned, pruned, err
-			}
-			continue
-		}
-		scanned++
-		needPred := !full
-		// Every shaded point has non-NaN coordinates inside the zone, so
-		// zone containment proves per-point ownership.
-		needX := !(xlo <= z.X.Min && z.X.Max < xhi)
-		if slabber != nil {
-			if runS >= 0 && runE == cs && runPred == needPred && runX == needX {
-				runE = ce
-				continue
-			}
-			if err := flush(); err != nil {
-				return scanned, pruned, err
-			}
-			runS, runE, runPred, runX = cs, ce, needPred, needX
-			continue
-		}
-		blk, err := src.Block(b)
-		if err != nil {
-			return scanned, pruned, fmt.Errorf("core: decoding block %d of %q: %w", b, src.Name(), err)
-		}
-		if err := fn(blk, cs, ce, needPred, needX); err != nil {
-			return scanned, pruned, err
-		}
-	}
-	return scanned, pruned, flush()
 }
 
 // sourceTimeWindow returns the index range [lo, hi) of points with

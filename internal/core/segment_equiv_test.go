@@ -11,10 +11,12 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -24,6 +26,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/segment"
+	"repro/internal/shard"
 )
 
 // equivScene builds a clustered point set with sorted timestamps, a uniform
@@ -190,12 +193,12 @@ func TestSegmentSeriesEquivalence(t *testing.T) {
 		agg  core.Agg
 		attr string
 	}{{core.Count, ""}, {core.Sum, "v"}} {
-		ram, err := rj.SeriesJoin(core.Request{Points: ps, Regions: rs, Agg: agg.agg, Attr: agg.attr,
+		ram, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: agg.agg, Attr: agg.attr,
 			Filters: []core.Filter{{Attr: "v", Min: 1, Max: 9}}}, 0, int64(ps.Len()*3), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := rj.SeriesJoin(core.Request{Points: ps, Source: st, Regions: rs, Agg: agg.agg, Attr: agg.attr,
+		seg, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Source: st, Regions: rs, Agg: agg.agg, Attr: agg.attr,
 			Filters: []core.Filter{{Attr: "v", Min: 1, Max: 9}}}, 0, int64(ps.Len()*3), 6)
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +213,11 @@ func TestSegmentSeriesEquivalence(t *testing.T) {
 }
 
 // TestSegmentStreamEquivalence: a stream fed the segment source via
-// AddSource finalizes to the same result as one fed the in-RAM set.
+// AddSourceContext finalizes to the same result as one fed the in-RAM set.
+// Then, on the same scene and request at a 64-point batch, every
+// points-first variant must land on the same Stats: the monolithic join, a
+// stream of three segment-backed batches, a one-bin series, and the
+// scattered join at 1, 2 and 4 shards (shards × segments × small batches).
 func TestSegmentStreamEquivalence(t *testing.T) {
 	ps, rs := equivScene(3000, 6, 99)
 	st := equivStore(t, ps, 256, 1<<20)
@@ -224,22 +231,79 @@ func TestSegmentStreamEquivalence(t *testing.T) {
 		return s
 	}
 	a := mkStream()
-	if err := a.Add(ps); err != nil {
+	if err := a.AddContext(context.Background(), ps); err != nil {
 		t.Fatal(err)
 	}
-	ram, err := a.Finalize()
+	ram, err := a.FinalizeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := mkStream()
-	if err := b.AddSource(st); err != nil {
+	if err := b.AddSourceContext(context.Background(), st); err != nil {
 		t.Fatal(err)
 	}
-	seg, err := b.Finalize()
+	seg, err := b.FinalizeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertStatsBits(t, seg.Stats, ram.Stats, "stream")
+
+	ctx := context.Background()
+	rj = core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
+		core.WithPointBatch(64))
+	req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Sum, Attr: "v",
+		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 9}}}
+	want, err := rj.JoinContext(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type variant struct {
+		name string
+		run  func() ([]core.RegionStat, error)
+	}
+	variants := []variant{
+		{"stream of 3 batches", func() ([]core.RegionStat, error) {
+			s := mkStream()
+			n := ps.Len()
+			for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+				batch := equivStore(t, ps.Slice(cut[0], cut[1]), 256, 1<<20)
+				if err := s.AddSourceContext(ctx, batch); err != nil {
+					return nil, err
+				}
+			}
+			res, err := s.FinalizeContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return res.Stats, nil
+		}},
+		{"1-bin series", func() ([]core.RegionStat, error) {
+			sr, err := rj.SeriesJoinContext(ctx, req, 0, int64(ps.Len()*3), 1)
+			if err != nil {
+				return nil, err
+			}
+			return sr.Stats[0], nil
+		}},
+	}
+	for _, n := range []int{1, 2, 4} {
+		variants = append(variants, variant{fmt.Sprintf("scattered over %d shards", n),
+			func() ([]core.RegionStat, error) {
+				res, err := shard.New(rj, n).JoinContext(ctx, req)
+				if err != nil {
+					return nil, err
+				}
+				return res.Stats, nil
+			}})
+	}
+	for _, v := range variants {
+		got, err := v.run()
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if !reflect.DeepEqual(got, want.Stats) {
+			t.Errorf("%s: Stats differ from JoinContext\n got %+v\nwant %+v", v.name, got, want.Stats)
+		}
+	}
 }
 
 // TestSegmentMultiEquivalence: the multi-aggregate joiner over a segment
@@ -254,11 +318,11 @@ func TestSegmentMultiEquivalence(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
-		ram, err := rj.MultiJoin(core.Request{Points: ps, Regions: rs}, specs)
+		ram, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg, err := rj.MultiJoin(core.Request{Points: ps, Source: st, Regions: rs}, specs)
+		seg, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Source: st, Regions: rs}, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,13 +341,13 @@ func TestSegmentFlowEquivalence(t *testing.T) {
 		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
 		req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
 			Filters: []core.Filter{{Attr: "v", Min: 0, Max: 6}}}
-		ram, err := rj.FlowJoin(req, data.DropoffXAttr, data.DropoffYAttr)
+		ram, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sreq := req
 		sreq.Source = st
-		seg, err := rj.FlowJoin(sreq, data.DropoffXAttr, data.DropoffYAttr)
+		seg, err := rj.FlowJoinContext(context.Background(), sreq, data.DropoffXAttr, data.DropoffYAttr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +458,7 @@ func TestSegmentPruneCounters(t *testing.T) {
 	if s1-s0 == 0 {
 		t.Error("pruned join scanned no blocks at all")
 	}
-	if p1-p0 <= (s1-s0) {
+	if p1-p0 <= (s1 - s0) {
 		// With a ~1% selectivity filter over a sorted column, far more
 		// blocks must be eliminated than survive.
 		t.Errorf("weak pruning: %d pruned vs %d scanned", p1-p0, s1-s0)

@@ -7,78 +7,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/data"
-	"repro/internal/geom"
-	"repro/internal/gpu"
 	"repro/internal/raster"
 )
 
-// FragmentCache stores each region's covered pixels on a fixed canvas in
-// CSR form, so a sweep of queries over the same region layer (the
-// exploration view's time bins) pays the polygon rasterization once. This
-// mirrors the paper's observation that the polygon side of the join is
-// static across interactions: on the GPU the polygon pass's fragments are
-// recomputed for free each frame, while the software device banks them.
-type FragmentCache struct {
-	// T is the canvas transform the fragments were produced on.
-	T raster.Transform
-	// start/frags: frags[start[k]:start[k+1]] are region k's pixel indices.
-	start []int32
-	frags []int32
-}
-
-// Regions returns the number of cached regions.
-func (fc *FragmentCache) Regions() int { return len(fc.start) - 1 }
-
-// Fragments returns region k's covered pixel indices.
-func (fc *FragmentCache) Fragments(k int) []int32 {
-	return fc.frags[fc.start[k]:fc.start[k+1]]
-}
-
-// TotalFragments returns the summed fragment count across regions.
-func (fc *FragmentCache) TotalFragments() int { return len(fc.frags) }
-
-// BuildFragmentCache rasterizes the region layer once on a single-pass
-// canvas. It requires the resolution-driven mode (no ε) and a canvas that
-// fits the device texture limit, since the cache indexes one pixel grid.
-func (r *RasterJoin) BuildFragmentCache(regions *data.RegionSet) (*FragmentCache, error) {
-	return r.BuildFragmentCacheContext(context.Background(), regions)
-}
-
-// BuildFragmentCacheContext is BuildFragmentCache under a request context:
-// the per-region rasterization loop checks cancellation between polygons
-// and the canvas is released on every exit path.
-func (r *RasterJoin) BuildFragmentCacheContext(ctx context.Context, regions *data.RegionSet) (*FragmentCache, error) {
-	if r.epsilon > 0 {
-		return nil, fmt.Errorf("core: fragment cache requires resolution mode, not ε")
-	}
-	window := regions.Bounds()
-	if window.IsEmpty() {
-		return &FragmentCache{start: make([]int32, regions.Len()+1)}, nil
-	}
-	full := r.fullTransform(window)
-	c, err := r.dev.NewCanvas(full.World, full.W, full.H)
-	if err != nil {
-		return nil, fmt.Errorf("core: fragment cache: %w (reduce the resolution)", err)
-	}
-	defer c.Release()
-	sp, err := r.cachedSpans(ctx, regions, c.T)
-	if err != nil {
-		return nil, err
-	}
-	fc := &FragmentCache{T: c.T, start: make([]int32, regions.Len()+1)}
-	for k := range regions.Regions {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		drawRegion(c, sp, regions.Regions[k].Poly, k, func(px, py int) {
-			fc.frags = append(fc.frags, int32(py*c.T.W+px))
-		})
-		fc.start[k+1] = int32(len(fc.frags))
-	}
-	return fc, nil
-}
-
-// SeriesResult is the output of SeriesJoin: per-bin, per-region stats.
+// SeriesResult is the output of SeriesJoinContext: per-bin, per-region stats.
 type SeriesResult struct {
 	BinStarts []int64
 	// Stats[b][k] is region k's aggregate in bin b.
@@ -91,28 +23,28 @@ type SeriesResult struct {
 // Value returns the aggregate for bin b, region k.
 func (s *SeriesResult) Value(b, k int, agg Agg) float64 { return s.Stats[b][k].Value(agg) }
 
-// SeriesJoin evaluates the request across consecutive time bins spanning
-// [start, end), rasterizing the (filtered) points once per bin while
-// reusing one cached polygon rasterization — and, in accurate mode, one
-// cached outline pass — for every bin. Results are identical to running
-// bins separate Joins at the same resolution and mode; the static polygon
-// work is paid once instead of bins times.
+// SeriesJoinContext evaluates the request across consecutive time bins
+// spanning [start, end) on one tile: the polygon side — compiled spans, in
+// accurate mode the outline pass, and the banked interior fragments — is
+// prepared once, and each bin is one point pass over the (filtered) points
+// of its window plus one sweep. Results are identical to running bins
+// separate joins at the same resolution and mode; the static polygon work is
+// paid once instead of bins times. It requires the resolution-driven mode
+// (no ε) and a canvas that fits one device pass.
 //
 // The request's own Time filter is ignored; the bin windows replace it.
-func (r *RasterJoin) SeriesJoin(req Request, start, end int64, bins int) (*SeriesResult, error) {
-	return r.SeriesJoinContext(context.Background(), req, start, end, bins)
-}
-
-// SeriesJoinContext is SeriesJoin under a request context: cancellation is
-// checked between time bins (each bin is one point pass plus one cached
-// polygon pass) and between region claims inside a bin, and the canvas and
-// pooled textures are released on every exit path.
+// Cancellation is checked between time bins, between point batches and
+// between region claims inside a bin, and the canvas and pooled textures are
+// released on every exit path.
 func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, end int64, bins int) (*SeriesResult, error) {
 	if bins < 1 || end <= start {
 		return nil, fmt.Errorf("core: series needs bins >= 1 and a non-empty range")
 	}
 	if req.Agg == Min || req.Agg == Max {
 		return nil, fmt.Errorf("core: series join supports COUNT/SUM/AVG, not %v", req.Agg)
+	}
+	if r.epsilon > 0 {
+		return nil, fmt.Errorf("core: series join requires resolution mode, not ε")
 	}
 	req.Time = nil
 	if err := req.Validate(); err != nil {
@@ -122,16 +54,10 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 	if !src.HasTime() {
 		return nil, fmt.Errorf("core: series over point set %q without timestamps", src.Name())
 	}
-	fc, err := r.BuildFragmentCacheContext(ctx, req.Regions)
-	if err != nil {
-		return nil, err
-	}
 
 	out := &SeriesResult{
 		BinStarts: make([]int64, bins),
 		Stats:     make([][]RegionStat, bins),
-		CanvasW:   fc.T.W, CanvasH: fc.T.H,
-		PixelSize: fc.T.PixelWidth(),
 	}
 	width := (end - start) / int64(bins)
 	if width < 1 {
@@ -141,7 +67,19 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 		out.BinStarts[b] = start + int64(b)*width
 		out.Stats[b] = make([]RegionStat, req.Regions.Len())
 	}
-	if src.Len() == 0 || req.Regions.Len() == 0 || fc.T.W == 0 {
+	window := req.Regions.Bounds()
+	if window.IsEmpty() {
+		return out, nil
+	}
+	full := r.fullTransform(window)
+	c, err := r.dev.NewCanvas(full.World, full.W, full.H)
+	if err != nil {
+		return nil, fmt.Errorf("core: series join: %w (reduce the resolution)", err)
+	}
+	defer c.Release()
+	out.CanvasW, out.CanvasH = c.T.W, c.T.H
+	out.PixelSize = c.T.PixelWidth()
+	if src.Len() == 0 {
 		return out, nil
 	}
 
@@ -152,52 +90,22 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 	if err != nil {
 		return nil, err
 	}
+	sc.setWorld(c.T.World)
 	attrIdx := -1
 	if req.Agg.NeedsAttr() {
 		attrIdx = data.AttrIndex(src, req.Attr)
 	}
-	c, err := r.dev.NewCanvas(fc.T.World, fc.T.W, fc.T.H)
+	t, err := r.newTile(ctx, c, req.Regions, req.Agg)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Release()
-	sc.setWorld(c.T.World)
-	w := fc.T.W
-
-	// Accurate mode: outline the regions once; exclude each region's own
-	// boundary pixels from its cached fragments up front so the per-bin
-	// interior sweep needs no membership tests.
-	var slotOf []int32
-	var bins2D [][]obs // per boundary-pixel slot, observations of the current bin
-	var regionPixels [][]int32
-	interior := fc
-	if r.mode == Accurate {
-		sp, err := r.cachedSpans(ctx, req.Regions, c.T)
-		if err != nil {
-			return nil, err
-		}
-		var boundaryList []int32
-		boundaryList, regionPixels = r.outlinePass(c, req.Regions, sp)
-		slotOf = make([]int32, fc.T.W*fc.T.H)
-		for i := range slotOf {
-			slotOf[i] = -1
-		}
-		for s, idx := range boundaryList {
-			slotOf[idx] = int32(s)
-		}
-		bins2D = make([][]obs, len(boundaryList))
-		interior = excludeOwnBoundary(fc, regionPixels)
+	defer t.release()
+	in, err := t.interior(ctx)
+	if err != nil {
+		return nil, err
 	}
 
 	sorted := src.TimeSorted()
-	countTex := r.dev.AcquireTexture(fc.T.W, fc.T.H)
-	defer r.dev.ReleaseTexture(countTex)
-	var sumTex *gpu.Texture
-	if attrIdx >= 0 {
-		sumTex = r.dev.AcquireTexture(fc.T.W, fc.T.H)
-		defer r.dev.ReleaseTexture(sumTex)
-	}
-
 	for b := 0; b < bins; b++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -207,13 +115,7 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 		if b == bins-1 {
 			binEnd = end
 		}
-		countTex.Clear()
-		if sumTex != nil {
-			sumTex.Clear()
-		}
-		for s := range bins2D {
-			bins2D[s] = bins2D[s][:0]
-		}
+		t.reset()
 		lo, hi := 0, src.Len()
 		if sorted {
 			if lo, hi, err = sourceTimeWindow(src, binStart, binEnd); err != nil {
@@ -224,103 +126,86 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 			sc.res.hasTime = true
 			sc.res.tStart, sc.res.tEnd = binStart, binEnd
 		}
-		err = sc.piecesRange(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
-			base := blk.Base
-			var attr []float64
-			if attrIdx >= 0 {
-				attr = blk.Attr[attrIdx]
-			}
-			return c.DrawPointsParallel(ctx, r.pointWorkers, phi-plo,
-				func(j int) (float64, float64) { jj := plo - base + j; return blk.X[jj], blk.Y[jj] },
-				func(px, py, j int) {
-					i := plo + j
-					if needPred && !sc.pred(blk, i) {
-						return
-					}
-					jj := i - base
-					countTex.Add(px, py, 1)
-					var v float64
-					if attr != nil {
-						v = attr[jj]
-					}
-					if sumTex != nil {
-						sumTex.Add(px, py, v)
-					}
-					if slotOf != nil {
-						if s := slotOf[py*w+px]; s >= 0 {
-							bins2D[s] = append(bins2D[s], obs{x: blk.X[jj], y: blk.Y[jj], v: v})
-						}
-					}
-				})
-		})
-		if err != nil {
+		if err := t.drawScan(ctx, sc, lo, hi, attrIdx); err != nil {
 			return nil, err
 		}
-
-		// Polygon pass from the cache, parallel across regions.
-		stats := out.Stats[b]
-		err = r.parallelRegionsCtx(ctx, req.Regions.Len(), func(k int) {
-			var cnt int64
-			var sum float64
-			for _, idx := range interior.Fragments(k) {
-				v := countTex.Data[idx]
-				if v == 0 {
-					continue
-				}
-				cnt += int64(v)
-				if sumTex != nil {
-					//lint:ignore floataccum per-fragment hot loop mirroring GPU additive blending; trip count bounded by region pixels
-					sum += sumTex.Data[idx]
-				}
-			}
-			if regionPixels != nil {
-				poly := req.Regions.Regions[k].Poly
-				for _, idx := range regionPixels[k] {
-					for _, o := range bins2D[slotOf[idx]] {
-						if poly.Contains(geom.Point{X: o.x, Y: o.y}) {
-							cnt++
-							if attrIdx >= 0 {
-								//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
-								sum += o.v
-							}
-						}
-					}
-				}
-			}
-			stats[k] = RegionStat{Count: cnt, Sum: sum}
-		})
-		if err != nil {
+		if err := t.sweep(ctx, in, out.Stats[b]); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// excludeOwnBoundary returns a fragment cache whose per-region fragments
-// drop the region's own boundary pixels (which the exact path handles).
-func excludeOwnBoundary(fc *FragmentCache, regionPixels [][]int32) *FragmentCache {
-	out := &FragmentCache{T: fc.T, start: make([]int32, len(fc.start))}
-	mark := raster.NewBitmap(fc.T.W, fc.T.H)
-	for k := 0; k < fc.Regions(); k++ {
-		for _, idx := range regionPixels[k] {
-			mark.Set(int(idx)%fc.T.W, int(idx)/fc.T.W)
-		}
-		for _, idx := range fc.Fragments(k) {
-			if !mark.Get(int(idx)%fc.T.W, int(idx)/fc.T.W) {
-				out.frags = append(out.frags, idx)
-			}
-		}
-		for _, idx := range regionPixels[k] {
-			mark.Unset(int(idx)%fc.T.W, int(idx)/fc.T.W)
-		}
-		out.start[k+1] = int32(len(out.frags))
-	}
-	return out
+// interior banks, per region, the pixels pass 2 reads — the region's fill
+// fragments minus its own boundary pixels, which fixup resolves exactly — in
+// CSR form, so a sweep of queries over the same tile (the exploration view's
+// time bins) pays the polygon rasterization once. This mirrors the paper's
+// observation that the polygon side of the join is static across
+// interactions: on the GPU the polygon pass's fragments are recomputed for
+// free each frame, while the software device banks them.
+type interior struct {
+	// frags[start[k]:start[k+1]] are region k's pixel indices, in draw order.
+	start, frags []int32
 }
 
-// parallelRegions fans region indices [0,n) across the joiner's workers.
-func (r *RasterJoin) parallelRegions(n int, fn func(k int)) {
-	_ = r.parallelRegionsCtx(context.Background(), n, fn)
+// interior rasterizes the tile's regions once into their banked form,
+// checking cancellation between polygons.
+func (t *tile) interior(ctx context.Context) (*interior, error) {
+	w := t.c.T.W
+	in := &interior{start: make([]int32, t.regions.Len()+1)}
+	var own *raster.Bitmap
+	if t.slotOf != nil {
+		own = raster.NewBitmap(w, t.c.T.H)
+	}
+	for k := range t.regions.Regions {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if own != nil {
+			for _, idx := range t.regionPixels[k] {
+				own.Set(int(idx)%w, int(idx)/w)
+			}
+		}
+		drawRegion(t.c, t.sp, t.regions.Regions[k].Poly, k, func(px, py int) {
+			if own == nil || !own.Get(px, py) {
+				in.frags = append(in.frags, int32(py*w+px))
+			}
+		})
+		if own != nil {
+			for _, idx := range t.regionPixels[k] {
+				own.Unset(int(idx)%w, int(idx)/w)
+			}
+		}
+		in.start[k+1] = int32(len(in.frags))
+	}
+	return in, nil
+}
+
+// sweep is resolve over banked fragments: pass 2 reads each region's
+// interior pixels straight from the COUNT/SUM textures, pass 3 is the shared
+// fixup, and stats[k] is overwritten. It is the one variant of passes 2/3
+// kept beside resolve — on the exploration view's traffic the per-bin region
+// draw of resolve measured a quarter slower (DESIGN.md, "One points-first
+// pipeline").
+func (t *tile) sweep(ctx context.Context, in *interior, stats []RegionStat) error {
+	return t.r.parallelRegionsCtx(ctx, t.regions.Len(), func(k int) {
+		var local RegionStat
+		for _, idx := range in.frags[in.start[k]:in.start[k+1]] {
+			v := t.count.Data[idx]
+			if v == 0 {
+				continue
+			}
+			local.Count += int64(v)
+			if t.sum != nil {
+				//lint:ignore floataccum per-fragment hot loop mirroring GPU additive blending; trip count bounded by region pixels
+				local.Sum += t.sum.Data[idx]
+			}
+		}
+		if t.slotOf != nil {
+			t.fixup(k, &local)
+		}
+		stats[k] = local
+	})
 }
 
 // parallelRegionsCtx fans region indices [0,n) across the joiner's workers,

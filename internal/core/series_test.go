@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +16,7 @@ func TestSeriesJoinMatchesPerBinJoins(t *testing.T) {
 
 	const bins = 6
 	start, end := int64(0), int64(ps.Len())
-	series, err := rj.SeriesJoin(req, start, end, bins)
+	series, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestAccurateSeriesJoinIsExact(t *testing.T) {
 
 	const bins = 5
 	start, end := int64(0), int64(ps.Len())
-	series, err := rj.SeriesJoin(req, start, end, bins)
+	series, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSeriesJoinUnsortedTimes(t *testing.T) {
 	}
 	rj := core.NewRasterJoin(core.WithResolution(128))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	series, err := rj.SeriesJoin(req, 0, int64(ps.Len()), 4)
+	series, err := rj.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestSeriesJoinWithFilters(t *testing.T) {
 	rj := core.NewRasterJoin(core.WithResolution(128))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
 		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 7}}}
-	series, err := rj.SeriesJoin(req, 0, int64(ps.Len()), 3)
+	series, err := rj.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unfiltered, err := rj.SeriesJoin(core.Request{Points: ps, Regions: rs, Agg: core.Count},
+	unfiltered, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count},
 		0, int64(ps.Len()), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -134,25 +135,25 @@ func TestSeriesJoinErrors(t *testing.T) {
 	ps, rs := scene(100, 4, 87)
 	rj := core.NewRasterJoin(core.WithResolution(64))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	if _, err := rj.SeriesJoin(req, 0, 100, 0); err == nil {
+	if _, err := rj.SeriesJoinContext(context.Background(), req, 0, 100, 0); err == nil {
 		t.Error("zero bins should fail")
 	}
-	if _, err := rj.SeriesJoin(req, 100, 100, 2); err == nil {
+	if _, err := rj.SeriesJoinContext(context.Background(), req, 100, 100, 2); err == nil {
 		t.Error("empty range should fail")
 	}
 	noT := &data.PointSet{Name: "noT", X: []float64{1}, Y: []float64{1}}
-	if _, err := rj.SeriesJoin(core.Request{Points: noT, Regions: rs, Agg: core.Count},
+	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: noT, Regions: rs, Agg: core.Count},
 		0, 100, 2); err == nil {
 		t.Error("missing timestamps should fail")
 	}
 	eps := core.NewRasterJoin(core.WithEpsilon(5))
-	if _, err := eps.SeriesJoin(req, 0, 100, 2); err == nil {
+	if _, err := eps.SeriesJoinContext(context.Background(), req, 0, 100, 2); err == nil {
 		t.Error("epsilon mode should refuse the fragment cache")
 	}
 	// Canvas too big for the device.
 	big := core.NewRasterJoin(core.WithResolution(512),
 		core.WithDevice(gpu.New(gpu.WithMaxTextureSize(128))))
-	if _, err := big.SeriesJoin(req, 0, 100, 2); err == nil {
+	if _, err := big.SeriesJoinContext(context.Background(), req, 0, 100, 2); err == nil {
 		t.Error("oversized cache canvas should fail with advice")
 	}
 }
@@ -160,7 +161,7 @@ func TestSeriesJoinErrors(t *testing.T) {
 func TestSeriesResultValue(t *testing.T) {
 	ps, rs := scene(500, 4, 93)
 	rj := core.NewRasterJoin(core.WithResolution(64), core.WithWorkers(1))
-	series, err := rj.SeriesJoin(core.Request{Points: ps, Regions: rs,
+	series, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
 		Agg: core.Avg, Attr: "v"}, 0, int64(ps.Len()), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -172,37 +173,5 @@ func TestSeriesResultValue(t *testing.T) {
 				t.Fatalf("Value(%d,%d) = %v, want %v", b, k, got, want)
 			}
 		}
-	}
-}
-
-func TestFragmentCacheStructure(t *testing.T) {
-	ps, rs := scene(100, 5, 89)
-	_ = ps
-	rj := core.NewRasterJoin(core.WithResolution(128))
-	fc, err := rj.BuildFragmentCache(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.Regions() != rs.Len() {
-		t.Fatalf("cached regions = %d, want %d", fc.Regions(), rs.Len())
-	}
-	// Fragment counts must equal a direct polygon rasterization.
-	total := 0
-	for k := 0; k < fc.Regions(); k++ {
-		total += len(fc.Fragments(k))
-	}
-	if total != fc.TotalFragments() {
-		t.Errorf("fragment sum %d != total %d", total, fc.TotalFragments())
-	}
-	if total == 0 {
-		t.Error("no fragments cached")
-	}
-	// Empty region set.
-	fc, err = rj.BuildFragmentCache(&data.RegionSet{Name: "empty"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fc.Regions() != 0 || fc.TotalFragments() != 0 {
-		t.Error("empty cache should be empty")
 	}
 }

@@ -34,45 +34,29 @@ import (
 // same order and produce the same bits. Straddle columns are excluded from
 // the shard-local folds; their fragments come back raw, tagged with the
 // global point index, and the coordinator replays them through the
-// unchanged pass-1 shader in ascending index order — again the unsharded
+// same pass-1 shader in ascending index order — again the unsharded
 // per-pixel order. After the gather the textures and boundary bins are
 // bit-for-bit what a local pass 1 would have produced, and passes 2 and 3
-// run the identical regionPasses code, so the entire Result is
+// run on the same tile state either way, so the entire Result is
 // byte-identical at any shard count.
 
-// Obs is one retained boundary observation of a shard partial: the point's
-// coordinates (for the exact fix-up test) and its aggregated value.
-type Obs struct {
-	X, Y, V float64
-}
-
-// ShardFrag is one raw fragment from a straddle column: the pixel it landed
+// shardFrag is one raw fragment from a straddle column: the pixel it landed
 // in, the observation, and the global point index the coordinator replays
 // by.
-type ShardFrag struct {
-	Idx    int64
-	Px, Py int32
-	X, Y   float64
-	V      float64
+type shardFrag struct {
+	idx    int64
+	px, py int32
+	obs
 }
 
-// ShardPartial is one shard's contribution to one tile: band-limited
-// texture buffers over the shard's owned pixel columns [ColLo, ColHi),
-// straddle-column fragments in ascending global index order, boundary bins
-// for owned columns, and scan accounting.
+// ShardPartial is one shard's contribution to one tile: pass-1 targets
+// limited to the shard's owned pixel-column band (cells in straddle columns
+// inside the band are never written, and the bins cover owned columns
+// only), straddle-column fragments in ascending global index order, and
+// scan accounting.
 type ShardPartial struct {
-	// ColLo, ColHi bound the shard's pixel-column band (half-open). Cells
-	// in straddle columns inside the band are never written.
-	ColLo, ColHi int
-	// Count is always present; exactly one of Sum/Min/Max is non-nil,
-	// matching the aggregate. Buffers are row-major over the band:
-	// index py*(ColHi-ColLo) + (px-ColLo).
-	Count, Sum, Min, Max []float64
-	// Frags are the straddle-column fragments, ascending by Idx.
-	Frags []ShardFrag
-	// Bins are the boundary-pixel observations for owned columns, indexed
-	// by the spec's slot map (nil in approximate mode).
-	Bins [][]Obs
+	targets
+	frags []shardFrag
 	// Scanned/Pruned count blocks; Points counts shaded fragments.
 	Scanned, Pruned int64
 	Points          int64
@@ -88,10 +72,7 @@ type ScatterPlan interface {
 	Scatter(ctx context.Context, spec *ShardSpec) ([]*ShardPartial, error)
 }
 
-// ShardSpec describes one canvas tile's partial point pass. Everything an
-// executor needs travels in the spec — plain data next to the request — so
-// a network transport only has to marshal it alongside a dataset/epoch
-// reference.
+// ShardSpec describes one canvas tile's partial point pass.
 type ShardSpec struct {
 	Req Request
 	// Tile is the world-to-pixel transform of this canvas tile.
@@ -99,17 +80,13 @@ type ShardSpec struct {
 	// AttrIdx is the aggregated attribute's column position (-1 when the
 	// aggregate needs none).
 	AttrIdx int
-	// Straddle lists the tile-local pixel columns containing a shard cut:
+	// Straddle marks the tile-local pixel columns containing a shard cut:
 	// excluded from shard-local folds, returned as raw fragments.
-	Straddle []int
+	Straddle []bool
 	// SlotOf maps pixel index py*Tile.W+px to a boundary-bin slot (-1
 	// elsewhere); nil in approximate mode. NumSlots sizes the bins.
 	SlotOf   []int32
 	NumSlots int
-	// Batch is the cancellation/fault-poll granularity in points (<= 0:
-	// one batch per scan piece). Prune enables zone-map block pruning.
-	Batch int
-	Prune bool
 }
 
 // xCol returns the pixel column world-x x falls into, clamped to the grid.
@@ -129,25 +106,20 @@ func xCol(t raster.Transform, x float64) int {
 
 // ShardPointPass runs one shard's partial point pass: scan the assigned
 // blocks (ascending), keep the points the shard owns (world-x in
-// [xlo, xhi)), and fold them into band-limited texture buffers — except
-// fragments in straddle columns, which are returned raw with their global
-// point index. The context and the `core.pointpass` fault site are polled
-// once per batch, exactly like the local pass.
-func ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, xhi float64, blocks []int) (*ShardPartial, error) {
-	sc, err := newScanPrune(spec.Req, spec.Prune)
+// [xlo, xhi)), and fold them through the shared pass-1 shader into
+// band-limited targets — except fragments in straddle columns, which are
+// returned raw with their global point index. The context and the
+// `core.pointpass` fault site are polled once per batch, exactly like the
+// local pass.
+func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, xhi float64, blocks []int) (*ShardPartial, error) {
+	sc, err := r.newScan(spec.Req)
 	if err != nil {
 		return nil, err
 	}
 	t := spec.Tile
 	sc.setWorld(t.World)
+	sc.own(blocks, xlo, xhi)
 	w, h := t.W, t.H
-
-	straddle := make([]bool, w)
-	for _, px := range spec.Straddle {
-		if px >= 0 && px < w {
-			straddle[px] = true
-		}
-	}
 
 	// The shard's owned band: its points have x in [xlo, xhi) ∩ window, so
 	// by monotonicity their columns lie in [colLo, colHi).
@@ -169,37 +141,20 @@ func ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, xhi float64, bloc
 	if colHi < colLo {
 		colHi = colLo
 	}
-	bandW := colHi - colLo
 
-	p := &ShardPartial{ColLo: colLo, ColHi: colHi}
-	p.Count = make([]float64, bandW*h)
-	switch spec.Req.Agg {
-	case Sum, Avg:
-		p.Sum = make([]float64, bandW*h)
-	case Min:
-		p.Min = make([]float64, bandW*h)
-		for i := range p.Min {
-			p.Min[i] = math.Inf(1)
-		}
-	case Max:
-		p.Max = make([]float64, bandW*h)
-		for i := range p.Max {
-			p.Max[i] = math.Inf(-1)
-		}
-	}
-	if spec.SlotOf != nil {
-		p.Bins = make([][]Obs, spec.NumSlots)
-	}
+	// Band buffers are plain allocations, not pooled textures: a partial
+	// dropped on a sibling's failure is simply garbage.
+	p := &ShardPartial{targets: newTargets(spec.Req.Agg, w, colLo, colHi-colLo, h,
+		spec.SlotOf, spec.NumSlots, gpu.NewTexture)}
 
 	tr := trace.FromContext(ctx)
-	var scanned, pruned int64
-	scanned, pruned, err = sc.piecesBlocks(ctx, blocks, xlo, xhi, func(blk *data.Block, lo, hi int, needPred, needX bool) error {
+	err = sc.pieces(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
 		base := blk.Base
 		var attr []float64
 		if spec.AttrIdx >= 0 {
 			attr = blk.Attr[spec.AttrIdx]
 		}
-		batch := spec.Batch
+		batch := r.pointBatch
 		if batch <= 0 {
 			batch = hi - lo
 		}
@@ -210,54 +165,29 @@ func ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, xhi float64, bloc
 			if err := fault.Inject(ctx, "core.pointpass"); err != nil {
 				return err
 			}
-			e := s + batch
-			if e > hi {
-				e = hi
-			}
-			for i := s; i < e; i++ {
+			//lint:ignore ctxpoll the enclosing batch loop polls once per batch — the pass's cancellation granularity; per-point polling would put an atomic load in the shader inner loop
+			for i, e := s, min(s+batch, hi); i < e; i++ {
 				j := i - base
 				x, y := blk.X[j], blk.Y[j]
 				px, py, ok := t.ToPixel(geom.Point{X: x, Y: y})
 				if !ok {
 					continue // canvas-culled, exactly like DrawPoints
 				}
-				if needX && !(x >= xlo && x < xhi) {
-					continue // another shard owns this point
-				}
-				if needPred && !sc.pred(blk, i) {
-					continue // fragment discarded by the filter condition
+				if needPred && !(sc.owns(x) && sc.pred(blk, i)) {
+					continue // another shard owns this point, or filtered out
 				}
 				var v float64
 				if attr != nil {
 					v = attr[j]
 				}
 				p.Points++
-				if straddle[px] {
-					p.Frags = append(p.Frags, ShardFrag{
-						Idx: int64(i), Px: int32(px), Py: int32(py), X: x, Y: y, V: v,
+				if spec.Straddle[px] {
+					p.frags = append(p.frags, shardFrag{
+						idx: int64(i), px: int32(px), py: int32(py), obs: obs{x: x, y: y, v: v},
 					})
 					continue
 				}
-				bi := py*bandW + (px - colLo)
-				p.Count[bi]++
-				switch {
-				case p.Sum != nil:
-					//lint:ignore floataccum must mirror Texture.Add's naive fold exactly — compensating here would break bit-identity with the unsharded pass
-					p.Sum[bi] += v
-				case p.Min != nil:
-					if v < p.Min[bi] {
-						p.Min[bi] = v
-					}
-				case p.Max != nil:
-					if v > p.Max[bi] {
-						p.Max[bi] = v
-					}
-				}
-				if p.Bins != nil {
-					if sl := spec.SlotOf[py*w+px]; sl >= 0 {
-						p.Bins[sl] = append(p.Bins[sl], Obs{X: x, Y: y, V: v})
-					}
-				}
+				p.shade(px, py, x, y, v)
 			}
 			tr.Count("shard.batches", 1)
 		}
@@ -266,209 +196,109 @@ func ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, xhi float64, bloc
 	if err != nil {
 		return nil, err
 	}
-	p.Scanned, p.Pruned = scanned, pruned
+	p.Scanned, p.Pruned = sc.scanned.Load(), sc.pruned.Load()
 	return p, nil
 }
 
 // JoinScattered is JoinContext with the point pass scattered across shard
 // executors: per canvas tile the driver fans out through plan.Scatter,
 // merges the partials in ascending shard order, replays straddle fragments
-// in global point-index order, and runs the unchanged region passes on the
-// merged textures. Only the points-first strategy decomposes bit-exactly
-// (polygons-first folds region-keyed accumulators in point order, which a
-// spatial partition cannot reproduce), so other strategies are rejected —
-// the planner falls back to the local path for them.
+// in global point-index order, and resolves the merged tile like any other.
+// Only the points-first strategy decomposes bit-exactly (polygons-first
+// folds region-keyed accumulators in point order, which a spatial partition
+// cannot reproduce), so other strategies are rejected — the planner falls
+// back to the local path for them.
 func (r *RasterJoin) JoinScattered(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
 	if r.strategy != PointsFirst {
 		return nil, fmt.Errorf("core: scattered execution requires the points-first strategy, have %s", r.strategy)
 	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	// Same whole-join fault site as the local path.
-	if err := fault.Inject(ctx, "core.join"); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Stats:     make([]RegionStat, req.Regions.Len()),
-		Algorithm: r.Name(),
-	}
-	window := req.Regions.Bounds()
-	src := req.Data()
-	if window.IsEmpty() || src.Len() == 0 {
-		return res, nil
-	}
-
-	full := r.fullTransform(window)
-	res.CanvasW, res.CanvasH = full.W, full.H
-	res.PixelSize = full.PixelWidth()
-
-	attrIdx := -1
-	if req.Agg.NeedsAttr() {
-		attrIdx = data.AttrIndex(src, req.Attr)
-	}
-
-	tr := trace.FromContext(ctx)
-	err := r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res.Tiles++
-		tr.Count("tiles", 1)
-		return r.renderTileScattered(ctx, c, req, res.Stats, plan, attrIdx)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return r.join(ctx, req, plan)
 }
 
-// renderTileScattered is renderTile with pass 1 scattered: region prep and
-// passes 2/3 run locally and are code-identical to the local tile.
-func (r *RasterJoin) renderTileScattered(ctx context.Context, c *gpu.Canvas, req Request, stats []RegionStat,
-	plan ScatterPlan, attrIdx int) error {
-
-	w, h := c.T.W, c.T.H
+// gather is pass 1 scattered: fan the tile's point pass out through plan
+// and merge the partials into t, leaving textures and bins bit-for-bit what
+// a local drawScan would have produced.
+func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan ScatterPlan) error {
+	w, h := t.c.T.W, t.c.T.H
 	tr := trace.FromContext(ctx)
-
-	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
-	if err != nil {
-		return err
-	}
-	var slotOf []int32
-	var bins [][]obs
-	var regionPixels [][]int32
-	if r.mode == Accurate {
-		slotOf, bins, regionPixels = r.prepareAccurate(c, req.Regions, sp)
-	}
 
 	// Straddle columns: the pixel column each in-window cut falls into. By
 	// monotonicity of the transform these are the only columns where two
 	// shards' points can meet.
-	var straddle []int
+	straddle := make([]bool, w)
 	for _, cut := range plan.Cuts() {
-		if cut < c.T.World.MinX || cut > c.T.World.MaxX {
-			continue
+		if cut >= t.c.T.World.MinX && cut <= t.c.T.World.MaxX {
+			straddle[xCol(t.c.T, cut)] = true
 		}
-		px := xCol(c.T, cut)
-		if n := len(straddle); n == 0 || straddle[n-1] != px {
-			straddle = append(straddle, px)
-		}
-	}
-
-	spec := &ShardSpec{
-		Req:      req,
-		Tile:     c.T,
-		AttrIdx:  attrIdx,
-		Straddle: straddle,
-		SlotOf:   slotOf,
-		NumSlots: len(bins),
-		Batch:    r.pointBatch,
-		Prune:    r.blockPrune,
 	}
 
 	span := tr.Start("shard.scatter")
-	partials, err := plan.Scatter(ctx, spec)
+	partials, err := plan.Scatter(ctx, &ShardSpec{
+		Req:      req,
+		Tile:     t.c.T,
+		AttrIdx:  attrIdx,
+		Straddle: straddle,
+		SlotOf:   t.slotOf,
+		NumSlots: len(t.bins),
+	})
 	span.End()
 	if err != nil {
-		return err // nothing acquired yet — no render resources to release
-	}
-
-	// Gather. Textures are acquired only after a successful scatter and
-	// released on every exit path, including cancellation during the
-	// region passes.
-	span = tr.Start("shard.gather")
-	countTex := r.dev.AcquireTexture(w, h)
-	defer r.dev.ReleaseTexture(countTex)
-	var sumTex, minTex, maxTex *gpu.Texture
-	switch req.Agg {
-	case Sum, Avg:
-		sumTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(sumTex)
-	case Min:
-		minTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(minTex)
-		minTex.Fill(math.Inf(1))
-	case Max:
-		maxTex = r.dev.AcquireTexture(w, h)
-		defer r.dev.ReleaseTexture(maxTex)
-		maxTex.Fill(math.Inf(-1))
-	}
-	// `shard.gather` is a fault injection site between acquisition and the
-	// merge: an injected failure here proves the release discipline of the
-	// gather path.
-	if err := fault.Inject(ctx, "shard.gather"); err != nil {
-		span.End()
 		return err
 	}
 
-	isStraddle := make([]bool, w)
-	for _, px := range straddle {
-		isStraddle[px] = true
+	span = tr.Start("shard.gather")
+	defer span.End()
+	// `shard.gather` is a fault injection site between the scatter and the
+	// merge: an injected failure here proves the release discipline of the
+	// gather path.
+	if err := fault.Inject(ctx, "shard.gather"); err != nil {
+		return err
 	}
 
 	// Merge bands in ascending shard order. Owned interior columns are
 	// written by exactly one shard, so this is a copy, not a fold.
-	var frags []ShardFrag
+	var frags []shardFrag
 	for _, p := range partials {
 		if p == nil {
 			continue
 		}
-		bandW := p.ColHi - p.ColLo
-		for px := p.ColLo; px < p.ColHi; px++ {
-			if isStraddle[px] {
+		bandW := p.count.W
+		for px := p.x0; px < p.x0+bandW; px++ {
+			if straddle[px] {
 				continue
 			}
 			for py := 0; py < h; py++ {
-				bi := py*bandW + (px - p.ColLo)
-				cnt := p.Count[bi]
+				bi := py*bandW + (px - p.x0)
+				cnt := p.count.Data[bi]
 				if cnt == 0 {
 					continue
 				}
 				ti := py*w + px
-				countTex.Data[ti] = cnt
+				t.count.Data[ti] = cnt
 				switch {
-				case sumTex != nil:
-					sumTex.Data[ti] = p.Sum[bi]
-				case minTex != nil:
-					minTex.Data[ti] = p.Min[bi]
-				case maxTex != nil:
-					maxTex.Data[ti] = p.Max[bi]
+				case t.sum != nil:
+					t.sum.Data[ti] = p.sum.Data[bi]
+				case t.min != nil:
+					t.min.Data[ti] = p.min.Data[bi]
+				case t.max != nil:
+					t.max.Data[ti] = p.max.Data[bi]
 				}
 			}
 		}
-		for sl := range p.Bins {
-			for _, o := range p.Bins[sl] {
-				bins[sl] = append(bins[sl], obs{x: o.X, y: o.Y, v: o.V})
-			}
+		for sl := range p.bins {
+			t.bins[sl] = append(t.bins[sl], p.bins[sl]...)
 		}
-		frags = append(frags, p.Frags...)
+		frags = append(frags, p.frags...)
 	}
 
 	// Replay straddle fragments in ascending global point index — the
-	// unsharded per-pixel fragment order — through the unchanged pass-1
-	// shader. Indices are unique (each point has one owner), so the sort
-	// is total and the replay deterministic.
-	sort.Slice(frags, func(i, j int) bool { return frags[i].Idx < frags[j].Idx })
+	// unsharded per-pixel fragment order — through the same pass-1 shader.
+	// Indices are unique (each point has one owner), so the sort is total
+	// and the replay deterministic.
+	sort.Slice(frags, func(i, j int) bool { return frags[i].idx < frags[j].idx })
+	//lint:ignore ctxpoll the replay covers one pixel column per shard cut, and resolve polls ctx right after
 	for _, f := range frags {
-		px, py := int(f.Px), int(f.Py)
-		countTex.Add(px, py, 1)
-		switch {
-		case sumTex != nil:
-			sumTex.Add(px, py, f.V)
-		case minTex != nil:
-			minTex.TakeMin(px, py, f.V)
-		case maxTex != nil:
-			maxTex.TakeMax(px, py, f.V)
-		}
-		if slotOf != nil {
-			if sl := slotOf[py*w+px]; sl >= 0 {
-				bins[sl] = append(bins[sl], obs{x: f.X, y: f.Y, v: f.V})
-			}
-		}
+		t.shade(int(f.px), int(f.py), f.x, f.y, f.v)
 	}
-	span.End()
-
-	return r.regionPasses(ctx, c, req, stats, sp,
-		countTex, sumTex, minTex, maxTex, slotOf, bins, regionPixels, attrIdx)
+	return nil
 }

@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/data"
-	"repro/internal/geom"
 	"repro/internal/gpu"
-	"repro/internal/raster"
 )
 
 // StreamJoin evaluates one spatial aggregation over a point stream: the
@@ -29,26 +26,15 @@ type StreamJoin struct {
 	filters []Filter
 	time    *TimeFilter
 
-	canvas   *gpu.Canvas
-	countTex *gpu.Texture
-	sumTex   *gpu.Texture
-	minTex   *gpu.Texture
-	maxTex   *gpu.Texture
-
-	sp           *raster.RegionSpans
-	slotOf       []int32
-	regionPixels [][]int32
-	bins         [][]obs
+	// The stream owns a single-pass canvas and the tile the batches
+	// accumulate into on it, until release.
+	canvas *gpu.Canvas
+	t      *tile
 
 	batches   int64
 	points    int64
 	finalized bool
 	released  bool
-}
-
-// obs is one retained boundary observation.
-type obs struct {
-	x, y, v float64
 }
 
 // NewStream prepares a streaming aggregation over the region layer. The
@@ -73,69 +59,30 @@ func (r *RasterJoin) NewStream(regions *data.RegionSet, agg Agg, attr string,
 	if err != nil {
 		return nil, fmt.Errorf("core: streaming join: %w (reduce the resolution)", err)
 	}
-	sp, err := r.cachedSpans(context.Background(), regions, c.T)
+	t, err := r.newTile(context.Background(), c, regions, agg)
 	if err != nil {
 		c.Release()
 		return nil, err
 	}
-	s := &StreamJoin{
-		r: r, regions: regions, agg: agg, attr: attr,
-		filters: filters, time: tf,
-		canvas:   c,
-		sp:       sp,
-		countTex: r.dev.AcquireTexture(c.T.W, c.T.H),
-	}
-	switch agg {
-	case Sum, Avg:
-		s.sumTex = r.dev.AcquireTexture(c.T.W, c.T.H)
-	case Min:
-		s.minTex = r.dev.AcquireTexture(c.T.W, c.T.H)
-		s.minTex.Fill(math.Inf(1))
-	case Max:
-		s.maxTex = r.dev.AcquireTexture(c.T.W, c.T.H)
-		s.maxTex.Fill(math.Inf(-1))
-	}
-	if r.mode == Accurate {
-		var boundaryList []int32
-		boundaryList, s.regionPixels = r.outlinePass(c, regions, sp)
-		s.slotOf = make([]int32, c.T.W*c.T.H)
-		for i := range s.slotOf {
-			s.slotOf[i] = -1
-		}
-		for i, idx := range boundaryList {
-			s.slotOf[idx] = int32(i)
-		}
-		s.bins = make([][]obs, len(boundaryList))
-	}
-	return s, nil
+	return &StreamJoin{r: r, regions: regions, agg: agg, attr: attr,
+		filters: filters, time: tf, canvas: c, t: t}, nil
 }
 
-// Add streams one batch of points into the aggregation. The batch must
-// carry the aggregate attribute and every filtered attribute; it is not
-// retained (beyond boundary observations in accurate mode).
-func (s *StreamJoin) Add(ps *data.PointSet) error {
-	return s.AddContext(context.Background(), ps)
-}
-
-// AddContext is Add under a request context. Cancellation mid-batch leaves
-// the textures with a partial batch blended in, so the stream is aborted —
-// its resources released and further use rejected — rather than left in a
-// state that would silently undercount.
+// AddContext streams one batch of points into the aggregation. The batch
+// must carry the aggregate attribute and every filtered attribute; it is not
+// retained (beyond boundary observations in accurate mode). Cancellation
+// mid-batch leaves the textures with a partial batch blended in, so the
+// stream is aborted — its resources released and further use rejected —
+// rather than left in a state that would silently undercount.
 func (s *StreamJoin) AddContext(ctx context.Context, ps *data.PointSet) error {
 	return s.addContext(ctx, Request{Points: ps, Regions: s.regions, Agg: s.agg,
 		Attr: s.attr, Filters: s.filters, Time: s.time})
 }
 
-// AddSource streams one columnar block source (e.g. a segment store) into
-// the aggregation: blocks are zone-pruned, decoded one at a time under the
-// store's cache budget, and never retained — the fully out-of-core
-// formulation of Add.
-func (s *StreamJoin) AddSource(src data.PointSource) error {
-	return s.AddSourceContext(context.Background(), src)
-}
-
-// AddSourceContext is AddSource under a request context, with AddContext's
-// abort-on-cancellation contract.
+// AddSourceContext streams one columnar block source (e.g. a segment store)
+// into the aggregation: blocks are zone-pruned, decoded one at a time under
+// the store's cache budget, and never retained — the fully out-of-core
+// formulation of AddContext, with the same abort-on-cancellation contract.
 func (s *StreamJoin) AddSourceContext(ctx context.Context, src data.PointSource) error {
 	return s.addContext(ctx, Request{Source: src, Regions: s.regions, Agg: s.agg,
 		Attr: s.attr, Filters: s.filters, Time: s.time})
@@ -153,46 +100,11 @@ func (s *StreamJoin) addContext(ctx context.Context, req Request) error {
 		return err
 	}
 	sc.setWorld(s.canvas.T.World)
-	src := req.Data()
 	attrIdx := -1
 	if s.agg.NeedsAttr() {
-		attrIdx = data.AttrIndex(src, s.attr)
+		attrIdx = data.AttrIndex(req.Data(), s.attr)
 	}
-	w := s.canvas.T.W
-	err = sc.piecesRange(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
-		base := blk.Base
-		var attr []float64
-		if attrIdx >= 0 {
-			attr = blk.Attr[attrIdx]
-		}
-		return s.r.drawPointsBatchedParallel(ctx, s.canvas, lo, hi,
-			func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
-			func(px, py, i int) {
-				if needPred && !sc.pred(blk, i) {
-					return
-				}
-				j := i - base
-				s.countTex.Add(px, py, 1)
-				var v float64
-				if attr != nil {
-					v = attr[j]
-				}
-				switch {
-				case s.sumTex != nil:
-					s.sumTex.Add(px, py, v)
-				case s.minTex != nil:
-					s.minTex.TakeMin(px, py, v)
-				case s.maxTex != nil:
-					s.maxTex.TakeMax(px, py, v)
-				}
-				if s.slotOf != nil {
-					if slot := s.slotOf[py*w+px]; slot >= 0 {
-						s.bins[slot] = append(s.bins[slot], obs{x: blk.X[j], y: blk.Y[j], v: v})
-					}
-				}
-			})
-	})
-	if err != nil {
+	if err := s.t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx); err != nil {
 		s.Abort()
 		return err
 	}
@@ -216,25 +128,15 @@ func (s *StreamJoin) release() {
 	}
 	s.released = true
 	s.canvas.Release()
-	dev := s.r.dev
-	dev.ReleaseTexture(s.countTex)
-	dev.ReleaseTexture(s.sumTex)
-	dev.ReleaseTexture(s.minTex)
-	dev.ReleaseTexture(s.maxTex)
-	s.countTex, s.sumTex, s.minTex, s.maxTex = nil, nil, nil, nil
+	s.t.release()
 }
 
 // Batches returns how many batches were added.
 func (s *StreamJoin) Batches() int64 { return s.batches }
 
-// Finalize runs the polygon pass over the accumulated textures and returns
-// the result. The stream cannot be added to afterwards.
-func (s *StreamJoin) Finalize() (*Result, error) {
-	return s.FinalizeContext(context.Background())
-}
-
-// FinalizeContext is Finalize under a request context. The stream's device
-// resources are released on every exit path — including cancellation
+// FinalizeContext runs the polygon pass over the accumulated textures and
+// returns the result. The stream cannot be added to afterwards, and its
+// device resources are released on every exit path — including cancellation
 // mid-polygon-pass, which returns ctx.Err() and no result.
 func (s *StreamJoin) FinalizeContext(ctx context.Context) (*Result, error) {
 	if s.finalized {
@@ -242,69 +144,15 @@ func (s *StreamJoin) FinalizeContext(ctx context.Context) (*Result, error) {
 	}
 	s.finalized = true
 	defer s.release()
+	ct := s.canvas.T
 	res := &Result{
 		Stats:     make([]RegionStat, s.regions.Len()),
 		Algorithm: s.r.Name() + "-stream",
-		CanvasW:   s.canvas.T.W, CanvasH: s.canvas.T.H,
+		CanvasW:   ct.W, CanvasH: ct.H,
 		Tiles:     1,
-		PixelSize: s.canvas.T.PixelWidth(),
+		PixelSize: ct.PixelWidth(),
 	}
-	w := s.canvas.T.W
-	useAttr := s.agg.NeedsAttr()
-	minMax := s.agg == Min || s.agg == Max
-	err := s.r.parallelRegionsCtx(ctx, s.regions.Len(), func(k int) {
-		poly := s.regions.Regions[k].Poly
-		var local RegionStat
-		var scratch *raster.Bitmap
-		if s.slotOf != nil {
-			scratch = raster.NewBitmap(s.canvas.T.W, s.canvas.T.H)
-			for _, idx := range s.regionPixels[k] {
-				scratch.Set(int(idx)%w, int(idx)/w)
-			}
-		}
-		drawRegion(s.canvas, s.sp, poly, k, func(px, py int) {
-			if scratch != nil && scratch.Get(px, py) {
-				return
-			}
-			v := s.countTex.At(px, py)
-			if v == 0 {
-				return
-			}
-			pixel := RegionStat{Count: int64(v)}
-			switch {
-			case s.sumTex != nil:
-				pixel.Sum = s.sumTex.At(px, py)
-			case s.minTex != nil:
-				m := s.minTex.At(px, py)
-				pixel.Min, pixel.Max = m, m
-			case s.maxTex != nil:
-				m := s.maxTex.At(px, py)
-				pixel.Min, pixel.Max = m, m
-			}
-			local.Merge(pixel)
-		})
-		if scratch != nil {
-			for _, idx := range s.regionPixels[k] {
-				for _, o := range s.bins[s.slotOf[idx]] {
-					if !poly.Contains(geom.Point{X: o.x, Y: o.y}) {
-						continue
-					}
-					switch {
-					case minMax:
-						local.Observe(o.v)
-					case useAttr:
-						local.Count++
-						//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
-						local.Sum += o.v
-					default:
-						local.Count++
-					}
-				}
-			}
-		}
-		res.Stats[k].Merge(local)
-	})
-	if err != nil {
+	if err := s.t.resolve(ctx, res.Stats); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -24,14 +25,14 @@ func TestStreamJoinMatchesMonolithic(t *testing.T) {
 			}
 			// Five uneven batches.
 			for _, cut := range [][2]int{{0, 700}, {700, 1500}, {1500, 1501}, {1501, 4000}, {4000, 5000}} {
-				if err := stream.Add(ps.Slice(cut[0], cut[1])); err != nil {
+				if err := stream.AddContext(context.Background(), ps.Slice(cut[0], cut[1])); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if stream.Batches() != 5 {
 				t.Fatalf("batches = %d", stream.Batches())
 			}
-			got, err := stream.Finalize()
+			got, err := stream.FinalizeContext(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,11 +69,11 @@ func TestStreamJoinExact(t *testing.T) {
 		if e > ps.Len() {
 			e = ps.Len()
 		}
-		if err := stream.Add(ps.Slice(s, e)); err != nil {
+		if err := stream.AddContext(context.Background(), ps.Slice(s, e)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := stream.Finalize()
+	got, err := stream.FinalizeContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +101,17 @@ func TestStreamJoinErrors(t *testing.T) {
 	}
 	bad := ps.Slice(0, 10)
 	bad.Attrs = nil
-	if err := stream.Add(bad); err == nil {
+	if err := stream.AddContext(context.Background(), bad); err == nil {
 		t.Error("batch without the aggregate attribute should fail")
 	}
 	// Double finalize.
-	if _, err := stream.Finalize(); err != nil {
+	if _, err := stream.FinalizeContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stream.Finalize(); err == nil {
+	if _, err := stream.FinalizeContext(context.Background()); err == nil {
 		t.Error("double finalize should fail")
 	}
-	if err := stream.Add(ps); err == nil {
+	if err := stream.AddContext(context.Background(), ps); err == nil {
 		t.Error("add after finalize should fail")
 	}
 }

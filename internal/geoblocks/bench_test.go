@@ -11,8 +11,7 @@ import (
 
 // Benchmark polygons at three selectivities: "tiny" touches a handful of
 // fringe cells, "city" covers a mid-sized district, "borough" spans
-// nearly half the grid — the E19 sweep uses the same trio against the
-// live server.
+// nearly half the grid — the trio E19 (EXPERIMENTS.md) swept.
 var benchShapes = []struct {
 	name string
 	pg   geom.Polygon

@@ -249,15 +249,9 @@ func (c *Cache) putAt(key string, val []byte, gen uint64) {
 	sh.bytes += cost
 }
 
-// Do returns the cached value for key, or computes it exactly once across
-// all concurrent callers. Errors are returned to the leader and every
-// coalesced waiter but never cached.
-func (c *Cache) Do(key string, compute func() ([]byte, error)) ([]byte, Outcome, error) {
-	return c.DoContext(context.Background(), key,
-		func(context.Context) ([]byte, error) { return compute() })
-}
-
-// DoContext is Do under a request context. Coalescing semantics:
+// DoContext returns the cached value for key, or computes it exactly once
+// across all concurrent callers. Errors are returned to the leader and every
+// coalesced waiter but never cached. Coalescing semantics:
 //
 //   - The compute runs detached from any individual caller, under a context
 //     that carries the leader's values but not its cancel. A caller whose
@@ -268,6 +262,13 @@ func (c *Cache) Do(key string, compute func() ([]byte, error)) ([]byte, Outcome,
 //   - A caller that joins a flight in the narrow window after its compute
 //     was abandoned (all prior waiters gone) retries from the top instead
 //     of inheriting the dead flight's cancellation error.
+//
+// Eventual quiescence: a detaching caller returns at once — it does not wait
+// for the abandoned flight to unwind. The compute still holds whatever it
+// acquired (canvases, pooled textures) until its next ctx poll, one point
+// batch or region claim later, so "no render resources live" holds
+// eventually after the last caller leaves, not at the instant its error is
+// written. Leak checks poll for it with a bounded deadline.
 func (c *Cache) DoContext(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
 	if c == nil {
 		v, err := compute(ctx)

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -125,12 +126,12 @@ func TestByteBoundHonored(t *testing.T) {
 func TestDoComputesAndCaches(t *testing.T) {
 	c := New(1 << 20)
 	calls := 0
-	compute := func() ([]byte, error) { calls++; return []byte("v"), nil }
-	v, outcome, err := c.Do("k", compute)
+	compute := func(context.Context) ([]byte, error) { calls++; return []byte("v"), nil }
+	v, outcome, err := c.DoContext(context.Background(), "k", compute)
 	if err != nil || string(v) != "v" || outcome != Miss {
 		t.Fatalf("first Do = %q %v %v", v, outcome, err)
 	}
-	v, outcome, err = c.Do("k", compute)
+	v, outcome, err = c.DoContext(context.Background(), "k", compute)
 	if err != nil || string(v) != "v" || outcome != Hit {
 		t.Fatalf("second Do = %q %v %v", v, outcome, err)
 	}
@@ -143,14 +144,14 @@ func TestDoErrorNotCached(t *testing.T) {
 	c := New(1 << 20)
 	boom := errors.New("boom")
 	calls := 0
-	_, outcome, err := c.Do("k", func() ([]byte, error) { calls++; return nil, boom })
+	_, outcome, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) || outcome != Miss {
 		t.Fatalf("Do = %v %v", outcome, err)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("errors must not be cached")
 	}
-	if _, _, err := c.Do("k", func() ([]byte, error) { calls++; return []byte("ok"), nil }); err != nil {
+	if _, _, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return []byte("ok"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
@@ -160,7 +161,7 @@ func TestDoErrorNotCached(t *testing.T) {
 
 func TestDoDropsResultComputedAcrossInvalidation(t *testing.T) {
 	c := New(1 << 20)
-	_, _, err := c.Do("k", func() ([]byte, error) {
+	_, _, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) {
 		c.Invalidate() // the catalog changed mid-compute
 		return []byte("stale"), nil
 	})
@@ -182,7 +183,7 @@ func TestNilCacheBypasses(t *testing.T) {
 	c.AdvanceGeneration(5)
 	calls := 0
 	for i := 0; i < 2; i++ {
-		v, outcome, err := c.Do("k", func() ([]byte, error) { calls++; return []byte("v"), nil })
+		v, outcome, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return []byte("v"), nil })
 		if err != nil || string(v) != "v" || outcome != Bypass {
 			t.Fatalf("nil Do = %q %v %v", v, outcome, err)
 		}

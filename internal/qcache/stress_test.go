@@ -2,6 +2,7 @@ package qcache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -36,7 +37,7 @@ func TestStressMixedOps(t *testing.T) {
 				case op < 70:
 					c.Put(key, make([]byte, rng.Intn(256)))
 				case op < 95:
-					_, _, _ = c.Do(key, func() ([]byte, error) {
+					_, _, _ = c.DoContext(context.Background(), key, func(context.Context) ([]byte, error) {
 						return []byte(key), nil
 					})
 				case op < 97:
@@ -123,7 +124,7 @@ func TestCoalesceExactlyOneCompute(t *testing.T) {
 	var computes atomic.Int64
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	compute := func() ([]byte, error) {
+	compute := func(context.Context) ([]byte, error) {
 		computes.Add(1)
 		select {
 		case started <- struct{}{}:
@@ -143,7 +144,7 @@ func TestCoalesceExactlyOneCompute(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, o, err := c.Do("hot-key", compute)
+			v, o, err := c.DoContext(context.Background(), "hot-key", compute)
 			results <- struct {
 				val     []byte
 				outcome Outcome
@@ -202,7 +203,7 @@ func TestCoalesceErrorFansOut(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, err := c.Do("bad-key", func() ([]byte, error) {
+			_, _, err := c.DoContext(context.Background(), "bad-key", func(context.Context) ([]byte, error) {
 				computes.Add(1)
 				<-release
 				return nil, fmt.Errorf("compute failed")

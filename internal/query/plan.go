@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/data"
 	"repro/internal/geoblocks"
+	"repro/internal/shard"
 	"repro/internal/tcache"
 	"repro/internal/trace"
 )
@@ -22,21 +24,9 @@ type Catalog interface {
 
 // SourceCatalog is an optional Catalog extension: a catalog that can also
 // resolve a data set name to a columnar block source (e.g. an out-of-core
-// segment store). When the catalog provides one, the planner attaches it to
-// the request so the raster engine executes block-at-a-time with zone-map
-// pruning instead of scanning the in-RAM arrays; the in-RAM set stays
-// resolved alongside for engines that need random access (cubes, geoblocks).
+// segment store). See Planner.Route.
 type SourceCatalog interface {
 	PointSource(name string) (data.PointSource, bool)
-}
-
-// ShardRouter is the planner's view of a scatter-gather coordinator
-// (internal/shard.Coordinator implements it). CanServe rejects requests
-// whose fold would not decompose bit-exactly across shards; those fall
-// back to the plain raster path.
-type ShardRouter interface {
-	core.Joiner
-	CanServe(req core.Request) error
 }
 
 // Plan is a routed, ready-to-execute query.
@@ -44,6 +34,9 @@ type Plan struct {
 	Query   Query
 	Request core.Request
 	Joiner  core.Joiner
+	// Engine names the link of the routing chain that took the request:
+	// "cube", "exact", "geoblocks", "slabs", "shards" or "raster".
+	Engine string
 	// Reason explains the routing decision for observability.
 	Reason string
 }
@@ -51,30 +44,33 @@ type Plan struct {
 // Planner routes queries: pre-aggregation cubes answer their canned family
 // in microseconds; everything else — ad-hoc filters, foreign layers,
 // misaligned windows — goes to Raster Join, which is the paper's point.
+//
+// The fields configure one ordered engine chain (see chain); Route walks it.
+// A planner shared between goroutines is never edited in place: the owner
+// swaps in a modified copy (internal/urbane does, under its lock), so a
+// routed query only ever reads the snapshot it started with.
 type Planner struct {
 	// Cubes are consulted in order; the first that can serve wins.
 	Cubes []*cube.Cube
 	// GeoBlocks, when non-nil, answers unfiltered arbitrary-polygon
 	// aggregation from the pre-aggregated hierarchy (interior cells from
-	// stored aggregates, boundary fringe refined exactly). Consulted
-	// after the cubes and before the raster engine.
+	// stored aggregates, boundary fringe refined exactly).
 	GeoBlocks *geoblocks.Engine
 	// Slabs, when non-nil, answers slab-aligned time-windowed aggregation
 	// as a chronological fold of cached slab partials (incremental temporal
-	// view maintenance). Consulted after geoblocks — which rejects
-	// time-filtered requests, so the two never compete — and before the
-	// raster engine.
+	// view maintenance). GeoBlocks rejects time-filtered requests, so the
+	// two never compete.
 	Slabs *tcache.Joiner
-	// Raster answers everything the cubes cannot. Required.
-	Raster *core.RasterJoin
 	// Shards, when non-nil, replaces the local raster path with sharded
-	// scatter-gather execution for requests that decompose bit-exactly
-	// (ShardRouter.CanServe). Because sharded results are byte-identical
-	// to the local path, this routing keeps the raster Reason string:
-	// topology is an execution detail, not a different answer.
-	Shards ShardRouter
-	// Exact, when non-nil, replaces Raster for queries that demand exact
-	// results (Plan with exact=true).
+	// scatter-gather execution for requests that decompose bit-exactly.
+	// Because sharded results are byte-identical to the local path, this
+	// routing keeps the raster Reason string: topology is an execution
+	// detail, not a different answer.
+	Shards *shard.Coordinator
+	// Raster answers everything the engines before it refuse. Required.
+	Raster *core.RasterJoin
+	// Exact, when non-nil, replaces every engine after the cubes for
+	// queries that demand exact results.
 	Exact core.Joiner
 }
 
@@ -83,8 +79,67 @@ func NewPlanner(raster *core.RasterJoin) *Planner {
 	return &Planner{Raster: raster}
 }
 
-// AddCube registers a pre-aggregation cube.
-func (pl *Planner) AddCube(c *cube.Cube) { pl.Cubes = append(pl.Cubes, c) }
+// engine is one link of the routing chain. canServe returns nil when the
+// engine can answer the request and its refusal reason otherwise; a nil
+// canServe serves everything.
+type engine struct {
+	name     string
+	joiner   core.Joiner
+	canServe func(core.Request) error
+	reason   string
+}
+
+// chain is the routing order, written once: cubes, then — unless an exact
+// override takes everything left — geoblocks, slabs, shards, raster. Adding
+// or removing an engine is one line here.
+func (pl *Planner) chain() []engine {
+	const adhoc = "ad-hoc query routed to raster join"
+	ch := make([]engine, 0, len(pl.Cubes)+4)
+	for _, c := range pl.Cubes {
+		ch = append(ch, engine{"cube", c, c.CanServe, "canned query served from pre-aggregation"})
+	}
+	if pl.Exact != nil {
+		return append(ch, engine{"exact", pl.Exact, nil, "exact engine override"})
+	}
+	if pl.GeoBlocks != nil {
+		ch = append(ch, engine{"geoblocks", pl.GeoBlocks, pl.GeoBlocks.CanServe,
+			"unfiltered polygon aggregation served from geoblocks hierarchy"})
+	}
+	if pl.Slabs != nil {
+		ch = append(ch, engine{"slabs", pl.Slabs, pl.Slabs.CanServe,
+			"time-windowed aggregation folded from cached slab partials"})
+	}
+	if pl.Shards != nil {
+		ch = append(ch, engine{"shards", pl.Shards, pl.Shards.CanServe, adhoc})
+	}
+	if pl.Raster != nil {
+		ch = append(ch, engine{"raster", pl.Raster, nil, adhoc})
+	}
+	return ch
+}
+
+// Route is the one routing decision every execution path shares: it
+// attaches the catalog's block source for the request's data set (the single
+// place a request learns it is segment-backed — the raster engine then
+// executes block-at-a-time with zone-map pruning, while the in-RAM set stays
+// alongside for engines that need random access), validates the request, and
+// hands it to the first engine of the chain that can serve it.
+func (pl *Planner) Route(req core.Request, cat Catalog) (*Plan, error) {
+	if sc, ok := cat.(SourceCatalog); ok && req.Source == nil && req.Points != nil {
+		if src, found := sc.PointSource(req.Points.Name); found {
+			req.Source = src
+		}
+	}
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	for _, e := range pl.chain() {
+		if e.canServe == nil || e.canServe(req) == nil {
+			return &Plan{Request: req, Joiner: e.joiner, Engine: e.name, Reason: e.reason}, nil
+		}
+	}
+	return nil, errors.New("query: no engine can serve the request")
+}
 
 // Plan resolves names against the catalog and routes the query.
 func (pl *Planner) Plan(q Query, cat Catalog) (*Plan, error) {
@@ -96,49 +151,19 @@ func (pl *Planner) Plan(q Query, cat Catalog) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("query: unknown region set %q", q.Regions)
 	}
-	req := core.Request{
+	p, err := pl.Route(core.Request{
 		Points:  ps,
 		Regions: rs,
 		Agg:     q.Agg,
 		Attr:    q.Attr,
 		Filters: q.Filters,
 		Time:    q.Time,
-	}
-	if sc, ok := cat.(SourceCatalog); ok {
-		if src, found := sc.PointSource(q.Points); found {
-			req.Source = src
-		}
-	}
-	if err := req.Validate(); err != nil {
+	}, cat)
+	if err != nil {
 		return nil, err
 	}
-	for _, c := range pl.Cubes {
-		if err := c.CanServe(req); err == nil {
-			return &Plan{Query: q, Request: req, Joiner: c,
-				Reason: "canned query served from pre-aggregation"}, nil
-		}
-	}
-	if pl.GeoBlocks != nil && pl.Exact == nil && pl.GeoBlocks.CanServe(req) == nil {
-		return &Plan{Query: q, Request: req, Joiner: pl.GeoBlocks,
-			Reason: "unfiltered polygon aggregation served from geoblocks hierarchy"}, nil
-	}
-	if pl.Slabs != nil && pl.Exact == nil && pl.Slabs.CanServe(req) == nil {
-		return &Plan{Query: q, Request: req, Joiner: pl.Slabs,
-			Reason: "time-windowed aggregation folded from cached slab partials"}, nil
-	}
-	if pl.Raster == nil {
-		return nil, fmt.Errorf("query: no engine can serve %q", q.String())
-	}
-	reason := "ad-hoc query routed to raster join"
-	var j core.Joiner = pl.Raster
-	if pl.Shards != nil && pl.Exact == nil && pl.Shards.CanServe(req) == nil {
-		j = pl.Shards
-	}
-	if pl.Exact != nil {
-		j = pl.Exact
-		reason = "exact engine override"
-	}
-	return &Plan{Query: q, Request: req, Joiner: j, Reason: reason}, nil
+	p.Query = q
+	return p, nil
 }
 
 // Execution is a timed query result.
@@ -146,11 +171,6 @@ type Execution struct {
 	Plan    *Plan
 	Result  *core.Result
 	Elapsed time.Duration
-}
-
-// Execute runs the plan and times it.
-func Execute(p *Plan) (*Execution, error) {
-	return ExecuteContext(context.Background(), p)
 }
 
 // ExecuteContext runs the plan under the request context: a joiner that
@@ -170,11 +190,6 @@ func ExecuteContext(ctx context.Context, p *Plan) (*Execution, error) {
 		return nil, fmt.Errorf("query: executing with %s: %w", p.Joiner.Name(), err)
 	}
 	return &Execution{Plan: p, Result: res, Elapsed: time.Since(start)}, nil
-}
-
-// Run parses, plans, and executes a statement in one step.
-func Run(stmt string, pl *Planner, cat Catalog) (*Execution, error) {
-	return RunContext(context.Background(), stmt, pl, cat)
 }
 
 // RunContext parses, plans, and executes a statement under the request

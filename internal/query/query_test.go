@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -168,7 +169,7 @@ func TestPlannerRoutesCannedToCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := NewPlanner(core.NewRasterJoin(core.WithResolution(256)))
-	pl.AddCube(c)
+	pl.Cubes = append(pl.Cubes, c)
 
 	q, _ := Parse("SELECT COUNT(*) FROM taxi, nbhd")
 	plan, err := pl.Plan(q, cat)
@@ -193,7 +194,7 @@ func TestPlannerRoutesAdHocToRaster(t *testing.T) {
 	cat, ps, rs := planScene(t)
 	c, _ := cube.Build(ps, cube.Config{Regions: rs, TimeBin: 3600, Attrs: []string{"fare"}})
 	pl := NewPlanner(core.NewRasterJoin(core.WithResolution(256)))
-	pl.AddCube(c)
+	pl.Cubes = append(pl.Cubes, c)
 
 	for _, stmt := range []string{
 		"SELECT COUNT(*) FROM taxi, nbhd WHERE fare BETWEEN 5 AND 20",     // ad-hoc filter
@@ -238,15 +239,15 @@ func TestRunEndToEndCubeMatchesRaster(t *testing.T) {
 	cat, ps, rs := planScene(t)
 	c, _ := cube.Build(ps, cube.Config{Regions: rs, TimeBin: 3600})
 	withCube := NewPlanner(core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(512)))
-	withCube.AddCube(c)
+	withCube.Cubes = append(withCube.Cubes, c)
 	noCube := NewPlanner(core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(512)))
 
 	stmt := "SELECT COUNT(*) FROM taxi, nbhd GROUP BY id"
-	a, err := Run(stmt, withCube, cat)
+	a, err := RunContext(context.Background(), stmt, withCube, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(stmt, noCube, cat)
+	b, err := RunContext(context.Background(), stmt, noCube, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func New(raster *core.RasterJoin, n int) *Coordinator {
 	}
 	c := &Coordinator{raster: raster, n: n, layouts: make(map[string]*Layout)}
 	for i := 0; i < n; i++ {
-		c.nodes = append(c.nodes, newNode(i, localExecutor{}))
+		c.nodes = append(c.nodes, newNode(i))
 	}
 	return c
 }
@@ -169,7 +169,7 @@ func (p *scatterPlan) Scatter(ctx context.Context, spec *core.ShardSpec) ([]*cor
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			pt, err := nd.run(sctx, spec, xlo, xhi, blocks)
+			pt, err := nd.run(sctx, p.c.raster, spec, xlo, xhi, blocks)
 			partials[i], errs[i] = pt, err
 			if err != nil {
 				cancel() // stop siblings; their ctx.Canceled is discounted below

@@ -14,23 +14,6 @@ import (
 // partial answer, and the server maps it to 503 with Retry-After.
 var ErrUnavailable = errors.New("shard: executor unavailable")
 
-// Executor runs one shard's partial point pass. The in-process
-// implementation calls core.ShardPointPass directly; a network transport
-// would marshal the spec plus a (dataset, snapshot) reference and run the
-// same function remotely.
-type Executor interface {
-	// PointPass evaluates spec over the shard's block assignment for the
-	// given ownership range.
-	PointPass(ctx context.Context, spec *core.ShardSpec, xlo, xhi float64, blocks []int) (*core.ShardPartial, error)
-}
-
-// localExecutor is the in-process Executor.
-type localExecutor struct{}
-
-func (localExecutor) PointPass(ctx context.Context, spec *core.ShardSpec, xlo, xhi float64, blocks []int) (*core.ShardPartial, error) {
-	return core.ShardPointPass(ctx, spec, xlo, xhi, blocks)
-}
-
 // NodeStats snapshots one executor slot for /api/stats.
 type NodeStats struct {
 	Shard         int   `json:"shard"`
@@ -44,12 +27,11 @@ type NodeStats struct {
 	BlocksPruned  int64 `json:"blocksPruned"`
 }
 
-// node is one executor slot: the executor, its liveness, and its gauges.
-// Kill marks the slot down and cancels every in-flight pass; Restart brings
-// it back (executors are stateless, so a restart is a fresh slot).
+// node is one executor slot: its liveness and its gauges. Kill marks the
+// slot down and cancels every in-flight pass; Restart brings it back
+// (executors are stateless, so a restart is a fresh slot).
 type node struct {
-	idx  int
-	exec Executor
+	idx int
 
 	mu       sync.Mutex
 	down     bool
@@ -65,15 +47,16 @@ type node struct {
 	pruned   atomic.Int64
 }
 
-func newNode(idx int, exec Executor) *node {
-	return &node{idx: idx, exec: exec, inFlight: make(map[uint64]context.CancelFunc)}
+func newNode(idx int) *node {
+	return &node{idx: idx, inFlight: make(map[uint64]context.CancelFunc)}
 }
 
-// run executes one partial pass on the node, honoring kills: a down node
-// refuses immediately, and a kill landing mid-pass cancels the pass and is
-// reported as ErrUnavailable (an honest degradation, never a silent
-// partial) unless the request itself was already canceled.
-func (nd *node) run(ctx context.Context, spec *core.ShardSpec, xlo, xhi float64, blocks []int) (*core.ShardPartial, error) {
+// run executes one partial pass (core's ShardPointPass) on the node,
+// honoring kills: a down node refuses immediately, and a kill landing
+// mid-pass cancels the pass and is reported as ErrUnavailable (an honest
+// degradation, never a silent partial) unless the request itself was
+// already canceled.
+func (nd *node) run(ctx context.Context, rj *core.RasterJoin, spec *core.ShardSpec, xlo, xhi float64, blocks []int) (*core.ShardPartial, error) {
 	nd.mu.Lock()
 	if nd.down {
 		nd.mu.Unlock()
@@ -95,7 +78,7 @@ func (nd *node) run(ctx context.Context, spec *core.ShardSpec, xlo, xhi float64,
 		cancel()
 	}()
 
-	p, err := nd.exec.PointPass(kctx, spec, xlo, xhi, blocks)
+	p, err := rj.ShardPointPass(kctx, spec, xlo, xhi, blocks)
 	if err != nil {
 		nd.mu.Lock()
 		down := nd.down

@@ -1,11 +1,10 @@
 // Package shard implements spatially sharded scatter-gather execution: a
 // cell-range sharding scheme that splits a dataset's points into N spatial
-// shards along world-x cuts, per-shard executors that run the partial point
-// pass over their block assignment (in-process here, behind an interface a
-// network transport can implement), and a coordinator that fans a query out
-// to every shard and merges the partials in deterministic shard order so
-// results are byte-identical to the unsharded path at any shard count (see
-// internal/core's scatter driver for the full argument).
+// shards along world-x cuts, per-shard executor slots that run the partial
+// point pass over their block assignment in-process, and a coordinator that
+// fans a query out to every shard and merges the partials in deterministic
+// shard order so results are byte-identical to the unsharded path at any
+// shard count (see internal/core's scatter driver for the full argument).
 package shard
 
 import (

@@ -3,8 +3,8 @@ package tcache_test
 // Window-maintenance benchmarks: the steady-state warm fold (every slab
 // partial cached — the slider's common case) against the cold fold a full
 // invalidation would force (every slab recomputed through the raster
-// join). The E21 experiment in cmd/urbane-bench measures the intermediate
-// one-slab slide (1 recompute + W-1 reuses) on the live server.
+// join). The benchmark's tcache.slide_ms measures the intermediate one-slab
+// slide (1 recompute + W-1 reuses).
 
 import (
 	"context"

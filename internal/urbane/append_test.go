@@ -60,6 +60,26 @@ func TestAppendEpochIsolation(t *testing.T) {
 	taxiTile := doJSON(t, s, http.MethodGet, "/api/tile/0/0/0.png?dataset=taxi", nil)
 	c311Tile := doJSON(t, s, http.MethodGet, "/api/tile/0/0/0.png?dataset=311", nil)
 	taxiETag, c311ETag := taxiTile.Header().Get("ETag"), c311Tile.Header().Get("ETag")
+	// Same for an ad-hoc polygon: a ring holding every appendBody point.
+	ring := [][2]float64{{50, 150}, {750, 150}, {750, 750}, {50, 750}}
+	polygonCount := func(dataset, wantCache string) int64 {
+		t.Helper()
+		rec := doJSON(t, s, http.MethodPost, "/api/polygon",
+			map[string]any{"dataset": dataset, "ring": ring, "agg": "count"})
+		if rec.Code != 200 {
+			t.Fatalf("polygon %s status = %d: %s", dataset, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Urbane-Cache"); got != wantCache {
+			t.Fatalf("polygon %s outcome = %q, want %s", dataset, got, wantCache)
+		}
+		var resp polygonResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Count
+	}
+	taxiInRing := polygonCount("taxi", "miss")
+	polygonCount("311", "miss")
 
 	epochBefore := f.Epoch("taxi")
 	lenBefore, _ := f.PointSet("taxi")
@@ -90,6 +110,13 @@ func TestAppendEpochIsolation(t *testing.T) {
 	if got := rec.Header().Get("X-Urbane-Cache"); got != "miss" {
 		t.Fatalf("taxi outcome after append = %q, want miss", got)
 	}
+
+	// The repeated ring sees exactly the appended points on taxi (a stale
+	// pre-append body would not) and stays warm on 311.
+	if got := polygonCount("taxi", "miss"); got != taxiInRing+5 {
+		t.Fatalf("taxi polygon count after append = %d, want %d", got, taxiInRing+5)
+	}
+	polygonCount("311", "hit")
 
 	// taxi's tile validator rolled; 311's still revalidates to 304.
 	req := httptest.NewRequest(http.MethodGet, "/api/tile/0/0/0.png?dataset=taxi", nil)

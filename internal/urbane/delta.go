@@ -34,14 +34,9 @@ type DeltaView struct {
 	Elapsed   time.Duration `json:"elapsedNs"`
 }
 
-// Delta evaluates both windows (through the planner, so cubes serve aligned
-// windows) and returns the per-region differences.
-func (f *Framework) Delta(req DeltaRequest) (*DeltaView, error) {
-	return f.DeltaContext(context.Background(), req)
-}
-
-// DeltaContext is Delta under the request context; each window's execution
-// is individually cancelable.
+// DeltaContext evaluates both windows (through the planner, so cubes serve
+// aligned windows) and returns the per-region differences; each window's
+// execution is individually cancelable.
 func (f *Framework) DeltaContext(ctx context.Context, req DeltaRequest) (*DeltaView, error) {
 	if req.A == req.B {
 		return nil, fmt.Errorf("urbane: delta windows are identical")

@@ -1,6 +1,7 @@
 package urbane
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"testing"
@@ -15,7 +16,7 @@ func TestDeltaView(t *testing.T) {
 		A: core.TimeFilter{Start: 0, End: 4 * 3600},
 		B: core.TimeFilter{Start: 4 * 3600, End: 8 * 3600},
 	}
-	view, err := f.Delta(req)
+	view, err := f.DeltaContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +24,9 @@ func TestDeltaView(t *testing.T) {
 		t.Fatalf("values = %d", len(view.Values))
 	}
 	// Deltas must equal the two map views' difference.
-	a, _ := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	a, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Count, Time: &core.TimeFilter{Start: 0, End: 4 * 3600}})
-	b, _ := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	b, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Count, Time: &core.TimeFilter{Start: 4 * 3600, End: 8 * 3600}})
 	for k := range view.Values {
 		want := b.Values[k].Value - a.Values[k].Value
@@ -37,22 +38,22 @@ func TestDeltaView(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := f.Delta(DeltaRequest{Dataset: "taxi", Layer: "nbhd",
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "nbhd",
 		A: req.A, B: req.A}); err == nil {
 		t.Error("identical windows should fail")
 	}
-	if _, err := f.Delta(DeltaRequest{Dataset: "nope", Layer: "nbhd",
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "nope", Layer: "nbhd",
 		A: req.A, B: req.B}); err == nil {
 		t.Error("unknown data set should fail")
 	}
-	if _, err := f.Delta(DeltaRequest{Dataset: "taxi", Layer: "nope",
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "nope",
 		A: req.A, B: req.B}); err == nil {
 		t.Error("unknown layer should fail")
 	}
 	bad := req
 	bad.Agg = core.Sum
 	bad.Attr = "nope"
-	if _, err := f.Delta(bad); err == nil {
+	if _, err := f.DeltaContext(context.Background(), bad); err == nil {
 		t.Error("bad attribute should fail")
 	}
 }

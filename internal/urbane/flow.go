@@ -38,13 +38,8 @@ type FlowView struct {
 	Elapsed time.Duration `json:"elapsedNs"`
 }
 
-// FlowView computes the OD matrix with the raster flow join and returns the
-// top edges.
-func (f *Framework) FlowView(req FlowViewRequest) (*FlowView, error) {
-	return f.FlowViewContext(context.Background(), req)
-}
-
-// FlowViewContext is FlowView under the request context.
+// FlowViewContext computes the OD matrix with the raster flow join and
+// returns the top edges.
 func (f *Framework) FlowViewContext(ctx context.Context, req FlowViewRequest) (*FlowView, error) {
 	ps, ok := f.PointSet(req.Dataset)
 	if !ok {

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +38,9 @@ type Framework struct {
 	// block-at-a-time with zone-map pruning instead of scanning the in-RAM
 	// arrays. See AttachSegments.
 	sources map[string]data.PointSource
+	// planner is the current routing snapshot. It is never edited in place:
+	// toggles swap in a modified copy under mu (reroute), and queries take
+	// the pointer under mu and then read only their own snapshot.
 	planner *query.Planner
 	// epochs counts writes per data set: Append and BuildCube advance only
 	// the touched set's epoch. Response-cache keys embed the epoch, so a
@@ -137,7 +141,7 @@ func (f *Framework) AddRegionSet(rs *data.RegionSet) error {
 func (f *Framework) EnableGeoBlocks(maxLevel int) *geoblocks.Engine {
 	f.mu.Lock()
 	eng := geoblocks.NewEngine(f.planner.Raster, maxLevel)
-	f.planner.GeoBlocks = eng
+	f.reroute(func(pl *query.Planner) { pl.GeoBlocks = eng })
 	f.mu.Unlock()
 	f.version.Add(1)
 	return eng
@@ -161,7 +165,7 @@ func (f *Framework) GeoBlocks() *geoblocks.Engine {
 func (f *Framework) EnableIncremental(gran int64, cacheBytes int64, maxSlabs int) *tcache.Joiner {
 	f.mu.Lock()
 	j := tcache.New(f.planner.Raster, gran, cacheBytes, maxSlabs)
-	f.planner.Slabs = j
+	f.reroute(func(pl *query.Planner) { pl.Slabs = j })
 	f.mu.Unlock()
 	f.version.Add(1)
 	return j
@@ -186,7 +190,7 @@ func (f *Framework) EnableSharding(n int) *shard.Coordinator {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c := shard.New(f.planner.Raster, n)
-	f.planner.Shards = c
+	f.reroute(func(pl *query.Planner) { pl.Shards = c })
 	return c
 }
 
@@ -194,10 +198,33 @@ func (f *Framework) EnableSharding(n int) *shard.Coordinator {
 func (f *Framework) Sharding() *shard.Coordinator {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if c, ok := f.planner.Shards.(*shard.Coordinator); ok {
-		return c
+	return f.planner.Shards
+}
+
+// reroute swaps in a copy of the planner with edit applied. The caller
+// holds f.mu for writing.
+func (f *Framework) reroute(edit func(pl *query.Planner)) {
+	np := *f.planner
+	np.Cubes = slices.Clip(np.Cubes) // an appended cube must not land in the old snapshot's backing array
+	edit(&np)
+	f.planner = &np
+}
+
+// routing returns the current planner snapshot, with the device's region
+// span cache and the geoblocks hierarchy store slaved to the catalog
+// version — the query-result cache's invalidation contract: an engine
+// toggle drops every compiled span and built hierarchy. Both checks are one
+// atomic load when nothing changed.
+func (f *Framework) routing() *query.Planner {
+	f.mu.RLock()
+	pl := f.planner
+	f.mu.RUnlock()
+	v := f.Version()
+	pl.Raster.Device().SpanCache().SetGeneration(v)
+	if pl.GeoBlocks != nil {
+		pl.GeoBlocks.Store().SetGeneration(v)
 	}
-	return nil
+	return pl
 }
 
 // AppendInfo summarizes one Append: how the catalog and the incremental
@@ -284,7 +311,7 @@ func (f *Framework) Append(ctx context.Context, name string, tail *data.PointSet
 	f.points[name] = grown
 	f.epochs[name]++
 	info.Epoch = f.epochs[name]
-	if c, ok := f.planner.Shards.(*shard.Coordinator); ok {
+	if c := f.planner.Shards; c != nil {
 		// Keep the cuts fixed so appended points route to the shard that
 		// already owns their x range; only block assignment is re-derived.
 		c.Patch(name, grown.Source())
@@ -311,7 +338,7 @@ func (f *Framework) BuildCube(dataset, layer string, timeBin int64, attrs []stri
 		return nil, err
 	}
 	f.mu.Lock()
-	f.planner.AddCube(c)
+	f.reroute(func(pl *query.Planner) { pl.Cubes = append(pl.Cubes, c) })
 	// A new cube changes how this data set's canned queries execute (the
 	// served Algorithm/Reason strings and SUM grouping differ), so cached
 	// responses for this set must go — but only this set's: advance its
@@ -413,69 +440,32 @@ func (f *Framework) RegionSetNames() []string {
 	return names
 }
 
-// Query parses, plans, and executes a SQL-like statement.
-func (f *Framework) Query(stmt string) (*query.Execution, error) {
-	return f.QueryContext(context.Background(), stmt)
-}
-
 // QueryContext parses, plans, and executes a SQL-like statement under the
 // request context, tracing each stage.
 func (f *Framework) QueryContext(ctx context.Context, stmt string) (*query.Execution, error) {
-	f.mu.RLock()
-	pl := f.planner
-	f.mu.RUnlock()
-	f.syncSpanCache()
-	f.syncGeoBlocks()
-	return query.RunContext(ctx, stmt, pl, f)
+	return query.RunContext(ctx, stmt, f.routing(), f)
 }
 
-// Execute plans and runs an already-built request through the planner's
-// routing (cube when servable, raster otherwise).
-func (f *Framework) Execute(req core.Request) (*core.Result, error) {
-	return f.ExecuteContext(context.Background(), req)
-}
-
-// ExecuteContext is Execute under the request context: raster execution is
+// ExecuteContext routes an already-built request through the planner's
+// engine chain and runs it under the request context: raster execution is
 // canceled mid-flight when ctx ends; cube lookups are fast enough that only
 // an up-front check applies.
 func (f *Framework) ExecuteContext(ctx context.Context, req core.Request) (*core.Result, error) {
-	f.mu.RLock()
-	pl := f.planner
-	f.mu.RUnlock()
-	f.syncSpanCache()
-	f.syncGeoBlocks()
-	if req.Source == nil && req.Points != nil {
-		if src, ok := f.PointSource(req.Points.Name); ok {
-			req.Source = src
-		}
+	p, err := f.routing().Route(req, f)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range pl.Cubes {
-		if c.CanServe(req) == nil {
-			return core.JoinContext(ctx, c, req)
-		}
-	}
-	if pl.GeoBlocks != nil && pl.Exact == nil && pl.GeoBlocks.CanServe(req) == nil {
-		return pl.GeoBlocks.JoinContext(ctx, req)
-	}
-	if pl.Slabs != nil && pl.Exact == nil && pl.Slabs.CanServe(req) == nil {
-		return pl.Slabs.JoinContext(ctx, req)
-	}
-	if pl.Shards != nil && pl.Exact == nil && pl.Shards.CanServe(req) == nil {
-		return core.JoinContext(ctx, pl.Shards, req)
-	}
-	return pl.Raster.JoinContext(ctx, req)
+	return core.JoinContext(ctx, p.Joiner, p.Request)
 }
 
-// cubeServable reports whether any registered cube can serve the request.
+// cubeServable reports whether the request routes to a registered cube.
 func (f *Framework) cubeServable(req core.Request) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, c := range f.planner.Cubes {
-		if c.CanServe(req) == nil {
-			return true
-		}
+	p, err := f.routing().Route(req, f)
+	if err != nil {
+		return false
 	}
-	return false
+	_, ok := p.Joiner.(*cube.Cube)
+	return ok
 }
 
 // rasterJoiner returns the planner's raster engine.
@@ -483,21 +473,4 @@ func (f *Framework) rasterJoiner() *core.RasterJoin {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.planner.Raster
-}
-
-// syncSpanCache slaves the device's region span cache to the catalog
-// version, mirroring the query-result cache's invalidation contract: any
-// (re)registration drops every compiled span. The underlying check is one
-// atomic load when nothing changed.
-func (f *Framework) syncSpanCache() {
-	f.rasterJoiner().Device().SpanCache().SetGeneration(f.Version())
-}
-
-// syncGeoBlocks slaves the hierarchy store to the catalog version, same
-// contract as syncSpanCache: any (re)registration drops every built
-// hierarchy. No-op while geoblocks is disabled.
-func (f *Framework) syncGeoBlocks() {
-	if g := f.GeoBlocks(); g != nil {
-		g.Store().SetGeneration(f.Version())
-	}
 }

@@ -1,6 +1,7 @@
 package urbane
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +15,7 @@ import (
 
 // buildTestFramework registers two synthetic data sets and two layers over
 // a 1000x1000 world.
-func buildTestFramework(t testing.TB) (*Framework, *data.PointSet, *data.RegionSet) {
+func buildTestFramework(t testing.TB, opts ...core.RJOption) (*Framework, *data.PointSet, *data.RegionSet) {
 	t.Helper()
 	bounds := geom.BBox{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	rng := rand.New(rand.NewSource(77))
@@ -37,7 +38,8 @@ func buildTestFramework(t testing.TB) (*Framework, *data.PointSet, *data.RegionS
 	nbhd := data.VoronoiRegions("nbhd", bounds, 12, 9, data.VoronoiOptions{JitterFrac: 0.06})
 	grid := data.GridRegions("grid", bounds, 4, 4)
 
-	f := New(core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(512)))
+	f := New(core.NewRasterJoin(append([]core.RJOption{
+		core.WithMode(core.Accurate), core.WithResolution(512)}, opts...)...))
 	for _, ps := range []*data.PointSet{taxi, c311} {
 		if err := f.AddPointSet(ps); err != nil {
 			t.Fatal(err)
@@ -90,7 +92,7 @@ func TestRegistry(t *testing.T) {
 
 func TestFrameworkQuery(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	exec, err := f.Query("SELECT COUNT(*) FROM taxi, nbhd GROUP BY id")
+	exec, err := f.QueryContext(context.Background(), "SELECT COUNT(*) FROM taxi, nbhd GROUP BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestFrameworkQuery(t *testing.T) {
 	if !strings.HasPrefix(exec.Result.Algorithm, "raster-join") {
 		t.Errorf("algorithm = %s", exec.Result.Algorithm)
 	}
-	if _, err := f.Query("SELECT COUNT(*) FROM nope, nbhd"); err == nil {
+	if _, err := f.QueryContext(context.Background(), "SELECT COUNT(*) FROM nope, nbhd"); err == nil {
 		t.Error("unknown data set should fail")
 	}
 }
@@ -110,7 +112,7 @@ func TestFrameworkCubeRouting(t *testing.T) {
 	if _, err := f.BuildCube("taxi", "nbhd", 3600, []string{"fare"}); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := f.Query("SELECT COUNT(*) FROM taxi, nbhd")
+	exec, err := f.QueryContext(context.Background(), "SELECT COUNT(*) FROM taxi, nbhd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestFrameworkCubeRouting(t *testing.T) {
 		t.Errorf("canned query used %s, want cube", exec.Result.Algorithm)
 	}
 	// Ad-hoc filter cannot use the cube.
-	exec, err = f.Query("SELECT COUNT(*) FROM taxi, nbhd WHERE fare BETWEEN 5 AND 20")
+	exec, err = f.QueryContext(context.Background(), "SELECT COUNT(*) FROM taxi, nbhd WHERE fare BETWEEN 5 AND 20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestFrameworkCubeRouting(t *testing.T) {
 
 func TestMapView(t *testing.T) {
 	f, taxi, _ := buildTestFramework(t)
-	ch, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +160,13 @@ func TestMapView(t *testing.T) {
 		t.Error("metadata missing")
 	}
 	// Errors.
-	if _, err := f.MapView(MapViewRequest{Dataset: "nope", Layer: "nbhd"}); err == nil {
+	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "nope", Layer: "nbhd"}); err == nil {
 		t.Error("unknown data set should fail")
 	}
-	if _, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nope"}); err == nil {
+	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nope"}); err == nil {
 		t.Error("unknown layer should fail")
 	}
-	if _, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Sum, Attr: "nope"}); err == nil {
 		t.Error("bad attribute should fail")
 	}
@@ -172,11 +174,11 @@ func TestMapView(t *testing.T) {
 
 func TestMapViewFiltersChangeResult(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	all, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	all, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheap, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count,
+	cheap, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count,
 		Filters: []core.Filter{{Attr: "fare", Min: 0, Max: 10}}})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +205,7 @@ func TestExplore(t *testing.T) {
 		Start:    0, End: 8 * 3600, Bins: 8,
 		RegionIDs: []int{nbhd.Regions[0].ID, nbhd.Regions[3].ID},
 	}
-	ex, err := f.Explore(req)
+	ex, err := f.ExploreContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestExplore(t *testing.T) {
 		}
 	}
 	// Bin totals for one region must equal the untimed count for it.
-	ch, _ := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	ch, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	var fromSeries float64
 	for _, s := range ex.Series {
 		if s.Dataset == "taxi" && s.RegionID == nbhd.Regions[0].ID {
@@ -232,20 +234,20 @@ func TestExplore(t *testing.T) {
 		t.Errorf("series total %v != map view value %v", fromSeries, ch.Values[0].Value)
 	}
 	// Errors.
-	if _, err := f.Explore(ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
 		Start: 0, End: 100, Bins: 0}); err == nil {
 		t.Error("zero bins should fail")
 	}
-	if _, err := f.Explore(ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
 		Start: 100, End: 100, Bins: 2}); err == nil {
 		t.Error("empty range should fail")
 	}
-	if _, err := f.Explore(ExplorationRequest{Datasets: []string{"nope"}, Layer: "nbhd",
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"nope"}, Layer: "nbhd",
 		Start: 0, End: 100, Bins: 2}); err == nil {
 		t.Error("unknown data set should fail")
 	}
 	req.RegionIDs = []int{99999}
-	if _, err := f.Explore(req); err == nil {
+	if _, err := f.ExploreContext(context.Background(), req); err == nil {
 		t.Error("unknown region id should fail")
 	}
 }
@@ -276,14 +278,14 @@ func TestExploreFastPathMatchesFallback(t *testing.T) {
 	}
 	// Fast path: resolution mode, approximate.
 	fast := build(core.NewRasterJoin(core.WithResolution(512)))
-	a, err := fast.Explore(req)
+	a, err := fast.ExploreContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Fallback: epsilon mode makes SeriesJoin fail; per-bin joins at the
 	// equivalent pixel size take over.
 	slow := build(core.NewRasterJoin(core.WithEpsilon(1000.0 / 512 * 1.415)))
-	b, err := slow.Explore(req)
+	b, err := slow.ExploreContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestExploreFastPathMatchesFallback(t *testing.T) {
 // case); results must match the serial answers.
 func TestConcurrentViews(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	want, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	want, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +326,7 @@ func TestConcurrentViews(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				ch, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+				ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 				if err != nil {
 					errs <- err
 					return
@@ -354,7 +356,7 @@ func TestRankSimilar(t *testing.T) {
 		{Name: "complaints", Dataset: "311", Agg: core.Count},
 	}
 	target := nbhd.Regions[2].ID
-	scores, err := f.RankSimilar("nbhd", target, metrics)
+	scores, err := f.RankSimilarContext(context.Background(), "nbhd", target, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,17 +377,17 @@ func TestRankSimilar(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := f.RankSimilar("nbhd", target, nil); err == nil {
+	if _, err := f.RankSimilarContext(context.Background(), "nbhd", target, nil); err == nil {
 		t.Error("no metrics should fail")
 	}
-	if _, err := f.RankSimilar("nope", target, metrics); err == nil {
+	if _, err := f.RankSimilarContext(context.Background(), "nope", target, metrics); err == nil {
 		t.Error("unknown layer should fail")
 	}
-	if _, err := f.RankSimilar("nbhd", 12345, metrics); err == nil {
+	if _, err := f.RankSimilarContext(context.Background(), "nbhd", 12345, metrics); err == nil {
 		t.Error("unknown target should fail")
 	}
 	bad := []MetricSpec{{Name: "x", Dataset: "nope", Agg: core.Count}}
-	if _, err := f.RankSimilar("nbhd", target, bad); err == nil {
+	if _, err := f.RankSimilarContext(context.Background(), "nbhd", target, bad); err == nil {
 		t.Error("unknown metric data set should fail")
 	}
 }

@@ -38,14 +38,9 @@ type Heatmap struct {
 	Elapsed time.Duration `json:"elapsedNs"`
 }
 
-// Heatmap renders the density view through the GPU substrate's point pass.
-func (f *Framework) Heatmap(req HeatmapRequest) (*Heatmap, error) {
-	return f.HeatmapContext(context.Background(), req)
-}
-
-// HeatmapContext is Heatmap under the request context. The density render
-// is a single point pass; cancellation is checked before it starts and the
-// canvas is always released.
+// HeatmapContext renders the density view through the GPU substrate's point
+// pass. The density render is a single point pass; cancellation is checked
+// before it starts and the canvas is always released.
 func (f *Framework) HeatmapContext(ctx context.Context, req HeatmapRequest) (*Heatmap, error) {
 	ps, ok := f.PointSet(req.Dataset)
 	if !ok {

@@ -1,6 +1,7 @@
 package urbane
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestHeatmapBasics(t *testing.T) {
 	f, taxi, _ := buildTestFramework(t)
-	hm, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 64})
+	hm, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +34,11 @@ func TestHeatmapBasics(t *testing.T) {
 
 func TestHeatmapFiltersAndWeight(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	all, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 32})
+	all, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 32,
+	filtered, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 32,
 		Filters: []core.Filter{{Attr: "fare", Min: 0, Max: 10}},
 		Time:    &core.TimeFilter{Start: 0, End: 4 * 3600}})
 	if err != nil {
@@ -47,7 +48,7 @@ func TestHeatmapFiltersAndWeight(t *testing.T) {
 		t.Errorf("filtered total %v vs all %v", filtered.Total, all.Total)
 	}
 	// Weighted heatmap: total equals the sum of fares.
-	weighted, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 32, Weight: "fare"})
+	weighted, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 32, Weight: "fare"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestHeatmapFiltersAndWeight(t *testing.T) {
 func TestHeatmapCrop(t *testing.T) {
 	f, taxi, _ := buildTestFramework(t)
 	crop := geom.BBox{MinX: 0, MinY: 0, MaxX: 500, MaxY: 500}
-	hm, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 32, H: 32, Bounds: crop})
+	hm, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 32, H: 32, Bounds: crop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestHeatmapErrors(t *testing.T) {
 		{Dataset: "taxi", W: 1 << 20},
 	}
 	for i, req := range cases {
-		if _, err := f.Heatmap(req); err == nil {
+		if _, err := f.HeatmapContext(context.Background(), req); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -98,7 +99,7 @@ func TestHeatmapErrors(t *testing.T) {
 	if err := f.AddPointSet(noT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Heatmap(HeatmapRequest{Dataset: "noT",
+	if _, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "noT",
 		Time: &core.TimeFilter{Start: 0, End: 1}}); err == nil {
 		t.Error("time filter without timestamps should fail")
 	}

@@ -2,6 +2,7 @@ package urbane
 
 import (
 	"bytes"
+	"context"
 	"image/png"
 	"strings"
 	"testing"
@@ -40,14 +41,14 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 1. Canned SQL goes to the cube; the ad-hoc variant goes to raster —
 	// and the unfiltered counts agree between engines.
-	canned, err := f.Query("SELECT COUNT(*) FROM taxi, neighborhoods GROUP BY id")
+	canned, err := f.QueryContext(context.Background(), "SELECT COUNT(*) FROM taxi, neighborhoods GROUP BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canned.Result.Algorithm != "pre-aggregation-cube" {
 		t.Fatalf("canned routed to %s", canned.Result.Algorithm)
 	}
-	adhoc, err := f.Query("SELECT COUNT(*) FROM taxi, neighborhoods WHERE fare BETWEEN 0 AND 100000 GROUP BY id")
+	adhoc, err := f.QueryContext(context.Background(), "SELECT COUNT(*) FROM taxi, neighborhoods WHERE fare BETWEEN 0 AND 100000 GROUP BY id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 2. Map view totals equal the SQL result.
 	jan := workload.Jan2009()
-	ch, err := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
+	ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: jan})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +78,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	}
 
 	// 3. Exploration series for every region sum back to the map view.
-	ex, err := f.Explore(ExplorationRequest{
+	ex, err := f.ExploreContext(context.Background(), ExplorationRequest{
 		Datasets: []string{"taxi"}, Layer: "neighborhoods", Agg: core.Count,
 		Start: jan.Start, End: jan.End, Bins: 4,
 	})
@@ -96,14 +97,14 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 4. Delta over two halves of the month reconciles with the full month.
 	mid := (jan.Start + jan.End) / 2
-	delta, err := f.Delta(DeltaRequest{Dataset: "taxi", Layer: "neighborhoods",
+	delta, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count,
 		A:   core.TimeFilter{Start: jan.Start, End: mid},
 		B:   core.TimeFilter{Start: mid, End: jan.End}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := f.MapView(MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
+	h1, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: &core.TimeFilter{Start: jan.Start, End: mid}})
 	for k := range delta.Values {
 		if got, want := delta.Values[k].Value, ch.Values[k].Value-2*h1.Values[k].Value; got != want {
@@ -113,7 +114,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 5. Flow view resolves most trips and its total never exceeds the
 	// filtered point count.
-	fl, err := f.FlowView(FlowViewRequest{Dataset: "taxi", Layer: "neighborhoods", Top: 5})
+	fl, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "taxi", Layer: "neighborhoods", Top: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	}
 
 	// 6. Heatmap conserves the point count.
-	hm, err := f.Heatmap(HeatmapRequest{Dataset: "taxi", W: 128})
+	hm, err := f.HeatmapContext(context.Background(), HeatmapRequest{Dataset: "taxi", W: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 7. Ranking runs over both data sets and excludes the target.
 	target := scene.Neighborhoods.Regions[0].ID
-	scores, err := f.RankSimilar("neighborhoods", target, []MetricSpec{
+	scores, err := f.RankSimilarContext(context.Background(), "neighborhoods", target, []MetricSpec{
 		{Name: "activity", Dataset: "taxi", Agg: core.Count},
 		{Name: "complaints", Dataset: "311", Agg: core.Count},
 		{Name: "avg fare", Dataset: "taxi", Agg: core.Avg, Attr: "fare"},
@@ -149,7 +150,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	}
 
 	// 8. The rendered choropleth decodes as a PNG of the right size.
-	pngBytes, err := f.RenderChoropleth(MapViewRequest{Dataset: "taxi",
+	pngBytes, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{Dataset: "taxi",
 		Layer: "neighborhoods", Agg: core.Count}, 320)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	}
 
 	// 9. MIN/MAX SQL works end to end and respects the fare distribution.
-	maxQ, err := f.Query("SELECT MAX(fare) FROM taxi, neighborhoods")
+	maxQ, err := f.QueryContext(context.Background(), "SELECT MAX(fare) FROM taxi, neighborhoods")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,8 +68,9 @@ func parseRing(ws [][2]float64) (geom.Ring, error) {
 }
 
 // polygonKey canonicalizes the request into a cache key. Ring coordinates
-// are rendered as exact hex floats so distinct geometry never collides.
-func polygonKey(req polygonWire, ring geom.Ring, agg core.Agg, filters []core.Filter, t *core.TimeFilter) string {
+// are rendered as exact hex floats so distinct geometry never collides; the
+// data set travels as an Epoch pair like every other key (see cache.go).
+func polygonKey(req polygonWire, ring geom.Ring, agg core.Agg, filters []core.Filter, t *core.TimeFilter, epoch uint64) string {
 	var sb strings.Builder
 	for _, p := range ring {
 		sb.WriteString(strconv.FormatFloat(p.X, 'x', -1, 64))
@@ -78,7 +79,7 @@ func polygonKey(req polygonWire, ring geom.Ring, agg core.Agg, filters []core.Fi
 		sb.WriteByte(';')
 	}
 	return qcache.NewSig("polygon").
-		Str("dataset", req.Dataset).
+		Epoch(req.Dataset, epoch).
 		Str("agg", agg.String()).Str("attr", req.Attr).
 		Str("ring", sb.String()).
 		Filters("f", filters).TimeRange("t", t).Key()
@@ -120,7 +121,7 @@ func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 	if wreq.Time != nil {
 		tf = s.snapTime(&core.TimeFilter{Start: wreq.Time.Start, End: wreq.Time.End})
 	}
-	key := polygonKey(wreq, ring, agg, filters, tf)
+	key := polygonKey(wreq, ring, agg, filters, tf, s.f.Epoch(wreq.Dataset))
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		ps, ok := s.f.PointSet(wreq.Dataset)
 		if !ok {

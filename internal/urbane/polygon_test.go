@@ -136,9 +136,9 @@ func TestPolygonEndpointRejects(t *testing.T) {
 	s := NewServer(f)
 
 	cases := map[string]map[string]any{
-		"unknown dataset": polygonBody(testRing, "count", ""),
-		"two vertices":    polygonBody([][2]float64{{0, 0}, {1, 1}}, "count", ""),
-		"zero area":       polygonBody([][2]float64{{0, 0}, {500, 500}, {250, 250}}, "count", ""),
+		"unknown dataset":  polygonBody(testRing, "count", ""),
+		"two vertices":     polygonBody([][2]float64{{0, 0}, {1, 1}}, "count", ""),
+		"zero area":        polygonBody([][2]float64{{0, 0}, {500, 500}, {250, 250}}, "count", ""),
 		"bad agg":          polygonBody(testRing, "median", "fare"),
 		"sum without attr": {"dataset": "taxi", "ring": testRing, "agg": "sum"},
 	}

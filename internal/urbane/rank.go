@@ -33,15 +33,10 @@ type RegionScore struct {
 	Values   []float64 `json:"values"`
 }
 
-// RankSimilar computes each metric over the layer, z-normalizes the
+// RankSimilarContext computes each metric over the layer, z-normalizes the
 // per-region feature matrix, and ranks all regions by euclidean distance to
 // the target region's feature vector (most similar first, target excluded).
-func (f *Framework) RankSimilar(layer string, targetID int, metrics []MetricSpec) ([]RegionScore, error) {
-	return f.RankSimilarContext(context.Background(), layer, targetID, metrics)
-}
-
-// RankSimilarContext is RankSimilar under the request context; each metric
-// group's render is individually cancelable.
+// Each metric group's render is individually cancelable.
 func (f *Framework) RankSimilarContext(ctx context.Context, layer string, targetID int, metrics []MetricSpec) ([]RegionScore, error) {
 	if len(metrics) == 0 {
 		return nil, fmt.Errorf("urbane: ranking needs at least one metric")

@@ -1,0 +1,184 @@
+package urbane
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/geom"
+	"repro/internal/query"
+	"repro/internal/trace"
+)
+
+// routingReasons is the Reason each engine of the chain routes with.
+var routingReasons = map[string]string{
+	"cube":      "canned query served from pre-aggregation",
+	"exact":     "exact engine override",
+	"geoblocks": "unfiltered polygon aggregation served from geoblocks hierarchy",
+	"slabs":     "time-windowed aggregation folded from cached slab partials",
+	"shards":    "ad-hoc query routed to raster join",
+	"raster":    "ad-hoc query routed to raster join",
+}
+
+// TestRoutingTable is the golden routing table: for every engine
+// configuration × request shape it pins which link of the chain answers and
+// why, through both entry points — Planner.Plan (the SQL path) and
+// Framework.ExecuteContext (every view) — so the two can never again route
+// the same request differently. ExecuteContext is checked by what the
+// execution leaves behind: the result's Algorithm and the engine's spans on
+// the request trace.
+func TestRoutingTable(t *testing.T) {
+	const exactName = "raster-join-accurate-300px"
+	exact := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(300))
+	ring := &data.RegionSet{Name: "ring", Regions: []data.Region{{ID: 0, Name: "ring",
+		Poly: geom.Polygon{Outer: geom.Ring{{X: 200, Y: 200}, {X: 800, Y: 250}, {X: 750, Y: 800}, {X: 250, Y: 750}}}}}}
+
+	requests := []struct {
+		name string
+		q    query.Query
+	}{
+		{"canned", query.Query{Agg: core.Avg, Attr: "fare", Points: "taxi", Regions: "nbhd"}},
+		{"unfiltered polygon", query.Query{Agg: core.Count, Points: "taxi", Regions: "ring"}},
+		{"slab-aligned window", query.Query{Agg: core.Count, Points: "taxi", Regions: "grid",
+			Time: &core.TimeFilter{Start: 3600, End: 3 * 3600}}},
+		{"filtered ad-hoc", query.Query{Agg: core.Count, Points: "taxi", Regions: "nbhd",
+			Filters: []core.Filter{{Attr: "fare", Min: 5, Max: 20}}}},
+	}
+	type setup func(t *testing.T, f *Framework)
+	cube := func(t *testing.T, f *Framework) {
+		if _, err := f.BuildCube("taxi", "nbhd", 3600, []string{"fare"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	geoblocks := func(_ *testing.T, f *Framework) { f.EnableGeoBlocks(6) }
+	slabs := func(_ *testing.T, f *Framework) { f.EnableIncremental(3600, 0, 0) }
+	shards := func(_ *testing.T, f *Framework) { f.EnableSharding(2) }
+	exactOverride := func(_ *testing.T, f *Framework) {
+		f.mu.Lock()
+		f.reroute(func(pl *query.Planner) { pl.Exact = exact })
+		f.mu.Unlock()
+	}
+	configs := []struct {
+		name   string
+		raster []core.RJOption
+		setup  []setup
+		// want lists the engine per request, in requests order.
+		want [4]string
+	}{
+		{"bare", nil, nil, [4]string{"raster", "raster", "raster", "raster"}},
+		{"cube", nil, []setup{cube}, [4]string{"cube", "raster", "raster", "raster"}},
+		{"geoblocks", nil, []setup{geoblocks}, [4]string{"geoblocks", "geoblocks", "raster", "raster"}},
+		{"slabs", nil, []setup{slabs}, [4]string{"raster", "raster", "slabs", "raster"}},
+		{"shards", nil, []setup{shards}, [4]string{"shards", "shards", "shards", "shards"}},
+		{"everything", nil, []setup{cube, geoblocks, slabs, shards},
+			[4]string{"cube", "geoblocks", "slabs", "shards"}},
+		{"everything + exact override", nil, []setup{cube, geoblocks, slabs, shards, exactOverride},
+			[4]string{"cube", "exact", "exact", "exact"}},
+		{"shards over a polygons-first raster", []core.RJOption{core.WithStrategy(core.PolygonsFirst)},
+			[]setup{shards}, [4]string{"raster", "raster", "raster", "raster"}},
+	}
+
+	for _, cfg := range configs {
+		f, _, _ := buildTestFramework(t, cfg.raster...)
+		if err := f.AddRegionSet(ring); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range cfg.setup {
+			s(t, f)
+		}
+		rasterName := f.rasterJoiner().Name()
+		for i, rq := range requests {
+			label := cfg.name + " / " + rq.name
+			want := cfg.want[i]
+
+			plan, err := f.routing().Plan(rq.q, f)
+			if err != nil {
+				t.Fatalf("%s: Plan: %v", label, err)
+			}
+			if plan.Engine != want || plan.Reason != routingReasons[want] {
+				t.Errorf("%s: Plan routed to %q (%q), want %q (%q)",
+					label, plan.Engine, plan.Reason, want, routingReasons[want])
+			}
+
+			// The same request built the way the views build it.
+			ps, _ := f.PointSet(rq.q.Points)
+			rs, _ := f.RegionSet(rq.q.Regions)
+			req := core.Request{Points: ps, Regions: rs, Agg: rq.q.Agg, Attr: rq.q.Attr,
+				Filters: rq.q.Filters, Time: rq.q.Time}
+			tr := trace.New("routing")
+			res, err := f.ExecuteContext(trace.NewContext(context.Background(), tr), req)
+			if err != nil {
+				t.Fatalf("%s: ExecuteContext: %v", label, err)
+			}
+			spans := map[string]bool{}
+			for _, sp := range tr.Spans() {
+				spans[sp.Name] = true
+			}
+			var got string
+			switch {
+			case res.Algorithm == "pre-aggregation-cube":
+				got = "cube"
+			case spans["geoblocks.plan"]:
+				got = "geoblocks"
+			case res.Algorithm == exactName:
+				got = "exact"
+			case spans["tcache.fold"]:
+				got = "slabs"
+			case spans["shard.scatter"]:
+				got = "shards"
+			case res.Algorithm == rasterName:
+				got = "raster"
+			}
+			if got != want {
+				t.Errorf("%s: ExecuteContext ran on %q (algorithm %q, spans %v), want %q",
+					label, got, res.Algorithm, spans, want)
+			}
+		}
+	}
+}
+
+// TestRerouteWhileExecuting races ExecuteContext against the toggles that
+// rewrite the routing chain. The planner is swapped copy-on-write under
+// f.mu, so under -race this stays silent; editing the shared planner in
+// place (as EnableGeoBlocks and BuildCube once did) is a reported race on
+// its GeoBlocks and Cubes fields.
+func TestRerouteWhileExecuting(t *testing.T) {
+	f, taxi, nbhd := buildTestFramework(t)
+	req := core.Request{Points: taxi, Regions: nbhd, Agg: core.Count,
+		Filters: []core.Filter{{Attr: "fare", Min: 5, Max: 20}}}
+	done := make(chan struct{})
+	var executed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, err := f.ExecuteContext(context.Background(), req); err != nil {
+					t.Error(err)
+					return
+				}
+				executed.Add(1)
+			}
+		}()
+	}
+	// Keep toggling until the queries have demonstrably overlapped the
+	// toggles, rather than for a fixed count that may finish before the
+	// first query routes.
+	for executed.Load() < 20 && !t.Failed() {
+		f.EnableGeoBlocks(4)
+		if _, err := f.BuildCube("taxi", "nbhd", 3600, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+}

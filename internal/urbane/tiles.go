@@ -13,15 +13,8 @@ import (
 	"repro/internal/render"
 )
 
-// RenderChoropleth runs the map view and rasterizes it to an image-ready
-// value slice (one per region, NaN-free). It returns the region values in
-// layer order plus the region set, for callers composing their own images;
-// HTTP clients use the /api/render/choropleth.png endpoint instead.
-func (f *Framework) RenderChoropleth(req MapViewRequest, width int) ([]byte, error) {
-	return f.RenderChoroplethContext(context.Background(), req, width)
-}
-
-// RenderChoroplethContext is RenderChoropleth under the request context.
+// RenderChoroplethContext runs the map view and renders it to PNG bytes at
+// the given width — the programmatic form of /api/render/choropleth.png.
 func (f *Framework) RenderChoroplethContext(ctx context.Context, req MapViewRequest, width int) ([]byte, error) {
 	ch, err := f.MapViewContext(ctx, req)
 	if err != nil {
@@ -128,13 +121,8 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// TileDensity returns the density counts for one slippy tile — the
+// TileDensityContext returns the density counts for one slippy tile — the
 // programmatic form of the tile endpoint.
-func (f *Framework) TileDensity(dataset string, tile mercator.Tile, filters []core.Filter) (*Heatmap, error) {
-	return f.TileDensityContext(context.Background(), dataset, tile, filters)
-}
-
-// TileDensityContext is TileDensity under the request context.
 func (f *Framework) TileDensityContext(ctx context.Context, dataset string, tile mercator.Tile, filters []core.Filter) (*Heatmap, error) {
 	return f.HeatmapContext(ctx, HeatmapRequest{
 		Dataset: dataset,

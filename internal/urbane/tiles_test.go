@@ -2,6 +2,7 @@ package urbane
 
 import (
 	"bytes"
+	"context"
 	"image/png"
 	"net/http"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestRenderChoropleth(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	data, err := f.RenderChoropleth(MapViewRequest{
+	data, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{
 		Dataset: "taxi", Layer: "nbhd", Agg: 0,
 	}, 400)
 	if err != nil {
@@ -26,7 +27,7 @@ func TestRenderChoropleth(t *testing.T) {
 		t.Errorf("width = %d", img.Bounds().Dx())
 	}
 	// Errors propagate.
-	if _, err := f.RenderChoropleth(MapViewRequest{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
+	if _, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
 		t.Error("unknown data set should fail")
 	}
 }
@@ -97,7 +98,7 @@ func TestTileDensityCoversData(t *testing.T) {
 	// The framework data lives in [0,1000]^2 mercator meters — find the
 	// covering tile at a zoom where it fits and confirm points land in it.
 	tile := mercator.TileAt(mercator.Unproject(geomPt(500, 500)), 14)
-	hm, err := f.TileDensity("taxi", tile, nil)
+	hm, err := f.TileDensityContext(context.Background(), "taxi", tile, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestTileDensityCoversData(t *testing.T) {
 	}
 	// A far-away tile is empty.
 	far := mercator.Tile{Z: 14, X: 0, Y: 0}
-	hm, err = f.TileDensity("taxi", far, nil)
+	hm, err = f.TileDensityContext(context.Background(), "taxi", far, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,12 +40,7 @@ type Choropleth struct {
 	Elapsed   time.Duration `json:"elapsedNs"`
 }
 
-// MapView evaluates the choropleth for the request.
-func (f *Framework) MapView(req MapViewRequest) (*Choropleth, error) {
-	return f.MapViewContext(context.Background(), req)
-}
-
-// MapViewContext is MapView under the request context.
+// MapViewContext evaluates the choropleth for the request.
 func (f *Framework) MapViewContext(ctx context.Context, req MapViewRequest) (*Choropleth, error) {
 	ps, ok := f.PointSet(req.Dataset)
 	if !ok {
@@ -126,16 +121,11 @@ type Exploration struct {
 	Elapsed   time.Duration `json:"elapsedNs"`
 }
 
-// Explore evaluates the exploration view: for each data set and each time
-// bin, one spatial aggregation query over the layer; the per-region results
-// are transposed into time series.
-func (f *Framework) Explore(req ExplorationRequest) (*Exploration, error) {
-	return f.ExploreContext(context.Background(), req)
-}
-
-// ExploreContext is Explore under the request context: cancellation is
-// checked between per-bin queries, and the series fast path inherits the
-// raster joiner's batch-granular cancellation.
+// ExploreContext evaluates the exploration view: for each data set and each
+// time bin, one spatial aggregation query over the layer; the per-region
+// results are transposed into time series. Cancellation is checked between
+// per-bin queries, and the series fast path inherits the raster joiner's
+// batch-granular cancellation.
 func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) (*Exploration, error) {
 	if req.Bins < 1 {
 		return nil, fmt.Errorf("urbane: exploration needs at least 1 bin")
