@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-json lint-baseline bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
+.PHONY: build test race vet lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,17 @@ lint-json:
 # //lint:ignore.
 lint-baseline:
 	$(GO) run ./cmd/urbane-lint -write-baseline lint.baseline ./...
+
+# One LRU in the tree: internal/lru is the recency list and eviction loop
+# under every cache. A non-test file under internal/ or cmd/ that imports
+# container/list is a hand-rolled LRU coming back; internal/admit is exempt
+# (its list is a FIFO wait queue).
+lru-single:
+	@found=$$(grep -rl '"container/list"' internal cmd --include='*.go' --exclude='*_test.go' | grep -v '^internal/admit/'); \
+	if [ -n "$$found" ]; then \
+		echo "container/list imported outside internal/admit; build on internal/lru instead:"; \
+		echo "$$found"; exit 1; \
+	fi
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -63,10 +74,12 @@ stats-smoke:
 	$(GO) test -count=20 -run '^TestStatsSmoke$$' ./cmd/urbane-server
 
 # Concurrency suite under the race detector: cache stress, coalescing, and
-# the cache-on/cache-off byte-identical property over the HTTP handlers.
+# the cache-on/cache-off byte-identical property over the HTTP handlers,
+# plus the model-based suite of the LRU underneath them.
 stress:
 	$(GO) test -race -count=1 -run 'Stress|Coalesce|Concurrent|CacheOnOff' \
 		./internal/qcache ./internal/urbane
+	$(GO) test -race -count=1 ./internal/lru
 
 # Seeded chaos soak under the race detector: 64 virtual users against a
 # server with admission control, a deterministic fault schedule on every

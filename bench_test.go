@@ -399,7 +399,7 @@ func benchServeMapView(b *testing.B, s *urbane.Server, payload []byte) {
 // HTTP server with the result cache disabled: every request pays the full
 // raster join.
 func BenchmarkServerQueryUncached(b *testing.B) {
-	s := benchQueryServer(b, urbane.WithoutCache())
+	s := benchQueryServer(b, urbane.WithCache(0))
 	payload := e1MapViewBody(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,20 +44,16 @@ func BenchmarkGeoBlocksWarm(b *testing.B) {
 }
 
 // BenchmarkGeoBlocksCold pays the full index build on every iteration —
-// the cost a query sees right after a data-set generation bump.
+// the cost the first query on a data-set snapshot sees.
 func BenchmarkGeoBlocksCold(b *testing.B) {
 	ps := buildScene(b, 200_000, 81)
-	eng := geoblocks.NewEngine(core.NewRasterJoin(core.WithMode(core.Accurate)), 8)
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate))
 	ctx := context.Background()
 	for _, sh := range benchShapes {
 		b.Run(sh.name, func(b *testing.B) {
 			req := core.Request{Points: ps, Regions: regions(sh.pg), Agg: core.Sum, Attr: "v"}
-			gen := uint64(1)
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				gen++
-				b.StartTimer()
-				eng.Store().SetGeneration(gen) // drop the index: next query rebuilds
+				eng := geoblocks.NewEngine(raster, 8) // empty store: the query builds
 				if _, err := eng.JoinContext(ctx, req); err != nil {
 					b.Fatal(err)
 				}

@@ -47,7 +47,6 @@ func bigRing() geom.Polygon {
 func TestBuildCancelDoesNotPoisonStore(t *testing.T) {
 	ps := buildScene(t, 200_000, 61) // large enough to cross build poll strides
 	s := geoblocks.NewStore(8)
-	s.SetGeneration(1)
 
 	_, err := s.Get(newCountdown(1), ps)
 	if !errors.Is(err, context.Canceled) {
@@ -139,7 +138,6 @@ func TestFallbackCancelDrainsDevice(t *testing.T) {
 func TestStoreGetHonorsWaiterContext(t *testing.T) {
 	ps := buildScene(t, 300_000, 64)
 	s := geoblocks.NewStore(8)
-	s.SetGeneration(1)
 
 	started := make(chan struct{})
 	done := make(chan error, 1)

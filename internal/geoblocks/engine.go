@@ -29,7 +29,7 @@ func NewEngine(raster *core.RasterJoin, maxLevel int) *Engine {
 	return &Engine{raster: raster, store: NewStore(maxLevel)}
 }
 
-// Store exposes the hierarchy store (generation slaving, stats).
+// Store exposes the hierarchy store (append patching, stats).
 func (e *Engine) Store() *Store { return e.store }
 
 // Name implements core.Joiner.

@@ -310,10 +310,9 @@ func TestEmptyAndDegenerateSets(t *testing.T) {
 	}
 }
 
-func TestStoreGenerationAndCoalescing(t *testing.T) {
+func TestStoreReuseAndCoalescing(t *testing.T) {
 	ps := genPoints(t, 2000, 5)
 	s := NewStore(5)
-	s.SetGeneration(1)
 	ctx := context.Background()
 
 	a, err := s.Get(ctx, ps)
@@ -328,31 +327,12 @@ func TestStoreGenerationAndCoalescing(t *testing.T) {
 		t.Fatal("second Get rebuilt instead of reusing")
 	}
 	st := s.Stats()
-	if st.Misses != 1 || st.Entries != 1 {
+	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
 		t.Fatalf("stats after warm get: %+v", st)
 	}
 
-	// Same generation: no invalidation.
-	s.SetGeneration(1)
-	if c, _ := s.Get(ctx, ps); c != a {
-		t.Fatal("same-generation SetGeneration dropped the index")
-	}
-	// New generation: everything drops.
-	s.SetGeneration(2)
-	c, err := s.Get(ctx, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("generation bump did not rebuild")
-	}
-	// Two generation changes so far: 0->1 at setup and 1->2 here.
-	if st := s.Stats(); st.Invalidations != 2 || st.Misses != 2 {
-		t.Fatalf("stats after invalidation: %+v", st)
-	}
-
-	// Concurrent cold gets coalesce on one build.
-	s.SetGeneration(3)
+	// Concurrent cold gets on a fresh store coalesce on one build.
+	s = NewStore(5)
 	var wg sync.WaitGroup
 	got := make([]*Index, 16)
 	for i := range got {
@@ -365,11 +345,11 @@ func TestStoreGenerationAndCoalescing(t *testing.T) {
 	wg.Wait()
 	for i := range got {
 		if got[i] == nil || got[i] != got[0] {
-			t.Fatalf("concurrent get %d diverged", i)
+			t.Fatalf("caller %d got index %p, caller 0 got %p", i, got[i], got[0])
 		}
 	}
-	if st := s.Stats(); st.Misses != 3 {
-		t.Fatalf("concurrent cold gets built %d times, want 1 (stats %+v)", st.Misses-2, st)
+	if st := s.Stats(); st.Misses != 1 {
+		t.Fatalf("16 concurrent cold gets built %d times, want 1", st.Misses)
 	}
 }
 

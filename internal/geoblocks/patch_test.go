@@ -232,3 +232,38 @@ func TestPatchRefusals(t *testing.T) {
 		}
 	})
 }
+
+// TestPatchRetiredSnapshotNotCached: a query that took the old snapshot
+// before an append and reaches the store after Patch retired it still gets
+// a correct hierarchy for its snapshot, but the store keeps only the
+// patched one — nobody will ask for the retired stamp again, so caching it
+// would pin a full pyramid forever.
+func TestPatchRetiredSnapshotNotCached(t *testing.T) {
+	ctx := context.Background()
+	full := buildPatchScene(t, 600, 21)
+	base := deepSlice(full, 0, 500)
+	s := geoblocks.NewStore(5)
+	if _, err := s.Get(ctx, base); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := base.AppendCOW(deepSlice(full, 500, 600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Patch(ctx, base, grown) {
+		t.Fatal("in-bounds append was not patched")
+	}
+	late, err := s.Get(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Len() != base.Len() {
+		t.Fatalf("late Get(old) returned an index over %d points, want %d", late.Len(), base.Len())
+	}
+	if st := s.Stats(); st.Entries != 1 {
+		t.Fatalf("store holds %d hierarchies after Get(old) raced Patch(old→new), want 1", st.Entries)
+	}
+	if st := s.Stats(); st.Patches != 1 {
+		t.Fatalf("patches = %d, want 1", st.Patches)
+	}
+}

@@ -6,25 +6,31 @@ import (
 	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/lru"
 )
 
-// Store caches one Index per point set, keyed by PointSet.Stamp(), with
-// whole-store invalidation slaved to a generation counter exactly like
-// qcache and the span cache: the framework stamps it with
-// Framework.Version() before every query, so any catalog (re)load drops every
-// hierarchy. Concurrent first queries for the same point set coalesce on a
-// single build; a build aborted by its requester's context is not cached,
-// and surviving waiters retry.
+// retiredStamps bounds how many retired snapshot stamps a Store remembers.
+// A Get for a retired stamp can only come from a query already in flight
+// when its snapshot was appended to, and no query outlives this many
+// appends.
+const retiredStamps = 1024
+
+// Store caches one Index per point set, keyed by PointSet.Stamp(). A stamp
+// names one immutable snapshot, so an entry never goes stale; an append
+// retires the old snapshot's entry through Patch. Concurrent first queries
+// for the same point set coalesce on a single build; a build aborted by its
+// requester's context is not cached, and surviving waiters retry.
 type Store struct {
 	maxLevel int
 
 	mu      sync.Mutex
-	gen     uint64
 	entries map[uint64]*storeEntry
+	// retired remembers the stamps Patch has retired, so a Get that raced
+	// the append does not cache a hierarchy nobody will ask for again.
+	retired *lru.Cache[uint64, struct{}]
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
-	invalidations  atomic.Uint64
 	patches        atomic.Uint64
 	patchFallbacks atomic.Uint64
 }
@@ -44,28 +50,21 @@ func NewStore(maxLevel int) *Store {
 	if maxLevel > MaxMaxLevel {
 		maxLevel = MaxMaxLevel
 	}
-	return &Store{maxLevel: maxLevel, entries: make(map[uint64]*storeEntry)}
+	return &Store{
+		maxLevel: maxLevel,
+		entries:  make(map[uint64]*storeEntry),
+		retired:  lru.New[uint64, struct{}](retiredStamps),
+	}
 }
 
 // MaxLevel returns the finest level of built hierarchies.
 func (s *Store) MaxLevel() int { return s.maxLevel }
 
-// SetGeneration invalidates every cached hierarchy when gen differs from
-// the current generation. The no-change path is one mutex round trip.
-func (s *Store) SetGeneration(gen uint64) {
-	s.mu.Lock()
-	if gen != s.gen {
-		s.gen = gen
-		s.entries = make(map[uint64]*storeEntry)
-		s.invalidations.Add(1)
-	}
-	s.mu.Unlock()
-}
-
 // Get returns the hierarchy for ps, building it under ctx on first use.
 // Concurrent callers for the same point set share one build; if the
 // builder's context dies mid-build the failure is not cached and a
-// surviving waiter takes over the build.
+// surviving waiter takes over the build. A build for a snapshot Patch has
+// already retired is returned to its caller but not cached.
 func (s *Store) Get(ctx context.Context, ps *data.PointSet) (*Index, error) {
 	key := ps.Stamp()
 	for {
@@ -76,17 +75,18 @@ func (s *Store) Get(ctx context.Context, ps *data.PointSet) (*Index, error) {
 		e, ok := s.entries[key]
 		if !ok {
 			e = &storeEntry{done: make(chan struct{})}
-			s.entries[key] = e
-			gen := s.gen
+			if _, dead := s.retired.Get(key); !dead {
+				s.entries[key] = e
+			}
 			s.mu.Unlock()
 			s.misses.Add(1)
 			e.idx, e.err = BuildContext(ctx, ps, s.maxLevel)
 			close(e.done)
 			if e.err != nil {
-				// Never cache a failed build: remove the entry unless the
-				// generation already swept it (or replaced it).
+				// Never cache a failed build: remove the entry unless Patch
+				// already retired it (or it was never published).
 				s.mu.Lock()
-				if cur, live := s.entries[key]; live && cur == e && s.gen == gen {
+				if s.entries[key] == e {
 					delete(s.entries, key)
 				}
 				s.mu.Unlock()
@@ -114,15 +114,14 @@ func (s *Store) Get(ctx context.Context, ps *data.PointSet) (*Index, error) {
 // old entry is always retired: when no completed hierarchy exists (never
 // built, build in flight for the obsolete snapshot, or PatchAppend refuses
 // — out-of-bounds points, outgrown tail) the entry is simply dropped and
-// the next query lazily rebuilds from scratch. A Get racing the retirement
-// may briefly resurrect an entry under the old stamp; it is never read
-// again and the next generation sweep reclaims it.
+// the next query lazily rebuilds from scratch. The old stamp is remembered
+// as retired: a query that took the old snapshot before the append and
+// reaches Get after it builds for itself and caches nothing.
 func (s *Store) Patch(ctx context.Context, oldPS, newPS *data.PointSet) bool {
 	s.mu.Lock()
 	e, ok := s.entries[oldPS.Stamp()]
-	if ok {
-		delete(s.entries, oldPS.Stamp())
-	}
+	delete(s.entries, oldPS.Stamp())
+	s.retired.Add(oldPS.Stamp(), struct{}{}, 1)
 	s.mu.Unlock()
 	if !ok {
 		return false
@@ -149,13 +148,11 @@ func (s *Store) Patch(ctx context.Context, oldPS, newPS *data.PointSet) bool {
 	return true
 }
 
-// Stats is a point-in-time snapshot of store behavior.
+// Stats is a point-in-time snapshot of store behavior: the shared cache
+// counters (the store is unbounded, so Capacity and Evictions stay zero)
+// plus the append-patch outcomes.
 type Stats struct {
-	Entries        int    `json:"entries"`
-	Bytes          int    `json:"bytes"`
-	Hits           uint64 `json:"hits"`
-	Misses         uint64 `json:"misses"`
-	Invalidations  uint64 `json:"invalidations"`
+	lru.Stats
 	Patches        uint64 `json:"patches"`
 	PatchFallbacks uint64 `json:"patchFallbacks"`
 	MaxLevel       int    `json:"maxLevel"`
@@ -164,9 +161,7 @@ type Stats struct {
 // Stats returns a snapshot. Bytes only counts completed builds.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Hits:           s.hits.Load(),
-		Misses:         s.misses.Load(),
-		Invalidations:  s.invalidations.Load(),
+		Stats:          lru.Stats{Hits: s.hits.Load(), Misses: s.misses.Load()},
 		Patches:        s.patches.Load(),
 		PatchFallbacks: s.patchFallbacks.Load(),
 		MaxLevel:       s.maxLevel,
@@ -177,7 +172,7 @@ func (s *Store) Stats() Stats {
 		select {
 		case <-e.done:
 			if e.err == nil {
-				st.Bytes += e.idx.Bytes()
+				st.Bytes += int64(e.idx.Bytes())
 			}
 		default:
 		}

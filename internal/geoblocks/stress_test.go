@@ -3,6 +3,7 @@ package geoblocks_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,17 +13,17 @@ import (
 	"repro/internal/geom"
 )
 
-// TestConcurrentBuildWhileQuery runs query goroutines against the engine
-// while another goroutine churns the store generation, forcing rebuilds
-// to race live queries. Run under -race this proves the index is
-// immutable after publication and the store swap is safe; the brute-force
-// check proves every answer — whichever index generation served it — is
-// exact.
+// TestConcurrentBuildWhileQuery runs query goroutines against an engine
+// that another goroutine keeps replacing with a fresh one (an empty
+// store), forcing builds to race live queries. Run under -race this proves
+// the index is immutable after publication and concurrent first queries
+// share a build safely; the brute-force check proves every answer —
+// whichever build served it — is exact.
 func TestConcurrentBuildWhileQuery(t *testing.T) {
 	ps := buildScene(t, 8000, 71)
-	eng := geoblocks.NewEngine(core.NewRasterJoin(core.WithMode(core.Accurate)), 6)
-	store := eng.Store()
-	store.SetGeneration(1)
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate))
+	var eng atomic.Pointer[geoblocks.Engine]
+	eng.Store(geoblocks.NewEngine(raster, 6))
 
 	// Fixed polygon battery with precomputed exact counts/sums.
 	rng := rand.New(rand.NewSource(72))
@@ -51,16 +52,15 @@ func TestConcurrentBuildWhileQuery(t *testing.T) {
 	var churn atomic.Bool
 	churn.Store(true)
 
-	// Generation churner: invalidates the store continuously, so queries
-	// constantly alternate between warm hits and cold rebuilds.
+	// Engine churner: swaps in an empty store continuously, so queries
+	// constantly alternate between warm hits and cold builds.
 	var churnWG sync.WaitGroup
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		gen := uint64(2)
 		for churn.Load() {
-			store.SetGeneration(gen)
-			gen++
+			eng.Store(geoblocks.NewEngine(raster, 6))
+			runtime.Gosched()
 		}
 	}()
 
@@ -73,7 +73,7 @@ func TestConcurrentBuildWhileQuery(t *testing.T) {
 			ctx := context.Background()
 			for i := 0; i < iters; i++ {
 				qc := battery[(w+i)%len(battery)]
-				res, err := eng.JoinContext(ctx, core.Request{
+				res, err := eng.Load().JoinContext(ctx, core.Request{
 					Points: ps, Regions: regions(qc.pg), Agg: core.Sum, Attr: "v"})
 				if err != nil {
 					errs <- err.Error()

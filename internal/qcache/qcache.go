@@ -13,7 +13,7 @@
 // Concurrency model:
 //
 //   - The key space is split across shards by FNV-1a hash; each shard is an
-//     independently locked LRU list with its own byte budget, so unrelated
+//     independently locked lru.Cache with its own byte budget, so unrelated
 //     keys never contend on one mutex.
 //   - Invalidation is O(1): a single atomic generation counter. Entries are
 //     stamped with the generation current when their compute started; a
@@ -30,13 +30,13 @@
 package qcache
 
 import (
-	"container/list"
 	"context"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/lru"
 )
 
 // Outcome says how Do satisfied a request; the server surfaces it in the
@@ -65,39 +65,25 @@ const entryOverhead = 160
 const defaultShards = 16
 
 // Stats is a point-in-time counter snapshot; see the /api/cachestats
-// endpoint.
+// endpoint. Hits and Misses count request outcomes, not shard lookups: a
+// request that joins a flight is Coalesced, and a flight is one miss however
+// many callers looked the key up before it started.
 type Stats struct {
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Evictions  uint64 `json:"evictions"`
+	lru.Stats
 	Coalesced  uint64 `json:"coalesced"`
-	Entries    int    `json:"entries"`
-	Bytes      int64  `json:"bytes"`
-	Capacity   int64  `json:"capacityBytes"`
 	Generation uint64 `json:"generation"`
 }
 
+// entry is one cached body, stamped with the generation its compute
+// started at.
 type entry struct {
-	key  string
-	val  []byte
-	gen  uint64
-	cost int64
+	val []byte
+	gen uint64
 }
 
 type shard struct {
-	mu    sync.Mutex
-	cap   int64
-	bytes int64
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
-}
-
-// removeLocked drops the element; the shard mutex must be held.
-func (sh *shard) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	delete(sh.items, e.key)
-	sh.ll.Remove(el)
-	sh.bytes -= e.cost
+	mu  sync.Mutex
+	lru *lru.Cache[string, entry]
 }
 
 // flightCall is one in-flight compute plus the callers attached to it. The
@@ -128,14 +114,12 @@ type flightCall struct {
 // *Cache is a valid disabled cache: Get always misses, Put is a no-op, and
 // Do computes directly.
 type Cache struct {
-	capacity int64
-	shards   []shard
+	shards []shard
 
 	gen atomic.Uint64
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
-	evictions atomic.Uint64
 	coalesced atomic.Uint64
 
 	flightMu sync.Mutex
@@ -153,19 +137,12 @@ func NewSharded(capacityBytes int64, shards int) *Cache {
 	if shards < 1 {
 		shards = 1
 	}
-	if capacityBytes < 0 {
-		capacityBytes = 0
-	}
-	per := capacityBytes / int64(shards)
 	c := &Cache{
-		capacity: per * int64(shards),
-		shards:   make([]shard, shards),
-		flights:  make(map[string]*flightCall),
+		shards:  make([]shard, shards),
+		flights: make(map[string]*flightCall),
 	}
 	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[string]*list.Element)
+		c.shards[i].lru = lru.New[string, entry](capacityBytes / int64(shards))
 	}
 	return c
 }
@@ -182,18 +159,13 @@ func (c *Cache) lookup(key string) ([]byte, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	el, ok := sh.items[key]
-	if !ok {
-		return nil, false
-	}
-	e := el.Value.(*entry)
-	if e.gen != gen {
+	e, ok := sh.lru.Get(key)
+	if ok && e.gen != gen {
 		// Stale generation: lazily reclaim on access.
-		sh.removeLocked(el)
+		sh.lru.Remove(key)
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	return e.val, true
+	return e.val, ok
 }
 
 // Get returns the cached value for key, counting a hit or miss.
@@ -220,33 +192,15 @@ func (c *Cache) Put(key string, val []byte) {
 
 // putAt inserts a value stamped with the generation its compute started
 // at. If the cache has since been invalidated the stale result is dropped
-// instead of resurrecting pre-invalidation state. Eviction runs before
-// insertion so the shard's byte budget is never exceeded, even
-// transiently.
+// instead of resurrecting pre-invalidation state.
 func (c *Cache) putAt(key string, val []byte, gen uint64) {
 	if gen != c.gen.Load() {
 		return
 	}
-	cost := int64(len(key)+len(val)) + entryOverhead
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		sh.removeLocked(el) // replacement, not an eviction
-	}
-	if cost > sh.cap {
-		return // can never fit; don't thrash the shard to make room
-	}
-	for sh.bytes+cost > sh.cap {
-		back := sh.ll.Back()
-		if back == nil {
-			break
-		}
-		sh.removeLocked(back)
-		c.evictions.Add(1)
-	}
-	sh.items[key] = sh.ll.PushFront(&entry{key: key, val: val, gen: gen, cost: cost})
-	sh.bytes += cost
+	sh.lru.Add(key, entry{val: val, gen: gen}, int64(len(key)+len(val))+entryOverhead)
 }
 
 // DoContext returns the cached value for key, or computes it exactly once
@@ -387,8 +341,8 @@ func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome) (v []by
 // many were dropped. It is the targeted-invalidation primitive behind
 // per-dataset epochs: an append bumps one dataset's epoch — making that
 // dataset's old-epoch keys unreachable — and Sweep reclaims their bytes
-// eagerly instead of waiting for LRU pressure. Unlike Invalidate it leaves
-// the generation untouched, so every other dataset's entries stay warm.
+// eagerly instead of waiting for LRU pressure. It leaves the generation
+// untouched, so every other dataset's entries stay warm.
 // Sweep walks each shard under its lock; in-flight computes for swept keys
 // are unaffected (they re-insert under keys the predicate already judged).
 func (c *Cache) Sweep(pred func(key string) bool) int {
@@ -399,29 +353,16 @@ func (c *Cache) Sweep(pred func(key string) bool) int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for k, el := range sh.items {
-			if pred(k) {
-				sh.removeLocked(el)
-				n++
-			}
-		}
+		n += sh.lru.DeleteFunc(func(k string, _ entry) bool { return pred(k) })
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// Invalidate drops the whole cache in O(1) by bumping the generation;
-// stale entries are reclaimed lazily on access.
-func (c *Cache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.gen.Add(1)
-}
-
-// AdvanceGeneration raises the generation to at least gen, so callers can
-// slave the cache to an external monotonic version (the framework's
-// catalog version). Lower values are ignored.
+// AdvanceGeneration raises the generation to at least gen — the O(1)
+// whole-cache invalidation: entries stamped with an older generation are
+// reclaimed lazily on access. Callers slave it to an external monotonic
+// version (the framework's catalog version); lower values are ignored.
 func (c *Cache) AdvanceGeneration(gen uint64) {
 	if c == nil {
 		return
@@ -442,56 +383,19 @@ func (c *Cache) Generation() uint64 {
 	return c.gen.Load()
 }
 
-// Bytes returns the total accounted size of live entries.
-func (c *Cache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Len returns the number of entries (including not-yet-reclaimed stale
-// ones).
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		Coalesced:  c.coalesced.Load(),
-		Capacity:   c.capacity,
-		Generation: c.gen.Load(),
-	}
+	s := Stats{Coalesced: c.coalesced.Load(), Generation: c.gen.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Entries += len(sh.items)
-		s.Bytes += sh.bytes
+		s.Stats.Add(sh.lru.Stats())
 		sh.mu.Unlock()
 	}
+	// The shards counted lookups; the cache reports request outcomes.
+	s.Hits, s.Misses = c.hits.Load(), c.misses.Load()
 	return s
 }

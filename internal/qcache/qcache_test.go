@@ -32,12 +32,12 @@ func TestGenerationInvalidation(t *testing.T) {
 	c := New(1 << 20)
 	c.Put("a", []byte("alpha"))
 	c.Put("b", []byte("beta"))
-	c.Invalidate()
+	c.AdvanceGeneration(c.Generation() + 1)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("invalidated entry should miss")
 	}
 	// Stale entries are reclaimed on access.
-	if got := c.Len(); got != 1 {
+	if got := c.Stats().Entries; got != 1 {
 		t.Errorf("len after stale access = %d, want 1 (b not yet touched)", got)
 	}
 	// New puts at the new generation are live.
@@ -98,7 +98,7 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("entry larger than the shard budget must not be cached")
 	}
-	if got := c.Bytes(); got != 0 {
+	if got := c.Stats().Bytes; got != 0 {
 		t.Errorf("bytes = %d, want 0", got)
 	}
 	// And it must not have evicted anything to try.
@@ -114,7 +114,7 @@ func TestByteBoundHonored(t *testing.T) {
 	c := NewSharded(capacity, 4)
 	for i := 0; i < 500; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), make([]byte, i%200))
-		if got := c.Bytes(); got > capacity {
+		if got := c.Stats().Bytes; got > capacity {
 			t.Fatalf("after put %d: bytes = %d exceeds capacity %d", i, got, capacity)
 		}
 	}
@@ -162,7 +162,7 @@ func TestDoErrorNotCached(t *testing.T) {
 func TestDoDropsResultComputedAcrossInvalidation(t *testing.T) {
 	c := New(1 << 20)
 	_, _, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) {
-		c.Invalidate() // the catalog changed mid-compute
+		c.AdvanceGeneration(c.Generation() + 1) // the catalog changed mid-compute
 		return []byte("stale"), nil
 	})
 	if err != nil {
@@ -179,7 +179,7 @@ func TestNilCacheBypasses(t *testing.T) {
 		t.Fatal("nil cache should miss")
 	}
 	c.Put("k", []byte("v")) // must not panic
-	c.Invalidate()
+	c.AdvanceGeneration(c.Generation() + 1)
 	c.AdvanceGeneration(5)
 	calls := 0
 	for i := 0; i < 2; i++ {

@@ -41,7 +41,7 @@ func TestStressMixedOps(t *testing.T) {
 						return []byte(key), nil
 					})
 				case op < 97:
-					c.Invalidate()
+					c.AdvanceGeneration(c.Generation() + 1)
 				default:
 					if got := c.Stats().Bytes; got > capacity {
 						t.Errorf("bytes %d exceeds capacity %d", got, capacity)
@@ -86,7 +86,7 @@ func TestStressByteBoundUnderConcurrentPuts(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					if c.Bytes() > capacity {
+					if c.Stats().Bytes > capacity {
 						violations.Add(1)
 					}
 				}

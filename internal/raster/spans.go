@@ -9,12 +9,11 @@
 package raster
 
 import (
-	"container/list"
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/lru"
 )
 
 // Span is one covered scanline run: pixels [X0, X1) of row Y.
@@ -109,40 +108,16 @@ type SpanKey struct {
 	T     Transform
 }
 
-// SpanCacheStats is a snapshot of the cache's counters.
-type SpanCacheStats struct {
-	Entries         int
-	Bytes, MaxBytes int64
-	Hits, Misses    uint64
-	Evictions       uint64
-	Generation      uint64
-}
-
-// SpanCache is a byte-bounded, generation-stamped LRU over compiled region
-// spans. A nil *SpanCache is a valid disabled cache: Get always misses and
-// Put is a no-op, so callers fall back to direct rasterization without nil
-// checks. Generations mirror the query-result cache's invalidation
-// contract: the owner slaves SetGeneration to its catalog version, and any
-// change drops every entry (a re-registered layer may reuse a name or a
-// stamp's memory).
+// SpanCache is a byte-bounded LRU over compiled region spans; safe for
+// concurrent use. A nil *SpanCache is a valid disabled cache: Get always
+// misses and Put is a no-op, so callers fall back to direct rasterization
+// without nil checks. Entries never go stale — a key names a region set's
+// process-unique stamp and an exact transform, and compiled spans are a
+// pure function of the two — so the byte budget is the only thing that
+// removes one.
 type SpanCache struct {
-	gen atomic.Uint64
-
-	mu        sync.Mutex
-	max       int64
-	bytes     int64
-	ll        *list.List // front = most recently used
-	entries   map[SpanKey]*list.Element
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions uint64
-}
-
-// spanEntry is one LRU cell.
-type spanEntry struct {
-	key   SpanKey
-	spans *RegionSpans
-	bytes int64
+	mu  sync.Mutex
+	lru *lru.Cache[SpanKey, *RegionSpans]
 }
 
 // NewSpanCache returns a cache bounded to maxBytes of compiled spans.
@@ -151,32 +126,11 @@ func NewSpanCache(maxBytes int64) *SpanCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &SpanCache{
-		max:     maxBytes,
-		ll:      list.New(),
-		entries: make(map[SpanKey]*list.Element),
-	}
+	return &SpanCache{lru: lru.New[SpanKey, *RegionSpans](maxBytes)}
 }
 
 // Enabled reports whether the cache stores anything.
 func (c *SpanCache) Enabled() bool { return c != nil }
-
-// SetGeneration slaves the cache to the owner's catalog version: a changed
-// generation drops every entry. The fast path is one atomic load, so
-// calling it per request costs nothing when the catalog is stable.
-func (c *SpanCache) SetGeneration(gen uint64) {
-	if c == nil || c.gen.Load() == gen {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen.Swap(gen) == gen {
-		return
-	}
-	c.ll.Init()
-	clear(c.entries)
-	c.bytes = 0
-}
 
 // Get returns the compiled spans for key, bumping its recency.
 func (c *SpanCache) Get(key SpanKey) (*RegionSpans, bool) {
@@ -185,64 +139,29 @@ func (c *SpanCache) Get(key SpanKey) (*RegionSpans, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.ll.MoveToFront(el)
-	return el.Value.(*spanEntry).spans, true
+	return c.lru.Get(key)
 }
 
 // Put stores compiled spans under key, evicting least-recently-used entries
-// until the byte budget holds. Entries larger than the whole budget are not
-// cached (the compile result is still returned to the caller by Compile's
-// caller; caching it would evict everything for a one-shot tenant).
+// until the byte budget holds. Spans larger than the whole budget are not
+// cached (the compile result still reaches its caller). Two requests that
+// compile the same layer concurrently both Put; the results are identical,
+// so which one stays does not matter.
 func (c *SpanCache) Put(key SpanKey, spans *RegionSpans) {
 	if c == nil {
 		return
 	}
-	n := spans.Bytes()
-	if n > c.max {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// Concurrent compile of the same layer: keep the incumbent.
-		c.ll.MoveToFront(el)
-		return
-	}
-	for c.bytes+n > c.max {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*spanEntry)
-		c.ll.Remove(back)
-		delete(c.entries, ev.key)
-		c.bytes -= ev.bytes
-		c.evictions++
-	}
-	c.entries[key] = c.ll.PushFront(&spanEntry{key: key, spans: spans, bytes: n})
-	c.bytes += n
+	c.lru.Add(key, spans, spans.Bytes())
 }
 
-// Stats returns a snapshot of the cache counters.
-func (c *SpanCache) Stats() SpanCacheStats {
+// Stats returns a snapshot of the cache counters (zero when disabled).
+func (c *SpanCache) Stats() lru.Stats {
 	if c == nil {
-		return SpanCacheStats{}
+		return lru.Stats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return SpanCacheStats{
-		Entries:    len(c.entries),
-		Bytes:      c.bytes,
-		MaxBytes:   c.max,
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions,
-		Generation: c.gen.Load(),
-	}
+	return c.lru.Stats()
 }

@@ -111,8 +111,8 @@ func TestSpanCacheLRUBudget(t *testing.T) {
 		c.Put(keys[i], sp)
 	}
 	st := c.Stats()
-	if st.Bytes > st.MaxBytes {
-		t.Fatalf("cache holds %d bytes, budget %d", st.Bytes, st.MaxBytes)
+	if st.Bytes > st.Capacity {
+		t.Fatalf("cache holds %d bytes, budget %d", st.Bytes, st.Capacity)
 	}
 	if st.Entries != 3 || st.Evictions != 2 {
 		t.Fatalf("entries=%d evictions=%d, want 3 and 2", st.Entries, st.Evictions)
@@ -147,27 +147,6 @@ func TestSpanCacheLRUBudget(t *testing.T) {
 	}
 }
 
-// TestSpanCacheGenerationInvalidation: a generation change drops every
-// entry, mirroring the query-result cache's catalog-version contract.
-func TestSpanCacheGenerationInvalidation(t *testing.T) {
-	sp := compileOne(t, 32, geom.BBox{MinX: 10, MinY: 10, MaxX: 90, MaxY: 90})
-	c := NewSpanCache(1 << 20)
-	key := SpanKey{Owner: 1, T: sp.T}
-	c.Put(key, sp)
-	c.SetGeneration(0) // no-op: unchanged generation keeps entries
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("same-generation sync dropped the cache")
-	}
-	c.SetGeneration(7)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("generation change must drop every entry")
-	}
-	st := c.Stats()
-	if st.Generation != 7 || st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("post-invalidation stats = %+v", st)
-	}
-}
-
 // TestSpanCacheNilSafe: a nil *SpanCache is the disabled cache — every
 // method is a safe no-op.
 func TestSpanCacheNilSafe(t *testing.T) {
@@ -178,13 +157,12 @@ func TestSpanCacheNilSafe(t *testing.T) {
 	if NewSpanCache(0) != nil || NewSpanCache(-5) != nil {
 		t.Fatal("non-positive budget must return the nil (disabled) cache")
 	}
-	c.SetGeneration(3)
 	sp := compileOne(t, 16, geom.BBox{MinX: 10, MinY: 10, MaxX: 90, MaxY: 90})
 	c.Put(SpanKey{Owner: 1, T: sp.T}, sp)
 	if _, ok := c.Get(SpanKey{Owner: 1, T: sp.T}); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if st := c.Stats(); st.Entries != 0 || st.MaxBytes != 0 {
+	if st := c.Stats(); st.Entries != 0 || st.Capacity != 0 {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
 }

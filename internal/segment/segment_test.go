@@ -291,7 +291,7 @@ func TestSegmentCacheEviction(t *testing.T) {
 		[]StoreOption{WithCacheBytes(128 << 10)})
 	assertRoundTrip(t, ps, st) // sequential: misses only, evictions happen
 	stats := st.CacheStats()
-	if stats.Misses != int64(st.NumBlocks()) {
+	if stats.Misses != uint64(st.NumBlocks()) {
 		t.Errorf("misses = %d, want %d", stats.Misses, st.NumBlocks())
 	}
 	if stats.Evictions == 0 {
@@ -326,8 +326,8 @@ func TestSegmentOutOfCore(t *testing.T) {
 		[]StoreOption{WithCacheBytes(1)})
 	assertRoundTrip(t, ps, st)
 	stats := st.CacheStats()
-	if stats.Blocks != 0 || stats.Bytes != 0 {
-		t.Errorf("cache retained %d blocks / %d bytes with 1-byte budget", stats.Blocks, stats.Bytes)
+	if stats.Entries != 0 || stats.Bytes != 0 {
+		t.Errorf("cache retained %d blocks / %d bytes with 1-byte budget", stats.Entries, stats.Bytes)
 	}
 	if stats.Hits != 0 {
 		t.Errorf("hits = %d, want 0", stats.Hits)

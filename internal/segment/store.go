@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/data"
+	"repro/internal/lru"
 )
 
 // Store is the read side of a segment file: it keeps only the header and
@@ -33,43 +33,13 @@ type Store struct {
 	starts  []int // cumulative point index; starts[nb] == Len()
 	zones   []data.Zone
 
-	mu       sync.Mutex
-	cache    map[int]*list.Element
-	lru      list.List // front = most recently used
-	capBytes int64
-	curBytes int64
-	hits     int64
-	misses   int64
-	evicts   int64
+	// mu guards cache and is held across a miss's read and decode, so
+	// concurrent readers of one cold block decode it once.
+	mu    sync.Mutex
+	cache *lru.Cache[int, *data.Block]
 
 	// scratch pools encoded-block read buffers across decodes.
 	scratch sync.Pool
-}
-
-type cacheEntry struct {
-	b     int
-	blk   *data.Block
-	bytes int64
-}
-
-// CacheStats snapshots a Store's decoded-block cache counters.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	Bytes     int64 `json:"bytes"`
-	Capacity  int64 `json:"capacityBytes"`
-	Blocks    int   `json:"blocks"`
-}
-
-// Add accumulates another snapshot (for aggregating across stores).
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Bytes += o.Bytes
-	s.Capacity += o.Capacity
-	s.Blocks += o.Blocks
 }
 
 // StoreOption configures an opened Store.
@@ -81,7 +51,7 @@ type StoreOption func(*Store)
 func WithCacheBytes(n int64) StoreOption {
 	return func(s *Store) {
 		if n >= 0 {
-			s.capBytes = n
+			s.cache = lru.New[int, *data.Block](n)
 		}
 	}
 }
@@ -109,7 +79,7 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 // OpenReaderAt opens a segment from any random-access reader of the given
 // size (an os.File, an mmap-backed region, a bytes.Reader in tests).
 func OpenReaderAt(r io.ReaderAt, size int64, opts ...StoreOption) (*Store, error) {
-	s := &Store{r: r, capBytes: DefaultCacheBytes, cache: make(map[int]*list.Element)}
+	s := &Store{r: r, cache: lru.New[int, *data.Block](DefaultCacheBytes)}
 	s.scratch.New = func() any { return new([]byte) }
 	for _, o := range opts {
 		o(s)
@@ -125,9 +95,7 @@ func OpenReaderAt(r io.ReaderAt, size int64, opts ...StoreOption) (*Store, error
 // the cache.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	s.cache = make(map[int]*list.Element)
-	s.lru.Init()
-	s.curBytes = 0
+	s.cache.Clear()
 	s.mu.Unlock()
 	if s.closer != nil {
 		return s.closer.Close()
@@ -279,13 +247,10 @@ func (s *Store) Zone(b int) data.Zone { return s.zones[b] }
 func (s *Store) BlockSize() int { return s.blockSize }
 
 // CacheStats snapshots the decoded-block cache counters.
-func (s *Store) CacheStats() CacheStats {
+func (s *Store) CacheStats() lru.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return CacheStats{
-		Hits: s.hits, Misses: s.misses, Evictions: s.evicts,
-		Bytes: s.curBytes, Capacity: s.capBytes, Blocks: s.lru.Len(),
-	}
+	return s.cache.Stats()
 }
 
 // Block returns decoded block b, from cache or from disk. The block is
@@ -293,31 +258,14 @@ func (s *Store) CacheStats() CacheStats {
 func (s *Store) Block(b int) (*data.Block, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.cache[b]; ok {
-		s.hits++
-		s.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).blk, nil
+	if blk, ok := s.cache.Get(b); ok {
+		return blk, nil
 	}
-	s.misses++
 	blk, err := s.readBlock(b)
 	if err != nil {
 		return nil, err
 	}
-	n := blk.Bytes()
-	if s.capBytes > 0 {
-		for s.curBytes+n > s.capBytes && s.lru.Len() > 0 {
-			oldest := s.lru.Back()
-			ent := oldest.Value.(*cacheEntry)
-			s.lru.Remove(oldest)
-			delete(s.cache, ent.b)
-			s.curBytes -= ent.bytes
-			s.evicts++
-		}
-		if s.curBytes+n <= s.capBytes {
-			s.cache[b] = s.lru.PushFront(&cacheEntry{b: b, blk: blk, bytes: n})
-			s.curBytes += n
-		}
-	}
+	s.cache.Add(b, blk, blk.Bytes())
 	return blk, nil
 }
 

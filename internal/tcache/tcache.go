@@ -31,11 +31,10 @@
 package tcache
 
 import (
-	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 )
 
 // DefaultCacheBytes bounds the slab partial cache when no option overrides
@@ -88,21 +87,10 @@ type key struct {
 	slab  int64
 }
 
-type entry struct {
-	k    key
-	p    *Partial
-	cost int64
-}
-
 // Stats is a point-in-time snapshot of cache counters; the server surfaces
 // it under /api/stats.
 type Stats struct {
-	Entries    int    `json:"entries"`
-	Bytes      int64  `json:"bytes"`
-	Capacity   int64  `json:"capacityBytes"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Evictions  uint64 `json:"evictions"`
+	lru.Stats
 	RekeyDrops uint64 `json:"rekeyDrops"`
 }
 
@@ -111,16 +99,9 @@ type Stats struct {
 // per query, orders of magnitude cheaper than the joins they save, so
 // sharding would buy nothing.
 type Cache struct {
-	mu    sync.Mutex
-	cap   int64
-	bytes int64
-	ll    *list.List // front = most recently used
-	items map[key]*list.Element
-
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	rekeyDrops atomic.Uint64
+	mu         sync.Mutex
+	lru        *lru.Cache[key, *Partial]
+	rekeyDrops uint64
 }
 
 // NewCache returns a cache bounded to capacityBytes (<= 0 uses
@@ -129,55 +110,22 @@ func NewCache(capacityBytes int64) *Cache {
 	if capacityBytes <= 0 {
 		capacityBytes = DefaultCacheBytes
 	}
-	return &Cache{cap: capacityBytes, ll: list.New(), items: make(map[key]*list.Element)}
-}
-
-// removeLocked drops the element; c.mu must be held.
-func (c *Cache) removeLocked(el *list.Element) {
-	e := el.Value.(*entry)
-	delete(c.items, e.k)
-	c.ll.Remove(el)
-	c.bytes -= e.cost
+	return &Cache{lru: lru.New[key, *Partial](capacityBytes)}
 }
 
 // Get returns the cached partial for (stamp, sig, slab).
 func (c *Cache) Get(stamp uint64, sig string, slab int64) (*Partial, bool) {
-	k := key{stamp: stamp, sig: sig, slab: slab}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.hits.Add(1)
-	return el.Value.(*entry).p, true
+	return c.lru.Get(key{stamp: stamp, sig: sig, slab: slab})
 }
 
 // Put stores a partial, evicting least-recently-used entries to stay under
 // the byte budget.
 func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
-	k := key{stamp: stamp, sig: sig, slab: slab}
-	cost := p.cost(len(sig))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		c.removeLocked(el) // replacement, not an eviction
-	}
-	if cost > c.cap {
-		return
-	}
-	for c.bytes+cost > c.cap {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions.Add(1)
-	}
-	c.items[k] = c.ll.PushFront(&entry{k: k, p: p, cost: cost})
-	c.bytes += cost
+	c.lru.Add(key{stamp: stamp, sig: sig, slab: slab}, p, p.cost(len(sig)))
 }
 
 // Rekey migrates the entries of oldStamp to newStamp, dropping the slabs
@@ -193,45 +141,31 @@ func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
 func (c *Cache) Rekey(oldStamp, newStamp uint64, dirty map[int64]bool) (migrated, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, el := range c.items {
-		if k.stamp != oldStamp {
-			continue
-		}
-		if dirty[k.slab] {
-			c.removeLocked(el)
-			dropped++
-			continue
-		}
-		e := el.Value.(*entry)
-		c.removeLocked(el)
-		nk := key{stamp: newStamp, sig: k.sig, slab: k.slab}
-		c.items[nk] = c.ll.PushFront(&entry{k: nk, p: e.p, cost: e.cost})
-		c.bytes += e.cost
-		migrated++
+	type move struct {
+		k key
+		p *Partial
 	}
-	c.rekeyDrops.Add(uint64(dropped))
-	return migrated, dropped
-}
-
-// Len returns the number of live entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+	var clean []move
+	dropped = c.lru.DeleteFunc(func(k key, p *Partial) bool {
+		if k.stamp != oldStamp {
+			return false
+		}
+		if !dirty[k.slab] {
+			clean = append(clean, move{k, p})
+		}
+		return true
+	}) - len(clean)
+	for _, m := range clean {
+		m.k.stamp = newStamp
+		c.lru.Add(m.k, m.p, m.p.cost(len(m.k.sig)))
+	}
+	c.rekeyDrops += uint64(dropped)
+	return len(clean), dropped
 }
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	s := Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Evictions:  c.evictions.Load(),
-		RekeyDrops: c.rekeyDrops.Load(),
-	}
 	c.mu.Lock()
-	s.Entries = len(c.items)
-	s.Bytes = c.bytes
-	s.Capacity = c.cap
-	c.mu.Unlock()
-	return s
+	defer c.mu.Unlock()
+	return Stats{Stats: c.lru.Stats(), RekeyDrops: c.rekeyDrops}
 }

@@ -48,11 +48,6 @@ func WithCache(capacityBytes int64) ServerOption {
 	}
 }
 
-// WithoutCache disables the query-result cache; every request computes.
-func WithoutCache() ServerOption {
-	return func(s *Server) { s.cache = nil }
-}
-
 // WithQueryTimeout bounds every /api request to d: the handler's context
 // carries the deadline, the join kernels observe it between point batches,
 // and an exhausted deadline surfaces as 504 Gateway Timeout. d <= 0 (the

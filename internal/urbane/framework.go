@@ -135,9 +135,8 @@ func (f *Framework) AddRegionSet(rs *data.RegionSet) error {
 // (interior cells answered from stored aggregates, boundary fringe refined
 // exactly) instead of the full raster join. maxLevel <= 0 uses
 // geoblocks.DefaultMaxLevel. Hierarchies build lazily on first query per
-// data set and are invalidated with the catalog version, like qcache and
-// the span cache. Enabling bumps the version so previously cached
-// responses (which name their algorithm) are dropped.
+// data-set snapshot, keyed by its stamp. Enabling bumps the version so
+// previously cached responses (which name their algorithm) are dropped.
 func (f *Framework) EnableGeoBlocks(maxLevel int) *geoblocks.Engine {
 	f.mu.Lock()
 	eng := geoblocks.NewEngine(f.planner.Raster, maxLevel)
@@ -210,21 +209,11 @@ func (f *Framework) reroute(edit func(pl *query.Planner)) {
 	f.planner = &np
 }
 
-// routing returns the current planner snapshot, with the device's region
-// span cache and the geoblocks hierarchy store slaved to the catalog
-// version — the query-result cache's invalidation contract: an engine
-// toggle drops every compiled span and built hierarchy. Both checks are one
-// atomic load when nothing changed.
+// routing returns the current planner snapshot.
 func (f *Framework) routing() *query.Planner {
 	f.mu.RLock()
-	pl := f.planner
-	f.mu.RUnlock()
-	v := f.Version()
-	pl.Raster.Device().SpanCache().SetGeneration(v)
-	if pl.GeoBlocks != nil {
-		pl.GeoBlocks.Store().SetGeneration(v)
-	}
-	return pl
+	defer f.mu.RUnlock()
+	return f.planner
 }
 
 // AppendInfo summarizes one Append: how the catalog and the incremental

@@ -182,3 +182,44 @@ func TestRerouteWhileExecuting(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// TestEngineToggleKeepsDerivedStructures: a version bump (EnableIncremental)
+// invalidates cached responses, which name their routing, but not the
+// structures keyed by data identity — a built hierarchy is a function of its
+// point-set stamp and a compiled span list of its region-set stamp and
+// transform, and the toggle changes neither.
+func TestEngineToggleKeepsDerivedStructures(t *testing.T) {
+	f, taxi, nbhd := buildTestFramework(t)
+	store := f.EnableGeoBlocks(6).Store()
+	ctx := context.Background()
+	polygon := core.Request{Points: taxi, Regions: nbhd, Agg: core.Count}
+	adhoc := core.Request{Points: taxi, Regions: nbhd, Agg: core.Count,
+		Filters: []core.Filter{{Attr: "fare", Min: 5, Max: 20}}}
+	for _, req := range []core.Request{polygon, adhoc} {
+		if _, err := f.ExecuteContext(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := f.rasterJoiner().Device().SpanCache()
+	builds, compiles := store.Stats().Misses, spans.Stats().Misses
+	if builds != 1 || compiles == 0 {
+		t.Fatalf("warm-up built %d hierarchies and compiled %d span lists, want 1 and > 0", builds, compiles)
+	}
+
+	v := f.Version()
+	f.EnableIncremental(3600, 0, 0)
+	if f.Version() == v {
+		t.Fatal("EnableIncremental did not bump the catalog version")
+	}
+	for _, req := range []core.Request{polygon, adhoc} {
+		if _, err := f.ExecuteContext(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := store.Stats().Misses; got != builds {
+		t.Errorf("hierarchy builds = %d after the toggle, want %d (no rebuild)", got, builds)
+	}
+	if got := spans.Stats().Misses; got != compiles {
+		t.Errorf("span compiles = %d after the toggle, want %d (no recompile)", got, compiles)
+	}
+}

@@ -16,9 +16,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fault"
+	"repro/internal/geoblocks"
+	"repro/internal/lru"
 	"repro/internal/qcache"
 	"repro/internal/query"
-	"repro/internal/segment"
 	"repro/internal/shard"
 	"repro/internal/tcache"
 	"repro/internal/trace"
@@ -45,7 +46,7 @@ type Server struct {
 }
 
 // NewServer wraps a framework. By default responses are cached in
-// DefaultCacheBytes of memory; see WithCache, WithoutCache, WithTimeSnap,
+// DefaultCacheBytes of memory; see WithCache, WithTimeSnap,
 // WithQueryTimeout.
 func NewServer(f *Framework, opts ...ServerOption) *Server {
 	s := &Server{
@@ -611,6 +612,8 @@ type statsResponse struct {
 	LiveTextures   int64                 `json:"liveTextures"`
 	Admission      admit.Stats           `json:"admission"`
 	Segments       segmentsStats         `json:"segments"`
+	SpanCache      lru.Stats             `json:"spanCache"`
+	GeoBlocks      geoblocks.Stats       `json:"geoblocks"`
 	Incremental    incrementalStats      `json:"incremental"`
 	Sharding       shardingStats         `json:"sharding"`
 	Gauges         map[string]int64      `json:"gauges"`
@@ -633,10 +636,10 @@ type incrementalStats struct {
 // attached block sources, the process-wide zone-map pruning counters, and
 // the decoded-block cache totals aggregated across every attached store.
 type segmentsStats struct {
-	Sources       []string           `json:"sources"`
-	BlocksScanned int64              `json:"blocksScanned"`
-	BlocksPruned  int64              `json:"blocksPruned"`
-	Cache         segment.CacheStats `json:"cache"`
+	Sources       []string  `json:"sources"`
+	BlocksScanned int64     `json:"blocksScanned"`
+	BlocksPruned  int64     `json:"blocksPruned"`
+	Cache         lru.Stats `json:"cache"`
 }
 
 // shardingStats reports scatter-gather execution: the shard count, cached
@@ -664,7 +667,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	seg.BlocksScanned, seg.BlocksPruned = core.ScanStats()
 	for _, name := range seg.Sources {
 		if src, ok := s.f.PointSource(name); ok {
-			if cs, ok := src.(interface{ CacheStats() segment.CacheStats }); ok {
+			if cs, ok := src.(interface{ CacheStats() lru.Stats }); ok {
 				seg.Cache.Add(cs.CacheStats())
 			}
 		}
@@ -677,6 +680,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		inc.SlabsReused = j.SlabsReused()
 		inc.SlabsRecomputed = j.SlabsRecomputed()
 		inc.Cache = j.Cache().Stats()
+	}
+	var gb geoblocks.Stats
+	if g := s.f.GeoBlocks(); g != nil {
+		gb = g.Store().Stats()
 	}
 	var sh shardingStats
 	if c := s.f.Sharding(); c != nil {
@@ -707,6 +714,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LiveTextures:   dev.LiveTextures(),
 		Admission:      adm,
 		Segments:       seg,
+		SpanCache:      dev.SpanCache().Stats(),
+		GeoBlocks:      gb,
 		Incremental:    inc,
 		Sharding:       sh,
 		Gauges:         s.metrics.Gauges(),

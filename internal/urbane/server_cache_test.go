@@ -186,10 +186,10 @@ func TestTimeSnapUnifiesRaggedWindows(t *testing.T) {
 	}
 }
 
-// TestCacheDisabled: WithoutCache bypasses everything and reports so.
+// TestCacheDisabled: WithCache(0) bypasses everything and reports so.
 func TestCacheDisabled(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	s := NewServer(f, WithoutCache())
+	s := NewServer(f, WithCache(0))
 	body := map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count"}
 	for i := 0; i < 2; i++ {
 		rec := doJSON(t, s, http.MethodPost, "/api/mapview", body)
@@ -299,7 +299,7 @@ func randomRequest(rng *rand.Rand) (method, path string, body any) {
 func TestCacheOnOffResponsesByteIdentical(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
 	cached := NewServer(f)
-	uncached := NewServer(f, WithoutCache())
+	uncached := NewServer(f, WithCache(0))
 	for _, seed := range []int64{1, 42, 2009} {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 40; i++ {
