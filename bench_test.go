@@ -75,7 +75,7 @@ func BenchmarkE1MapView(b *testing.B) {
 	if err := f.AddRegionSet(scene.Neighborhoods); err != nil {
 		b.Fatal(err)
 	}
-	req := urbane.MapViewRequest{
+	req := urbane.Selection{
 		Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: workload.JanWeek(1),
 	}
@@ -273,8 +273,7 @@ func BenchmarkE8Exploration(b *testing.B) {
 	jan := workload.Jan2009()
 	req := urbane.ExplorationRequest{
 		Datasets:  []string{"taxi", "311", "photos"},
-		Layer:     "neighborhoods",
-		Agg:       core.Count,
+		Selection: urbane.Selection{Layer: "neighborhoods", Agg: core.Count},
 		RegionIDs: []int{0, 1, 2},
 		Start:     jan.Start, End: jan.End, Bins: 12,
 	}

@@ -82,7 +82,7 @@ func runE1(scale float64) {
 		var ch *urbane.Choropleth
 		lat := timeMedian(3, func() {
 			var err error
-			ch, err = f.MapViewContext(context.Background(), urbane.MapViewRequest{
+			ch, err = f.MapViewContext(context.Background(), urbane.Selection{
 				Dataset: "taxi", Layer: "neighborhoods",
 				Agg: core.Count, Time: w.tf,
 			})
@@ -334,8 +334,7 @@ func runE8(scale float64) {
 		var err error
 		ex, err = f.ExploreContext(context.Background(), urbane.ExplorationRequest{
 			Datasets:  []string{"taxi", "311", "photos"},
-			Layer:     "neighborhoods",
-			Agg:       core.Count,
+			Selection: urbane.Selection{Layer: "neighborhoods", Agg: core.Count},
 			RegionIDs: []int{0, 1, 2},
 			Start:     jan.Start, End: jan.End, Bins: 12,
 		})

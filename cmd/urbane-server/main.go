@@ -232,7 +232,15 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 		ready <- ln.Addr()
 	}
 
-	srv := &http.Server{Handler: handler}
+	// Bounded edges: a client may not hold a connection open by trickling
+	// its headers or body, or by idling between requests. There is no
+	// WriteTimeout — how long a reply may take is -query-timeout's job.
+	srv := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -33,7 +33,7 @@ func main() {
 
 	// The candidate site's neighborhood: pick the one with the most taxi
 	// activity as a stand-in for "the neighborhood the architect works in".
-	ch, err := f.MapViewContext(context.Background(), urbane.MapViewRequest{
+	ch, err := f.MapViewContext(context.Background(), urbane.Selection{
 		Dataset: "taxi", Layer: "neighborhoods", Agg: core.Count,
 	})
 	must(err)
@@ -47,10 +47,10 @@ func main() {
 		target.Name, int64(target.Value))
 
 	metrics := []urbane.MetricSpec{
-		{Name: "taxi activity", Dataset: "taxi", Agg: core.Count},
-		{Name: "avg fare", Dataset: "taxi", Agg: core.Avg, Attr: "fare"},
-		{Name: "311 complaints", Dataset: "311", Agg: core.Count},
-		{Name: "photo density", Dataset: "photos", Agg: core.Count},
+		{Name: "taxi activity", Selection: urbane.Selection{Dataset: "taxi", Agg: core.Count}},
+		{Name: "avg fare", Selection: urbane.Selection{Dataset: "taxi", Agg: core.Avg, Attr: "fare"}},
+		{Name: "311 complaints", Selection: urbane.Selection{Dataset: "311", Agg: core.Count}},
+		{Name: "photo density", Selection: urbane.Selection{Dataset: "photos", Agg: core.Count}},
 	}
 	start := time.Now()
 	scores, err := f.RankSimilarContext(context.Background(), "neighborhoods", target.ID, metrics)

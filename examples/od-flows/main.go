@@ -28,8 +28,9 @@ func main() {
 		scene.Taxi.Len(), scene.Neighborhoods.Len())
 
 	// The full month's strongest flows.
+	trips := urbane.Selection{Dataset: "taxi", Layer: "neighborhoods"}
 	view, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
-		Dataset: "taxi", Layer: "neighborhoods", Top: 8,
+		Selection: trips, Top: 8,
 	})
 	must(err)
 	fmt.Printf("strongest flows (all trips, %v, %d resolved / %d dropped):\n",
@@ -37,9 +38,10 @@ func main() {
 	printEdges(view)
 
 	// Ad-hoc refinement: premium trips only.
+	premiumTrips := trips
+	premiumTrips.Filters = []core.Filter{{Attr: "fare", Min: 40, Max: 1e9}}
 	premium, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
-		Dataset: "taxi", Layer: "neighborhoods", Top: 8,
-		Filters: []core.Filter{{Attr: "fare", Min: 40, Max: 1e9}},
+		Selection: premiumTrips, Top: 8,
 	})
 	must(err)
 	fmt.Printf("\nstrongest premium flows (fare >= $40, %v):\n",
@@ -49,7 +51,7 @@ func main() {
 	// Self-flows vs cross-flows: how local is taxi traffic?
 	var self, cross int64
 	all, err := f.FlowViewContext(context.Background(), urbane.FlowViewRequest{
-		Dataset: "taxi", Layer: "neighborhoods", Top: 1 << 30,
+		Selection: trips, Top: 1 << 30,
 	})
 	must(err)
 	for _, e := range all.Edges {

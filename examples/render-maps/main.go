@@ -33,7 +33,7 @@ func main() {
 	must(f.AddRegionSet(scene.Neighborhoods))
 
 	// 1. Choropleth: pickups per neighborhood, January 2009.
-	pngBytes, err := f.RenderChoroplethContext(context.Background(), urbane.MapViewRequest{
+	pngBytes, err := f.RenderChoroplethContext(context.Background(), urbane.Selection{
 		Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: workload.Jan2009(),
 	}, 1000)

@@ -29,14 +29,14 @@ func main() {
 	fmt.Println("-------------------------------------------------------------")
 
 	// Initial view: the whole month.
-	view(f, "full month", urbane.MapViewRequest{
+	view(f, "full month", urbane.Selection{
 		Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: workload.Jan2009(),
 	})
 
 	// Interaction 1: the user drags the time slider across the weeks.
 	for w := 0; w < 4; w++ {
-		view(f, fmt.Sprintf("week %d", w+1), urbane.MapViewRequest{
+		view(f, fmt.Sprintf("week %d", w+1), urbane.Selection{
 			Dataset: "taxi", Layer: "neighborhoods",
 			Agg: core.Count, Time: workload.JanWeek(w),
 		})
@@ -44,7 +44,7 @@ func main() {
 
 	// Interaction 2: ad-hoc filter — only premium trips (fare >= $25).
 	// Pre-aggregation could never serve this; Raster Join just draws again.
-	view(f, "week 2, fare >= $25", urbane.MapViewRequest{
+	view(f, "week 2, fare >= $25", urbane.Selection{
 		Dataset: "taxi", Layer: "neighborhoods",
 		Agg:     core.Count,
 		Time:    workload.JanWeek(1),
@@ -53,7 +53,7 @@ func main() {
 
 	// Interaction 3: switch the resolution to Urbane's grid view and look
 	// at average fares instead of counts.
-	view(f, "grid view, AVG(fare)", urbane.MapViewRequest{
+	view(f, "grid view, AVG(fare)", urbane.Selection{
 		Dataset: "taxi", Layer: "grid64",
 		Agg: core.Avg, Attr: "fare", Time: workload.JanWeek(1),
 	})
@@ -113,7 +113,7 @@ func log2(v float64) float64 {
 }
 
 // view runs one map-view interaction and reports its latency and extremes.
-func view(f *urbane.Framework, label string, req urbane.MapViewRequest) {
+func view(f *urbane.Framework, label string, req urbane.Selection) {
 	ch, err := f.MapViewContext(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)

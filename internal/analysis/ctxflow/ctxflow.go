@@ -15,7 +15,7 @@
 // the shape the rest of the query path already uses. Wrappers themselves
 // are clean: delegating to the ctx variant involves neither a goroutine nor
 // a draw loop. Draw calls are matched by method name (DrawPoints,
-// DrawTriangles, DrawPolygon, DrawPolygonOutline) so fixtures and future
+// DrawPolygon, DrawPolygonOutline) so fixtures and future
 // canvas-like types are covered without depending on internal/gpu.
 package ctxflow
 
@@ -41,7 +41,6 @@ var watched = []string{"/core", "/query", "/urbane"}
 // streamed render pass.
 var drawCalls = map[string]bool{
 	"DrawPoints":         true,
-	"DrawTriangles":      true,
 	"DrawPolygon":        true,
 	"DrawPolygonOutline": true,
 }

@@ -32,12 +32,13 @@ import (
 // carries one of these codes. Anything else — in particular a 500 or a
 // hang — is a bug in the server, not in the chaos schedule.
 var AllowedStatuses = map[int]bool{
-	http.StatusOK:                 true,
-	http.StatusNotModified:        true,
-	http.StatusBadRequest:         true,
-	499:                           true, // client closed request
-	http.StatusServiceUnavailable: true,
-	http.StatusGatewayTimeout:     true,
+	http.StatusOK:                    true,
+	http.StatusNotModified:           true,
+	http.StatusBadRequest:            true,
+	http.StatusRequestEntityTooLarge: true,
+	499:                              true, // client closed request
+	http.StatusServiceUnavailable:    true,
+	http.StatusGatewayTimeout:        true,
 }
 
 // Config sizes a soak.
@@ -111,7 +112,7 @@ func (r *Report) merge(o *Report) {
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d requests:", r.Total)
-	for _, s := range []int{200, 304, 400, 499, 503, 504} {
+	for _, s := range []int{200, 304, 400, 413, 499, 503, 504} {
 		if n := r.ByStatus[s]; n > 0 {
 			fmt.Fprintf(&b, " %d=%d", s, n)
 		}
@@ -297,8 +298,9 @@ func issue(ctx context.Context, h http.Handler, hr workload.HTTPRequest, reqCtx 
 }
 
 // Result is one replayed response. Body is nil for the nondeterministic
-// observability endpoints (stats, cachestats), whose payloads legitimately
-// differ between servers.
+// observability endpoints (stats, cachestats), whose payloads (counters,
+// uptime) legitimately differ between servers; everything else must match
+// byte-for-byte.
 type Result struct {
 	Kind   string
 	Path   string
@@ -320,8 +322,10 @@ func Replay(h http.Handler, cfg workload.MixConfig, seed int64, n int) []Result 
 		status, _, body := issue(bg, h, hr, func() (context.Context, context.CancelFunc) {
 			return bg, func() {}
 		})
-		out = append(out, Result{Kind: hr.Kind, Path: hr.Path, Status: status,
-			Body: normalizeBody(hr.Kind, status, body)})
+		if hr.Kind == "stats" || hr.Kind == "cachestats" {
+			body = nil
+		}
+		out = append(out, Result{Kind: hr.Kind, Path: hr.Path, Status: status, Body: body})
 	}
 	return out
 }
@@ -344,32 +348,4 @@ func ReplayAppends(h http.Handler, cfg workload.MixConfig, seed int64, n int) []
 		out = append(out, Result{Kind: hr.Kind, Path: hr.Path, Status: status, Body: body})
 	}
 	return out
-}
-
-// normalizeBody drops the parts of a response that are legitimately
-// nondeterministic before the cross-server comparison: the observability
-// payloads entirely (counters, uptime), and the wall-clock elapsedNs field
-// the uncached explore endpoint embeds. Everything else must match
-// byte-for-byte.
-func normalizeBody(kind string, status int, body []byte) []byte {
-	switch kind {
-	case "stats", "cachestats":
-		return nil
-	case "explore":
-		if status != http.StatusOK {
-			return body
-		}
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(body, &m); err != nil {
-			return body
-		}
-		delete(m, "elapsedNs")
-		norm, err := json.Marshal(m)
-		if err != nil {
-			return body
-		}
-		return norm
-	default:
-		return body
-	}
 }

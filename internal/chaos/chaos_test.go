@@ -320,3 +320,20 @@ func TestReplayDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestOversizeBodyHonorsContract: a request body past the server's size
+// bound is one of the contract's statuses — 413 with the standard envelope
+// — not a hang, a 500, or an unbounded read.
+func TestOversizeBodyHonorsContract(t *testing.T) {
+	srv := urbane.NewServer(buildFramework(t, gpu.New(), false))
+	body := `{"dataset":"` + strings.Repeat("x", 9<<20) + `"}`
+	req := httptest.NewRequest(http.MethodPost, "/api/mapview", strings.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	if err := chaos.ValidateResponse(req.Method, req.URL.Path, rec.Code, rec.Header(), rec.Body.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -125,6 +125,12 @@ func (r *Request) Validate() error {
 	if (r.Points == nil && r.Source == nil) || r.Regions == nil {
 		return errors.New("core: request needs points and regions")
 	}
+	return r.validatePoints()
+}
+
+// validatePoints is the point side of Validate — everything a pass with no
+// polygons (DensityContext) needs checked.
+func (r *Request) validatePoints() error {
 	if r.Source == nil {
 		if err := r.Points.Validate(); err != nil {
 			return err
@@ -278,57 +284,4 @@ func JoinContext(ctx context.Context, j Joiner, req Request) (*Result, error) {
 		return nil, err
 	}
 	return j.Join(req)
-}
-
-// PointPredicate compiles the request's attribute filters into a single
-// per-point predicate, plus the index range to scan. With a time-sorted
-// point set the time filter narrows the range; otherwise it joins the
-// predicate.
-//
-// The returned pred is nil when no per-point test is needed (scan the whole
-// range).
-func PointPredicate(req Request) (lo, hi int, pred func(i int) bool, err error) {
-	ps := req.Points
-	lo, hi = 0, ps.Len()
-
-	var tests []func(i int) bool
-	if req.Time != nil {
-		sorted := true
-		for i := 1; i < len(ps.T); i++ {
-			if ps.T[i-1] > ps.T[i] {
-				sorted = false
-				break
-			}
-		}
-		if sorted {
-			lo, hi = ps.TimeWindow(req.Time.Start, req.Time.End)
-		} else {
-			start, end := req.Time.Start, req.Time.End
-			t := ps.T
-			tests = append(tests, func(i int) bool { return t[i] >= start && t[i] < end })
-		}
-	}
-	for _, f := range req.Filters {
-		col := ps.Attr(f.Attr)
-		if col == nil {
-			return 0, 0, nil, fmt.Errorf("core: filter attribute %q missing", f.Attr)
-		}
-		fmin, fmax := f.Min, f.Max
-		tests = append(tests, func(i int) bool { return col[i] >= fmin && col[i] < fmax })
-	}
-	switch len(tests) {
-	case 0:
-		return lo, hi, nil, nil
-	case 1:
-		return lo, hi, tests[0], nil
-	default:
-		return lo, hi, func(i int) bool {
-			for _, t := range tests {
-				if !t(i) {
-					return false
-				}
-			}
-			return true
-		}, nil
-	}
 }

@@ -82,71 +82,6 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
-func TestPointPredicateTimeSorted(t *testing.T) {
-	req := Request{Points: testPoints(), Regions: testRegions(),
-		Time: &TimeFilter{Start: 15, End: 35}}
-	lo, hi, pred, err := PointPredicate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != nil {
-		t.Error("sorted set should use range narrowing, not a predicate")
-	}
-	if lo != 1 || hi != 3 {
-		t.Errorf("window = [%d,%d), want [1,3)", lo, hi)
-	}
-}
-
-func TestPointPredicateTimeUnsorted(t *testing.T) {
-	ps := testPoints()
-	ps.T = []int64{40, 10, 30, 20} // unsorted
-	req := Request{Points: ps, Regions: testRegions(),
-		Time: &TimeFilter{Start: 15, End: 35}}
-	lo, hi, pred, err := PointPredicate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != 0 || hi != ps.Len() || pred == nil {
-		t.Fatalf("unsorted set should predicate over full range: lo=%d hi=%d pred=%v",
-			lo, hi, pred != nil)
-	}
-	want := []bool{false, false, true, true}
-	for i, w := range want {
-		if pred(i) != w {
-			t.Errorf("pred(%d) = %v, want %v", i, pred(i), w)
-		}
-	}
-}
-
-func TestPointPredicateFilters(t *testing.T) {
-	req := Request{Points: testPoints(), Regions: testRegions(),
-		Filters: []Filter{{Attr: "v", Min: 2, Max: 4}}}
-	_, _, pred, err := PointPredicate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, true, true, false} // [2,4): values 2 and 3
-	for i, w := range want {
-		if pred(i) != w {
-			t.Errorf("pred(%d) = %v, want %v", i, pred(i), w)
-		}
-	}
-	// Multiple filters AND together (and compose with time).
-	req.Filters = append(req.Filters, Filter{Attr: "v", Min: 3, Max: 10})
-	_, _, pred, _ = PointPredicate(req)
-	want = []bool{false, false, true, false}
-	for i, w := range want {
-		if pred(i) != w {
-			t.Errorf("multi pred(%d) = %v, want %v", i, pred(i), w)
-		}
-	}
-	// Unknown attribute errors.
-	req.Filters = []Filter{{Attr: "nope"}}
-	if _, _, _, err := PointPredicate(req); err == nil {
-		t.Error("unknown filter attribute should error")
-	}
-}
-
 func TestResultHelpers(t *testing.T) {
 	r := Result{Stats: []RegionStat{{Count: 2, Sum: 4}, {Count: 3, Sum: 9}}}
 	if r.TotalCount() != 5 {

@@ -72,23 +72,6 @@ func ClipRingToHalfPlane(r Ring, o, nrm Point) Ring {
 	return out
 }
 
-// ClipPolygonToBBox clips a polygon (outer ring and holes) to a box. Holes
-// that vanish are dropped; a nil polygon pointer result means the polygon is
-// entirely outside the box.
-func ClipPolygonToBBox(pg Polygon, b BBox) (Polygon, bool) {
-	outer := ClipRingToBBox(pg.Outer, b)
-	if len(outer) < 3 {
-		return Polygon{}, false
-	}
-	out := Polygon{Outer: outer}
-	for _, h := range pg.Holes {
-		if ch := ClipRingToBBox(h, b); len(ch) >= 3 {
-			out.Holes = append(out.Holes, ch)
-		}
-	}
-	return out, true
-}
-
 // ClipSegmentToBBox clips segment ab to box b using Liang–Barsky.
 // ok is false when the segment lies entirely outside the box.
 func ClipSegmentToBBox(a, bp Point, box BBox) (p0, p1 Point, ok bool) {

@@ -55,33 +55,6 @@ func TestClipEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestClipPolygonToBBox(t *testing.T) {
-	outer := Ring{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4)}
-	hole := Ring{Pt(1, 1), Pt(3, 1), Pt(3, 3), Pt(1, 3)}
-	pg := Polygon{Outer: outer, Holes: []Ring{hole}}
-	pg.Normalize()
-
-	// Clip to the left half: outer becomes 2x4, hole becomes 1x2.
-	got, ok := ClipPolygonToBBox(pg, BBox{0, 0, 2, 4})
-	if !ok {
-		t.Fatal("clip should succeed")
-	}
-	if math.Abs(got.Area()-(8-2)) > 1e-12 {
-		t.Errorf("clipped area = %v, want 6", got.Area())
-	}
-
-	// Clip to a corner that avoids the hole entirely.
-	got, ok = ClipPolygonToBBox(pg, BBox{0, 0, 0.5, 0.5})
-	if !ok || len(got.Holes) != 0 {
-		t.Errorf("corner clip holes = %d, want 0", len(got.Holes))
-	}
-
-	// Entirely outside.
-	if _, ok := ClipPolygonToBBox(pg, BBox{10, 10, 11, 11}); ok {
-		t.Error("outside clip should report !ok")
-	}
-}
-
 func TestClipSegmentToBBox(t *testing.T) {
 	box := BBox{0, 0, 10, 10}
 	p0, p1, ok := ClipSegmentToBBox(Pt(-5, 5), Pt(15, 5), box)

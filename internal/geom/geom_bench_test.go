@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math/rand"
 	"strconv"
 	"testing"
 )
@@ -28,34 +27,6 @@ func BenchmarkPolygonContainsWithHoles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pg.Contains(Pt(float64(i%200)-100, 7))
-	}
-}
-
-func BenchmarkTriangulate(b *testing.B) {
-	for _, n := range []int{16, 128} {
-		star := StarRing(Pt(0, 0), 100, 40, n/2)
-		pg := NewPolygon(star)
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if tris := Triangulate(pg); len(tris) == 0 {
-					b.Fatal("no triangles")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkConvexHull(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	pts := make([]Point, 10_000)
-	for i := range pts {
-		pts[i] = Pt(rng.Float64()*1000, rng.Float64()*1000)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if h := ConvexHull(pts); len(h) < 3 {
-			b.Fatal("degenerate hull")
-		}
 	}
 }
 

@@ -94,55 +94,3 @@ func SegmentDistSq(p, a, b Point) float64 {
 func OnSegment(p, a, b Point, eps float64) bool {
 	return SegmentDistSq(p, a, b) <= eps*eps
 }
-
-// SegmentsIntersect reports whether closed segments ab and cd share at least
-// one point.
-func SegmentsIntersect(a, b, c, d Point) bool {
-	o1 := Orientation(a, b, c)
-	o2 := Orientation(a, b, d)
-	o3 := Orientation(c, d, a)
-	o4 := Orientation(c, d, b)
-	if o1 != o2 && o3 != o4 {
-		return true
-	}
-	// Collinear overlap cases.
-	if o1 == 0 && onSegmentCollinear(a, c, b) {
-		return true
-	}
-	if o2 == 0 && onSegmentCollinear(a, d, b) {
-		return true
-	}
-	if o3 == 0 && onSegmentCollinear(c, a, d) {
-		return true
-	}
-	if o4 == 0 && onSegmentCollinear(c, b, d) {
-		return true
-	}
-	return false
-}
-
-// onSegmentCollinear reports whether q, known to be collinear with segment
-// pr, lies within its bounding box.
-func onSegmentCollinear(p, q, r Point) bool {
-	return q.X <= math.Max(p.X, r.X) && q.X >= math.Min(p.X, r.X) &&
-		q.Y <= math.Max(p.Y, r.Y) && q.Y >= math.Min(p.Y, r.Y)
-}
-
-// SegmentIntersection returns the intersection point of segments ab and cd
-// when they properly intersect (cross at a single interior or endpoint
-// location). ok is false for parallel or non-intersecting segments.
-func SegmentIntersection(a, b, c, d Point) (p Point, ok bool) {
-	r := b.Sub(a)
-	s := d.Sub(c)
-	denom := r.Cross(s)
-	if denom == 0 {
-		return Point{}, false
-	}
-	ac := c.Sub(a)
-	t := ac.Cross(s) / denom
-	u := ac.Cross(r) / denom
-	if t < 0 || t > 1 || u < 0 || u > 1 {
-		return Point{}, false
-	}
-	return a.Add(r.Scale(t)), true
-}

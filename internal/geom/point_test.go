@@ -108,65 +108,6 @@ func TestOnSegment(t *testing.T) {
 	}
 }
 
-func TestSegmentsIntersect(t *testing.T) {
-	tests := []struct {
-		a, b, c, d Point
-		want       bool
-	}{
-		{Pt(0, 0), Pt(10, 10), Pt(0, 10), Pt(10, 0), true}, // X crossing
-		{Pt(0, 0), Pt(10, 0), Pt(0, 1), Pt(10, 1), false},  // parallel apart
-		{Pt(0, 0), Pt(10, 0), Pt(5, 0), Pt(15, 0), true},   // collinear overlap
-		{Pt(0, 0), Pt(10, 0), Pt(11, 0), Pt(15, 0), false}, // collinear apart
-		{Pt(0, 0), Pt(10, 0), Pt(10, 0), Pt(10, 10), true}, // shared endpoint
-		{Pt(0, 0), Pt(1, 1), Pt(2, 2), Pt(3, 0), false},    // no touch
-		{Pt(0, 0), Pt(10, 0), Pt(5, 0), Pt(5, 5), true},    // T junction
-		{Pt(0, 0), Pt(10, 0), Pt(5, 1), Pt(5, 5), false},   // near T, no touch
-	}
-	for i, tc := range tests {
-		if got := SegmentsIntersect(tc.a, tc.b, tc.c, tc.d); got != tc.want {
-			t.Errorf("case %d: SegmentsIntersect = %v, want %v", i, got, tc.want)
-		}
-	}
-}
-
-func TestSegmentIntersection(t *testing.T) {
-	p, ok := SegmentIntersection(Pt(0, 0), Pt(10, 10), Pt(0, 10), Pt(10, 0))
-	if !ok || !p.NearEq(Pt(5, 5), 1e-12) {
-		t.Errorf("intersection = %v ok=%v, want (5,5) true", p, ok)
-	}
-	if _, ok := SegmentIntersection(Pt(0, 0), Pt(1, 0), Pt(0, 1), Pt(1, 1)); ok {
-		t.Error("parallel segments should not intersect")
-	}
-	if _, ok := SegmentIntersection(Pt(0, 0), Pt(1, 1), Pt(5, 0), Pt(5, 1)); ok {
-		t.Error("disjoint segments should not intersect")
-	}
-}
-
-// Property: SegmentsIntersect agrees with SegmentIntersection for
-// non-collinear configurations.
-func TestSegmentIntersectAgreement(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, dx, dy int8) bool {
-		a := Pt(float64(ax), float64(ay))
-		b := Pt(float64(bx), float64(by))
-		c := Pt(float64(cx), float64(cy))
-		d := Pt(float64(dx), float64(dy))
-		// Skip degenerate and collinear cases, where the boolean test
-		// legitimately detects overlap that the point-form cannot name.
-		if a.Eq(b) || c.Eq(d) {
-			return true
-		}
-		if Orientation(a, b, c) == 0 || Orientation(a, b, d) == 0 ||
-			Orientation(c, d, a) == 0 || Orientation(c, d, b) == 0 {
-			return true
-		}
-		_, ok := SegmentIntersection(a, b, c, d)
-		return ok == SegmentsIntersect(a, b, c, d)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: orientation is antisymmetric under swapping the last two
 // arguments.
 func TestOrientationAntisymmetric(t *testing.T) {

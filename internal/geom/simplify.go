@@ -1,7 +1,5 @@
 package geom
 
-import "sort"
-
 // SimplifyLine reduces a polyline with the Douglas–Peucker algorithm,
 // keeping every vertex farther than tol from the simplified chain. The first
 // and last points are always retained.
@@ -84,45 +82,4 @@ func SimplifyRing(r Ring, tol float64) Ring {
 		return r.Clone()
 	}
 	return out
-}
-
-// ConvexHull returns the convex hull of the given points in counter-
-// clockwise order using Andrew's monotone chain. Input order is not
-// modified; collinear boundary points are excluded. Fewer than three
-// distinct points yield a degenerate (possibly empty) hull.
-func ConvexHull(pts []Point) Ring {
-	n := len(pts)
-	if n < 3 {
-		out := make(Ring, n)
-		copy(out, pts)
-		return out
-	}
-	sorted := make([]Point, n)
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].X < sorted[j].X ||
-			(sorted[i].X == sorted[j].X && sorted[i].Y < sorted[j].Y)
-	})
-
-	hull := make(Ring, 0, 2*n)
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	if len(hull) > 1 {
-		hull = hull[:len(hull)-1] // last point repeats the first
-	}
-	return hull
 }

@@ -73,70 +73,6 @@ func TestSimplifyRingSmallInputUnchanged(t *testing.T) {
 	}
 }
 
-func TestConvexHullSquarePlusInterior(t *testing.T) {
-	pts := []Point{{0, 0}, {2, 0}, {2, 2}, {0, 2}, {1, 1}, {0.5, 1.5}, {1, 0.3}}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4", len(hull))
-	}
-	if !hull.IsCCW() {
-		t.Error("hull should be CCW")
-	}
-	if hull.Area() != 4 {
-		t.Errorf("hull area = %v, want 4", hull.Area())
-	}
-}
-
-func TestConvexHullCollinear(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	hull := ConvexHull(pts)
-	if len(hull) > 2 {
-		t.Errorf("collinear hull size = %d, want <= 2", len(hull))
-	}
-}
-
-func TestConvexHullSmallInputs(t *testing.T) {
-	if h := ConvexHull(nil); len(h) != 0 {
-		t.Errorf("nil hull = %v", h)
-	}
-	if h := ConvexHull([]Point{{1, 2}}); len(h) != 1 {
-		t.Errorf("single-point hull size = %d", len(h))
-	}
-	if h := ConvexHull([]Point{{1, 2}, {3, 4}}); len(h) != 2 {
-		t.Errorf("two-point hull size = %d", len(h))
-	}
-}
-
-// Property: every input point is inside or on the hull, and the hull is
-// convex (every turn is a left turn).
-func TestConvexHullProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 200; iter++ {
-		n := 3 + rng.Intn(100)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			continue
-		}
-		for i := range hull {
-			a := hull[i]
-			b := hull[(i+1)%len(hull)]
-			c := hull[(i+2)%len(hull)]
-			if Orientation(a, b, c) < 0 {
-				t.Fatalf("iter %d: hull has a right turn at %v", iter, b)
-			}
-		}
-		for _, p := range pts {
-			if !hull.ContainsBoundary(p, 1e-9) {
-				t.Fatalf("iter %d: input point %v outside hull", iter, p)
-			}
-		}
-	}
-}
-
 // Property: Douglas-Peucker output error is bounded by tol — every dropped
 // vertex lies within tol of the simplified chain.
 func TestSimplifyLineErrorBound(t *testing.T) {

@@ -22,10 +22,9 @@ import (
 // Stats counts the work a device has performed. Counters are cumulative
 // across all canvases created from the device and safe for concurrent draws.
 type Stats struct {
-	DrawCalls       int64 // point/polygon/triangle draw invocations
+	DrawCalls       int64 // point/polygon draw invocations
 	Passes          int64 // render passes (one per canvas per tile)
 	PointsIn        int64 // point vertices submitted
-	TrianglesIn     int64 // triangles submitted
 	PolygonsIn      int64 // polygons submitted
 	FragmentsShaded int64 // fragment-shader invocations
 }
@@ -39,7 +38,6 @@ type Device struct {
 	drawCalls       atomic.Int64
 	passes          atomic.Int64
 	pointsIn        atomic.Int64
-	trianglesIn     atomic.Int64
 	polygonsIn      atomic.Int64
 	fragmentsShaded atomic.Int64
 
@@ -107,7 +105,6 @@ func (d *Device) Stats() Stats {
 		DrawCalls:       d.drawCalls.Load(),
 		Passes:          d.passes.Load(),
 		PointsIn:        d.pointsIn.Load(),
-		TrianglesIn:     d.trianglesIn.Load(),
 		PolygonsIn:      d.polygonsIn.Load(),
 		FragmentsShaded: d.fragmentsShaded.Load(),
 	}
@@ -118,7 +115,6 @@ func (d *Device) ResetStats() {
 	d.drawCalls.Store(0)
 	d.passes.Store(0)
 	d.pointsIn.Store(0)
-	d.trianglesIn.Store(0)
 	d.polygonsIn.Store(0)
 	d.fragmentsShaded.Store(0)
 }
@@ -260,21 +256,6 @@ func (c *Canvas) DrawPoints(n int, pos func(i int) (x, y float64), shader PointS
 		}
 		shaded++
 		shader(px, py, i)
-	}
-	c.dev.fragmentsShaded.Add(shaded)
-}
-
-// DrawTriangles rasterizes a triangle list with pixel-center coverage,
-// invoking the fragment shader once per covered pixel per triangle.
-func (c *Canvas) DrawTriangles(tris []geom.Triangle, shader FragmentShader) {
-	c.dev.drawCalls.Add(1)
-	c.dev.trianglesIn.Add(int64(len(tris)))
-	var shaded int64
-	for _, tr := range tris {
-		raster.FillTriangle(c.T, tr, func(px, py int) {
-			shaded++
-			shader(px, py)
-		})
 	}
 	c.dev.fragmentsShaded.Add(shaded)
 }

@@ -74,25 +74,6 @@ func TestDrawPolygonAdditiveBlend(t *testing.T) {
 	}
 }
 
-func TestDrawTrianglesMatchesPolygon(t *testing.T) {
-	d := New()
-	c, _ := d.NewCanvas(testWorld(), 8, 8)
-	pg := geom.NewPolygon(geom.StarRing(geom.Pt(4, 4), 3.5, 1.5, 7))
-
-	byPoly := NewTexture(8, 8)
-	c.DrawPolygon(pg, func(px, py int) { byPoly.Add(px, py, 1) })
-
-	byTris := NewTexture(8, 8)
-	c.DrawTriangles(geom.Triangulate(pg), func(px, py int) { byTris.Add(px, py, 1) })
-
-	for i := range byPoly.Data {
-		if byPoly.Data[i] != byTris.Data[i] {
-			t.Fatalf("pixel %d: polygon pipeline %v != triangle pipeline %v",
-				i, byPoly.Data[i], byTris.Data[i])
-		}
-	}
-}
-
 func TestDrawPolygonOutline(t *testing.T) {
 	d := New()
 	c, _ := d.NewCanvas(testWorld(), 8, 8)

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,7 @@ func (b *BruteForce) Join(req core.Request) (*core.Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	lo, hi, pred, err := core.PointPredicate(req)
+	lo, hi, pred, err := pointPredicate(req)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func (q *QuadJoin) Join(req core.Request) (*core.Result, error) {
 func probeJoin(req core.Request, name string, workers int,
 	candidates func(geom.BBox, func(int32))) (*core.Result, error) {
 
-	lo, hi, pred, err := core.PointPredicate(req)
+	lo, hi, pred, err := pointPredicate(req)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +258,7 @@ func (r *RTreeJoin) Join(req core.Request) (*core.Result, error) {
 		return nil, err
 	}
 	tree := r.treeFor(req.Regions)
-	lo, hi, pred, err := core.PointPredicate(req)
+	lo, hi, pred, err := pointPredicate(req)
 	if err != nil {
 		return nil, err
 	}
@@ -359,4 +360,57 @@ func parallelRegions(workers, n int, fn func(k int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// pointPredicate compiles the request's attribute filters into a single
+// per-point predicate, plus the index range to scan. With a time-sorted
+// point set the time filter narrows the range; otherwise it joins the
+// predicate.
+//
+// The returned pred is nil when no per-point test is needed (scan the whole
+// range).
+func pointPredicate(req core.Request) (lo, hi int, pred func(i int) bool, err error) {
+	ps := req.Points
+	lo, hi = 0, ps.Len()
+
+	var tests []func(i int) bool
+	if req.Time != nil {
+		sorted := true
+		for i := 1; i < len(ps.T); i++ {
+			if ps.T[i-1] > ps.T[i] {
+				sorted = false
+				break
+			}
+		}
+		if sorted {
+			lo, hi = ps.TimeWindow(req.Time.Start, req.Time.End)
+		} else {
+			start, end := req.Time.Start, req.Time.End
+			t := ps.T
+			tests = append(tests, func(i int) bool { return t[i] >= start && t[i] < end })
+		}
+	}
+	for _, f := range req.Filters {
+		col := ps.Attr(f.Attr)
+		if col == nil {
+			return 0, 0, nil, fmt.Errorf("index: filter attribute %q missing", f.Attr)
+		}
+		fmin, fmax := f.Min, f.Max
+		tests = append(tests, func(i int) bool { return col[i] >= fmin && col[i] < fmax })
+	}
+	switch len(tests) {
+	case 0:
+		return lo, hi, nil, nil
+	case 1:
+		return lo, hi, tests[0], nil
+	default:
+		return lo, hi, func(i int) bool {
+			for _, t := range tests {
+				if !t(i) {
+					return false
+				}
+			}
+			return true
+		}, nil
+	}
 }

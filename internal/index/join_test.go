@@ -212,3 +212,84 @@ func TestEmptyInputs(t *testing.T) {
 		}
 	}
 }
+
+func predPoints() *data.PointSet {
+	return &data.PointSet{
+		Name: "pts",
+		X:    []float64{1, 2, 3, 4},
+		Y:    []float64{1, 2, 3, 4},
+		T:    []int64{10, 20, 30, 40},
+		Attrs: []data.Column{
+			{Name: "v", Values: []float64{1, 2, 3, 4}},
+		},
+	}
+}
+
+func predRegions() *data.RegionSet {
+	return data.GridRegions("g", geom.BBox{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}, 2, 2)
+}
+
+func TestPointPredicateTimeSorted(t *testing.T) {
+	req := core.Request{Points: predPoints(), Regions: predRegions(),
+		Time: &core.TimeFilter{Start: 15, End: 35}}
+	lo, hi, pred, err := pointPredicate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred != nil {
+		t.Error("sorted set should use range narrowing, not a predicate")
+	}
+	if lo != 1 || hi != 3 {
+		t.Errorf("window = [%d,%d), want [1,3)", lo, hi)
+	}
+}
+
+func TestPointPredicateTimeUnsorted(t *testing.T) {
+	ps := predPoints()
+	ps.T = []int64{40, 10, 30, 20} // unsorted
+	req := core.Request{Points: ps, Regions: predRegions(),
+		Time: &core.TimeFilter{Start: 15, End: 35}}
+	lo, hi, pred, err := pointPredicate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo != 0 || hi != ps.Len() || pred == nil {
+		t.Fatalf("unsorted set should predicate over full range: lo=%d hi=%d pred=%v",
+			lo, hi, pred != nil)
+	}
+	want := []bool{false, false, true, true}
+	for i, w := range want {
+		if pred(i) != w {
+			t.Errorf("pred(%d) = %v, want %v", i, pred(i), w)
+		}
+	}
+}
+
+func TestPointPredicateFilters(t *testing.T) {
+	req := core.Request{Points: predPoints(), Regions: predRegions(),
+		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 4}}}
+	_, _, pred, err := pointPredicate(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []bool{false, true, true, false} // [2,4): values 2 and 3
+	for i, w := range want {
+		if pred(i) != w {
+			t.Errorf("pred(%d) = %v, want %v", i, pred(i), w)
+		}
+	}
+	// Multiple filters AND together (and compose with time).
+	req.Filters = append(req.Filters, core.Filter{Attr: "v", Min: 3, Max: 10})
+	_, _, pred, _ = pointPredicate(req)
+	want = []bool{false, false, true, false}
+	for i, w := range want {
+		if pred(i) != w {
+			t.Errorf("multi pred(%d) = %v, want %v", i, pred(i), w)
+		}
+	}
+	// Unknown attribute errors.
+	req.Filters = []core.Filter{{Attr: "nope"}}
+	if _, _, _, err := pointPredicate(req); err == nil {
+		t.Error("unknown filter attribute should error")
+	}
+}

@@ -47,23 +47,11 @@ func ProjectBBox(min, max LngLat) geom.BBox {
 	return geom.NewBBox(a.X, a.Y, b.X, b.Y)
 }
 
-// MetersPerDegreeLng returns ground meters per degree of longitude at the
-// given latitude (degrees).
-func MetersPerDegreeLng(lat float64) float64 {
-	return EarthRadius * math.Pi / 180 * math.Cos(lat*math.Pi/180)
-}
-
 // GroundResolution returns ground meters per mercator meter at the given
 // latitude: mercator distances are stretched by 1/cos(lat), so one mercator
 // meter covers cos(lat) ground meters.
 func GroundResolution(lat float64) float64 {
 	return math.Cos(lat * math.Pi / 180)
-}
-
-// MetersPerPixel returns ground meters per pixel at the given latitude and
-// slippy-map zoom level with 256-pixel tiles.
-func MetersPerPixel(lat float64, zoom int) float64 {
-	return 2 * math.Pi * EarthRadius * GroundResolution(lat) / (256 * math.Exp2(float64(zoom)))
 }
 
 // Tile addresses a slippy-map tile.
@@ -112,32 +100,6 @@ func (t Tile) Parent() Tile {
 		return t
 	}
 	return Tile{t.Z - 1, t.X / 2, t.Y / 2}
-}
-
-// TilesCovering returns all tiles at the zoom level whose extent intersects
-// the mercator box b.
-func TilesCovering(b geom.BBox, zoom int) []Tile {
-	if b.IsEmpty() {
-		return nil
-	}
-	n := math.Exp2(float64(zoom))
-	world := 2 * math.Pi * EarthRadius
-	size := world / n
-	toIdx := func(v float64) int {
-		return clampInt(int(math.Floor((v+world/2)/size)), 0, int(n)-1)
-	}
-	toIdxY := func(v float64) int {
-		return clampInt(int(math.Floor((world/2-v)/size)), 0, int(n)-1)
-	}
-	x0, x1 := toIdx(b.MinX), toIdx(b.MaxX)
-	y0, y1 := toIdxY(b.MaxY), toIdxY(b.MinY)
-	var tiles []Tile
-	for y := y0; y <= y1; y++ {
-		for x := x0; x <= x1; x++ {
-			tiles = append(tiles, Tile{zoom, x, y})
-		}
-	}
-	return tiles
 }
 
 func clamp(v, lo, hi float64) float64 {

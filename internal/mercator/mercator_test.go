@@ -51,35 +51,12 @@ func TestProjectUnprojectRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMetersPerDegreeLng(t *testing.T) {
-	// At the equator: ~111.3 km per degree.
-	if got := MetersPerDegreeLng(0); math.Abs(got-111319.5) > 1 {
-		t.Errorf("meters/degree at equator = %v, want ~111319.5", got)
-	}
-	// At 60°: exactly half.
-	if got := MetersPerDegreeLng(60); math.Abs(got-111319.5/2) > 1 {
-		t.Errorf("meters/degree at 60N = %v, want ~55659.7", got)
-	}
-}
-
 func TestGroundResolution(t *testing.T) {
 	if g := GroundResolution(0); g != 1 {
 		t.Errorf("ground resolution at equator = %v, want 1", g)
 	}
 	if g := GroundResolution(60); math.Abs(g-0.5) > 1e-12 {
 		t.Errorf("ground resolution at 60N = %v, want 0.5", g)
-	}
-}
-
-func TestMetersPerPixel(t *testing.T) {
-	// Zoom 0 at the equator: whole world / 256 pixels.
-	want := 2 * math.Pi * EarthRadius / 256
-	if got := MetersPerPixel(0, 0); math.Abs(got-want) > 1e-6 {
-		t.Errorf("m/px at z0 = %v, want %v", got, want)
-	}
-	// Every zoom level halves it.
-	if got := MetersPerPixel(0, 1); math.Abs(got-want/2) > 1e-6 {
-		t.Errorf("m/px at z1 = %v, want %v", got, want/2)
 	}
 }
 
@@ -122,30 +99,6 @@ func TestTileChildrenParent(t *testing.T) {
 	}
 	if (Tile{0, 0, 0}).Parent() != (Tile{0, 0, 0}) {
 		t.Error("zoom-0 parent should be itself")
-	}
-}
-
-func TestTilesCovering(t *testing.T) {
-	// The whole world at zoom 1 is 4 tiles.
-	world := geom.BBox{
-		MinX: -math.Pi * EarthRadius, MinY: -math.Pi * EarthRadius,
-		MaxX: math.Pi * EarthRadius, MaxY: math.Pi * EarthRadius,
-	}
-	tiles := TilesCovering(world, 1)
-	if len(tiles) != 4 {
-		t.Errorf("world z1 coverage = %d tiles, want 4", len(tiles))
-	}
-	if TilesCovering(geom.EmptyBBox(), 3) != nil {
-		t.Error("empty box should cover no tiles")
-	}
-	// A single point box covers exactly one tile.
-	p := Project(LngLat{-73.98, 40.75})
-	one := TilesCovering(geom.BBox{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}, 12)
-	if len(one) != 1 {
-		t.Errorf("point coverage = %d tiles, want 1", len(one))
-	}
-	if one[0] != TileAt(LngLat{-73.98, 40.75}, 12) {
-		t.Errorf("point coverage tile = %v, want %v", one[0], TileAt(LngLat{-73.98, 40.75}, 12))
 	}
 }
 

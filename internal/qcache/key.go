@@ -59,6 +59,16 @@ func (s *Sig) Float(name string, v float64) *Sig {
 	return s
 }
 
+// Ints appends an ordered integer list, length-tagged so adjacent lists
+// never run together.
+func (s *Sig) Ints(name string, vs []int) *Sig {
+	s.Int(name+".n", int64(len(vs)))
+	for _, v := range vs {
+		s.b = strconv.AppendInt(append(s.b, ','), int64(v), 10)
+	}
+	return s
+}
+
 // Filters appends a filter set in canonical (order-insensitive) form: the
 // set is copied, normalized, and sorted before encoding, so any
 // permutation of the same conjunctive filters renders the same key.

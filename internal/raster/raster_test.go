@@ -208,21 +208,6 @@ func TestFillPolygonWithHole(t *testing.T) {
 	}
 }
 
-func TestFillTriangle(t *testing.T) {
-	tr := unit16()
-	trg := geom.Triangle{geom.Pt(0, 0), geom.Pt(16, 0), geom.Pt(0, 16)}
-	got := collect(func(v func(x, y int)) { FillTriangle(tr, trg, v) })
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			c := tr.PixelCenter(x, y)
-			want := c.X+c.Y < 16
-			if _, ok := got[[2]int{x, y}]; ok != want {
-				t.Errorf("triangle pixel (%d,%d): got %v want %v", x, y, ok, want)
-			}
-		}
-	}
-}
-
 func TestTraceSegmentHorizontal(t *testing.T) {
 	tr := unit16()
 	got := collect(func(v func(x, y int)) {

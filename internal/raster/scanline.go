@@ -67,12 +67,6 @@ func FillRing(t Transform, r geom.Ring, visit func(px, py int)) {
 	FillPolygon(t, geom.Polygon{Outer: r}, visit)
 }
 
-// FillTriangle scan-converts a triangle with center sampling. Triangles are
-// the primitive the GPU device draws; polygon draws decompose into these.
-func FillTriangle(t Transform, tr geom.Triangle, visit func(px, py int)) {
-	FillRing(t, geom.Ring{tr[0], tr[1], tr[2]}, visit)
-}
-
 // ringCrossings appends the x coordinates where the ring's edges cross the
 // horizontal line y=cy, using the half-open rule (an edge covers its lower
 // endpoint, excludes its upper) so shared vertices are counted exactly once.

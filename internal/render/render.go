@@ -47,28 +47,6 @@ func HeatRamp(t float64) color.RGBA {
 	return color.RGBA{R: 240, G: 249, B: 33, A: 255}
 }
 
-// DivergingRamp maps [0,1] blue → white → red, centered at 0.5 — the scale
-// for change maps where sign matters.
-func DivergingRamp(t float64) color.RGBA {
-	t = clamp01(t)
-	if t < 0.5 {
-		f := t * 2
-		return color.RGBA{
-			R: uint8(lerp(33, 247, f)),
-			G: uint8(lerp(102, 247, f)),
-			B: uint8(lerp(172, 247, f)),
-			A: 255,
-		}
-	}
-	f := (t - 0.5) * 2
-	return color.RGBA{
-		R: uint8(lerp(247, 178, f)),
-		G: uint8(lerp(247, 24, f)),
-		B: uint8(lerp(247, 43, f)),
-		A: 255,
-	}
-}
-
 // BlueRamp is a light-to-dark sequential ramp for choropleths.
 func BlueRamp(t float64) color.RGBA {
 	t = clamp01(t)

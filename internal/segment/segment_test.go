@@ -254,32 +254,6 @@ func TestSegmentSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestSegmentFromCSV(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ps := randomSet(rng, 2_500, true)
-	var csv bytes.Buffer
-	if err := data.WriteCSV(&csv, ps); err != nil {
-		t.Fatal(err)
-	}
-	var seg bytes.Buffer
-	n, err := FromCSV(&csv, "csv-set", &seg, WithBlockSize(600))
-	if err != nil {
-		t.Fatalf("FromCSV: %v", err)
-	}
-	if n != ps.Len() {
-		t.Fatalf("FromCSV wrote %d points, want %d", n, ps.Len())
-	}
-	st, err := OpenReaderAt(bytes.NewReader(seg.Bytes()), int64(seg.Len()))
-	if err != nil {
-		t.Fatalf("OpenReaderAt: %v", err)
-	}
-	if st.Name() != "csv-set" {
-		t.Errorf("Name = %q", st.Name())
-	}
-	ps.Name = "csv-set"
-	assertRoundTrip(t, ps, st)
-}
-
 // TestSegmentCacheEviction drives a store whose cache holds only a few
 // blocks and checks the byte bound, the counters, and that evicted blocks
 // decode again correctly — the out-of-core contract in miniature.

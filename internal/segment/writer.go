@@ -18,7 +18,6 @@ type Writer struct {
 	off       int64
 	blockSize int
 	name      string
-	nameSet   bool
 
 	started    bool
 	hasTime    bool
@@ -52,15 +51,6 @@ func WithBlockSize(n int) WriterOption {
 	}
 }
 
-// WithName sets the data set name stored in the header (default: the name
-// of the first appended batch).
-func WithName(name string) WriterOption {
-	return func(w *Writer) {
-		w.name = name
-		w.nameSet = true
-	}
-}
-
 // NewWriter returns a segment writer over w. The schema (attributes, time
 // presence) is fixed by the first appended batch; every later batch must
 // match it.
@@ -71,9 +61,6 @@ func NewWriter(w io.Writer, opts ...WriterOption) *Writer {
 	}
 	return sw
 }
-
-// Count returns the number of points appended so far.
-func (w *Writer) Count() int { return w.count }
 
 // Append appends every point of ps to the segment.
 func (w *Writer) Append(ps *data.PointSet) error {
@@ -87,9 +74,7 @@ func (w *Writer) Append(ps *data.PointSet) error {
 		w.started = true
 		w.hasTime = ps.T != nil
 		w.attrNames = append([]string(nil), ps.AttrNames()...)
-		if !w.nameSet {
-			w.name = ps.Name
-		}
+		w.name = ps.Name
 		w.attrs = make([][]float64, len(w.attrNames))
 		if err := w.writeHeader(); err != nil {
 			return w.fail(err)
@@ -267,19 +252,4 @@ func Write(w io.Writer, ps *data.PointSet, opts ...WriterOption) error {
 		return err
 	}
 	return sw.Close()
-}
-
-// FromCSV streams a CSV point file (data.WriteCSV layout) into a segment
-// on w, one batch at a time — inputs larger than RAM flow through a single
-// block buffer. It returns the number of points written.
-func FromCSV(r io.Reader, name string, w io.Writer, opts ...WriterOption) (int, error) {
-	opts = append([]WriterOption{WithName(name)}, opts...)
-	sw := NewWriter(w, opts...)
-	if err := data.StreamCSV(r, name, 1<<16, sw.Append); err != nil {
-		return sw.Count(), err
-	}
-	if err := sw.Close(); err != nil {
-		return sw.Count(), err
-	}
-	return sw.Count(), nil
 }

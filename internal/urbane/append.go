@@ -44,7 +44,7 @@ type appendResponse struct {
 // join computes admission exists to bound.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var wreq appendWire
-	if !decodePost(w, r, &wreq) {
+	if !s.decodePost(w, r, &wreq) {
 		return
 	}
 	base, ok := s.f.PointSet(wreq.Dataset)
@@ -59,7 +59,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.f.Append(r.Context(), wreq.Dataset, tail)
 	if err != nil {
-		writeQueryError(w, err)
+		s.writeComputeError(w, err)
 		return
 	}
 	swept := 0

@@ -80,6 +80,33 @@ func TestAppendEpochIsolation(t *testing.T) {
 	}
 	taxiInRing := polygonCount("taxi", "miss")
 	polygonCount("311", "miss")
+	// And for the views that read several data sets: keyed on the epoch of
+	// each, an entry goes stale when any of its sets is written and only
+	// then. taxi comes second so a first-set-only key would miss it.
+	explore := func(datasets ...string) map[string]any {
+		return map[string]any{"datasets": datasets, "layer": "nbhd", "agg": "count",
+			"start": 0, "end": 8 * 3600, "bins": 2}
+	}
+	rank := func(datasets ...string) map[string]any {
+		metrics := make([]map[string]any, len(datasets))
+		for i, ds := range datasets {
+			metrics[i] = map[string]any{"name": ds, "dataset": ds, "agg": "count"}
+		}
+		return map[string]any{"layer": "nbhd", "targetId": 1, "metrics": metrics}
+	}
+	outcome := func(path string, body map[string]any) string {
+		t.Helper()
+		rec := doJSON(t, s, http.MethodPost, path, body)
+		if rec.Code != 200 {
+			t.Fatalf("%s status = %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Header().Get("X-Urbane-Cache")
+	}
+	for _, datasets := range [][]string{{"311", "taxi"}, {"311"}} {
+		if a, b := outcome("/api/explore", explore(datasets...)), outcome("/api/rank", rank(datasets...)); a != "miss" || b != "miss" {
+			t.Fatalf("warmup over %v: explore %q, rank %q, want miss", datasets, a, b)
+		}
+	}
 
 	epochBefore := f.Epoch("taxi")
 	lenBefore, _ := f.PointSet("taxi")
@@ -94,10 +121,11 @@ func TestAppendEpochIsolation(t *testing.T) {
 	if f.Epoch("311") != 1 {
 		t.Fatalf("311 epoch moved to %d on a taxi append", f.Epoch("311"))
 	}
-	// The eager sweep reclaimed taxi's stale entries (mapview + tile at
-	// least) and reported them.
-	if resp.Swept < 2 {
-		t.Fatalf("swept = %d, want >= 2 (mapview + tile)", resp.Swept)
+	// The eager sweep reclaimed taxi's stale entries (mapview, tile,
+	// polygon, and the explore and rank that read taxi beside 311) and
+	// reported them.
+	if resp.Swept != 5 {
+		t.Fatalf("swept = %d, want 5 (mapview, tile, polygon, explore, rank)", resp.Swept)
 	}
 
 	// 311 stays warm: its next identical request is a cache hit.
@@ -117,6 +145,16 @@ func TestAppendEpochIsolation(t *testing.T) {
 		t.Fatalf("taxi polygon count after append = %d, want %d", got, taxiInRing+5)
 	}
 	polygonCount("311", "hit")
+
+	// Multi-set views: whatever read taxi recomputes, 311-only stays warm.
+	for path, body := range map[string]func(...string) map[string]any{"/api/explore": explore, "/api/rank": rank} {
+		if got := outcome(path, body("311", "taxi")); got != "miss" {
+			t.Errorf("%s over 311+taxi after taxi append = %q, want miss", path, got)
+		}
+		if got := outcome(path, body("311")); got != "hit" {
+			t.Errorf("%s over 311 alone after taxi append = %q, want hit", path, got)
+		}
+	}
 
 	// taxi's tile validator rolled; 311's still revalidates to 304.
 	req := httptest.NewRequest(http.MethodGet, "/api/tile/0/0/0.png?dataset=taxi", nil)

@@ -140,12 +140,12 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// serveCached satisfies one cacheable endpoint: look up the canonical key,
-// coalesce concurrent identical computes, and serve the stored bytes. The
-// compute runs under the request context (coalesced waiters that give up
-// detach without killing the shared compute; see qcache.DoContext).
-// Compute errors are never cached; they surface with the status carried by
-// statusError (default 400), with context exhaustion mapped to 504/499.
+// serveCached is the one execution path of every compute endpoint: look up
+// the canonical key, coalesce concurrent identical computes, admit the one
+// that runs, and serve the stored bytes. The compute runs under the request
+// context (coalesced waiters that give up detach without killing the shared
+// compute; see qcache.DoContext). Compute errors are never cached; they
+// surface through writeComputeError.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, contentType string, compute func(ctx context.Context) ([]byte, error)) {
 	start := time.Now()
 	s.syncGeneration()
@@ -162,10 +162,11 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, conten
 	_, _ = w.Write(body)
 }
 
-// writeComputeError maps a compute failure to its HTTP status: an explicit
-// statusError wins, then an admission shed is 503 Service Unavailable with
-// Retry-After, deadline exhaustion is 504 Gateway Timeout, a vanished
-// client is 499, and anything else is a 400.
+// writeComputeError is the one mapping from a compute failure to an HTTP
+// status: an explicit statusError wins, then an admission shed is 503
+// Service Unavailable with Retry-After, deadline exhaustion is 504 Gateway
+// Timeout, a vanished client is 499, and anything else — unknown names,
+// attributes the data set lacks, injected faults — is a 400.
 func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	var se *statusError
@@ -240,52 +241,19 @@ func matchesETag(header, etag string) bool {
 	return false
 }
 
-// Canonical cache keys, one constructor per cached endpoint. All request
-// fields that influence the response participate; filters are sorted and
-// time windows snapped before this point. The data set travels as an
-// Epoch pair (name + per-data-set write epoch), so an append or cube build
-// against one data set changes only that set's keys — every other set's
-// entries stay warm, and the image endpoints' ETags (which hash the key)
-// roll over automatically.
-
-func mapViewKey(req MapViewRequest, epoch uint64) string {
-	return qcache.NewSig("mapview").
-		Epoch(req.Dataset, epoch).Str("layer", req.Layer).
-		Str("agg", req.Agg.String()).Str("attr", req.Attr).
-		Filters("f", req.Filters).TimeRange("t", req.Time).Key()
-}
-
-func queryKey(canonicalStmt, dataset string, epoch uint64) string {
-	return qcache.NewSig("query").Str("stmt", canonicalStmt).
-		Epoch(dataset, epoch).Key()
-}
-
-func heatmapKey(req HeatmapRequest, epoch uint64) string {
-	return qcache.NewSig("heatmap").
-		Epoch(req.Dataset, epoch).Int("w", int64(req.W)).Int("h", int64(req.H)).
-		Str("weight", req.Weight).
-		Filters("f", req.Filters).TimeRange("t", req.Time).Key()
-}
-
-func deltaKey(req DeltaRequest, epoch uint64) string {
-	return qcache.NewSig("delta").
-		Epoch(req.Dataset, epoch).Str("layer", req.Layer).
-		Str("agg", req.Agg.String()).Str("attr", req.Attr).
-		Filters("f", req.Filters).
-		TimeRange("a", &req.A).TimeRange("b", &req.B).Key()
-}
-
-func tileKey(z, x, y int, dataset string, epoch uint64) string {
-	return qcache.NewSig("tile").
-		Int("z", int64(z)).Int("x", int64(x)).Int("y", int64(y)).
-		Epoch(dataset, epoch).Key()
-}
-
-func choroplethKey(req MapViewRequest, width int, epoch uint64) string {
-	return qcache.NewSig("choropng").
-		Epoch(req.Dataset, epoch).Str("layer", req.Layer).
-		Str("agg", req.Agg.String()).Str("attr", req.Attr).
-		Int("w", int64(width)).Key()
+// selectionSig appends the one key fragment every view shares — the
+// selection, already canonical (filters sorted, window snapped by
+// parseSelection) — to sig; each endpoint adds only its own extra fields.
+// The data set travels as an Epoch pair (name + per-data-set write epoch),
+// so an append or cube build against one data set changes only that set's
+// keys — every other set's entries stay warm, handleAppend's sweep reclaims
+// the stale ones, and the image endpoints' ETags (which hash the key) roll
+// over automatically. A view reading several data sets appends one Epoch
+// pair per set.
+func (s *Server) selectionSig(sig *qcache.Sig, sel Selection) *qcache.Sig {
+	return sig.Epoch(sel.Dataset, s.f.Epoch(sel.Dataset)).Str("layer", sel.Layer).
+		Str("agg", sel.Agg.String()).Str("attr", sel.Attr).
+		Filters("f", sel.Filters).TimeRange("t", sel.Time)
 }
 
 // cacheStatsResponse is the /api/cachestats payload.

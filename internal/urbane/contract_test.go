@@ -3,6 +3,7 @@ package urbane
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/admit"
+	"repro/internal/fault"
+	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -32,56 +35,26 @@ func doRaw(t *testing.T, s *Server, ctx context.Context, method, path, body stri
 }
 
 // TestResponseHeaderContract drives every compute endpoint into each
-// terminal status — 200, 304 (images), 400, 499, 503, 504 — and asserts
-// the cross-cutting response contract: the elapsed and trace headers are
-// stamped no matter how the request ends, failures carry the unified error
-// envelope with the machine code for their status, and sheds carry
-// Retry-After. This is the header audit for the overload paths: a 503 is
-// still a first-class response, not a bare string.
+// terminal status — 200, 304 (images), 400 (unknown data set, bad
+// aggregate), 499, 503 (admission shed, killed shard), 504 — and asserts
+// the cross-cutting response contract: one status, envelope code and
+// Retry-After rule per cause whatever the endpoint, the elapsed and trace
+// headers stamped no matter how the request ends. This is the header audit
+// for the overload paths: a 503 is still a first-class response, not a bare
+// string.
 func TestResponseHeaderContract(t *testing.T) {
-	type ep struct {
-		name    string
-		method  string
-		path    string
-		valid   string // request body (POST) — "" for GET
-		invalid string // 400-provoking body, or for GETs a bad path
-		badPath string // 400-provoking path for GET endpoints
-		image   bool
-	}
-	eps := []ep{
-		{name: "query", method: http.MethodPost, path: "/api/query",
-			valid:   `{"stmt":"SELECT COUNT(*) FROM taxi, nbhd GROUP BY id"}`,
-			invalid: `{"stmt":"SELECT garbage"}`},
-		{name: "mapview", method: http.MethodPost, path: "/api/mapview",
-			valid:   `{"dataset":"taxi","layer":"nbhd","agg":"count"}`,
-			invalid: `{"dataset":"nope","layer":"nbhd","agg":"count"}`},
-		{name: "heatmap", method: http.MethodPost, path: "/api/heatmap",
-			valid:   `{"dataset":"taxi","w":32,"h":32}`,
-			invalid: `{"dataset":"nope","w":32,"h":32}`},
-		{name: "delta", method: http.MethodPost, path: "/api/delta",
-			valid:   `{"dataset":"taxi","layer":"nbhd","agg":"count","a":{"start":0,"end":3600},"b":{"start":3600,"end":7200}}`,
-			invalid: `{"dataset":"taxi","layer":"nbhd","agg":"count","a":{"start":0,"end":3600},"b":{"start":0,"end":3600}}`},
-		{name: "explore", method: http.MethodPost, path: "/api/explore",
-			valid:   `{"datasets":["taxi"],"layer":"nbhd","agg":"count","regionIds":[1,2],"start":0,"end":7200,"bins":4}`,
-			invalid: `{"datasets":["taxi"],"layer":"zzz","agg":"count","regionIds":[1],"start":0,"end":7200,"bins":4}`},
-		{name: "tile", method: http.MethodGet,
-			path:    "/api/tile/10/301/385.png?dataset=taxi",
-			badPath: "/api/tile/10/xx/385.png?dataset=taxi", image: true},
-		{name: "choropleth", method: http.MethodGet,
-			path:    "/api/render/choropleth.png?dataset=taxi&layer=nbhd&agg=count",
-			badPath: "/api/render/choropleth.png?dataset=taxi&layer=nbhd&agg=bogus", image: true},
-	}
-
 	// One server per terminal-status mechanism, so probes can't contaminate
 	// each other through the shared query cache.
-	build := func(opts ...ServerOption) *Server {
-		f, _, _ := buildTestFramework(t)
-		return NewServer(f, opts...)
-	}
-	okSrv := build()
-	cancelSrv := build()
-	shedSrv := build(WithAdmission(admit.New(0, 1, time.Millisecond)))
-	slowSrv := build(WithQueryTimeout(time.Nanosecond))
+	okSrv := computeServer(t)
+	cancelSrv := computeServer(t)
+	shedSrv := computeServer(t, WithAdmission(admit.New(0, 1, time.Millisecond)))
+	slowSrv := computeServer(t, WithQueryTimeout(time.Nanosecond))
+	// A killed shard surfaces as shard.ErrUnavailable out of the compute;
+	// injecting it at the site every cached compute passes reaches every
+	// view, whether or not its join is one the coordinator scatters.
+	faults := fault.New(1)
+	faults.Set("qcache.compute", fault.Rule{Prob: 1, Kind: fault.Error, Err: shard.ErrUnavailable})
+	downSrv := computeServer(t, WithFaults(faults))
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -100,17 +73,17 @@ func TestResponseHeaderContract(t *testing.T) {
 		if h.Get(traceHeader) == "" {
 			t.Errorf("missing %s on %d", traceHeader, rec.Code)
 		}
+		if ra := h.Get("Retry-After"); (ra != "") != (wantStatus == http.StatusServiceUnavailable) {
+			t.Errorf("Retry-After = %q on %d", ra, wantStatus)
+		} else if n, err := strconv.Atoi(ra); ra != "" && (err != nil || n < 1) {
+			t.Errorf("503 Retry-After = %q, want integer >= 1", ra)
+		}
 		switch {
 		case wantStatus == http.StatusNotModified:
 			if rec.Body.Len() != 0 {
 				t.Errorf("304 carried a %d-byte body", rec.Body.Len())
 			}
 		case wantStatus >= 400:
-			if wantStatus == http.StatusServiceUnavailable {
-				if ra, err := strconv.Atoi(h.Get("Retry-After")); err != nil || ra < 1 {
-					t.Errorf("503 Retry-After = %q, want integer >= 1", h.Get("Retry-After"))
-				}
-			}
 			var env struct {
 				Error errorBody `json:"error"`
 			}
@@ -124,38 +97,44 @@ func TestResponseHeaderContract(t *testing.T) {
 		}
 	}
 
-	bg := context.Background()
-	for _, e := range eps {
-		t.Run(e.name+"/200", func(t *testing.T) {
-			checkCommon(t, doRaw(t, okSrv, bg, e.method, e.path, e.valid, nil), http.StatusOK, "")
+	for _, p := range probesFor(t, okSrv) {
+		path, valid := p.req(p.dataset, "count", allDay)
+		probe := func(s *Server, ctx context.Context) *httptest.ResponseRecorder {
+			return doRaw(t, s, ctx, p.method, path, valid, nil)
+		}
+		t.Run(p.route+"/200", func(t *testing.T) {
+			checkCommon(t, probe(okSrv, bg), http.StatusOK, "")
 		})
-		t.Run(e.name+"/400", func(t *testing.T) {
-			path, body := e.path, e.invalid
-			if e.badPath != "" {
-				path, body = e.badPath, ""
-			}
-			checkCommon(t, doRaw(t, okSrv, bg, e.method, path, body, nil), http.StatusBadRequest, "bad_request")
+		t.Run(p.route+"/unknown data set", func(t *testing.T) {
+			path, body := p.req("nope", "count", allDay)
+			checkCommon(t, doRaw(t, okSrv, bg, p.method, path, body, nil), http.StatusBadRequest, "bad_request")
 		})
-		t.Run(e.name+"/499", func(t *testing.T) {
-			checkCommon(t, doRaw(t, cancelSrv, canceledCtx, e.method, e.path, e.valid, nil),
-				trace.StatusClientClosedRequest, "client_closed_request")
+		if !p.noAgg {
+			t.Run(p.route+"/bad aggregate", func(t *testing.T) {
+				path, body := p.req(p.dataset, "bogus", allDay)
+				checkCommon(t, doRaw(t, okSrv, bg, p.method, path, body, nil), http.StatusBadRequest, "bad_request")
+			})
+		}
+		t.Run(p.route+"/client cancel", func(t *testing.T) {
+			checkCommon(t, probe(cancelSrv, canceledCtx), trace.StatusClientClosedRequest, "client_closed_request")
 		})
-		t.Run(e.name+"/503", func(t *testing.T) {
-			checkCommon(t, doRaw(t, shedSrv, bg, e.method, e.path, e.valid, nil),
-				http.StatusServiceUnavailable, "overloaded")
+		t.Run(p.route+"/admission shed", func(t *testing.T) {
+			checkCommon(t, probe(shedSrv, bg), http.StatusServiceUnavailable, "overloaded")
 		})
-		t.Run(e.name+"/504", func(t *testing.T) {
-			checkCommon(t, doRaw(t, slowSrv, bg, e.method, e.path, e.valid, nil),
-				trace.StatusGatewayTimeout, "query_timeout")
+		t.Run(p.route+"/killed shard", func(t *testing.T) {
+			checkCommon(t, probe(downSrv, bg), http.StatusServiceUnavailable, "overloaded")
 		})
-		if e.image {
-			t.Run(e.name+"/304", func(t *testing.T) {
-				first := doRaw(t, okSrv, bg, e.method, e.path, "", nil)
+		t.Run(p.route+"/expired deadline", func(t *testing.T) {
+			checkCommon(t, probe(slowSrv, bg), trace.StatusGatewayTimeout, "query_timeout")
+		})
+		if p.image {
+			t.Run(p.route+"/304", func(t *testing.T) {
+				first := probe(okSrv, bg)
 				etag := first.Header().Get("ETag")
 				if first.Code != http.StatusOK || etag == "" {
 					t.Fatalf("priming GET: status=%d etag=%q", first.Code, etag)
 				}
-				rec := doRaw(t, okSrv, bg, e.method, e.path, "", map[string]string{"If-None-Match": etag})
+				rec := doRaw(t, okSrv, bg, p.method, path, "", map[string]string{"If-None-Match": etag})
 				checkCommon(t, rec, http.StatusNotModified, "")
 			})
 		}
@@ -212,5 +191,75 @@ func TestCacheHitBypassesAdmission(t *testing.T) {
 	fresh := map[string]string{"dataset": "311", "layer": "grid", "agg": "count"}
 	if rec := doJSON(t, s, http.MethodPost, "/api/mapview", fresh); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("fresh mapview under saturation: status = %d, want 503", rec.Code)
+	}
+}
+
+// TestRequestBounds: one request may ask only so much of the server. Each
+// limit answers with the standard envelope — 413 for the body, 400 for a
+// list or count past its cap — and a request exactly at the cap is not
+// refused for its size. (Every probe names an unknown layer, so the ones
+// that pass the bounds check fail fast instead of computing.)
+func TestRequestBounds(t *testing.T) {
+	s := computeServer(t)
+	ints := func(n int) string { return strings.TrimSuffix(strings.Repeat("1,", n), ",") }
+	strs := func(n int) string { return strings.TrimSuffix(strings.Repeat(`"taxi",`, n), ",") }
+	metrics := func(n int) string {
+		return strings.TrimSuffix(strings.Repeat(`{"name":"m","dataset":"taxi"},`, n), ",")
+	}
+	explore := `{"datasets":[%s],"layer":"zzz","regionIds":[%s],"start":0,"end":7200,"bins":%d}`
+	cases := []struct {
+		name   string
+		path   string
+		body   func(n int) string
+		limit  int
+		status int
+		code   string
+	}{
+		{name: "body", limit: maxBodyBytes, status: http.StatusRequestEntityTooLarge, code: "payload_too_large",
+			path: "/api/mapview",
+			body: func(n int) string {
+				const shell = `{"dataset":"taxi","layer":"zzz","attr":""}`
+				return strings.Replace(shell, `""`, `"`+strings.Repeat("a", n-len(shell))+`"`, 1)
+			}},
+		{name: "regionIds", limit: maxRegionIDs, status: http.StatusBadRequest, code: "bad_request",
+			path: "/api/explore",
+			body: func(n int) string { return fmt.Sprintf(explore, `"taxi"`, ints(n), 2) }},
+		{name: "datasets", limit: maxDatasets, status: http.StatusBadRequest, code: "bad_request",
+			path: "/api/explore",
+			body: func(n int) string { return fmt.Sprintf(explore, strs(n), "1", 2) }},
+		{name: "bins", limit: maxBins, status: http.StatusBadRequest, code: "bad_request",
+			path: "/api/explore",
+			body: func(n int) string { return fmt.Sprintf(explore, `"taxi"`, "1", n) }},
+		{name: "metrics", limit: maxMetrics, status: http.StatusBadRequest, code: "bad_request",
+			path: "/api/rank",
+			body: func(n int) string {
+				return fmt.Sprintf(`{"layer":"zzz","targetId":1,"metrics":[%s]}`, metrics(n))
+			}},
+		{name: "ring", limit: maxPolygonVertices, status: http.StatusBadRequest, code: "bad_request",
+			path: "/api/polygon",
+			body: func(n int) string {
+				ring := strings.TrimSuffix(strings.Repeat("[1,2],", n), ",")
+				return fmt.Sprintf(`{"dataset":"taxi","ring":[%s]}`, ring)
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			over := doRaw(t, s, bg, http.MethodPost, tc.path, tc.body(tc.limit+1), nil)
+			var env struct {
+				Error errorBody `json:"error"`
+			}
+			if err := json.Unmarshal(over.Body.Bytes(), &env); err != nil {
+				t.Fatalf("body is not the error envelope: %.200s", over.Body)
+			}
+			if over.Code != tc.status || env.Error.Status != tc.status || env.Error.Code != tc.code ||
+				!strings.Contains(env.Error.Message, strconv.Itoa(tc.limit)) {
+				t.Errorf("one past the limit: status %d, envelope %+v; want %d %q naming the limit %d",
+					over.Code, env.Error, tc.status, tc.code, tc.limit)
+			}
+			at := doRaw(t, s, bg, http.MethodPost, tc.path, tc.body(tc.limit), nil)
+			if at.Code == tc.status && strings.Contains(at.Body.String(), "limit") {
+				t.Errorf("exactly at the limit was refused for its size: %d %.200s", at.Code, at.Body)
+			}
+		})
 	}
 }

@@ -14,12 +14,9 @@ import (
 // from week 1 to week 4?", the temporal comparison the demo's time slider
 // invites.
 type DeltaRequest struct {
-	Dataset string
-	Layer   string
-	Agg     core.Agg
-	Attr    string
-	Filters []core.Filter
-	// A is the baseline window, B the comparison window.
+	Selection
+	// A is the baseline window, B the comparison window; they replace the
+	// selection's Time.
 	A, B core.TimeFilter
 }
 
@@ -29,9 +26,9 @@ type DeltaView struct {
 	Layer  string        `json:"layer"`
 	Values []RegionValue `json:"values"`
 	// MaxAbs is the largest |delta|; color scales span [-MaxAbs, +MaxAbs].
-	MaxAbs    float64       `json:"maxAbs"`
-	Algorithm string        `json:"algorithm"`
-	Elapsed   time.Duration `json:"elapsedNs"`
+	MaxAbs    float64 `json:"maxAbs"`
+	Algorithm string  `json:"algorithm"`
+	Timing
 }
 
 // DeltaContext evaluates both windows (through the planner, so cubes serve
@@ -41,43 +38,31 @@ func (f *Framework) DeltaContext(ctx context.Context, req DeltaRequest) (*DeltaV
 	if req.A == req.B {
 		return nil, fmt.Errorf("urbane: delta windows are identical")
 	}
-	ps, ok := f.PointSet(req.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown point set %q", req.Dataset)
-	}
-	rs, ok := f.RegionSet(req.Layer)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown region set %q", req.Layer)
-	}
-	base := core.Request{
-		Points: ps, Regions: rs,
-		Agg: req.Agg, Attr: req.Attr, Filters: req.Filters,
-	}
-	start := time.Now()
-	reqA := base
-	a := req.A
-	reqA.Time = &a
-	if err := reqA.Validate(); err != nil {
+	sel := req.Selection
+	sel.Time = &req.A
+	reqA, err := f.resolve(sel, nil)
+	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	resA, err := f.ExecuteContext(ctx, reqA)
 	if err != nil {
 		return nil, err
 	}
-	reqB := base
-	b := req.B
-	reqB.Time = &b
+	reqB := reqA
+	reqB.Time = &req.B
 	resB, err := f.ExecuteContext(ctx, reqB)
 	if err != nil {
 		return nil, err
 	}
+	rs := reqA.Regions
 
 	view := &DeltaView{
 		Layer:     req.Layer,
 		Values:    make([]RegionValue, rs.Len()),
 		Algorithm: resA.Algorithm,
-		Elapsed:   time.Since(start),
 	}
+	view.Elapsed = time.Since(start)
 	for k, reg := range rs.Regions {
 		d := resB.Value(k, req.Agg) - resA.Value(k, req.Agg)
 		view.Values[k] = RegionValue{ID: reg.ID, Name: reg.Name, Value: d}

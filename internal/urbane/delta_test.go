@@ -12,9 +12,9 @@ import (
 func TestDeltaView(t *testing.T) {
 	f, _, nbhd := buildTestFramework(t)
 	req := DeltaRequest{
-		Dataset: "taxi", Layer: "nbhd", Agg: core.Count,
-		A: core.TimeFilter{Start: 0, End: 4 * 3600},
-		B: core.TimeFilter{Start: 4 * 3600, End: 8 * 3600},
+		Selection: Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count},
+		A:         core.TimeFilter{Start: 0, End: 4 * 3600},
+		B:         core.TimeFilter{Start: 4 * 3600, End: 8 * 3600},
 	}
 	view, err := f.DeltaContext(context.Background(), req)
 	if err != nil {
@@ -24,9 +24,9 @@ func TestDeltaView(t *testing.T) {
 		t.Fatalf("values = %d", len(view.Values))
 	}
 	// Deltas must equal the two map views' difference.
-	a, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	a, _ := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Count, Time: &core.TimeFilter{Start: 0, End: 4 * 3600}})
-	b, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	b, _ := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Count, Time: &core.TimeFilter{Start: 4 * 3600, End: 8 * 3600}})
 	for k := range view.Values {
 		want := b.Values[k].Value - a.Values[k].Value
@@ -38,16 +38,13 @@ func TestDeltaView(t *testing.T) {
 		}
 	}
 	// Errors.
-	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "nbhd",
-		A: req.A, B: req.A}); err == nil {
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Selection: Selection{Dataset: "taxi", Layer: "nbhd"}, A: req.A, B: req.A}); err == nil {
 		t.Error("identical windows should fail")
 	}
-	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "nope", Layer: "nbhd",
-		A: req.A, B: req.B}); err == nil {
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Selection: Selection{Dataset: "nope", Layer: "nbhd"}, A: req.A, B: req.B}); err == nil {
 		t.Error("unknown data set should fail")
 	}
-	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "nope",
-		A: req.A, B: req.B}); err == nil {
+	if _, err := f.DeltaContext(context.Background(), DeltaRequest{Selection: Selection{Dataset: "taxi", Layer: "nope"}, A: req.A, B: req.B}); err == nil {
 		t.Error("unknown layer should fail")
 	}
 	bad := req

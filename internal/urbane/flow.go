@@ -2,7 +2,6 @@ package urbane
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -13,10 +12,9 @@ import (
 // of a trip data set over a region layer, under the usual ad-hoc filters.
 // The data set must carry destination columns (data.DropoffXAttr/YAttr).
 type FlowViewRequest struct {
-	Dataset string
-	Layer   string
-	Filters []core.Filter
-	Time    *core.TimeFilter
+	// Selection names the trips and the layer; flows are always counted, so
+	// its Agg and Attr are not read.
+	Selection
 	// Top caps the returned edges (0 = 20).
 	Top int
 }
@@ -32,30 +30,22 @@ type FlowEdge struct {
 
 // FlowView is the flow view payload: the strongest flows plus totals.
 type FlowView struct {
-	Edges   []FlowEdge    `json:"edges"`
-	Total   int64         `json:"total"`
-	Dropped int64         `json:"dropped"`
-	Elapsed time.Duration `json:"elapsedNs"`
+	Edges   []FlowEdge `json:"edges"`
+	Total   int64      `json:"total"`
+	Dropped int64      `json:"dropped"`
+	Timing
 }
 
 // FlowViewContext computes the OD matrix with the raster flow join and
 // returns the top edges.
 func (f *Framework) FlowViewContext(ctx context.Context, req FlowViewRequest) (*FlowView, error) {
-	ps, ok := f.PointSet(req.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown point set %q", req.Dataset)
-	}
-	rs, ok := f.RegionSet(req.Layer)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown region set %q", req.Layer)
-	}
-	creq := core.Request{
-		Points: ps, Regions: rs, Agg: core.Count,
-		Filters: req.Filters, Time: req.Time,
-	}
-	if err := creq.Validate(); err != nil {
+	sel := req.Selection
+	sel.Agg, sel.Attr = core.Count, ""
+	creq, err := f.resolve(sel, nil)
+	if err != nil {
 		return nil, err
 	}
+	rs := creq.Regions
 	top := req.Top
 	if top <= 0 {
 		top = 20
@@ -65,11 +55,8 @@ func (f *Framework) FlowViewContext(ctx context.Context, req FlowViewRequest) (*
 	if err != nil {
 		return nil, err
 	}
-	view := &FlowView{
-		Total:   res.Total(),
-		Dropped: res.Dropped,
-		Elapsed: time.Since(start),
-	}
+	view := &FlowView{Total: res.Total(), Dropped: res.Dropped}
+	view.Elapsed = time.Since(start)
 	for _, fl := range res.Top(top) {
 		view.Edges = append(view.Edges, FlowEdge{
 			FromID: rs.Regions[fl.From].ID,

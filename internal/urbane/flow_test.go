@@ -46,7 +46,7 @@ func addTrips(t *testing.T, f *Framework, n int, seed int64) *data.PointSet {
 func TestFlowView(t *testing.T) {
 	f, _, nbhd := buildTestFramework(t)
 	trips := addTrips(t, f, 5000, 55)
-	view, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "trips", Layer: "nbhd", Top: 5})
+	view, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "trips", Layer: "nbhd"}, Top: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +75,7 @@ func TestFlowView(t *testing.T) {
 		t.Errorf("total = %d of %d", view.Total, trips.Len())
 	}
 	// Filters shrink the flow.
-	filtered, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "trips", Layer: "nbhd",
-		Filters: []core.Filter{{Attr: "fare", Min: 0, Max: 10}}})
+	filtered, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "trips", Layer: "nbhd", Filters: []core.Filter{{Attr: "fare", Min: 0, Max: 10}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +87,14 @@ func TestFlowView(t *testing.T) {
 func TestFlowViewErrors(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
 	addTrips(t, f, 100, 56)
-	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "nope", Layer: "nbhd"}); err == nil {
+	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "nope", Layer: "nbhd"}}); err == nil {
 		t.Error("unknown data set should fail")
 	}
-	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "trips", Layer: "nope"}); err == nil {
+	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "trips", Layer: "nope"}}); err == nil {
 		t.Error("unknown layer should fail")
 	}
 	// taxi in the test framework has no destination columns.
-	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "taxi", Layer: "nbhd"}); err == nil {
+	if _, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "taxi", Layer: "nbhd"}}); err == nil {
 		t.Error("data set without destinations should fail")
 	}
 }

@@ -341,7 +341,7 @@ func (f *Framework) BuildCube(dataset, layer string, timeBin int64, attrs []stri
 // to an already-registered data set: ad-hoc queries against the set then
 // execute block-at-a-time through the source — zone-map pruned, decoded
 // under the store's byte budget — while the in-RAM set keeps serving the
-// engines that need random access (cubes, geoblocks, heatmaps). The source
+// engines that need random access (cubes, geoblocks). The source
 // must agree with the set on length and schema. Attaching is
 // non-invalidating: segment-backed execution is byte-identical to the
 // in-RAM scan, so cached responses stay valid.

@@ -138,7 +138,7 @@ func TestFrameworkCubeRouting(t *testing.T) {
 
 func TestMapView(t *testing.T) {
 	f, taxi, _ := buildTestFramework(t)
-	ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	ch, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +160,13 @@ func TestMapView(t *testing.T) {
 		t.Error("metadata missing")
 	}
 	// Errors.
-	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "nope", Layer: "nbhd"}); err == nil {
+	if _, err := f.MapViewContext(context.Background(), Selection{Dataset: "nope", Layer: "nbhd"}); err == nil {
 		t.Error("unknown data set should fail")
 	}
-	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nope"}); err == nil {
+	if _, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nope"}); err == nil {
 		t.Error("unknown layer should fail")
 	}
-	if _, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd",
+	if _, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd",
 		Agg: core.Sum, Attr: "nope"}); err == nil {
 		t.Error("bad attribute should fail")
 	}
@@ -174,11 +174,11 @@ func TestMapView(t *testing.T) {
 
 func TestMapViewFiltersChangeResult(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	all, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	all, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cheap, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count,
+	cheap, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count,
 		Filters: []core.Filter{{Attr: "fare", Min: 0, Max: 10}}})
 	if err != nil {
 		t.Fatal(err)
@@ -199,10 +199,9 @@ func TestMapViewFiltersChangeResult(t *testing.T) {
 func TestExplore(t *testing.T) {
 	f, _, nbhd := buildTestFramework(t)
 	req := ExplorationRequest{
-		Datasets: []string{"taxi", "311"},
-		Layer:    "nbhd",
-		Agg:      core.Count,
-		Start:    0, End: 8 * 3600, Bins: 8,
+		Selection: Selection{Layer: "nbhd", Agg: core.Count},
+		Datasets:  []string{"taxi", "311"},
+		Start:     0, End: 8 * 3600, Bins: 8,
 		RegionIDs: []int{nbhd.Regions[0].ID, nbhd.Regions[3].ID},
 	}
 	ex, err := f.ExploreContext(context.Background(), req)
@@ -221,7 +220,7 @@ func TestExplore(t *testing.T) {
 		}
 	}
 	// Bin totals for one region must equal the untimed count for it.
-	ch, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	ch, _ := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	var fromSeries float64
 	for _, s := range ex.Series {
 		if s.Dataset == "taxi" && s.RegionID == nbhd.Regions[0].ID {
@@ -234,16 +233,13 @@ func TestExplore(t *testing.T) {
 		t.Errorf("series total %v != map view value %v", fromSeries, ch.Values[0].Value)
 	}
 	// Errors.
-	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
-		Start: 0, End: 100, Bins: 0}); err == nil {
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Selection: Selection{Layer: "nbhd"}, Datasets: []string{"taxi"}, Start: 0, End: 100, Bins: 0}); err == nil {
 		t.Error("zero bins should fail")
 	}
-	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"taxi"}, Layer: "nbhd",
-		Start: 100, End: 100, Bins: 2}); err == nil {
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Selection: Selection{Layer: "nbhd"}, Datasets: []string{"taxi"}, Start: 100, End: 100, Bins: 2}); err == nil {
 		t.Error("empty range should fail")
 	}
-	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Datasets: []string{"nope"}, Layer: "nbhd",
-		Start: 0, End: 100, Bins: 2}); err == nil {
+	if _, err := f.ExploreContext(context.Background(), ExplorationRequest{Selection: Selection{Layer: "nbhd"}, Datasets: []string{"nope"}, Start: 0, End: 100, Bins: 2}); err == nil {
 		t.Error("unknown data set should fail")
 	}
 	req.RegionIDs = []int{99999}
@@ -272,8 +268,9 @@ func TestExploreFastPathMatchesFallback(t *testing.T) {
 		return f
 	}
 	req := ExplorationRequest{
-		Datasets: []string{"taxi"}, Layer: "nbhd", Agg: core.Count,
-		Start: 0, End: 8 * 3600, Bins: 6,
+		Selection: Selection{Layer: "nbhd", Agg: core.Count},
+		Datasets:  []string{"taxi"},
+		Start:     0, End: 8 * 3600, Bins: 6,
 		RegionIDs: []int{0, 1},
 	}
 	// Fast path: resolution mode, approximate.
@@ -317,7 +314,7 @@ func TestExploreFastPathMatchesFallback(t *testing.T) {
 // case); results must match the serial answers.
 func TestConcurrentViews(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	want, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+	want, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +323,7 @@ func TestConcurrentViews(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := 0; i < 5; i++ {
-				ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
+				ch, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: core.Count})
 				if err != nil {
 					errs <- err
 					return
@@ -351,9 +348,9 @@ func TestConcurrentViews(t *testing.T) {
 func TestRankSimilar(t *testing.T) {
 	f, _, nbhd := buildTestFramework(t)
 	metrics := []MetricSpec{
-		{Name: "activity", Dataset: "taxi", Agg: core.Count},
-		{Name: "avg-fare", Dataset: "taxi", Agg: core.Avg, Attr: "fare"},
-		{Name: "complaints", Dataset: "311", Agg: core.Count},
+		{Name: "activity", Selection: Selection{Dataset: "taxi", Agg: core.Count}},
+		{Name: "avg-fare", Selection: Selection{Dataset: "taxi", Agg: core.Avg, Attr: "fare"}},
+		{Name: "complaints", Selection: Selection{Dataset: "311", Agg: core.Count}},
 	}
 	target := nbhd.Regions[2].ID
 	scores, err := f.RankSimilarContext(context.Background(), "nbhd", target, metrics)
@@ -386,7 +383,7 @@ func TestRankSimilar(t *testing.T) {
 	if _, err := f.RankSimilarContext(context.Background(), "nbhd", 12345, metrics); err == nil {
 		t.Error("unknown target should fail")
 	}
-	bad := []MetricSpec{{Name: "x", Dataset: "nope", Agg: core.Count}}
+	bad := []MetricSpec{{Name: "x", Selection: Selection{Dataset: "nope", Agg: core.Count}}}
 	if _, err := f.RankSimilarContext(context.Background(), "nbhd", target, bad); err == nil {
 		t.Error("unknown metric data set should fail")
 	}

@@ -48,7 +48,7 @@ func FuzzAdmitEnvelope(f *testing.F) {
 	f.Add("HEAD", "/api/datasets", "", "")
 	f.Add("POST", "/api/explore", `{"datasets":["taxi"],"layer":"nbhd","agg":"count","regionIds":[0],"start":0,"end":3600,"bins":2}`, "")
 
-	allowed := map[int]bool{200: true, 304: true, 400: true, 404: true, 405: true,
+	allowed := map[int]bool{200: true, 304: true, 400: true, 404: true, 405: true, 413: true,
 		499: true, 503: true, 504: true}
 
 	f.Fuzz(func(t *testing.T, method, path, body, inm string) {

@@ -32,34 +32,27 @@ type Heatmap struct {
 	H      int       `json:"h"`
 	Bounds geom.BBox `json:"bounds"`
 	// Counts is the row-major W*H pixel grid (counts or attribute sums).
-	Counts  []float64     `json:"counts"`
-	Max     float64       `json:"max"`
-	Total   float64       `json:"total"`
-	Elapsed time.Duration `json:"elapsedNs"`
+	Counts []float64 `json:"counts"`
+	Max    float64   `json:"max"`
+	Total  float64   `json:"total"`
+	Timing
 }
 
-// HeatmapContext renders the density view through the GPU substrate's point
-// pass. The density render is a single point pass; cancellation is checked
-// before it starts and the canvas is always released.
+// HeatmapContext renders the density view: the raster joiner's point pass
+// with no polygons behind it (core.DensityContext), over the data set's
+// attached segment source when it has one. Cancellation is observed between
+// point batches and the canvas is always released.
 func (f *Framework) HeatmapContext(ctx context.Context, req HeatmapRequest) (*Heatmap, error) {
 	ps, ok := f.PointSet(req.Dataset)
 	if !ok {
 		return nil, fmt.Errorf("urbane: unknown point set %q", req.Dataset)
 	}
-	var weight []float64
+	creq := core.Request{Points: ps, Filters: req.Filters, Time: req.Time}
+	if src, ok := f.PointSource(req.Dataset); ok {
+		creq.Source = src
+	}
 	if req.Weight != "" {
-		weight = ps.Attr(req.Weight)
-		if weight == nil {
-			return nil, fmt.Errorf("urbane: weight attribute %q not in %q", req.Weight, req.Dataset)
-		}
-	}
-	for _, flt := range req.Filters {
-		if ps.Attr(flt.Attr) == nil {
-			return nil, fmt.Errorf("urbane: filter attribute %q not in %q", flt.Attr, req.Dataset)
-		}
-	}
-	if req.Time != nil && ps.T == nil {
-		return nil, fmt.Errorf("urbane: time filter on %q without timestamps", req.Dataset)
+		creq.Agg, creq.Attr = core.Sum, req.Weight
 	}
 	// A zero-value or degenerate crop means "use the data's extent": a
 	// legitimate crop always has area.
@@ -81,41 +74,17 @@ func (f *Framework) HeatmapContext(ctx context.Context, req HeatmapRequest) (*He
 			h = 1
 		}
 	}
-	dev := f.rasterJoiner().Device()
-	if w > dev.MaxTextureSize() || h > dev.MaxTextureSize() {
-		return nil, fmt.Errorf("urbane: heatmap %dx%d exceeds device texture size %d",
-			w, h, dev.MaxTextureSize())
+	rj := f.rasterJoiner()
+	if limit := rj.Device().MaxTextureSize(); w > limit || h > limit {
+		return nil, fmt.Errorf("urbane: heatmap %dx%d exceeds device texture size %d", w, h, limit)
 	}
 
 	start := time.Now()
-	lo, hi, pred, err := core.PointPredicate(core.Request{
-		Points: ps, Regions: nil, Filters: req.Filters, Time: req.Time,
-	})
+	counts, world, err := rj.DensityContext(ctx, creq, bounds, w, h)
 	if err != nil {
 		return nil, err
 	}
-	canvas, err := dev.NewCanvas(bounds, w, h)
-	if err != nil {
-		return nil, err
-	}
-	defer canvas.Release()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	hm := &Heatmap{W: w, H: h, Bounds: canvas.T.World, Counts: make([]float64, w*h)}
-	canvas.DrawPoints(hi-lo,
-		func(j int) (float64, float64) { i := lo + j; return ps.X[i], ps.Y[i] },
-		func(px, py, j int) {
-			i := lo + j
-			if pred != nil && !pred(i) {
-				return
-			}
-			v := 1.0
-			if weight != nil {
-				v = weight[i]
-			}
-			hm.Counts[py*w+px] += v
-		})
+	hm := &Heatmap{W: w, H: h, Bounds: world, Counts: counts}
 	hm.Total = fsum.Pairwise(hm.Counts)
 	for _, v := range hm.Counts {
 		if v > hm.Max {

@@ -1,14 +1,21 @@
 package urbane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/raster"
+	"repro/internal/segment"
+	"repro/internal/trace"
 )
 
 func TestHeatmapBasics(t *testing.T) {
@@ -146,5 +153,116 @@ func TestRegionsEndpoint(t *testing.T) {
 	// Wrong method.
 	if rec := doJSON(t, s, http.MethodPost, "/api/regions?layer=nbhd", nil); rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST status = %d", rec.Code)
+	}
+}
+
+// attachSegments materializes the named data set into an in-memory segment
+// with small blocks and a one-block cache budget, and attaches it.
+func attachSegments(t *testing.T, f *Framework, name string) {
+	t.Helper()
+	ps, _ := f.PointSet(name)
+	var buf bytes.Buffer
+	if err := segment.Write(&buf, ps, segment.WithBlockSize(256)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := segment.OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()), segment.WithCacheBytes(16<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if err := f.AttachSegments(name, st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeatmapMatchesSequentialFold pins the density grid to its definition
+// — every surviving point folded into its pixel in index order — bit for
+// bit, on each way the point pass can run: in RAM, batched and fanned out
+// over workers, and block-at-a-time from an attached segment source.
+func TestHeatmapMatchesSequentialFold(t *testing.T) {
+	reqs := []HeatmapRequest{
+		{Dataset: "taxi", W: 48},
+		{Dataset: "taxi", W: 32, H: 32, Weight: "fare",
+			Bounds:  geom.BBox{MinX: 100, MinY: 100, MaxX: 700, MaxY: 600},
+			Filters: []core.Filter{{Attr: "fare", Min: 3, Max: 31}},
+			Time:    &core.TimeFilter{Start: 3600, End: 6 * 3600}},
+	}
+	variants := map[string]func() *Framework{
+		"in-RAM": func() *Framework { f, _, _ := buildTestFramework(t); return f },
+		"workers": func() *Framework {
+			f, _, _ := buildTestFramework(t, core.WithPointWorkers(4), core.WithPointBatch(700))
+			return f
+		},
+		"segments": func() *Framework {
+			f, _, _ := buildTestFramework(t)
+			attachSegments(t, f, "taxi")
+			return f
+		},
+	}
+	for name, build := range variants {
+		f := build()
+		ps, _ := f.PointSet("taxi")
+		for i, req := range reqs {
+			hm, err := f.HeatmapContext(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, i, err)
+			}
+			want := make([]float64, hm.W*hm.H)
+			tr := raster.NewTransform(hm.Bounds, hm.W, hm.H)
+			for p := range ps.X {
+				if req.Time != nil && (ps.T[p] < req.Time.Start || ps.T[p] >= req.Time.End) {
+					continue
+				}
+				v := 1.0
+				if req.Weight != "" {
+					v = ps.Attr(req.Weight)[p]
+				}
+				if len(req.Filters) > 0 && !(v >= req.Filters[0].Min && v < req.Filters[0].Max) {
+					continue
+				}
+				if px, py, ok := tr.ToPixel(geom.Pt(ps.X[p], ps.Y[p])); ok {
+					want[py*hm.W+px] += v
+				}
+			}
+			for c := range want {
+				if math.Float64bits(hm.Counts[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("%s/%d: cell %d = %v, want %v", name, i, c, hm.Counts[c], want[c])
+				}
+			}
+		}
+	}
+}
+
+// TestHeatmapAbortMidPass: the density pass polls per batch like every
+// join, so a request that dies between batches answers 499/504 — on the
+// heatmap and on the tiles built from it — and leaves no canvas live.
+func TestHeatmapAbortMidPass(t *testing.T) {
+	for _, tc := range []struct {
+		rule   fault.Rule
+		status int
+	}{
+		{fault.Rule{Prob: 0.3, Kind: fault.Cancel}, trace.StatusClientClosedRequest},
+		{fault.Rule{Prob: 0.3, Kind: fault.Error, Err: context.DeadlineExceeded}, trace.StatusGatewayTimeout},
+	} {
+		for _, path := range []string{"/api/heatmap", "/api/tile/14/8192/8191.png?dataset=taxi"} {
+			f, _, _ := buildTestFramework(t, core.WithPointBatch(100))
+			faults := fault.New(7)
+			faults.Set("core.pointpass", tc.rule)
+			s := NewServer(f, WithFaults(faults))
+			method, body := http.MethodGet, any(nil)
+			if path == "/api/heatmap" {
+				method, body = http.MethodPost, map[string]any{"dataset": "taxi", "w": 32}
+			}
+			rec := doJSON(t, s, method, path, body)
+			if rec.Code != tc.status {
+				t.Fatalf("%s: status = %d, want %d: %s", path, rec.Code, tc.status, rec.Body)
+			}
+			if h := rec.Header().Get(traceHeader); !strings.Contains(h, "batches=") {
+				t.Errorf("%s: aborted before the first batch, not mid-pass: %q", path, h)
+			}
+			if live := f.rasterJoiner().Device().LiveCanvases(); live != 0 {
+				t.Errorf("%s: %d canvases live after a %d", path, live, tc.status)
+			}
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 2. Map view totals equal the SQL result.
 	jan := workload.Jan2009()
-	ch, err := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
+	ch, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: jan})
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 3. Exploration series for every region sum back to the map view.
 	ex, err := f.ExploreContext(context.Background(), ExplorationRequest{
-		Datasets: []string{"taxi"}, Layer: "neighborhoods", Agg: core.Count,
-		Start: jan.Start, End: jan.End, Bins: 4,
+		Selection: Selection{Layer: "neighborhoods", Agg: core.Count},
+		Datasets:  []string{"taxi"}, Start: jan.Start, End: jan.End, Bins: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,14 +97,14 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 4. Delta over two halves of the month reconciles with the full month.
 	mid := (jan.Start + jan.End) / 2
-	delta, err := f.DeltaContext(context.Background(), DeltaRequest{Dataset: "taxi", Layer: "neighborhoods",
-		Agg: core.Count,
-		A:   core.TimeFilter{Start: jan.Start, End: mid},
-		B:   core.TimeFilter{Start: mid, End: jan.End}})
+	delta, err := f.DeltaContext(context.Background(), DeltaRequest{
+		Selection: Selection{Dataset: "taxi", Layer: "neighborhoods", Agg: core.Count},
+		A:         core.TimeFilter{Start: jan.Start, End: mid},
+		B:         core.TimeFilter{Start: mid, End: jan.End}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, _ := f.MapViewContext(context.Background(), MapViewRequest{Dataset: "taxi", Layer: "neighborhoods",
+	h1, _ := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "neighborhoods",
 		Agg: core.Count, Time: &core.TimeFilter{Start: jan.Start, End: mid}})
 	for k := range delta.Values {
 		if got, want := delta.Values[k].Value, ch.Values[k].Value-2*h1.Values[k].Value; got != want {
@@ -114,7 +114,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 
 	// 5. Flow view resolves most trips and its total never exceeds the
 	// filtered point count.
-	fl, err := f.FlowViewContext(context.Background(), FlowViewRequest{Dataset: "taxi", Layer: "neighborhoods", Top: 5})
+	fl, err := f.FlowViewContext(context.Background(), FlowViewRequest{Selection: Selection{Dataset: "taxi", Layer: "neighborhoods"}, Top: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +138,9 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	// 7. Ranking runs over both data sets and excludes the target.
 	target := scene.Neighborhoods.Regions[0].ID
 	scores, err := f.RankSimilarContext(context.Background(), "neighborhoods", target, []MetricSpec{
-		{Name: "activity", Dataset: "taxi", Agg: core.Count},
-		{Name: "complaints", Dataset: "311", Agg: core.Count},
-		{Name: "avg fare", Dataset: "taxi", Agg: core.Avg, Attr: "fare"},
+		{Name: "activity", Selection: Selection{Dataset: "taxi", Agg: core.Count}},
+		{Name: "complaints", Selection: Selection{Dataset: "311", Agg: core.Count}},
+		{Name: "avg fare", Selection: Selection{Dataset: "taxi", Agg: core.Avg, Attr: "fare"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDemoSessionEndToEnd(t *testing.T) {
 	}
 
 	// 8. The rendered choropleth decodes as a PNG of the right size.
-	pngBytes, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{Dataset: "taxi",
+	pngBytes, err := f.RenderChoroplethContext(context.Background(), Selection{Dataset: "taxi",
 		Layer: "neighborhoods", Agg: core.Count}, 320)
 	if err != nil {
 		t.Fatal(err)

@@ -8,27 +8,18 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
 	"repro/internal/qcache"
 )
-
-// maxPolygonVertices bounds user-drawn rings; beyond this the request is a
-// 400, not a denial-of-service on the classifier.
-const maxPolygonVertices = 10_000
 
 // polygonWire is the POST /api/polygon request body: aggregate a data set
 // over one user-drawn polygon (a ring of [x, y] Web-Mercator meters; the
 // closing edge is implicit). Filters and a time window are accepted — they
 // route the query down the exact raster path instead of the hierarchy.
 type polygonWire struct {
-	Dataset string       `json:"dataset"`
-	Ring    [][2]float64 `json:"ring"`
-	Agg     string       `json:"agg"`
-	Attr    string       `json:"attr"`
-	Filters []wireFilter `json:"filters"`
-	Time    *wireTime    `json:"time"`
+	selectionWire
+	Ring [][2]float64 `json:"ring"`
 }
 
 // polygonResponse is the /api/polygon payload: the aggregate over the one
@@ -67,38 +58,17 @@ func parseRing(ws [][2]float64) (geom.Ring, error) {
 	return ring, nil
 }
 
-// polygonKey canonicalizes the request into a cache key. Ring coordinates
-// are rendered as exact hex floats so distinct geometry never collides; the
-// data set travels as an Epoch pair like every other key (see cache.go).
-func polygonKey(req polygonWire, ring geom.Ring, agg core.Agg, filters []core.Filter, t *core.TimeFilter, epoch uint64) string {
-	var sb strings.Builder
-	for _, p := range ring {
-		sb.WriteString(strconv.FormatFloat(p.X, 'x', -1, 64))
-		sb.WriteByte(',')
-		sb.WriteString(strconv.FormatFloat(p.Y, 'x', -1, 64))
-		sb.WriteByte(';')
-	}
-	return qcache.NewSig("polygon").
-		Epoch(req.Dataset, epoch).
-		Str("agg", agg.String()).Str("attr", req.Attr).
-		Str("ring", sb.String()).
-		Filters("f", filters).TimeRange("t", t).Key()
-}
-
 // handlePolygon serves POST /api/polygon: an arbitrary user-drawn polygon
 // aggregated over one data set. With geoblocks enabled the framework
 // answers from the hierarchy (interior cells + fringe refinement);
 // otherwise — and for filtered or time-windowed requests — the accurate
-// raster join runs in full. Responses are cached under the canonical
-// geometry key like every other query endpoint.
+// raster join runs in full. Responses are cached under the selection plus
+// the canonical geometry: ring coordinates are rendered as exact hex floats
+// so distinct geometry never collides.
 func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 	var wreq polygonWire
-	if !decodePost(w, r, &wreq) {
-		return
-	}
-	agg, err := parseAgg(wreq.Agg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	sel, ok := s.decodeView(w, r, &wreq, &wreq.selectionWire)
+	if !ok {
 		return
 	}
 	ring, err := parseRing(wreq.Ring)
@@ -111,35 +81,23 @@ func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, ok := s.f.PointSet(wreq.Dataset); !ok {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown data set %q", wreq.Dataset))
-		return
+	var sb strings.Builder
+	for _, p := range ring {
+		sb.WriteString(strconv.FormatFloat(p.X, 'x', -1, 64))
+		sb.WriteByte(',')
+		sb.WriteString(strconv.FormatFloat(p.Y, 'x', -1, 64))
+		sb.WriteByte(';')
 	}
-	filters := qcache.CanonFilters(toFilters(wreq.Filters))
-	var tf *core.TimeFilter
-	if wreq.Time != nil {
-		tf = s.snapTime(&core.TimeFilter{Start: wreq.Time.Start, End: wreq.Time.End})
-	}
-	key := polygonKey(wreq, ring, agg, filters, tf, s.f.Epoch(wreq.Dataset))
+	key := s.selectionSig(qcache.NewSig("polygon"), sel).Str("ring", sb.String()).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
-		ps, ok := s.f.PointSet(wreq.Dataset)
-		if !ok {
-			return nil, &statusError{status: http.StatusBadRequest,
-				err: fmt.Errorf("unknown data set %q", wreq.Dataset)}
-		}
 		// The ad-hoc region set lives for this compute only; its stamp
 		// keys nothing persistent (the span cache never sees it warm
 		// twice, the hierarchy is keyed by the point set).
-		rs := &data.RegionSet{Name: "polygon", Regions: []data.Region{
+		req, err := s.f.resolve(sel, &data.RegionSet{Name: "polygon", Regions: []data.Region{
 			{ID: 0, Name: "polygon", Poly: poly},
-		}}
-		req := core.Request{
-			Points: ps, Regions: rs,
-			Agg: agg, Attr: wreq.Attr, Filters: filters, Time: tf,
-		}
-		if err := req.Validate(); err != nil {
-			return nil, &statusError{status: http.StatusBadRequest, err: err}
+		}})
+		if err != nil {
+			return nil, err
 		}
 		res, err := s.f.ExecuteContext(ctx, req)
 		if err != nil {
@@ -147,9 +105,9 @@ func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 		}
 		return marshalBody(polygonResponse{
 			Algorithm: res.Algorithm,
-			Agg:       agg.String(),
+			Agg:       sel.Agg.String(),
 			Count:     res.Stats[0].Count,
-			Value:     res.Value(0, agg),
+			Value:     res.Value(0, sel.Agg),
 		})
 	})
 }

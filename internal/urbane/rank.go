@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/fsum"
 )
 
@@ -15,12 +16,10 @@ import (
 // The paper's architect scenario compares a candidate neighborhood against
 // the rest of the city along several such metrics.
 type MetricSpec struct {
-	Name    string `json:"name"`
-	Dataset string `json:"dataset"`
-	Agg     core.Agg
-	Attr    string
-	Filters []core.Filter
-	Time    *core.TimeFilter
+	Name string
+	// Selection is the metric's aggregation; every metric is evaluated over
+	// the ranking's layer, so its Layer is not read.
+	Selection
 }
 
 // RegionScore is one region's similarity result: its distance to the target
@@ -41,9 +40,9 @@ func (f *Framework) RankSimilarContext(ctx context.Context, layer string, target
 	if len(metrics) == 0 {
 		return nil, fmt.Errorf("urbane: ranking needs at least one metric")
 	}
-	rs, ok := f.RegionSet(layer)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown region set %q", layer)
+	rs, err := f.layer(layer)
+	if err != nil {
+		return nil, err
 	}
 	targetIdx := -1
 	for i, r := range rs.Regions {
@@ -65,18 +64,11 @@ func (f *Framework) RankSimilarContext(ctx context.Context, layer string, target
 	// Group metrics by data set so each group shares one multi-aggregate
 	// render (one point pass, one polygon pass for all of a data set's
 	// metrics). Cube-servable metrics take the cube instead.
+	points := make(map[string]*data.PointSet) // the snapshot each group renders
 	groups := make(map[string][]int)
 	for m, spec := range metrics {
-		ps, ok := f.PointSet(spec.Dataset)
-		if !ok {
-			return nil, fmt.Errorf("urbane: metric %q: unknown point set %q", spec.Name, spec.Dataset)
-		}
-		creq := core.Request{
-			Points: ps, Regions: rs,
-			Agg: spec.Agg, Attr: spec.Attr,
-			Filters: spec.Filters, Time: spec.Time,
-		}
-		if err := creq.Validate(); err != nil {
+		creq, err := f.resolve(spec.Selection, rs)
+		if err != nil {
 			return nil, fmt.Errorf("urbane: metric %q: %w", spec.Name, err)
 		}
 		if f.cubeServable(creq) {
@@ -90,9 +82,9 @@ func (f *Framework) RankSimilarContext(ctx context.Context, layer string, target
 			continue
 		}
 		groups[spec.Dataset] = append(groups[spec.Dataset], m)
+		points[spec.Dataset] = creq.Points
 	}
 	for dataset, idxs := range groups {
-		ps, _ := f.PointSet(dataset)
 		specs := make([]core.AggSpec, len(idxs))
 		for j, m := range idxs {
 			specs[j] = core.AggSpec{
@@ -103,7 +95,7 @@ func (f *Framework) RankSimilarContext(ctx context.Context, layer string, target
 			}
 		}
 		results, err := f.rasterJoiner().MultiJoinContext(ctx,
-			core.Request{Points: ps, Regions: rs}, specs)
+			core.Request{Points: points[dataset], Regions: rs}, specs)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

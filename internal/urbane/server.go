@@ -1,6 +1,7 @@
 package urbane
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,10 +27,10 @@ import (
 )
 
 // Server exposes the framework over the JSON API the demo frontend speaks.
-// The heavy read endpoints (/api/query, /api/mapview, /api/heatmap,
-// /api/delta, /api/tile/, /api/render/choropleth.png) are served through a
-// sharded query-result cache with request coalescing; see cache.go and
-// internal/qcache.
+// Every endpoint that runs a join — see computeRoutes — takes one path: the
+// request's selection is parsed and keyed, and serveCached runs it through
+// the sharded query-result cache (request coalescing, admission control,
+// one error-to-status mapping); see cache.go and internal/qcache.
 type Server struct {
 	f       *Framework
 	mux     *http.ServeMux
@@ -58,23 +59,36 @@ func NewServer(f *Framework, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
+	for pattern, h := range s.computeRoutes() {
+		s.mux.HandleFunc(pattern, h)
+	}
+	// The catalog, observability and ingest endpoints are cheap: uncached
+	// and outside admission control.
 	s.mux.HandleFunc("/api/datasets", s.handleDatasets)
 	s.mux.HandleFunc("/api/cachestats", s.handleCacheStats)
 	s.mux.HandleFunc("/api/stats", s.handleStats)
-	s.mux.HandleFunc("/api/query", s.handleQuery)
 	s.mux.HandleFunc("/api/append", s.handleAppend)
-	s.mux.HandleFunc("/api/mapview", s.handleMapView)
-	s.mux.HandleFunc("/api/explore", s.handleExplore)
-	s.mux.HandleFunc("/api/rank", s.handleRank)
-	s.mux.HandleFunc("/api/heatmap", s.handleHeatmap)
 	s.mux.HandleFunc("/api/regions", s.handleRegions)
-	s.mux.HandleFunc("/api/flows", s.handleFlows)
-	s.mux.HandleFunc("/api/delta", s.handleDelta)
-	s.mux.HandleFunc("/api/polygon", s.handlePolygon)
-	s.mux.HandleFunc("/api/render/choropleth.png", s.handleChoroplethPNG)
-	s.mux.HandleFunc("/api/tile/", s.handleTile)
 	s.mux.HandleFunc("/", s.handleIndex)
 	return s
+}
+
+// computeRoutes are the endpoints that run a join. Each reaches it only
+// through serveCached, so all of them are cached, coalesced, admitted and
+// map errors to statuses the same way.
+func (s *Server) computeRoutes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/api/query":                 s.handleQuery,
+		"/api/mapview":               s.handleMapView,
+		"/api/explore":               s.handleExplore,
+		"/api/rank":                  s.handleRank,
+		"/api/heatmap":               s.handleHeatmap,
+		"/api/flows":                 s.handleFlows,
+		"/api/delta":                 s.handleDelta,
+		"/api/polygon":               s.handlePolygon,
+		"/api/render/choropleth.png": s.handleChoroplethPNG,
+		"/api/tile/":                 s.handleTile,
+	}
 }
 
 // ServeHTTP implements http.Handler. Every request runs under the server
@@ -206,21 +220,6 @@ func (s *Server) admitted(weight int64, compute func(context.Context) ([]byte, e
 	}
 }
 
-// admitRequest performs admission for an uncached compute endpoint,
-// writing the shed (503) or context-error (499/504) response itself when
-// admission refuses. The release func must be called iff ok.
-func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
-	if s.admit == nil {
-		return func() {}, true
-	}
-	release, err := s.admit.Acquire(r.Context(), endpointWeight(endpointName(r.URL.Path)))
-	if err != nil {
-		s.writeComputeError(w, err)
-		return nil, false
-	}
-	return release, true
-}
-
 // errorCode names a status for machine consumption (clients branch on the
 // code, not the prose).
 func errorCode(status int) string {
@@ -231,6 +230,8 @@ func errorCode(status int) string {
 		return "not_found"
 	case http.StatusMethodNotAllowed:
 		return "method_not_allowed"
+	case http.StatusRequestEntityTooLarge:
+		return "payload_too_large"
 	case trace.StatusClientClosedRequest:
 		return "client_closed_request"
 	case trace.StatusGatewayTimeout:
@@ -241,19 +242,6 @@ func errorCode(status int) string {
 		return "internal"
 	default:
 		return "error"
-	}
-}
-
-// writeQueryError maps an execution error from an uncached endpoint to its
-// status: deadline exhaustion is 504, a vanished client 499, the rest 400.
-func writeQueryError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, trace.StatusGatewayTimeout, err)
-	case errors.Is(err, context.Canceled):
-		writeError(w, trace.StatusClientClosedRequest, err)
-	default:
-		writeError(w, http.StatusBadRequest, err)
 	}
 }
 
@@ -273,9 +261,7 @@ type queryRequest struct {
 	Stmt string `json:"stmt"`
 }
 
-// queryResponse is the /api/query payload. Timing travels in the
-// X-Urbane-Elapsed-Ms header, not the body, so cached responses stay
-// byte-identical to fresh ones.
+// queryResponse is the /api/query payload.
 type queryResponse struct {
 	Algorithm string        `json:"algorithm"`
 	Reason    string        `json:"reason"`
@@ -284,7 +270,7 @@ type queryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	if !decodePost(w, r, &req) {
+	if !s.decodePost(w, r, &req) {
 		return
 	}
 	// Canonicalize the statement before keying and executing: parse, sort
@@ -299,7 +285,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q.Filters = qcache.CanonFilters(q.Filters)
 	q.Time = s.snapTime(q.Time)
 	stmt := q.String()
-	s.serveCached(w, r, queryKey(stmt, q.Points, s.f.Epoch(q.Points)), "application/json", func(ctx context.Context) ([]byte, error) {
+	key := qcache.NewSig("query").Str("stmt", stmt).Epoch(q.Points, s.f.Epoch(q.Points)).Key()
+	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		exec, err := s.f.QueryContext(ctx, stmt)
 		if err != nil {
 			return nil, err
@@ -318,6 +305,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Request bounds: what one request may ask of the server. They are
+// constants, not flags — past any of them the request is a 400 (413 for the
+// body), not a denial of service on the decoder or the join kernels.
+const (
+	maxBodyBytes       = 8 << 20
+	maxPolygonVertices = 10_000
+	maxRegionIDs       = 10_000
+	maxDatasets        = 16
+	maxMetrics         = 32
+	maxBins            = 1024
+)
+
+// atMost is the request-bound check: a 400 error when n exceeds limit.
+func atMost(what string, n, limit int) error {
+	if n > limit {
+		return fmt.Errorf("request has %d %s, limit is %d", n, what, limit)
+	}
+	return nil
+}
+
 // Wire DTOs: aggregates travel as strings, time filters as {start,end}.
 type wireFilter struct {
 	Attr string  `json:"attr"`
@@ -328,6 +335,18 @@ type wireFilter struct {
 type wireTime struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
+}
+
+// selectionWire is the wire form of a Selection, embedded by every view's
+// request body. A view that replaces one of its fields (explore's datasets,
+// delta's a/b windows) ignores that field.
+type selectionWire struct {
+	Dataset string       `json:"dataset"`
+	Layer   string       `json:"layer"`
+	Agg     string       `json:"agg"`
+	Attr    string       `json:"attr"`
+	Filters []wireFilter `json:"filters"`
+	Time    *wireTime    `json:"time"`
 }
 
 func parseAgg(s string) (core.Agg, error) {
@@ -347,238 +366,212 @@ func parseAgg(s string) (core.Agg, error) {
 	}
 }
 
-func toFilters(ws []wireFilter) []core.Filter {
-	out := make([]core.Filter, len(ws))
-	for i, f := range ws {
-		out[i] = core.Filter{Attr: f.Attr, Min: f.Min, Max: f.Max}
+// parseSelection is the one step from wire to executable selection: the
+// aggregate is parsed, the conjunctive filter set put in canonical order and
+// the time window snapped (WithTimeSnap), so what is keyed is exactly what
+// is executed on every endpoint.
+func (s *Server) parseSelection(ws selectionWire) (Selection, error) {
+	agg, err := parseAgg(ws.Agg)
+	if err != nil {
+		return Selection{}, err
 	}
-	return out
+	filters := make([]core.Filter, len(ws.Filters))
+	for i, f := range ws.Filters {
+		filters[i] = core.Filter{Attr: f.Attr, Min: f.Min, Max: f.Max}
+	}
+	sel := Selection{
+		Dataset: ws.Dataset, Layer: ws.Layer, Agg: agg, Attr: ws.Attr,
+		Filters: qcache.CanonFilters(filters),
+	}
+	if ws.Time != nil {
+		sel.Time = s.snapWindow(*ws.Time)
+	}
+	return sel, nil
 }
 
-type mapViewWire struct {
-	Dataset string       `json:"dataset"`
-	Layer   string       `json:"layer"`
-	Agg     string       `json:"agg"`
-	Attr    string       `json:"attr"`
-	Filters []wireFilter `json:"filters"`
-	Time    *wireTime    `json:"time"`
+// snapWindow converts a wire window and applies the server's time-snap
+// granularity.
+func (s *Server) snapWindow(t wireTime) *core.TimeFilter {
+	return s.snapTime(&core.TimeFilter{Start: t.Start, End: t.End})
+}
+
+// decodeView decodes a view's POST body into dst and parses the selection
+// embedded in it (ws points into dst), answering 4xx itself on failure.
+func (s *Server) decodeView(w http.ResponseWriter, r *http.Request, dst any, ws *selectionWire) (Selection, bool) {
+	if !s.decodePost(w, r, dst) {
+		return Selection{}, false
+	}
+	sel, err := s.parseSelection(*ws)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return Selection{}, false
+	}
+	return sel, true
+}
+
+// viewBody renders a freshly computed view as a response body. This is the
+// one place a body's elapsedNs is zeroed: timing travels in the
+// X-Urbane-Elapsed-Ms header so the same canonical request always serves
+// the same bytes, hit or miss, cache on or off.
+func viewBody(v interface{ timing() *Timing }, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	v.timing().Elapsed = 0
+	return marshalBody(v)
 }
 
 func (s *Server) handleMapView(w http.ResponseWriter, r *http.Request) {
-	var wreq mapViewWire
-	if !decodePost(w, r, &wreq) {
+	var wreq selectionWire
+	sel, ok := s.decodeView(w, r, &wreq, &wreq)
+	if !ok {
 		return
 	}
-	agg, err := parseAgg(wreq.Agg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req := MapViewRequest{
-		Dataset: wreq.Dataset, Layer: wreq.Layer,
-		Agg: agg, Attr: wreq.Attr, Filters: toFilters(wreq.Filters),
-	}
-	if wreq.Time != nil {
-		req.Time = s.snapTime(&core.TimeFilter{Start: wreq.Time.Start, End: wreq.Time.End})
-	}
-	s.serveCached(w, r, mapViewKey(req, s.f.Epoch(req.Dataset)), "application/json", func(ctx context.Context) ([]byte, error) {
-		ch, err := s.f.MapViewContext(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		body := *ch
-		body.Elapsed = 0 // timing goes in the header; bodies are deterministic
-		return marshalBody(&body)
+	key := s.selectionSig(qcache.NewSig("mapview"), sel).Key()
+	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+		return viewBody(s.f.MapViewContext(ctx, sel))
 	})
 }
 
 type exploreWire struct {
-	Datasets  []string     `json:"datasets"`
-	Layer     string       `json:"layer"`
-	Agg       string       `json:"agg"`
-	Attr      string       `json:"attr"`
-	RegionIDs []int        `json:"regionIds"`
-	Start     int64        `json:"start"`
-	End       int64        `json:"end"`
-	Bins      int          `json:"bins"`
-	Filters   []wireFilter `json:"filters"`
+	selectionWire
+	Datasets  []string `json:"datasets"`
+	RegionIDs []int    `json:"regionIds"`
+	Start     int64    `json:"start"`
+	End       int64    `json:"end"`
+	Bins      int      `json:"bins"`
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	var wreq exploreWire
-	if !decodePost(w, r, &wreq) {
-		return
-	}
-	agg, err := parseAgg(wreq.Agg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	release, ok := s.admitRequest(w, r)
+	sel, ok := s.decodeView(w, r, &wreq, &wreq.selectionWire)
 	if !ok {
 		return
 	}
-	defer release()
-	ex, err := s.f.ExploreContext(r.Context(), ExplorationRequest{
-		Datasets: wreq.Datasets, Layer: wreq.Layer,
-		Agg: agg, Attr: wreq.Attr,
-		RegionIDs: wreq.RegionIDs,
-		Start:     wreq.Start, End: wreq.End, Bins: wreq.Bins,
-		Filters: toFilters(wreq.Filters),
-	})
-	if err != nil {
-		writeQueryError(w, err)
+	if err := cmp.Or(
+		atMost("datasets", len(wreq.Datasets), maxDatasets),
+		atMost("regionIds", len(wreq.RegionIDs), maxRegionIDs),
+		atMost("bins", wreq.Bins, maxBins),
+	); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ex)
+	req := ExplorationRequest{
+		Selection: sel, Datasets: wreq.Datasets, RegionIDs: wreq.RegionIDs,
+		Start: wreq.Start, End: wreq.End, Bins: wreq.Bins,
+	}
+	// The key carries the epoch of each data set the series read, so an
+	// append to any of them reclaims the entry.
+	sig := s.selectionSig(qcache.NewSig("explore"), sel).Int("ds.n", int64(len(req.Datasets)))
+	for _, name := range req.Datasets {
+		sig.Epoch(name, s.f.Epoch(name))
+	}
+	sig.Ints("regions", req.RegionIDs).
+		Int("start", req.Start).Int("end", req.End).Int("bins", int64(req.Bins))
+	s.serveCached(w, r, sig.Key(), "application/json", func(ctx context.Context) ([]byte, error) {
+		return viewBody(s.f.ExploreContext(ctx, req))
+	})
 }
 
 type rankWire struct {
 	Layer    string `json:"layer"`
 	TargetID int    `json:"targetId"`
 	Metrics  []struct {
-		Name    string       `json:"name"`
-		Dataset string       `json:"dataset"`
-		Agg     string       `json:"agg"`
-		Attr    string       `json:"attr"`
-		Filters []wireFilter `json:"filters"`
-		Time    *wireTime    `json:"time"`
+		Name string `json:"name"`
+		selectionWire
 	} `json:"metrics"`
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var wreq rankWire
-	if !decodePost(w, r, &wreq) {
+	if !s.decodePost(w, r, &wreq) {
+		return
+	}
+	if err := atMost("metrics", len(wreq.Metrics), maxMetrics); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	metrics := make([]MetricSpec, len(wreq.Metrics))
+	sig := qcache.NewSig("rank").Str("layer", wreq.Layer).
+		Int("target", int64(wreq.TargetID)).Int("m.n", int64(len(metrics)))
 	for i, m := range wreq.Metrics {
-		agg, err := parseAgg(m.Agg)
+		sel, err := s.parseSelection(m.selectionWire)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		metrics[i] = MetricSpec{
-			Name: m.Name, Dataset: m.Dataset,
-			Agg: agg, Attr: m.Attr, Filters: toFilters(m.Filters),
+		metrics[i] = MetricSpec{Name: m.Name, Selection: sel}
+		s.selectionSig(sig.Str("name", m.Name), sel)
+	}
+	s.serveCached(w, r, sig.Key(), "application/json", func(ctx context.Context) ([]byte, error) {
+		scores, err := s.f.RankSimilarContext(ctx, wreq.Layer, wreq.TargetID, metrics)
+		if err != nil {
+			return nil, err
 		}
-		if m.Time != nil {
-			metrics[i].Time = &core.TimeFilter{Start: m.Time.Start, End: m.Time.End}
-		}
-	}
-	release, ok := s.admitRequest(w, r)
-	if !ok {
-		return
-	}
-	defer release()
-	scores, err := s.f.RankSimilarContext(r.Context(), wreq.Layer, wreq.TargetID, metrics)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, scores)
+		return marshalBody(scores)
+	})
 }
 
 type deltaWire struct {
-	Dataset string       `json:"dataset"`
-	Layer   string       `json:"layer"`
-	Agg     string       `json:"agg"`
-	Attr    string       `json:"attr"`
-	Filters []wireFilter `json:"filters"`
-	A       wireTime     `json:"a"`
-	B       wireTime     `json:"b"`
+	selectionWire
+	A wireTime `json:"a"`
+	B wireTime `json:"b"`
 }
 
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	var wreq deltaWire
-	if !decodePost(w, r, &wreq) {
+	sel, ok := s.decodeView(w, r, &wreq, &wreq.selectionWire)
+	if !ok {
 		return
 	}
-	agg, err := parseAgg(wreq.Agg)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	req := DeltaRequest{
-		Dataset: wreq.Dataset, Layer: wreq.Layer,
-		Agg: agg, Attr: wreq.Attr, Filters: toFilters(wreq.Filters),
-		A: *s.snapTime(&core.TimeFilter{Start: wreq.A.Start, End: wreq.A.End}),
-		B: *s.snapTime(&core.TimeFilter{Start: wreq.B.Start, End: wreq.B.End}),
-	}
-	s.serveCached(w, r, deltaKey(req, s.f.Epoch(req.Dataset)), "application/json", func(ctx context.Context) ([]byte, error) {
-		view, err := s.f.DeltaContext(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		body := *view
-		body.Elapsed = 0
-		return marshalBody(&body)
+	req := DeltaRequest{Selection: sel, A: *s.snapWindow(wreq.A), B: *s.snapWindow(wreq.B)}
+	key := s.selectionSig(qcache.NewSig("delta"), sel).
+		TimeRange("a", &req.A).TimeRange("b", &req.B).Key()
+	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+		return viewBody(s.f.DeltaContext(ctx, req))
 	})
 }
 
 type heatmapWire struct {
-	Dataset string       `json:"dataset"`
-	W       int          `json:"w"`
-	H       int          `json:"h"`
-	Weight  string       `json:"weight"`
-	Filters []wireFilter `json:"filters"`
-	Time    *wireTime    `json:"time"`
+	selectionWire
+	W      int    `json:"w"`
+	H      int    `json:"h"`
+	Weight string `json:"weight"`
 }
 
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	var wreq heatmapWire
-	if !decodePost(w, r, &wreq) {
+	sel, ok := s.decodeView(w, r, &wreq, &wreq.selectionWire)
+	if !ok {
 		return
 	}
 	req := HeatmapRequest{
-		Dataset: wreq.Dataset, W: wreq.W, H: wreq.H,
-		Weight: wreq.Weight, Filters: toFilters(wreq.Filters),
+		Dataset: sel.Dataset, W: wreq.W, H: wreq.H,
+		Weight: wreq.Weight, Filters: sel.Filters, Time: sel.Time,
 	}
-	if wreq.Time != nil {
-		req.Time = s.snapTime(&core.TimeFilter{Start: wreq.Time.Start, End: wreq.Time.End})
-	}
-	s.serveCached(w, r, heatmapKey(req, s.f.Epoch(req.Dataset)), "application/json", func(ctx context.Context) ([]byte, error) {
-		hm, err := s.f.HeatmapContext(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		body := *hm
-		body.Elapsed = 0
-		return marshalBody(&body)
+	key := s.selectionSig(qcache.NewSig("heatmap"), sel).
+		Int("w", int64(req.W)).Int("h", int64(req.H)).Str("weight", req.Weight).Key()
+	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+		return viewBody(s.f.HeatmapContext(ctx, req))
 	})
 }
 
 type flowWire struct {
-	Dataset string       `json:"dataset"`
-	Layer   string       `json:"layer"`
-	Filters []wireFilter `json:"filters"`
-	Time    *wireTime    `json:"time"`
-	Top     int          `json:"top"`
+	selectionWire
+	Top int `json:"top"`
 }
 
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	var wreq flowWire
-	if !decodePost(w, r, &wreq) {
-		return
-	}
-	req := FlowViewRequest{
-		Dataset: wreq.Dataset, Layer: wreq.Layer,
-		Filters: toFilters(wreq.Filters), Top: wreq.Top,
-	}
-	if wreq.Time != nil {
-		req.Time = &core.TimeFilter{Start: wreq.Time.Start, End: wreq.Time.End}
-	}
-	release, ok := s.admitRequest(w, r)
+	sel, ok := s.decodeView(w, r, &wreq, &wreq.selectionWire)
 	if !ok {
 		return
 	}
-	defer release()
-	view, err := s.f.FlowViewContext(r.Context(), req)
-	if err != nil {
-		writeQueryError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	req := FlowViewRequest{Selection: sel, Top: wreq.Top}
+	key := s.selectionSig(qcache.NewSig("flows"), sel).Int("top", int64(req.Top)).Key()
+	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
+		return viewBody(s.f.FlowViewContext(ctx, req))
+	})
 }
 
 // handleRegions serves a layer's polygons as GeoJSON so frontends can draw
@@ -723,22 +716,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodePost decodes a JSON POST body into dst, writing the error response
-// itself when the request is malformed. `server.decode` is a fault
-// injection site: the chaos suite uses it to prove malformed-input and
-// mid-decode failures keep producing well-formed error envelopes.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
+// decodePost decodes a JSON POST body of at most maxBodyBytes into dst,
+// writing the error response itself when the request is malformed (400) or
+// oversized (413). `server.decode` is a fault injection site: the chaos
+// suite uses it to prove malformed-input and mid-decode failures keep
+// producing well-formed error envelopes.
+func (s *Server) decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return false
 	}
 	if err := fault.Inject(r.Context(), "server.decode"); err != nil {
-		writeQueryError(w, err)
+		s.writeComputeError(w, err)
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+			return false
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return false
 	}

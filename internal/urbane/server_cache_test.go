@@ -42,79 +42,6 @@ func invalidateViaCatalog(t *testing.T, f *Framework, name string) {
 	f.version.Add(1)
 }
 
-// TestCachedEndpointLifecycle drives every cached endpoint through the
-// miss -> hit -> invalidate -> miss lifecycle: the second identical
-// request serves the same body from cache and bumps the hit counter; a
-// catalog mutation invalidates; and the recomputed response is identical
-// because the queried data did not change.
-func TestCachedEndpointLifecycle(t *testing.T) {
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   any
-	}{
-		{"query", http.MethodPost, "/api/query",
-			map[string]string{"stmt": "SELECT COUNT(*) FROM taxi, nbhd GROUP BY id"}},
-		{"mapview", http.MethodPost, "/api/mapview",
-			map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count"}},
-		{"heatmap", http.MethodPost, "/api/heatmap",
-			map[string]any{"dataset": "taxi", "w": 16}},
-		{"delta", http.MethodPost, "/api/delta",
-			map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count",
-				"a": map[string]int64{"start": 0, "end": 4 * 3600},
-				"b": map[string]int64{"start": 4 * 3600, "end": 8 * 3600}}},
-		{"tile", http.MethodGet, "/api/tile/0/0/0.png?dataset=taxi", nil},
-		{"choropleth", http.MethodGet,
-			"/api/render/choropleth.png?dataset=taxi&layer=nbhd&agg=count&w=64", nil},
-	}
-	for i, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s, f := testServer(t)
-			do := func() *httptest.ResponseRecorder {
-				rec := doJSON(t, s, tc.method, tc.path, tc.body)
-				if rec.Code != http.StatusOK {
-					t.Fatalf("status = %d: %s", rec.Code, rec.Body)
-				}
-				return rec
-			}
-			before := cacheStats(t, s)
-			first := do()
-			if got := first.Header().Get("X-Urbane-Cache"); got != "miss" {
-				t.Fatalf("first request outcome = %q, want miss", got)
-			}
-			second := do()
-			if got := second.Header().Get("X-Urbane-Cache"); got != "hit" {
-				t.Fatalf("second request outcome = %q, want hit", got)
-			}
-			if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-				t.Fatal("cached body differs from computed body")
-			}
-			mid := cacheStats(t, s)
-			if mid.Hits != before.Hits+1 {
-				t.Errorf("hits = %d, want %d", mid.Hits, before.Hits+1)
-			}
-			if mid.Misses != before.Misses+1 {
-				t.Errorf("misses = %d, want %d", mid.Misses, before.Misses+1)
-			}
-
-			invalidateViaCatalog(t, f, fmt.Sprintf("scratch-%d", i))
-			third := do()
-			if got := third.Header().Get("X-Urbane-Cache"); got != "miss" {
-				t.Fatalf("post-invalidation outcome = %q, want miss", got)
-			}
-			// The queried data didn't change, so the recompute matches.
-			if !bytes.Equal(first.Body.Bytes(), third.Body.Bytes()) {
-				t.Fatal("recomputed body diverged after invalidation")
-			}
-			after := cacheStats(t, s)
-			if after.Generation <= mid.Generation {
-				t.Errorf("generation did not advance: %d -> %d", mid.Generation, after.Generation)
-			}
-		})
-	}
-}
-
 // TestEquivalentRequestsShareEntry: canonicalization means filter order,
 // statement formatting, and whitespace do not fragment the cache.
 func TestEquivalentRequestsShareEntry(t *testing.T) {
@@ -154,35 +81,6 @@ func TestEquivalentRequestsShareEntry(t *testing.T) {
 	}
 	if got := q2.Header().Get("X-Urbane-Cache"); got != "hit" {
 		t.Errorf("reformatted statement outcome = %q, want hit", got)
-	}
-}
-
-// TestTimeSnapUnifiesRaggedWindows: with a snap granularity configured,
-// slider-style ragged windows quantize onto shared cache entries.
-func TestTimeSnapUnifiesRaggedWindows(t *testing.T) {
-	f, _, _ := buildTestFramework(t)
-	s := NewServer(f, WithTimeSnap(3600))
-	mk := func(start, end int64) map[string]any {
-		return map[string]any{
-			"dataset": "taxi", "layer": "nbhd", "agg": "count",
-			"time": map[string]int64{"start": start, "end": end},
-		}
-	}
-	r1 := doJSON(t, s, http.MethodPost, "/api/mapview", mk(13, 3590))
-	r2 := doJSON(t, s, http.MethodPost, "/api/mapview", mk(41, 3577))
-	if r1.Code != 200 || r2.Code != 200 {
-		t.Fatalf("statuses = %d, %d: %s", r1.Code, r2.Code, r1.Body)
-	}
-	if got := r2.Header().Get("X-Urbane-Cache"); got != "hit" {
-		t.Errorf("snapped windows outcome = %q, want hit", got)
-	}
-	if !bytes.Equal(r1.Body.Bytes(), r2.Body.Bytes()) {
-		t.Error("snapped windows served different bodies")
-	}
-	// A window in the next bucket must not collide.
-	r3 := doJSON(t, s, http.MethodPost, "/api/mapview", mk(3601, 7200))
-	if got := r3.Header().Get("X-Urbane-Cache"); got != "miss" {
-		t.Errorf("distinct bucket outcome = %q, want miss", got)
 	}
 }
 
@@ -241,7 +139,7 @@ func randomRequest(rng *rand.Rand) (method, path string, body any) {
 		{"attr": "fare", "min": 5, "max": 30},
 		{"attr": "fare", "min": 10, "max": 40},
 	}
-	switch rng.Intn(5) {
+	switch rng.Intn(8) {
 	case 0: // query
 		stmts := []string{
 			"SELECT COUNT(*) FROM taxi, nbhd GROUP BY id",
@@ -284,6 +182,28 @@ func randomRequest(rng *rand.Rand) (method, path string, body any) {
 			"agg":     "count",
 			"a":       a, "b": b, // identical windows are a 400 on both servers
 		}
+	case 4: // explore
+		return http.MethodPost, "/api/explore", map[string]any{
+			"datasets": datasets[:1+rng.Intn(2)],
+			"layer":    layers[rng.Intn(len(layers))],
+			"agg":      "count",
+			"start":    0, "end": 8 * 3600, "bins": []int{2, 4}[rng.Intn(2)],
+		}
+	case 5: // rank
+		return http.MethodPost, "/api/rank", map[string]any{
+			"layer": "nbhd", "targetId": 1 + rng.Intn(2),
+			"metrics": []map[string]any{
+				{"name": "activity", "dataset": datasets[rng.Intn(len(datasets))], "agg": "count"},
+				{"name": "fare", "dataset": "taxi", "agg": "avg", "attr": "fare",
+					"time": windows[rng.Intn(len(windows))]},
+			},
+		}
+	case 6: // flows
+		b := map[string]any{"dataset": "trips", "layer": layers[rng.Intn(len(layers))], "top": 1 + rng.Intn(3)}
+		if rng.Intn(2) == 0 {
+			b["filters"] = filterPool[:1]
+		}
+		return http.MethodPost, "/api/flows", b
 	default: // tile
 		z := rng.Intn(3)
 		return http.MethodGet, fmt.Sprintf("/api/tile/%d/%d/%d.png?dataset=%s",
@@ -298,11 +218,12 @@ func randomRequest(rng *rand.Rand) (method, path string, body any) {
 // never a semantic change.
 func TestCacheOnOffResponsesByteIdentical(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
+	addTrips(t, f, 1000, 57)
 	cached := NewServer(f)
 	uncached := NewServer(f, WithCache(0))
 	for _, seed := range []int64{1, 42, 2009} {
 		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 40; i++ {
+		for i := 0; i < 64; i++ {
 			method, path, body := randomRequest(rng)
 			ra := doJSON(t, cached, method, path, body)
 			rb := doJSON(t, uncached, method, path, body)
@@ -442,37 +363,46 @@ func TestChoroplethETag(t *testing.T) {
 }
 
 // TestCoalescedHeaderSurfaces: concurrent identical server requests share
-// one compute, and at least one response reports it was coalesced or
+// one compute on every view — the map view and the three that used to run
+// outside the cache — and every other response reports it was coalesced or
 // served from cache while the flight was hot. (The exact split is timing
 // dependent; exactly-one-compute is proven deterministically in
 // internal/qcache.)
 func TestCoalescedHeaderSurfaces(t *testing.T) {
-	s, _ := testServer(t)
-	const clients = 8
-	body := map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count",
-		"time": map[string]int64{"start": 0, "end": 3 * 3600}}
-	outcomes := make(chan string, clients)
-	for i := 0; i < clients; i++ {
-		go func() {
-			rec := doJSON(t, s, http.MethodPost, "/api/mapview", body)
-			outcomes <- rec.Header().Get("X-Urbane-Cache")
-		}()
-	}
-	misses := 0
-	for i := 0; i < clients; i++ {
-		switch <-outcomes {
-		case "miss":
-			misses++
-		case "hit", "coalesced":
-		default:
-			t.Error("unexpected outcome header")
-		}
-	}
-	if misses != 1 {
-		t.Errorf("computes = %d, want exactly 1 across concurrent identical requests", misses)
-	}
-	if st := s.CacheStats(); st.Misses != 1 {
-		t.Errorf("stats.misses = %d, want 1", st.Misses)
+	for _, route := range []string{"/api/mapview", "/api/explore", "/api/rank", "/api/flows"} {
+		t.Run(route, func(t *testing.T) {
+			s := computeServer(t)
+			var p computeProbe
+			for _, p = range probesFor(t, s) {
+				if p.route == route {
+					break
+				}
+			}
+			path, body := p.req(p.dataset, "count", [2]int64{0, 3 * 3600})
+			const clients = 8
+			outcomes := make(chan string, clients)
+			for i := 0; i < clients; i++ {
+				go func() {
+					outcomes <- doRaw(t, s, bg, p.method, path, body, nil).Header().Get(cacheOutcomeHeader)
+				}()
+			}
+			misses := 0
+			for i := 0; i < clients; i++ {
+				switch <-outcomes {
+				case "miss":
+					misses++
+				case "hit", "coalesced":
+				default:
+					t.Error("unexpected outcome header")
+				}
+			}
+			if misses != 1 {
+				t.Errorf("computes = %d, want exactly 1 across concurrent identical requests", misses)
+			}
+			if st := s.CacheStats(); st.Misses != 1 {
+				t.Errorf("stats.misses = %d, want 1", st.Misses)
+			}
+		})
 	}
 }
 

@@ -10,17 +10,21 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mercator"
+	"repro/internal/qcache"
 	"repro/internal/render"
 )
 
 // RenderChoroplethContext runs the map view and renders it to PNG bytes at
 // the given width — the programmatic form of /api/render/choropleth.png.
-func (f *Framework) RenderChoroplethContext(ctx context.Context, req MapViewRequest, width int) ([]byte, error) {
-	ch, err := f.MapViewContext(ctx, req)
+func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, width int) ([]byte, error) {
+	ch, err := f.MapViewContext(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	rs, _ := f.RegionSet(req.Layer)
+	rs, err := f.layer(sel.Layer)
+	if err != nil {
+		return nil, err
+	}
 	values := make([]float64, len(ch.Values))
 	for i, v := range ch.Values {
 		values[i] = v.Value
@@ -50,7 +54,10 @@ func (s *Server) handleChoroplethPNG(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	agg, err := parseAgg(q.Get("agg"))
+	sel, err := s.parseSelection(selectionWire{
+		Dataset: q.Get("dataset"), Layer: q.Get("layer"),
+		Agg: q.Get("agg"), Attr: q.Get("attr"),
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -62,12 +69,9 @@ func (s *Server) handleChoroplethPNG(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	req := MapViewRequest{
-		Dataset: q.Get("dataset"), Layer: q.Get("layer"),
-		Agg: agg, Attr: q.Get("attr"),
-	}
-	s.serveCachedImage(w, r, choroplethKey(req, width, s.f.Epoch(req.Dataset)), "image/png", func(ctx context.Context) ([]byte, error) {
-		return s.f.RenderChoroplethContext(ctx, req, width)
+	key := s.selectionSig(qcache.NewSig("choropng"), sel).Int("w", int64(width)).Key()
+	s.serveCachedImage(w, r, key, "image/png", func(ctx context.Context) ([]byte, error) {
+		return s.f.RenderChoroplethContext(ctx, sel, width)
 	})
 }
 
@@ -100,12 +104,10 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	}
 	tile := mercator.Tile{Z: z, X: x, Y: y}
 	dataset := r.URL.Query().Get("dataset")
-	s.serveCachedImage(w, r, tileKey(z, x, y, dataset, s.f.Epoch(dataset)), "image/png", func(ctx context.Context) ([]byte, error) {
-		hm, err := s.f.HeatmapContext(ctx, HeatmapRequest{
-			Dataset: dataset,
-			W:       256, H: 256,
-			Bounds: tile.BBox(),
-		})
+	key := s.selectionSig(qcache.NewSig("tile"), Selection{Dataset: dataset}).
+		Int("z", int64(z)).Int("x", int64(x)).Int("y", int64(y)).Key()
+	s.serveCachedImage(w, r, key, "image/png", func(ctx context.Context) ([]byte, error) {
+		hm, err := s.f.TileDensityContext(ctx, dataset, tile, nil)
 		if err != nil {
 			return nil, err
 		}

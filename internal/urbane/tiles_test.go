@@ -13,7 +13,7 @@ import (
 
 func TestRenderChoropleth(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	data, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{
+	data, err := f.RenderChoroplethContext(context.Background(), Selection{
 		Dataset: "taxi", Layer: "nbhd", Agg: 0,
 	}, 400)
 	if err != nil {
@@ -27,7 +27,7 @@ func TestRenderChoropleth(t *testing.T) {
 		t.Errorf("width = %d", img.Bounds().Dx())
 	}
 	// Errors propagate.
-	if _, err := f.RenderChoroplethContext(context.Background(), MapViewRequest{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
+	if _, err := f.RenderChoroplethContext(context.Background(), Selection{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
 		t.Error("unknown data set should fail")
 	}
 }

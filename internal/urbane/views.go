@@ -10,10 +10,12 @@ import (
 	"repro/internal/data"
 )
 
-// MapViewRequest drives the map view: one data set aggregated over one
-// polygonal layer, under optional ad-hoc constraints — e.g. "taxi pickups
-// in January 2009 per neighborhood" (the paper's Figure 1).
-type MapViewRequest struct {
+// Selection is the spatial aggregation query every view is built from: one
+// data set aggregated over one polygonal layer under optional ad-hoc
+// constraints — e.g. "taxi pickups in January 2009 per neighborhood" (the
+// paper's Figure 1). The map view evaluates it as is; the other views embed
+// it and say which fields they replace.
+type Selection struct {
 	Dataset string
 	Layer   string
 	Agg     core.Agg
@@ -21,6 +23,46 @@ type MapViewRequest struct {
 	Filters []core.Filter
 	Time    *core.TimeFilter
 }
+
+// resolve turns a selection into a validated core.Request: the one place a
+// view's names meet the catalog. rs, when non-nil, stands in for the named
+// layer (a layer the caller already looked up, or an ad-hoc polygon).
+func (f *Framework) resolve(sel Selection, rs *data.RegionSet) (core.Request, error) {
+	ps, ok := f.PointSet(sel.Dataset)
+	if !ok {
+		return core.Request{}, fmt.Errorf("urbane: unknown point set %q", sel.Dataset)
+	}
+	if rs == nil {
+		var err error
+		if rs, err = f.layer(sel.Layer); err != nil {
+			return core.Request{}, err
+		}
+	}
+	req := core.Request{
+		Points: ps, Regions: rs,
+		Agg: sel.Agg, Attr: sel.Attr,
+		Filters: sel.Filters, Time: sel.Time,
+	}
+	return req, req.Validate()
+}
+
+// layer looks a region set up by name.
+func (f *Framework) layer(name string) (*data.RegionSet, error) {
+	rs, ok := f.RegionSet(name)
+	if !ok {
+		return nil, fmt.Errorf("urbane: unknown region set %q", name)
+	}
+	return rs, nil
+}
+
+// Timing is the wall time a view took to evaluate, embedded last in every
+// view payload. Over HTTP it is always 0: timing travels in the
+// X-Urbane-Elapsed-Ms header so cached bodies are deterministic.
+type Timing struct {
+	Elapsed time.Duration `json:"elapsedNs"`
+}
+
+func (t *Timing) timing() *Timing { return t }
 
 // RegionValue is one choropleth entry.
 type RegionValue struct {
@@ -37,25 +79,13 @@ type Choropleth struct {
 	Min       float64       `json:"min"`
 	Max       float64       `json:"max"`
 	Algorithm string        `json:"algorithm"`
-	Elapsed   time.Duration `json:"elapsedNs"`
+	Timing
 }
 
-// MapViewContext evaluates the choropleth for the request.
-func (f *Framework) MapViewContext(ctx context.Context, req MapViewRequest) (*Choropleth, error) {
-	ps, ok := f.PointSet(req.Dataset)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown point set %q", req.Dataset)
-	}
-	rs, ok := f.RegionSet(req.Layer)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown region set %q", req.Layer)
-	}
-	creq := core.Request{
-		Points: ps, Regions: rs,
-		Agg: req.Agg, Attr: req.Attr,
-		Filters: req.Filters, Time: req.Time,
-	}
-	if err := creq.Validate(); err != nil {
+// MapViewContext evaluates the choropleth for the selection.
+func (f *Framework) MapViewContext(ctx context.Context, sel Selection) (*Choropleth, error) {
+	creq, err := f.resolve(sel, nil)
+	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
@@ -64,15 +94,15 @@ func (f *Framework) MapViewContext(ctx context.Context, req MapViewRequest) (*Ch
 		return nil, err
 	}
 	ch := &Choropleth{
-		Layer:     req.Layer,
+		Layer:     sel.Layer,
 		Values:    make([]RegionValue, len(res.Stats)),
 		Min:       math.Inf(1),
 		Max:       math.Inf(-1),
 		Algorithm: res.Algorithm,
-		Elapsed:   time.Since(start),
 	}
-	for k, r := range rs.Regions {
-		v := res.Value(k, req.Agg)
+	ch.Elapsed = time.Since(start)
+	for k, r := range creq.Regions.Regions {
+		v := res.Value(k, sel.Agg)
 		ch.Values[k] = RegionValue{ID: r.ID, Name: r.Name, Value: v}
 		if v < ch.Min {
 			ch.Min = v
@@ -89,21 +119,17 @@ func (f *Framework) MapViewContext(ctx context.Context, req MapViewRequest) (*Ch
 
 // ExplorationRequest drives the data exploration view: several data sets
 // compared over the same layer and time axis, as per-region time series.
+// The selection's Dataset and Time are replaced by Datasets and the binned
+// axis; its filters apply to every data set (a set missing a filtered or
+// aggregated attribute is rejected).
 type ExplorationRequest struct {
-	// Datasets to compare (all aggregated with Agg/Attr; data sets missing
-	// the attribute are rejected).
+	Selection
 	Datasets []string
-	Layer    string
-	Agg      core.Agg
-	Attr     string
 	// RegionIDs restricts the series to these regions (empty = all).
 	RegionIDs []int
 	// Start/End bound the time axis, split into Bins equal bins.
 	Start, End int64
 	Bins       int
-	// Filters apply to every data set that has the filtered attributes;
-	// filters naming absent attributes are rejected.
-	Filters []core.Filter
 }
 
 // Series is one line in the exploration view.
@@ -116,9 +142,9 @@ type Series struct {
 
 // Exploration is the data exploration view payload.
 type Exploration struct {
-	BinStarts []int64       `json:"binStarts"`
-	Series    []Series      `json:"series"`
-	Elapsed   time.Duration `json:"elapsedNs"`
+	BinStarts []int64  `json:"binStarts"`
+	Series    []Series `json:"series"`
+	Timing
 }
 
 // ExploreContext evaluates the exploration view: for each data set and each
@@ -133,9 +159,9 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 	if req.End <= req.Start {
 		return nil, fmt.Errorf("urbane: empty time range [%d,%d)", req.Start, req.End)
 	}
-	rs, ok := f.RegionSet(req.Layer)
-	if !ok {
-		return nil, fmt.Errorf("urbane: unknown region set %q", req.Layer)
+	rs, err := f.layer(req.Layer)
+	if err != nil {
+		return nil, err
 	}
 	regionIdx, err := resolveRegions(rs, req.RegionIDs)
 	if err != nil {
@@ -153,9 +179,11 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 	}
 
 	for _, name := range req.Datasets {
-		ps, ok := f.PointSet(name)
-		if !ok {
-			return nil, fmt.Errorf("urbane: unknown point set %q", name)
+		sel := req.Selection
+		sel.Dataset, sel.Time = name, nil
+		creq, err := f.resolve(sel, rs)
+		if err != nil {
+			return nil, fmt.Errorf("urbane: data set %q: %w", name, err)
 		}
 		// One series per selected region for this data set.
 		base := len(out.Series)
@@ -167,13 +195,6 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 				Values:   make([]float64, req.Bins),
 			})
 		}
-		creq := core.Request{
-			Points: ps, Regions: rs,
-			Agg: req.Agg, Attr: req.Attr, Filters: req.Filters,
-		}
-		if err := creq.Validate(); err != nil {
-			return nil, fmt.Errorf("urbane: data set %q: %w", name, err)
-		}
 
 		// Fast path: one raster series join rasterizes the polygons once
 		// for all bins. Cubes (microsecond lookups) and unusual canvases
@@ -181,7 +202,7 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 		// bin's shape, since bin alignment decides servability.
 		probe := creq
 		probe.Time = &core.TimeFilter{Start: out.BinStarts[0], End: out.BinStarts[0] + width}
-		if !f.cubeServable(probe) && ps.T != nil {
+		if !f.cubeServable(probe) && creq.Points.T != nil {
 			series, err := f.rasterJoiner().SeriesJoinContext(ctx, creq, req.Start, req.End, req.Bins)
 			if err != nil && ctx.Err() != nil {
 				return nil, ctx.Err()
