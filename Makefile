@@ -48,8 +48,9 @@ lru-single:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Short-budget fuzzing of the input decoders and the query parser; go test
-# accepts one -fuzz target per invocation.
+# Short-budget fuzzing of the input decoders, the query parser and the
+# series tile's per-bin pass against per-bin joins; go test accepts one
+# -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/urbane -run='^$$' -fuzz='^FuzzAdmitEnvelope$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/geoblocks -run='^$$' -fuzz='^FuzzClassify$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSeriesMatchesPerBin$$' -fuzztime=$(FUZZTIME)
 
 # Parallel point pass and span cache suite under the race detector: the
 # bit-identical property tests (parallel == sequential at every worker

@@ -8,7 +8,9 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,4 +208,55 @@ func TestSeriesJoinContextCancel(t *testing.T) {
 		t.Fatalf("canceled series join returned %v, want context.Canceled", err)
 	}
 	requireDevDrained(t, dev, "after series cancel")
+}
+
+// expiring is a context whose Err turns to context.Canceled after n polls,
+// cancelling a compute deterministically at the n-th check.
+type expiring struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *expiring) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSeriesJoinCancelBetweenBins sweeps the cancellation point across a
+// whole accurate series — span compile, interior banking, every bin's
+// check and point batches — and requires each abort to return
+// context.Canceled with the canvas and textures back in the pool; the
+// series that run to completion on the reused pool stay bit-identical.
+func TestSeriesJoinCancelBetweenBins(t *testing.T) {
+	ps, rs := scene(5_000, 8, 239)
+	dev := gpu.New(gpu.WithSpanCacheBytes(0))
+	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(128),
+		core.WithMode(core.Accurate), core.WithPointBatch(500))
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
+	want, err := rj.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canceled := 0
+	for n := int64(0); n < 200; n += 3 {
+		ctx := &expiring{Context: context.Background()}
+		ctx.n.Store(n)
+		got, err := rj.SeriesJoinContext(ctx, req, 0, int64(ps.Len()), 6)
+		requireDevDrained(t, dev, fmt.Sprintf("after %d polls", n))
+		if err == nil {
+			for b := range want.Stats {
+				statsBitIdentical(t, got.Stats[b], want.Stats[b], fmt.Sprintf("uncanceled at %d polls, bin %d", n, b))
+			}
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("series canceled after %d polls returned %v", n, err)
+		}
+		canceled++
+	}
+	if canceled < 10 {
+		t.Fatalf("only %d of the sweep's series were canceled", canceled)
+	}
 }

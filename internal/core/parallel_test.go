@@ -170,9 +170,11 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 
 // TestSeriesJoinAcrossPointWorkers: the per-bin parallel point pass feeds
 // textures that are bitwise equal to the sequential ones, so series results
-// are bit-identical at any worker count, warm or cold cache.
+// are bit-identical at any worker count, warm or cold cache. Bins hold 10 k
+// points, enough for the striped pass, whose stripe owners also record the
+// bin's touched pixels (run under -race in CI).
 func TestSeriesJoinAcrossPointWorkers(t *testing.T) {
-	ps, rs := scene(20_000, 8, 317)
+	ps, rs := scene(60_000, 8, 317)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),

@@ -200,6 +200,19 @@ func drawRegion(c *gpu.Canvas, sp *raster.RegionSpans, poly geom.Polygon, k int,
 	c.DrawPolygon(poly, shader)
 }
 
+// fillSpans lists region k's fill as the scanline runs drawRegion expands,
+// in the same order, without shading a fragment: the series tile banks
+// them once instead of drawing the region per bin.
+func fillSpans(c *gpu.Canvas, sp *raster.RegionSpans, poly geom.Polygon, k int, visit func(py, x0, x1 int)) {
+	if sp != nil {
+		for _, s := range sp.Fill(k) {
+			visit(int(s.Y), int(s.X0), int(s.X1))
+		}
+		return
+	}
+	raster.FillPolygonSpans(c.T, poly, visit)
+}
+
 // NewRasterJoin returns a configured raster joiner.
 func NewRasterJoin(opts ...RJOption) *RasterJoin {
 	r := &RasterJoin{

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/workload"
 )
 
 func BenchmarkRasterJoinModes(b *testing.B) {
@@ -54,30 +55,53 @@ func BenchmarkRasterJoinAggregates(b *testing.B) {
 	}
 }
 
+// BenchmarkSeriesJoinVsPerBin compares one series tile against one join
+// per bin: 12 dense bins of a 200 k-point scene, and the slab fold's shape —
+// 54 one-hour bins of the 1 M-point taxi scene over the 2048 tracts,
+// accurate at 1024 px, SUM — where each bin holds ~1.3 k points and the
+// one-shot join over the whole window is the yardstick.
 func BenchmarkSeriesJoinVsPerBin(b *testing.B) {
 	ps, rs := scene(200_000, 32, 107)
 	rj := core.NewRasterJoin(core.WithResolution(512))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	const bins = 12
-	end := int64(ps.Len())
-	b.Run("series", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rj.SeriesJoinContext(context.Background(), req, 0, end, bins); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("per-bin", func(b *testing.B) {
-		width := end / bins
-		for i := 0; i < b.N; i++ {
-			for bin := 0; bin < bins; bin++ {
-				r := req
-				r.Time = &core.TimeFilter{Start: int64(bin) * width, End: int64(bin+1) * width}
-				if _, err := rj.Join(r); err != nil {
+	run := func(b *testing.B, rj *core.RasterJoin, req core.Request, start, end int64, bins int) {
+		ctx := context.Background()
+		width := (end - start) / int64(bins)
+		b.Run("series", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := rj.SeriesJoinContext(ctx, req, start, end, bins); err != nil {
 					b.Fatal(err)
 				}
 			}
-		}
+		})
+		b.Run("per-bin", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for bin := int64(0); bin < int64(bins); bin++ {
+					r := req
+					r.Time = &core.TimeFilter{Start: start + bin*width, End: start + (bin+1)*width}
+					if _, err := rj.JoinContext(ctx, r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run("one-shot", func(b *testing.B) {
+			r := req
+			r.Time = &core.TimeFilter{Start: start, End: end}
+			for i := 0; i < b.N; i++ {
+				if _, err := rj.JoinContext(ctx, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	b.Run("12x-dense", func(b *testing.B) { run(b, rj, req, 0, int64(ps.Len()), 12) })
+	b.Run("54x1h-taxi1M-tracts", func(b *testing.B) {
+		sc := workload.NYC(1_000_000, 2009)
+		acc := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate))
+		start := workload.JanWeek(1).Start
+		req := core.Request{Points: sc.Taxi, Regions: sc.Tracts, Agg: core.Sum, Attr: "fare"}
+		run(b, acc, req, start, start+54*3600, 54)
 	})
 }
 

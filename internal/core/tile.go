@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/geom"
@@ -23,7 +24,9 @@ import (
 //     point-in-polygon tests against the points binned in those pixels.
 //
 // JoinContext, the scatter-gather gather, StreamJoin and SeriesJoinContext
-// all run on one tile; a shard's partial pass runs on the bare targets.
+// all run on one tile; a shard's partial pass runs on the bare targets. A
+// series tile banks pass 2's fragments once and resolves each bin with
+// resolveBin (series.go), passes 2 and 3 over only the pixels the bin hit.
 
 // obs is one retained boundary observation: the point's coordinates (for
 // the exact fix-up test) and its aggregated value. Bins hold observations,
@@ -46,6 +49,13 @@ type targets struct {
 	// map operation. nil in approximate mode.
 	slotOf []int32
 	bins   [][]obs
+	// hit, when non-nil (a series tile), marks the pixels the pass shaded,
+	// so resolveBin visits and clears only those: one bit per pixel, each
+	// row starting on a fresh word of the hitStride words per row. A row's
+	// words then have its DrawPointsParallel stripe owner as their only
+	// writer, which keeps the marks race-free.
+	hit       []uint64
+	hitStride int
 }
 
 // newTargets allocates the texture set for agg over bandW×h pixels through
@@ -78,6 +88,9 @@ func newTargets(agg Agg, w, x0, bandW, h int, slotOf []int32, nslots int,
 // each pixel sees the same operations in the same order on all of them.
 func (t *targets) shade(px, py int, x, y, v float64) {
 	bx := px - t.x0
+	if t.hit != nil {
+		t.hit[py*t.hitStride+px>>6] |= 1 << uint(px&63)
+	}
 	t.count.Add(bx, py, 1)
 	switch {
 	case t.sum != nil:
@@ -134,18 +147,6 @@ func (r *RasterJoin) newTile(ctx context.Context, c *gpu.Canvas, regions *data.R
 func (t *tile) release() {
 	for _, tex := range []*gpu.Texture{t.count, t.sum, t.min, t.max} {
 		t.r.dev.ReleaseTexture(tex)
-	}
-}
-
-// reset clears pass-1 state so the tile can take another point pass over
-// the same regions (the next time bin of a series).
-func (t *tile) reset() {
-	t.count.Clear()
-	if t.sum != nil {
-		t.sum.Clear()
-	}
-	for s := range t.bins {
-		t.bins[s] = t.bins[s][:0]
 	}
 }
 
@@ -225,32 +226,78 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 				scratch.Unset(int(idx)%w, int(idx)/w)
 			}
 			pool.Put(scratch)
-			t.fixup(k, &local)
+			for _, idx := range t.regionPixels[k] {
+				t.fixup(k, idx, &local)
+			}
 		}
 		stats[k].Merge(local)
 	})
 }
 
-// fixup is pass 3 for region k: every observation binned in one of the
-// region's own boundary pixels takes the exact point-in-polygon test and,
-// when inside, folds into local.
-func (t *tile) fixup(k int, local *RegionStat) {
+// parallelRegionsCtx fans region indices [0,n) across the joiner's workers,
+// checking the context between region claims: a canceled request stops
+// handing out work and returns ctx.Err() once the in-flight regions drain.
+//
+// Race audit (sharedwrite-clean): k comes from an atomic cursor, so each
+// index is claimed by exactly one goroutine; fn must only write state
+// owned by region k (the callers write stats[k]), which partitions every
+// write. wg.Wait() sequences the caller's reads after all writes.
+func (r *RasterJoin) parallelRegionsCtx(ctx context.Context, n int, fn func(k int)) error {
+	workers := r.workers
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fn(k)
+		}
+		return nil
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for i := 0; i < workers; i++ {
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
+	return ctx.Err()
+}
+
+// fixup is pass 3 for idx, one of region k's own boundary pixels: every
+// observation binned there takes the exact point-in-polygon test and, when
+// inside, folds into local. resolve runs it over the region's boundary
+// pixels in order, resolveBin over the ones the bin's points reached.
+func (t *tile) fixup(k int, idx int32, local *RegionStat) {
+	bin := t.bins[t.slotOf[idx]]
+	if len(bin) == 0 {
+		return
+	}
 	poly := t.regions.Regions[k].Poly
-	for _, idx := range t.regionPixels[k] {
-		for _, o := range t.bins[t.slotOf[idx]] {
-			if !poly.Contains(geom.Point{X: o.x, Y: o.y}) {
-				continue
-			}
-			switch {
-			case t.min != nil || t.max != nil:
-				local.Observe(o.v)
-			case t.sum != nil:
-				local.Count++
-				//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
-				local.Sum += o.v
-			default:
-				local.Count++
-			}
+	for _, o := range bin {
+		if !poly.Contains(geom.Point{X: o.x, Y: o.y}) {
+			continue
+		}
+		switch {
+		case t.min != nil || t.max != nil:
+			local.Observe(o.v)
+		case t.sum != nil:
+			local.Count++
+			//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
+			local.Sum += o.v
+		default:
+			local.Count++
 		}
 	}
 }

@@ -140,6 +140,18 @@ func (b *Bitmap) Get(x, y int) bool {
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
 }
 
+// NextSet returns the row-major index of the first marked pixel in [i, end),
+// or end when there is none.
+func (b *Bitmap) NextSet(i, end int) int {
+	for i < end {
+		if w := b.words[i>>6] >> uint(i&63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
+}
+
 // Clear unmarks all pixels, retaining the allocation.
 func (b *Bitmap) Clear() {
 	for i := range b.words {

@@ -73,7 +73,7 @@ func TestSubPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: Bitmap Set/Get/Unset behave like a reference map.
+// Property: Bitmap Set/Get/Unset/NextSet behave like a reference map.
 func TestBitmapAgainstMapProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		bm := NewBitmap(37, 29)
@@ -97,6 +97,23 @@ func TestBitmapAgainstMapProperty(t *testing.T) {
 		count := 0
 		for range ref {
 			count++
+		}
+		// NextSet agrees with a linear scan of the reference, across words.
+		const n = 37 * 29
+		for i := 0; i <= n; i += 5 {
+			for _, end := range []int{i, i + 1, i + 70, n} {
+				end = min(end, n)
+				want := end
+				for j := i; j < end; j++ {
+					if ref[j] {
+						want = j
+						break
+					}
+				}
+				if bm.NextSet(i, end) != want {
+					return false
+				}
+			}
 		}
 		return bm.Count() == count
 	}

@@ -105,13 +105,15 @@ func (j *Joiner) Join(req core.Request) (*core.Result, error) {
 }
 
 // JoinContext answers the request as a chronological fold of slab
-// partials. Missing partials are computed through the wrapped joiner with
-// the request's window narrowed to one slab — the wrapped join polls ctx
-// itself, so the per-slab loop delegates cancellation. The fold is the
-// canonical compute path: a warm fold and a cold fold of the same window
-// are bit-identical, because per-slab computes are deterministic and the
-// merge runs in fixed chronological order with one compensated sum per
-// region.
+// partials. Each maximal run of missing slabs is computed by one series join
+// of the wrapped joiner, one bin per slab, so the polygon side of the run is
+// prepared once; where series refuses (MIN/MAX, ε, oversized canvases) the
+// run computes slab by slab through JoinContext with the window narrowed to
+// one slab. Both forms are bit-identical to a JoinContext over the slab and
+// poll ctx themselves. The fold is the canonical compute path: a warm fold
+// and a cold fold of the same window are bit-identical, because per-slab
+// computes are deterministic and the merge runs in fixed chronological
+// order with one compensated sum per region.
 func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
 	if err := j.CanServe(req); err != nil {
 		return j.next.JoinContext(ctx, req)
@@ -120,36 +122,40 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		return nil, err
 	}
 	sig := j.requestSig(req)
+	// An append may retire this stamp mid-fold; Cache.Put then files the
+	// late partials the way Rekey filed the cached ones.
 	stamp := req.Points.Stamp()
 	tr := trace.FromContext(ctx)
 	sp := tr.Start("tcache.fold")
 	defer sp.End()
 
 	n := int((req.Time.End - req.Time.Start) / j.gran)
+	slab := func(i int) int64 { return req.Time.Start + int64(i)*j.gran }
 	parts := make([]*Partial, n)
 	var reused, recomputed int64
-	for i := 0; i < n; i++ {
-		slab := req.Time.Start + int64(i)*j.gran
-		if p, ok := j.cache.Get(stamp, sig, slab); ok {
+	for i := range parts {
+		if p, ok := j.cache.Get(stamp, sig, slab(i)); ok {
 			parts[i] = p
 			reused++
+		}
+	}
+	for lo := 0; lo < n; {
+		if parts[lo] != nil {
+			lo++
 			continue
 		}
-		sreq := req
-		sreq.Time = &core.TimeFilter{Start: slab, End: slab + j.gran}
-		res, err := j.next.JoinContext(ctx, sreq)
-		if err != nil {
+		hi := lo + 1
+		for hi < n && parts[hi] == nil {
+			hi++
+		}
+		if err := j.compute(ctx, req, slab(lo), parts[lo:hi]); err != nil {
 			return nil, err
 		}
-		p := &Partial{
-			Stats:     res.Stats,
-			Algorithm: res.Algorithm,
-			CanvasW:   res.CanvasW, CanvasH: res.CanvasH,
-			Tiles: res.Tiles, PixelSize: res.PixelSize,
+		for i := lo; i < hi; i++ {
+			j.cache.Put(stamp, sig, slab(i), parts[i])
 		}
-		j.cache.Put(stamp, sig, slab, p)
-		parts[i] = p
-		recomputed++
+		recomputed += int64(hi - lo)
+		lo = hi
 	}
 	j.reused.Add(uint64(reused))
 	j.recomputed.Add(uint64(recomputed))
@@ -202,4 +208,49 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		CanvasW:   first.CanvasW, CanvasH: first.CanvasH,
 		Tiles: first.Tiles, PixelSize: first.PixelSize,
 	}, nil
+}
+
+// seriesJoiner is the wrapped joiner's optional series form
+// (core.RasterJoin.SeriesJoinContext).
+type seriesJoiner interface {
+	SeriesJoinContext(ctx context.Context, req core.Request, start, end int64, bins int) (*core.SeriesResult, error)
+}
+
+// compute fills out with the partials of the consecutive slabs from start:
+// one series join when the wrapped joiner has one that accepts the
+// request, one JoinContext per slab otherwise.
+func (j *Joiner) compute(ctx context.Context, req core.Request, start int64, out []*Partial) error {
+	if sj, ok := j.next.(seriesJoiner); ok {
+		sr, err := sj.SeriesJoinContext(ctx, req, start, start+int64(len(out))*j.gran, len(out))
+		if err == nil {
+			for b := range out {
+				out[b] = partialOf(sr.Bin(b))
+			}
+			return nil
+		}
+		if !errors.Is(err, core.ErrSeriesUnsupported) {
+			return err
+		}
+	}
+	for i := range out {
+		slab := start + int64(i)*j.gran
+		sreq := req
+		sreq.Time = &core.TimeFilter{Start: slab, End: slab + j.gran}
+		res, err := j.next.JoinContext(ctx, sreq)
+		if err != nil {
+			return err
+		}
+		out[i] = partialOf(res)
+	}
+	return nil
+}
+
+// partialOf keeps what the fold reproduces of one slab's result.
+func partialOf(res *core.Result) *Partial {
+	return &Partial{
+		Stats:     res.Stats,
+		Algorithm: res.Algorithm,
+		CanvasW:   res.CanvasW, CanvasH: res.CanvasH,
+		Tiles: res.Tiles, PixelSize: res.PixelSize,
+	}
 }

@@ -99,10 +99,26 @@ type Stats struct {
 // per query, orders of magnitude cheaper than the joins they save, so
 // sharding would buy nothing.
 type Cache struct {
-	mu         sync.Mutex
-	lru        *lru.Cache[key, *Partial]
+	mu  sync.Mutex
+	lru *lru.Cache[key, *Partial]
+	// retired maps each stamp Rekey retired to its successor, so a Put
+	// from a compute that started before the append files its partial
+	// under the stamp requests now read.
+	retired    *lru.Cache[uint64, successor]
 	rekeyDrops uint64
 }
+
+// successor is one Rekey: the stamp that replaced a retired one and the
+// slabs the append dirtied.
+type successor struct {
+	stamp uint64
+	dirty map[int64]bool
+}
+
+// retiredStamps bounds how many retirements a Cache remembers. A Put under
+// a retired stamp can only come from a fold already in flight at the
+// append, so only the most recent few ever matter.
+const retiredStamps = 1024
 
 // NewCache returns a cache bounded to capacityBytes (<= 0 uses
 // DefaultCacheBytes).
@@ -110,7 +126,10 @@ func NewCache(capacityBytes int64) *Cache {
 	if capacityBytes <= 0 {
 		capacityBytes = DefaultCacheBytes
 	}
-	return &Cache{lru: lru.New[key, *Partial](capacityBytes)}
+	return &Cache{
+		lru:     lru.New[key, *Partial](capacityBytes),
+		retired: lru.New[uint64, successor](retiredStamps),
+	}
 }
 
 // Get returns the cached partial for (stamp, sig, slab).
@@ -121,10 +140,23 @@ func (c *Cache) Get(stamp uint64, sig string, slab int64) (*Partial, bool) {
 }
 
 // Put stores a partial, evicting least-recently-used entries to stay under
-// the byte budget.
+// the byte budget. A partial computed under a stamp Rekey has since retired
+// gets Rekey's own rule: it follows the successors to the live stamp while
+// its slab stays clean, and is dropped at the first append that dirtied it.
 func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for {
+		next, ok := c.retired.Get(stamp)
+		if !ok {
+			break
+		}
+		if next.dirty[slab] {
+			c.rekeyDrops++
+			return
+		}
+		stamp = next.stamp
+	}
 	c.lru.Add(key{stamp: stamp, sig: sig, slab: slab}, p, p.cost(len(sig)))
 }
 
@@ -135,12 +167,17 @@ func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
 // surviving points keep their index order), so they move; dirtied slabs
 // are evicted and recompute lazily. Returns (migrated, dropped).
 //
-// Computes in flight during a Rekey insert under the stamp they read when
-// they started; entries orphaned under the old stamp are never read again
-// and age out of the LRU — a bounded perf loss, never a staleness bug.
+// Computes in flight during a Rekey put under the stamp they read when they
+// started; Put applies the same rule to them, so Rekey keeps dirty.
 func (c *Cache) Rekey(oldStamp, newStamp uint64, dirty map[int64]bool) (migrated, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if oldStamp != newStamp {
+		// newStamp is live again if it was ever retired, which also keeps
+		// the successor chains Put follows acyclic.
+		c.retired.Remove(newStamp)
+		c.retired.Add(oldStamp, successor{stamp: newStamp, dirty: dirty}, 1)
+	}
 	type move struct {
 		k key
 		p *Partial
