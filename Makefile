@@ -48,9 +48,9 @@ lru-single:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Short-budget fuzzing of the input decoders, the query parser and the
-# series tile's per-bin pass against per-bin joins; go test accepts one
-# -fuzz target per invocation.
+# Short-budget fuzzing of the input decoders, the query parser, the series
+# tile's per-bin pass against per-bin joins and the row-edge exact test
+# against Polygon.Contains; go test accepts one -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
@@ -60,13 +60,16 @@ fuzz:
 	$(GO) test ./internal/geoblocks -run='^$$' -fuzz='^FuzzClassify$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSeriesMatchesPerBin$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzRowEdgeContains$$' -fuzztime=$(FUZZTIME)
 
 # Parallel point pass and span cache suite under the race detector: the
 # bit-identical property tests (parallel == sequential at every worker
-# count), the cancellation-hygiene tests, and the span cache.
+# count), the accurate-mode golden digest (stripe owners append to the
+# per-row boundary lists concurrently), the cancellation-hygiene tests, the
+# span cache and the compiled layer's row-edge tables.
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|PointWorkers|SpanCache|CompileRegions|Cancel' \
+		-run 'Parallel|PointWorkers|AccurateJoinGolden|SpanCache|CompileRegions|RowEdge|Cancel' \
 		./internal/gpu ./internal/raster ./internal/core
 
 # End-to-end deadline smoke test: boot the real server with a 1ms

@@ -136,9 +136,9 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	sc.spatialOnly = true
 	sc.setWorld(c.T.World)
 
-	// ID pass: first-drawn region owns each pixel. In accurate mode a
-	// region's fragments in its own boundary pixels are withheld, and per-
-	// boundary-pixel candidate lists drive exact resolution.
+	// ID pass: first-drawn region owns each pixel. In accurate mode only
+	// each region's interior is drawn; the regions whose boundary crosses a
+	// boundary pixel are its slot's candidates for exact resolution.
 	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return nil, err
@@ -148,67 +148,42 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	for i := range ids {
 		ids[i] = -1
 	}
-	var slotOf []int32
-	var candidates [][]int32
-	var scratch *raster.Bitmap
-	var regionPixels [][]int32
+	var mask *raster.Bitmap
+	var slots raster.SlotIndex
 	if r.mode == Accurate {
-		var nslots int
-		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
-		candidates = make([][]int32, nslots)
-		for k := range regionPixels {
-			for _, idx := range regionPixels[k] {
-				candidates[slotOf[idx]] = append(candidates[slotOf[idx]], int32(k))
-			}
-		}
-		scratch = raster.NewBitmap(c.T.W, c.T.H)
+		mask, slots = sp.Mask(), sp.SlotIndex()
 	}
-	regions := req.Regions.Regions
-	for k := range regions {
+	for k := 0; k < nr; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		k32 := int32(k)
-		if scratch != nil {
-			for _, idx := range regionPixels[k] {
-				scratch.Set(int(idx)%w, int(idx)/w)
-			}
-		}
-		drawRegion(c, sp, regions[k].Poly, k, func(px, py int) {
-			if scratch != nil && scratch.Get(px, py) {
-				return
-			}
+		c.DrawSpans(polygonSpans(sp, k, mask != nil), func(px, py int) {
 			i := py*w + px
 			if ids[i] == -1 {
 				ids[i] = k32
 			}
 		})
-		if scratch != nil {
-			for _, idx := range regionPixels[k] {
-				scratch.Unset(int(idx)%w, int(idx)/w)
-			}
-		}
 	}
 
 	// locate resolves a world point to its containing region (-1 = none):
-	// certain owner from the ID texture, or exact tests in boundary pixels.
+	// certain owner from the ID texture, or exact tests in boundary pixels
+	// against the candidates in ascending region order.
 	locate := func(p geom.Point) int32 {
 		px, py, ok := c.T.ToPixel(p)
 		if !ok {
 			return -1
 		}
-		idx := py*w + px
-		if slotOf != nil {
-			if slot := slotOf[idx]; slot >= 0 {
-				for _, k := range candidates[slot] {
-					if regions[k].Poly.Contains(p) {
-						return k
-					}
+		if mask != nil && mask.Get(px, py) {
+			for _, q := range slots.Positions(sp.Slot(px, py)) {
+				k := sp.RegionOf(q)
+				if sp.RowEdges(k, py).Contains(p) {
+					return int32(k)
 				}
-				return ids[idx] // certain owner covering the whole pixel
 			}
+			// Otherwise the pixel's certain owner, if any, covers it whole.
 		}
-		return ids[idx]
+		return ids[py*w+px]
 	}
 
 	// OD pass: resolve both ends of every point. Destinations are mapped
@@ -242,7 +217,7 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 		shaded            int64
 	}
 	// Race audit (sharedwrite-clean): each goroutine writes only the partial
-	// it receives as an argument; ids, slotOf, candidates and the locate
+	// it receives as an argument; ids, the compiled layer and the locate
 	// closure's state are frozen before the fan-out and only read here.
 	// Partials merge after wg.Wait().
 	parts := make([]*flowPartial, 0, workers)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/geom"
@@ -124,9 +123,9 @@ type multiObs struct {
 
 // renderTileMulti is the tile pipeline generalized to several aggregates
 // sharing the point and polygon passes. It stays separate from tile: a
-// boundary observation must remember which specs it passed, and folding N
-// single-spec tiles instead would repeat the exact poly.Contains test of
-// pass 3 once per spec.
+// boundary observation must remember which specs it passed (multiObs), and
+// N single-spec tiles would scan and draw the points N times, where this
+// pass scans them once, and repeat each exact test once per spec.
 func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Request, results []*Result,
 	specs []AggSpec, attrIdxs []int, preds []residualPred, sc *Scan) error {
 
@@ -137,13 +136,13 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 		return err
 	}
 
-	var slotOf []int32
+	// Boundary observations are binned per slot; a slot is one pixel, so
+	// its bin has the pixel's row stripe owner as its only writer.
+	var mask *raster.Bitmap
 	var bins [][]multiObs
-	var regionPixels [][]int32
 	if r.mode == Accurate {
-		var nslots int
-		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
-		bins = make([][]multiObs, nslots)
+		mask = sp.Mask()
+		bins = make([][]multiObs, sp.Slots())
 	}
 
 	// Point pass: one texture pair per spec, all pooled and released on
@@ -172,7 +171,7 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 				}
 				j := i - base
 				var mo *multiObs
-				if slotOf != nil && slotOf[py*w+px] >= 0 {
+				if mask != nil && mask.Get(px, py) {
 					mo = &multiObs{x: blk.X[j], y: blk.Y[j],
 						ok: make([]bool, len(specs)), val: make([]float64, len(specs))}
 				}
@@ -195,7 +194,7 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 					}
 				}
 				if any && mo != nil {
-					slot := slotOf[py*w+px]
+					slot := sp.Slot(px, py)
 					bins[slot] = append(bins[slot], *mo)
 				}
 			})
@@ -204,28 +203,13 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 		return err
 	}
 
-	// Polygon pass: one traversal per region accumulating every spec.
-	// Scratch boundary bitmaps are pooled across the parallel workers and
-	// returned clean.
-	var pool sync.Pool
-	pool.New = func() any { return raster.NewBitmap(w, h) }
-	regions := req.Regions.Regions
-	return r.parallelRegionsCtx(ctx, len(regions), func(k int) {
-		poly := regions[k].Poly
+	// Polygon pass: one traversal per region accumulating every spec, over
+	// the region's interior in accurate mode, then the exact pass over its
+	// boundary pixels' bins.
+	return r.parallelRegionsCtx(ctx, req.Regions.Len(), func(k int) {
 		cnt := make([]int64, len(specs))
 		sum := make([]float64, len(specs))
-
-		var scratch *raster.Bitmap
-		if r.mode == Accurate {
-			scratch = pool.Get().(*raster.Bitmap)
-			for _, idx := range regionPixels[k] {
-				scratch.Set(int(idx)%w, int(idx)/w)
-			}
-		}
-		drawRegion(c, sp, poly, k, func(px, py int) {
-			if scratch != nil && scratch.Get(px, py) {
-				return
-			}
+		c.DrawSpans(polygonSpans(sp, k, mask != nil), func(px, py int) {
 			for s := range specs {
 				v := countTex[s].At(px, py)
 				if v == 0 {
@@ -238,11 +222,16 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 				}
 			}
 		})
-		if scratch != nil {
-			for _, idx := range regionPixels[k] {
-				scratch.Unset(int(idx)%w, int(idx)/w)
-				for _, mo := range bins[slotOf[idx]] {
-					if !poly.Contains(geom.Point{X: mo.x, Y: mo.y}) {
+		if mask != nil {
+			slots := sp.BoundarySlots(k)
+			for i, idx := range sp.Boundary(k) {
+				bin := bins[slots[i]]
+				if len(bin) == 0 {
+					continue
+				}
+				edges := sp.RowEdges(k, int(idx)/w)
+				for _, mo := range bin {
+					if !edges.Contains(geom.Point{X: mo.x, Y: mo.y}) {
 						continue
 					}
 					for s := range specs {
@@ -257,7 +246,6 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 					}
 				}
 			}
-			pool.Put(scratch)
 		}
 		for s := range specs {
 			results[s].Stats[k].Count += cnt[s]

@@ -99,61 +99,32 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 	regions := req.Regions.Regions
 	minMax := req.Agg == Min || req.Agg == Max
 
-	// Compiled region spans for the ID and outline passes (nil when the
-	// span cache is disabled).
+	// The compiled region layer for the ID pass and the exact tests.
 	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return err
 	}
 
-	// Accurate mode: outline pass first, then candidate lists per boundary
-	// pixel (the regions whose edges cross it).
-	var slotOf []int32
-	var candidates [][]int32 // per boundary-pixel slot
-	var regionPixels [][]int32
+	// Accurate mode: a boundary pixel's candidates are the regions whose
+	// edges cross it, its slot's positions in the compiled boundary lists.
+	var mask *raster.Bitmap
+	var slots raster.SlotIndex
 	if r.mode == Accurate {
-		var nslots int
-		slotOf, nslots, regionPixels = r.boundarySlots(c, req.Regions, sp)
-		candidates = make([][]int32, nslots)
-		for k := range regionPixels {
-			for _, idx := range regionPixels[k] {
-				s := slotOf[idx]
-				candidates[s] = append(candidates[s], int32(k))
-			}
-		}
+		mask, slots = sp.Mask(), sp.SlotIndex()
 	}
 
-	// Pass 1: polygon-ID texture. With accurate mode, a fragment in the
-	// region's own boundary pixel is withheld (its membership is resolved
-	// exactly below); a fragment in *another* region's boundary pixel is
-	// still certain — no edge of this region crosses that pixel, so the
-	// pixel lies entirely inside it.
+	// Pass 1: polygon-ID texture. With accurate mode, only each region's
+	// interior is drawn: a fragment in the region's own boundary pixel is
+	// withheld (its membership is resolved exactly below); a fragment in
+	// *another* region's boundary pixel is still certain — no edge of this
+	// region crosses that pixel, so the pixel lies entirely inside it.
 	idTex := newIDState(w, h)
-	var scratch *raster.Bitmap
-	if r.mode == Accurate {
-		scratch = raster.NewBitmap(w, h)
-	}
 	for k := range regions {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		k32 := int32(k)
-		if scratch != nil {
-			for _, idx := range regionPixels[k] {
-				scratch.Set(int(idx)%w, int(idx)/w)
-			}
-		}
-		drawRegion(c, sp, regions[k].Poly, k, func(px, py int) {
-			if scratch != nil && scratch.Get(px, py) {
-				return
-			}
-			idTex.add(px, py, k32)
-		})
-		if scratch != nil {
-			for _, idx := range regionPixels[k] {
-				scratch.Unset(int(idx)%w, int(idx)/w)
-			}
-		}
+		c.DrawSpans(polygonSpans(sp, k, mask != nil), func(px, py int) { idTex.add(px, py, k32) })
 	}
 
 	// Pass 2: stream the points, sharded across workers with per-shard
@@ -180,7 +151,7 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 	}
 	// Race audit (sharedwrite-clean): every goroutine accumulates into the
 	// `part` slice it receives as an argument; the canvas draw calls only
-	// read shared textures (idTex, slotOf, candidates are immutable once
+	// read shared state (idTex and the compiled layer are immutable once
 	// built) and the scan, which is frozen before the fan-out. Partials
 	// merge after wg.Wait().
 	//
@@ -228,18 +199,15 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 								part[k].Count++
 							}
 						}
-						if slotOf != nil {
-							if slot := slotOf[idx]; slot >= 0 {
-								// Boundary pixel: exact tests against crossing
-								// regions; certain owners still apply.
-								pt := geom.Point{X: blk.X[j], Y: blk.Y[j]}
-								for _, k := range candidates[slot] {
-									if regions[k].Poly.Contains(pt) {
-										accum(k)
-									}
+						if mask != nil && mask.Get(px, py) {
+							// Boundary pixel: exact tests against crossing
+							// regions; certain owners still apply.
+							pt := geom.Point{X: blk.X[j], Y: blk.Y[j]}
+							for _, q := range slots.Positions(sp.Slot(px, py)) {
+								k := sp.RegionOf(q)
+								if sp.RowEdges(k, py).Contains(pt) {
+									accum(int32(k))
 								}
-								idTex.owners(idx, accum)
-								return
 							}
 						}
 						idTex.owners(idx, accum)

@@ -162,15 +162,13 @@ func (r *RasterJoin) drawPoints(ctx context.Context, c *gpu.Canvas, workers, lo,
 	return nil
 }
 
-// cachedSpans returns the compiled scanline spans for the region set on
-// transform t, consulting the device's span cache. A nil result with nil
-// error means the cache is disabled and callers should rasterize directly.
-// Compilation respects ctx; the hit/miss is recorded on the request trace.
+// cachedSpans returns the region set compiled on transform t — spans,
+// boundary mask and slots, interior runs and row-edge tables — from the
+// device's span cache, compiling it on a miss. With the cache disabled every
+// call compiles. Compilation respects ctx; a cache hit or miss is recorded
+// on the request trace.
 func (r *RasterJoin) cachedSpans(ctx context.Context, regions *data.RegionSet, t raster.Transform) (*raster.RegionSpans, error) {
 	cache := r.dev.SpanCache()
-	if !cache.Enabled() {
-		return nil, nil
-	}
 	key := raster.SpanKey{Owner: regions.Stamp(), T: t}
 	if sp, ok := cache.Get(key); ok {
 		trace.FromContext(ctx).Count("span_cache_hits", 1)
@@ -184,33 +182,11 @@ func (r *RasterJoin) cachedSpans(ctx context.Context, regions *data.RegionSet, t
 	if err != nil {
 		return nil, err
 	}
-	cache.Put(key, sp)
-	trace.FromContext(ctx).Count("span_cache_misses", 1)
+	if cache.Enabled() {
+		cache.Put(key, sp)
+		trace.FromContext(ctx).Count("span_cache_misses", 1)
+	}
 	return sp, nil
-}
-
-// drawRegion shades region k's fill fragments: replayed from compiled spans
-// when sp is non-nil, scan-converted directly otherwise. Both paths visit
-// the same pixels in the same row-major order, so results are identical.
-func drawRegion(c *gpu.Canvas, sp *raster.RegionSpans, poly geom.Polygon, k int, shader gpu.FragmentShader) {
-	if sp != nil {
-		c.DrawSpans(sp.Fill(k), shader)
-		return
-	}
-	c.DrawPolygon(poly, shader)
-}
-
-// fillSpans lists region k's fill as the scanline runs drawRegion expands,
-// in the same order, without shading a fragment: the series tile banks
-// them once instead of drawing the region per bin.
-func fillSpans(c *gpu.Canvas, sp *raster.RegionSpans, poly geom.Polygon, k int, visit func(py, x0, x1 int)) {
-	if sp != nil {
-		for _, s := range sp.Fill(k) {
-			visit(int(s.Y), int(s.X0), int(s.X1))
-		}
-		return
-	}
-	raster.FillPolygonSpans(c.T, poly, visit)
 }
 
 // NewRasterJoin returns a configured raster joiner.
@@ -350,57 +326,4 @@ func (r *RasterJoin) fullTransform(window geom.BBox) raster.Transform {
 		pixel = 1
 	}
 	return raster.SquareTransform(window, pixel)
-}
-
-// outlinePass conservatively rasterizes every region's boundary, returning
-// the deduplicated union list of boundary pixel indices and, per region,
-// its own deduplicated boundary pixel indices within this tile. When
-// compiled spans are supplied, per-region lists replay from the cache
-// (already deduplicated in first-visit order, so the results — including
-// list ordering — match the direct trace exactly).
-func (r *RasterJoin) outlinePass(c *gpu.Canvas, regions *data.RegionSet, sp *raster.RegionSpans) ([]int32, [][]int32) {
-	w, h := c.T.W, c.T.H
-	global := raster.NewBitmap(w, h)
-	var globalList []int32
-	per := make([][]int32, regions.Len())
-	if sp != nil {
-		for k := range regions.Regions {
-			pixels := sp.Boundary(k)
-			if len(pixels) == 0 {
-				continue
-			}
-			c.DrawPixels(pixels, func(px, py int) {
-				if !global.Get(px, py) {
-					global.Set(px, py)
-					globalList = append(globalList, int32(py*w+px))
-				}
-			})
-			per[k] = pixels
-		}
-		return globalList, per
-	}
-	scratch := raster.NewBitmap(w, h)
-	var touched []int32
-	for k := range regions.Regions {
-		touched = touched[:0]
-		c.DrawPolygonOutline(regions.Regions[k].Poly, func(px, py int) {
-			if scratch.Get(px, py) {
-				return
-			}
-			scratch.Set(px, py)
-			idx := int32(py*w + px)
-			touched = append(touched, idx)
-			if !global.Get(px, py) {
-				global.Set(px, py)
-				globalList = append(globalList, idx)
-			}
-		})
-		if len(touched) > 0 {
-			per[k] = append([]int32(nil), touched...)
-			for _, idx := range touched {
-				scratch.Unset(int(idx)%w, int(idx)/w)
-			}
-		}
-	}
-	return globalList, per
 }

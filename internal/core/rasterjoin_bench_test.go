@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/gpu"
 	"repro/internal/workload"
 )
@@ -52,6 +53,34 @@ func BenchmarkRasterJoinAggregates(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkAccurateOverhead measures what boundary refine adds to a join:
+// approximate against accurate on the 1 M-point taxi scene over each of its
+// three layers, SUM(fare) over 80 % of January at 1024 px, the span cache
+// warm as on a server after its first request per layer.
+func BenchmarkAccurateOverhead(b *testing.B) {
+	sc := workload.NYC(1_000_000, 2009)
+	jan := workload.Jan2009()
+	window := &core.TimeFilter{Start: jan.Start, End: jan.Start + (jan.End-jan.Start)*4/5}
+	ctx := context.Background()
+	for _, layer := range []*data.RegionSet{sc.Neighborhoods, sc.Tracts, sc.Grid} {
+		req := core.Request{Points: sc.Taxi, Regions: layer, Agg: core.Sum, Attr: "fare", Time: window}
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			rj := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(mode))
+			b.Run(layer.Name+"/"+mode.String(), func(b *testing.B) {
+				if _, err := rj.JoinContext(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := rj.JoinContext(ctx, req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -156,8 +185,8 @@ func BenchmarkPointPassScaling(b *testing.B) {
 
 // BenchmarkSpanCacheWarm isolates the region span cache (E17): a
 // polygon-heavy accurate join (2048 tract-scale regions, few points) with
-// the cache disabled (scan conversion every join) versus warm (pass 2 and
-// the outline pass replay compiled spans).
+// the cache disabled (the layer compiled every join) versus warm (every
+// pass reads the cached compiled layer).
 func BenchmarkSpanCacheWarm(b *testing.B) {
 	ps, rs := scene(5_000, 2048, 115)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}

@@ -35,10 +35,10 @@ import (
 // the shard-local folds; their fragments come back raw, tagged with the
 // global point index, and the coordinator replays them through the
 // same pass-1 shader in ascending index order — again the unsharded
-// per-pixel order. After the gather the textures and boundary bins are
-// bit-for-bit what a local pass 1 would have produced, and passes 2 and 3
-// run on the same tile state either way, so the entire Result is
-// byte-identical at any shard count.
+// per-pixel order. After the gather the textures and each pixel's boundary
+// observations are bit-for-bit what a local pass 1 would have produced, and
+// passes 2 and 3 run on the same tile state either way, so the entire
+// Result is byte-identical at any shard count.
 
 // shardFrag is one raw fragment from a straddle column: the pixel it landed
 // in, the observation, and the global point index the coordinator replays
@@ -51,9 +51,9 @@ type shardFrag struct {
 
 // ShardPartial is one shard's contribution to one tile: pass-1 targets
 // limited to the shard's owned pixel-column band (cells in straddle columns
-// inside the band are never written, and the bins cover owned columns
-// only), straddle-column fragments in ascending global index order, and
-// scan accounting.
+// inside the band are never written, and the boundary observation lists
+// hold owned columns only), straddle-column fragments in ascending global
+// index order, and scan accounting.
 type ShardPartial struct {
 	targets
 	frags []shardFrag
@@ -83,25 +83,9 @@ type ShardSpec struct {
 	// Straddle marks the tile-local pixel columns containing a shard cut:
 	// excluded from shard-local folds, returned as raw fragments.
 	Straddle []bool
-	// SlotOf maps pixel index py*Tile.W+px to a boundary-bin slot (-1
-	// elsewhere); nil in approximate mode. NumSlots sizes the bins.
-	SlotOf   []int32
-	NumSlots int
-}
-
-// xCol returns the pixel column world-x x falls into, clamped to the grid.
-// The transform divides by a positive pixel width and truncates, so the
-// mapping is monotone non-decreasing in x — the property the straddle-column
-// argument rests on.
-func xCol(t raster.Transform, x float64) int {
-	px := int((x - t.World.MinX) / t.PixelWidth())
-	if px < 0 {
-		px = 0
-	}
-	if px >= t.W {
-		px = t.W - 1
-	}
-	return px
+	// Mask marks the tile's boundary pixels, whose points are kept as
+	// observations; nil in approximate mode.
+	Mask *raster.Bitmap
 }
 
 // ShardPointPass runs one shard's partial point pass: scan the assigned
@@ -122,20 +106,22 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	w, h := t.W, t.H
 
 	// The shard's owned band: its points have x in [xlo, xhi) ∩ window, so
-	// by monotonicity their columns lie in [colLo, colHi).
+	// by the monotonicity of Transform.Col — the property the
+	// straddle-column argument rests on — their columns lie in
+	// [colLo, colHi).
 	colLo, colHi := 0, w
 	if !math.IsInf(xlo, -1) && xlo > t.World.MinX {
 		if xlo > t.World.MaxX {
 			colLo = w // nothing visible
 		} else {
-			colLo = xCol(t, xlo)
+			colLo = t.Col(xlo)
 		}
 	}
 	if !math.IsInf(xhi, 1) && xhi < t.World.MaxX {
 		if xhi < t.World.MinX {
 			colHi = 0
 		} else {
-			colHi = xCol(t, xhi) + 1
+			colHi = t.Col(xhi) + 1
 		}
 	}
 	if colHi < colLo {
@@ -144,8 +130,8 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 
 	// Band buffers are plain allocations, not pooled textures: a partial
 	// dropped on a sibling's failure is simply garbage.
-	p := &ShardPartial{targets: newTargets(spec.Req.Agg, w, colLo, colHi-colLo, h,
-		spec.SlotOf, spec.NumSlots, gpu.NewTexture)}
+	p := &ShardPartial{targets: newTargets(spec.Req.Agg, colLo, colHi-colLo, h,
+		spec.Mask, gpu.NewTexture)}
 
 	tr := trace.FromContext(ctx)
 	err = sc.pieces(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
@@ -216,8 +202,8 @@ func (r *RasterJoin) JoinScattered(ctx context.Context, req Request, plan Scatte
 }
 
 // gather is pass 1 scattered: fan the tile's point pass out through plan
-// and merge the partials into t, leaving textures and bins bit-for-bit what
-// a local drawScan would have produced.
+// and merge the partials into t, leaving textures and each pixel's boundary
+// observations bit-for-bit what a local drawScan would have produced.
 func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan ScatterPlan) error {
 	w, h := t.c.T.W, t.c.T.H
 	tr := trace.FromContext(ctx)
@@ -228,7 +214,7 @@ func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan Scatte
 	straddle := make([]bool, w)
 	for _, cut := range plan.Cuts() {
 		if cut >= t.c.T.World.MinX && cut <= t.c.T.World.MaxX {
-			straddle[xCol(t.c.T, cut)] = true
+			straddle[t.c.T.Col(cut)] = true
 		}
 	}
 
@@ -238,8 +224,7 @@ func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan Scatte
 		Tile:     t.c.T,
 		AttrIdx:  attrIdx,
 		Straddle: straddle,
-		SlotOf:   t.slotOf,
-		NumSlots: len(t.bins),
+		Mask:     t.mask,
 	})
 	span.End()
 	if err != nil {
@@ -285,8 +270,8 @@ func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan Scatte
 				}
 			}
 		}
-		for sl := range p.bins {
-			t.bins[sl] = append(t.bins[sl], p.bins[sl]...)
+		for y, row := range p.rows {
+			t.rows[y] = append(t.rows[y], row...)
 		}
 		frags = append(frags, p.frags...)
 	}

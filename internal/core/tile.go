@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/raster"
+	"repro/internal/trace"
 )
 
 // This file is the paper's points-first drawing pipeline, written once:
@@ -19,53 +21,56 @@ import (
 //     a min/max texture (the MIN/MAX blend equations over ±Inf).
 //  2. Polygon pass — each region is drawn; every covered fragment folds the
 //     point textures into the region's accumulator.
-//  3. (Accurate only) Outline pass + exact pass — fragments in boundary
-//     pixels are excluded from pass 2 and instead resolved by exact
-//     point-in-polygon tests against the points binned in those pixels.
+//  3. (Accurate only) Exact pass — pass 2 draws each region's interior,
+//     its fill minus its own boundary pixels, and the points that pass 1
+//     binned in those boundary pixels take exact point-in-polygon tests
+//     against the region's edges in their row.
 //
+// The polygon side of all three — spans, boundary mask and slots, interior
+// runs, row-edge tables — is one raster.RegionSpans from the span cache.
 // JoinContext, the scatter-gather gather, StreamJoin and SeriesJoinContext
 // all run on one tile; a shard's partial pass runs on the bare targets. A
-// series tile banks pass 2's fragments once and resolves each bin with
-// resolveBin (series.go), passes 2 and 3 over only the pixels the bin hit.
+// series tile resolves each bin with resolveBin (series.go), passes 2 and 3
+// over only the pixels the bin hit.
 
 // obs is one retained boundary observation: the point's coordinates (for
-// the exact fix-up test) and its aggregated value. Bins hold observations,
-// not point indices: with an out-of-core source the block a point came from
-// may be evicted before the fix-up pass runs.
+// the exact fix-up test), its aggregated value, the pixel column it landed
+// in and, once binned, its boundary slot. Bins hold observations, not point
+// indices: with an out-of-core source the block a point came from may be
+// evicted before the fix-up pass runs.
 type obs struct {
-	x, y, v float64
+	x, y, v  float64
+	px, slot int32
 }
 
 // targets is everything pass 1 writes: the per-aggregate textures and, in
-// accurate mode, the boundary-pixel bins. The textures may cover only the
-// canvas columns [x0, x0+count.W) — a shard's band — while slotOf always
-// spans the whole canvas of width w.
+// accurate mode, the boundary observations. The textures may cover only the
+// canvas columns [x0, x0+count.W) — a shard's band — while mask and rows
+// always span the whole canvas.
 type targets struct {
-	w, x0 int
+	x0 int
 	// count is always present; at most one of sum/min/max is, by aggregate.
 	count, sum, min, max *gpu.Texture
-	// slotOf maps a canvas pixel index to its dense boundary-bin slot (-1
-	// elsewhere), so the hot point loop pays one array lookup instead of a
-	// map operation. nil in approximate mode.
-	slotOf []int32
-	bins   [][]obs
+	// mask marks the boundary pixels (nil in approximate mode); a point
+	// landing in one is appended to its row's list, rows[py]. Only a row's
+	// DrawPointsParallel stripe owner writes the row, so the lists are
+	// race-free, and each pixel's observations keep point order.
+	mask *raster.Bitmap
+	rows [][]obs
 	// hit, when non-nil (a series tile), marks the pixels the pass shaded,
-	// so resolveBin visits and clears only those: one bit per pixel, each
-	// row starting on a fresh word of the hitStride words per row. A row's
-	// words then have its DrawPointsParallel stripe owner as their only
-	// writer, which keeps the marks race-free.
-	hit       []uint64
-	hitStride int
+	// so resolveBin visits and clears only those. Bitmap rows start on a
+	// fresh word, so each word has one stripe owner as its only writer.
+	hit *raster.Bitmap
 }
 
 // newTargets allocates the texture set for agg over bandW×h pixels through
 // alloc (the device pool for a canvas tile, plain allocation for a shard's
-// band, which outlives no pool discipline) and empty bins for nslots
-// boundary pixels.
-func newTargets(agg Agg, w, x0, bandW, h int, slotOf []int32, nslots int,
+// band, which outlives no pool discipline) and, given a boundary mask,
+// empty per-row observation lists.
+func newTargets(agg Agg, x0, bandW, h int, mask *raster.Bitmap,
 	alloc func(w, h int) *gpu.Texture) targets {
 
-	t := targets{w: w, x0: x0, count: alloc(bandW, h), slotOf: slotOf}
+	t := targets{x0: x0, count: alloc(bandW, h), mask: mask}
 	switch agg {
 	case Sum, Avg:
 		t.sum = alloc(bandW, h)
@@ -76,8 +81,8 @@ func newTargets(agg Agg, w, x0, bandW, h int, slotOf []int32, nslots int,
 		t.max = alloc(bandW, h)
 		t.max.Fill(math.Inf(-1))
 	}
-	if slotOf != nil {
-		t.bins = make([][]obs, nslots)
+	if mask != nil {
+		t.rows = make([][]obs, h)
 	}
 	return t
 }
@@ -89,7 +94,7 @@ func newTargets(agg Agg, w, x0, bandW, h int, slotOf []int32, nslots int,
 func (t *targets) shade(px, py int, x, y, v float64) {
 	bx := px - t.x0
 	if t.hit != nil {
-		t.hit[py*t.hitStride+px>>6] |= 1 << uint(px&63)
+		t.hit.Set(px, py)
 	}
 	t.count.Add(bx, py, 1)
 	switch {
@@ -100,46 +105,40 @@ func (t *targets) shade(px, py int, x, y, v float64) {
 	case t.max != nil:
 		t.max.TakeMax(bx, py, v)
 	}
-	if t.slotOf != nil {
-		if s := t.slotOf[py*t.w+px]; s >= 0 {
-			t.bins[s] = append(t.bins[s], obs{x: x, y: y, v: v})
-		}
+	if t.mask != nil && t.mask.Get(px, py) {
+		t.rows[py] = append(t.rows[py], obs{x: x, y: y, v: v, px: int32(px)})
 	}
 }
 
 // tile is the points-first state of one canvas pass: the pass-1 targets
-// plus the polygon side passes 2 and 3 replay — compiled spans and, in
-// accurate mode, each region's boundary pixels.
+// plus the compiled polygon side passes 2 and 3 replay, and the slot-keyed
+// bins pass 3 reads.
 type tile struct {
 	targets
-	r       *RasterJoin
-	c       *gpu.Canvas
-	regions *data.RegionSet
-	// sp is nil when the span cache is disabled — every region draw then
-	// falls back to direct scanline rasterization, which visits identical
-	// pixels.
-	sp           *raster.RegionSpans
-	regionPixels [][]int32
+	r  *RasterJoin
+	c  *gpu.Canvas
+	sp *raster.RegionSpans
+	bins
 }
 
-// newTile prepares a canvas for the points-first passes: compiled region
-// spans (cache hit or one-time compile), the accurate-mode outline pass, and
-// the texture set from the device pool. Callers pair it with a deferred
-// release, which runs on every exit path including cancellation.
+// newTile prepares a canvas for the points-first passes: the compiled
+// region layer (cache hit or one-time compile) and the texture set from the
+// device pool. Callers pair it with a deferred release, which runs on every
+// exit path including cancellation.
 func (r *RasterJoin) newTile(ctx context.Context, c *gpu.Canvas, regions *data.RegionSet, agg Agg) (*tile, error) {
 	sp, err := r.cachedSpans(ctx, regions, c.T)
 	if err != nil {
 		return nil, err
 	}
-	t := &tile{r: r, c: c, regions: regions, sp: sp}
-	var slotOf []int32
-	var nslots int
+	t := &tile{r: r, c: c, sp: sp}
+	var mask *raster.Bitmap
 	if r.mode == Accurate {
-		// Outline pass first — point binning needs to know which pixels are
-		// boundary pixels for some region.
-		slotOf, nslots, t.regionPixels = r.boundarySlots(c, regions, sp)
+		mask = sp.Mask()
 	}
-	t.targets = newTargets(agg, c.T.W, 0, c.T.W, c.T.H, slotOf, nslots, r.dev.AcquireTexture)
+	t.targets = newTargets(agg, 0, c.T.W, c.T.H, mask, r.dev.AcquireTexture)
+	if mask != nil {
+		t.bins = bins{n: make([]int32, sp.Slots()), end: make([]int32, sp.Slots())}
+	}
 	return t, nil
 }
 
@@ -175,35 +174,38 @@ func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) erro
 	})
 }
 
+// polygonSpans returns region k's pass-2 spans: its whole fill, or with
+// exact (accurate mode) its interior, whose boundary pixels pass 3
+// resolves.
+func polygonSpans(sp *raster.RegionSpans, k int, exact bool) []raster.Span {
+	if exact {
+		return sp.Interior(k)
+	}
+	return sp.Fill(k)
+}
+
 // resolve runs passes 2 and 3 over finished pass-1 targets, merging each
-// region's aggregate into stats[k]: per-region accumulation, parallel across
-// regions, plus the accurate-mode boundary fix-up from the point bins.
+// region's aggregate into stats[k]: per-region accumulation over the
+// region's interior, parallel across regions, plus the accurate-mode exact
+// pass over the region's boundary pixels. It records the boundary_obs and
+// refine_edge_tests trace counters once per tile.
 //
 // Race audit (sharedwrite-clean): parallelRegionsCtx hands each region
 // index k to exactly one goroutine, so stats[k] has a single writer; the
-// textures, bins, slotOf and regionPixels are frozen after pass 1 and only
-// read here. Scratch bitmaps are pooled and returned clean.
+// textures, observation lists and bins are frozen after collect and only
+// read here, and the edge-test total is atomic.
 func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
-	w, h := t.c.T.W, t.c.T.H
-	var pool sync.Pool
-	pool.New = func() any { return raster.NewBitmap(w, h) }
-	regions := t.regions.Regions
+	if t.mask != nil {
+		trace.FromContext(ctx).Count("boundary_obs", int64(t.collect(t.rows, t.sp)))
+		defer t.clear(t.rows)
+	}
+	var tests atomic.Int64
 	// Locals, not fields of t: the fragment shader below runs once per
 	// covered pixel.
 	count, sum, lo, hi := t.count, t.sum, t.min, t.max
-	return t.r.parallelRegionsCtx(ctx, len(regions), func(k int) {
+	err := t.r.parallelRegionsCtx(ctx, t.sp.Regions(), func(k int) {
 		var local RegionStat
-		var scratch *raster.Bitmap
-		if t.slotOf != nil {
-			scratch = pool.Get().(*raster.Bitmap)
-			for _, idx := range t.regionPixels[k] {
-				scratch.Set(int(idx)%w, int(idx)/w)
-			}
-		}
-		drawRegion(t.c, t.sp, regions[k].Poly, k, func(px, py int) {
-			if scratch != nil && scratch.Get(px, py) {
-				return // boundary fragment: resolved exactly by fixup
-			}
+		t.c.DrawSpans(polygonSpans(t.sp, k, t.mask != nil), func(px, py int) {
 			v := count.At(px, py)
 			if v == 0 {
 				return
@@ -221,17 +223,20 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 			}
 			local.Merge(pixel)
 		})
-		if scratch != nil {
-			for _, idx := range t.regionPixels[k] {
-				scratch.Unset(int(idx)%w, int(idx)/w)
+		if t.mask != nil {
+			n := int64(0)
+			slots := t.sp.BoundarySlots(k)
+			for i, idx := range t.sp.Boundary(k) {
+				n += t.fixup(k, idx, slots[i], &local)
 			}
-			pool.Put(scratch)
-			for _, idx := range t.regionPixels[k] {
-				t.fixup(k, idx, &local)
-			}
+			tests.Add(n)
 		}
 		stats[k].Merge(local)
 	})
+	if t.mask != nil {
+		trace.FromContext(ctx).Count("refine_edge_tests", tests.Load())
+	}
+	return err
 }
 
 // parallelRegionsCtx fans region indices [0,n) across the joiner's workers,
@@ -275,18 +280,22 @@ func (r *RasterJoin) parallelRegionsCtx(ctx context.Context, n int, fn func(k in
 	return ctx.Err()
 }
 
-// fixup is pass 3 for idx, one of region k's own boundary pixels: every
-// observation binned there takes the exact point-in-polygon test and, when
-// inside, folds into local. resolve runs it over the region's boundary
-// pixels in order, resolveBin over the ones the bin's points reached.
-func (t *tile) fixup(k int, idx int32, local *RegionStat) {
-	bin := t.bins[t.slotOf[idx]]
+// fixup is pass 3 for idx, one of region k's own boundary pixels, with
+// boundary slot slot: every observation binned there takes the exact
+// point-in-polygon test against the region's edges in the pixel's row and,
+// when inside, folds into local. resolve runs it over the region's boundary
+// pixels in order, resolveBin over the ones the bin's points reached. It
+// returns the number of edge crossing tests made.
+func (t *tile) fixup(k int, idx, slot int32, local *RegionStat) int64 {
+	bin := t.bin(slot)
 	if len(bin) == 0 {
-		return
+		return 0
 	}
-	poly := t.regions.Regions[k].Poly
-	for _, o := range bin {
-		if !poly.Contains(geom.Point{X: o.x, Y: o.y}) {
+	y := int(idx) / t.c.T.W
+	row, edges := t.rows[y], t.sp.RowEdges(k, y)
+	for _, i := range bin {
+		o := &row[i]
+		if !edges.Contains(geom.Point{X: o.x, Y: o.y}) {
 			continue
 		}
 		switch {
@@ -300,19 +309,71 @@ func (t *tile) fixup(k int, idx int32, local *RegionStat) {
 			local.Count++
 		}
 	}
+	return int64(len(bin) * edges.Len())
 }
 
-// boundarySlots runs the outline pass and numbers the boundary pixels:
-// slotOf maps a boundary pixel's index to a dense slot in [0, nslots) (-1
-// elsewhere), and regionPixels lists each region's own boundary pixels.
-func (r *RasterJoin) boundarySlots(c *gpu.Canvas, regions *data.RegionSet, sp *raster.RegionSpans) (slotOf []int32, nslots int, regionPixels [][]int32) {
-	boundaryList, regionPixels := r.outlinePass(c, regions, sp)
-	slotOf = make([]int32, c.T.W*c.T.H)
-	for i := range slotOf {
-		slotOf[i] = -1
+// bins groups pass 1's boundary observations by slot without moving them:
+// after collect, slot s's observations are rows[y][i] for i in
+// order[end[s]-n[s]:end[s]], in point order, where y is the slot's row;
+// touched lists the slots with any.
+type bins struct {
+	order   []int32
+	n, end  []int32
+	touched []int32
+	ranks   raster.SlotRow // scratch
+}
+
+// collect bins the per-row observation lists — a stable counting sort by
+// slot whose cost is the observations plus one word rank per mask word of
+// each non-empty row — and returns the number of observations.
+func (b *bins) collect(rows [][]obs, sp *raster.RegionSpans) int {
+	total := 0
+	for y, row := range rows {
+		if len(row) == 0 {
+			continue
+		}
+		b.ranks = sp.SlotRow(y, b.ranks)
+		for i := range row {
+			s := b.ranks.Slot(int(row[i].px))
+			row[i].slot = s
+			if b.n[s] == 0 {
+				b.touched = append(b.touched, s)
+			}
+			b.n[s]++
+		}
+		total += len(row)
 	}
-	for s, idx := range boundaryList {
-		slotOf[idx] = int32(s)
+	off := int32(0)
+	for _, s := range b.touched {
+		b.end[s] = off
+		off += b.n[s]
 	}
-	return slotOf, len(boundaryList), regionPixels
+	b.order = slices.Grow(b.order[:0], total)[:total]
+	for _, row := range rows {
+		for i, o := range row {
+			b.order[b.end[o.slot]] = int32(i)
+			b.end[o.slot]++
+		}
+	}
+	return total
+}
+
+// bin returns the row-local indices of slot s's observations.
+func (b *bins) bin(s int32) []int32 {
+	n := b.n[s]
+	if n == 0 {
+		return nil
+	}
+	return b.order[b.end[s]-n : b.end[s]]
+}
+
+// clear empties the bins and the per-row lists.
+func (b *bins) clear(rows [][]obs) {
+	for _, s := range b.touched {
+		b.n[s] = 0
+	}
+	b.touched = b.touched[:0]
+	for y := range rows {
+		rows[y] = rows[y][:0]
+	}
 }

@@ -295,9 +295,10 @@ func (c *Canvas) DrawPolygonOutline(pg geom.Polygon, shader FragmentShader) {
 	c.dev.fragmentsShaded.Add(shaded)
 }
 
-// DrawSpans replays one region's precompiled fill spans — the span-cache
-// warm path of the polygon pass. Fragment order matches DrawPolygon on the
-// geometry the spans were compiled from: row-major, left-to-right, so
+// DrawSpans replays precompiled scanline spans — a region's fill or
+// interior from raster.CompileRegions, the polygon pass of every join. A
+// region's fill visits the fragments DrawPolygon would on the geometry the
+// spans were compiled from, in the same row-major, left-to-right order, so
 // results are bit-identical to a direct draw.
 func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
 	c.dev.drawCalls.Add(1)
@@ -310,18 +311,4 @@ func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
 		}
 	}
 	c.dev.fragmentsShaded.Add(shaded)
-}
-
-// DrawPixels replays a precompiled pixel-index list — the span-cache warm
-// path of the outline pass. Unlike DrawPolygonOutline's conservative trace,
-// the list is already deduplicated, so the shader runs exactly once per
-// boundary pixel, in the compiled first-visit order.
-func (c *Canvas) DrawPixels(pixels []int32, shader FragmentShader) {
-	c.dev.drawCalls.Add(1)
-	c.dev.polygonsIn.Add(1)
-	w := c.T.W
-	for _, idx := range pixels {
-		shader(int(idx)%w, int(idx)/w)
-	}
-	c.dev.fragmentsShaded.Add(int64(len(pixels)))
 }

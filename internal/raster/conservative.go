@@ -12,8 +12,9 @@ import (
 // first; segments entirely outside visit nothing. Pixels are visited once,
 // in order along the segment.
 func TraceSegment(t Transform, a, b geom.Point, visit func(px, py int)) {
-	// Shrink the clip window infinitesimally so endpoints exactly on the max
-	// edges land in the last pixel rather than out of range.
+	// The clip window is the world window itself; endpoints exactly on its
+	// max edges map one past the grid, so toCell clamps them into the last
+	// pixel.
 	p0, p1, ok := geom.ClipSegmentToBBox(a, b, t.World)
 	if !ok {
 		return
@@ -111,43 +112,43 @@ func BoundaryPixels(t Transform, pg geom.Polygon, visit func(px, py int)) {
 }
 
 // Bitmap is a dense 2D bit set over a pixel grid, used to deduplicate
-// boundary-pixel visits and to classify interior vs boundary coverage.
+// boundary-pixel visits and to classify interior vs boundary coverage. Each
+// row starts on a fresh 64-bit word, so a row's words can be read and ranked
+// on their own, and goroutines that each write only their own rows (the
+// DrawPointsParallel stripe owners) share no word.
 type Bitmap struct {
-	W, H  int
-	words []uint64
+	W, H   int
+	stride int // words per row
+	words  []uint64
 }
 
 // NewBitmap returns a cleared W×H bitmap.
 func NewBitmap(w, h int) *Bitmap {
-	return &Bitmap{W: w, H: h, words: make([]uint64, (w*h+63)/64)}
+	stride := (w + 63) / 64
+	return &Bitmap{W: w, H: h, stride: stride, words: make([]uint64, stride*h)}
 }
 
 // Set marks pixel (x,y).
-func (b *Bitmap) Set(x, y int) {
-	i := y*b.W + x
-	b.words[i>>6] |= 1 << uint(i&63)
-}
+func (b *Bitmap) Set(x, y int) { b.words[y*b.stride+x>>6] |= 1 << uint(x&63) }
 
 // Unset clears pixel (x,y).
-func (b *Bitmap) Unset(x, y int) {
-	i := y*b.W + x
-	b.words[i>>6] &^= 1 << uint(i&63)
-}
+func (b *Bitmap) Unset(x, y int) { b.words[y*b.stride+x>>6] &^= 1 << uint(x&63) }
 
 // Get reports whether pixel (x,y) is marked.
-func (b *Bitmap) Get(x, y int) bool {
-	i := y*b.W + x
-	return b.words[i>>6]&(1<<uint(i&63)) != 0
-}
+func (b *Bitmap) Get(x, y int) bool { return b.words[y*b.stride+x>>6]&(1<<uint(x&63)) != 0 }
 
-// NextSet returns the row-major index of the first marked pixel in [i, end),
-// or end when there is none.
-func (b *Bitmap) NextSet(i, end int) int {
-	for i < end {
-		if w := b.words[i>>6] >> uint(i&63); w != 0 {
-			return min(i+bits.TrailingZeros64(w), end)
+// Row returns row y's words: bit x&63 of word x>>6 is pixel (x, y).
+func (b *Bitmap) Row(y int) []uint64 { return b.words[y*b.stride : (y+1)*b.stride] }
+
+// NextSet returns the first marked column in [x, end) of row y, or end when
+// there is none.
+func (b *Bitmap) NextSet(y, x, end int) int {
+	row := b.Row(y)
+	for x < end {
+		if w := row[x>>6] >> uint(x&63); w != 0 {
+			return min(x+bits.TrailingZeros64(w), end)
 		}
-		i = (i | 63) + 1
+		x = (x | 63) + 1
 	}
 	return end
 }

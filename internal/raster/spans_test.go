@@ -2,6 +2,8 @@ package raster
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -22,7 +24,8 @@ func spanTestPolys() []geom.Polygon {
 
 // TestCompileRegionsMatchesDirect: replaying compiled fill spans and
 // boundary lists must reproduce FillPolygon and deduplicated
-// BoundaryPixels exactly — same pixels, same order.
+// BoundaryPixels exactly — same pixels, same order — and the interior,
+// slots and row index must agree with them.
 func TestCompileRegionsMatchesDirect(t *testing.T) {
 	tr := NewTransform(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 64, 64)
 	polys := spanTestPolys()
@@ -72,10 +75,101 @@ func TestCompileRegionsMatchesDirect(t *testing.T) {
 				t.Fatalf("region %d: boundary pixel %d = %d, want %d (first-visit order must match)",
 					k, i, gotBound[i], wantBound[i])
 			}
+			px, py := int(gotBound[i])%tr.W, int(gotBound[i])/tr.W
+			if s := rs.Slot(px, py); s != rs.BoundarySlots(k)[i] {
+				t.Fatalf("region %d: pixel %d has slot %d, BoundarySlots says %d", k, gotBound[i], s, rs.BoundarySlots(k)[i])
+			}
 		}
+
+		// The interior is the fill minus the region's own boundary pixels,
+		// in fill order, and the row index holds the same runs.
+		var wantInterior, gotInterior []int32
+		for _, idx := range want {
+			if !seen.Get(int(idx)%tr.W, int(idx)/tr.W) {
+				wantInterior = append(wantInterior, idx)
+			}
+		}
+		for _, s := range rs.Interior(k) {
+			for px := s.X0; px < s.X1; px++ {
+				gotInterior = append(gotInterior, s.Y*int32(tr.W)+px)
+			}
+		}
+		if !slices.Equal(gotInterior, wantInterior) {
+			t.Fatalf("region %d: interior %v, want %v", k, gotInterior, wantInterior)
+		}
+		var byRow []int32
+		for y := 0; y < tr.H; y++ {
+			for _, r := range rs.InteriorRows().Row(y) {
+				for px := r.X0; r.K == int32(k) && px < r.X1; px++ {
+					byRow = append(byRow, int32(y*tr.W)+px)
+				}
+			}
+		}
+		if !slices.Equal(byRow, wantInterior) {
+			t.Fatalf("region %d: row-indexed interior differs from Interior", k)
+		}
+	}
+
+	// Slots number the union of the boundary pixels densely in row-major
+	// order, and every other pixel has none.
+	next := int32(0)
+	for py := 0; py < tr.H; py++ {
+		for px := 0; px < tr.W; px++ {
+			s := rs.Slot(px, py)
+			if s < 0 {
+				continue
+			}
+			if s != next {
+				t.Fatalf("pixel (%d,%d) has slot %d, want %d", px, py, s, next)
+			}
+			next++
+		}
+	}
+	if int(next) != rs.Slots() {
+		t.Fatalf("%d slotted pixels, Slots() = %d", next, rs.Slots())
 	}
 	if rs.Bytes() <= 0 {
 		t.Fatal("Bytes() must be positive for a non-empty compile")
+	}
+}
+
+// TestRegionSpansBytesCountsEveryArray: Bytes is the capacity of every
+// array a compiled layer holds plus spansOverhead, so a field added without
+// its bytes in the span cache's budget fails here. The layer exercises
+// every array: each must be non-empty.
+func TestRegionSpansBytesCountsEveryArray(t *testing.T) {
+	tr := NewTransform(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 64, 64)
+	rs, err := CompileRegions(context.Background(), tr, spanTestPolys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var walk func(v reflect.Value, path string) int
+	walk = func(v reflect.Value, path string) int {
+		switch v.Kind() {
+		case reflect.Pointer:
+			return walk(v.Elem(), path)
+		case reflect.Struct:
+			n := 0
+			for i := 0; i < v.NumField(); i++ {
+				n += walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+			return n
+		case reflect.Slice:
+			switch v.Type().Elem().Kind() {
+			case reflect.Slice, reflect.Pointer, reflect.Map, reflect.String:
+				t.Fatalf("%s: elements own memory of their own; extend this walk and Bytes", path)
+			}
+			if v.Cap() == 0 {
+				t.Fatalf("%s is empty; the test layer must exercise every array", path)
+			}
+			return v.Cap() * int(v.Type().Elem().Size())
+		case reflect.Map, reflect.String:
+			t.Fatalf("%s: unsupported field kind %v", path, v.Kind())
+		}
+		return 0
+	}
+	if got, want := rs.Bytes(), int64(walk(reflect.ValueOf(rs), "RegionSpans"))+spansOverhead; got != want {
+		t.Fatalf("Bytes() = %d, want %d: an array is missing from (or counted twice in) Bytes", got, want)
 	}
 }
 

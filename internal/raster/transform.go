@@ -77,15 +77,31 @@ func (t Transform) ToPixel(p geom.Point) (px, py int, ok bool) {
 	if !t.World.Contains(p) {
 		return 0, 0, false
 	}
-	px = int((p.X - t.World.MinX) / t.PixelWidth())
-	py = int((p.Y - t.World.MinY) / t.PixelHeight())
-	if px >= t.W {
-		px = t.W - 1
+	return t.Col(p.X), t.Row(p.Y), true
+}
+
+// Col returns the pixel column world x falls into, clamped to the grid
+// (NaN maps to column 0). It is ToPixel's column for every in-window point,
+// and it is monotone non-decreasing in x.
+func (t Transform) Col(x float64) int { return cell((x-t.World.MinX)/t.PixelWidth(), t.W) }
+
+// Row returns the pixel row world y falls into, clamped to the grid (NaN
+// maps to row 0). It is ToPixel's row for every in-window point, and it is
+// monotone non-decreasing in y: a segment whose y-extent contains a point's
+// y touches the point's row in [Row(minY), Row(maxY)].
+func (t Transform) Row(y float64) int { return cell((y-t.World.MinY)/t.PixelHeight(), t.H) }
+
+// cell truncates the fractional cell position f into [0, n). Comparing in
+// floating point first keeps an out-of-range f from reaching the
+// float-to-int conversion, whose result Go leaves to the implementation.
+func cell(f float64, n int) int {
+	switch {
+	case f >= float64(n):
+		return n - 1
+	case f >= 1:
+		return int(f)
 	}
-	if py >= t.H {
-		py = t.H - 1
-	}
-	return px, py, true
+	return 0
 }
 
 // PixelCenter returns the world coordinates of the center of pixel (px,py).

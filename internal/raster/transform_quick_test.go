@@ -73,23 +73,25 @@ func TestSubPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: Bitmap Set/Get/Unset/NextSet behave like a reference map.
+// Property: Bitmap Set/Get/Unset/NextSet behave like a reference map,
+// across the words of a row.
 func TestBitmapAgainstMapProperty(t *testing.T) {
+	const w = 100 // two words per row
 	f := func(ops []uint16) bool {
-		bm := NewBitmap(37, 29)
+		bm := NewBitmap(w, 29)
 		ref := map[int]bool{}
 		for _, op := range ops {
-			x := int(op) % 37
-			y := (int(op) / 37) % 29
+			x := int(op) % w
+			y := (int(op) / w) % 29
 			switch op % 3 {
 			case 0:
 				bm.Set(x, y)
-				ref[y*37+x] = true
+				ref[y*w+x] = true
 			case 1:
 				bm.Unset(x, y)
-				delete(ref, y*37+x)
+				delete(ref, y*w+x)
 			case 2:
-				if bm.Get(x, y) != ref[y*37+x] {
+				if bm.Get(x, y) != ref[y*w+x] {
 					return false
 				}
 			}
@@ -98,20 +100,21 @@ func TestBitmapAgainstMapProperty(t *testing.T) {
 		for range ref {
 			count++
 		}
-		// NextSet agrees with a linear scan of the reference, across words.
-		const n = 37 * 29
-		for i := 0; i <= n; i += 5 {
-			for _, end := range []int{i, i + 1, i + 70, n} {
-				end = min(end, n)
-				want := end
-				for j := i; j < end; j++ {
-					if ref[j] {
-						want = j
-						break
+		// NextSet agrees with a linear scan of the reference row.
+		for y := 0; y < 29; y++ {
+			for x := 0; x <= w; x += 3 {
+				for _, end := range []int{x, x + 1, x + 20, w} {
+					end = min(end, w)
+					want := end
+					for j := x; j < end; j++ {
+						if ref[y*w+j] {
+							want = j
+							break
+						}
 					}
-				}
-				if bm.NextSet(i, end) != want {
-					return false
+					if bm.NextSet(y, x, end) != want {
+						return false
+					}
 				}
 			}
 		}
