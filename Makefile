@@ -48,9 +48,10 @@ lru-single:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Short-budget fuzzing of the input decoders, the query parser, the series
-# tile's per-bin pass against per-bin joins and the row-edge exact test
-# against Polygon.Contains; go test accepts one -fuzz target per invocation.
+# Short-budget fuzzing of the input decoders, the segment reader over
+# corrupted files, the query parser, the series tile's per-bin pass against
+# per-bin joins and the row-edge exact test against Polygon.Contains; go test
+# accepts one -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/urbane -run='^$$' -fuzz='^FuzzAdmitEnvelope$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/geoblocks -run='^$$' -fuzz='^FuzzClassify$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSeriesMatchesPerBin$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzRowEdgeContains$$' -fuzztime=$(FUZZTIME)
 

@@ -186,7 +186,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 				segBytes += info.Size()
 			}
 		}
-		log.Printf("segment-backed execution enabled: %d sets, %.1f MiB on disk, %.1f MiB block cache each, built in %v",
+		log.Printf("segment-backed execution enabled: %d sets, %.1f MiB on disk, %.1f MiB column cache each, built in %v",
 			3, float64(segBytes)/(1<<20), float64(*segCacheBytes)/(1<<20),
 			time.Since(start).Round(time.Millisecond))
 	}

@@ -134,6 +134,7 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 		return nil, err
 	}
 	sc.spatialOnly = true
+	sc.cols.Need(dxIdx, dyIdx)
 	sc.setWorld(c.T.World)
 
 	// ID pass: first-drawn region owns each pixel. In accurate mode only

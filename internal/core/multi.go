@@ -94,6 +94,11 @@ func (r *RasterJoin) MultiJoinContext(ctx context.Context, req Request, specs []
 	if err != nil {
 		return nil, err
 	}
+	// The scan reads every spec's attribute and predicate columns too.
+	sc.cols.Need(attrIdxs...)
+	for s := range preds {
+		preds[s].need(&sc.cols)
+	}
 
 	err = r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
 		if err := ctx.Err(); err != nil {

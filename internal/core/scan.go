@@ -19,8 +19,8 @@ var (
 	scanBlocksPruned  atomic.Int64
 )
 
-// ScanStats returns the process-wide block-scan counters: blocks decoded
-// and drawn vs. blocks eliminated by zone-map pruning.
+// ScanStats returns the process-wide block-scan counters: blocks read and
+// drawn vs. blocks eliminated by zone-map pruning.
 func ScanStats() (scanned, pruned int64) {
 	return scanBlocksScanned.Load(), scanBlocksPruned.Load()
 }
@@ -59,6 +59,14 @@ func newResidualPred(src data.PointSource, filters []Filter, tf *TimeFilter) (re
 	return p, nil
 }
 
+// need adds the columns the predicate reads to cols.
+func (p *residualPred) need(cols *data.Columns) {
+	cols.T = cols.T || p.hasTime
+	for _, f := range p.filters {
+		cols.Need(f.idx)
+	}
+}
+
 // empty reports whether the predicate passes every point trivially.
 func (p *residualPred) empty() bool { return !p.hasTime && len(p.filters) == 0 }
 
@@ -95,6 +103,10 @@ type Scan struct {
 	// scanned and pruned total the blocks pieces drew vs. eliminated.
 	scanned, pruned atomic.Int64
 
+	// cols is the projection every block is read with: the residual
+	// predicate's columns and the aggregate attribute, plus whatever else
+	// the consumer declared. A column outside it may come back nil.
+	cols     data.Columns
 	res      residualPred
 	world    geom.BBox
 	worldSet bool
@@ -109,7 +121,8 @@ type Scan struct {
 
 // newScan compiles the request into a Scan against req.Data(). The time
 // filter narrows [Lo, Hi) by binary search on a time-sorted source and
-// joins the residual predicate otherwise.
+// joins the residual predicate otherwise. The scan reads the predicate's
+// columns and, when the aggregate needs it, req.Attr.
 func (r *RasterJoin) newScan(req Request) (*Scan, error) {
 	src := req.Data()
 	sc := &Scan{Src: src, Lo: 0, Hi: src.Len(), prune: r.blockPrune}
@@ -126,6 +139,10 @@ func (r *RasterJoin) newScan(req Request) (*Scan, error) {
 	sc.res, err = newResidualPred(src, req.Filters, tf)
 	if err != nil {
 		return nil, err
+	}
+	sc.res.need(&sc.cols)
+	if req.Agg.NeedsAttr() {
+		sc.cols.Need(data.AttrIndex(src, req.Attr))
 	}
 	return sc, nil
 }
@@ -293,9 +310,9 @@ func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, l
 			runS, runE, runPred = cs, ce, needPred
 			continue
 		}
-		blk, err := src.Block(b)
+		blk, err := src.Read(b, sc.cols)
 		if err != nil {
-			return fmt.Errorf("core: decoding block %d of %q: %w", b, src.Name(), err)
+			return fmt.Errorf("core: reading block %d of %q: %w", b, src.Name(), err)
 		}
 		if err := fn(blk, cs, ce, needPred); err != nil {
 			return err
@@ -306,8 +323,9 @@ func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, l
 
 // sourceTimeWindow returns the index range [lo, hi) of points with
 // timestamps in [start, end) on a time-sorted source. The block to probe
-// is found from the resident zone maps, so at most two blocks are decoded;
-// an in-RAM Slabber source is binary-searched directly with no zone cost.
+// is found from the resident zone maps, so at most two blocks' time columns
+// are read; an in-RAM Slabber source is binary-searched directly with no
+// zone cost.
 func sourceTimeWindow(src data.PointSource, start, end int64) (lo, hi int, err error) {
 	if sl, ok := src.(data.Slabber); ok {
 		if blk, ok := sl.Slab(0, src.Len()); ok && blk.T != nil {
@@ -325,7 +343,7 @@ func sourceTimeWindow(src data.PointSource, start, end int64) (lo, hi int, err e
 		if b == nb {
 			return src.Len(), nil
 		}
-		blk, err := src.Block(b)
+		blk, err := src.Read(b, data.Columns{T: true})
 		if err != nil {
 			return 0, fmt.Errorf("core: time window over %q: %w", src.Name(), err)
 		}

@@ -1,8 +1,8 @@
 package core_test
 
 // Segment-vs-RAM equivalence: every joiner, executed against a columnar
-// segment store (block-at-a-time, zone-pruned, decoded under a byte-bounded
-// cache), must produce results bit-identical to the in-RAM array path —
+// segment store (block-at-a-time, zone-pruned, only the columns the query
+// declares read, under a byte-bounded cache), must produce results bit-identical to the in-RAM array path —
 // across modes, strategies, aggregates, filters, worker counts, pruning
 // on/off, and cold/warm caches. These are the acceptance tests of the
 // PointSource refactor: the store changes where bytes live, never what any
@@ -115,28 +115,47 @@ func assertStatsBits(t *testing.T, got, want []core.RegionStat, label string) {
 	}
 }
 
-// reqVariants is the aggregate/filter/time matrix every joiner config runs.
-func reqVariants(ps *data.PointSet, rs *data.RegionSet, st *segment.Store) []struct {
+// equivBudgets are the store cache budgets the equivalence suites run at: a
+// warm cache, and none — every column read from the file on every touch.
+var equivBudgets = []int64{1 << 20, 0}
+
+// unsortedCopy returns ps with each point swapped with one up to 700
+// positions later: not time-sorted, so a time window is a residual
+// predicate over T, yet local enough that zone maps still prune.
+func unsortedCopy(ps *data.PointSet, seed int64) *data.PointSet {
+	rng := rand.New(rand.NewSource(seed))
+	idx := make([]int, ps.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := range idx {
+		j := min(len(idx)-1, i+rng.Intn(700))
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	return ps.Select(idx)
+}
+
+type reqVariant struct {
 	name     string
 	ram, seg core.Request
-} {
-	mk := func(name string, agg core.Agg, attr string, fs []core.Filter, tf *core.TimeFilter) struct {
-		name     string
-		ram, seg core.Request
-	} {
-		ram := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: attr, Filters: fs, Time: tf}
-		seg := ram
-		seg.Source = st
-		return struct {
-			name     string
-			ram, seg core.Request
-		}{name, ram, seg}
+}
+
+// reqVariants is the aggregate/filter/time matrix every joiner config
+// runs: over ps/st, and time-windowed over the unsorted copy us/ust. Some
+// aggregate one attribute while filtering on another, so a scan that
+// forgot to read either column would differ from the in-RAM path.
+func reqVariants(ps, us *data.PointSet, rs *data.RegionSet, st, ust *segment.Store) []reqVariant {
+	mkOn := func(ps *data.PointSet, st *segment.Store) func(string, core.Agg, string, []core.Filter, *core.TimeFilter) reqVariant {
+		return func(name string, agg core.Agg, attr string, fs []core.Filter, tf *core.TimeFilter) reqVariant {
+			ram := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: attr, Filters: fs, Time: tf}
+			seg := ram
+			seg.Source = st
+			return reqVariant{name, ram, seg}
+		}
 	}
+	mk, mkU := mkOn(ps, st), mkOn(us, ust)
 	n := float64(ps.Len())
-	return []struct {
-		name     string
-		ram, seg core.Request
-	}{
+	return []reqVariant{
 		mk("count", core.Count, "", nil, nil),
 		mk("sum", core.Sum, "v", nil, nil),
 		mk("avg", core.Avg, "v", nil, nil),
@@ -144,38 +163,52 @@ func reqVariants(ps *data.PointSet, rs *data.RegionSet, st *segment.Store) []str
 		mk("max", core.Max, "v", nil, nil),
 		mk("count-tight-filter", core.Count, "",
 			[]core.Filter{{Attr: "hot", Min: 0.2 * n, Max: 0.23 * n}}, nil),
+		mk("sum-v-filter-hot", core.Sum, "v",
+			[]core.Filter{{Attr: "hot", Min: 0.2 * n, Max: 0.6 * n}}, nil),
 		mk("sum-filter-time", core.Sum, "v",
 			[]core.Filter{{Attr: "v", Min: 2, Max: 8}},
 			&core.TimeFilter{Start: int64(0.3 * n * 3), End: int64(0.6 * n * 3)}),
 		mk("count-time", core.Count, "", nil,
 			&core.TimeFilter{Start: int64(0.8 * n * 3), End: int64(0.85 * n * 3)}),
+		mkU("unsorted-count-time", core.Count, "", nil,
+			&core.TimeFilter{Start: int64(0.4 * n * 3), End: int64(0.7 * n * 3)}),
+		mkU("unsorted-max-v-filter-hot-time", core.Max, "v",
+			[]core.Filter{{Attr: "hot", Min: 0.1 * n, Max: 0.9 * n}},
+			&core.TimeFilter{Start: int64(0.2 * n * 3), End: int64(0.5 * n * 3)}),
 	}
 }
 
 // TestSegmentJoinEquivalence sweeps the joiner configuration space: both
 // modes, both strategies, pruning on and off, one and several point
-// workers — segment-backed results must match the in-RAM path bit for bit.
+// workers, cache on and off — segment-backed results must match the in-RAM
+// path bit for bit.
 func TestSegmentJoinEquivalence(t *testing.T) {
 	ps, rs := equivScene(5000, 8, 42)
-	st := equivStore(t, ps, 512, 1<<20)
-	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		for _, strat := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
-			for _, prune := range []bool{true, false} {
-				for _, workers := range []int{1, 3} {
-					rj := core.NewRasterJoin(core.WithMode(mode),
-						core.WithResolution(256), core.WithStrategy(strat),
-						core.WithBlockPrune(prune), core.WithPointWorkers(workers))
-					for _, vr := range reqVariants(ps, rs, st) {
-						ram, err := rj.Join(vr.ram)
-						if err != nil {
-							t.Fatalf("%v/%v/prune=%v/w%d/%s ram: %v", mode, strat, prune, workers, vr.name, err)
+	us := unsortedCopy(ps, 43)
+	for _, budget := range equivBudgets {
+		st, ust := equivStore(t, ps, 512, budget), equivStore(t, us, 512, budget)
+		if ust.TimeSorted() {
+			t.Fatal("unsorted copy is time-sorted")
+		}
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			for _, strat := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
+				for _, prune := range []bool{true, false} {
+					for _, workers := range []int{1, 3} {
+						rj := core.NewRasterJoin(core.WithMode(mode),
+							core.WithResolution(256), core.WithStrategy(strat),
+							core.WithBlockPrune(prune), core.WithPointWorkers(workers))
+						for _, vr := range reqVariants(ps, us, rs, st, ust) {
+							label := fmt.Sprintf("%v/%v/prune=%v/w%d/cache=%d/%s", mode, strat, prune, workers, budget, vr.name)
+							ram, err := rj.Join(vr.ram)
+							if err != nil {
+								t.Fatalf("%s ram: %v", label, err)
+							}
+							seg, err := rj.Join(vr.seg)
+							if err != nil {
+								t.Fatalf("%s seg: %v", label, err)
+							}
+							assertStatsBits(t, seg.Stats, ram.Stats, label)
 						}
-						seg, err := rj.Join(vr.seg)
-						if err != nil {
-							t.Fatalf("%v/%v/prune=%v/w%d/%s seg: %v", mode, strat, prune, workers, vr.name, err)
-						}
-						label := mode.String() + "/" + strat.String() + "/" + vr.name
-						assertStatsBits(t, seg.Stats, ram.Stats, label)
 					}
 				}
 			}
@@ -184,30 +217,82 @@ func TestSegmentJoinEquivalence(t *testing.T) {
 }
 
 // TestSegmentSeriesEquivalence: the time-binned joiner over a segment
-// source matches the in-RAM path bit for bit, per bin and region.
+// source matches the in-RAM path bit for bit, per bin and region — on a
+// sorted source (bins narrow the range) and an unsorted one (bins are a
+// residual predicate over T), with and without a cache.
 func TestSegmentSeriesEquivalence(t *testing.T) {
 	ps, rs := equivScene(4000, 6, 77)
-	st := equivStore(t, ps, 512, 1<<20)
+	us := unsortedCopy(ps, 78)
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
-	for _, agg := range []struct {
-		agg  core.Agg
-		attr string
-	}{{core.Count, ""}, {core.Sum, "v"}} {
-		ram, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: agg.agg, Attr: agg.attr,
-			Filters: []core.Filter{{Attr: "v", Min: 1, Max: 9}}}, 0, int64(ps.Len()*3), 6)
-		if err != nil {
-			t.Fatal(err)
+	for _, budget := range equivBudgets {
+		for _, set := range []*data.PointSet{ps, us} {
+			st := equivStore(t, set, 512, budget)
+			for _, agg := range []struct {
+				agg    core.Agg
+				attr   string
+				filter core.Filter
+			}{
+				{core.Count, "", core.Filter{Attr: "v", Min: 1, Max: 9}},
+				{core.Sum, "v", core.Filter{Attr: "v", Min: 1, Max: 9}},
+				{core.Sum, "v", core.Filter{Attr: "hot", Min: 100, Max: 3900}},
+			} {
+				req := core.Request{Points: set, Regions: rs, Agg: agg.agg, Attr: agg.attr,
+					Filters: []core.Filter{agg.filter}}
+				ram, err := rj.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()*3), 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Source = st
+				seg, err := rj.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()*3), 6)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(seg.Stats) != len(ram.Stats) {
+					t.Fatalf("%v: bins %d vs %d", agg.agg, len(seg.Stats), len(ram.Stats))
+				}
+				label := fmt.Sprintf("%v/%s/sorted=%v/cache=%d", agg.agg, agg.filter.Attr, st.TimeSorted(), budget)
+				for b := range seg.Stats {
+					assertStatsBits(t, seg.Stats[b], ram.Stats[b], label)
+				}
+			}
 		}
-		seg, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Source: st, Regions: rs, Agg: agg.agg, Attr: agg.attr,
-			Filters: []core.Filter{{Attr: "v", Min: 1, Max: 9}}}, 0, int64(ps.Len()*3), 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seg.Stats) != len(ram.Stats) {
-			t.Fatalf("%v: bins %d vs %d", agg.agg, len(seg.Stats), len(ram.Stats))
-		}
-		for b := range seg.Stats {
-			assertStatsBits(t, seg.Stats[b], ram.Stats[b], agg.agg.String())
+	}
+}
+
+// TestSegmentDensityEquivalence: the density pass (heatmaps and tiles) over
+// a segment source folds the same grid bit for bit as in RAM — weighted by
+// one attribute while filtered on another, time-windowed on a sorted and an
+// unsorted source, with and without a cache.
+func TestSegmentDensityEquivalence(t *testing.T) {
+	ps, _ := equivScene(4000, 6, 31)
+	us := unsortedCopy(ps, 32)
+	rj := core.NewRasterJoin()
+	world := geom.BBox{MinX: 100, MinY: 100, MaxX: 900, MaxY: 800}
+	for _, budget := range equivBudgets {
+		for _, set := range []*data.PointSet{ps, us} {
+			st := equivStore(t, set, 256, budget)
+			for _, req := range []core.Request{
+				{Points: set, Agg: core.Count},
+				{Points: set, Agg: core.Sum, Attr: "v",
+					Filters: []core.Filter{{Attr: "hot", Min: 500, Max: 3500}},
+					Time:    &core.TimeFilter{Start: 1500, End: 9000}},
+			} {
+				ram, _, err := rj.DensityContext(context.Background(), req, world, 64, 48)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Source = st
+				seg, _, err := rj.DensityContext(context.Background(), req, world, 64, 48)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ram {
+					if math.Float64bits(seg[i]) != math.Float64bits(ram[i]) {
+						t.Fatalf("%v/sorted=%v/cache=%d: cell %d = %v, want %v",
+							req.Agg, st.TimeSorted(), budget, i, seg[i], ram[i])
+					}
+				}
+			}
 		}
 	}
 }
@@ -218,162 +303,189 @@ func TestSegmentSeriesEquivalence(t *testing.T) {
 // points-first variant must land on the same Stats: the monolithic join, a
 // stream of three segment-backed batches, a one-bin series, and the
 // scattered join at 1, 2 and 4 shards (shards × segments × small batches).
+// The request sums one attribute filtered on another; everything runs with
+// and without a cache.
 func TestSegmentStreamEquivalence(t *testing.T) {
 	ps, rs := equivScene(3000, 6, 99)
-	st := equivStore(t, ps, 256, 1<<20)
-	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
-	mkStream := func() *core.StreamJoin {
-		s, err := rj.NewStream(rs, core.Sum, "v",
-			[]core.Filter{{Attr: "v", Min: 2, Max: 9}}, nil)
+	filters := []core.Filter{{Attr: "hot", Min: 200, Max: 2700}}
+	for _, budget := range equivBudgets {
+		st := equivStore(t, ps, 256, budget)
+		rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
+		mkStream := func() *core.StreamJoin {
+			s, err := rj.NewStream(rs, core.Sum, "v", filters, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		a := mkStream()
+		if err := a.AddContext(context.Background(), ps); err != nil {
+			t.Fatal(err)
+		}
+		ram, err := a.FinalizeContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
-	}
-	a := mkStream()
-	if err := a.AddContext(context.Background(), ps); err != nil {
-		t.Fatal(err)
-	}
-	ram, err := a.FinalizeContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mkStream()
-	if err := b.AddSourceContext(context.Background(), st); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := b.FinalizeContext(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertStatsBits(t, seg.Stats, ram.Stats, "stream")
+		b := mkStream()
+		if err := b.AddSourceContext(context.Background(), st); err != nil {
+			t.Fatal(err)
+		}
+		seg, err := b.FinalizeContext(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertStatsBits(t, seg.Stats, ram.Stats, fmt.Sprintf("stream/cache=%d", budget))
 
-	ctx := context.Background()
-	rj = core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
-		core.WithPointBatch(64))
-	req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Sum, Attr: "v",
-		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 9}}}
-	want, err := rj.JoinContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type variant struct {
-		name string
-		run  func() ([]core.RegionStat, error)
-	}
-	variants := []variant{
-		{"stream of 3 batches", func() ([]core.RegionStat, error) {
-			s := mkStream()
-			n := ps.Len()
-			for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-				batch := equivStore(t, ps.Slice(cut[0], cut[1]), 256, 1<<20)
-				if err := s.AddSourceContext(ctx, batch); err != nil {
-					return nil, err
+		ctx := context.Background()
+		rj = core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
+			core.WithPointBatch(64))
+		req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Sum, Attr: "v",
+			Filters: filters}
+		want, err := rj.JoinContext(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type variant struct {
+			name string
+			run  func() ([]core.RegionStat, error)
+		}
+		variants := []variant{
+			{"stream of 3 batches", func() ([]core.RegionStat, error) {
+				s := mkStream()
+				n := ps.Len()
+				for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+					batch := equivStore(t, ps.Slice(cut[0], cut[1]), 256, budget)
+					if err := s.AddSourceContext(ctx, batch); err != nil {
+						return nil, err
+					}
 				}
-			}
-			res, err := s.FinalizeContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return res.Stats, nil
-		}},
-		{"1-bin series", func() ([]core.RegionStat, error) {
-			sr, err := rj.SeriesJoinContext(ctx, req, 0, int64(ps.Len()*3), 1)
-			if err != nil {
-				return nil, err
-			}
-			return sr.Stats[0], nil
-		}},
-	}
-	for _, n := range []int{1, 2, 4} {
-		variants = append(variants, variant{fmt.Sprintf("scattered over %d shards", n),
-			func() ([]core.RegionStat, error) {
-				res, err := shard.New(rj, n).JoinContext(ctx, req)
+				res, err := s.FinalizeContext(ctx)
 				if err != nil {
 					return nil, err
 				}
 				return res.Stats, nil
-			}})
-	}
-	for _, v := range variants {
-		got, err := v.run()
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			}},
+			{"1-bin series", func() ([]core.RegionStat, error) {
+				sr, err := rj.SeriesJoinContext(ctx, req, 0, int64(ps.Len()*3), 1)
+				if err != nil {
+					return nil, err
+				}
+				return sr.Stats[0], nil
+			}},
 		}
-		if !reflect.DeepEqual(got, want.Stats) {
-			t.Errorf("%s: Stats differ from JoinContext\n got %+v\nwant %+v", v.name, got, want.Stats)
+		for _, n := range []int{1, 2, 4} {
+			variants = append(variants, variant{fmt.Sprintf("scattered over %d shards", n),
+				func() ([]core.RegionStat, error) {
+					res, err := shard.New(rj, n).JoinContext(ctx, req)
+					if err != nil {
+						return nil, err
+					}
+					return res.Stats, nil
+				}})
+		}
+		for _, v := range variants {
+			got, err := v.run()
+			if err != nil {
+				t.Fatalf("%s/cache=%d: %v", v.name, budget, err)
+			}
+			if !reflect.DeepEqual(got, want.Stats) {
+				t.Errorf("%s/cache=%d: Stats differ from JoinContext\n got %+v\nwant %+v", v.name, budget, got, want.Stats)
+			}
 		}
 	}
 }
 
 // TestSegmentMultiEquivalence: the multi-aggregate joiner over a segment
-// source matches the in-RAM path bit for bit, per spec.
+// source matches the in-RAM path bit for bit, per spec — specs aggregating
+// an attribute other than the one they filter on, time-windowed on a sorted
+// and an unsorted source, with and without a cache.
 func TestSegmentMultiEquivalence(t *testing.T) {
 	ps, rs := equivScene(3000, 6, 123)
-	st := equivStore(t, ps, 512, 1<<20)
+	us := unsortedCopy(ps, 124)
+	// "hot" is only aggregated and the dropoff x only filtered on, so a
+	// scan that skipped either kind of declaration would read a nil column.
 	specs := []core.AggSpec{
-		{Agg: core.Count},
+		{Agg: core.Count, Filters: []core.Filter{{Attr: data.DropoffXAttr, Min: 100, Max: 700}}},
 		{Agg: core.Sum, Attr: "v", Filters: []core.Filter{{Attr: "v", Min: 3, Max: 9}}},
 		{Agg: core.Avg, Attr: "v", Time: &core.TimeFilter{Start: 1000, End: 6000}},
+		{Agg: core.Sum, Attr: "hot", Filters: []core.Filter{{Attr: "v", Min: 2, Max: 7}},
+			Time: &core.TimeFilter{Start: 2000, End: 7000}},
 	}
-	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
-		ram, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Source: st, Regions: rs}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range specs {
-			assertStatsBits(t, seg[s].Stats, ram[s].Stats, mode.String())
+	for _, budget := range equivBudgets {
+		for _, set := range []*data.PointSet{ps, us} {
+			st := equivStore(t, set, 512, budget)
+			for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+				rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
+				ram, err := rj.MultiJoinContext(context.Background(), core.Request{Points: set, Regions: rs}, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seg, err := rj.MultiJoinContext(context.Background(), core.Request{Points: set, Source: st, Regions: rs}, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range specs {
+					assertStatsBits(t, seg[s].Stats, ram[s].Stats,
+						fmt.Sprintf("%v/sorted=%v/cache=%d/spec %d", mode, st.TimeSorted(), budget, s))
+				}
+			}
 		}
 	}
 }
 
 // TestSegmentFlowEquivalence: the OD matrix over a segment source matches
-// the in-RAM path exactly, including the Filtered/Dropped accounting.
+// the in-RAM path exactly, including the Filtered/Dropped accounting — with
+// a filter on an attribute other than the dropoff pair, a residual time
+// window on the unsorted copy, and with and without a cache.
 func TestSegmentFlowEquivalence(t *testing.T) {
 	ps, rs := equivScene(3000, 6, 321)
-	st := equivStore(t, ps, 512, 1<<20)
-	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
-		req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
-			Filters: []core.Filter{{Attr: "v", Min: 0, Max: 6}}}
-		ram, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sreq := req
-		sreq.Source = st
-		seg, err := rj.FlowJoinContext(context.Background(), sreq, data.DropoffXAttr, data.DropoffYAttr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seg.Dropped != ram.Dropped || seg.Filtered != ram.Filtered {
-			t.Fatalf("%v: dropped/filtered %d/%d vs %d/%d",
-				mode, seg.Dropped, seg.Filtered, ram.Dropped, ram.Filtered)
-		}
-		if len(seg.Counts) != len(ram.Counts) {
-			t.Fatalf("%v: %d vs %d OD cells", mode, len(seg.Counts), len(ram.Counts))
-		}
-		for cell, n := range ram.Counts {
-			if seg.Counts[cell] != n {
-				t.Fatalf("%v: cell %d: %d vs %d", mode, cell, seg.Counts[cell], n)
+	us := unsortedCopy(ps, 322)
+	for _, budget := range equivBudgets {
+		for _, set := range []*data.PointSet{ps, us} {
+			st := equivStore(t, set, 512, budget)
+			for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+				rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
+				req := core.Request{Points: set, Regions: rs, Agg: core.Count,
+					Filters: []core.Filter{{Attr: "v", Min: 0, Max: 6}}}
+				if set == us {
+					req.Time = &core.TimeFilter{Start: 1500, End: 7500}
+				}
+				ram, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sreq := req
+				sreq.Source = st
+				seg, err := rj.FlowJoinContext(context.Background(), sreq, data.DropoffXAttr, data.DropoffYAttr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v/sorted=%v/cache=%d", mode, st.TimeSorted(), budget)
+				if seg.Dropped != ram.Dropped || seg.Filtered != ram.Filtered {
+					t.Fatalf("%s: dropped/filtered %d/%d vs %d/%d",
+						label, seg.Dropped, seg.Filtered, ram.Dropped, ram.Filtered)
+				}
+				if len(seg.Counts) != len(ram.Counts) {
+					t.Fatalf("%s: %d vs %d OD cells", label, len(seg.Counts), len(ram.Counts))
+				}
+				for cell, n := range ram.Counts {
+					if seg.Counts[cell] != n {
+						t.Fatalf("%s: cell %d: %d vs %d", label, cell, seg.Counts[cell], n)
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestSegmentJoinOutOfCore is the bigger-than-budget proof: with a cache
-// holding roughly one decoded block, the full file never resides in memory
+// holding a few blocks' columns, the full file never resides in memory
 // (evictions observed, resident bytes under budget) and the join still
 // answers bit-identically to the all-in-RAM path.
 func TestSegmentJoinOutOfCore(t *testing.T) {
 	ps, rs := equivScene(6000, 8, 555)
-	// 256-point blocks at 7 columns ≈ 14 KiB decoded; a 20 KiB budget
-	// keeps at most one resident.
+	// A 256-point column is 2 KiB and SUM(v) reads three per block (X, Y,
+	// v); a 20 KiB budget keeps at most ten columns of the 24 blocks.
 	st := equivStore(t, ps, 256, 20<<10)
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
@@ -389,7 +501,7 @@ func TestSegmentJoinOutOfCore(t *testing.T) {
 	assertStatsBits(t, seg.Stats, ram.Stats, "out-of-core")
 	cs := st.CacheStats()
 	if cs.Evictions == 0 {
-		t.Errorf("no evictions under a one-block budget: %+v", cs)
+		t.Errorf("no evictions under a ten-column budget: %+v", cs)
 	}
 	if cs.Bytes > cs.Capacity {
 		t.Errorf("resident %d bytes exceeds budget %d", cs.Bytes, cs.Capacity)

@@ -119,6 +119,8 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 		return nil, err
 	}
 	sc.setWorld(c.T.World)
+	sorted := src.TimeSorted()
+	sc.cols.T = !sorted // the bins' residual time predicate
 	attrIdx := -1
 	if req.Agg.NeedsAttr() {
 		attrIdx = data.AttrIndex(src, req.Attr)
@@ -140,7 +142,6 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 	}
 	var nobs, tests int64
 
-	sorted := src.TimeSorted()
 	for b := 0; b < bins; b++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -57,6 +57,12 @@ type Cube struct {
 // accumulating the per-cell aggregates. This is the offline preprocessing
 // step whose cost pre-aggregation pays up front.
 func Build(ps *data.PointSet, cfg Config) (*Cube, error) {
+	return build(ps, ps.Source(), cfg)
+}
+
+// build is Build reading the points through src, which must hold ps's
+// points in ps's order (ps.Source(), or a segment store written from ps).
+func build(ps *data.PointSet, src data.PointSource, cfg Config) (*Cube, error) {
 	if cfg.Regions == nil {
 		return nil, errors.New("cube: config needs a region set")
 	}
@@ -95,15 +101,17 @@ func Build(ps *data.PointSet, cfg Config) (*Cube, error) {
 	tree := index.BuildRTree(boxes)
 	regions := cfg.Regions.Regions
 
-	src := ps.Source()
+	cols := data.Columns{T: cfg.TimeBin > 0}
 	attrIdxs := make([]int, len(cfg.Attrs))
 	for i, a := range cfg.Attrs {
 		attrIdxs[i] = data.AttrIndex(src, a)
 	}
+	cols.Need(attrIdxs...)
 
 	// Parallel over point shards with per-shard cells, merged at the end.
 	// Each shard walks its index range in source blocks (zero-copy for the
-	// in-RAM set; decoded block by block for segment-backed sources), so the
+	// in-RAM set; read block by block, projected to X, Y, T when binning by
+	// time and the summed attributes, for segment-backed sources), so the
 	// per-shard accumulation order — and the float sums — are unchanged.
 	//
 	// Race audit (sharedwrite-clean): each goroutine owns the `partial`
@@ -134,7 +142,7 @@ func Build(ps *data.PointSet, cfg Config) (*Cube, error) {
 		wg.Add(1)
 		go func(s, e int, p partial) {
 			defer wg.Done()
-			_ = data.WalkBlocks(src, s, e, func(blk *data.Block, bs, be int) error {
+			_ = data.WalkBlocks(src, s, e, cols, func(blk *data.Block, bs, be int) error {
 				base := blk.Base
 				for i := bs; i < be; i++ {
 					j := i - base

@@ -1,15 +1,18 @@
 package cube
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/segment"
 )
 
 func cubeScene(np int, seed int64) (*data.PointSet, *data.RegionSet) {
@@ -188,6 +191,52 @@ func TestCubeBuildErrors(t *testing.T) {
 	rs := data.GridRegions("g", geom.BBox{MaxX: 1, MaxY: 1}, 1, 1)
 	if _, err := Build(ps, Config{Regions: rs, Attrs: []string{"nope"}}); err == nil {
 		t.Error("unknown attr should fail")
+	}
+}
+
+// TestCubeBuildOverSegments: a time-binned cube built by reading a segment
+// store block by block, with and without a column cache, holds the same
+// cells bit for bit as one built over the in-RAM set — the build must read
+// the time column it bins by and the attributes it sums, not only X and Y.
+func TestCubeBuildOverSegments(t *testing.T) {
+	ps, rs := cubeScene(5000, 29)
+	w := make([]float64, ps.Len())
+	for i := range w {
+		w[i] = float64(i%97) * 0.25
+	}
+	ps.AddAttr("w", w)
+	var buf bytes.Buffer
+	if err := segment.Write(&buf, ps, segment.WithBlockSize(512)); err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]string{{"w"}, {"v", "w"}} {
+		cfg := Config{Regions: rs, TimeBin: 3600, Attrs: attrs}
+		want, err := Build(ps, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int64{1 << 20, 0} {
+			st, err := segment.OpenReaderAt(bytes.NewReader(buf.Bytes()), int64(buf.Len()),
+				segment.WithCacheBytes(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := build(ps, st, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Bins() != want.Bins() || !slices.Equal(got.counts, want.counts) {
+				t.Fatalf("attrs %v cache %d: counts differ from the in-RAM build", attrs, budget)
+			}
+			for _, a := range attrs {
+				for i, v := range want.sums[a] {
+					if math.Float64bits(got.sums[a][i]) != math.Float64bits(v) {
+						t.Fatalf("attrs %v cache %d: sum %q cell %d = %v, want %v",
+							attrs, budget, a, i, got.sums[a][i], v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -55,7 +55,8 @@ type Zone struct {
 // Block is one decoded run of points, addressed by absolute point index:
 // the values of point i (Base <= i < Base+Len()) sit at local offset
 // i-Base. Attr is parallel to the source's AttrNames(). T is nil when the
-// source has no time column.
+// source has no time column or the read did not ask for it, and so is an
+// Attr entry the read did not ask for.
 type Block struct {
 	Base int
 	X, Y []float64
@@ -72,15 +73,31 @@ func (b *Block) XY(i int) (float64, float64) {
 	return b.X[j], b.Y[j]
 }
 
-// Bytes returns the decoded footprint of the block, used by byte-bounded
-// block caches.
-func (b *Block) Bytes() int64 {
-	n := int64(len(b.X)+len(b.Y)) * 8
-	n += int64(len(b.T)) * 8
-	for _, c := range b.Attr {
-		n += int64(len(c)) * 8
+// Columns is the projection of a block read: X and Y always come back, T
+// when T is set (and the source has timestamps), and the attribute columns
+// at the positions listed in Attrs. Negative positions are ignored, so an
+// unresolved AttrIndex can be passed straight through.
+type Columns struct {
+	T     bool
+	Attrs []int
+}
+
+// Need adds attribute positions to the projection.
+func (c *Columns) Need(attrs ...int) {
+	for _, a := range attrs {
+		if a >= 0 {
+			c.Attrs = append(c.Attrs, a)
+		}
 	}
-	return n
+}
+
+// AllColumns returns the projection that reads every column of src.
+func AllColumns(src PointSource) Columns {
+	c := Columns{T: src.HasTime(), Attrs: make([]int, len(src.AttrNames()))}
+	for a := range c.Attrs {
+		c.Attrs[a] = a
+	}
+	return c
 }
 
 // PointSource is the block-iterator read path for point data: a sequence
@@ -115,10 +132,12 @@ type PointSource interface {
 	BlockSpan(b int) (lo, hi int)
 	// Zone returns block b's zone map without decoding the block.
 	Zone(b int) Zone
-	// Block decodes block b. The returned block is shared and must not be
-	// mutated; out-of-core sources may evict it from their cache after the
-	// caller is done, so callers must not retain it across blocks.
-	Block(b int) (*Block, error)
+	// Read returns block b projected to cols: X and Y, plus T and the
+	// listed attributes; a source may leave every other column nil. The
+	// returned columns are shared and must not be mutated; out-of-core
+	// sources may evict them from their cache after the caller is done, so
+	// callers must not retain them across blocks.
+	Read(b int, cols Columns) (*Block, error)
 }
 
 // Slabber is an optional PointSource fast path: sources whose storage is
@@ -243,7 +262,8 @@ func BuildZone(ps *PointSet, lo, hi int) Zone {
 	return z
 }
 
-func (s *setSource) Block(b int) (*Block, error) {
+// Read serves every column whatever the projection: the views cost nothing.
+func (s *setSource) Read(b int, _ Columns) (*Block, error) {
 	lo, hi := s.BlockSpan(b)
 	blk, _ := s.Slab(lo, hi)
 	return blk, nil
@@ -265,11 +285,12 @@ func (s *setSource) Slab(lo, hi int) (*Block, bool) {
 	return blk, true
 }
 
-// WalkBlocks decodes each block of src overlapping [lo, hi) in order and
-// invokes fn with the block and the clipped absolute range [s, e). Offline
-// builds (cube, geoblocks) use it to stream a source without assuming the
-// data is resident; a Slabber source is served one zero-copy run.
-func WalkBlocks(src PointSource, lo, hi int, fn func(blk *Block, s, e int) error) error {
+// WalkBlocks reads each block of src overlapping [lo, hi) in order,
+// projected to cols, and invokes fn with the block and the clipped absolute
+// range [s, e). Offline builds (cube, geoblocks) use it to stream a source
+// without assuming the data is resident; a Slabber source is served one
+// zero-copy run.
+func WalkBlocks(src PointSource, lo, hi int, cols Columns, fn func(blk *Block, s, e int) error) error {
 	if hi > src.Len() {
 		hi = src.Len()
 	}
@@ -289,9 +310,9 @@ func WalkBlocks(src PointSource, lo, hi int, fn func(blk *Block, s, e int) error
 		if blo >= hi {
 			break
 		}
-		blk, err := src.Block(b)
+		blk, err := src.Read(b, cols)
 		if err != nil {
-			return fmt.Errorf("data: decoding block %d of %q: %w", b, src.Name(), err)
+			return fmt.Errorf("data: reading block %d of %q: %w", b, src.Name(), err)
 		}
 		s, e := blo, bhi
 		if s < lo {

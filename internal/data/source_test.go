@@ -53,7 +53,7 @@ func TestPointSetSource(t *testing.T) {
 			t.Fatalf("block %d starts at %d, want %d", b, lo, covered)
 		}
 		covered = hi
-		blk, err := src.Block(b)
+		blk, err := src.Read(b, AllColumns(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestPointSetSourceUnsorted(t *testing.T) {
 	if src.HasTime() || src.TimeSorted() {
 		t.Error("time flags set for timeless set")
 	}
-	blk, err := src.Block(0)
+	blk, err := src.Read(0, AllColumns(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSlabAndWalkBlocks(t *testing.T) {
 
 	// WalkBlocks over a Slabber: one call spanning the clipped range.
 	calls := 0
-	err := WalkBlocks(src, 10, 20_000, func(b *Block, s, e int) error {
+	err := WalkBlocks(src, 10, 20_000, Columns{}, func(b *Block, s, e int) error {
 		calls++
 		if s != 10 || e != ps.Len() {
 			t.Errorf("walk range [%d,%d)", s, e)
@@ -152,7 +152,7 @@ func TestSlabAndWalkBlocks(t *testing.T) {
 	// WalkBlocks over a non-Slabber: per-block calls, clipped at the edges.
 	plain := plainSource{src}
 	var seen []int
-	err = WalkBlocks(plain, 100, DefaultBlockSize+50, func(b *Block, s, e int) error {
+	err = WalkBlocks(plain, 100, DefaultBlockSize+50, Columns{}, func(b *Block, s, e int) error {
 		seen = append(seen, s, e)
 		return nil
 	})

@@ -132,10 +132,10 @@ func BuildContext(ctx context.Context, ps *data.PointSet, maxLevel int) (*Index,
 
 	// Counting sort of point ids into finest cells. The bucketing pass
 	// walks the point source block by block (zero-copy for the in-RAM
-	// set), so a segment-backed build touches one decoded block at a time.
+	// set), so a segment-backed build touches one block's X and Y at a time.
 	ix.start = make([]int32, cells+1)
 	cellOf := make([]int32, n)
-	err := data.WalkBlocks(ps.Source(), 0, n, func(blk *data.Block, bs, be int) error {
+	err := data.WalkBlocks(ps.Source(), 0, n, data.Columns{}, func(blk *data.Block, bs, be int) error {
 		base := blk.Base
 		for i := bs; i < be; i++ {
 			if i%buildPollStride == 0 {

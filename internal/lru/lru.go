@@ -1,9 +1,9 @@
 // Package lru is the one byte-bounded least-recently-used cache under every
 // cache in the repo: the query-result cache's shards (qcache), the slab
 // partial cache (tcache), the compiled region span cache (raster) and the
-// decoded segment block cache (segment) each hold a Cache and add only what
-// is genuinely theirs — locking, generation stamps, rekeying, decode
-// serialisation.
+// segment column cache (segment) each hold a Cache and add only what is
+// genuinely theirs — locking, generation stamps, rekeying, (block, column)
+// keys.
 //
 // A Cache is not safe for concurrent use; its owner guards it with the lock
 // it already needs for its own state.

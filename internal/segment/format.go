@@ -2,8 +2,11 @@
 // data.PointSource interface: an append-only file of fixed-size blocks
 // (DefaultBlockSize points) holding one encoded payload per column, a
 // per-block zone map (min/max for x, y, t, and every attribute) in the
-// footer table of contents, and a byte-bounded decoded-block cache on the
-// read side so data sets can exceed RAM.
+// footer table of contents, and on the read side column projection: Open
+// records where every column payload lives, a read fetches only the columns
+// a query touches — a raw column straight into its final slice — and a
+// byte-bounded cache keyed by (block, column) keeps them, so data sets can
+// exceed RAM.
 //
 // Format v1 ("USEG", little-endian throughout):
 //
@@ -32,8 +35,10 @@ package segment
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/data"
 )
@@ -42,7 +47,7 @@ import (
 // adapter so segment-backed and in-RAM scans prune at the same granularity.
 const DefaultBlockSize = data.DefaultBlockSize
 
-// DefaultCacheBytes bounds the decoded-block cache of an opened Store.
+// DefaultCacheBytes bounds the column cache of an opened Store.
 const DefaultCacheBytes = 64 << 20
 
 // Version is the format version this package writes.
@@ -69,16 +74,29 @@ func encodeF64(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decodeF64 decodes n raw float64 values.
-func decodeF64(payload []byte, n int) ([]float64, error) {
-	if len(payload) != n*8 {
-		return nil, fmt.Errorf("segment: raw column payload is %d bytes, want %d", len(payload), n*8)
+// littleEndian reports whether the host stores a float64 in the file's
+// byte order, so a raw column can be read straight into its slice.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// readF64 fills out from the raw column payload at off: the bytes land
+// directly in out's memory, and on a big-endian host each word is swapped
+// in place. Bit-exact either way (no value passes through a float
+// register).
+func readF64(r io.ReaderAt, off int64, out []float64) error {
+	if len(out) == 0 {
+		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+	p := unsafe.Pointer(&out[0])
+	if _, err := r.ReadAt(unsafe.Slice((*byte)(p), len(out)*8), off); err != nil {
+		return err
 	}
-	return out, nil
+	if !littleEndian {
+		words := unsafe.Slice((*uint64)(p), len(out))
+		for i, w := range words {
+			words[i] = bits.ReverseBytes64(w)
+		}
+	}
+	return nil
 }
 
 // zigzag maps signed deltas onto small unsigned codes (0,-1,1,-2,... →

@@ -2,10 +2,14 @@ package segment
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,60 +258,193 @@ func TestSegmentSchemaMismatch(t *testing.T) {
 	}
 }
 
+// randomColumns draws a random projection over nattrs attributes.
+func randomColumns(rng *rand.Rand, nattrs int) data.Columns {
+	cols := data.Columns{T: rng.Intn(2) == 0}
+	for a := 0; a < nattrs; a++ {
+		if rng.Intn(2) == 0 {
+			cols.Need(a)
+		}
+	}
+	return cols
+}
+
+// checkProjected verifies that blk is block b of ps read with cols: X and Y
+// always, T and each listed attribute bit-exact, every other column nil.
+func checkProjected(ps *data.PointSet, st *Store, b int, blk *data.Block, cols data.Columns) error {
+	lo, hi := st.BlockSpan(b)
+	if blk.Base != lo || blk.Len() != hi-lo {
+		return fmt.Errorf("block %d: Base=%d Len=%d, want Base=%d Len=%d", b, blk.Base, blk.Len(), lo, hi-lo)
+	}
+	if cols.T && ps.T != nil {
+		if len(blk.T) != hi-lo {
+			return fmt.Errorf("block %d: %d timestamps, want %d", b, len(blk.T), hi-lo)
+		}
+	} else if blk.T != nil {
+		return fmt.Errorf("block %d: undeclared T came back", b)
+	}
+	want := make([]bool, len(ps.Attrs))
+	for _, a := range cols.Attrs {
+		want[a] = true
+	}
+	for a := range ps.Attrs {
+		if !want[a] && blk.Attr[a] != nil {
+			return fmt.Errorf("block %d: undeclared attribute %d came back", b, a)
+		}
+	}
+	for i := lo; i < hi; i++ {
+		j := i - lo
+		if math.Float64bits(blk.X[j]) != math.Float64bits(ps.X[i]) ||
+			math.Float64bits(blk.Y[j]) != math.Float64bits(ps.Y[i]) {
+			return fmt.Errorf("point %d: coords differ", i)
+		}
+		if blk.T != nil && blk.T[j] != ps.T[i] {
+			return fmt.Errorf("point %d: T=%d, want %d", i, blk.T[j], ps.T[i])
+		}
+		for a := range ps.Attrs {
+			if want[a] && math.Float64bits(blk.Attr[a][j]) != math.Float64bits(ps.Attrs[a].Values[i]) {
+				return fmt.Errorf("point %d attr %d differs", i, a)
+			}
+		}
+	}
+	return nil
+}
+
+// TestSegmentProjectedReads: on sorted, unsorted and timeless sets, every
+// column subset reads bit-identical to the full read with undeclared
+// columns nil; the cache keeps one entry per (block, column) under its byte
+// budget, and re-reads after eviction are still exact.
+func TestSegmentProjectedReads(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		sorted, noTime bool
+	}{{"sorted", true, false}, {"unsorted", false, false}, {"timeless", true, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := randomSet(rand.New(rand.NewSource(12)), 4_000, tc.sorted)
+			if tc.noTime {
+				ps.T = nil
+			}
+			const bs = 500
+			colBytes := int64(bs * 8)
+			// Room for 7 columns: fewer than one pass over the subsets needs.
+			st := writeTemp(t, ps, []WriterOption{WithBlockSize(bs)},
+				[]StoreOption{WithCacheBytes(7 * colBytes)})
+			var subsets []data.Columns
+			for _, withT := range []bool{false, true} {
+				for mask := 0; mask < 1<<len(ps.Attrs); mask++ {
+					cols := data.Columns{T: withT}
+					for a := range ps.Attrs {
+						if mask&(1<<a) != 0 {
+							cols.Need(a)
+						}
+					}
+					subsets = append(subsets, cols)
+				}
+			}
+			for pass := 0; pass < 2; pass++ { // the second pass re-reads evicted columns
+				for b := 0; b < st.NumBlocks(); b++ {
+					// Both the full read and every projection must match
+					// the source set, hence each other.
+					full, err := st.Block(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := checkProjected(ps, st, b, full, data.AllColumns(st)); err != nil {
+						t.Fatalf("pass %d full read: %v", pass, err)
+					}
+					for _, cols := range subsets {
+						blk, err := st.Read(b, cols)
+						if err != nil {
+							t.Fatalf("Read(%d, %+v): %v", b, cols, err)
+						}
+						if err := checkProjected(ps, st, b, blk, cols); err != nil {
+							t.Fatalf("pass %d %+v: %v", pass, cols, err)
+						}
+					}
+					if stats := st.CacheStats(); stats.Bytes > stats.Capacity || stats.Entries > 7 ||
+						stats.Bytes != int64(stats.Entries)*colBytes {
+						t.Fatalf("cache %+v: want ≤ 7 entries of %d bytes within capacity", stats, colBytes)
+					}
+				}
+			}
+			if stats := st.CacheStats(); stats.Evictions == 0 || stats.Hits == 0 {
+				t.Errorf("cache %+v: want both hits and evictions", stats)
+			}
+		})
+	}
+}
+
 // TestSegmentCacheEviction drives a store whose cache holds only a few
-// blocks and checks the byte bound, the counters, and that evicted blocks
-// decode again correctly — the out-of-core contract in miniature.
+// columns and checks the byte bound, the per-column counters, and that
+// evicted columns read again correctly — the out-of-core contract in
+// miniature.
 func TestSegmentCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	ps := randomSet(rng, 16_384, true)
-	// Each decoded block: 1024 points * 5 cols * 8B = 40 KiB. Cap at ~3 blocks.
+	// Each column of a block: 1024 points * 8B = 8 KiB; a block has 5
+	// (X, Y, T, fare, tip). The cap holds 16 columns, about 3 blocks.
+	const perBlock = 5
 	st := writeTemp(t, ps, []WriterOption{WithBlockSize(1024)},
 		[]StoreOption{WithCacheBytes(128 << 10)})
 	assertRoundTrip(t, ps, st) // sequential: misses only, evictions happen
 	stats := st.CacheStats()
-	if stats.Misses != uint64(st.NumBlocks()) {
-		t.Errorf("misses = %d, want %d", stats.Misses, st.NumBlocks())
+	if want := uint64(st.NumBlocks() * perBlock); stats.Misses != want {
+		t.Errorf("misses = %d, want %d", stats.Misses, want)
 	}
 	if stats.Evictions == 0 {
 		t.Error("no evictions despite cache smaller than data")
 	}
-	if stats.Bytes > stats.Capacity {
-		t.Errorf("cache bytes %d exceed capacity %d", stats.Bytes, stats.Capacity)
+	if stats.Bytes > stats.Capacity || stats.Entries != 16 {
+		t.Errorf("cache holds %d columns / %d bytes, want 16 within %d", stats.Entries, stats.Bytes, stats.Capacity)
 	}
-	// Re-reading the most recent block hits; an old one misses again.
+	// Re-reading the most recent block hits every column; an old one
+	// misses again.
 	last := st.NumBlocks() - 1
 	if _, err := st.Block(last); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.CacheStats(); got.Hits != stats.Hits+1 {
-		t.Errorf("hits = %d, want %d", got.Hits, stats.Hits+1)
+	if got := st.CacheStats(); got.Hits != stats.Hits+perBlock {
+		t.Errorf("hits = %d, want %d", got.Hits, stats.Hits+perBlock)
 	}
 	blk, err := st.Block(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(blk.X[0]) != math.Float64bits(ps.X[0]) {
-		t.Error("re-decoded evicted block differs")
+	if err := checkProjected(ps, st, 0, blk, data.AllColumns(st)); err != nil {
+		t.Errorf("re-read evicted block: %v", err)
+	}
+	// A projection misses only the columns it asks for.
+	before := st.CacheStats()
+	if _, err := st.Read(1, data.Columns{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.CacheStats(); got.Misses != before.Misses+2 {
+		t.Errorf("X/Y read of an evicted block missed %d columns, want 2", got.Misses-before.Misses)
 	}
 }
 
 // TestSegmentOutOfCore opens a store whose cache is smaller than a single
-// block — every access decodes from disk — and checks full correctness.
+// column — every access reads the file — and checks full correctness.
 func TestSegmentOutOfCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ps := randomSet(rng, 8_000, true)
-	st := writeTemp(t, ps, []WriterOption{WithBlockSize(1024)},
-		[]StoreOption{WithCacheBytes(1)})
-	assertRoundTrip(t, ps, st)
-	stats := st.CacheStats()
-	if stats.Entries != 0 || stats.Bytes != 0 {
-		t.Errorf("cache retained %d blocks / %d bytes with 1-byte budget", stats.Entries, stats.Bytes)
-	}
-	if stats.Hits != 0 {
-		t.Errorf("hits = %d, want 0", stats.Hits)
+	for _, budget := range []int64{0, 1} {
+		st := writeTemp(t, ps, []WriterOption{WithBlockSize(1024)},
+			[]StoreOption{WithCacheBytes(budget)})
+		assertRoundTrip(t, ps, st)
+		stats := st.CacheStats()
+		if stats.Entries != 0 || stats.Bytes != 0 {
+			t.Errorf("cache retained %d columns / %d bytes with %d-byte budget", stats.Entries, stats.Bytes, budget)
+		}
+		if stats.Hits != 0 || stats.Misses != uint64(st.NumBlocks()*5) {
+			t.Errorf("hits/misses = %d/%d, want 0/%d", stats.Hits, stats.Misses, st.NumBlocks()*5)
+		}
 	}
 }
 
+// TestSegmentConcurrentReaders: goroutines reading random blocks under
+// random projections through one small cache each get exact columns — the
+// store's lock covers only the cache, so reads and racing misses overlap.
 func TestSegmentConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ps := randomSet(rng, 8_192, true)
@@ -319,14 +456,14 @@ func TestSegmentConcurrentReaders(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
 				b := r.Intn(st.NumBlocks())
-				blk, err := st.Block(b)
+				cols := randomColumns(r, len(ps.Attrs))
+				blk, err := st.Read(b, cols)
+				if err == nil {
+					err = checkProjected(ps, st, b, blk, cols)
+				}
 				if err != nil {
 					done <- err
 					return
-				}
-				lo, _ := st.BlockSpan(b)
-				if math.Float64bits(blk.X[0]) != math.Float64bits(ps.X[lo]) {
-					t.Errorf("block %d corrupt under concurrency", b)
 				}
 			}
 			done <- nil
@@ -336,6 +473,9 @@ func TestSegmentConcurrentReaders(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if stats := st.CacheStats(); stats.Bytes > stats.Capacity {
+		t.Errorf("cache bytes %d exceed capacity %d", stats.Bytes, stats.Capacity)
 	}
 }
 
@@ -347,6 +487,17 @@ func TestSegmentCorruptInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
+	tocOff := int(binary.LittleEndian.Uint64(good[len(good)-12:]))
+	entry := 12 + zoneSize(true, len(ps.Attrs))
+	// patched returns a copy of good with v written little-endian at off.
+	patched := func(off int, v uint64, width int) []byte {
+		b := append([]byte(nil), good...)
+		for i := 0; i < width; i++ {
+			b[off+i] = byte(v >> (8 * i))
+		}
+		return b
+	}
+	secondBlock := binary.LittleEndian.Uint64(good[tocOff+5+entry:])
 	cases := map[string][]byte{
 		"empty":       {},
 		"short":       good[:8],
@@ -354,12 +505,127 @@ func TestSegmentCorruptInputs(t *testing.T) {
 		"bad-tail":    append(append([]byte(nil), good[:len(good)-4]...), 'X', 'X', 'X', 'X'),
 		"toc-cut":     good[:len(good)-40],
 		"bad-version": append(append([]byte(nil), good[:4]...), append([]byte{99, 0, 0, 0}, good[8:]...)...),
+		// A TOC offset inside the fixed header.
+		"toc-in-header": patched(len(good)-12, 5, 8),
+		// The first block starting past the second one.
+		"block-past-next": patched(tocOff+5, secondBlock+16, 8),
+		// A block count no TOC could hold.
+		"huge-block-count": patched(tocOff, 0xFFFF_FFFF, 4),
+		// A float column whose encoding byte is not raw float64: the column
+		// directory pass rejects it at Open, before any read.
+		"bad-encoding": patched(int(binary.LittleEndian.Uint64(good[tocOff+5:])), 7, 1),
 	}
 	for name, b := range cases {
 		if _, err := OpenReaderAt(bytes.NewReader(b), int64(len(b))); err == nil {
 			t.Errorf("%s: Open succeeded on corrupt input", name)
 		}
 	}
+}
+
+// FuzzSegmentOpen overwrites bytes of a valid segment and truncates it.
+// Open, every full read and every projected read must then either error or
+// return columns that agree bit for bit — a projection is the full read's
+// columns, and a file the patch left intact reads back the written set —
+// and never panic; Open and a full pass may allocate only in proportion to
+// the file size.
+func FuzzSegmentOpen(f *testing.F) {
+	f.Add(int64(1), []byte{}, uint16(0), false)
+	f.Add(int64(2), []byte{0, 0, 0xff}, uint16(3), true)
+	f.Add(int64(3), []byte{0x10, 0x00, 0x07, 0x40, 0x01, 0x00}, uint16(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, patch []byte, cut uint16, noTime bool) {
+		rng := rand.New(rand.NewSource(seed))
+		ps := randomSet(rng, 1+rng.Intn(400), rng.Intn(2) == 0)
+		if noTime {
+			ps.T = nil
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, ps, WithBlockSize(1+rng.Intn(128))); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		file := buf.Bytes()
+		orig := slices.Clone(file)
+		// patch is (u16 position, byte) triples; positions wrap the file.
+		for i := 0; i+3 <= len(patch); i += 3 {
+			file[int(binary.LittleEndian.Uint16(patch[i:]))%len(file)] = patch[i+2]
+		}
+		file = file[:len(file)-int(cut)%len(file)]
+		intact := bytes.Equal(file, orig)
+		size := int64(len(file))
+		const slack = 1 << 20
+		allocated := func(fn func()) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			fn()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+
+		var st *Store
+		var err error
+		if n := allocated(func() {
+			st, err = OpenReaderAt(bytes.NewReader(file), size, WithCacheBytes(int64(rng.Intn(8192))))
+		}); n > uint64(16*size+slack) {
+			t.Fatalf("Open of a %d-byte file allocated %d bytes", size, n)
+		}
+		if err != nil {
+			if intact {
+				t.Fatalf("Open of an intact file: %v", err)
+			}
+			return
+		}
+		for b := 0; b < st.NumBlocks(); b++ {
+			var full *data.Block
+			if n := allocated(func() { full, err = st.Block(b) }); n > uint64(16*size+slack) {
+				t.Fatalf("full read of block %d of a %d-byte file allocated %d bytes", b, size, n)
+			}
+			if intact && err == nil {
+				err = checkProjected(ps, st, b, full, data.AllColumns(st))
+			}
+			if err != nil {
+				if intact {
+					t.Fatalf("intact file: %v", err)
+				}
+				continue
+			}
+			lo, hi := st.BlockSpan(b)
+			if full.Base != lo || full.Len() != hi-lo || len(full.Y) != hi-lo ||
+				(st.HasTime() && len(full.T) != hi-lo) || (!st.HasTime() && full.T != nil) {
+				t.Fatalf("block %d: full read has wrong geometry", b)
+			}
+			for k := 0; k < 4; k++ {
+				cols := randomColumns(rng, len(st.AttrNames()))
+				blk, err := st.Read(b, cols)
+				if err != nil {
+					continue
+				}
+				if !sameBits(blk.X, full.X) || !sameBits(blk.Y, full.Y) {
+					t.Fatalf("block %d: projected coordinates differ from the full read", b)
+				}
+				if cols.T && !slices.Equal(blk.T, full.T) || !cols.T && blk.T != nil {
+					t.Fatalf("block %d %+v: projected T differs from the full read", b, cols)
+				}
+				for a := range st.AttrNames() {
+					if slices.Contains(cols.Attrs, a) != (blk.Attr[a] != nil) ||
+						blk.Attr[a] != nil && !sameBits(blk.Attr[a], full.Attr[a]) {
+						t.Fatalf("block %d %+v: projected attribute %d differs from the full read", b, cols, a)
+					}
+				}
+			}
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzSegmentRoundTrip fuzzes the per-point encoding path, biasing toward

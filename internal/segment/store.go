@@ -11,12 +11,12 @@ import (
 	"repro/internal/lru"
 )
 
-// Store is the read side of a segment file: it keeps only the header and
-// the table of contents (offsets, counts, zone maps) resident, reads and
-// decodes blocks on demand through a byte-bounded LRU cache, and exposes
-// the whole thing as a data.PointSource. A Store is safe for concurrent
-// readers; the cache serializes decodes, and evicted blocks stay valid for
-// callers still holding them (blocks are immutable once decoded).
+// Store is the read side of a segment file: it keeps only the header, the
+// table of contents (counts, zone maps) and a column directory resident,
+// reads the columns a query asks for on demand through a byte-bounded LRU
+// cache, and exposes the whole thing as a data.PointSource. A Store is safe
+// for concurrent readers; columns are immutable once read and stay valid
+// for callers still holding them after eviction.
 type Store struct {
 	r         io.ReaderAt
 	closer    io.Closer
@@ -26,32 +26,59 @@ type Store struct {
 	hasTime   bool
 	sorted    bool
 	attrs     []string
+	all       data.Columns
 	stamp     uint64
 
-	offsets []int64 // per block; offsets[nb] is the TOC offset (read bound)
-	counts  []int
-	starts  []int // cumulative point index; starts[nb] == Len()
-	zones   []data.Zone
+	counts []int
+	starts []int // cumulative point index; starts[nb] == Len()
+	zones  []data.Zone
 
-	// mu guards cache and is held across a miss's read and decode, so
-	// concurrent readers of one cold block decode it once.
+	// dir is the column directory: the payload of block b's column c (in
+	// file order X, Y, [T], attributes) is dir[b*ncols+c]. Every entry's
+	// encoding and length were validated at Open.
+	dir   []colSpan
+	ncols int
+
+	// mu guards cache only. A miss reads outside it, so two concurrent
+	// misses on one column may both read it — harmless, the values are
+	// identical.
 	mu    sync.Mutex
-	cache *lru.Cache[int, *data.Block]
-
-	// scratch pools encoded-block read buffers across decodes.
-	scratch sync.Pool
+	cache *lru.Cache[colKey, column]
 }
+
+// colSpan locates one column payload in the file.
+type colSpan struct {
+	off int64
+	n   int
+}
+
+// colKey names one cached column.
+type colKey struct{ block, col int }
+
+// column is one read column: floats for X, Y and attributes, times for T.
+type column struct {
+	f []float64
+	t []int64
+}
+
+// File-order column positions within a block; attributes follow X, Y and,
+// when present, T.
+const (
+	colX = 0
+	colY = 1
+	colT = 2
+)
 
 // StoreOption configures an opened Store.
 type StoreOption func(*Store)
 
-// WithCacheBytes bounds the decoded-block cache (default
-// DefaultCacheBytes). 0 keeps no blocks resident between reads — every
-// access decodes, the fully out-of-core mode.
+// WithCacheBytes bounds the column cache (default DefaultCacheBytes). 0
+// keeps no columns resident between reads — every access reads the file,
+// the fully out-of-core mode.
 func WithCacheBytes(n int64) StoreOption {
 	return func(s *Store) {
 		if n >= 0 {
-			s.cache = lru.New[int, *data.Block](n)
+			s.cache = lru.New[colKey, column](n)
 		}
 	}
 }
@@ -79,14 +106,14 @@ func Open(path string, opts ...StoreOption) (*Store, error) {
 // OpenReaderAt opens a segment from any random-access reader of the given
 // size (an os.File, an mmap-backed region, a bytes.Reader in tests).
 func OpenReaderAt(r io.ReaderAt, size int64, opts ...StoreOption) (*Store, error) {
-	s := &Store{r: r, cache: lru.New[int, *data.Block](DefaultCacheBytes)}
-	s.scratch.New = func() any { return new([]byte) }
+	s := &Store{r: r, cache: lru.New[colKey, column](DefaultCacheBytes)}
 	for _, o := range opts {
 		o(s)
 	}
 	if err := s.load(size); err != nil {
 		return nil, err
 	}
+	s.all = data.AllColumns(s)
 	s.stamp = data.NewStamp()
 	return s, nil
 }
@@ -103,7 +130,13 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// load parses the header, trailer, and TOC.
+// headLen is the fixed part of the header: magic, version, block size,
+// flags.
+const headLen = 13
+
+// load parses the header, trailer, TOC and column directory. Every bound is
+// checked before it sizes an allocation, so a corrupt file errors instead
+// of panicking or allocating more than its own size.
 func (s *Store) load(size int64) error {
 	if size < 16 {
 		return fmt.Errorf("segment: file too small (%d bytes)", size)
@@ -116,12 +149,12 @@ func (s *Store) load(size int64) error {
 		return fmt.Errorf("segment: bad trailer magic %q", trailer[8:12])
 	}
 	tocOff := int64(binary.LittleEndian.Uint64(trailer))
-	if tocOff < 0 || tocOff > size-12 {
+	if tocOff < headLen || tocOff > size-12 {
 		return fmt.Errorf("segment: TOC offset %d out of range", tocOff)
 	}
 
 	// Header.
-	head := make([]byte, 13)
+	head := make([]byte, headLen)
 	if _, err := s.r.ReadAt(head, 0); err != nil {
 		return fmt.Errorf("segment: reading header: %w", err)
 	}
@@ -136,8 +169,8 @@ func (s *Store) load(size int64) error {
 	s.hasTime = head[12]&flagHasTime != 0
 	// Variable-length tail of the header: name and attribute names.
 	// Bounded by the TOC offset; read it in one shot (names are tiny).
-	nameBuf := make([]byte, min64(tocOff-13, 1<<20))
-	if _, err := s.r.ReadAt(nameBuf, 13); err != nil && err != io.EOF {
+	nameBuf := make([]byte, min(tocOff-headLen, 1<<20))
+	if _, err := s.r.ReadAt(nameBuf, headLen); err != nil && err != io.EOF {
 		return fmt.Errorf("segment: reading header names: %w", err)
 	}
 	pos := 0
@@ -163,12 +196,16 @@ func (s *Store) load(size int64) error {
 	}
 	nattrs := int(binary.LittleEndian.Uint16(nameBuf[pos:]))
 	pos += 2
+	if 2*nattrs > len(nameBuf)-pos {
+		return fmt.Errorf("segment: %d attribute names cannot fit the header", nattrs)
+	}
 	s.attrs = make([]string, nattrs)
 	for a := range s.attrs {
 		if s.attrs[a], err = readStr(); err != nil {
 			return err
 		}
 	}
+	headEnd := headLen + int64(pos)
 
 	// TOC.
 	tocBuf := make([]byte, size-12-tocOff)
@@ -178,18 +215,18 @@ func (s *Store) load(size int64) error {
 	if len(tocBuf) < 5 {
 		return fmt.Errorf("segment: truncated TOC")
 	}
-	nb := int(binary.LittleEndian.Uint32(tocBuf))
+	nb := int64(binary.LittleEndian.Uint32(tocBuf))
+	if entry := int64(12 + zoneSize(s.hasTime, nattrs)); nb > int64(len(tocBuf)-5)/entry {
+		return fmt.Errorf("segment: TOC of %d bytes cannot hold %d blocks", len(tocBuf), nb)
+	}
 	s.sorted = tocBuf[4] != 0
 	tpos := 5
-	s.offsets = make([]int64, nb+1)
+	offsets := make([]int64, nb+1) // offsets[nb] is the TOC offset (read bound)
 	s.counts = make([]int, nb)
 	s.starts = make([]int, nb+1)
 	s.zones = make([]data.Zone, nb)
-	for b := 0; b < nb; b++ {
-		if tpos+12 > len(tocBuf) {
-			return fmt.Errorf("segment: truncated TOC entry %d", b)
-		}
-		s.offsets[b] = int64(binary.LittleEndian.Uint64(tocBuf[tpos:]))
+	for b := range s.counts {
+		offsets[b] = int64(binary.LittleEndian.Uint64(tocBuf[tpos:]))
 		s.counts[b] = int(binary.LittleEndian.Uint32(tocBuf[tpos+8:]))
 		tpos += 12
 		z, n, err := decodeZone(tocBuf[tpos:], s.hasTime, nattrs)
@@ -203,15 +240,59 @@ func (s *Store) load(size int64) error {
 		}
 		s.starts[b+1] = s.starts[b] + s.counts[b]
 	}
-	s.offsets[nb] = tocOff
-	return nil
+	offsets[nb] = tocOff
+	// Blocks tile [headEnd, tocOff) in order, none empty.
+	prev := headEnd
+	for b, off := range offsets {
+		if off < prev || (b > 0 && off == prev) {
+			return fmt.Errorf("segment: block %d offset %d out of order (previous bound %d)", b, off, prev)
+		}
+		prev = off
+	}
+	return s.loadDir(offsets)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// loadDir reads every block's column headers (5 bytes each) into the column
+// directory, checking each encoding byte, each payload length against the
+// block's point count, and that the columns fill the block exactly.
+func (s *Store) loadDir(offsets []int64) error {
+	s.ncols = 2 + len(s.attrs)
+	if s.hasTime {
+		s.ncols++
 	}
-	return b
+	s.dir = make([]colSpan, len(s.counts)*s.ncols)
+	hdr := make([]byte, 5)
+	for b, count := range s.counts {
+		pos, end := offsets[b], offsets[b+1]
+		for c := 0; c < s.ncols; c++ {
+			if pos+5 > end {
+				return fmt.Errorf("segment: block %d: truncated header of column %d", b, c)
+			}
+			if _, err := s.r.ReadAt(hdr, pos); err != nil {
+				return fmt.Errorf("segment: block %d: reading column %d header: %w", b, c, err)
+			}
+			enc, n := hdr[0], int64(binary.LittleEndian.Uint32(hdr[1:]))
+			pos += 5
+			if pos+n > end {
+				return fmt.Errorf("segment: block %d: column %d payload overruns the block", b, c)
+			}
+			if s.hasTime && c == colT {
+				// 9 header bytes, then at most 64 bits per delta.
+				if enc != encDeltaT || n < 9 || n > 9+(int64(count-1)*64+7)/8 {
+					return fmt.Errorf("segment: block %d: bad time column (encoding %d, %d bytes)", b, enc, n)
+				}
+			} else if enc != encRawF64 || n != int64(count)*8 {
+				return fmt.Errorf("segment: block %d: bad float column %d (encoding %d, %d bytes for %d points)",
+					b, c, enc, n, count)
+			}
+			s.dir[b*s.ncols+c] = colSpan{off: pos, n: int(n)}
+			pos += n
+		}
+		if pos != end {
+			return fmt.Errorf("segment: block %d: %d bytes after its last column", b, end-pos)
+		}
+	}
+	return nil
 }
 
 // PointSource implementation.
@@ -246,94 +327,88 @@ func (s *Store) Zone(b int) data.Zone { return s.zones[b] }
 // BlockSize returns the nominal points-per-block.
 func (s *Store) BlockSize() int { return s.blockSize }
 
-// CacheStats snapshots the decoded-block cache counters.
+// CacheStats snapshots the column cache counters; Entries counts columns.
 func (s *Store) CacheStats() lru.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cache.Stats()
 }
 
-// Block returns decoded block b, from cache or from disk. The block is
-// immutable and remains valid even if evicted while in use.
-func (s *Store) Block(b int) (*data.Block, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if blk, ok := s.cache.Get(b); ok {
-		return blk, nil
-	}
-	blk, err := s.readBlock(b)
-	if err != nil {
-		return nil, err
-	}
-	s.cache.Add(b, blk, blk.Bytes())
-	return blk, nil
-}
+// Block returns block b with every column: Read over all of them.
+func (s *Store) Block(b int) (*data.Block, error) { return s.Read(b, s.all) }
 
-// readBlock reads and decodes block b. Caller holds s.mu.
-func (s *Store) readBlock(b int) (*data.Block, error) {
-	size := s.offsets[b+1] - s.offsets[b]
-	bufp := s.scratch.Get().(*[]byte)
-	defer s.scratch.Put(bufp)
-	if int64(cap(*bufp)) < size {
-		*bufp = make([]byte, size)
-	}
-	buf := (*bufp)[:size]
-	if _, err := s.r.ReadAt(buf, s.offsets[b]); err != nil {
-		return nil, fmt.Errorf("segment: reading block %d: %w", b, err)
-	}
-	count := s.counts[b]
+// Read returns block b projected to cols, each column from the cache or
+// the file. Columns outside the projection are nil.
+func (s *Store) Read(b int, cols data.Columns) (*data.Block, error) {
 	blk := &data.Block{Base: s.starts[b]}
-	pos := 0
-	readCol := func() (byte, []byte, error) {
-		if pos+5 > len(buf) {
-			return 0, nil, fmt.Errorf("segment: truncated column header in block %d", b)
-		}
-		enc := buf[pos]
-		n := int(binary.LittleEndian.Uint32(buf[pos+1:]))
-		pos += 5
-		if pos+n > len(buf) {
-			return 0, nil, fmt.Errorf("segment: truncated column payload in block %d", b)
-		}
-		payload := buf[pos : pos+n]
-		pos += n
-		return enc, payload, nil
-	}
-	floatCol := func() ([]float64, error) {
-		enc, payload, err := readCol()
-		if err != nil {
-			return nil, err
-		}
-		if enc != encRawF64 {
-			return nil, fmt.Errorf("segment: block %d: unknown float encoding %d", b, enc)
-		}
-		return decodeF64(payload, count)
-	}
 	var err error
-	if blk.X, err = floatCol(); err != nil {
+	if blk.X, err = s.floats(b, colX); err != nil {
 		return nil, err
 	}
-	if blk.Y, err = floatCol(); err != nil {
+	if blk.Y, err = s.floats(b, colY); err != nil {
 		return nil, err
 	}
+	attr0 := colY + 1
 	if s.hasTime {
-		enc, payload, err := readCol()
-		if err != nil {
-			return nil, err
-		}
-		if enc != encDeltaT {
-			return nil, fmt.Errorf("segment: block %d: unknown time encoding %d", b, enc)
-		}
-		if blk.T, err = decodeTime(payload, count); err != nil {
-			return nil, err
+		attr0++
+		if cols.T {
+			c, err := s.column(b, colT)
+			if err != nil {
+				return nil, err
+			}
+			blk.T = c.t
 		}
 	}
 	if len(s.attrs) > 0 {
 		blk.Attr = make([][]float64, len(s.attrs))
-		for a := range blk.Attr {
-			if blk.Attr[a], err = floatCol(); err != nil {
+	}
+	for _, a := range cols.Attrs {
+		if a >= len(s.attrs) {
+			return nil, fmt.Errorf("segment: attribute %d of %d requested", a, len(s.attrs))
+		}
+		if a >= 0 && blk.Attr[a] == nil {
+			if blk.Attr[a], err = s.floats(b, attr0+a); err != nil {
 				return nil, err
 			}
 		}
 	}
 	return blk, nil
+}
+
+func (s *Store) floats(b, c int) ([]float64, error) {
+	col, err := s.column(b, c)
+	return col.f, err
+}
+
+// column returns block b's column c, reading it on a cache miss.
+func (s *Store) column(b, c int) (column, error) {
+	k := colKey{b, c}
+	s.mu.Lock()
+	col, ok := s.cache.Get(k)
+	s.mu.Unlock()
+	if ok {
+		return col, nil
+	}
+	span := s.dir[b*s.ncols+c]
+	count := s.counts[b]
+	if s.hasTime && c == colT {
+		payload := make([]byte, span.n)
+		if _, err := s.r.ReadAt(payload, span.off); err != nil {
+			return column{}, fmt.Errorf("segment: reading block %d time column: %w", b, err)
+		}
+		t, err := decodeTime(payload, count)
+		if err != nil {
+			return column{}, fmt.Errorf("segment: block %d: %w", b, err)
+		}
+		col.t = t
+	} else {
+		col.f = make([]float64, count)
+		if err := readF64(s.r, span.off, col.f); err != nil {
+			return column{}, fmt.Errorf("segment: reading block %d column %d: %w", b, c, err)
+		}
+	}
+	s.mu.Lock()
+	s.cache.Add(k, col, int64(count)*8)
+	s.mu.Unlock()
+	return col, nil
 }

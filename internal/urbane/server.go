@@ -627,7 +627,8 @@ type incrementalStats struct {
 
 // segmentsStats reports segment-backed execution: which data sets run on
 // attached block sources, the process-wide zone-map pruning counters, and
-// the decoded-block cache totals aggregated across every attached store.
+// the column cache totals aggregated across every attached store (one
+// entry per block and column).
 type segmentsStats struct {
 	Sources       []string  `json:"sources"`
 	BlocksScanned int64     `json:"blocksScanned"`
