@@ -50,8 +50,9 @@ bench:
 
 # Short-budget fuzzing of the input decoders, the segment reader over
 # corrupted files, the query parser, the series tile's per-bin pass against
-# per-bin joins and the row-edge exact test against Polygon.Contains; go test
-# accepts one -fuzz target per invocation.
+# per-bin joins, the row-edge exact test against Polygon.Contains and the
+# point pass's pixel map against the reference mapping; go test accepts one
+# -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
@@ -63,15 +64,17 @@ fuzz:
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSeriesMatchesPerBin$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzRowEdgeContains$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzPixelMap$$' -fuzztime=$(FUZZTIME)
 
 # Parallel point pass and span cache suite under the race detector: the
 # bit-identical property tests (parallel == sequential at every worker
-# count), the accurate-mode golden digest (stripe owners append to the
-# per-row boundary lists concurrently), the cancellation-hygiene tests, the
-# span cache and the compiled layer's row-edge tables.
+# count), the golden digests of joins, density, series and tiled renders
+# (every point workers setting reproduces the recorded bits), the
+# cancellation-hygiene tests, the span cache and the compiled layer's
+# row-edge tables.
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|PointWorkers|AccurateJoinGolden|SpanCache|CompileRegions|RowEdge|Cancel' \
+		-run 'Parallel|PointWorkers|Golden|SpanCache|CompileRegions|RowEdge|Cancel' \
 		./internal/gpu ./internal/raster ./internal/core
 
 # End-to-end deadline smoke test: boot the real server with a 1ms

@@ -6,19 +6,17 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/gpu"
 )
 
 // DensityContext renders the raw-density view: pass 1 of the pipeline with
 // no polygons behind it. Every point of req that survives the filters folds
 // 1 (Agg Count) or its Attr value (Agg Sum) into the pixel it lands in on a
 // w×h canvas over world, in index order; req.Regions is not read. It runs
-// on the shared scan and batched point pass, so it reads attached segment
-// sources with zone-map pruning and polls ctx and the `core.pointpass`
-// fault site once per batch. The draw is sequential whatever the joiner's
-// point workers: the fold is one add per fragment, and staging fragments
-// for the striped merge costs more than the second core returns (1 M
-// points, 2 cores: 78 ms fanned out, 61 ms sequential). The result is the
-// row-major grid and the world window the canvas actually covers.
+// the join's pass 1 (scan, batches, per-batch ctx and `core.pointpass`
+// fault polls) into plain-allocated targets, so it reads attached segment
+// sources with zone-map pruning. The result is the row-major grid and the
+// world window the canvas actually covers.
 func (r *RasterJoin) DensityContext(ctx context.Context, req Request, world geom.BBox, w, h int) ([]float64, geom.BBox, error) {
 	if req.Points == nil && req.Source == nil {
 		return nil, geom.BBox{}, fmt.Errorf("core: density needs points")
@@ -43,28 +41,13 @@ func (r *RasterJoin) DensityContext(ctx context.Context, req Request, world geom
 	if req.Agg == Sum {
 		attrIdx = data.AttrIndex(sc.Src, req.Attr)
 	}
-	grid := make([]float64, w*h)
-	err = sc.pieces(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
-		base := blk.Base
-		var attr []float64
-		if attrIdx >= 0 {
-			attr = blk.Attr[attrIdx]
-		}
-		return r.drawPoints(ctx, c, 1, lo, hi,
-			func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
-			func(px, py, i int) {
-				if needPred && !sc.pred(blk, i) {
-					return
-				}
-				v := 1.0
-				if attr != nil {
-					v = attr[i-base]
-				}
-				grid[py*w+px] += v
-			})
-	})
-	if err != nil {
+	t := newTargets(req.Agg, 0, w, h, nil, gpu.NewTexture)
+	if _, err := r.pass1(ctx, &t, c.PixelMap(), c, sc, sc.Lo, sc.Hi, attrIdx, "batches"); err != nil {
 		return nil, geom.BBox{}, err
 	}
-	return grid, c.T.World, nil
+	grid := t.count
+	if t.sum != nil {
+		grid = t.sum
+	}
+	return grid.Data, c.T.World, nil
 }

@@ -170,8 +170,9 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	// locate resolves a world point to its containing region (-1 = none):
 	// certain owner from the ID texture, or exact tests in boundary pixels
 	// against the candidates in ascending region order.
+	m := c.PixelMap()
 	locate := func(p geom.Point) int32 {
-		px, py, ok := c.T.ToPixel(p)
+		px, py, ok := m.Map(p.X, p.Y)
 		if !ok {
 			return -1
 		}

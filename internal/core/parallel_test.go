@@ -168,11 +168,8 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 	statsBitIdentical(t, cold.Stats, want.Stats, "cached vs uncached")
 }
 
-// TestSeriesJoinAcrossPointWorkers: the per-bin parallel point pass feeds
-// textures that are bitwise equal to the sequential ones, so series results
-// are bit-identical at any worker count, warm or cold cache. Bins hold 10 k
-// points, enough for the striped pass, whose stripe owners also record the
-// bin's touched pixels (run under -race in CI).
+// TestSeriesJoinAcrossPointWorkers: series results are bit-identical at any
+// worker count, warm or cold cache (run under -race in CI).
 func TestSeriesJoinAcrossPointWorkers(t *testing.T) {
 	ps, rs := scene(60_000, 8, 317)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
@@ -278,10 +275,10 @@ func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelJoinCancelMidPass: canceling an accurate parallel join
-// mid-point-pass (while shard merge goroutines are live) returns
-// context.Canceled, leaks nothing, and leaves the device pool drained —
-// with the span cache enabled, so compiled spans don't pin pool resources.
+// TestParallelJoinCancelMidPass: canceling an accurate join with point
+// workers mid-point-pass returns context.Canceled, leaks nothing, and leaves
+// the device pool drained — with the span cache enabled, so compiled spans
+// don't pin pool resources.
 func TestParallelJoinCancelMidPass(t *testing.T) {
 	ps, rs := scene(200_000, 16, 347)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}

@@ -94,10 +94,12 @@ func WithWorkers(n int) RJOption {
 	}
 }
 
-// WithPointWorkers caps point-pass parallelism (default: GOMAXPROCS).
-// The point pass shards the vertex range across this many goroutines;
-// results are bit-identical to the sequential pass regardless of the
-// setting. 1 forces the sequential pass.
+// WithPointWorkers caps the point-pass parallelism of the multi-aggregate,
+// flow and polygons-first joins (default: GOMAXPROCS), which shard their
+// vertex range across this many goroutines; results are bit-identical to
+// the sequential pass regardless of the setting. 1 forces the sequential
+// pass. The tile pipeline's pass 1 — joins, series, streams, shard bands and
+// density — is sequential at every setting (see pass1).
 func WithPointWorkers(n int) RJOption {
 	return func(r *RasterJoin) {
 		if n > 0 {
@@ -127,17 +129,19 @@ func WithBlockPrune(on bool) RJOption { return func(r *RasterJoin) { r.blockPrun
 
 // drawPoints streams point indices [lo, hi) to the canvas in batches of at
 // most pointBatch vertices, each fanned out across up to workers goroutines
-// via Canvas.DrawPointsParallel (workers <= 1 is the sequential draw). pos
-// and shader receive absolute point indices. The context and the
-// `core.pointpass` fault site are polled once per batch — the batch size is
-// the cancellation granularity of the point pass — and each submitted batch
-// increments the request trace's "batches" counter.
+// via Canvas.DrawPointsParallel (workers <= 1 is the sequential draw): the
+// point pass of the multi-aggregate and polygons-first joins, whose shaders
+// fold into several textures or region-keyed accumulators rather than one
+// targets. pos and shader receive absolute point indices. The context and
+// the `core.pointpass` fault site are polled once per batch, and each
+// submitted batch increments the request trace's "batches" counter, as in
+// pass1.
 //
 // workers > 1 requires the DrawPointsParallel safety contract — shader
-// writes keyed by the fragment's pixel — which holds for the texture-and-bin
-// shaders of the tile and multi joiners. Passes with region-keyed
-// accumulators (polygons-first, flow) shard those accumulators per worker
-// instead and draw with workers = 1.
+// writes keyed by the fragment's pixel — which holds for the multi
+// joiner's textures and bins. Passes with region-keyed accumulators
+// (polygons-first, flow) shard those accumulators per worker instead and
+// draw with workers = 1.
 func (r *RasterJoin) drawPoints(ctx context.Context, c *gpu.Canvas, workers, lo, hi int,
 	pos func(i int) (float64, float64), shader func(px, py, i int)) error {
 

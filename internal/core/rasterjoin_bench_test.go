@@ -161,10 +161,10 @@ func BenchmarkJoinContextOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkPointPassScaling shards the accurate join's point pass across
-// goroutines (E16 in EXPERIMENTS.md): the E1-style workload at 1 M points,
-// worker counts 1/2/4/8. Results are bit-identical at every setting, so
-// this is a pure throughput knob; scaling tracks available cores.
+// BenchmarkPointPassScaling times the accurate join at point workers
+// 1/2/4/8 (E16 in EXPERIMENTS.md): the E1-style workload at 1 M points.
+// The join's pass 1 runs on one goroutine at every setting, so the curve is
+// flat by design; BenchmarkPointPass times that pass alone.
 func BenchmarkPointPassScaling(b *testing.B) {
 	ps, rs := scene(1_000_000, 32, 113)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}

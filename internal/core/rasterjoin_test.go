@@ -4,6 +4,7 @@ package core_test
 // geometric joiners in internal/index, which itself imports internal/core.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/index"
+	"repro/internal/shard"
 )
 
 func scene(np, nr int, seed int64) (*data.PointSet, *data.RegionSet) {
@@ -226,6 +228,67 @@ func TestTiledRenderMatchesSinglePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsExactlyEqual(t, c, want, "tiled accurate vs brute force")
+}
+
+// TestTileEdgePointsCountOnce: a point on an edge that canvas tiles share —
+// here the left and bottom edges and the lower-left corner of the tile at
+// pixel (64, 64) — is counted once, by exactly one tile, in both modes and
+// by every joiner that renders under Device.Tiles.
+func TestTileEdgePointsCountOnce(t *testing.T) {
+	_, rs := scene(10, 6, 59)
+	full := sceneTransform(rs, 256)
+	edge := full.Sub(64, 64, 64, 64).World
+	midX, midY := (edge.MinX+edge.MaxX)/2, (edge.MinY+edge.MaxY)/2
+	ps := &data.PointSet{
+		Name:  "edges",
+		X:     []float64{edge.MinX, midX, edge.MinX},
+		Y:     []float64{midY, edge.MinY, edge.MinY},
+		T:     []int64{0, 1, 2},
+		Attrs: []data.Column{{Name: "v", Values: []float64{1, 2, 4}}},
+	}
+	for i := range ps.X {
+		if !onTileEdge(full, 64, ps.X[i], ps.Y[i]) {
+			t.Fatalf("point %d is not on a tile edge", i)
+		}
+	}
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
+	want, err := (&index.BruteForce{}).Join(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalCount() != 3 {
+		t.Fatalf("brute force places %d of 3 points", want.TotalCount())
+	}
+	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+		for _, strategy := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
+			rj := core.NewRasterJoin(core.WithMode(mode), core.WithStrategy(strategy),
+				core.WithResolution(256), core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
+			got, err := rj.Join(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Tiles != 16 {
+				t.Fatalf("%s: %d tiles, want 16", rj.Name(), got.Tiles)
+			}
+			statsExactlyEqual(t, got, want, rj.Name())
+			if strategy == core.PolygonsFirst {
+				continue
+			}
+			scattered, err := shard.New(rj, 2).JoinContext(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			statsExactlyEqual(t, scattered, want, rj.Name()+" over 2 shards")
+			multi, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs},
+				[]core.AggSpec{{Agg: core.Sum, Attr: "v"}, {Agg: core.Avg, Attr: "v"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range multi {
+				statsExactlyEqual(t, res, want, rj.Name()+" multi")
+			}
+		}
+	}
 }
 
 func TestRasterJoinParallelDeterminism(t *testing.T) {

@@ -6,9 +6,7 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/data"
 	"repro/internal/fault"
-	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/raster"
 	"repro/internal/trace"
@@ -53,10 +51,9 @@ type shardFrag struct {
 // limited to the shard's owned pixel-column band (cells in straddle columns
 // inside the band are never written, and the boundary observation lists
 // hold owned columns only), straddle-column fragments in ascending global
-// index order, and scan accounting.
+// index order (targets.frags), and scan accounting.
 type ShardPartial struct {
 	targets
-	frags []shardFrag
 	// Scanned/Pruned count blocks; Points counts shaded fragments.
 	Scanned, Pruned int64
 	Points          int64
@@ -75,8 +72,8 @@ type ScatterPlan interface {
 // ShardSpec describes one canvas tile's partial point pass.
 type ShardSpec struct {
 	Req Request
-	// Tile is the world-to-pixel transform of this canvas tile.
-	Tile raster.Transform
+	// Map is the pixel map the tile's canvas draws points through.
+	Map raster.PixelMap
 	// AttrIdx is the aggregated attribute's column position (-1 when the
 	// aggregate needs none).
 	AttrIdx int
@@ -90,7 +87,7 @@ type ShardSpec struct {
 
 // ShardPointPass runs one shard's partial point pass: scan the assigned
 // blocks (ascending), keep the points the shard owns (world-x in
-// [xlo, xhi)), and fold them through the shared pass-1 shader into
+// [xlo, xhi)), and fold them through the shared pass-1 loop into
 // band-limited targets — except fragments in straddle columns, which are
 // returned raw with their global point index. The context and the
 // `core.pointpass` fault site are polled once per batch, exactly like the
@@ -100,28 +97,28 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	if err != nil {
 		return nil, err
 	}
-	t := spec.Tile
-	sc.setWorld(t.World)
+	m := spec.Map
+	sc.setWorld(m.Bounds())
 	sc.own(blocks, xlo, xhi)
-	w, h := t.W, t.H
+	w, h := m.W, m.H
 
 	// The shard's owned band: its points have x in [xlo, xhi) ∩ window, so
-	// by the monotonicity of Transform.Col — the property the
+	// by the monotonicity of PixelMap.Col — the property the
 	// straddle-column argument rests on — their columns lie in
 	// [colLo, colHi).
 	colLo, colHi := 0, w
-	if !math.IsInf(xlo, -1) && xlo > t.World.MinX {
-		if xlo > t.World.MaxX {
+	if !math.IsInf(xlo, -1) && xlo > m.MinX {
+		if xlo > m.MaxX {
 			colLo = w // nothing visible
 		} else {
-			colLo = t.Col(xlo)
+			colLo = m.Col(xlo)
 		}
 	}
-	if !math.IsInf(xhi, 1) && xhi < t.World.MaxX {
-		if xhi < t.World.MinX {
+	if !math.IsInf(xhi, 1) && xhi < m.MaxX {
+		if xhi < m.MinX {
 			colHi = 0
 		} else {
-			colHi = t.Col(xhi) + 1
+			colHi = m.Col(xhi) + 1
 		}
 	}
 	if colHi < colLo {
@@ -132,54 +129,8 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	// dropped on a sibling's failure is simply garbage.
 	p := &ShardPartial{targets: newTargets(spec.Req.Agg, colLo, colHi-colLo, h,
 		spec.Mask, gpu.NewTexture)}
-
-	tr := trace.FromContext(ctx)
-	err = sc.pieces(ctx, sc.Lo, sc.Hi, func(blk *data.Block, lo, hi int, needPred bool) error {
-		base := blk.Base
-		var attr []float64
-		if spec.AttrIdx >= 0 {
-			attr = blk.Attr[spec.AttrIdx]
-		}
-		batch := r.pointBatch
-		if batch <= 0 {
-			batch = hi - lo
-		}
-		for s := lo; s < hi; s += batch {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fault.Inject(ctx, "core.pointpass"); err != nil {
-				return err
-			}
-			//lint:ignore ctxpoll the enclosing batch loop polls once per batch — the pass's cancellation granularity; per-point polling would put an atomic load in the shader inner loop
-			for i, e := s, min(s+batch, hi); i < e; i++ {
-				j := i - base
-				x, y := blk.X[j], blk.Y[j]
-				px, py, ok := t.ToPixel(geom.Point{X: x, Y: y})
-				if !ok {
-					continue // canvas-culled, exactly like DrawPoints
-				}
-				if needPred && !(sc.owns(x) && sc.pred(blk, i)) {
-					continue // another shard owns this point, or filtered out
-				}
-				var v float64
-				if attr != nil {
-					v = attr[j]
-				}
-				p.Points++
-				if spec.Straddle[px] {
-					p.frags = append(p.frags, shardFrag{
-						idx: int64(i), px: int32(px), py: int32(py), obs: obs{x: x, y: y, v: v},
-					})
-					continue
-				}
-				p.shade(px, py, x, y, v)
-			}
-			tr.Count("shard.batches", 1)
-		}
-		return nil
-	})
-	if err != nil {
+	p.straddle = spec.Straddle
+	if p.Points, err = r.pass1(ctx, &p.targets, m, nil, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
 		return nil, err
 	}
 	p.Scanned, p.Pruned = sc.scanned.Load(), sc.pruned.Load()
@@ -211,17 +162,18 @@ func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan Scatte
 	// Straddle columns: the pixel column each in-window cut falls into. By
 	// monotonicity of the transform these are the only columns where two
 	// shards' points can meet.
+	m := t.c.PixelMap()
 	straddle := make([]bool, w)
 	for _, cut := range plan.Cuts() {
-		if cut >= t.c.T.World.MinX && cut <= t.c.T.World.MaxX {
-			straddle[t.c.T.Col(cut)] = true
+		if cut >= m.MinX && cut <= m.MaxX {
+			straddle[m.Col(cut)] = true
 		}
 	}
 
 	span := tr.Start("shard.scatter")
 	partials, err := plan.Scatter(ctx, &ShardSpec{
 		Req:      req,
-		Tile:     t.c.T,
+		Map:      m,
 		AttrIdx:  attrIdx,
 		Straddle: straddle,
 		Mask:     t.mask,

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/raster"
@@ -52,15 +53,18 @@ type targets struct {
 	// count is always present; at most one of sum/min/max is, by aggregate.
 	count, sum, min, max *gpu.Texture
 	// mask marks the boundary pixels (nil in approximate mode); a point
-	// landing in one is appended to its row's list, rows[py]. Only a row's
-	// DrawPointsParallel stripe owner writes the row, so the lists are
-	// race-free, and each pixel's observations keep point order.
+	// landing in one is appended to its row's list, rows[py], so each
+	// pixel's observations keep point order.
 	mask *raster.Bitmap
 	rows [][]obs
 	// hit, when non-nil (a series tile), marks the pixels the pass shaded,
-	// so resolveBin visits and clears only those. Bitmap rows start on a
-	// fresh word, so each word has one stripe owner as its only writer.
+	// so resolveBin visits and clears only those.
 	hit *raster.Bitmap
+	// straddle, on a shard's band, marks the canvas columns that hold a
+	// shard cut: points landing there are not folded but kept raw in frags,
+	// in point order, for the coordinator to replay (see shardpass.go).
+	straddle []bool
+	frags    []shardFrag
 }
 
 // newTargets allocates the texture set for agg over bandW×h pixels through
@@ -149,29 +153,97 @@ func (t *tile) release() {
 	}
 }
 
-// drawScan is pass 1 over a compiled scan: the surviving pieces of [lo, hi)
-// are drawn batch by batch on the sharded point pass and folded by shade.
-func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) error {
-	return sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
-		base := blk.Base
+// fold is pass 1 over points [lo, hi) of blk, one closure-free loop: each
+// point is mapped through m and culled outside its window, then — where
+// needPred — dropped unless it passes sc's residual predicate and, on an
+// owned scan, lies in the scan's x range, then folded by shade with its
+// value from attr (0 when attr is nil), or on a straddle column kept raw. It
+// returns the points inside the window — the device's shaded fragments,
+// counted before the filter — and the points kept.
+func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []float64,
+	lo, hi int, needPred bool) (in, kept int) {
+
+	j0, j1 := lo-blk.Base, hi-blk.Base
+	xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
+	ys = ys[:len(xs)]
+	var vs []float64
+	if attr != nil {
+		vs = attr[j0:j1]
+		vs = vs[:len(xs)]
+	}
+	straddle := t.straddle
+	for k, x := range xs {
+		y := ys[k]
+		px, py, ok := m.Map(x, y)
+		if !ok {
+			continue
+		}
+		in++
+		if needPred && (sc.owned && !sc.owns(x) || !sc.pred(blk, lo+k)) {
+			continue // another shard owns the point, or the filter drops it
+		}
+		kept++
+		var v float64
+		if vs != nil {
+			v = vs[k]
+		}
+		if straddle != nil && straddle[px] {
+			t.frags = append(t.frags, shardFrag{idx: int64(lo + k), px: int32(px), py: int32(py),
+				obs: obs{x: x, y: y, v: v}})
+			continue
+		}
+		t.shade(px, py, x, y, v)
+	}
+	return in, kept
+}
+
+// pass1 folds the surviving pieces of sc's [lo, hi) into t, mapped through
+// m, in batches of at most pointBatch points: the context and the
+// `core.pointpass` fault site are polled once per batch — the batch size is
+// the cancellation granularity of the point pass — and each batch
+// increments the request trace's counter and, on canvas c, the device's
+// draw counters (a shard's band draws on no device; c is nil). It runs on
+// the calling goroutine: once mapping a point is a few instructions, a
+// striped fan-out costs more in staged fragments than a second core
+// returns. It returns the points kept.
+func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap, c *gpu.Canvas,
+	sc *Scan, lo, hi, attrIdx int, counter string) (int64, error) {
+
+	tr := trace.FromContext(ctx)
+	var kept int64
+	err := sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
 		var attr []float64
 		if attrIdx >= 0 {
 			attr = blk.Attr[attrIdx]
 		}
-		return t.r.drawPoints(ctx, t.c, t.r.pointWorkers, plo, phi,
-			func(i int) (float64, float64) { j := i - base; return blk.X[j], blk.Y[j] },
-			func(px, py, i int) {
-				if needPred && !sc.pred(blk, i) {
-					return // fragment discarded by the filter condition
-				}
-				j := i - base
-				var v float64
-				if attr != nil {
-					v = attr[j]
-				}
-				t.shade(px, py, blk.X[j], blk.Y[j], v)
-			})
+		batch := r.pointBatch
+		if batch <= 0 {
+			batch = phi - plo
+		}
+		for s := plo; s < phi; s += batch {
+			if err := fault.Inject(ctx, "core.pointpass"); err != nil {
+				return err
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			e := min(s+batch, phi)
+			in, k := t.fold(&m, sc, blk, attr, s, e, needPred)
+			if c != nil {
+				c.CountPoints(e-s, in)
+			}
+			kept += int64(k)
+			tr.Count(counter, 1)
+		}
+		return nil
 	})
+	return kept, err
+}
+
+// drawScan is pass 1 of a canvas tile over a compiled scan.
+func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) error {
+	_, err := t.r.pass1(ctx, &t.targets, t.c.PixelMap(), t.c, sc, lo, hi, attrIdx, "batches")
+	return err
 }
 
 // polygonSpans returns region k's pass-2 spans: its whole fill, or with

@@ -183,6 +183,9 @@ type Canvas struct {
 	dev *Device
 	// T is the world-to-pixel transform of this render target.
 	T raster.Transform
+	// m maps point vertices: T's pixel map, whose window a tile of a tiled
+	// render narrows (see Tiles).
+	m raster.PixelMap
 
 	released atomic.Bool
 }
@@ -200,8 +203,13 @@ func (d *Device) NewCanvas(world geom.BBox, w, h int) (*Canvas, error) {
 	}
 	d.passes.Add(1)
 	d.liveCanvases.Add(1)
-	return &Canvas{dev: d, T: raster.NewTransform(world, w, h)}, nil
+	t := raster.NewTransform(world, w, h)
+	return &Canvas{dev: d, T: t, m: t.PixelMap()}, nil
 }
+
+// PixelMap returns the mapping the canvas's point draws use: pixels of T,
+// over T's window less any edge a tile shares with its neighbour.
+func (c *Canvas) PixelMap() raster.PixelMap { return c.m }
 
 // Release ends the canvas's render pass, decrementing the device's live
 // gauge. Idempotent, so both a deferred release and an explicit one on the
@@ -216,7 +224,9 @@ func (c *Canvas) Release() {
 // Tiles partitions a full-resolution transform into canvas-sized passes and
 // invokes fn with each pass's canvas plus the pixel offset of the tile in
 // the full grid. This is the multi-pass strategy bounded Raster Join uses
-// when its ε-derived resolution exceeds the texture limit.
+// when its ε-derived resolution exceeds the texture limit. A point on an
+// edge two tiles share is drawn by one of them: each canvas maps points
+// through raster.Transform.SubMap.
 func (d *Device) Tiles(full raster.Transform, fn func(c *Canvas, offX, offY int) error) error {
 	step := d.maxTextureSize
 	for y0 := 0; y0 < full.H; y0 += step {
@@ -228,6 +238,7 @@ func (d *Device) Tiles(full raster.Transform, fn func(c *Canvas, offX, offY int)
 			if err != nil {
 				return err
 			}
+			c.m = full.SubMap(x0, y0, w, h)
 			err = fn(c, x0, y0)
 			c.Release()
 			if err != nil {
@@ -249,19 +260,27 @@ type FragmentShader func(px, py int)
 // DrawPoints rasterizes n point vertices whose world position is supplied by
 // pos. Points outside the canvas window are culled (clipped) without shading.
 func (c *Canvas) DrawPoints(n int, pos func(i int) (x, y float64), shader PointShader) {
-	c.dev.drawCalls.Add(1)
-	c.dev.pointsIn.Add(int64(n))
-	var shaded int64
+	m := c.m
+	var shaded int
 	for i := 0; i < n; i++ {
 		x, y := pos(i)
-		px, py, ok := c.T.ToPixel(geom.Point{X: x, Y: y})
+		px, py, ok := m.Map(x, y)
 		if !ok {
 			continue
 		}
 		shaded++
 		shader(px, py, i)
 	}
-	c.dev.fragmentsShaded.Add(shaded)
+	c.CountPoints(n, shaded)
+}
+
+// CountPoints records one point draw call of n vertices, shaded of them
+// inside the window, on the device counters — for a pass that maps and
+// folds its points itself through PixelMap instead of calling DrawPoints.
+func (c *Canvas) CountPoints(n, shaded int) {
+	c.dev.drawCalls.Add(1)
+	c.dev.pointsIn.Add(int64(n))
+	c.dev.fragmentsShaded.Add(int64(shaded))
 }
 
 // DrawPolygon rasterizes a polygon with pixel-center coverage. The device

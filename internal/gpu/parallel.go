@@ -5,8 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/geom"
 )
 
 // The parallel point pass runs in two phases so that its results are
@@ -79,8 +77,7 @@ func (c *Canvas) DrawPointsParallel(ctx context.Context, workers, n int,
 		return nil
 	}
 
-	c.dev.drawCalls.Add(1)
-	c.dev.pointsIn.Add(int64(n))
+	m := c.m
 
 	// Phase 1: transform. buckets[src*workers+t] holds shard src's
 	// fragments landing in row stripe t; each is written by exactly one
@@ -108,7 +105,7 @@ func (c *Canvas) DrawPointsParallel(ctx context.Context, workers, n int,
 				}
 				for i, e := s, min(s+fragChunk, hi); i < e; i++ {
 					x, y := pos(i)
-					px, py, ok := c.T.ToPixel(geom.Point{X: x, Y: y})
+					px, py, ok := m.Map(x, y)
 					if !ok {
 						continue
 					}
@@ -120,6 +117,7 @@ func (c *Canvas) DrawPointsParallel(ctx context.Context, workers, n int,
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
+		c.CountPoints(n, 0)
 		return err
 	}
 
@@ -149,6 +147,6 @@ func (c *Canvas) DrawPointsParallel(ctx context.Context, workers, n int,
 		}(t)
 	}
 	wg.Wait()
-	c.dev.fragmentsShaded.Add(shaded.Load())
+	c.CountPoints(n, int(shaded.Load()))
 	return ctx.Err()
 }

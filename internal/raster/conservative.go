@@ -114,8 +114,7 @@ func BoundaryPixels(t Transform, pg geom.Polygon, visit func(px, py int)) {
 // Bitmap is a dense 2D bit set over a pixel grid, used to deduplicate
 // boundary-pixel visits and to classify interior vs boundary coverage. Each
 // row starts on a fresh 64-bit word, so a row's words can be read and ranked
-// on their own, and goroutines that each write only their own rows (the
-// DrawPointsParallel stripe owners) share no word.
+// on their own.
 type Bitmap struct {
 	W, H   int
 	stride int // words per row

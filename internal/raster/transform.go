@@ -74,10 +74,8 @@ func (t Transform) PixelDiagonal() float64 {
 // point is outside the window. Points exactly on the max edge map to the
 // last pixel.
 func (t Transform) ToPixel(p geom.Point) (px, py int, ok bool) {
-	if !t.World.Contains(p) {
-		return 0, 0, false
-	}
-	return t.Col(p.X), t.Row(p.Y), true
+	m := t.PixelMap()
+	return m.Map(p.X, p.Y)
 }
 
 // Col returns the pixel column world x falls into, clamped to the grid
@@ -91,15 +89,74 @@ func (t Transform) Col(x float64) int { return cell((x-t.World.MinX)/t.PixelWidt
 // y touches the point's row in [Row(minY), Row(maxY)].
 func (t Transform) Row(y float64) int { return cell((y-t.World.MinY)/t.PixelHeight(), t.H) }
 
-// cell truncates the fractional cell position f into [0, n). Comparing in
+// PixelMap is a transform's world-to-pixel mapping with its per-point
+// constants — the window and the pixel size — computed once, for the point
+// pass to map every vertex of a draw through. Map is ToPixel and Col is the
+// transform's Col: the same cell arithmetic over the same pixel size, so
+// they agree bit for bit.
+type PixelMap struct {
+	// MinX..MaxY is the window Map keeps, inclusive at every edge.
+	MinX, MinY, MaxX, MaxY float64
+	// PW and PH are the pixel width and height.
+	PW, PH float64
+	W, H   int
+}
+
+// PixelMap returns the transform's pixel map.
+func (t Transform) PixelMap() PixelMap {
+	return PixelMap{
+		MinX: t.World.MinX, MinY: t.World.MinY, MaxX: t.World.MaxX, MaxY: t.World.MaxY,
+		PW: t.PixelWidth(), PH: t.PixelHeight(),
+		W: t.W, H: t.H,
+	}
+}
+
+// Map maps world (x, y) to its pixel — (Col(x), Transform.Row(y)) — and ok
+// is false outside the window (NaN is outside every window). It spells the
+// arithmetic out rather than calling Col, which keeps it under the
+// inliner's budget: the point pass calls it once per vertex.
+func (m *PixelMap) Map(x, y float64) (px, py int, ok bool) {
+	if x >= m.MinX && x <= m.MaxX && y >= m.MinY && y <= m.MaxY {
+		return cell((x-m.MinX)/m.PW, m.W), cell((y-m.MinY)/m.PH, m.H), true
+	}
+	return
+}
+
+// Col is Transform.Col: the column x falls into, clamped to the grid.
+func (m *PixelMap) Col(x float64) int { return cell((x-m.MinX)/m.PW, m.W) }
+
+// Bounds returns the window Map keeps.
+func (m *PixelMap) Bounds() geom.BBox {
+	return geom.BBox{MinX: m.MinX, MinY: m.MinY, MaxX: m.MaxX, MaxY: m.MaxY}
+}
+
+// SubMap is the pixel map of Sub(x0, y0, w, h) as one tile of a tiled
+// render of t: Sub's map with each max edge that lies inside t's window —
+// an edge the tile shares with its neighbour — made exclusive. Sub computes
+// a shared edge identically for both tiles, so the tiles' windows partition
+// the window Sub(0, 0, t.W, t.H) covers and every point in it is kept by
+// exactly one tile. Only the window narrows: a kept point's pixel is the one
+// the tile's transform gives it, the arithmetic its polygon side is
+// compiled with.
+func (t Transform) SubMap(x0, y0, w, h int) PixelMap {
+	s := t.Sub(x0, y0, w, h)
+	m := s.PixelMap()
+	if max(x0, 0)+s.W < t.W {
+		m.MaxX = math.Nextafter(m.MaxX, math.Inf(-1))
+	}
+	if max(y0, 0)+s.H < t.H {
+		m.MaxY = math.Nextafter(m.MaxY, math.Inf(-1))
+	}
+	return m
+}
+
+// cell truncates the fractional cell position f into [0, n): NaN and
+// anything below 1 give 0, anything from n-1 up gives n-1. Clamping in
 // floating point first keeps an out-of-range f from reaching the
 // float-to-int conversion, whose result Go leaves to the implementation.
 func cell(f float64, n int) int {
-	switch {
-	case f >= float64(n):
-		return n - 1
-	case f >= 1:
-		return int(f)
+	if f >= 1 {
+		return int(min(f, float64(n-1)))
 	}
 	return 0
 }
