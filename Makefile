@@ -1,8 +1,8 @@
-# Tier-1 verify is `make verify`: build, vet, lint, test.
+# Tier-1 verify is `make verify`: build, vet, gofmt, lint, test.
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
+.PHONY: build test race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,16 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate: fails when gofmt would change any tracked .go file outside
+# testdata/. The analyzer fixtures under testdata/ are exempt: their goldens
+# pin line:column positions.
+fmt:
+	@found=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$found" ]; then \
+		echo "not gofmt-clean (run gofmt -w):"; \
+		echo "$$found"; exit 1; \
+	fi
 
 # Project-specific static analysis (see README "Static analysis & CI").
 # The committed lint.baseline records tolerated findings; the gate fails
@@ -143,4 +153,4 @@ shard-smoke:
 	$(GO) test -race -count=1 ./internal/shard
 	$(GO) test -race -count=1 -run '^(TestShard|TestMixedDataset)' ./internal/chaos
 
-verify: build vet lint test
+verify: build vet fmt lint test

@@ -14,6 +14,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/gpu"
 	"repro/internal/raster"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -31,6 +32,11 @@ const (
 	densityGolden     = "e9d5f1341bc28ff1f4d64afe88e44b8fd57184733c61a98f0e91e4e933e5c80e"
 	seriesGolden      = "74b0b3f0db61c5ad819d07c432c3fc65be2fcae7facd99f2bcb51faed5dfa686"
 	tiledGolden       = "ac082b75348ba2fe1d8f0c46b100112f724274224945200c0c551baf1aa4ae6e"
+	// filteredGolden was recorded before pass 1 folded points a chunk and a
+	// target at a time and pass 2 folded spans as texture rows. The filtered
+	// joins reproduce it from the in-RAM set and from a segment store, local
+	// and scattered over shards, and as three-batch streams.
+	filteredGolden = "30e6965fe22e7caf1111a9659736079b5e76414c15d63bdbc20a4cfcacbf2889"
 )
 
 // writeStats hashes every field of every region stat, bit for bit.
@@ -100,6 +106,150 @@ func joinGolden(t *testing.T, mode core.Mode, want string) {
 	}
 }
 
+// filteredRequests are the joins the filtered goldens hash, in order: every
+// layer and aggregate over sc's taxi points — read from seg when it is
+// non-nil — with the fare filter and January's second week. The filter cuts
+// the fare zone of every block, so every point takes the residual predicate.
+func filteredRequests(sc *workload.Scene, seg data.PointSource) []core.Request {
+	var reqs []core.Request
+	for _, rs := range []*data.RegionSet{sc.Neighborhoods, sc.Tracts, sc.Grid} {
+		for _, agg := range []core.Agg{core.Count, core.Sum, core.Avg, core.Min, core.Max} {
+			req := core.Request{Points: sc.Taxi, Source: seg, Regions: rs, Agg: agg,
+				Filters: []core.Filter{{Attr: "fare", Min: 5, Max: 40}}, Time: workload.JanWeek(1)}
+			if agg.NeedsAttr() {
+				req.Attr = "fare"
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	return reqs
+}
+
+// filteredDigest hashes join over every filtered request, approximate then
+// accurate.
+func filteredDigest(t *testing.T, reqs []core.Request, opts []core.RJOption,
+	join func(rj *core.RasterJoin, req core.Request) ([]core.RegionStat, error)) hash.Hash {
+
+	t.Helper()
+	h := sha256.New()
+	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+		rj := core.NewRasterJoin(append([]core.RJOption{core.WithMode(mode),
+			core.WithResolution(1024)}, opts...)...)
+		for _, req := range reqs {
+			stats, err := join(rj, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (&core.Result{Stats: stats}).TotalCount() == 0 {
+				t.Fatalf("%s %v over %s: no point joined", mode, req.Agg, req.Regions.Name)
+			}
+			writeStats(h, stats)
+		}
+	}
+	return h
+}
+
+// joinStats runs JoinContext.
+func joinStats(rj *core.RasterJoin, req core.Request) ([]core.RegionStat, error) {
+	res, err := rj.JoinContext(context.Background(), req)
+	if err != nil {
+		return nil, err
+	}
+	return res.Stats, nil
+}
+
+// TestFilteredJoinGolden: joins of 20 k taxi points under a fare filter and
+// a time window, both modes, three layers, all five aggregates, hash to the
+// recorded digest from the in-RAM set and from a segment store of 1024-point
+// blocks behind a 64 KiB cache, unbatched and in 64-point batches.
+func TestFilteredJoinGolden(t *testing.T) {
+	sc := workload.NYC(20_000, 2009)
+	st := equivStore(t, sc.Taxi, 1024, 64<<10)
+	fare := data.AttrIndex(st, "fare")
+	for b := 0; b < st.NumBlocks(); b++ {
+		if z := st.Zone(b).Attr[fare]; z.Min >= 5 && z.Max < 40 {
+			t.Fatalf("block %d: fare zone [%v, %v] inside the filter", b, z.Min, z.Max)
+		}
+	}
+	for _, src := range []struct {
+		name string
+		seg  data.PointSource
+	}{{"ram", nil}, {"segment", st}} {
+		for _, batch := range []int{0, 64} {
+			var opts []core.RJOption
+			if batch > 0 {
+				opts = append(opts, core.WithPointBatch(batch))
+			}
+			h := filteredDigest(t, filteredRequests(sc, src.seg), opts, joinStats)
+			checkDigest(t, h, filteredGolden, fmt.Sprintf("filtered %s batch=%d", src.name, batch))
+		}
+	}
+}
+
+// TestScatteredJoinGolden: the filtered joins scattered over 2 and 4 shards
+// hash to the filtered digest. At each shard count some points that pass
+// the filters land in a straddle column, so the gather replays fragments.
+func TestScatteredJoinGolden(t *testing.T) {
+	sc := workload.NYC(20_000, 2009)
+	m := sceneTransform(sc.Neighborhoods, 1024).PixelMap()
+	req := filteredRequests(sc, nil)[0]
+	fare := sc.Taxi.Attr("fare")
+	for _, n := range []int{2, 4} {
+		straddle := map[int]bool{}
+		for _, cut := range shard.Build(sc.Taxi.Source(), n).Cuts {
+			straddle[m.Col(cut)] = true
+		}
+		hits := 0
+		for i, x := range sc.Taxi.X {
+			f, ts := req.Filters[0], sc.Taxi.T[i]
+			if fare[i] < f.Min || fare[i] >= f.Max || ts < req.Time.Start || ts >= req.Time.End {
+				continue
+			}
+			if px, _, ok := m.Map(x, sc.Taxi.Y[i]); ok && straddle[px] {
+				hits++
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("%d shards: no point in a straddle column", n)
+		}
+		h := filteredDigest(t, filteredRequests(sc, nil), nil,
+			func(rj *core.RasterJoin, req core.Request) ([]core.RegionStat, error) {
+				res, err := shard.New(rj, n).JoinContext(context.Background(), req)
+				if err != nil {
+					return nil, err
+				}
+				return res.Stats, nil
+			})
+		checkDigest(t, h, filteredGolden, fmt.Sprintf("scattered over %d shards", n))
+	}
+}
+
+// TestStreamJoinGolden: each filtered join fed as a stream of three batches
+// hashes to the filtered digest.
+func TestStreamJoinGolden(t *testing.T) {
+	sc := workload.NYC(20_000, 2009)
+	n := sc.Taxi.Len()
+	ctx := context.Background()
+	h := filteredDigest(t, filteredRequests(sc, nil), nil,
+		func(rj *core.RasterJoin, req core.Request) ([]core.RegionStat, error) {
+			s, err := rj.NewStream(req.Regions, req.Agg, req.Attr, req.Filters, req.Time)
+			if err != nil {
+				return nil, err
+			}
+			for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+				if err := s.AddContext(ctx, sc.Taxi.Slice(cut[0], cut[1])); err != nil {
+					return nil, err
+				}
+			}
+			res, err := s.FinalizeContext(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return res.Stats, nil
+		})
+	checkDigest(t, h, filteredGolden, "stream of 3 batches")
+}
+
 // TestDensityGolden: the raw-density grids — COUNT, and SUM(fare) under an
 // attribute filter and a time window — hash to the recorded digest.
 func TestDensityGolden(t *testing.T) {
@@ -167,6 +317,39 @@ func TestTiledJoinGolden(t *testing.T) {
 		}
 	}
 	checkDigest(t, h, tiledGolden, "tiled")
+}
+
+// TestJoinDeviceCounters: one SUM join in 4096-point batches, per mode, on
+// a single 256 px canvas and tiled 16 ways by a 64 px texture limit, moves
+// every device counter by the amount recorded before pass 2 stopped calling
+// DrawSpans: a draw call per point batch and per region per tile, a pass
+// per tile, the points submitted, a polygon per region per tile, and the
+// in-window points plus the pixels pass 2 covered as shaded fragments.
+func TestJoinDeviceCounters(t *testing.T) {
+	ps, rs := scene(30_000, 12, 401)
+	want := map[string]gpu.Stats{
+		"approximate/single": {DrawCalls: 20, Passes: 1, PointsIn: 30_000, PolygonsIn: 12, FragmentsShaded: 94_433},
+		"accurate/single":    {DrawCalls: 20, Passes: 1, PointsIn: 30_000, PolygonsIn: 12, FragmentsShaded: 91_940},
+		"approximate/tiled":  {DrawCalls: 320, Passes: 16, PointsIn: 480_000, PolygonsIn: 192, FragmentsShaded: 94_433},
+		"accurate/tiled":     {DrawCalls: 320, Passes: 16, PointsIn: 480_000, PolygonsIn: 192, FragmentsShaded: 91_940},
+	}
+	for _, tiled := range []bool{false, true} {
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			maxTex, name := 0, mode.String()+"/single"
+			if tiled {
+				maxTex, name = 64, mode.String()+"/tiled"
+			}
+			dev := gpu.New(gpu.WithMaxTextureSize(maxTex))
+			rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(mode),
+				core.WithResolution(256), core.WithPointBatch(4096))
+			if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}); err != nil {
+				t.Fatal(err)
+			}
+			if got := dev.Stats(); got != want[name] {
+				t.Errorf("%s: device counters %+v, want %+v", name, got, want[name])
+			}
+		}
+	}
 }
 
 // sceneTransform is the full canvas a resolution-driven join draws rs on.

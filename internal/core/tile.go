@@ -91,27 +91,82 @@ func newTargets(agg Agg, x0, bandW, h int, mask *raster.Bitmap,
 	return t
 }
 
-// shade is the pass-1 fragment fold: one point with world position (x, y)
-// and aggregated value v landing in canvas pixel (px, py). Every points-first
-// path — local draws, straddle replay, shard bands — folds through here, so
-// each pixel sees the same operations in the same order on all of them.
-func (t *targets) shade(px, py int, x, y, v float64) {
-	bx := px - t.x0
-	if t.hit != nil {
-		t.hit.Set(px, py)
+// chunkSize is the number of points pass 1 maps before it folds them. A
+// chunk's per-point arrays — texel index, pixel and offset, 16 bytes a
+// point — live on the stack.
+const chunkSize = 512
+
+// mapped lists points pass 1 folds, in point order: point q landed in
+// canvas pixel (px[q], py[q]), which is texel idx[q] of the targets'
+// textures, and is element off[q] of the coordinate and value slices it is
+// folded with. The four slices have one length.
+type mapped struct {
+	idx, px, py, off []int32
+}
+
+// blend folds pts into the targets, one loop per target, each in point
+// order: the count, the aggregate's value (sum, min or max) read from vs,
+// the series hit bitmap, and the boundary mask, whose points append their
+// coordinates and value to their row's observation list. vs nil folds value
+// 0. Every points-first path — local draws, straddle replay, shard bands —
+// folds through here, so each pixel and each row list sees the same
+// operations in the same order on all of them.
+func (t *targets) blend(pts mapped, xs, ys, vs []float64) {
+	idx := pts.idx
+	off := pts.off[:len(idx)]
+	count := t.count
+	for _, i := range idx {
+		count.AddAt(int(i), 1)
 	}
-	t.count.Add(bx, py, 1)
 	switch {
 	case t.sum != nil:
-		t.sum.Add(bx, py, v)
+		sum := t.sum
+		for q, i := range idx {
+			sum.AddAt(int(i), vs[off[q]])
+		}
 	case t.min != nil:
-		t.min.TakeMin(bx, py, v)
+		lo := t.min
+		for q, i := range idx {
+			lo.TakeMinAt(int(i), vs[off[q]])
+		}
 	case t.max != nil:
-		t.max.TakeMax(bx, py, v)
+		hi := t.max
+		for q, i := range idx {
+			hi.TakeMaxAt(int(i), vs[off[q]])
+		}
 	}
-	if t.mask != nil && t.mask.Get(px, py) {
-		t.rows[py] = append(t.rows[py], obs{x: x, y: y, v: v, px: int32(px)})
+	px, py := pts.px[:len(idx)], pts.py[:len(idx)]
+	if hit := t.hit; hit != nil {
+		for q, x := range px {
+			hit.Set(int(x), int(py[q]))
+		}
 	}
+	if mask := t.mask; mask != nil {
+		for q, x := range px {
+			y := int(py[q])
+			if !mask.Get(int(x), y) {
+				continue
+			}
+			k := off[q]
+			var v float64
+			if vs != nil {
+				v = vs[k]
+			}
+			t.rows[y] = append(t.rows[y], obs{x: xs[k], y: ys[k], v: v, px: x})
+		}
+	}
+}
+
+// shade is the pass-1 fragment fold of one point with world position (x, y)
+// and aggregated value v landing in canvas pixel (px, py): blend over a
+// single point. The scatter-gather replays straddle fragments through it.
+func (t *targets) shade(px, py int, x, y, v float64) {
+	t.blend(mapped{
+		idx: []int32{int32(py*t.count.W + px - t.x0)},
+		px:  []int32{int32(px)},
+		py:  []int32{int32(py)},
+		off: []int32{0},
+	}, []float64{x}, []float64{y}, []float64{v})
 }
 
 // tile is the points-first state of one canvas pass: the pass-1 targets
@@ -153,46 +208,70 @@ func (t *tile) release() {
 	}
 }
 
-// fold is pass 1 over points [lo, hi) of blk, one closure-free loop: each
-// point is mapped through m and culled outside its window, then — where
-// needPred — dropped unless it passes sc's residual predicate and, on an
-// owned scan, lies in the scan's x range, then folded by shade with its
-// value from attr (0 when attr is nil), or on a straddle column kept raw. It
-// returns the points inside the window — the device's shaded fragments,
-// counted before the filter — and the points kept.
+// fold is pass 1 over points [lo, hi) of blk, chunkSize points at a time.
+// Each chunk is mapped through m, keeping the points inside the window;
+// then — where needPred — compacted to the points that pass sc's residual
+// predicate and, on an owned scan, lie in the scan's x range; then cleared
+// of points on straddle columns, which are kept raw in frags; and the rest
+// blended, with values from attr (0 when attr is nil). Every step keeps
+// point order. It returns the points inside the window — the device's
+// shaded fragments, counted before the filter — and the points kept.
 func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []float64,
 	lo, hi int, needPred bool) (in, kept int) {
 
-	j0, j1 := lo-blk.Base, hi-blk.Base
-	xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
-	ys = ys[:len(xs)]
-	var vs []float64
-	if attr != nil {
-		vs = attr[j0:j1]
-		vs = vs[:len(xs)]
-	}
+	var idx, pxs, pys, off [chunkSize]int32
+	bandW, x0 := t.count.W, t.x0
 	straddle := t.straddle
-	for k, x := range xs {
-		y := ys[k]
-		px, py, ok := m.Map(x, y)
-		if !ok {
-			continue
+	for s := lo; s < hi; s += chunkSize {
+		j0, j1 := s-blk.Base, min(s+chunkSize, hi)-blk.Base
+		xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
+		ys = ys[:len(xs)]
+		var vs []float64
+		if attr != nil {
+			vs = attr[j0:j1]
 		}
-		in++
-		if needPred && (sc.owned && !sc.owns(x) || !sc.pred(blk, lo+k)) {
-			continue // another shard owns the point, or the filter drops it
+		n := 0
+		for k, x := range xs {
+			px, py, ok := m.Map(x, ys[k])
+			if !ok {
+				continue
+			}
+			idx[n], pxs[n], pys[n], off[n] = int32(py*bandW+px-x0), int32(px), int32(py), int32(k)
+			n++
 		}
-		kept++
-		var v float64
-		if vs != nil {
-			v = vs[k]
+		in += n
+		if needPred {
+			j := 0
+			for q := 0; q < n; q++ {
+				k := int(off[q])
+				if sc.owned && !sc.owns(xs[k]) || !sc.pred(blk, s+k) {
+					continue // another shard owns the point, or the filter drops it
+				}
+				idx[j], pxs[j], pys[j], off[j] = idx[q], pxs[q], pys[q], off[q]
+				j++
+			}
+			n = j
 		}
-		if straddle != nil && straddle[px] {
-			t.frags = append(t.frags, shardFrag{idx: int64(lo + k), px: int32(px), py: int32(py),
-				obs: obs{x: x, y: y, v: v}})
-			continue
+		kept += n
+		if straddle != nil {
+			j := 0
+			for q := 0; q < n; q++ {
+				if straddle[pxs[q]] {
+					k := off[q]
+					var v float64
+					if vs != nil {
+						v = vs[k]
+					}
+					t.frags = append(t.frags, shardFrag{idx: int64(s) + int64(k), px: pxs[q], py: pys[q],
+						obs: obs{x: xs[k], y: ys[k], v: v}})
+					continue
+				}
+				idx[j], pxs[j], pys[j], off[j] = idx[q], pxs[q], pys[q], off[q]
+				j++
+			}
+			n = j
 		}
-		t.shade(px, py, x, y, v)
+		t.blend(mapped{idx: idx[:n], px: pxs[:n], py: pys[:n], off: off[:n]}, xs, ys, vs)
 	}
 	return in, kept
 }
@@ -272,29 +351,8 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 		defer t.clear(t.rows)
 	}
 	var tests atomic.Int64
-	// Locals, not fields of t: the fragment shader below runs once per
-	// covered pixel.
-	count, sum, lo, hi := t.count, t.sum, t.min, t.max
 	err := t.r.parallelRegionsCtx(ctx, t.sp.Regions(), func(k int) {
-		var local RegionStat
-		t.c.DrawSpans(polygonSpans(t.sp, k, t.mask != nil), func(px, py int) {
-			v := count.At(px, py)
-			if v == 0 {
-				return
-			}
-			pixel := RegionStat{Count: int64(v)}
-			switch {
-			case sum != nil:
-				pixel.Sum = sum.At(px, py)
-			case lo != nil:
-				m := lo.At(px, py)
-				pixel.Min, pixel.Max = m, m
-			case hi != nil:
-				m := hi.At(px, py)
-				pixel.Min, pixel.Max = m, m
-			}
-			local.Merge(pixel)
-		})
+		local := t.foldSpans(polygonSpans(t.sp, k, t.mask != nil))
 		if t.mask != nil {
 			n := int64(0)
 			slots := t.sp.BoundarySlots(k)
@@ -309,6 +367,25 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 		trace.FromContext(ctx).Count("refine_edge_tests", tests.Load())
 	}
 	return err
+}
+
+// foldSpans is pass 2 over one region's spans, each read as rows of the
+// count and value textures: the stat RegionStat.Merge of every covered
+// pixel with points — its count, and its sum or its min/max texel as both
+// Min and Max — gives, bit for bit. COUNT, SUM and AVG fold every pixel with
+// no per-pixel branch (gpu.Canvas.SumSpans says why that is exact); MIN and
+// MAX skip the pixels without points, whose texels hold ±Inf.
+func (t *tile) foldSpans(spans []raster.Span) RegionStat {
+	ext := t.min
+	if ext == nil {
+		ext = t.max
+	}
+	if ext != nil {
+		n, lo, hi := t.c.MinMaxSpans(spans, t.count, ext)
+		return RegionStat{Count: n, Min: lo, Max: hi}
+	}
+	n, sum := t.c.SumSpans(spans, t.count, t.sum)
+	return RegionStat{Count: n, Sum: sum}
 }
 
 // parallelRegionsCtx fans region indices [0,n) across the joiner's workers,

@@ -155,11 +155,12 @@ func TestTextureOps(t *testing.T) {
 	tex := NewTexture(4, 3)
 	tex.Set(1, 2, 5)
 	tex.Add(1, 2, 2.5)
-	if tex.At(1, 2) != 7.5 {
-		t.Errorf("At = %v, want 7.5", tex.At(1, 2))
+	tex.AddAt(2*4+1, 0.5)
+	if tex.At(1, 2) != 8 {
+		t.Errorf("At = %v, want 8", tex.At(1, 2))
 	}
-	if tex.Sum() != 7.5 {
-		t.Errorf("Sum = %v, want 7.5", tex.Sum())
+	if tex.Sum() != 8 {
+		t.Errorf("Sum = %v, want 8", tex.Sum())
 	}
 	tex.Clear()
 	if tex.Sum() != 0 {
@@ -174,16 +175,16 @@ func TestTextureBlendEquations(t *testing.T) {
 		t.Fatal("Fill should set every pixel")
 	}
 	// MIN blending only lowers.
-	tex.TakeMin(0, 0, 42)
-	tex.TakeMin(0, 0, 77)
+	tex.TakeMinAt(0, 42)
+	tex.TakeMinAt(0, 77)
 	if tex.At(0, 0) != 42 {
-		t.Errorf("TakeMin = %v, want 42", tex.At(0, 0))
+		t.Errorf("TakeMinAt = %v, want 42", tex.At(0, 0))
 	}
 	// MAX blending only raises.
 	tex.Fill(-100)
-	tex.TakeMax(1, 0, 3)
-	tex.TakeMax(1, 0, -5)
+	tex.TakeMaxAt(1, 3)
+	tex.TakeMaxAt(1, -5)
 	if tex.At(1, 0) != 3 {
-		t.Errorf("TakeMax = %v, want 3", tex.At(1, 0))
+		t.Errorf("TakeMaxAt = %v, want 3", tex.At(1, 0))
 	}
 }

@@ -25,7 +25,10 @@ func (t *Texture) At(x, y int) float64 { return t.Data[y*t.W+x] }
 func (t *Texture) Set(x, y int, v float64) { t.Data[y*t.W+x] = v }
 
 // Add accumulates v into pixel (x,y) — additive blending.
-func (t *Texture) Add(x, y int, v float64) { t.Data[y*t.W+x] += v }
+func (t *Texture) Add(x, y int, v float64) { t.AddAt(y*t.W+x, v) }
+
+// AddAt is Add for the pixel at row-major index i.
+func (t *Texture) AddAt(i int, v float64) { t.Data[i] += v }
 
 // Clear zeroes the texture, retaining its allocation.
 func (t *Texture) Clear() {
@@ -42,19 +45,17 @@ func (t *Texture) Fill(v float64) {
 	}
 }
 
-// TakeMin lowers pixel (x,y) to v when v is smaller — the MIN blend
-// equation (glBlendEquation(GL_MIN)).
-func (t *Texture) TakeMin(x, y int, v float64) {
-	i := y*t.W + x
+// TakeMinAt lowers the pixel at row-major index i to v when v is smaller —
+// the MIN blend equation (glBlendEquation(GL_MIN)).
+func (t *Texture) TakeMinAt(i int, v float64) {
 	if v < t.Data[i] {
 		t.Data[i] = v
 	}
 }
 
-// TakeMax raises pixel (x,y) to v when v is larger — the MAX blend
-// equation.
-func (t *Texture) TakeMax(x, y int, v float64) {
-	i := y*t.W + x
+// TakeMaxAt raises the pixel at row-major index i to v when v is larger —
+// the MAX blend equation.
+func (t *Texture) TakeMaxAt(i int, v float64) {
 	if v > t.Data[i] {
 		t.Data[i] = v
 	}

@@ -56,10 +56,10 @@ func ServerMixConfig() MixConfig {
 			"311":    {"severity"},
 			"photos": {"likes"},
 		},
-		TimeMin:  jan.Start,
-		TimeMax:  jan.End,
-		Regions:  NeighborhoodCount,
-		Bounds:   mercatorNYC(),
+		TimeMin: jan.Start,
+		TimeMax: jan.End,
+		Regions: NeighborhoodCount,
+		Bounds:  mercatorNYC(),
 	}
 }
 
