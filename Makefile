@@ -114,11 +114,12 @@ chaos-smoke:
 
 # GeoBlocks hierarchy equivalence gate under the race detector: a seeded
 # pyramid build plus 50 hybrid-vs-full-join queries across all five
-# aggregates (TestGeoBlocksSmoke), and the concurrent build-while-query
-# stress.
+# aggregates (TestGeoBlocksSmoke), the concurrent build-while-query
+# stress, and the cost rule that hands fine whole-layer requests to the
+# raster join (TestGeoBlocksDeclinesByCost).
 geoblocks-smoke:
 	$(GO) test -race -count=1 \
-		-run '^(TestGeoBlocksSmoke|TestConcurrentBuildWhileQuery)$$' \
+		-run '^(TestGeoBlocksSmoke|TestConcurrentBuildWhileQuery|TestGeoBlocksDeclinesByCost)$$' \
 		./internal/geoblocks
 
 # Columnar segment gate under the race detector: the segment format unit

@@ -140,7 +140,7 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	// ID pass: first-drawn region owns each pixel. In accurate mode only
 	// each region's interior is drawn; the regions whose boundary crosses a
 	// boundary pixel are its slot's candidates for exact resolution.
-	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
+	sp, err := r.CompiledSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return nil, err
 	}

@@ -136,7 +136,7 @@ func (r *RasterJoin) renderTileMulti(ctx context.Context, c *gpu.Canvas, req Req
 
 	w, h := c.T.W, c.T.H
 
-	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
+	sp, err := r.CompiledSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func (r *RasterJoin) renderTilePolygonsFirst(ctx context.Context, c *gpu.Canvas,
 	minMax := req.Agg == Min || req.Agg == Max
 
 	// The compiled region layer for the ID pass and the exact tests.
-	sp, err := r.cachedSpans(ctx, req.Regions, c.T)
+	sp, err := r.CompiledSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return err
 	}

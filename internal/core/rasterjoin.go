@@ -166,12 +166,13 @@ func (r *RasterJoin) drawPoints(ctx context.Context, c *gpu.Canvas, workers, lo,
 	return nil
 }
 
-// cachedSpans returns the region set compiled on transform t — spans,
+// CompiledSpans returns the region set compiled on transform t — spans,
 // boundary mask and slots, interior runs and row-edge tables — from the
 // device's span cache, compiling it on a miss. With the cache disabled every
 // call compiles. Compilation respects ctx; a cache hit or miss is recorded
-// on the request trace.
-func (r *RasterJoin) cachedSpans(ctx context.Context, regions *data.RegionSet, t raster.Transform) (*raster.RegionSpans, error) {
+// on the request trace. Besides the joins, choropleth renders replay layers
+// from it.
+func (r *RasterJoin) CompiledSpans(ctx context.Context, regions *data.RegionSet, t raster.Transform) (*raster.RegionSpans, error) {
 	cache := r.dev.SpanCache()
 	key := raster.SpanKey{Owner: regions.Stamp(), T: t}
 	if sp, ok := cache.Get(key); ok {

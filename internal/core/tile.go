@@ -185,7 +185,7 @@ type tile struct {
 // device pool. Callers pair it with a deferred release, which runs on every
 // exit path including cancellation.
 func (r *RasterJoin) newTile(ctx context.Context, c *gpu.Canvas, regions *data.RegionSet, agg Agg) (*tile, error) {
-	sp, err := r.cachedSpans(ctx, regions, c.T)
+	sp, err := r.CompiledSpans(ctx, regions, c.T)
 	if err != nil {
 		return nil, err
 	}

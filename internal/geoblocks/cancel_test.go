@@ -73,8 +73,8 @@ func TestBuildCancelDoesNotPoisonStore(t *testing.T) {
 func TestQueryCancelMidRefinement(t *testing.T) {
 	ps := buildScene(t, 20_000, 62)
 	dev := gpu.New()
-	eng := geoblocks.NewEngine(core.NewRasterJoin(core.WithDevice(dev),
-		core.WithMode(core.Accurate), core.WithResolution(96)), 8)
+	eng := geoblocks.PinHybrid(geoblocks.NewEngine(core.NewRasterJoin(core.WithDevice(dev),
+		core.WithMode(core.Accurate), core.WithResolution(96)), 8))
 	req := core.Request{Points: ps, Regions: regions(bigRing()), Agg: core.Sum, Attr: "v"}
 
 	// Warm the index with an unconstrained context first, so the

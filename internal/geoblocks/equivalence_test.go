@@ -165,7 +165,8 @@ func compareResults(t *testing.T, context string, got, want *core.Result, agg co
 // TestGeoBlocksEquivalence is the headline property test: ≥200 randomized
 // (polygon, level, aggregate) cases, each checked cold (first query after
 // the store drops) and warm (served from the cached index), against the
-// full accurate join.
+// full accurate join. PinHybrid keeps every case on the hybrid: at level 3
+// most random polygons are fringe enough for the cost rule to decline.
 func TestGeoBlocksEquivalence(t *testing.T) {
 	ps := buildScene(t, 6000, 11)
 	dev := gpu.New()
@@ -176,7 +177,7 @@ func TestGeoBlocksEquivalence(t *testing.T) {
 
 	cases := 0
 	for _, lvl := range []int{3, 5, 8} {
-		eng := geoblocks.NewEngine(raster, lvl)
+		eng := geoblocks.PinHybrid(geoblocks.NewEngine(raster, lvl))
 		for i := 0; i < 72; i++ {
 			polys := []geom.Polygon{randomPolygon(rng)}
 			if i%4 == 0 { // multi-region requests fold several plans per query
@@ -225,7 +226,7 @@ func TestGeoBlocksEquivalence(t *testing.T) {
 func TestEquivalenceUnderRingTransforms(t *testing.T) {
 	ps := buildScene(t, 3000, 21)
 	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(64))
-	eng := geoblocks.NewEngine(raster, 6)
+	eng := geoblocks.PinHybrid(geoblocks.NewEngine(raster, 6))
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(31))
 
@@ -316,7 +317,7 @@ func TestFrameworkGeoBlocksToggle(t *testing.T) {
 func TestGeoBlocksSmoke(t *testing.T) {
 	ps := buildScene(t, 2000, 7)
 	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(64))
-	eng := geoblocks.NewEngine(raster, 6)
+	eng := geoblocks.PinHybrid(geoblocks.NewEngine(raster, 6))
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 

@@ -96,8 +96,8 @@ func TestPatchAppendEquivalence(t *testing.T) {
 		tail2 := deepSlice(full, mid, 6000)
 		rebuiltPS := deepSlice(full, 0, 6000)
 
-		eng := geoblocks.NewEngine(raster, lvl)
-		engRebuild := geoblocks.NewEngine(raster, lvl)
+		eng := geoblocks.PinHybrid(geoblocks.NewEngine(raster, lvl))
+		engRebuild := geoblocks.PinHybrid(geoblocks.NewEngine(raster, lvl))
 
 		// Build the base hierarchy, then move it through two patches —
 		// the second exercises patch-on-patch (tail CSR spanning both

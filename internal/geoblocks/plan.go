@@ -3,10 +3,13 @@ package geoblocks
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/fsum"
 	"repro/internal/geom"
+	"repro/internal/raster"
 )
 
 // Cell identifies one pyramid cell: (X, Y) on the 2^Level × 2^Level grid.
@@ -216,4 +219,43 @@ func (ix *Index) FringePoints(pl Plan) int {
 		}
 	}
 	return n
+}
+
+// estimatePollStride is how many regions FringeEstimate traces between
+// context polls.
+const estimatePollStride = 64
+
+// FringeEstimate approximates Σ FringePoints over rs without classifying
+// it: per region, the finest cells its edges pass through
+// (raster.BoundaryPixels on the finest grid, each cell once), summed over
+// the points those cells hold. Classification also makes fringe the cells
+// an edge only grazes through their ε-expanded box, so the estimate falls
+// short of the exact count by about the points of such cells. It is a
+// function of the polygons and the finest counts alone, which a patched
+// index and a rebuild over the same points share.
+func (ix *Index) FringeEstimate(ctx context.Context, rs *data.RegionSet) (int, error) {
+	if ix.empty {
+		return 0, nil
+	}
+	side := 1 << ix.maxLevel
+	t := raster.NewTransform(ix.bounds, side, side)
+	fin := ix.counts[ix.maxLevel]
+	var cells []int32
+	n := 0
+	for k := range rs.Regions {
+		if k%estimatePollStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
+		cells = cells[:0]
+		raster.BoundaryPixels(t, rs.Regions[k].Poly, func(px, py int) {
+			cells = append(cells, int32(py*side+px))
+		})
+		slices.Sort(cells)
+		for _, c := range slices.Compact(cells) {
+			n += int(fin[c])
+		}
+	}
+	return n, nil
 }

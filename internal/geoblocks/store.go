@@ -150,12 +150,14 @@ func (s *Store) Patch(ctx context.Context, oldPS, newPS *data.PointSet) bool {
 
 // Stats is a point-in-time snapshot of store behavior: the shared cache
 // counters (the store is unbounded, so Capacity and Evictions stay zero)
-// plus the append-patch outcomes.
+// plus the append-patch outcomes. Declined counts the requests the engine's
+// cost rule handed to the raster join; Engine.Stats fills it in.
 type Stats struct {
 	lru.Stats
 	Patches        uint64 `json:"patches"`
 	PatchFallbacks uint64 `json:"patchFallbacks"`
 	MaxLevel       int    `json:"maxLevel"`
+	Declined       uint64 `json:"declined"`
 }
 
 // Stats returns a snapshot. Bytes only counts completed builds.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/geoblocks"
 	"repro/internal/geom"
 )
@@ -18,7 +19,9 @@ import (
 // store), forcing builds to race live queries. Run under -race this proves
 // the index is immutable after publication and concurrent first queries
 // share a build safely; the brute-force check proves every answer —
-// whichever build served it — is exact.
+// whichever build served it — is exact. Half the battery are two-region
+// sets shared by every worker, so the cost rule's memo is read and filled
+// concurrently too.
 func TestConcurrentBuildWhileQuery(t *testing.T) {
 	ps := buildScene(t, 8000, 71)
 	raster := core.NewRasterJoin(core.WithMode(core.Accurate))
@@ -29,6 +32,7 @@ func TestConcurrentBuildWhileQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	type qcase struct {
 		pg    geom.Polygon
+		rs    *data.RegionSet
 		count int64
 		sum   float64
 	}
@@ -38,6 +42,10 @@ func TestConcurrentBuildWhileQuery(t *testing.T) {
 		pg := randomPolygon(rng)
 		var qc qcase
 		qc.pg = pg
+		qc.rs = regions(pg)
+		if i%2 == 1 {
+			qc.rs = regions(pg, battery[i-1].pg)
+		}
 		for j := 0; j < ps.Len(); j++ {
 			if pg.Contains(geom.Point{X: ps.X[j], Y: ps.Y[j]}) {
 				qc.count++
@@ -74,7 +82,7 @@ func TestConcurrentBuildWhileQuery(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				qc := battery[(w+i)%len(battery)]
 				res, err := eng.Load().JoinContext(ctx, core.Request{
-					Points: ps, Regions: regions(qc.pg), Agg: core.Sum, Attr: "v"})
+					Points: ps, Regions: qc.rs, Agg: core.Sum, Attr: "v"})
 				if err != nil {
 					errs <- err.Error()
 					return

@@ -103,7 +103,7 @@ func (pl *Planner) chain() []engine {
 	}
 	if pl.GeoBlocks != nil {
 		ch = append(ch, engine{"geoblocks", pl.GeoBlocks, pl.GeoBlocks.CanServe,
-			"unfiltered polygon aggregation served from geoblocks hierarchy"})
+			"unfiltered polygon aggregation: geoblocks hierarchy, or raster join when its boundary fringe costs more"})
 	}
 	if pl.Slabs != nil {
 		ch = append(ch, engine{"slabs", pl.Slabs, pl.Slabs.CanServe,

@@ -5,6 +5,7 @@
 package render
 
 import (
+	"context"
 	"fmt"
 	"image"
 	"image/color"
@@ -13,6 +14,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/geom"
 	"repro/internal/raster"
 )
 
@@ -73,27 +75,58 @@ func lerp(a, b, t float64) float64 { return a + (b-a)*t }
 // Choropleth renders region polygons filled by their normalized values,
 // with darkened boundary pixels, using the join engine's own scanline and
 // conservative rasterizers. values[i] colors rs.Regions[i]; regions with
-// NaN values are drawn in light gray.
+// NaN values are drawn in light gray. It compiles the layer on
+// ChoroplethTransform(rs, width) and paints it with ChoroplethSpans — the
+// one drawing path, which servers feed from their span cache instead.
 func Choropleth(rs *data.RegionSet, values []float64, width int, ramp Ramp) (*image.RGBA, error) {
-	if rs.Len() == 0 {
-		return nil, fmt.Errorf("render: empty region set")
-	}
 	if len(values) != rs.Len() {
 		return nil, fmt.Errorf("render: %d values for %d regions", len(values), rs.Len())
+	}
+	tr, err := ChoroplethTransform(rs, width)
+	if err != nil {
+		return nil, err
+	}
+	polys := make([]geom.Polygon, rs.Len())
+	for k := range rs.Regions {
+		polys[k] = rs.Regions[k].Poly
+	}
+	sp, err := raster.CompileRegions(context.Background(), tr, polys)
+	if err != nil {
+		return nil, err
+	}
+	return ChoroplethSpans(sp, values, ramp)
+}
+
+// ChoroplethTransform returns the canvas a choropleth of rs is drawn on:
+// the layer's bounds at the given width (at least 16), the height following
+// the bounds' aspect ratio.
+func ChoroplethTransform(rs *data.RegionSet, width int) (raster.Transform, error) {
+	if rs.Len() == 0 {
+		return raster.Transform{}, fmt.Errorf("render: empty region set")
 	}
 	if width < 16 {
 		width = 16
 	}
 	bounds := rs.Bounds()
 	if bounds.IsEmpty() || bounds.Width() == 0 {
-		return nil, fmt.Errorf("render: degenerate region bounds")
+		return raster.Transform{}, fmt.Errorf("render: degenerate region bounds")
 	}
 	height := int(float64(width) * bounds.Height() / bounds.Width())
 	if height < 1 {
 		height = 1
 	}
-	tr := raster.NewTransform(bounds, width, height)
+	return raster.NewTransform(bounds, width, height), nil
+}
 
+// ChoroplethSpans paints a layer compiled on a choropleth transform: every
+// region's Fill spans in its value's color, in region order, then every
+// region's Boundary pixels in the outline color. Fill(k) replays
+// FillPolygon's pixels in order and Boundary(k) the set BoundaryPixels
+// visits, so the image is the one rasterizing the polygons draws.
+func ChoroplethSpans(sp *raster.RegionSpans, values []float64, ramp Ramp) (*image.RGBA, error) {
+	if len(values) != sp.Regions() {
+		return nil, fmt.Errorf("render: %d values for %d regions", len(values), sp.Regions())
+	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range values {
 		if math.IsNaN(v) {
@@ -113,33 +146,41 @@ func Choropleth(rs *data.RegionSet, values []float64, width int, ramp Ramp) (*im
 		return (v - lo) / (hi - lo)
 	}
 
+	width, height := sp.T.W, sp.T.H
 	img := image.NewRGBA(image.Rect(0, 0, width, height))
 	bg := color.RGBA{R: 250, G: 250, B: 250, A: 255}
 	for y := 0; y < height; y++ {
-		for x := 0; x < width; x++ {
-			img.SetRGBA(x, y, bg)
-		}
+		paintRun(img, y, 0, width, bg)
 	}
 	// Fill pass (image rows grow downward; flip y).
-	for k, reg := range rs.Regions {
+	for k := range values {
 		var c color.RGBA
 		if math.IsNaN(values[k]) {
 			c = color.RGBA{R: 224, G: 224, B: 224, A: 255}
 		} else {
 			c = ramp(norm(values[k]))
 		}
-		raster.FillPolygon(tr, reg.Poly, func(px, py int) {
-			img.SetRGBA(px, height-1-py, c)
-		})
+		for _, s := range sp.Fill(k) {
+			paintRun(img, height-1-int(s.Y), int(s.X0), int(s.X1), c)
+		}
 	}
 	// Boundary pass: darken outline pixels.
 	line := color.RGBA{R: 60, G: 60, B: 60, A: 255}
-	for _, reg := range rs.Regions {
-		raster.BoundaryPixels(tr, reg.Poly, func(px, py int) {
-			img.SetRGBA(px, height-1-py, line)
-		})
+	for k := range values {
+		for _, idx := range sp.Boundary(k) {
+			px, py := int(idx)%width, int(idx)/width
+			paintRun(img, height-1-py, px, px+1, line)
+		}
 	}
 	return img, nil
+}
+
+// paintRun sets pixels [x0, x1) of image row y to c.
+func paintRun(img *image.RGBA, y, x0, x1 int, c color.RGBA) {
+	row := img.Pix[y*img.Stride+x0*4 : y*img.Stride+x1*4]
+	for i := 0; i < len(row); i += 4 {
+		row[i], row[i+1], row[i+2], row[i+3] = c.R, c.G, c.B, c.A
+	}
 }
 
 // Density renders a row-major count grid (the heatmap payload) with

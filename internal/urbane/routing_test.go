@@ -2,6 +2,7 @@ package urbane
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ import (
 var routingReasons = map[string]string{
 	"cube":      "canned query served from pre-aggregation",
 	"exact":     "exact engine override",
-	"geoblocks": "unfiltered polygon aggregation served from geoblocks hierarchy",
+	"geoblocks": "unfiltered polygon aggregation: geoblocks hierarchy, or raster join when its boundary fringe costs more",
 	"slabs":     "time-windowed aggregation folded from cached slab partials",
 	"shards":    "ad-hoc query routed to raster join",
 	"raster":    "ad-hoc query routed to raster join",
@@ -28,13 +29,19 @@ var routingReasons = map[string]string{
 // why, through both entry points — Planner.Plan (the SQL path) and
 // Framework.ExecuteContext (every view) — so the two can never again route
 // the same request differently. ExecuteContext is checked by what the
-// execution leaves behind: the result's Algorithm and the engine's spans on
-// the request trace.
+// execution leaves behind: the result's Algorithm, the geoblocks.declined
+// counter and the engine's spans on the request trace. The geoblocks link
+// answers in one of two ways, written "geoblocks/hybrid" (interior fold +
+// fringe refine) and "geoblocks/declined" (its cost rule handed the request
+// to the raster join); Plan names the link either way.
 func TestRoutingTable(t *testing.T) {
 	const exactName = "raster-join-accurate-300px"
 	exact := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(300))
 	ring := &data.RegionSet{Name: "ring", Regions: []data.Region{{ID: 0, Name: "ring",
 		Poly: geom.Polygon{Outer: geom.Ring{{X: 200, Y: 200}, {X: 800, Y: 250}, {X: 750, Y: 800}, {X: 250, Y: 750}}}}}}
+	// A fine layer is nearly all boundary fringe at the hierarchy's finest
+	// level, so the geoblocks link declines it.
+	fine := data.GridRegions("fine", geom.BBox{MaxX: 1000, MaxY: 1000}, 32, 32)
 
 	requests := []struct {
 		name string
@@ -46,6 +53,7 @@ func TestRoutingTable(t *testing.T) {
 			Time: &core.TimeFilter{Start: 3600, End: 3 * 3600}}},
 		{"filtered ad-hoc", query.Query{Agg: core.Count, Points: "taxi", Regions: "nbhd",
 			Filters: []core.Filter{{Attr: "fare", Min: 5, Max: 20}}}},
+		{"unfiltered fine layer", query.Query{Agg: core.Sum, Attr: "fare", Points: "taxi", Regions: "fine"}},
 	}
 	type setup func(t *testing.T, f *Framework)
 	cube := func(t *testing.T, f *Framework) {
@@ -66,25 +74,28 @@ func TestRoutingTable(t *testing.T) {
 		raster []core.RJOption
 		setup  []setup
 		// want lists the engine per request, in requests order.
-		want [4]string
+		want [5]string
 	}{
-		{"bare", nil, nil, [4]string{"raster", "raster", "raster", "raster"}},
-		{"cube", nil, []setup{cube}, [4]string{"cube", "raster", "raster", "raster"}},
-		{"geoblocks", nil, []setup{geoblocks}, [4]string{"geoblocks", "geoblocks", "raster", "raster"}},
-		{"slabs", nil, []setup{slabs}, [4]string{"raster", "raster", "slabs", "raster"}},
-		{"shards", nil, []setup{shards}, [4]string{"shards", "shards", "shards", "shards"}},
+		{"bare", nil, nil, [5]string{"raster", "raster", "raster", "raster", "raster"}},
+		{"cube", nil, []setup{cube}, [5]string{"cube", "raster", "raster", "raster", "raster"}},
+		{"geoblocks", nil, []setup{geoblocks},
+			[5]string{"geoblocks/declined", "geoblocks/hybrid", "raster", "raster", "geoblocks/declined"}},
+		{"slabs", nil, []setup{slabs}, [5]string{"raster", "raster", "slabs", "raster", "raster"}},
+		{"shards", nil, []setup{shards}, [5]string{"shards", "shards", "shards", "shards", "shards"}},
 		{"everything", nil, []setup{cube, geoblocks, slabs, shards},
-			[4]string{"cube", "geoblocks", "slabs", "shards"}},
+			[5]string{"cube", "geoblocks/hybrid", "slabs", "shards", "geoblocks/declined"}},
 		{"everything + exact override", nil, []setup{cube, geoblocks, slabs, shards, exactOverride},
-			[4]string{"cube", "exact", "exact", "exact"}},
+			[5]string{"cube", "exact", "exact", "exact", "exact"}},
 		{"shards over a polygons-first raster", []core.RJOption{core.WithStrategy(core.PolygonsFirst)},
-			[]setup{shards}, [4]string{"raster", "raster", "raster", "raster"}},
+			[]setup{shards}, [5]string{"raster", "raster", "raster", "raster", "raster"}},
 	}
 
 	for _, cfg := range configs {
 		f, _, _ := buildTestFramework(t, cfg.raster...)
-		if err := f.AddRegionSet(ring); err != nil {
-			t.Fatal(err)
+		for _, rs := range []*data.RegionSet{ring, fine} {
+			if err := f.AddRegionSet(rs); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, s := range cfg.setup {
 			s(t, f)
@@ -93,14 +104,15 @@ func TestRoutingTable(t *testing.T) {
 		for i, rq := range requests {
 			label := cfg.name + " / " + rq.name
 			want := cfg.want[i]
+			link, _, _ := strings.Cut(want, "/")
 
 			plan, err := f.routing().Plan(rq.q, f)
 			if err != nil {
 				t.Fatalf("%s: Plan: %v", label, err)
 			}
-			if plan.Engine != want || plan.Reason != routingReasons[want] {
+			if plan.Engine != link || plan.Reason != routingReasons[link] {
 				t.Errorf("%s: Plan routed to %q (%q), want %q (%q)",
-					label, plan.Engine, plan.Reason, want, routingReasons[want])
+					label, plan.Engine, plan.Reason, link, routingReasons[link])
 			}
 
 			// The same request built the way the views build it.
@@ -117,12 +129,17 @@ func TestRoutingTable(t *testing.T) {
 			for _, sp := range tr.Spans() {
 				spans[sp.Name] = true
 			}
+			declined := tr.Counters()["geoblocks.declined"]
 			var got string
 			switch {
 			case res.Algorithm == "pre-aggregation-cube":
 				got = "cube"
-			case spans["geoblocks.plan"]:
-				got = "geoblocks"
+			case strings.HasPrefix(res.Algorithm, "geoblocks-hybrid") && spans["geoblocks.plan"] && declined == 0:
+				got = "geoblocks/hybrid"
+			case declined == 1 && res.Algorithm == rasterName && !spans["geoblocks.plan"] && !spans["shard.scatter"]:
+				got = "geoblocks/declined"
+			case declined != 0:
+				got = "declined, then ran elsewhere"
 			case res.Algorithm == exactName:
 				got = "exact"
 			case spans["tcache.fold"]:
@@ -133,8 +150,8 @@ func TestRoutingTable(t *testing.T) {
 				got = "raster"
 			}
 			if got != want {
-				t.Errorf("%s: ExecuteContext ran on %q (algorithm %q, spans %v), want %q",
-					label, got, res.Algorithm, spans, want)
+				t.Errorf("%s: ExecuteContext ran on %q (algorithm %q, declined %d, spans %v), want %q",
+					label, got, res.Algorithm, declined, spans, want)
 			}
 		}
 	}

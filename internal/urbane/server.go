@@ -677,7 +677,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	var gb geoblocks.Stats
 	if g := s.f.GeoBlocks(); g != nil {
-		gb = g.Store().Stats()
+		gb = g.Stats()
 	}
 	var sh shardingStats
 	if c := s.f.Sharding(); c != nil {

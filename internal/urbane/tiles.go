@@ -16,6 +16,8 @@ import (
 
 // RenderChoroplethContext runs the map view and renders it to PNG bytes at
 // the given width — the programmatic form of /api/render/choropleth.png.
+// The layer is replayed from the device's span cache at the render
+// transform, so only the first render of a layer at a width compiles it.
 func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, width int) ([]byte, error) {
 	ch, err := f.MapViewContext(ctx, sel)
 	if err != nil {
@@ -29,7 +31,15 @@ func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, 
 	for i, v := range ch.Values {
 		values[i] = v.Value
 	}
-	img, err := render.Choropleth(rs, values, width, render.BlueRamp)
+	tr, err := render.ChoroplethTransform(rs, width)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := f.rasterJoiner().CompiledSpans(ctx, rs, tr)
+	if err != nil {
+		return nil, err
+	}
+	img, err := render.ChoroplethSpans(sp, values, render.BlueRamp)
 	if err != nil {
 		return nil, err
 	}

@@ -9,10 +9,11 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/mercator"
+	"repro/internal/render"
 )
 
 func TestRenderChoropleth(t *testing.T) {
-	f, _, _ := buildTestFramework(t)
+	f, _, nbhd := buildTestFramework(t)
 	data, err := f.RenderChoroplethContext(context.Background(), Selection{
 		Dataset: "taxi", Layer: "nbhd", Agg: 0,
 	}, 400)
@@ -25,6 +26,36 @@ func TestRenderChoropleth(t *testing.T) {
 	}
 	if img.Bounds().Dx() != 400 {
 		t.Errorf("width = %d", img.Bounds().Dx())
+	}
+	// The render replays the layer from the span cache: a warm render and
+	// render.Choropleth's compile-then-replay draw the same bytes.
+	sel := Selection{Dataset: "taxi", Layer: "nbhd", Agg: 0}
+	hits := f.rasterJoiner().Device().SpanCache().Stats().Hits
+	warm, err := f.RenderChoroplethContext(context.Background(), sel, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.rasterJoiner().Device().SpanCache().Stats().Hits == hits {
+		t.Error("warm render did not replay the cached layer")
+	}
+	ch, err := f.MapViewContext(context.Background(), sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]float64, len(ch.Values))
+	for i, v := range ch.Values {
+		values[i] = v.Value
+	}
+	pic, err := render.Choropleth(nbhd, values, 400, render.BlueRamp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var direct bytes.Buffer
+	if err := render.EncodePNG(&direct, pic); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(warm, data) || !bytes.Equal(warm, direct.Bytes()) {
+		t.Error("cold, warm and render.Choropleth PNGs differ")
 	}
 	// Errors propagate.
 	if _, err := f.RenderChoroplethContext(context.Background(), Selection{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
