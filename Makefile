@@ -2,13 +2,20 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
+.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The packages whose tests race the scheduler, on one P: the benchmark pins
+# its servers to one P, and a join that finishes before a polling test can
+# cancel it (TestParallelJoinCancelMidPass failed a third of its runs this
+# way) only shows there, never on a multi-core runner's default.
+test-1p:
+	GOMAXPROCS=1 $(GO) test -count=1 ./internal/core ./internal/urbane ./internal/qcache
 
 race:
 	$(GO) test -race ./...
@@ -59,15 +66,17 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Short-budget fuzzing of the input decoders, the segment reader over
-# corrupted files, the query parser, the series tile's per-bin pass against
-# per-bin joins, the row-edge exact test against Polygon.Contains and the
-# point pass's pixel map against the reference mapping; go test accepts one
-# -fuzz target per invocation.
+# corrupted files, the query parser, the cache key and the selection entry
+# encoding, the series tile's per-bin pass against per-bin joins, the
+# row-edge exact test against Polygon.Contains and the point pass's pixel
+# map against the reference mapping; go test accepts one -fuzz target per
+# invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qcache -run='^$$' -fuzz='^FuzzCacheKey$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/qcache -run='^$$' -fuzz='^FuzzResultEntry$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/urbane -run='^$$' -fuzz='^FuzzAdmitEnvelope$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/geoblocks -run='^$$' -fuzz='^FuzzClassify$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentRoundTrip$$' -fuzztime=$(FUZZTIME)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/trace"
 )
@@ -278,7 +279,10 @@ func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
 // TestParallelJoinCancelMidPass: canceling an accurate join with point
 // workers mid-point-pass returns context.Canceled, leaks nothing, and leaves
 // the device pool drained — with the span cache enabled, so compiled spans
-// don't pin pool resources.
+// don't pin pool resources. A per-batch latency fault stretches the pass to
+// tens of milliseconds, so the cancel below lands mid-pass even on one P,
+// where an unslowed 200 k-point join can finish before the poll sees its
+// first batch.
 func TestParallelJoinCancelMidPass(t *testing.T) {
 	ps, rs := scene(200_000, 16, 347)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
@@ -288,7 +292,9 @@ func TestParallelJoinCancelMidPass(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	tr := trace.New("test")
-	ctx, cancel := context.WithCancel(trace.NewContext(context.Background(), tr))
+	reg := fault.New(7)
+	reg.Set("core.pointpass", fault.Rule{Prob: 1, Kind: fault.Latency, Delay: 2 * time.Millisecond})
+	ctx, cancel := context.WithCancel(trace.NewContext(fault.NewContext(context.Background(), reg), tr))
 	defer cancel()
 
 	done := make(chan error, 1)

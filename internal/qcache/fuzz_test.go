@@ -5,6 +5,7 @@
 package qcache_test
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -111,6 +112,83 @@ func FuzzCacheKey(f *testing.F) {
 		if !same && keyA == keyB {
 			t.Fatalf("different queries collided on %s:\n%q (canon %+v)\n%q (canon %+v)",
 				keyA, stmtA, canonA, stmtB, canonB)
+		}
+	})
+}
+
+// statsFrom turns fuzz bytes into region stats, 16 bytes per region: a
+// count and one float, written into every float field so whichever one the
+// aggregate keeps carries the fuzzed bits.
+func statsFrom(raw []byte) []core.RegionStat {
+	stats := make([]core.RegionStat, len(raw)/16)
+	for i := range stats {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
+		stats[i] = core.RegionStat{Count: int64(binary.LittleEndian.Uint64(raw[16*i:])), Sum: v, Min: v, Max: v}
+	}
+	return stats
+}
+
+// FuzzResultEntry asserts a selection entry round-trips exactly: the three
+// strings, the aggregate, every region's Count and the float its aggregate
+// reads — bit for bit, NaN payloads, ±Inf and −0 included — so Value
+// returns the same bits from a decoded entry as from the join's result for
+// every aggregate the entry serves (SUM's also serves AVG). The encoding is
+// allocated at exactly its length, a truncated entry is refused, and
+// decoding arbitrary bytes never panics.
+func FuzzResultEntry(f *testing.F) {
+	special := func(vs ...float64) []byte {
+		var b []byte
+		for i, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(i))
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	negZero := math.Copysign(0, -1)
+	payloadNaN := math.Float64frombits(0x7ff8_0000_dead_beef)
+	for agg := core.Count; agg <= core.Max; agg++ {
+		f.Add(uint8(agg), "raster-join-accurate-1024px", "ad-hoc query routed to raster join", "mapview/SUM",
+			special(math.NaN(), payloadNaN, math.Inf(1), math.Inf(-1), negZero, 0, 1.5, -2.25e300))
+	}
+	f.Add(uint8(core.Sum), "", "", "", []byte{})
+	f.Fuzz(func(t *testing.T, aggByte uint8, alg, reason, view string, raw []byte) {
+		// Whatever the bytes, decoding must not panic.
+		_, _ = qcache.DecodeResult(raw)
+
+		agg := core.Agg(aggByte)
+		in := qcache.Result{Agg: agg, Stats: statsFrom(raw), Algorithm: alg, Reason: reason, View: view}
+		enc := qcache.EncodeResult(in)
+		if len(enc) != cap(enc) {
+			t.Fatalf("entry len %d, cap %d: the cache charges len", len(enc), cap(enc))
+		}
+		out, err := qcache.DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("decoding a fresh entry: %v", err)
+		}
+		if out.Agg != agg || out.Algorithm != alg || out.Reason != reason || out.View != view ||
+			len(out.Stats) != len(in.Stats) {
+			t.Fatalf("header drifted: %+v -> agg %v %q %q %q, %d stats",
+				in, out.Agg, out.Algorithm, out.Reason, out.View, len(out.Stats))
+		}
+		served := []core.Agg{agg}
+		if agg == core.Sum {
+			served = append(served, core.Avg)
+		}
+		for i := range in.Stats {
+			if out.Stats[i].Count != in.Stats[i].Count {
+				t.Fatalf("region %d: count %d -> %d", i, in.Stats[i].Count, out.Stats[i].Count)
+			}
+			for _, a := range served {
+				want, got := in.Stats[i].Value(a), out.Stats[i].Value(a)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("region %d: %v value %x -> %x", i, a, math.Float64bits(want), math.Float64bits(got))
+				}
+			}
+		}
+		if len(enc) > 0 {
+			if _, err := qcache.DecodeResult(enc[:len(enc)-1]); err == nil {
+				t.Fatal("a truncated entry decoded")
+			}
 		}
 	})
 }

@@ -1,5 +1,6 @@
 // Package qcache is the server's query-result cache: a sharded,
-// generation-stamped LRU over serialized response bodies, keyed by a
+// generation-stamped LRU over serialized response bodies and selection
+// entries (one join result several views render, see result.go), keyed by a
 // canonicalized query signature (see key.go), with singleflight request
 // coalescing so N concurrent identical queries compute once and fan the
 // result out.
@@ -104,6 +105,10 @@ type flightCall struct {
 	// a late joiner that observes it retries instead of inheriting the
 	// dead flight's cancellation error.
 	abandoned bool
+
+	// counted records that the flight's creator counts in Stats (DoContext,
+	// not DoNested): only then is the flight a miss.
+	counted bool
 
 	waiters int
 	retired bool
@@ -224,6 +229,22 @@ func (c *Cache) putAt(key string, val []byte, gen uint64) {
 // eventually after the last caller leaves, not at the instant its error is
 // written. Leak checks poll for it with a bounded deadline.
 func (c *Cache) DoContext(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+	return c.do(ctx, key, compute, true)
+}
+
+// DoNested is DoContext for a value a request reads on its way to its own
+// entry — the choropleth PNG's compute reading its selection's result. It
+// shares the entry, any flight and the exactly-once compute with DoContext
+// callers of the same key, but counts no hit, miss or coalesced outcome, so
+// Stats keep counting one outcome per request. A flight DoNested starts
+// counts no miss; a DoContext caller that joins it counts as coalesced.
+func (c *Cache) DoNested(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+	return c.do(ctx, key, compute, false)
+}
+
+// do is DoContext and DoNested; counted says whether the caller's outcome
+// counts in Stats.
+func (c *Cache) do(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error), counted bool) ([]byte, Outcome, error) {
 	if c == nil {
 		v, err := compute(ctx)
 		return v, Bypass, err
@@ -233,20 +254,22 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func(ctx cont
 			return nil, Bypass, err
 		}
 		if v, ok := c.lookup(key); ok {
-			c.hits.Add(1)
+			if counted {
+				c.hits.Add(1)
+			}
 			return v, Hit, nil
 		}
 		c.flightMu.Lock()
 		if call, ok := c.flights[key]; ok {
 			call.waiters++
 			c.flightMu.Unlock()
-			v, outcome, err, retry := c.wait(ctx, call, Coalesced)
+			v, outcome, err, retry := c.wait(ctx, call, Coalesced, counted)
 			if retry {
 				continue
 			}
 			return v, outcome, err
 		}
-		call := &flightCall{done: make(chan struct{}), waiters: 1}
+		call := &flightCall{done: make(chan struct{}), waiters: 1, counted: counted}
 		cctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 		call.cancel = cancel
 		c.flights[key] = call
@@ -257,7 +280,7 @@ func (c *Cache) DoContext(ctx context.Context, key string, compute func(ctx cont
 		// The leader waits like any other caller: if its request dies while
 		// the compute is shared, it detaches and the survivors still get
 		// the result.
-		v, outcome, err, retry := c.wait(ctx, call, Miss)
+		v, outcome, err, retry := c.wait(ctx, call, Miss, counted)
 		if retry {
 			continue
 		}
@@ -282,7 +305,9 @@ func (c *Cache) runFlight(cctx context.Context, key string, call *flightCall, co
 	// between the miss and taking leadership; recomputing would break the
 	// exactly-once guarantee.
 	if v, ok := c.lookup(key); ok {
-		c.hits.Add(1)
+		if call.counted {
+			c.hits.Add(1)
+		}
 		finish(v, nil, true, false)
 		return
 	}
@@ -297,7 +322,9 @@ func (c *Cache) runFlight(cctx context.Context, key string, call *flightCall, co
 	if err == nil {
 		v, err = compute(cctx)
 	}
-	c.misses.Add(1)
+	if call.counted {
+		c.misses.Add(1)
+	}
 	if err != nil {
 		finish(nil, err, false, cctx.Err() != nil)
 		return
@@ -310,9 +337,10 @@ func (c *Cache) runFlight(cctx context.Context, key string, call *flightCall, co
 
 // wait blocks on the flight until it retires or ctx ends. own is the
 // outcome to report on success (Miss for the flight's creator, Coalesced
-// for joiners). retry is true when the flight was abandoned but this
-// caller's ctx is still live — the caller should start over.
-func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome) (v []byte, outcome Outcome, err error, retry bool) {
+// for joiners); counted says whether a Coalesced outcome counts in Stats.
+// retry is true when the flight was abandoned but this caller's ctx is
+// still live — the caller should start over.
+func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome, counted bool) (v []byte, outcome Outcome, err error, retry bool) {
 	select {
 	case <-call.done:
 		if call.abandoned && ctx.Err() == nil {
@@ -321,7 +349,7 @@ func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome) (v []by
 		if call.hit {
 			return call.val, Hit, call.err, false
 		}
-		if own == Coalesced {
+		if own == Coalesced && counted {
 			c.coalesced.Add(1)
 		}
 		return call.val, own, call.err, false

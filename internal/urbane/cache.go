@@ -147,10 +147,21 @@ func marshalBody(v any) ([]byte, error) {
 // compute; see qcache.DoContext). Compute errors are never cached; they
 // surface through writeComputeError.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, contentType string, compute func(ctx context.Context) ([]byte, error)) {
+	s.serve(w, r, key, contentType, compute, nil)
+}
+
+// serve is serveCached for an entry that is not itself the response body:
+// render, when non-nil, turns the stored value into this request's body, on
+// a hit as on a miss (see serveSelection).
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, key, contentType string,
+	compute func(ctx context.Context) ([]byte, error), render func(val []byte, outcome qcache.Outcome) ([]byte, error)) {
 	start := time.Now()
 	s.syncGeneration()
 	compute = s.admitted(endpointWeight(endpointName(r.URL.Path)), compute)
 	body, outcome, err := s.cache.DoContext(r.Context(), key, compute)
+	if err == nil && render != nil {
+		body, err = render(body, outcome)
+	}
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
@@ -256,10 +267,82 @@ func (s *Server) selectionSig(sig *qcache.Sig, sel Selection) *qcache.Sig {
 		Filters("f", sel.Filters).TimeRange("t", sel.Time)
 }
 
-// cacheStatsResponse is the /api/cachestats payload.
+// selectionKey keys sel's selection entry (qcache.SelectionKind): the
+// selection's signature with AVG folded onto SUM, shared by /api/mapview,
+// /api/query and the choropleth PNG. Like every key it is built in the
+// handler, before anything resolves the point set, so a result is never
+// stored under an epoch newer than the data it was computed from.
+func (s *Server) selectionKey(sel Selection) string {
+	sel.Agg = qcache.ResultAgg(sel.Agg)
+	return s.selectionSig(qcache.NewSig(qcache.SelectionKind), sel).Key()
+}
+
+// selectionRun is one view's way of computing a selection's join: the
+// result and the routing reason.
+type selectionRun func(ctx context.Context) (*core.Result, string, error)
+
+// selectionCompute wraps run as the compute of a selection entry for the
+// named view (see qcache.Result.View).
+func selectionCompute(agg core.Agg, view string, run selectionRun) func(ctx context.Context) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
+		res, reason, err := run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return qcache.EncodeResult(qcache.Result{Agg: qcache.ResultAgg(agg), Stats: res.Stats,
+			Algorithm: res.Algorithm, Reason: reason, View: view}), nil
+	}
+}
+
+// readSelection decodes a selection entry the cache served with outcome.
+// An entry another view computed (a hit or a coalesced wait, not this
+// request's own compute) counts as cross-view on the request trace and in
+// /api/cachestats.
+func (s *Server) readSelection(ctx context.Context, val []byte, outcome qcache.Outcome, view string) (qcache.Result, error) {
+	res, err := qcache.DecodeResult(val)
+	if err != nil {
+		return res, internalErr(err)
+	}
+	if (outcome == qcache.Hit || outcome == qcache.Coalesced) && res.View != view {
+		s.crossView.Add(1)
+		trace.FromContext(ctx).Count("qcache.cross_view", 1)
+	}
+	return res, nil
+}
+
+// serveSelection serves one JSON view of a selection. The cache holds the
+// selection entry, not the body: the entry is looked up, coalesced and
+// admitted like any cached body, and render builds this request's body
+// from it on every request. view names the rendering (endpoint and
+// aggregate); run is the view's compute on a miss.
+func (s *Server) serveSelection(w http.ResponseWriter, r *http.Request, sel Selection, view string,
+	run selectionRun, render func(qcache.Result) ([]byte, error)) {
+	s.serve(w, r, s.selectionKey(sel), "application/json", selectionCompute(sel.Agg, view, run),
+		func(val []byte, outcome qcache.Outcome) ([]byte, error) {
+			res, err := s.readSelection(r.Context(), val, outcome, view)
+			if err != nil {
+				return nil, err
+			}
+			return render(res)
+		})
+}
+
+// choropleth renders a selection entry as the map view payload, whose
+// values are also /api/query's rows and the PNG's colors.
+func (s *Server) choropleth(sel Selection, res qcache.Result) (*Choropleth, error) {
+	rs, err := s.f.layer(sel.Layer)
+	if err != nil {
+		return nil, internalErr(err)
+	}
+	return newChoropleth(sel, rs, res.Stats, res.Algorithm), nil
+}
+
+// cacheStatsResponse is the /api/cachestats payload. CrossView counts the
+// requests a selection entry served that another view computed.
 type cacheStatsResponse struct {
-	Enabled  bool  `json:"enabled"`
-	TimeSnap int64 `json:"timeSnap"`
+	Enabled   bool   `json:"enabled"`
+	TimeSnap  int64  `json:"timeSnap"`
+	CrossView uint64 `json:"crossView"`
 	qcache.Stats
 }
 
@@ -272,8 +355,9 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.syncGeneration()
 	writeJSON(w, http.StatusOK, cacheStatsResponse{
-		Enabled:  s.cache != nil,
-		TimeSnap: s.snap,
-		Stats:    s.cache.Stats(),
+		Enabled:   s.cache != nil,
+		TimeSnap:  s.snap,
+		CrossView: s.crossView.Load(),
+		Stats:     s.cache.Stats(),
 	})
 }

@@ -440,11 +440,19 @@ func (f *Framework) QueryContext(ctx context.Context, stmt string) (*query.Execu
 // canceled mid-flight when ctx ends; cube lookups are fast enough that only
 // an up-front check applies.
 func (f *Framework) ExecuteContext(ctx context.Context, req core.Request) (*core.Result, error) {
+	_, res, err := f.run(ctx, req)
+	return res, err
+}
+
+// run is ExecuteContext returning the plan too (its Reason is what
+// /api/query reports).
+func (f *Framework) run(ctx context.Context, req core.Request) (*query.Plan, *core.Result, error) {
 	p, err := f.routing().Route(req, f)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return core.JoinContext(ctx, p.Joiner, p.Request)
+	res, err := core.JoinContext(ctx, p.Joiner, p.Request)
+	return p, res, err
 }
 
 // cubeServable reports whether the request routes to a registered cube.

@@ -44,6 +44,9 @@ type Server struct {
 	// epochEvictions counts cache entries reclaimed by per-data-set epoch
 	// sweeps (appends), as opposed to whole-generation invalidations.
 	epochEvictions atomic.Uint64
+	// crossView counts requests served by a selection entry another view
+	// computed (see readSelection).
+	crossView atomic.Uint64
 }
 
 // NewServer wraps a framework. By default responses are cached in
@@ -285,24 +288,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	q.Filters = qcache.CanonFilters(q.Filters)
 	q.Time = s.snapTime(q.Time)
 	stmt := q.String()
-	key := qcache.NewSig("query").Str("stmt", stmt).Epoch(q.Points, s.f.Epoch(q.Points)).Key()
-	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
-		exec, err := s.f.QueryContext(ctx, stmt)
-		if err != nil {
-			return nil, err
-		}
-		rs := exec.Plan.Request.Regions
-		rows := make([]RegionValue, len(exec.Result.Stats))
-		for k, reg := range rs.Regions {
-			rows[k] = RegionValue{ID: reg.ID, Name: reg.Name,
-				Value: exec.Result.Value(k, exec.Plan.Request.Agg)}
-		}
-		return marshalBody(queryResponse{
-			Algorithm: exec.Result.Algorithm,
-			Reason:    exec.Plan.Reason,
-			Rows:      rows,
+	// The statement is a selection: it shares the selection entry with the
+	// map view and the choropleth PNG of the same canonical selection.
+	sel := Selection{Dataset: q.Points, Layer: q.Regions, Agg: q.Agg, Attr: q.Attr,
+		Filters: q.Filters, Time: q.Time}
+	s.serveSelection(w, r, sel, "query/"+q.Agg.String(),
+		func(ctx context.Context) (*core.Result, string, error) {
+			exec, err := s.f.QueryContext(ctx, stmt)
+			if err != nil {
+				return nil, "", err
+			}
+			return exec.Result, exec.Plan.Reason, nil
+		},
+		func(res qcache.Result) ([]byte, error) {
+			ch, err := s.choropleth(sel, res)
+			if err != nil {
+				return nil, err
+			}
+			return marshalBody(queryResponse{
+				Algorithm: res.Algorithm,
+				Reason:    res.Reason,
+				Rows:      ch.Values,
+			})
 		})
-	})
 }
 
 // Request bounds: what one request may ask of the server. They are
@@ -427,10 +435,17 @@ func (s *Server) handleMapView(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := s.selectionSig(qcache.NewSig("mapview"), sel).Key()
-	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
-		return viewBody(s.f.MapViewContext(ctx, sel))
-	})
+	s.serveSelection(w, r, sel, "mapview/"+sel.Agg.String(),
+		func(ctx context.Context) (*core.Result, string, error) {
+			return s.f.selectionResult(ctx, sel)
+		},
+		func(res qcache.Result) ([]byte, error) {
+			ch, err := s.choropleth(sel, res)
+			if err != nil {
+				return nil, err
+			}
+			return marshalBody(ch)
+		})
 }
 
 type exploreWire struct {
@@ -701,6 +716,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.metrics.SetGauge("incremental.slabs_reused", int64(inc.SlabsReused))
 	s.metrics.SetGauge("incremental.slabs_recomputed", int64(inc.SlabsRecomputed))
 	s.metrics.SetGauge("incremental.epoch_evictions", int64(inc.EpochEvictions))
+	s.metrics.SetGauge("qcache.cross_view", int64(s.crossView.Load()))
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSec:      s.metrics.Uptime().Seconds(),
 		QueryTimeoutMs: float64(s.timeout) / float64(time.Millisecond),

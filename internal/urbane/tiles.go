@@ -16,14 +16,20 @@ import (
 
 // RenderChoroplethContext runs the map view and renders it to PNG bytes at
 // the given width — the programmatic form of /api/render/choropleth.png.
-// The layer is replayed from the device's span cache at the render
-// transform, so only the first render of a layer at a width compiles it.
 func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, width int) ([]byte, error) {
 	ch, err := f.MapViewContext(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := f.layer(sel.Layer)
+	return f.renderChoropleth(ctx, ch, width)
+}
+
+// renderChoropleth paints a map view's values over its layer as PNG bytes
+// at the given width. The layer is replayed from the device's span cache at
+// the render transform, so only the first render of a layer at a width
+// compiles it.
+func (f *Framework) renderChoropleth(ctx context.Context, ch *Choropleth, width int) ([]byte, error) {
+	rs, err := f.layer(ch.Layer)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +63,10 @@ func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, 
 //
 // Rendered images are served through the query-result cache and carry a
 // strong ETag (cache key + generation), so revalidating clients get 304s
-// without recomputing the aggregation.
+// without recomputing the aggregation. The PNG entry is per width; on a
+// miss its values come from the selection entry the map view and
+// /api/query share, read without counting a second cache outcome for the
+// request, so the join runs only when no view of the selection has run it.
 func (s *Server) handleChoroplethPNG(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
@@ -80,8 +89,25 @@ func (s *Server) handleChoroplethPNG(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	key := s.selectionSig(qcache.NewSig("choropng"), sel).Int("w", int64(width)).Key()
+	selKey := s.selectionKey(sel)
+	view := "choropleth.png/" + sel.Agg.String() + "/w=" + strconv.Itoa(width)
 	s.serveCachedImage(w, r, key, "image/png", func(ctx context.Context) ([]byte, error) {
-		return s.f.RenderChoroplethContext(ctx, sel, width)
+		val, outcome, err := s.cache.DoNested(ctx, selKey, selectionCompute(sel.Agg, view,
+			func(ctx context.Context) (*core.Result, string, error) {
+				return s.f.selectionResult(ctx, sel)
+			}))
+		if err != nil {
+			return nil, err
+		}
+		res, err := s.readSelection(ctx, val, outcome, view)
+		if err != nil {
+			return nil, err
+		}
+		ch, err := s.choropleth(sel, res)
+		if err != nil {
+			return nil, err
+		}
+		return s.f.renderChoropleth(ctx, ch, width)
 	})
 }
 

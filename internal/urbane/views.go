@@ -93,16 +93,23 @@ func (f *Framework) MapViewContext(ctx context.Context, sel Selection) (*Choropl
 	if err != nil {
 		return nil, err
 	}
+	ch := newChoropleth(sel, creq.Regions, res.Stats, res.Algorithm)
+	ch.Elapsed = time.Since(start)
+	return ch, nil
+}
+
+// newChoropleth builds the map view payload from a join's per-region stats
+// (a fresh result or a selection entry of the query cache).
+func newChoropleth(sel Selection, rs *data.RegionSet, stats []core.RegionStat, algorithm string) *Choropleth {
 	ch := &Choropleth{
 		Layer:     sel.Layer,
-		Values:    make([]RegionValue, len(res.Stats)),
+		Values:    make([]RegionValue, len(stats)),
 		Min:       math.Inf(1),
 		Max:       math.Inf(-1),
-		Algorithm: res.Algorithm,
+		Algorithm: algorithm,
 	}
-	ch.Elapsed = time.Since(start)
-	for k, r := range creq.Regions.Regions {
-		v := res.Value(k, sel.Agg)
+	for k, r := range rs.Regions {
+		v := stats[k].Value(sel.Agg)
 		ch.Values[k] = RegionValue{ID: r.ID, Name: r.Name, Value: v}
 		if v < ch.Min {
 			ch.Min = v
@@ -114,7 +121,22 @@ func (f *Framework) MapViewContext(ctx context.Context, sel Selection) (*Choropl
 	if len(ch.Values) == 0 {
 		ch.Min, ch.Max = 0, 0
 	}
-	return ch, nil
+	return ch
+}
+
+// selectionResult resolves, routes and runs the selection — the join behind
+// the map view and the choropleth PNG — returning the routing reason with
+// the result.
+func (f *Framework) selectionResult(ctx context.Context, sel Selection) (*core.Result, string, error) {
+	creq, err := f.resolve(sel, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	p, res, err := f.run(ctx, creq)
+	if err != nil {
+		return nil, "", err
+	}
+	return res, p.Reason, nil
 }
 
 // ExplorationRequest drives the data exploration view: several data sets
