@@ -85,15 +85,15 @@ fuzz:
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzRowEdgeContains$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzPixelMap$$' -fuzztime=$(FUZZTIME)
 
-# Parallel point pass and span cache suite under the race detector: the
+# Parallel passes and span cache suite under the race detector: the
 # bit-identical property tests (parallel == sequential at every worker
-# count), the golden digests of joins, density, series and tiled renders
-# (every point workers setting reproduces the recorded bits), the
+# count), the golden digests of joins, flows, density, series and tiled
+# renders (every worker count reproduces the recorded bits), the
 # cancellation-hygiene tests, the span cache and the compiled layer's
 # row-edge tables.
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|PointWorkers|Golden|SpanCache|CompileRegions|RowEdge|Cancel' \
+		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel' \
 		./internal/gpu ./internal/raster ./internal/core
 
 # End-to-end deadline smoke test: boot the real server with a 1ms
@@ -133,9 +133,9 @@ geoblocks-smoke:
 
 # Columnar segment gate under the race detector: the segment format unit
 # suite, the randomized segment-vs-RAM bit-identical equivalence suite
-# (all six joiners, out-of-core cache budgets, prune counters,
-# cancellation hygiene), and the segment-backed chaos soak with its
-# byte-identical replay against an in-RAM server.
+# (joins, series, density, flows and scattered joins; out-of-core cache
+# budgets, prune counters, cancellation hygiene), and the segment-backed
+# chaos soak with its byte-identical replay against an in-RAM server.
 segment-smoke:
 	$(GO) test -race -count=1 ./internal/segment
 	$(GO) test -race -count=1 -run '^TestSegment' ./internal/core

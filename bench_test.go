@@ -285,24 +285,6 @@ func BenchmarkE8Exploration(b *testing.B) {
 	}
 }
 
-// BenchmarkE10Strategies regenerates E10: the execution-strategy ablation —
-// points-first versus polygons-first at two region counts.
-func BenchmarkE10Strategies(b *testing.B) {
-	scene := getScene()
-	pts := subsample(scene.Taxi, 500_000)
-	for _, rs := range []*data.RegionSet{scene.Neighborhoods, scene.Tracts} {
-		req := core.Request{Points: pts, Regions: rs, Agg: core.Count}
-		for _, strat := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
-			rj := core.NewRasterJoin(core.WithResolution(1024), core.WithStrategy(strat))
-			b.Run(fmt.Sprintf("%s/%s", rs.Name, strat), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					mustJoin(b, rj, req)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkE11Flows regenerates E11: the OD flow view — the raster flow
 // join producing the origin-destination matrix.
 func BenchmarkE11Flows(b *testing.B) {

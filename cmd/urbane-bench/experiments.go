@@ -413,40 +413,6 @@ func runE9(scale float64) {
 		res.CanvasW, res.CanvasH, res.PixelSize)
 }
 
-// ---------------------------------------------------------------- E10
-
-// runE10 compares the two raster join formulations: points-first (point
-// textures probed by polygon draws) versus polygons-first (a polygon-ID
-// texture read by the point stream), across region counts.
-func runE10(scale float64) {
-	n := scaled(2_000_000, scale, 200_000)
-	scene := workload.NYC(n, 2009)
-	fmt.Printf("workload: %d points, COUNT, strategy x regions\n", n)
-
-	// Warm up.
-	warm := core.NewRasterJoin(core.WithResolution(1024))
-	_, err := warm.Join(core.Request{Points: scene.Taxi,
-		Regions: scene.Neighborhoods, Agg: core.Count})
-	must(err)
-
-	t := newTable("polygons", "points-first", "polygons-first", "pf accurate")
-	for _, nr := range []int{64, 260, 1024, 4096} {
-		regions := data.VoronoiRegions("sweep", scene.Bounds, nr, int64(nr),
-			data.VoronoiOptions{JitterFrac: 0.10})
-		req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count}
-		ptf := core.NewRasterJoin(core.WithResolution(1024))
-		pf := core.NewRasterJoin(core.WithResolution(1024),
-			core.WithStrategy(core.PolygonsFirst))
-		pfa := core.NewRasterJoin(core.WithResolution(1024),
-			core.WithStrategy(core.PolygonsFirst), core.WithMode(core.Accurate))
-		la := timeMedian(3, func() { _, err := ptf.Join(req); must(err) })
-		lb := timeMedian(3, func() { _, err := pf.Join(req); must(err) })
-		lc := timeMedian(3, func() { _, err := pfa.Join(req); must(err) })
-		t.row(regions.Len(), la, lb, lc)
-	}
-	t.flush()
-}
-
 // ---------------------------------------------------------------- E11
 
 // runE11 measures the OD flow view (Urbane's taxi-flow visualization): the

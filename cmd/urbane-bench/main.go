@@ -41,14 +41,13 @@ var experiments = []experiment{
 	{"E7", "Interactivity across resolutions (demo scenario 3.1)", runE7},
 	{"E8", "Data exploration view: multi-data-set time series", runE8},
 	{"E9", "Hybrid ablation: approximate vs accurate vs index join", runE9},
-	{"E10", "Strategy ablation: points-first vs polygons-first raster join", runE10},
 	{"E11", "OD flow view: raster flow join vs geometric baseline", runE11},
 	{"E12", "Filter selectivity: ad-hoc constraints cost nothing extra", runE12},
 	{"E13", "Polygon level-of-detail: simplification tolerance ablation", runE13},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (E1..E13) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (E1..E13; E10 is retired) or 'all'")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (points multiply by this)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()

@@ -87,7 +87,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	timeSnap := fs.Int64("time-snap", 1, "snap time filters outward to this granularity in seconds (1 = off)")
 	queryTimeout := fs.Duration("query-timeout", 0, "per-request query deadline; exceeded queries abort mid-join and return 504 (0 = unbounded)")
 	pointBatch := fs.Int("point-batch", 0, "max point vertices per draw call — the cancellation granularity of the point pass (0 = one draw)")
-	pointWorkers := fs.Int("point-workers", 0, "goroutines sharding the point pass of rank (multi-aggregate) and flow requests; other joins run it on one goroutine; results are identical at any setting (0 = GOMAXPROCS, 1 = sequential)")
 	spanCacheBytes := fs.Int64("span-cache-bytes", gpu.DefaultSpanCacheBytes, "region span cache capacity in bytes — compiled polygon rasterizations reused across queries (0 disables)")
 	maxInflight := fs.Int64("max-inflight", 0, "admission control: max weighted concurrent query computes; excess requests queue briefly then shed with 503 (0 = disabled)")
 	admitQueue := fs.Int("admit-queue", admit.DefaultQueue, "admission wait-queue length; requests beyond it shed immediately")
@@ -122,7 +121,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	dev := gpu.New(gpu.WithSpanCacheBytes(*spanCacheBytes))
 	f := urbane.New(core.NewRasterJoin(core.WithDevice(dev),
 		core.WithMode(mode), core.WithResolution(*resolution),
-		core.WithPointBatch(*pointBatch), core.WithPointWorkers(*pointWorkers)))
+		core.WithPointBatch(*pointBatch)))
 	for _, err := range []error{
 		f.AddPointSet(scene.Taxi),
 		f.AddPointSet(aux[0]),

@@ -17,7 +17,7 @@
 //     `for ctx.Err() == nil { ... }` worker-loop shape counts: the
 //     condition is part of the loop), or
 //   - passes a context.Context to a callee — delegated polling, the shape
-//     drawPoints and parallelRegionsCtx use.
+//     batched and parallelCtx use.
 //
 // Draw work is matched by callee name (draw/fill/blend/shade/raster/render
 // prefixes plus the conservative-trace helpers), so fixtures need no

@@ -28,7 +28,7 @@ func cleanCondPoll(ctx context.Context, c *canvas, n int) {
 }
 
 // cleanDelegated hands ctx to the callee that does the drawing — the
-// drawPoints / parallelRegionsCtx shape.
+// batched / parallelCtx shape.
 func cleanDelegated(ctx context.Context, c *canvas, tiles []int) error {
 	for _, t := range tiles {
 		if err := drawTileCtx(ctx, c, t); err != nil {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/urbane"
 	"repro/internal/workload"
@@ -108,30 +107,6 @@ func TestShardServerByteIdentical(t *testing.T) {
 		}
 		if co := f.Sharding(); co.Layouts() == 0 {
 			t.Errorf("%s: no layouts built — requests bypassed the coordinator", label)
-		}
-	}
-}
-
-// TestShardServerPolygonsFirstFallback: with a polygons-first raster
-// engine the coordinator refuses every request (the region-keyed fold does
-// not decompose bit-exactly), the planner falls back to the plain local
-// path, and the server is still byte-identical to an unsharded
-// polygons-first server.
-func TestShardServerPolygonsFirstFallback(t *testing.T) {
-	const replayN = 40
-	plain := urbane.NewServer(
-		buildFramework(t, gpu.New(), false, core.WithStrategy(core.PolygonsFirst)),
-		urbane.WithCache(8<<20))
-	want := chaos.Replay(plain, mixConfig(), 1733, replayN)
-
-	f := buildFramework(t, gpu.New(), false, core.WithStrategy(core.PolygonsFirst))
-	f.EnableSharding(4)
-	srv := urbane.NewServer(f, urbane.WithCache(8<<20))
-	compareReplays(t, "polygons-first fallback", chaos.Replay(srv, mixConfig(), 1733, replayN), want)
-	st := f.Sharding().Stats()
-	for _, ns := range st {
-		if ns.Served != 0 {
-			t.Errorf("shard %d served %d passes; polygons-first must bypass the coordinator", ns.Shard, ns.Served)
 		}
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/gpu"
 	"repro/internal/trace"
 )
@@ -124,75 +126,58 @@ func TestJoinContextPreExpiredDeadline(t *testing.T) {
 	requireDevDrained(t, dev, "after expired deadline")
 }
 
-// TestMultiJoinContextCancelReleasesResources: the multi-aggregate join's
-// per-spec textures all return to the pool on abort.
-func TestMultiJoinContextCancelReleasesResources(t *testing.T) {
-	// 200k points: the span cache front-loads polygon scan-conversion, so
-	// the window between the first batch and join completion is the point
-	// pass alone — keep it wide enough that cancel reliably lands inside.
-	ps, rs := scene(200_000, 12, 227)
+// TestFlowJoinContextCancelReleasesResources: canceling a flow join
+// mid-OD-pass returns context.Canceled, leaks no goroutine of its range
+// fan-out, and hands its canvas back to the pool, which then serves the
+// same flow exactly. A per-batch latency fault at the point-pass site
+// stretches the pass so the cancel lands inside it even on one P.
+func TestFlowJoinContextCancelReleasesResources(t *testing.T) {
+	ps, rs := flowScene(200_000, 12, 227)
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
 	dev := gpu.New()
-	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(512),
-		core.WithPointBatch(512))
-	specs := []core.AggSpec{
-		{Agg: core.Count},
-		{Agg: core.Sum, Attr: "v"},
-		{Agg: core.Avg, Attr: "v"},
+	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(core.Accurate),
+		core.WithResolution(512), core.WithPointBatch(8192), core.WithWorkers(3))
+	flow := func(ctx context.Context) (*core.FlowResult, error) {
+		return rj.FlowJoinContext(ctx, req, data.DropoffXAttr, data.DropoffYAttr)
 	}
+
+	baseline := runtime.NumGoroutine()
 	tr := trace.New("test")
-	ctx, cancel := context.WithCancel(trace.NewContext(context.Background(), tr))
+	reg := fault.New(11)
+	reg.Set("core.pointpass", fault.Rule{Prob: 1, Kind: fault.Latency, Delay: 2 * time.Millisecond})
+	ctx, cancel := context.WithCancel(trace.NewContext(fault.NewContext(context.Background(), reg), tr))
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := rj.MultiJoinContext(ctx, core.Request{Points: ps, Regions: rs}, specs)
+		_, err := flow(ctx)
 		done <- err
 	}()
 	waitBatch := time.Now().Add(5 * time.Second)
 	for tr.Counters()["batches"] == 0 {
 		if time.Now().After(waitBatch) {
-			t.Fatal("multi join never submitted a point batch")
+			t.Fatal("flow join never submitted a point batch")
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled multi join returned %v, want context.Canceled", err)
+		t.Fatalf("canceled flow join returned %v, want context.Canceled", err)
 	}
-	requireDevDrained(t, dev, "after multi-join cancel")
+	awaitGoroutines(t, baseline)
+	requireDevDrained(t, dev, "after flow cancel")
 
-	// Pool must still serve a complete multi join.
-	if _, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs); err != nil {
-		t.Fatalf("multi join after cancel: %v", err)
+	// The pool must still serve a complete flow, equal to a fresh device's.
+	got, err := flow(context.Background())
+	if err != nil {
+		t.Fatalf("flow join after cancel: %v", err)
 	}
-	requireDevDrained(t, dev, "after multi-join reuse")
-}
-
-// TestStreamJoinAbortOnCancel: a batch canceled mid-draw aborts the stream
-// (partial blends must not silently undercount), releases its resources,
-// and rejects further use; Abort stays idempotent.
-func TestStreamJoinAbortOnCancel(t *testing.T) {
-	ps, rs := scene(10_000, 8, 229)
-	dev := gpu.New()
-	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(256),
-		core.WithPointBatch(128))
-	s, err := rj.NewStream(rs, core.Count, "", nil, nil)
+	want, err := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(512)).
+		FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.AddContext(ctx, ps); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled AddContext returned %v, want context.Canceled", err)
-	}
-	requireDevDrained(t, dev, "after stream abort")
-	if err := s.AddContext(context.Background(), ps); err == nil {
-		t.Fatal("Add after abort succeeded; aborted stream must reject batches")
-	}
-	if _, err := s.FinalizeContext(context.Background()); err == nil {
-		t.Fatal("Finalize after abort succeeded")
-	}
-	s.Abort() // idempotent
-	requireDevDrained(t, dev, "after double abort")
+	flowsEqual(t, got, want, "reused device after flow cancel")
+	requireDevDrained(t, dev, "after flow reuse")
 }
 
 // TestSeriesJoinContextCancel: the per-bin series join frees its canvas and

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/data"
 	"repro/internal/geom"
 	"repro/internal/raster"
-	"repro/internal/trace"
 )
 
 // FlowResult is a sparse origin-destination matrix over region positions:
@@ -78,9 +76,9 @@ func (f *FlowResult) Top(n int) []Flow {
 	return flows
 }
 
-// FlowJoinContext evaluates the OD aggregation with the polygons-first
-// pipeline: the regions are rendered once into a polygon-ID texture, then
-// each filtered point reads the owner of its origin pixel and of its
+// FlowJoinContext evaluates the OD aggregation over a region-ID texture:
+// the regions are written once into a texture holding each pixel's owner,
+// then each filtered point reads the owner of its origin pixel and of its
 // destination pixel; one (o,d) matrix cell is incremented per point whose
 // both ends resolve. In Approximate mode assignment uses the pixel-center
 // rule, so per-end error is bounded by the pixel diagonal; in Accurate mode
@@ -89,7 +87,7 @@ func (f *FlowResult) Top(n int) []Flow {
 // first-matching region.
 //
 // dxAttr/dyAttr name the destination coordinate columns. Cancellation is
-// checked between ID-pass polygons and between OD-pass point batches, and
+// checked between ID-pass regions and between OD-pass point batches, and
 // the canvas is released on every exit path.
 func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, dyAttr string) (*FlowResult, error) {
 	if err := req.Validate(); err != nil {
@@ -126,9 +124,8 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 
 	// The flow scan restricts pruning to the coordinate zones: dropping a
 	// block on an attribute or time zone would reclassify its points from
-	// Filtered to Dropped (they would never reach the shader), while
-	// spatially pruned points are canvas-culled and count as Dropped on
-	// both paths.
+	// Filtered to Dropped (they would never be mapped), while spatially
+	// pruned points are canvas-culled and count as Dropped on both paths.
 	sc, err := r.newScan(req)
 	if err != nil {
 		return nil, err
@@ -137,163 +134,171 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	sc.cols.Need(dxIdx, dyIdx)
 	sc.setWorld(c.T.World)
 
-	// ID pass: first-drawn region owns each pixel. In accurate mode only
-	// each region's interior is drawn; the regions whose boundary crosses a
-	// boundary pixel are its slot's candidates for exact resolution.
 	sp, err := r.CompiledSpans(ctx, req.Regions, c.T)
 	if err != nil {
 		return nil, err
 	}
-	w := c.T.W
-	ids := make([]int32, c.T.W*c.T.H)
-	for i := range ids {
-		ids[i] = -1
-	}
-	var mask *raster.Bitmap
-	var slots raster.SlotIndex
+	od := &odLookup{m: c.PixelMap(), sp: sp, sc: sc, dx: dxIdx, dy: dyIdx, nr: int64(nr)}
 	if r.mode == Accurate {
-		mask, slots = sp.Mask(), sp.SlotIndex()
+		od.mask, od.slots = sp.Mask(), sp.SlotIndex()
 	}
-	for k := 0; k < nr; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k32 := int32(k)
-		c.DrawSpans(polygonSpans(sp, k, mask != nil), func(px, py int) {
-			i := py*w + px
-			if ids[i] == -1 {
-				ids[i] = k32
-			}
-		})
-	}
-
-	// locate resolves a world point to its containing region (-1 = none):
-	// certain owner from the ID texture, or exact tests in boundary pixels
-	// against the candidates in ascending region order.
-	m := c.PixelMap()
-	locate := func(p geom.Point) int32 {
-		px, py, ok := m.Map(p.X, p.Y)
-		if !ok {
-			return -1
-		}
-		if mask != nil && mask.Get(px, py) {
-			for _, q := range slots.Positions(sp.Slot(px, py)) {
-				k := sp.RegionOf(q)
-				if sp.RowEdges(k, py).Contains(p) {
-					return int32(k)
-				}
-			}
-			// Otherwise the pixel's certain owner, if any, covers it whole.
-		}
-		return ids[py*w+px]
-	}
-
-	// OD pass: resolve both ends of every point. Destinations are mapped
-	// manually (they are attribute payloads, not the vertex position the
-	// device culls on). Points whose origin the canvas culls never reach
-	// the shader; they are outside every region and count as dropped. The
-	// pass streams in pointBatch-sized draws, checking cancellation between
-	// batches like the other joins.
-	//
-	// The shader writes the OD matrix — region-keyed, not pixel-keyed — so
-	// the parallel path shards the point range with a whole partial matrix
-	// per worker, merged in shard order after the barrier. Every cell is an
-	// int64 count, so the merge is exact and the result is identical to the
-	// sequential pass regardless of worker count.
-	lo, hi := sc.Lo, sc.Hi
-	n := hi - lo
-	workers := r.pointWorkers
-	if workers > 1 && n < 4096 {
-		workers = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shard := (n + workers - 1) / workers
-	if shard < 1 {
-		shard = 1
-	}
-	type flowPartial struct {
-		counts            map[int64]int64
-		dropped, filtered int64
-		shaded            int64
-	}
-	// Race audit (sharedwrite-clean): each goroutine writes only the partial
-	// it receives as an argument; ids, the compiled layer and the locate
-	// closure's state are frozen before the fan-out and only read here.
-	// Partials merge after wg.Wait().
-	parts := make([]*flowPartial, 0, workers)
-	var wg sync.WaitGroup
-	tr := trace.FromContext(ctx)
-	for s := lo; s < hi; s += shard {
-		e := s + shard
-		if e > hi {
-			e = hi
-		}
-		p := &flowPartial{counts: make(map[int64]int64)}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(lo, hi int, p *flowPartial) {
-			defer wg.Done()
-			// Cancellation surfaces as ctx.Err() after the barrier, so the
-			// per-shard error can be dropped here.
-			_ = sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
-				base := blk.Base
-				dx, dy := blk.Attr[dxIdx], blk.Attr[dyIdx]
-				batch := r.pointBatch
-				if batch <= 0 {
-					batch = phi - plo
-				}
-				for s := plo; s < phi; s += batch {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					e := s + batch
-					if e > phi {
-						e = phi
-					}
-					bb := s
-					c.DrawPoints(e-s,
-						func(j int) (float64, float64) { jj := bb - base + j; return blk.X[jj], blk.Y[jj] },
-						func(px, py, j int) {
-							p.shaded++
-							i := bb + j
-							if needPred && !sc.pred(blk, i) {
-								p.filtered++
-								return
-							}
-							jj := i - base
-							o := locate(geom.Point{X: blk.X[jj], Y: blk.Y[jj]})
-							if o < 0 {
-								p.dropped++
-								return
-							}
-							d := locate(geom.Point{X: dx[jj], Y: dy[jj]})
-							if d < 0 {
-								p.dropped++
-								return
-							}
-							p.counts[int64(o)*int64(nr)+int64(d)]++
-						})
-					tr.Count("batches", 1)
-				}
-				return nil
-			})
-		}(s, e, p)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := od.drawIDs(ctx); err != nil {
 		return nil, err
 	}
-	var shaded int64
-	for _, p := range parts {
-		shaded += p.shaded
+
+	// OD pass: the scan's range is cut into one contiguous range per worker,
+	// each folded into its own partial matrix; the partials merge in range
+	// order. Every cell is an int64 count, so the merge is exact and the
+	// result is identical at any worker count.
+	lo, hi := sc.Lo, sc.Hi
+	ranges := r.workers
+	if hi-lo < 4096 {
+		ranges = 1
+	}
+	step := max((hi-lo+ranges-1)/ranges, 1)
+	parts := make([]flowPartial, 0, ranges)
+	for s := lo; s < hi; s += step {
+		parts = append(parts, flowPartial{lo: s, hi: min(s+step, hi), counts: make(map[int64]int64)})
+	}
+	// Race audit (sharedwrite-clean): parallelCtx hands each range index to
+	// exactly one goroutine, which writes only parts[i]; the lookup state
+	// is frozen before the fan-out and only read here.
+	err = r.parallelCtx(ctx, len(parts), func(i int) {
+		p := &parts[i]
+		p.err = r.batched(ctx, c, sc, p.lo, p.hi, "batches",
+			func(blk *data.Block, s, e int, needPred bool) int { return od.fold(p, blk, s, e, needPred) })
+	})
+	if err != nil {
+		return nil, err
+	}
+	var mapped int64
+	for i := range parts {
+		p := &parts[i]
+		if p.err != nil {
+			return nil, p.err
+		}
+		mapped += p.mapped
 		out.Filtered += p.filtered
 		out.Dropped += p.dropped
 		for cell, v := range p.counts {
 			out.Counts[cell] += v
 		}
 	}
-	out.Dropped += int64(hi-lo) - shaded
+	// Points the canvas culls — or whose blocks the spatial zones pruned —
+	// lie outside every region.
+	out.Dropped += int64(hi-lo) - mapped
 	return out, nil
+}
+
+// flowPartial is one range's share of the OD pass: its matrix, its point
+// tallies and the error that ended it, if any.
+type flowPartial struct {
+	lo, hi                    int
+	counts                    map[int64]int64
+	mapped, dropped, filtered int64
+	err                       error
+}
+
+// odLookup is the flow join's frozen lookup state: the canvas pixel map,
+// the region-ID texture and, in accurate mode, the boundary mask and slot
+// candidates for exact tests, plus the scan and destination columns.
+type odLookup struct {
+	m     raster.PixelMap
+	ids   []int32
+	sp    *raster.RegionSpans
+	mask  *raster.Bitmap
+	slots raster.SlotIndex
+	sc    *Scan
+	dx    int
+	dy    int
+	nr    int64
+}
+
+// drawIDs writes the region-ID texture: the first region whose pass-2 spans
+// cover a pixel owns it. In accurate mode only each region's interior is
+// written — a pixel on its own boundary is resolved exactly by owner, while
+// a pixel on another region's boundary still lies wholly inside it.
+func (od *odLookup) drawIDs(ctx context.Context) error {
+	w := od.m.W
+	od.ids = make([]int32, w*od.m.H)
+	for i := range od.ids {
+		od.ids[i] = -1
+	}
+	for k := 0; k < od.sp.Regions(); k++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		for _, s := range polygonSpans(od.sp, k, od.mask != nil) {
+			row := od.ids[int(s.Y)*w+int(s.X0) : int(s.Y)*w+int(s.X1)]
+			for i, id := range row {
+				if id == -1 {
+					row[i] = int32(k)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// owner resolves world point (x, y), which landed in pixel (px, py), to its
+// containing region (-1 = none): the exact tests against the boundary
+// pixel's candidates in ascending region order, else the pixel's certain
+// owner, which covers it whole.
+func (od *odLookup) owner(px, py int, x, y float64) int32 {
+	if od.mask != nil && od.mask.Get(px, py) {
+		for _, q := range od.slots.Positions(od.sp.Slot(px, py)) {
+			k := od.sp.RegionOf(q)
+			if od.sp.RowEdges(k, py).Contains(geom.Point{X: x, Y: y}) {
+				return int32(k)
+			}
+		}
+	}
+	return od.ids[py*od.m.W+px]
+}
+
+// locate resolves world point (x, y) to its containing region (-1 = none,
+// also for a point outside the canvas).
+func (od *odLookup) locate(x, y float64) int32 {
+	px, py, ok := od.m.Map(x, y)
+	if !ok {
+		return -1
+	}
+	return od.owner(px, py, x, y)
+}
+
+// fold is the OD pass over points [lo, hi) of blk into p: each point the
+// canvas maps that passes the filter resolves its origin and destination,
+// and a point with both ends in a region counts in its cell. Only the
+// origin is the vertex position the canvas culls on; a destination outside
+// it drops the point. It returns the points inside the window.
+func (od *odLookup) fold(p *flowPartial, blk *data.Block, lo, hi int, needPred bool) int {
+	j0, j1 := lo-blk.Base, hi-blk.Base
+	xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
+	dxs, dys := blk.Attr[od.dx][j0:j1], blk.Attr[od.dy][j0:j1]
+	in := 0
+	for k, x := range xs {
+		y := ys[k]
+		px, py, ok := od.m.Map(x, y)
+		if !ok {
+			continue
+		}
+		in++
+		if needPred && !od.sc.pred(blk, lo+k) {
+			p.filtered++
+			continue
+		}
+		o := od.owner(px, py, x, y)
+		if o < 0 {
+			p.dropped++
+			continue
+		}
+		d := od.locate(dxs[k], dys[k])
+		if d < 0 {
+			p.dropped++
+			continue
+		}
+		p.counts[int64(o)*od.nr+int64(d)]++
+	}
+	p.mapped += int64(in)
+	return in
 }

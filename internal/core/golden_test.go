@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -35,8 +36,11 @@ const (
 	// filteredGolden was recorded before pass 1 folded points a chunk and a
 	// target at a time and pass 2 folded spans as texture rows. The filtered
 	// joins reproduce it from the in-RAM set and from a segment store, local
-	// and scattered over shards, and as three-batch streams.
+	// and scattered over shards.
 	filteredGolden = "30e6965fe22e7caf1111a9659736079b5e76414c15d63bdbc20a4cfcacbf2889"
+	// flowGolden was recorded before the OD pass became a closure-free loop
+	// per block over a hoisted pixel map.
+	flowGolden = "dc84f1861f5a74e9f40ae72d0f6f7fb38d912ade0c57bfa83dcdcaf203c73182"
 )
 
 // writeStats hashes every field of every region stat, bit for bit.
@@ -66,7 +70,7 @@ func checkDigest(t *testing.T, h hash.Hash, want, what string) {
 
 // TestAccurateJoinGolden and TestApproximateJoinGolden: joins of 20 k taxi
 // points over the three scene layers, all five aggregates, hash to the
-// recorded digest at point workers 1, 2 and 4, with 64-point batches (many
+// recorded digest at workers 1, 2 and 4, with 64-point batches (many
 // batches and many appends per boundary row) and unbatched.
 func TestAccurateJoinGolden(t *testing.T) { joinGolden(t, core.Accurate, accurateGolden) }
 
@@ -82,7 +86,7 @@ func joinGolden(t *testing.T, mode core.Mode, want string) {
 	for _, batch := range []int{64, 0} {
 		for _, workers := range []int{1, 2, 4} {
 			opts := []core.RJOption{core.WithDevice(dev), core.WithMode(mode),
-				core.WithResolution(1024), core.WithPointWorkers(workers)}
+				core.WithResolution(1024), core.WithWorkers(workers)}
 			if batch > 0 {
 				opts = append(opts, core.WithPointBatch(batch))
 			}
@@ -224,30 +228,57 @@ func TestScatteredJoinGolden(t *testing.T) {
 	}
 }
 
-// TestStreamJoinGolden: each filtered join fed as a stream of three batches
-// hashes to the filtered digest.
-func TestStreamJoinGolden(t *testing.T) {
+// TestFlowJoinGolden: OD matrices of 20 k taxi trips over the three scene
+// layers, both modes, unfiltered and under the fare filter and January's
+// second week, hash to the recorded digest unbatched and in 64-point
+// batches: every cell in index order, then Dropped and Filtered.
+func TestFlowJoinGolden(t *testing.T) {
 	sc := workload.NYC(20_000, 2009)
-	n := sc.Taxi.Len()
-	ctx := context.Background()
-	h := filteredDigest(t, filteredRequests(sc, nil), nil,
-		func(rj *core.RasterJoin, req core.Request) ([]core.RegionStat, error) {
-			s, err := rj.NewStream(req.Regions, req.Agg, req.Attr, req.Filters, req.Time)
-			if err != nil {
-				return nil, err
+	for _, batch := range []int{0, 64} {
+		h := sha256.New()
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			opts := []core.RJOption{core.WithMode(mode), core.WithResolution(1024)}
+			if batch > 0 {
+				opts = append(opts, core.WithPointBatch(batch))
 			}
-			for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-				if err := s.AddContext(ctx, sc.Taxi.Slice(cut[0], cut[1])); err != nil {
-					return nil, err
+			rj := core.NewRasterJoin(opts...)
+			for _, rs := range []*data.RegionSet{sc.Neighborhoods, sc.Tracts, sc.Grid} {
+				for _, filtered := range []bool{false, true} {
+					req := core.Request{Points: sc.Taxi, Regions: rs, Agg: core.Count}
+					if filtered {
+						req.Filters = []core.Filter{{Attr: "fare", Min: 5, Max: 40}}
+						req.Time = workload.JanWeek(1)
+					}
+					res, err := rj.FlowJoinContext(context.Background(), req,
+						data.DropoffXAttr, data.DropoffYAttr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Total() == 0 {
+						t.Fatalf("%s over %s: no flow", rj.Name(), rs.Name)
+					}
+					writeFlow(h, res)
 				}
 			}
-			res, err := s.FinalizeContext(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return res.Stats, nil
-		})
-	checkDigest(t, h, filteredGolden, "stream of 3 batches")
+		}
+		checkDigest(t, h, flowGolden, fmt.Sprintf("flow batch=%d", batch))
+	}
+}
+
+// writeFlow hashes an OD matrix: its cells sorted by index, then Dropped
+// and Filtered.
+func writeFlow(h hash.Hash, res *core.FlowResult) {
+	cells := make([]int64, 0, len(res.Counts))
+	for cell := range res.Counts {
+		cells = append(cells, cell)
+	}
+	slices.Sort(cells)
+	for _, cell := range cells {
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(cell)))
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(res.Counts[cell])))
+	}
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(res.Dropped)))
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(res.Filtered)))
 }
 
 // TestDensityGolden: the raw-density grids — COUNT, and SUM(fare) under an

@@ -9,9 +9,9 @@ import (
 	"repro/internal/index"
 )
 
-// Accurate raster join MIN/MAX must equal brute force exactly, in both
-// strategies: min/max are assembled from the MIN/MAX blend textures for
-// interior pixels plus exact boundary resolution.
+// Accurate raster join MIN/MAX must equal brute force exactly: min/max are
+// assembled from the MIN/MAX blend textures for interior pixels plus exact
+// boundary resolution.
 func TestAccurateMinMaxIsExact(t *testing.T) {
 	ps, rs := scene(4000, 10, 501)
 	for _, agg := range []core.Agg{core.Min, core.Max} {
@@ -20,22 +20,19 @@ func TestAccurateMinMaxIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, strat := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
-			rj := core.NewRasterJoin(core.WithResolution(128),
-				core.WithMode(core.Accurate), core.WithStrategy(strat))
-			got, err := rj.Join(req)
-			if err != nil {
-				t.Fatalf("%v/%v: %v", agg, strat, err)
+		rj := core.NewRasterJoin(core.WithResolution(128), core.WithMode(core.Accurate))
+		got, err := rj.Join(req)
+		if err != nil {
+			t.Fatalf("%v: %v", agg, err)
+		}
+		for k := range want.Stats {
+			if got.Stats[k].Count != want.Stats[k].Count {
+				t.Fatalf("%v region %d: count %d vs %d",
+					agg, k, got.Stats[k].Count, want.Stats[k].Count)
 			}
-			for k := range want.Stats {
-				if got.Stats[k].Count != want.Stats[k].Count {
-					t.Fatalf("%v/%v region %d: count %d vs %d",
-						agg, strat, k, got.Stats[k].Count, want.Stats[k].Count)
-				}
-				g, w := got.Value(k, agg), want.Value(k, agg)
-				if math.Abs(g-w) > 1e-12 {
-					t.Fatalf("%v/%v region %d: %v vs %v", agg, strat, k, g, w)
-				}
+			g, w := got.Value(k, agg), want.Value(k, agg)
+			if math.Abs(g-w) > 1e-12 {
+				t.Fatalf("%v region %d: %v vs %v", agg, k, g, w)
 			}
 		}
 	}
@@ -99,14 +96,10 @@ func TestMinMaxValidation(t *testing.T) {
 	if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Min}); err == nil {
 		t.Error("MIN without attribute should fail validation")
 	}
-	// Series and multi joins reject MIN/MAX.
+	// Series joins reject MIN/MAX.
 	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
 		Agg: core.Min, Attr: "v"}, 0, 100, 2); err == nil {
 		t.Error("series MIN should be rejected")
-	}
-	if _, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs},
-		[]core.AggSpec{{Agg: core.Max, Attr: "v"}}); err == nil {
-		t.Error("multi MAX should be rejected")
 	}
 }
 

@@ -1,14 +1,15 @@
 package core_test
 
-// Property tests for the parallel sharded point pass and the region span
-// cache: at any worker count, and on warm or cold span caches, every joiner
-// must produce bit-identical results to the sequential/cold path. The
+// Property tests for the parallel passes and the region span cache: at any
+// worker count, and on warm or cold span caches, every joiner must produce
+// bit-identical results to the sequential/cold path. The
 // cancellation tests assert the abort hygiene contract (pool drained, no
 // goroutines leaked) holds for the parallel path too.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -44,10 +45,10 @@ func statsBitIdentical(t *testing.T, got, want []core.RegionStat, context string
 	}
 }
 
-// TestPointWorkersBitIdentical: the points-first pipeline must return
-// bit-identical results at any -point-workers setting, for every
-// aggregation kind in both modes, with the span cache enabled and disabled.
-func TestPointWorkersBitIdentical(t *testing.T) {
+// TestParallelWorkersBitIdentical: the points-first pipeline must return
+// bit-identical results at any worker count, for every aggregation kind in
+// both modes, with the span cache enabled and disabled.
+func TestParallelWorkersBitIdentical(t *testing.T) {
 	ps, rs := scene(30_000, 10, 307)
 	cases := []struct {
 		agg  core.Agg
@@ -59,7 +60,7 @@ func TestPointWorkersBitIdentical(t *testing.T) {
 		for _, tc := range cases {
 			req := core.Request{Points: ps, Regions: rs, Agg: tc.agg, Attr: tc.attr}
 			seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-				core.WithPointWorkers(1))
+				core.WithWorkers(1))
 			want, err := seq.Join(req)
 			if err != nil {
 				t.Fatalf("%v/%v sequential: %v", mode, tc.agg, err)
@@ -68,66 +69,13 @@ func TestPointWorkersBitIdentical(t *testing.T) {
 				for _, cacheBytes := range []int64{0, gpu.DefaultSpanCacheBytes} {
 					dev := gpu.New(gpu.WithSpanCacheBytes(cacheBytes))
 					par := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(mode),
-						core.WithResolution(256), core.WithPointWorkers(workers))
+						core.WithResolution(256), core.WithWorkers(workers))
 					got, err := par.Join(req)
 					if err != nil {
 						t.Fatalf("%v/%v workers=%d: %v", mode, tc.agg, workers, err)
 					}
 					statsBitIdentical(t, got.Stats, want.Stats, par.Name())
 				}
-			}
-		}
-	}
-}
-
-// TestPolygonsFirstPointWorkers: the polygons-first pipeline shards its
-// region-keyed accumulators per worker. Exact aggregates (COUNT/MIN/MAX)
-// are identical at any worker count; SUM merges per-shard partials in shard
-// order, so it is deterministic per worker count and numerically equal
-// within float tolerance across counts.
-func TestPolygonsFirstPointWorkers(t *testing.T) {
-	ps, rs := scene(25_000, 8, 311)
-	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		for _, agg := range []core.Agg{core.Count, core.Min, core.Max, core.Sum} {
-			attr := "v"
-			if agg == core.Count {
-				attr = ""
-			}
-			req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: attr}
-			seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-				core.WithStrategy(core.PolygonsFirst), core.WithPointWorkers(1))
-			want, err := seq.Join(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 5} {
-				par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-					core.WithStrategy(core.PolygonsFirst), core.WithPointWorkers(workers))
-				got, err := par.Join(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if agg == core.Count {
-					statsBitIdentical(t, got.Stats, want.Stats, par.Name())
-				} else {
-					// Min/Max aggregates are exact per shard, but Observe
-					// also folds a float Sum, which the shard merge
-					// reassociates — compare it with tolerance like SUM.
-					statsExactlyEqual(t, got, want, par.Name())
-					for k := range got.Stats {
-						if math.Float64bits(got.Stats[k].Min) != math.Float64bits(want.Stats[k].Min) ||
-							math.Float64bits(got.Stats[k].Max) != math.Float64bits(want.Stats[k].Max) {
-							t.Fatalf("%s: region %d min/max not bit-identical", par.Name(), k)
-						}
-					}
-				}
-				// Determinism: the same worker count must reproduce itself
-				// bit-for-bit.
-				again, err := par.Join(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				statsBitIdentical(t, again.Stats, got.Stats, par.Name()+" rerun")
 			}
 		}
 	}
@@ -169,20 +117,20 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 	statsBitIdentical(t, cold.Stats, want.Stats, "cached vs uncached")
 }
 
-// TestSeriesJoinAcrossPointWorkers: series results are bit-identical at any
-// worker count, warm or cold cache (run under -race in CI).
-func TestSeriesJoinAcrossPointWorkers(t *testing.T) {
+// TestParallelSeriesJoinAcrossWorkers: series results are bit-identical at
+// any worker count, warm or cold cache (run under -race in CI).
+func TestParallelSeriesJoinAcrossWorkers(t *testing.T) {
 	ps, rs := scene(60_000, 8, 317)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(1))
+			core.WithWorkers(1))
 		want, err := seq.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 6)
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(4))
+			core.WithWorkers(4))
 		for round := 0; round < 2; round++ { // cold then warm span cache
 			got, err := par.SeriesJoinContext(context.Background(), req, 0, int64(ps.Len()), 6)
 			if err != nil {
@@ -195,89 +143,53 @@ func TestSeriesJoinAcrossPointWorkers(t *testing.T) {
 	}
 }
 
-// TestFlowJoinAcrossPointWorkers: the OD matrix is integer-valued, so the
-// per-worker partial merge is exact — identical at any worker count.
-func TestFlowJoinAcrossPointWorkers(t *testing.T) {
+// TestParallelFlowJoinAcrossWorkers: the OD pass folds one partial matrix
+// per point range and the matrix is integer-valued, so the merge is exact —
+// identical at any worker count, unbatched and batched.
+func TestParallelFlowJoinAcrossWorkers(t *testing.T) {
 	ps, rs := flowScene(20_000, 8, 331)
-	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
+		Filters: []core.Filter{{Attr: "v", Min: 1, Max: 9}}}
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(1))
+			core.WithWorkers(1))
 		want, err := seq.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(5))
-		got, err := par.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Dropped != want.Dropped || got.Filtered != want.Filtered {
-			t.Fatalf("dropped/filtered %d/%d, want %d/%d",
-				got.Dropped, got.Filtered, want.Dropped, want.Filtered)
-		}
-		if len(got.Counts) != len(want.Counts) {
-			t.Fatalf("%d OD cells, want %d", len(got.Counts), len(want.Counts))
-		}
-		for cell, v := range want.Counts {
-			if got.Counts[cell] != v {
-				t.Fatalf("cell %d = %d, want %d", cell, got.Counts[cell], v)
+		for _, workers := range []int{2, 3, 5, 7} {
+			for _, batch := range []int{0, 1000} {
+				par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
+					core.WithWorkers(workers), core.WithPointBatch(batch))
+				got, err := par.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flowsEqual(t, got, want, fmt.Sprintf("%s workers=%d batch=%d", mode, workers, batch))
 			}
 		}
 	}
 }
 
-// TestMultiAndStreamAcrossPointWorkers: the multi-aggregate and streaming
-// pipelines ride the same parallel batched point pass.
-func TestMultiAndStreamAcrossPointWorkers(t *testing.T) {
-	ps, rs := scene(20_000, 8, 337)
-	specs := []core.AggSpec{{Agg: core.Count}, {Agg: core.Sum, Attr: "v"}}
-	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(1))
-		wantMulti, err := seq.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
-		if err != nil {
-			t.Fatal(err)
+// flowsEqual requires two OD matrices and their tallies to be equal.
+func flowsEqual(t *testing.T, got, want *core.FlowResult, context string) {
+	t.Helper()
+	if got.Dropped != want.Dropped || got.Filtered != want.Filtered {
+		t.Fatalf("%s: dropped/filtered %d/%d, want %d/%d", context,
+			got.Dropped, got.Filtered, want.Dropped, want.Filtered)
+	}
+	if len(got.Counts) != len(want.Counts) {
+		t.Fatalf("%s: %d OD cells, want %d", context, len(got.Counts), len(want.Counts))
+	}
+	for cell, v := range want.Counts {
+		if got.Counts[cell] != v {
+			t.Fatalf("%s: cell %d = %d, want %d", context, cell, got.Counts[cell], v)
 		}
-		par := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-			core.WithPointWorkers(4))
-		gotMulti, err := par.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := range wantMulti {
-			statsBitIdentical(t, gotMulti[s].Stats, wantMulti[s].Stats, "multi spec")
-		}
-
-		ws, err := seq.NewStream(rs, core.Sum, "v", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ws.AddContext(context.Background(), ps); err != nil {
-			t.Fatal(err)
-		}
-		wantStream, err := ws.FinalizeContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gs, err := par.NewStream(rs, core.Sum, "v", nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gs.AddContext(context.Background(), ps); err != nil {
-			t.Fatal(err)
-		}
-		gotStream, err := gs.FinalizeContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		statsBitIdentical(t, gotStream.Stats, wantStream.Stats, "stream")
 	}
 }
 
-// TestParallelJoinCancelMidPass: canceling an accurate join with point
-// workers mid-point-pass returns context.Canceled, leaks nothing, and leaves
+// TestParallelJoinCancelMidPass: canceling an accurate join with workers
+// mid-point-pass returns context.Canceled, leaks nothing, and leaves
 // the device pool drained — with the span cache enabled, so compiled spans
 // don't pin pool resources. A per-batch latency fault stretches the pass to
 // tens of milliseconds, so the cancel below lands mid-pass even on one P,
@@ -288,7 +200,7 @@ func TestParallelJoinCancelMidPass(t *testing.T) {
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 	dev := gpu.New()
 	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(core.Accurate),
-		core.WithResolution(1024), core.WithPointBatch(8192), core.WithPointWorkers(4))
+		core.WithResolution(1024), core.WithPointBatch(8192), core.WithWorkers(4))
 
 	baseline := runtime.NumGoroutine()
 	tr := trace.New("test")
@@ -323,7 +235,7 @@ func TestParallelJoinCancelMidPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(1024),
-		core.WithPointWorkers(1)).Join(req)
+		core.WithWorkers(1)).Join(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,15 +39,13 @@ func (m Mode) String() string {
 // RasterJoin evaluates spatial aggregations on the GPU device by drawing.
 // Construct with NewRasterJoin; the zero value is not usable.
 type RasterJoin struct {
-	dev          *gpu.Device
-	mode         Mode
-	strategy     Strategy
-	resolution   int
-	epsilon      float64
-	workers      int
-	pointWorkers int
-	pointBatch   int
-	blockPrune   bool
+	dev        *gpu.Device
+	mode       Mode
+	resolution int
+	epsilon    float64
+	workers    int
+	pointBatch int
+	blockPrune bool
 }
 
 // RJOption configures a RasterJoin.
@@ -84,26 +82,13 @@ func WithEpsilon(eps float64) RJOption {
 }
 
 // WithWorkers caps render parallelism (default: GOMAXPROCS). The software
-// device parallelizes across polygons; on a real GPU this is shader-core
-// occupancy.
+// device parallelizes the polygon pass across regions and the flow join's
+// OD pass across point ranges; on a real GPU this is shader-core
+// occupancy. Results are bit-identical at any setting.
 func WithWorkers(n int) RJOption {
 	return func(r *RasterJoin) {
 		if n > 0 {
 			r.workers = n
-		}
-	}
-}
-
-// WithPointWorkers caps the point-pass parallelism of the multi-aggregate,
-// flow and polygons-first joins (default: GOMAXPROCS), which shard their
-// vertex range across this many goroutines; results are bit-identical to
-// the sequential pass regardless of the setting. 1 forces the sequential
-// pass. The tile pipeline's pass 1 — joins, series, streams, shard bands and
-// density — is sequential at every setting (see pass1).
-func WithPointWorkers(n int) RJOption {
-	return func(r *RasterJoin) {
-		if n > 0 {
-			r.pointWorkers = n
 		}
 	}
 }
@@ -126,45 +111,6 @@ func WithPointBatch(n int) RJOption {
 // baseline the pruning benchmarks compare against. Results are identical
 // either way; pruned blocks provably contribute no fragments.
 func WithBlockPrune(on bool) RJOption { return func(r *RasterJoin) { r.blockPrune = on } }
-
-// drawPoints streams point indices [lo, hi) to the canvas in batches of at
-// most pointBatch vertices, each fanned out across up to workers goroutines
-// via Canvas.DrawPointsParallel (workers <= 1 is the sequential draw): the
-// point pass of the multi-aggregate and polygons-first joins, whose shaders
-// fold into several textures or region-keyed accumulators rather than one
-// targets. pos and shader receive absolute point indices. The context and
-// the `core.pointpass` fault site are polled once per batch, and each
-// submitted batch increments the request trace's "batches" counter, as in
-// pass1.
-//
-// workers > 1 requires the DrawPointsParallel safety contract — shader
-// writes keyed by the fragment's pixel — which holds for the multi
-// joiner's textures and bins. Passes with region-keyed accumulators
-// (polygons-first, flow) shard those accumulators per worker instead and
-// draw with workers = 1.
-func (r *RasterJoin) drawPoints(ctx context.Context, c *gpu.Canvas, workers, lo, hi int,
-	pos func(i int) (float64, float64), shader func(px, py, i int)) error {
-
-	batch := r.pointBatch
-	if batch <= 0 {
-		batch = hi - lo
-	}
-	tr := trace.FromContext(ctx)
-	for s := lo; s < hi; s += batch {
-		if err := fault.Inject(ctx, "core.pointpass"); err != nil {
-			return err
-		}
-		base, n := s, min(batch, hi-s)
-		err := c.DrawPointsParallel(ctx, workers, n,
-			func(j int) (float64, float64) { return pos(base + j) },
-			func(px, py, j int) { shader(px, py, base+j) })
-		if err != nil {
-			return err
-		}
-		tr.Count("batches", 1)
-	}
-	return nil
-}
 
 // CompiledSpans returns the region set compiled on transform t — spans,
 // boundary mask and slots, interior runs and row-edge tables — from the
@@ -197,11 +143,10 @@ func (r *RasterJoin) CompiledSpans(ctx context.Context, regions *data.RegionSet,
 // NewRasterJoin returns a configured raster joiner.
 func NewRasterJoin(opts ...RJOption) *RasterJoin {
 	r := &RasterJoin{
-		mode:         Approximate,
-		resolution:   1024,
-		workers:      runtime.GOMAXPROCS(0),
-		pointWorkers: runtime.GOMAXPROCS(0),
-		blockPrune:   true,
+		mode:       Approximate,
+		resolution: 1024,
+		workers:    runtime.GOMAXPROCS(0),
+		blockPrune: true,
 	}
 	for _, o := range opts {
 		o(r)
@@ -214,14 +159,10 @@ func NewRasterJoin(opts ...RJOption) *RasterJoin {
 
 // Name implements Joiner.
 func (r *RasterJoin) Name() string {
-	suffix := ""
-	if r.strategy == PolygonsFirst {
-		suffix = "-pf"
-	}
 	if r.epsilon > 0 {
-		return fmt.Sprintf("raster-join-%s-eps%g%s", r.mode, r.epsilon, suffix)
+		return fmt.Sprintf("raster-join-%s-eps%g", r.mode, r.epsilon)
 	}
-	return fmt.Sprintf("raster-join-%s-%dpx%s", r.mode, r.resolution, suffix)
+	return fmt.Sprintf("raster-join-%s-%dpx", r.mode, r.resolution)
 }
 
 // Epsilon returns the configured error bound (0 when resolution-driven).
@@ -293,9 +234,6 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 			// Tiles render sequentially, so re-aiming the scan's spatial
 			// bound per tile is safe; within a tile the scan is only read.
 			sc.setWorld(c.T.World)
-		}
-		if r.strategy == PolygonsFirst {
-			return r.renderTilePolygonsFirst(ctx, c, req, res.Stats, sc, attrIdx)
 		}
 		t, err := r.newTile(ctx, c, req.Regions, req.Agg)
 		if err != nil {

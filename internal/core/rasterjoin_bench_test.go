@@ -161,28 +161,6 @@ func BenchmarkJoinContextOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkPointPassScaling times the accurate join at point workers
-// 1/2/4/8 (E16 in EXPERIMENTS.md): the E1-style workload at 1 M points.
-// The join's pass 1 runs on one goroutine at every setting, so the curve is
-// flat by design; BenchmarkPointPass times that pass alone.
-func BenchmarkPointPassScaling(b *testing.B) {
-	ps, rs := scene(1_000_000, 32, 113)
-	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	for _, workers := range []int{1, 2, 4, 8} {
-		rj := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate),
-			core.WithPointWorkers(workers))
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			ctx := context.Background()
-			for i := 0; i < b.N; i++ {
-				if _, err := rj.JoinContext(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(ps.Len())*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
-}
-
 // BenchmarkSpanCacheWarm isolates the region span cache (E17): a
 // polygon-heavy accurate join (2048 tract-scale regions, few points) with
 // the cache disabled (the layer compiled every join) versus warm (every
@@ -212,4 +190,31 @@ func BenchmarkSpanCacheWarm(b *testing.B) {
 		run(b, core.NewRasterJoin(core.WithDevice(dev), core.WithResolution(1024),
 			core.WithMode(core.Accurate)))
 	})
+}
+
+// BenchmarkFlow times the OD join behind the flow view: the 1 M-point taxi
+// scene's trips over neighborhoods and tracts, in both modes at 1024 px,
+// the span cache warm as on a server after its first request per layer.
+func BenchmarkFlow(b *testing.B) {
+	sc := workload.NYC(1_000_000, 2009)
+	req := core.Request{Points: sc.Taxi, Agg: core.Count}
+	ctx := context.Background()
+	for _, layer := range []*data.RegionSet{sc.Neighborhoods, sc.Tracts} {
+		req.Regions = layer
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			rj := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(mode))
+			b.Run(layer.Name+"/"+mode.String(), func(b *testing.B) {
+				flow := func() {
+					if _, err := rj.FlowJoinContext(ctx, req, data.DropoffXAttr, data.DropoffYAttr); err != nil {
+						b.Fatal(err)
+					}
+				}
+				flow()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					flow()
+				}
+			})
+		}
+	}
 }

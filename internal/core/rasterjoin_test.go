@@ -260,34 +260,21 @@ func TestTileEdgePointsCountOnce(t *testing.T) {
 		t.Fatalf("brute force places %d of 3 points", want.TotalCount())
 	}
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-		for _, strategy := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
-			rj := core.NewRasterJoin(core.WithMode(mode), core.WithStrategy(strategy),
-				core.WithResolution(256), core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
-			got, err := rj.Join(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Tiles != 16 {
-				t.Fatalf("%s: %d tiles, want 16", rj.Name(), got.Tiles)
-			}
-			statsExactlyEqual(t, got, want, rj.Name())
-			if strategy == core.PolygonsFirst {
-				continue
-			}
-			scattered, err := shard.New(rj, 2).JoinContext(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			statsExactlyEqual(t, scattered, want, rj.Name()+" over 2 shards")
-			multi, err := rj.MultiJoinContext(context.Background(), core.Request{Points: ps, Regions: rs},
-				[]core.AggSpec{{Agg: core.Sum, Attr: "v"}, {Agg: core.Avg, Attr: "v"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, res := range multi {
-				statsExactlyEqual(t, res, want, rj.Name()+" multi")
-			}
+		rj := core.NewRasterJoin(core.WithMode(mode),
+			core.WithResolution(256), core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
+		got, err := rj.Join(req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got.Tiles != 16 {
+			t.Fatalf("%s: %d tiles, want 16", rj.Name(), got.Tiles)
+		}
+		statsExactlyEqual(t, got, want, rj.Name())
+		scattered, err := shard.New(rj, 2).JoinContext(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statsExactlyEqual(t, scattered, want, rj.Name()+" over 2 shards")
 	}
 }
 
@@ -396,5 +383,28 @@ func TestAccurateExactProperty(t *testing.T) {
 			}
 			statsExactlyEqual(t, got, want, rj.Name())
 		}
+	}
+}
+
+// Streaming the points in small vertex-buffer batches must not change
+// results — the GPU-memory-bound path is pure re-batching.
+func TestPointBatchingInvariant(t *testing.T) {
+	ps, rs := scene(4000, 8, 211)
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
+	whole := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate))
+	batched := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate),
+		core.WithPointBatch(137))
+	a, err := whole.Join(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := batched.Join(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statsExactlyEqual(t, b, a, "batched")
+	// The device must actually have issued more draw calls.
+	if ds, bs := whole.Device().Stats(), batched.Device().Stats(); bs.DrawCalls <= ds.DrawCalls {
+		t.Errorf("batched draw calls %d <= unbatched %d", bs.DrawCalls, ds.DrawCalls)
 	}
 }

@@ -2,9 +2,9 @@ package core_test
 
 // Segment-vs-RAM equivalence: every joiner, executed against a columnar
 // segment store (block-at-a-time, zone-pruned, only the columns the query
-// declares read, under a byte-bounded cache), must produce results bit-identical to the in-RAM array path —
-// across modes, strategies, aggregates, filters, worker counts, pruning
-// on/off, and cold/warm caches. These are the acceptance tests of the
+// declares read, under a byte-bounded cache), must produce results
+// bit-identical to the in-RAM array path — across modes, aggregates,
+// filters, worker counts, pruning on/off, and cold/warm caches. These are the acceptance tests of the
 // PointSource refactor: the store changes where bytes live, never what any
 // query answers.
 
@@ -179,9 +179,8 @@ func reqVariants(ps, us *data.PointSet, rs *data.RegionSet, st, ust *segment.Sto
 }
 
 // TestSegmentJoinEquivalence sweeps the joiner configuration space: both
-// modes, both strategies, pruning on and off, one and several point
-// workers, cache on and off — segment-backed results must match the in-RAM
-// path bit for bit.
+// modes, pruning on and off, one and several workers, cache on and off —
+// segment-backed results must match the in-RAM path bit for bit.
 func TestSegmentJoinEquivalence(t *testing.T) {
 	ps, rs := equivScene(5000, 8, 42)
 	us := unsortedCopy(ps, 43)
@@ -191,24 +190,21 @@ func TestSegmentJoinEquivalence(t *testing.T) {
 			t.Fatal("unsorted copy is time-sorted")
 		}
 		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-			for _, strat := range []core.Strategy{core.PointsFirst, core.PolygonsFirst} {
-				for _, prune := range []bool{true, false} {
-					for _, workers := range []int{1, 3} {
-						rj := core.NewRasterJoin(core.WithMode(mode),
-							core.WithResolution(256), core.WithStrategy(strat),
-							core.WithBlockPrune(prune), core.WithPointWorkers(workers))
-						for _, vr := range reqVariants(ps, us, rs, st, ust) {
-							label := fmt.Sprintf("%v/%v/prune=%v/w%d/cache=%d/%s", mode, strat, prune, workers, budget, vr.name)
-							ram, err := rj.Join(vr.ram)
-							if err != nil {
-								t.Fatalf("%s ram: %v", label, err)
-							}
-							seg, err := rj.Join(vr.seg)
-							if err != nil {
-								t.Fatalf("%s seg: %v", label, err)
-							}
-							assertStatsBits(t, seg.Stats, ram.Stats, label)
+			for _, prune := range []bool{true, false} {
+				for _, workers := range []int{1, 3} {
+					rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
+						core.WithBlockPrune(prune), core.WithWorkers(workers))
+					for _, vr := range reqVariants(ps, us, rs, st, ust) {
+						label := fmt.Sprintf("%v/prune=%v/w%d/cache=%d/%s", mode, prune, workers, budget, vr.name)
+						ram, err := rj.Join(vr.ram)
+						if err != nil {
+							t.Fatalf("%s ram: %v", label, err)
 						}
+						seg, err := rj.Join(vr.seg)
+						if err != nil {
+							t.Fatalf("%s seg: %v", label, err)
+						}
+						assertStatsBits(t, seg.Stats, ram.Stats, label)
 					}
 				}
 			}
@@ -297,47 +293,19 @@ func TestSegmentDensityEquivalence(t *testing.T) {
 	}
 }
 
-// TestSegmentStreamEquivalence: a stream fed the segment source via
-// AddSourceContext finalizes to the same result as one fed the in-RAM set.
-// Then, on the same scene and request at a 64-point batch, every
-// points-first variant must land on the same Stats: the monolithic join, a
-// stream of three segment-backed batches, a one-bin series, and the
-// scattered join at 1, 2 and 4 shards (shards × segments × small batches).
-// The request sums one attribute filtered on another; everything runs with
-// and without a cache.
+// TestSegmentStreamEquivalence: on one scene and request at a 64-point
+// batch, every points-first variant must land on the same Stats: the
+// monolithic join, a join over a segment streamed to disk in three appended
+// batches, a one-bin series, and the scattered join at 1, 2 and 4 shards
+// (shards × segments × small batches). The request sums one attribute
+// filtered on another; everything runs with and without a cache.
 func TestSegmentStreamEquivalence(t *testing.T) {
 	ps, rs := equivScene(3000, 6, 99)
 	filters := []core.Filter{{Attr: "hot", Min: 200, Max: 2700}}
 	for _, budget := range equivBudgets {
 		st := equivStore(t, ps, 256, budget)
-		rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
-		mkStream := func() *core.StreamJoin {
-			s, err := rj.NewStream(rs, core.Sum, "v", filters, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		a := mkStream()
-		if err := a.AddContext(context.Background(), ps); err != nil {
-			t.Fatal(err)
-		}
-		ram, err := a.FinalizeContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := mkStream()
-		if err := b.AddSourceContext(context.Background(), st); err != nil {
-			t.Fatal(err)
-		}
-		seg, err := b.FinalizeContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStatsBits(t, seg.Stats, ram.Stats, fmt.Sprintf("stream/cache=%d", budget))
-
 		ctx := context.Background()
-		rj = core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
+		rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
 			core.WithPointBatch(64))
 		req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Sum, Attr: "v",
 			Filters: filters}
@@ -350,16 +318,33 @@ func TestSegmentStreamEquivalence(t *testing.T) {
 			run  func() ([]core.RegionStat, error)
 		}
 		variants := []variant{
-			{"stream of 3 batches", func() ([]core.RegionStat, error) {
-				s := mkStream()
+			{"segment appended in 3 batches", func() ([]core.RegionStat, error) {
+				path := filepath.Join(t.TempDir(), "stream.useg")
+				file, err := os.Create(path)
+				if err != nil {
+					return nil, err
+				}
+				w := segment.NewWriter(file, segment.WithBlockSize(256))
 				n := ps.Len()
 				for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-					batch := equivStore(t, ps.Slice(cut[0], cut[1]), 256, budget)
-					if err := s.AddSourceContext(ctx, batch); err != nil {
+					if err := w.Append(ps.Slice(cut[0], cut[1])); err != nil {
 						return nil, err
 					}
 				}
-				res, err := s.FinalizeContext(ctx)
+				if err := w.Close(); err != nil {
+					return nil, err
+				}
+				if err := file.Close(); err != nil {
+					return nil, err
+				}
+				appended, err := segment.Open(path, segment.WithCacheBytes(budget))
+				if err != nil {
+					return nil, err
+				}
+				defer appended.Close()
+				r := req
+				r.Source = appended
+				res, err := rj.JoinContext(ctx, r)
 				if err != nil {
 					return nil, err
 				}
@@ -390,44 +375,6 @@ func TestSegmentStreamEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want.Stats) {
 				t.Errorf("%s/cache=%d: Stats differ from JoinContext\n got %+v\nwant %+v", v.name, budget, got, want.Stats)
-			}
-		}
-	}
-}
-
-// TestSegmentMultiEquivalence: the multi-aggregate joiner over a segment
-// source matches the in-RAM path bit for bit, per spec — specs aggregating
-// an attribute other than the one they filter on, time-windowed on a sorted
-// and an unsorted source, with and without a cache.
-func TestSegmentMultiEquivalence(t *testing.T) {
-	ps, rs := equivScene(3000, 6, 123)
-	us := unsortedCopy(ps, 124)
-	// "hot" is only aggregated and the dropoff x only filtered on, so a
-	// scan that skipped either kind of declaration would read a nil column.
-	specs := []core.AggSpec{
-		{Agg: core.Count, Filters: []core.Filter{{Attr: data.DropoffXAttr, Min: 100, Max: 700}}},
-		{Agg: core.Sum, Attr: "v", Filters: []core.Filter{{Attr: "v", Min: 3, Max: 9}}},
-		{Agg: core.Avg, Attr: "v", Time: &core.TimeFilter{Start: 1000, End: 6000}},
-		{Agg: core.Sum, Attr: "hot", Filters: []core.Filter{{Attr: "v", Min: 2, Max: 7}},
-			Time: &core.TimeFilter{Start: 2000, End: 7000}},
-	}
-	for _, budget := range equivBudgets {
-		for _, set := range []*data.PointSet{ps, us} {
-			st := equivStore(t, set, 512, budget)
-			for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-				rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
-				ram, err := rj.MultiJoinContext(context.Background(), core.Request{Points: set, Regions: rs}, specs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				seg, err := rj.MultiJoinContext(context.Background(), core.Request{Points: set, Source: st, Regions: rs}, specs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s := range specs {
-					assertStatsBits(t, seg[s].Stats, ram[s].Stats,
-						fmt.Sprintf("%v/sorted=%v/cache=%d/spec %d", mode, st.TimeSorted(), budget, s))
-				}
 			}
 		}
 	}

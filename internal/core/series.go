@@ -14,8 +14,8 @@ import (
 )
 
 // ErrSeriesUnsupported is wrapped by SeriesJoinContext when the request has
-// no single-tile series form: MIN/MAX aggregates, the ε mode, the
-// polygons-first strategy, or a canvas larger than one device pass. Callers
+// no single-tile series form: MIN/MAX aggregates, the ε mode, or a canvas
+// larger than one device pass. Callers
 // run one JoinContext per bin instead.
 var ErrSeriesUnsupported = errors.New("core: series join unsupported")
 
@@ -70,8 +70,6 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 		return nil, fmt.Errorf("%w: COUNT/SUM/AVG only, not %v", ErrSeriesUnsupported, req.Agg)
 	case r.epsilon > 0:
 		return nil, fmt.Errorf("%w: needs resolution mode, not ε", ErrSeriesUnsupported)
-	case r.strategy == PolygonsFirst:
-		return nil, fmt.Errorf("%w: points-first strategy only", ErrSeriesUnsupported)
 	}
 	req.Time = nil
 	if err := req.Validate(); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -141,14 +140,7 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 // executors: per canvas tile the driver fans out through plan.Scatter,
 // merges the partials in ascending shard order, replays straddle fragments
 // in global point-index order, and resolves the merged tile like any other.
-// Only the points-first strategy decomposes bit-exactly (polygons-first
-// folds region-keyed accumulators in point order, which a spatial partition
-// cannot reproduce), so other strategies are rejected — the planner falls
-// back to the local path for them.
 func (r *RasterJoin) JoinScattered(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
-	if r.strategy != PointsFirst {
-		return nil, fmt.Errorf("core: scattered execution requires the points-first strategy, have %s", r.strategy)
-	}
 	return r.join(ctx, req, plan)
 }
 

@@ -29,10 +29,10 @@ import (
 //
 // The polygon side of all three — spans, boundary mask and slots, interior
 // runs, row-edge tables — is one raster.RegionSpans from the span cache.
-// JoinContext, the scatter-gather gather, StreamJoin and SeriesJoinContext
-// all run on one tile; a shard's partial pass runs on the bare targets. A
-// series tile resolves each bin with resolveBin (series.go), passes 2 and 3
-// over only the pixels the bin hit.
+// JoinContext, the scatter-gather gather and SeriesJoinContext all run on
+// one tile; a shard's partial pass runs on the bare targets. A series tile
+// resolves each bin with resolveBin (series.go), passes 2 and 3 over only
+// the pixels the bin hit.
 
 // obs is one retained boundary observation: the point's coordinates (for
 // the exact fix-up test), its aggregated value, the pixel column it landed
@@ -276,25 +276,18 @@ func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []flo
 	return in, kept
 }
 
-// pass1 folds the surviving pieces of sc's [lo, hi) into t, mapped through
-// m, in batches of at most pointBatch points: the context and the
-// `core.pointpass` fault site are polled once per batch — the batch size is
-// the cancellation granularity of the point pass — and each batch
-// increments the request trace's counter and, on canvas c, the device's
-// draw counters (a shard's band draws on no device; c is nil). It runs on
-// the calling goroutine: once mapping a point is a few instructions, a
-// striped fan-out costs more in staged fragments than a second core
-// returns. It returns the points kept.
-func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap, c *gpu.Canvas,
-	sc *Scan, lo, hi, attrIdx int, counter string) (int64, error) {
+// batched runs fold over the surviving pieces of sc's [lo, hi) in batches
+// of at most pointBatch points: the context and the `core.pointpass` fault
+// site are polled once per batch — the batch size is the cancellation
+// granularity of the point pass — and each batch increments the request
+// trace's counter and, on canvas c, the device's draw counters with the
+// points fold reports inside the window (a shard's band draws on no device;
+// c is nil).
+func (r *RasterJoin) batched(ctx context.Context, c *gpu.Canvas, sc *Scan, lo, hi int, counter string,
+	fold func(blk *data.Block, s, e int, needPred bool) (in int)) error {
 
 	tr := trace.FromContext(ctx)
-	var kept int64
-	err := sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
-		var attr []float64
-		if attrIdx >= 0 {
-			attr = blk.Attr[attrIdx]
-		}
+	return sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
 		batch := r.pointBatch
 		if batch <= 0 {
 			batch = phi - plo
@@ -307,14 +300,32 @@ func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap, c
 				return err
 			}
 			e := min(s+batch, phi)
-			in, k := t.fold(&m, sc, blk, attr, s, e, needPred)
+			in := fold(blk, s, e, needPred)
 			if c != nil {
 				c.CountPoints(e-s, in)
 			}
-			kept += int64(k)
 			tr.Count(counter, 1)
 		}
 		return nil
+	})
+}
+
+// pass1 folds the surviving pieces of sc's [lo, hi) into t, mapped through
+// m, batched. It runs on the calling goroutine: once mapping a point is a
+// few instructions, a striped fan-out costs more in staged fragments than a
+// second core returns. It returns the points kept.
+func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap, c *gpu.Canvas,
+	sc *Scan, lo, hi, attrIdx int, counter string) (int64, error) {
+
+	var kept int64
+	err := r.batched(ctx, c, sc, lo, hi, counter, func(blk *data.Block, s, e int, needPred bool) int {
+		var attr []float64
+		if attrIdx >= 0 {
+			attr = blk.Attr[attrIdx]
+		}
+		in, k := t.fold(&m, sc, blk, attr, s, e, needPred)
+		kept += int64(k)
+		return in
 	})
 	return kept, err
 }
@@ -341,7 +352,7 @@ func polygonSpans(sp *raster.RegionSpans, k int, exact bool) []raster.Span {
 // pass over the region's boundary pixels. It records the boundary_obs and
 // refine_edge_tests trace counters once per tile.
 //
-// Race audit (sharedwrite-clean): parallelRegionsCtx hands each region
+// Race audit (sharedwrite-clean): parallelCtx hands each region
 // index k to exactly one goroutine, so stats[k] has a single writer; the
 // textures, observation lists and bins are frozen after collect and only
 // read here, and the edge-test total is atomic.
@@ -351,7 +362,7 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 		defer t.clear(t.rows)
 	}
 	var tests atomic.Int64
-	err := t.r.parallelRegionsCtx(ctx, t.sp.Regions(), func(k int) {
+	err := t.r.parallelCtx(ctx, t.sp.Regions(), func(k int) {
 		local := t.foldSpans(polygonSpans(t.sp, k, t.mask != nil))
 		if t.mask != nil {
 			n := int64(0)
@@ -388,15 +399,17 @@ func (t *tile) foldSpans(spans []raster.Span) RegionStat {
 	return RegionStat{Count: n, Sum: sum}
 }
 
-// parallelRegionsCtx fans region indices [0,n) across the joiner's workers,
-// checking the context between region claims: a canceled request stops
-// handing out work and returns ctx.Err() once the in-flight regions drain.
+// parallelCtx fans indices [0,n) — regions of the polygon pass, point
+// ranges of the flow join — across the joiner's workers, checking the
+// context between claims: a canceled request stops handing out work and
+// returns ctx.Err() once the in-flight indices drain.
 //
 // Race audit (sharedwrite-clean): k comes from an atomic cursor, so each
 // index is claimed by exactly one goroutine; fn must only write state
-// owned by region k (the callers write stats[k]), which partitions every
-// write. wg.Wait() sequences the caller's reads after all writes.
-func (r *RasterJoin) parallelRegionsCtx(ctx context.Context, n int, fn func(k int)) error {
+// owned by index k (the callers write stats[k] or parts[k]), which
+// partitions every write. wg.Wait() sequences the caller's reads after all
+// writes.
+func (r *RasterJoin) parallelCtx(ctx context.Context, n int, fn func(k int)) error {
 	workers := r.workers
 	if workers > n {
 		workers = n

@@ -41,9 +41,9 @@ func WriteCSV(w io.Writer, ps *PointSet) error {
 
 // StreamCSV reads a CSV point stream in batches of up to batchSize rows,
 // invoking fn with each non-empty batch. Batches reuse nothing between
-// calls, so fn may retain or discard them freely — this is the reader side
-// of the streaming join, letting inputs larger than memory flow through
-// aggregation one batch at a time.
+// calls, so fn may retain or discard them freely — inputs larger than
+// memory flow through one batch at a time (examples/streaming appends each
+// to a segment file).
 func StreamCSV(r io.Reader, name string, batchSize int, fn func(*PointSet) error) error {
 	if batchSize < 1 {
 		batchSize = 1 << 16

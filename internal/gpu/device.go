@@ -127,8 +127,8 @@ func (d *Device) LiveCanvases() int64 { return d.liveCanvases.Load() }
 func (d *Device) LiveTextures() int64 { return d.liveTextures.Load() }
 
 // poolClassCap bounds each free list at one tile's textures, a count texture
-// and one aggregate texture, so a burst of large renders (a multi-aggregate
-// rank, two clients' concurrent tiles) cannot pin its peak in the pool: at
+// and one aggregate texture, so a burst of large renders (two clients'
+// concurrent tiles) cannot pin its peak in the pool: at
 // 1024 px every pooled texture is 8 MiB of live heap, and live heap sets
 // the collector's target. On session_mix (two clients) caps of 8, 4 and 2
 // measured RSS peaks of 561–586, 576–581 and 531–550 MB at equal latency.

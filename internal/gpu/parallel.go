@@ -31,7 +31,7 @@ import (
 // pixel (count/sum/min/max textures, per-boundary-pixel bins). Writes keyed
 // by anything that crosses pixel rows — per-region accumulators, global
 // counters — would be shared between stripe owners; such passes must shard
-// their accumulators per worker instead (see the polygons-first joiner).
+// their accumulators per worker instead (see the flow join).
 
 // pointFrag is one staged point fragment: the row-major pixel it landed in
 // and the vertex index within the draw call.

@@ -35,7 +35,7 @@ type Plan struct {
 	Request core.Request
 	Joiner  core.Joiner
 	// Engine names the link of the routing chain that took the request:
-	// "cube", "exact", "geoblocks", "slabs", "shards" or "raster".
+	// "cube", "geoblocks", "slabs", "shards" or "raster".
 	Engine string
 	// Reason explains the routing decision for observability.
 	Reason string
@@ -62,16 +62,13 @@ type Planner struct {
 	// two never compete.
 	Slabs *tcache.Joiner
 	// Shards, when non-nil, replaces the local raster path with sharded
-	// scatter-gather execution for requests that decompose bit-exactly.
+	// scatter-gather execution, which decomposes every request bit-exactly.
 	// Because sharded results are byte-identical to the local path, this
 	// routing keeps the raster Reason string: topology is an execution
 	// detail, not a different answer.
 	Shards *shard.Coordinator
 	// Raster answers everything the engines before it refuse. Required.
 	Raster *core.RasterJoin
-	// Exact, when non-nil, replaces every engine after the cubes for
-	// queries that demand exact results.
-	Exact core.Joiner
 }
 
 // NewPlanner returns a planner over the given raster joiner.
@@ -89,17 +86,13 @@ type engine struct {
 	reason   string
 }
 
-// chain is the routing order, written once: cubes, then — unless an exact
-// override takes everything left — geoblocks, slabs, shards, raster. Adding
-// or removing an engine is one line here.
+// chain is the routing order, written once: cubes, geoblocks, slabs,
+// shards, raster. Adding or removing an engine is one line here.
 func (pl *Planner) chain() []engine {
 	const adhoc = "ad-hoc query routed to raster join"
 	ch := make([]engine, 0, len(pl.Cubes)+4)
 	for _, c := range pl.Cubes {
 		ch = append(ch, engine{"cube", c, c.CanServe, "canned query served from pre-aggregation"})
-	}
-	if pl.Exact != nil {
-		return append(ch, engine{"exact", pl.Exact, nil, "exact engine override"})
 	}
 	if pl.GeoBlocks != nil {
 		ch = append(ch, engine{"geoblocks", pl.GeoBlocks, pl.GeoBlocks.CanServe,
@@ -110,7 +103,7 @@ func (pl *Planner) chain() []engine {
 			"time-windowed aggregation folded from cached slab partials"})
 	}
 	if pl.Shards != nil {
-		ch = append(ch, engine{"shards", pl.Shards, pl.Shards.CanServe, adhoc})
+		ch = append(ch, engine{"shards", pl.Shards, nil, adhoc})
 	}
 	if pl.Raster != nil {
 		ch = append(ch, engine{"raster", pl.Raster, nil, adhoc})

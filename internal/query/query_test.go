@@ -267,17 +267,3 @@ func TestRunEndToEndCubeMatchesRaster(t *testing.T) {
 		t.Error("elapsed times should be positive")
 	}
 }
-
-func TestExactOverride(t *testing.T) {
-	cat, _, _ := planScene(t)
-	pl := NewPlanner(core.NewRasterJoin())
-	pl.Exact = core.NewRasterJoin(core.WithMode(core.Accurate))
-	q, _ := Parse("SELECT COUNT(*) FROM taxi, nbhd")
-	plan, err := pl.Plan(q, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.Joiner.Name(), "accurate") {
-		t.Errorf("exact override not applied: %s", plan.Joiner.Name())
-	}
-}

@@ -45,18 +45,6 @@ func (c *Coordinator) NumShards() int { return c.n }
 // of cached response bodies — must not change with the topology.
 func (c *Coordinator) Name() string { return c.raster.Name() }
 
-// CanServe reports whether the request decomposes bit-exactly across
-// shards. Only the points-first strategy does: polygons-first folds
-// region-keyed accumulators in point order, which a spatial partition
-// reassociates. Rejected requests fall back to the local raster path and
-// stay byte-identical that way.
-func (c *Coordinator) CanServe(req core.Request) error {
-	if c.raster.Strategy() != core.PointsFirst {
-		return fmt.Errorf("shard: %s strategy does not decompose bit-exactly", c.raster.Strategy())
-	}
-	return nil
-}
-
 // Join implements core.Joiner.
 func (c *Coordinator) Join(req core.Request) (*core.Result, error) {
 	return c.JoinContext(context.Background(), req)

@@ -242,22 +242,6 @@ func TestLayoutOwnershipPartition(t *testing.T) {
 	}
 }
 
-// TestCanServeRejectsPolygonsFirst: the polygons-first strategy folds in an
-// order a spatial partition reassociates, so the coordinator must refuse it
-// (and the planner then falls back to the plain local path).
-func TestCanServeRejectsPolygonsFirst(t *testing.T) {
-	rj := core.NewRasterJoin(core.WithStrategy(core.PolygonsFirst))
-	co := shard.New(rj, 4)
-	if err := co.CanServe(core.Request{}); err == nil {
-		t.Fatal("polygons-first accepted; sharded fold would not be bit-identical")
-	}
-	ps, rs := scene(1_000, 4, 811)
-	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	if _, err := co.JoinContext(context.Background(), req); err == nil {
-		t.Fatal("JoinScattered accepted polygons-first")
-	}
-}
-
 // TestDeterministicFirstError kills shards 0 and 2 and requires the error
 // to name shard 0 every time — never whichever goroutine lost the race —
 // and to be the honest ErrUnavailable, not a silent partial.

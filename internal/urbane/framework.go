@@ -179,8 +179,7 @@ func (f *Framework) Incremental() *tcache.Joiner {
 
 // EnableSharding splits ad-hoc raster execution across n spatial shards
 // behind a scatter-gather coordinator: the planner routes every request the
-// coordinator can decompose bit-exactly through it, and everything else
-// (polygons-first, cubes, geoblocks, slabs) is untouched. Unlike the other
+// engines before it (cubes, geoblocks, slabs) refuse through it. Unlike the other
 // engine toggles this does NOT bump the catalog version: sharded answers
 // are byte-identical to the local path — same stats, same Algorithm and
 // Reason strings, same PNG bodies — so every cached response stays valid

@@ -2,6 +2,9 @@ package urbane
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -342,6 +345,69 @@ func TestConcurrentViews(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// rankGolden is the SHA-256 of every score of TestRankGolden's rankings,
+// recorded before rank ran each raster metric as its own join.
+const rankGolden = "6edac6d62efb0250bdcaba1680391a993ad78f0afd49a5517a62f45eed0ed8e5"
+
+// TestRankGolden: the rankings of two metric sets — COUNT with AVG(fare),
+// and SUM(fare) under a per-metric filter with a time-windowed COUNT — over
+// both layers, without and with a cube on nbhd, hash bit for bit to the
+// recorded digest: every score's ID, name, distance and values in rank
+// order. The cube materializes counts only: its float sums merge one
+// partial per GOMAXPROCS shard, so a cube-served AVG would tie the digest
+// to the core count.
+func TestRankGolden(t *testing.T) {
+	sets := [][]MetricSpec{
+		{
+			{Name: "activity", Selection: Selection{Dataset: "taxi", Agg: core.Count}},
+			{Name: "avg-fare", Selection: Selection{Dataset: "taxi", Agg: core.Avg, Attr: "fare"}},
+		},
+		{
+			{Name: "big-fares", Selection: Selection{Dataset: "taxi", Agg: core.Sum, Attr: "fare",
+				Filters: []core.Filter{{Attr: "fare", Min: 10, Max: 30}}}},
+			{Name: "morning", Selection: Selection{Dataset: "taxi", Agg: core.Count,
+				Time: &core.TimeFilter{Start: 3600, End: 5 * 3600}}},
+		},
+	}
+	h := sha256.New()
+	for _, withCube := range []bool{false, true} {
+		f, _, _ := buildTestFramework(t)
+		if withCube {
+			if _, err := f.BuildCube("taxi", "nbhd", 3600, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, layer := range []string{"nbhd", "grid"} {
+			rs, _ := f.RegionSet(layer)
+			for _, metrics := range sets {
+				for _, m := range metrics {
+					creq, err := f.resolve(m.Selection, rs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := withCube && layer == "nbhd" && m.Agg == core.Count; f.cubeServable(creq) != want {
+						t.Fatalf("%s over %s: cube-servable %v, want %v", m.Name, layer, !want, want)
+					}
+				}
+				scores, err := f.RankSimilarContext(context.Background(), layer, rs.Regions[2].ID, metrics)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range scores {
+					h.Write(binary.LittleEndian.AppendUint64(nil, uint64(s.ID)))
+					h.Write([]byte(s.Name))
+					for _, v := range append([]float64{s.Distance}, s.Values...) {
+						h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+					}
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != rankGolden {
+		t.Errorf("rank digest %s, want %s", got, rankGolden)
 	}
 }
 

@@ -177,8 +177,8 @@ func attachSegments(t *testing.T, f *Framework, name string) {
 
 // TestHeatmapMatchesSequentialFold pins the density grid to its definition
 // — every surviving point folded into its pixel in index order — bit for
-// bit, on each way the point pass can run: in RAM, batched and fanned out
-// over workers, and block-at-a-time from an attached segment source.
+// bit, on each way the point pass can run: in RAM, in small batches, and
+// block-at-a-time from an attached segment source.
 func TestHeatmapMatchesSequentialFold(t *testing.T) {
 	reqs := []HeatmapRequest{
 		{Dataset: "taxi", W: 48},
@@ -189,8 +189,8 @@ func TestHeatmapMatchesSequentialFold(t *testing.T) {
 	}
 	variants := map[string]func() *Framework{
 		"in-RAM": func() *Framework { f, _, _ := buildTestFramework(t); return f },
-		"workers": func() *Framework {
-			f, _, _ := buildTestFramework(t, core.WithPointWorkers(4), core.WithPointBatch(700))
+		"batched": func() *Framework {
+			f, _, _ := buildTestFramework(t, core.WithPointBatch(700))
 			return f
 		},
 		"segments": func() *Framework {

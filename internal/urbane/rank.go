@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/fsum"
 )
 
@@ -61,51 +60,27 @@ func (f *Framework) RankSimilarContext(ctx context.Context, layer string, target
 		features[i] = make([]float64, len(metrics))
 	}
 
-	// Group metrics by data set so each group shares one multi-aggregate
-	// render (one point pass, one polygon pass for all of a data set's
-	// metrics). Cube-servable metrics take the cube instead.
-	points := make(map[string]*data.PointSet) // the snapshot each group renders
-	groups := make(map[string][]int)
+	// Each metric is one join on the layer: cube-servable metrics take the
+	// cube, the rest the raster join.
 	for m, spec := range metrics {
 		creq, err := f.resolve(spec.Selection, rs)
 		if err != nil {
 			return nil, fmt.Errorf("urbane: metric %q: %w", spec.Name, err)
 		}
+		var res *core.Result
 		if f.cubeServable(creq) {
-			res, err := f.ExecuteContext(ctx, creq)
-			if err != nil {
-				return nil, fmt.Errorf("urbane: metric %q: %w", spec.Name, err)
-			}
-			for k := 0; k < n; k++ {
-				features[k][m] = res.Value(k, spec.Agg)
-			}
-			continue
+			res, err = f.ExecuteContext(ctx, creq)
+		} else {
+			res, err = f.rasterJoiner().JoinContext(ctx, creq)
 		}
-		groups[spec.Dataset] = append(groups[spec.Dataset], m)
-		points[spec.Dataset] = creq.Points
-	}
-	for dataset, idxs := range groups {
-		specs := make([]core.AggSpec, len(idxs))
-		for j, m := range idxs {
-			specs[j] = core.AggSpec{
-				Agg:     metrics[m].Agg,
-				Attr:    metrics[m].Attr,
-				Filters: metrics[m].Filters,
-				Time:    metrics[m].Time,
-			}
-		}
-		results, err := f.rasterJoiner().MultiJoinContext(ctx,
-			core.Request{Points: points[dataset], Regions: rs}, specs)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			return nil, fmt.Errorf("urbane: metrics over %q: %w", dataset, err)
+			return nil, fmt.Errorf("urbane: metric %q: %w", spec.Name, err)
 		}
-		for j, m := range idxs {
-			for k := 0; k < n; k++ {
-				features[k][m] = results[j].Value(k, metrics[m].Agg)
-			}
+		for k := 0; k < n; k++ {
+			features[k][m] = res.Value(k, spec.Agg)
 		}
 	}
 

@@ -17,7 +17,6 @@ import (
 // routingReasons is the Reason each engine of the chain routes with.
 var routingReasons = map[string]string{
 	"cube":      "canned query served from pre-aggregation",
-	"exact":     "exact engine override",
 	"geoblocks": "unfiltered polygon aggregation: geoblocks hierarchy, or raster join when its boundary fringe costs more",
 	"slabs":     "time-windowed aggregation folded from cached slab partials",
 	"shards":    "ad-hoc query routed to raster join",
@@ -35,8 +34,6 @@ var routingReasons = map[string]string{
 // fringe refine) and "geoblocks/declined" (its cost rule handed the request
 // to the raster join); Plan names the link either way.
 func TestRoutingTable(t *testing.T) {
-	const exactName = "raster-join-accurate-300px"
-	exact := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(300))
 	ring := &data.RegionSet{Name: "ring", Regions: []data.Region{{ID: 0, Name: "ring",
 		Poly: geom.Polygon{Outer: geom.Ring{{X: 200, Y: 200}, {X: 800, Y: 250}, {X: 750, Y: 800}, {X: 250, Y: 750}}}}}}
 	// A fine layer is nearly all boundary fringe at the hierarchy's finest
@@ -64,34 +61,24 @@ func TestRoutingTable(t *testing.T) {
 	geoblocks := func(_ *testing.T, f *Framework) { f.EnableGeoBlocks(6) }
 	slabs := func(_ *testing.T, f *Framework) { f.EnableIncremental(3600, 0, 0) }
 	shards := func(_ *testing.T, f *Framework) { f.EnableSharding(2) }
-	exactOverride := func(_ *testing.T, f *Framework) {
-		f.mu.Lock()
-		f.reroute(func(pl *query.Planner) { pl.Exact = exact })
-		f.mu.Unlock()
-	}
 	configs := []struct {
-		name   string
-		raster []core.RJOption
-		setup  []setup
+		name  string
+		setup []setup
 		// want lists the engine per request, in requests order.
 		want [5]string
 	}{
-		{"bare", nil, nil, [5]string{"raster", "raster", "raster", "raster", "raster"}},
-		{"cube", nil, []setup{cube}, [5]string{"cube", "raster", "raster", "raster", "raster"}},
-		{"geoblocks", nil, []setup{geoblocks},
+		{"bare", nil, [5]string{"raster", "raster", "raster", "raster", "raster"}},
+		{"cube", []setup{cube}, [5]string{"cube", "raster", "raster", "raster", "raster"}},
+		{"geoblocks", []setup{geoblocks},
 			[5]string{"geoblocks/declined", "geoblocks/hybrid", "raster", "raster", "geoblocks/declined"}},
-		{"slabs", nil, []setup{slabs}, [5]string{"raster", "raster", "slabs", "raster", "raster"}},
-		{"shards", nil, []setup{shards}, [5]string{"shards", "shards", "shards", "shards", "shards"}},
-		{"everything", nil, []setup{cube, geoblocks, slabs, shards},
+		{"slabs", []setup{slabs}, [5]string{"raster", "raster", "slabs", "raster", "raster"}},
+		{"shards", []setup{shards}, [5]string{"shards", "shards", "shards", "shards", "shards"}},
+		{"everything", []setup{cube, geoblocks, slabs, shards},
 			[5]string{"cube", "geoblocks/hybrid", "slabs", "shards", "geoblocks/declined"}},
-		{"everything + exact override", nil, []setup{cube, geoblocks, slabs, shards, exactOverride},
-			[5]string{"cube", "exact", "exact", "exact", "exact"}},
-		{"shards over a polygons-first raster", []core.RJOption{core.WithStrategy(core.PolygonsFirst)},
-			[]setup{shards}, [5]string{"raster", "raster", "raster", "raster", "raster"}},
 	}
 
 	for _, cfg := range configs {
-		f, _, _ := buildTestFramework(t, cfg.raster...)
+		f, _, _ := buildTestFramework(t)
 		for _, rs := range []*data.RegionSet{ring, fine} {
 			if err := f.AddRegionSet(rs); err != nil {
 				t.Fatal(err)
@@ -140,8 +127,6 @@ func TestRoutingTable(t *testing.T) {
 				got = "geoblocks/declined"
 			case declined != 0:
 				got = "declined, then ran elsewhere"
-			case res.Algorithm == exactName:
-				got = "exact"
 			case spans["tcache.fold"]:
 				got = "slabs"
 			case spans["shard.scatter"]:

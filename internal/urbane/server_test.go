@@ -3,6 +3,7 @@ package urbane
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -170,6 +171,44 @@ func TestRankEndpoint(t *testing.T) {
 	}
 	if len(scores) != 11 {
 		t.Errorf("scores = %d, want 11", len(scores))
+	}
+	// MIN and MAX rank like any aggregate: by |v_k - v_target| over the
+	// map view's values for the same selection.
+	for _, agg := range []string{"min", "max"} {
+		sel := map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": agg, "attr": "fare"}
+		rec := doJSON(t, s, http.MethodPost, "/api/mapview", sel)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s mapview status = %d: %s", agg, rec.Code, rec.Body)
+		}
+		var view Choropleth
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+			t.Fatal(err)
+		}
+		values := map[int]float64{}
+		for _, v := range view.Values {
+			values[v.ID] = v.Value
+		}
+		rec = doJSON(t, s, http.MethodPost, "/api/rank", map[string]any{
+			"layer": "nbhd", "targetId": 2,
+			"metrics": []map[string]any{{"name": agg, "dataset": "taxi", "agg": agg, "attr": "fare"}},
+		})
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s rank status = %d: %s", agg, rec.Code, rec.Body)
+		}
+		var ranked []RegionScore
+		if err := json.Unmarshal(rec.Body.Bytes(), &ranked); err != nil {
+			t.Fatal(err)
+		}
+		if len(ranked) != len(values)-1 {
+			t.Fatalf("%s: %d scores, want %d", agg, len(ranked), len(values)-1)
+		}
+		target := values[2]
+		for i := 1; i < len(ranked); i++ {
+			prev := math.Abs(values[ranked[i-1].ID] - target)
+			if cur := math.Abs(values[ranked[i].ID] - target); cur < prev {
+				t.Fatalf("%s: rank %d (region %d, |dv| %v) after |dv| %v", agg, i, ranked[i].ID, cur, prev)
+			}
+		}
 	}
 	// Bad metric agg.
 	body["metrics"] = []map[string]any{{"name": "x", "dataset": "taxi", "agg": "mode"}}
