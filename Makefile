@@ -67,9 +67,10 @@ bench:
 
 # Short-budget fuzzing of the input decoders, the segment reader over
 # corrupted files, the query parser, the cache key and the selection entry
-# encoding, the series tile's per-bin pass against per-bin joins, the
-# row-edge exact test against Polygon.Contains and the point pass's pixel
-# map against the reference mapping; go test accepts one -fuzz target per
+# encoding, the series join against per-bin joins (all five aggregates,
+# both modes, the ε mode and small-texture tiled devices), the row-edge
+# exact test against Polygon.Contains and the point pass's pixel map
+# against the reference mapping; go test accepts one -fuzz target per
 # invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)

@@ -231,8 +231,8 @@ func TestSeriesJoinCancelBetweenBins(t *testing.T) {
 		got, err := rj.SeriesJoinContext(ctx, req, 0, int64(ps.Len()), 6)
 		requireDevDrained(t, dev, fmt.Sprintf("after %d polls", n))
 		if err == nil {
-			for b := range want.Stats {
-				statsBitIdentical(t, got.Stats[b], want.Stats[b], fmt.Sprintf("uncanceled at %d polls, bin %d", n, b))
+			for b := range want {
+				statsBitIdentical(t, got[b].Stats, want[b].Stats, fmt.Sprintf("uncanceled at %d polls, bin %d", n, b))
 			}
 			continue
 		}

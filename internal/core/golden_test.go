@@ -32,7 +32,11 @@ const (
 	approximateGolden = "763215e6b44abda85cca2ead819e604dfaf37080207a5fd5e79cb931b065ba83"
 	densityGolden     = "e9d5f1341bc28ff1f4d64afe88e44b8fd57184733c61a98f0e91e4e933e5c80e"
 	seriesGolden      = "74b0b3f0db61c5ad819d07c432c3fc65be2fcae7facd99f2bcb51faed5dfa686"
-	tiledGolden       = "ac082b75348ba2fe1d8f0c46b100112f724274224945200c0c551baf1aa4ae6e"
+	// seriesGridGolden was recorded before the series ran on the join's
+	// tile loop; the bins the series then refused — MIN/MAX, ε, tiled
+	// canvases — were recorded as one JoinContext per bin.
+	seriesGridGolden = "36f7ba64b710055face7311f83ef6d54bd36e4efb3b2450b8c3c50350492aeb9"
+	tiledGolden      = "ac082b75348ba2fe1d8f0c46b100112f724274224945200c0c551baf1aa4ae6e"
 	// filteredGolden was recorded before pass 1 folded points a chunk and a
 	// target at a time and pass 2 folded spans as texture rows. The filtered
 	// joins reproduce it from the in-RAM set and from a segment store, local
@@ -303,22 +307,52 @@ func TestDensityGolden(t *testing.T) {
 	checkDigest(t, h, densityGolden, "density")
 }
 
-// TestSeriesJoinGolden: a 12-bin accurate SUM series over the tracts hashes
-// to the recorded digest.
+// TestSeriesJoinGolden: 12-bin series of 20 k taxi points over the tracts
+// hash to the recorded digests — the accurate SUM series at 1024 px to
+// seriesGolden, and every aggregate in both modes at 1024 px, in the ε mode
+// and on a device whose 256-px texture limit tiles the canvas 16 ways to
+// seriesGridGolden, each bin's stats and metadata.
 func TestSeriesJoinGolden(t *testing.T) {
 	sc := workload.NYC(20_000, 2009)
 	jan := workload.Jan2009()
-	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(1024))
-	req := core.Request{Points: sc.Taxi, Regions: sc.Tracts, Agg: core.Sum, Attr: "fare"}
-	res, err := rj.SeriesJoinContext(context.Background(), req, jan.Start, jan.End, 12)
-	if err != nil {
-		t.Fatal(err)
+	grid := sha256.New()
+	for _, canvas := range []string{"1024px", "eps", "tiled"} {
+		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+			opts := []core.RJOption{core.WithMode(mode), core.WithResolution(1024)}
+			switch canvas {
+			case "eps":
+				opts = append(opts, core.WithEpsilon(60))
+			case "tiled":
+				opts = append(opts, core.WithDevice(gpu.New(gpu.WithMaxTextureSize(256))))
+			}
+			rj := core.NewRasterJoin(opts...)
+			for _, agg := range []core.Agg{core.Count, core.Sum, core.Avg, core.Min, core.Max} {
+				req := core.Request{Points: sc.Taxi, Regions: sc.Tracts, Agg: agg}
+				if agg.NeedsAttr() {
+					req.Attr = "fare"
+				}
+				bins, err := rj.SeriesJoinContext(context.Background(), req, jan.Start, jan.End, 12)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canvas == "tiled" && bins[0].Tiles != 16 {
+					t.Fatalf("%d tiles, want 16", bins[0].Tiles)
+				}
+				if canvas == "1024px" && mode == core.Accurate && agg == core.Sum {
+					h := sha256.New()
+					for _, res := range bins {
+						writeStats(h, res.Stats)
+					}
+					checkDigest(t, h, seriesGolden, "series")
+				}
+				for _, res := range bins {
+					writeStats(grid, res.Stats)
+					writeFloats(grid, float64(res.CanvasW), float64(res.CanvasH), float64(res.Tiles), res.PixelSize)
+				}
+			}
+		}
 	}
-	h := sha256.New()
-	for b := range res.Stats {
-		writeStats(h, res.Stats[b])
-	}
-	checkDigest(t, h, seriesGolden, "series")
+	checkDigest(t, grid, seriesGridGolden, "series grid")
 }
 
 // TestTiledJoinGolden: a join rendered as 16 canvas tiles, in both modes,

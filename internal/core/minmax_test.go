@@ -96,10 +96,14 @@ func TestMinMaxValidation(t *testing.T) {
 	if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Min}); err == nil {
 		t.Error("MIN without attribute should fail validation")
 	}
-	// Series joins reject MIN/MAX.
+	// So does a MIN series; with its attribute it is served.
 	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
-		Agg: core.Min, Attr: "v"}, 0, 100, 2); err == nil {
-		t.Error("series MIN should be rejected")
+		Agg: core.Min}, 0, 100, 2); err == nil {
+		t.Error("series MIN without attribute should fail validation")
+	}
+	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
+		Agg: core.Min, Attr: "v"}, 0, 100, 2); err != nil {
+		t.Errorf("series MIN: %v", err)
 	}
 }
 

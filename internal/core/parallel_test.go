@@ -136,8 +136,8 @@ func TestParallelSeriesJoinAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for b := range want.Stats {
-				statsBitIdentical(t, got.Stats[b], want.Stats[b], "series bin")
+			for b := range want {
+				statsBitIdentical(t, got[b].Stats, want[b].Stats, "series bin")
 			}
 		}
 	}

@@ -185,11 +185,39 @@ func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, err
 	return r.join(ctx, req, nil)
 }
 
-// join is the one tile pipeline. With a nil plan pass 1 scans the request's
-// source locally; with a plan (JoinScattered) pass 1 is scattered across
-// shard executors and gathered into the same tile state. Everything around
-// pass 1 is shared.
+// join runs JoinContext and, with a plan, JoinScattered: with a nil plan
+// pass 1 scans the request's source locally; with a plan pass 1 is
+// scattered across shard executors and gathered into the same tile state.
 func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
+	out, err := r.tileLoop(ctx, req, 1, plan == nil, func(t *tile, sc *Scan, attrIdx int, out []*Result) error {
+		var err error
+		if plan != nil {
+			err = t.gather(ctx, req, attrIdx, plan)
+		} else {
+			err = t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx)
+		}
+		if err != nil {
+			return err
+		}
+		return t.resolve(ctx, out[0].Stats)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// tileLoop is the pipeline every join shares, plain and series alike. It
+// validates req, passes the `core.join` fault site and returns bins results
+// with zeroed stats: when the layer's window or the data set is empty, with
+// no canvas; otherwise body runs once per tile of the full-resolution
+// canvas, on a fresh tile released on every exit path, the scan compiled
+// from req and re-aimed at the tile (nil unless scan: the scatter-gather
+// draws pass 1 on the shards) and the aggregate's attribute column, and the
+// results carry the canvas metadata.
+func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan bool,
+	body func(t *tile, sc *Scan, attrIdx int, out []*Result) error) ([]*Result, error) {
+
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -197,22 +225,19 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 	if err := fault.Inject(ctx, "core.join"); err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Stats:     make([]RegionStat, req.Regions.Len()),
-		Algorithm: r.Name(),
+	out := make([]*Result, bins)
+	for b := range out {
+		out[b] = &Result{Stats: make([]RegionStat, req.Regions.Len()), Algorithm: r.Name()}
 	}
 	window := req.Regions.Bounds()
 	src := req.Data()
 	if window.IsEmpty() || src.Len() == 0 {
-		return res, nil
+		return out, nil
 	}
 
 	full := r.fullTransform(window)
-	res.CanvasW, res.CanvasH = full.W, full.H
-	res.PixelSize = full.PixelWidth()
-
 	var sc *Scan
-	if plan == nil {
+	if scan {
 		var err error
 		if sc, err = r.newScan(req); err != nil {
 			return nil, err
@@ -224,15 +249,16 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 	}
 
 	tr := trace.FromContext(ctx)
+	tiles := 0
 	err := r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		res.Tiles++
+		tiles++
 		tr.Count("tiles", 1)
 		if sc != nil {
 			// Tiles render sequentially, so re-aiming the scan's spatial
-			// bound per tile is safe; within a tile the scan is only read.
+			// bound per tile — and a series' time window per bin — is safe.
 			sc.setWorld(c.T.World)
 		}
 		t, err := r.newTile(ctx, c, req.Regions, req.Agg)
@@ -240,20 +266,15 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 			return err
 		}
 		defer t.release()
-		if plan != nil {
-			err = t.gather(ctx, req, attrIdx, plan)
-		} else {
-			err = t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx)
-		}
-		if err != nil {
-			return err
-		}
-		return t.resolve(ctx, res.Stats)
+		return body(t, sc, attrIdx, out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	for _, res := range out {
+		res.CanvasW, res.CanvasH, res.Tiles, res.PixelSize = full.W, full.H, tiles, full.PixelWidth()
+	}
+	return out, nil
 }
 
 // fullTransform derives the full-resolution canvas transform from either the

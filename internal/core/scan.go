@@ -41,14 +41,9 @@ type residualPred struct {
 	filters      []attrFilter
 }
 
-// newResidualPred compiles filters (and, when tf is non-nil, the time
-// window) against the source's column order.
-func newResidualPred(src data.PointSource, filters []Filter, tf *TimeFilter) (residualPred, error) {
+// newResidualPred compiles filters against the source's column order.
+func newResidualPred(src data.PointSource, filters []Filter) (residualPred, error) {
 	var p residualPred
-	if tf != nil {
-		p.hasTime = true
-		p.tStart, p.tEnd = tf.Start, tf.End
-	}
 	for _, f := range filters {
 		idx := data.AttrIndex(src, f.Attr)
 		if idx < 0 {
@@ -126,19 +121,14 @@ type Scan struct {
 func (r *RasterJoin) newScan(req Request) (*Scan, error) {
 	src := req.Data()
 	sc := &Scan{Src: src, Lo: 0, Hi: src.Len(), prune: r.blockPrune}
-	tf := req.Time
-	if tf != nil && src.TimeSorted() {
-		var err error
-		sc.Lo, sc.Hi, err = sourceTimeWindow(src, tf.Start, tf.End)
-		if err != nil {
+	var err error
+	if sc.res, err = newResidualPred(src, req.Filters); err != nil {
+		return nil, err
+	}
+	if tf := req.Time; tf != nil {
+		if err := sc.setTime(tf.Start, tf.End); err != nil {
 			return nil, err
 		}
-		tf = nil
-	}
-	var err error
-	sc.res, err = newResidualPred(src, req.Filters, tf)
-	if err != nil {
-		return nil, err
 	}
 	sc.res.need(&sc.cols)
 	if req.Agg.NeedsAttr() {
@@ -165,6 +155,25 @@ func (sc *Scan) own(blocks []int, xlo, xhi float64) {
 
 // owns reports whether an owned scan keeps a point at world-x x.
 func (sc *Scan) owns(x float64) bool { return x >= sc.xlo && x < sc.xhi }
+
+// setTime aims the scan at the time window [start, end): the index range
+// by binary search on a time-sorted source, the residual predicate
+// otherwise. The series re-aims its scan once per bin; a scan whose source
+// is not time-sorted must have been compiled with a window, so its
+// projection reads the time column.
+func (sc *Scan) setTime(start, end int64) error {
+	if sc.Src.TimeSorted() {
+		lo, hi, err := sourceTimeWindow(sc.Src, start, end)
+		if err != nil {
+			return err
+		}
+		sc.Lo, sc.Hi, sc.res.hasTime = lo, hi, false
+		return nil
+	}
+	sc.Lo, sc.Hi = 0, sc.Src.Len()
+	sc.res.hasTime, sc.res.tStart, sc.res.tEnd = true, start, end
+	return nil
+}
 
 // setWorld bounds the scan spatially: blocks whose coordinate zones are
 // disjoint from the canvas window are pruned. The test keeps blocks that

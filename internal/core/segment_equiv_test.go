@@ -243,12 +243,12 @@ func TestSegmentSeriesEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(seg.Stats) != len(ram.Stats) {
-					t.Fatalf("%v: bins %d vs %d", agg.agg, len(seg.Stats), len(ram.Stats))
+				if len(seg) != len(ram) {
+					t.Fatalf("%v: bins %d vs %d", agg.agg, len(seg), len(ram))
 				}
 				label := fmt.Sprintf("%v/%s/sorted=%v/cache=%d", agg.agg, agg.filter.Attr, st.TimeSorted(), budget)
-				for b := range seg.Stats {
-					assertStatsBits(t, seg.Stats[b], ram.Stats[b], label)
+				for b := range seg {
+					assertStatsBits(t, seg[b].Stats, ram[b].Stats, label)
 				}
 			}
 		}
@@ -355,7 +355,7 @@ func TestSegmentStreamEquivalence(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return sr.Stats[0], nil
+				return sr[0].Stats, nil
 			}},
 		}
 		for _, n := range []int{1, 2, 4} {

@@ -2,176 +2,84 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
-	"repro/internal/data"
-	"repro/internal/fault"
 	"repro/internal/raster"
 	"repro/internal/trace"
 )
 
-// ErrSeriesUnsupported is wrapped by SeriesJoinContext when the request has
-// no single-tile series form: MIN/MAX aggregates, the ε mode, or a canvas
-// larger than one device pass. Callers
-// run one JoinContext per bin instead.
-var ErrSeriesUnsupported = errors.New("core: series join unsupported")
-
-// SeriesResult is the output of SeriesJoinContext: per-bin, per-region stats.
-type SeriesResult struct {
-	BinStarts []int64
-	// Stats[b][k] is region k's aggregate in bin b.
-	Stats [][]RegionStat
-	// Algorithm, CanvasW, CanvasH, Tiles and PixelSize are the metadata a
-	// JoinContext over any one bin reports: the shared canvas, or zeros
-	// (Algorithm aside) when the layer or the data set is empty.
-	Algorithm        string
-	CanvasW, CanvasH int
-	Tiles            int
-	PixelSize        float64
-}
-
-// Value returns the aggregate for bin b, region k.
-func (s *SeriesResult) Value(b, k int, agg Agg) float64 { return s.Stats[b][k].Value(agg) }
-
-// Bin returns bin b as the Result a JoinContext over the bin's window
-// returns, metadata included. Stats is shared with the series.
-func (s *SeriesResult) Bin(b int) *Result {
-	return &Result{
-		Stats:     s.Stats[b],
-		Algorithm: s.Algorithm,
-		CanvasW:   s.CanvasW, CanvasH: s.CanvasH,
-		Tiles: s.Tiles, PixelSize: s.PixelSize,
-	}
-}
-
 // SeriesJoinContext evaluates the request across consecutive time bins
-// spanning [start, end) on one tile: the polygon side — the compiled layer
-// from the span cache — is prepared once, and each bin is one point pass
-// over the (filtered) points of its window plus resolveBin, whose work
-// scales with the pixels the bin's points touched rather than with the
-// canvas. Every bin is bit-identical to a
-// JoinContext over its window at the same resolution and mode; the static
-// polygon work is paid once instead of bins times. Requests without that
-// form fail with ErrSeriesUnsupported.
+// spanning [start, end) and returns one Result per bin: bin b is exactly
+// the Result a JoinContext over the bin's window returns, metadata
+// included, for every aggregate, mode and canvas. It runs on the join's
+// tile loop. Each canvas tile prepares its polygon side — the compiled
+// layer from the span cache — once, and each bin is one point pass over the
+// (filtered) points of its window plus resolveBin, whose work scales with
+// the pixels the bin's points touched rather than with the canvas. A bin
+// folds each tile into a zeroed scratch that is then merged into the bin's
+// stats, as resolve merges its per-tile stats, so a canvas tiled into
+// several passes — the ε mode's or one larger than the device — gives every
+// bin the bits JoinContext gives it. The static polygon work is paid once
+// per tile instead of bins times.
 //
 // The request's own Time filter is ignored; the bin windows replace it. The
 // `core.join` fault site fires once per series. Cancellation is checked
-// between time bins and between point batches, and the canvas and pooled
-// textures are released on every exit path.
-func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, end int64, bins int) (*SeriesResult, error) {
+// between canvas tiles, time bins and point batches, and the canvas and
+// pooled textures are released on every exit path.
+func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, end int64, bins int) ([]*Result, error) {
 	if bins < 1 || end <= start {
 		return nil, fmt.Errorf("core: series needs bins >= 1 and a non-empty range")
 	}
-	switch {
-	case req.Agg == Min || req.Agg == Max:
-		return nil, fmt.Errorf("%w: COUNT/SUM/AVG only, not %v", ErrSeriesUnsupported, req.Agg)
-	case r.epsilon > 0:
-		return nil, fmt.Errorf("%w: needs resolution mode, not ε", ErrSeriesUnsupported)
-	}
-	req.Time = nil
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	src := req.Data()
-	if !src.HasTime() {
-		return nil, fmt.Errorf("core: series over point set %q without timestamps", src.Name())
-	}
-	if err := fault.Inject(ctx, "core.join"); err != nil {
-		return nil, err
-	}
-
-	out := &SeriesResult{
-		BinStarts: make([]int64, bins),
-		Stats:     make([][]RegionStat, bins),
-		Algorithm: r.Name(),
-	}
-	width := (end - start) / int64(bins)
-	if width < 1 {
-		width = 1
-	}
-	for b := 0; b < bins; b++ {
-		out.BinStarts[b] = start + int64(b)*width
-		out.Stats[b] = make([]RegionStat, req.Regions.Len())
-	}
-	window := req.Regions.Bounds()
-	if window.IsEmpty() || src.Len() == 0 {
-		return out, nil
-	}
-	full := r.fullTransform(window)
-	c, err := r.dev.NewCanvas(full.World, full.W, full.H)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v (reduce the resolution)", ErrSeriesUnsupported, err)
-	}
-	defer c.Release()
-	out.CanvasW, out.CanvasH, out.Tiles = full.W, full.H, 1
-	out.PixelSize = full.PixelWidth()
-
-	// The base scan carries the attribute filters; each bin re-aims its
-	// time bounds below (range narrowing when sorted, residual predicate
-	// otherwise). Bins run sequentially, so mutating the scan is safe.
-	sc, err := r.newScan(req)
-	if err != nil {
-		return nil, err
-	}
-	sc.setWorld(c.T.World)
-	sorted := src.TimeSorted()
-	sc.cols.T = !sorted // the bins' residual time predicate
-	attrIdx := -1
-	if req.Agg.NeedsAttr() {
-		attrIdx = data.AttrIndex(src, req.Attr)
-	}
-	t, err := r.newTile(ctx, c, req.Regions, req.Agg)
-	if err != nil {
-		return nil, err
-	}
-	defer t.release()
-	t.hit = raster.NewBitmap(c.T.W, c.T.H)
-	var runs raster.RowRuns
-	var slots raster.SlotIndex
-	var marks []uint64
-	if t.mask != nil {
-		runs, slots = t.sp.InteriorRows(), t.sp.SlotIndex()
-		marks = make([]uint64, (t.sp.BoundaryOffset(req.Regions.Len())+63)/64)
-	} else {
-		runs = t.sp.FillRows()
-	}
-	var nobs, tests int64
-
-	for b := 0; b < bins; b++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		binStart := out.BinStarts[b]
-		binEnd := binStart + width
-		if b == bins-1 {
-			binEnd = end
-		}
-		lo, hi := 0, src.Len()
-		if sorted {
-			if lo, hi, err = sourceTimeWindow(src, binStart, binEnd); err != nil {
-				return nil, err
-			}
-			sc.res.hasTime = false
+	width := max((end-start)/int64(bins), 1)
+	// The whole range stands in for the request's window: Validate then
+	// requires timestamps, and each bin re-aims the scan at its own window.
+	req.Time = &TimeFilter{Start: start, End: end}
+	return r.tileLoop(ctx, req, bins, true, func(t *tile, sc *Scan, attrIdx int, out []*Result) error {
+		t.hit = raster.NewBitmap(t.c.T.W, t.c.T.H)
+		var runs raster.RowRuns
+		var slots raster.SlotIndex
+		var marks []uint64
+		if t.mask != nil {
+			runs, slots = t.sp.InteriorRows(), t.sp.SlotIndex()
+			marks = make([]uint64, (t.sp.BoundaryOffset(t.sp.Regions())+63)/64)
 		} else {
-			sc.res.hasTime = true
-			sc.res.tStart, sc.res.tEnd = binStart, binEnd
+			runs = t.sp.FillRows()
 		}
-		if err := t.drawScan(ctx, sc, lo, hi, attrIdx); err != nil {
-			return nil, err
+		local := make([]RegionStat, t.sp.Regions())
+		var nobs, tests int64
+		for b, res := range out {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			binStart := start + int64(b)*width
+			binEnd := binStart + width
+			if b == bins-1 {
+				binEnd = end
+			}
+			if err := sc.setTime(binStart, binEnd); err != nil {
+				return err
+			}
+			if err := t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx); err != nil {
+				return err
+			}
+			n, e := t.resolveBin(runs, slots, marks, local)
+			nobs += n
+			tests += e
+			for k := range local {
+				res.Stats[k].Merge(local[k])
+				local[k] = RegionStat{}
+			}
 		}
-		n, e := t.resolveBin(runs, slots, marks, out.Stats[b])
-		nobs += n
-		tests += e
-	}
-	if t.mask != nil {
-		tr := trace.FromContext(ctx)
-		tr.Count("boundary_obs", nobs)
-		tr.Count("refine_edge_tests", tests)
-	}
-	return out, nil
+		if t.mask != nil {
+			tr := trace.FromContext(ctx)
+			tr.Count("boundary_obs", nobs)
+			tr.Count("refine_edge_tests", tests)
+		}
+		return nil
+	})
 }
 
 // resolveBin is resolve for one bin of a series tile, over only the pixels
@@ -191,9 +99,18 @@ func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, 
 func (t *tile) resolveBin(runs raster.RowRuns, slots raster.SlotIndex, marks []uint64, stats []RegionStat) (nobs, tests int64) {
 	w := t.c.T.W
 	count := t.count.Data
-	var sum []float64
-	if t.sum != nil {
+	// A pixel folds its count and its sum, or — for MIN/MAX — merges its
+	// count with its extremum texel as both Min and Max, the stat foldSpans
+	// merges; clearing restores the texel to the blend's ±Inf identity.
+	var sum, ext []float64
+	var identity float64
+	switch {
+	case t.sum != nil:
 		sum = t.sum.Data
+	case t.min != nil:
+		ext, identity = t.min.Data, math.Inf(1)
+	case t.max != nil:
+		ext, identity = t.max.Data, math.Inf(-1)
 	}
 	for y := 0; y < t.c.T.H; y++ {
 		words := t.hit.Row(y)
@@ -222,6 +139,10 @@ func (t *tile) resolveBin(runs raster.RowRuns, slots raster.SlotIndex, marks []u
 						continue
 					}
 					s := &stats[row[j].K]
+					if ext != nil {
+						s.Merge(RegionStat{Count: int64(count[idx]), Min: ext[idx], Max: ext[idx]})
+						continue
+					}
 					s.Count += int64(count[idx])
 					if sum != nil {
 						s.Sum += sum[idx]
@@ -230,6 +151,9 @@ func (t *tile) resolveBin(runs raster.RowRuns, slots raster.SlotIndex, marks []u
 				count[idx] = 0
 				if sum != nil {
 					sum[idx] = 0
+				}
+				if ext != nil {
+					ext[idx] = identity
 				}
 			}
 		}

@@ -17,35 +17,7 @@ func TestSeriesJoinMatchesPerBinJoins(t *testing.T) {
 	ps, rs := scene(4000, 10, 81)
 	rj := core.NewRasterJoin(core.WithResolution(256))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-
-	const bins = 6
-	start, end := int64(0), int64(ps.Len())
-	series, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series.Stats) != bins || len(series.BinStarts) != bins {
-		t.Fatalf("series shape: %d stats, %d bin starts", len(series.Stats), len(series.BinStarts))
-	}
-	width := (end - start) / bins
-	for b := 0; b < bins; b++ {
-		binEnd := series.BinStarts[b] + width
-		if b == bins-1 {
-			binEnd = end
-		}
-		perBin := req
-		perBin.Time = &core.TimeFilter{Start: series.BinStarts[b], End: binEnd}
-		want, err := rj.Join(perBin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want.Stats {
-			if series.Stats[b][k] != want.Stats[k] {
-				t.Fatalf("bin %d region %d: series %+v vs per-bin %+v",
-					b, k, series.Stats[b][k], want.Stats[k])
-			}
-		}
-	}
+	requireSeriesMatchesPerBin(t, rj, req, 0, int64(ps.Len()), 6, "approximate")
 }
 
 // Accurate series must match per-bin accurate joins — i.e. be exact —
@@ -54,32 +26,7 @@ func TestAccurateSeriesJoinIsExact(t *testing.T) {
 	ps, rs := scene(3000, 8, 91)
 	rj := core.NewRasterJoin(core.WithResolution(128), core.WithMode(core.Accurate))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-
-	const bins = 5
-	start, end := int64(0), int64(ps.Len())
-	series, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := (end - start) / bins
-	for b := 0; b < bins; b++ {
-		binEnd := series.BinStarts[b] + width
-		if b == bins-1 {
-			binEnd = end
-		}
-		perBin := req
-		perBin.Time = &core.TimeFilter{Start: series.BinStarts[b], End: binEnd}
-		want, err := rj.Join(perBin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range want.Stats {
-			if series.Stats[b][k] != want.Stats[k] {
-				t.Fatalf("bin %d region %d: accurate series %+v vs per-bin %+v",
-					b, k, series.Stats[b][k], want.Stats[k])
-			}
-		}
-	}
+	requireSeriesMatchesPerBin(t, rj, req, 0, int64(ps.Len()), 5, "accurate")
 }
 
 func TestSeriesJoinUnsortedTimes(t *testing.T) {
@@ -95,10 +42,8 @@ func TestSeriesJoinUnsortedTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int64
-	for b := range series.Stats {
-		for k := range series.Stats[b] {
-			total += series.Stats[b][k].Count
-		}
+	for _, bin := range series {
+		total += bin.TotalCount()
 	}
 	full, err := rj.Join(req)
 	if err != nil {
@@ -124,17 +69,18 @@ func TestSeriesJoinWithFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ft, ut int64
-	for b := range series.Stats {
-		for k := range series.Stats[b] {
-			ft += series.Stats[b][k].Count
-			ut += unfiltered.Stats[b][k].Count
-		}
+	for b := range series {
+		ft += series[b].TotalCount()
+		ut += unfiltered[b].TotalCount()
 	}
 	if ft == 0 || ft >= ut {
 		t.Errorf("filtered total %d should be in (0, %d)", ft, ut)
 	}
 }
 
+// TestSeriesJoinErrors: malformed series fail; the ε mode and a canvas
+// larger than the device, which run as several tiles, are served and match
+// per-bin joins.
 func TestSeriesJoinErrors(t *testing.T) {
 	ps, rs := scene(100, 4, 87)
 	rj := core.NewRasterJoin(core.WithResolution(64))
@@ -151,55 +97,80 @@ func TestSeriesJoinErrors(t *testing.T) {
 		t.Error("missing timestamps should fail")
 	}
 	eps := core.NewRasterJoin(core.WithEpsilon(5))
-	if _, err := eps.SeriesJoinContext(context.Background(), req, 0, 100, 2); err == nil {
-		t.Error("epsilon mode should refuse the fragment cache")
-	}
-	// Canvas too big for the device.
+	requireSeriesMatchesPerBin(t, eps, req, 0, 100, 2, "epsilon")
+	// A canvas too big for the device runs as 16 tiles.
 	big := core.NewRasterJoin(core.WithResolution(512),
 		core.WithDevice(gpu.New(gpu.WithMaxTextureSize(128))))
-	if _, err := big.SeriesJoinContext(context.Background(), req, 0, 100, 2); err == nil {
-		t.Error("oversized cache canvas should fail with advice")
+	if sr := requireSeriesMatchesPerBin(t, big, req, 0, 100, 2, "oversized"); sr[0].Tiles != 16 {
+		t.Fatalf("oversized canvas ran as %d tiles, want 16", sr[0].Tiles)
 	}
 }
 
+// TestSeriesResultValue: an AVG series carries the sums and counts of the
+// SUM and COUNT series over the same bins, so each bin's Value is their
+// quotient.
 func TestSeriesResultValue(t *testing.T) {
 	ps, rs := scene(500, 4, 93)
 	rj := core.NewRasterJoin(core.WithResolution(64), core.WithWorkers(1))
-	series, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
-		Agg: core.Avg, Attr: "v"}, 0, int64(ps.Len()), 2)
-	if err != nil {
-		t.Fatal(err)
+	series := func(agg core.Agg, attr string) []*core.Result {
+		sr, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
+			Agg: agg, Attr: attr}, 0, int64(ps.Len()), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sr
 	}
-	for b := range series.Stats {
-		for k := range series.Stats[b] {
-			want := series.Stats[b][k].Value(core.Avg)
-			if got := series.Value(b, k, core.Avg); got != want {
-				t.Fatalf("Value(%d,%d) = %v, want %v", b, k, got, want)
+	avg, sum, count := series(core.Avg, "v"), series(core.Sum, "v"), series(core.Count, "")
+	for b := range avg {
+		for k := range avg[b].Stats {
+			want := 0.0
+			if n := count[b].Value(k, core.Count); n > 0 {
+				want = sum[b].Value(k, core.Sum) / n
+			}
+			if got := avg[b].Value(k, core.Avg); got != want {
+				t.Fatalf("bin %d region %d: AVG %v, want %v", b, k, got, want)
 			}
 		}
 	}
 }
 
-// requireBinMatchesJoin asserts series bin b is the Result a JoinContext
-// over the bin's window returns: stats bit for bit, metadata included.
-func requireBinMatchesJoin(t *testing.T, rj *core.RasterJoin, req core.Request, sr *core.SeriesResult, b int, end int64, label string) {
-	t.Helper()
-	binEnd := end
-	if b+1 < len(sr.BinStarts) {
-		binEnd = sr.BinStarts[b+1]
+// binWindow is series bin b's time window: bins of (end-start)/bins, at
+// least 1, the last one ending at end.
+func binWindow(start, end int64, bins, b int) *core.TimeFilter {
+	width := max((end-start)/int64(bins), 1)
+	tf := &core.TimeFilter{Start: start + int64(b)*width, End: start + int64(b+1)*width}
+	if b == bins-1 {
+		tf.End = end
 	}
-	perBin := req
-	perBin.Time = &core.TimeFilter{Start: sr.BinStarts[b], End: binEnd}
-	want, err := rj.JoinContext(context.Background(), perBin)
+	return tf
+}
+
+// requireSeriesMatchesPerBin runs the series and asserts every bin is the
+// Result a JoinContext over the bin's window returns: stats bit for bit,
+// metadata included. It returns the series.
+func requireSeriesMatchesPerBin(t *testing.T, rj *core.RasterJoin, req core.Request, start, end int64, bins int, label string) []*core.Result {
+	t.Helper()
+	sr, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sr.Bin(b)
-	if got.Algorithm != want.Algorithm || got.CanvasW != want.CanvasW || got.CanvasH != want.CanvasH ||
-		got.Tiles != want.Tiles || math.Float64bits(got.PixelSize) != math.Float64bits(want.PixelSize) {
-		t.Fatalf("%s bin %d: metadata %+v, want %+v", label, b, *got, *want)
+	if len(sr) != bins {
+		t.Fatalf("%s: %d bins, want %d", label, len(sr), bins)
 	}
-	statsBitIdentical(t, got.Stats, want.Stats, fmt.Sprintf("%s bin %d", label, b))
+	for b, got := range sr {
+		perBin := req
+		perBin.Time = binWindow(start, end, bins, b)
+		want, err := rj.JoinContext(context.Background(), perBin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Algorithm != want.Algorithm || got.CanvasW != want.CanvasW || got.CanvasH != want.CanvasH ||
+			got.Tiles != want.Tiles || math.Float64bits(got.PixelSize) != math.Float64bits(want.PixelSize) {
+			t.Fatalf("%s bin %d: metadata %+v, want %+v", label, b, *got, *want)
+		}
+		statsBitIdentical(t, got.Stats, want.Stats, fmt.Sprintf("%s bin %d", label, b))
+	}
+	return sr
 }
 
 // TestSeriesSparseCases: resolveBin visits only touched pixels, so the
@@ -251,20 +222,13 @@ func TestSeriesSparseCases(t *testing.T) {
 			for _, ac := range []struct {
 				agg  core.Agg
 				attr string
-			}{{core.Count, ""}, {core.Sum, "v"}, {core.Avg, "v"}} {
+			}{{core.Count, ""}, {core.Sum, "v"}, {core.Avg, "v"}, {core.Min, "v"}, {core.Max, "v"}} {
 				req := core.Request{Points: ps, Regions: rs, Agg: ac.agg, Attr: ac.attr,
 					Filters: []core.Filter{{Attr: "w", Min: 5, Max: 55}}}
 				// Bins of 125 s over [-500, 1500): four empty, two between the
 				// squares only, ten over the whole canvas.
-				const start, end, bins = -500, 1500, 16
-				sr, err := rj.SeriesJoinContext(context.Background(), req, start, end, bins)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for b := 0; b < bins; b++ {
-					requireBinMatchesJoin(t, rj, req, sr, b, end,
-						fmt.Sprintf("%s/%v/%v", rs.Name, mode, ac.agg))
-				}
+				requireSeriesMatchesPerBin(t, rj, req, -500, 1500, 16,
+					fmt.Sprintf("%s/%v/%v", rs.Name, mode, ac.agg))
 			}
 		}
 	}
@@ -277,27 +241,27 @@ func TestSeriesEmptyDataSet(t *testing.T) {
 	empty := &data.PointSet{Name: "empty", X: []float64{}, Y: []float64{}, T: []int64{}}
 	rj := core.NewRasterJoin(core.WithResolution(64), core.WithMode(core.Accurate))
 	req := core.Request{Points: empty, Regions: rs, Agg: core.Count}
-	sr, err := rj.SeriesJoinContext(context.Background(), req, 0, 100, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.CanvasW != 0 || sr.Tiles != 0 {
-		t.Fatalf("empty series metadata %+v", *sr.Bin(0))
-	}
-	for b := range sr.Stats {
-		requireBinMatchesJoin(t, rj, req, sr, b, 100, "empty")
+	sr := requireSeriesMatchesPerBin(t, rj, req, 0, 100, 4, "empty")
+	if sr[0].CanvasW != 0 || sr[0].Tiles != 0 {
+		t.Fatalf("empty series metadata %+v", *sr[0])
 	}
 }
 
-// FuzzSeriesMatchesPerBin: for random bins, aggregates, filters, modes,
-// time orders and layers of overlapping rings, every series bin equals a
-// JoinContext over its window bit for bit, metadata included.
+// FuzzSeriesMatchesPerBin: for random bins, all five aggregates, filters,
+// modes, time orders, layers of overlapping rings and canvases — resolution
+// driven, the ε mode, and a device whose small texture limit tiles the
+// canvas — every series bin equals a JoinContext over its window bit for
+// bit, metadata included.
 func FuzzSeriesMatchesPerBin(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint8(0), false, false, false, uint8(3))
-	f.Add(int64(2), uint8(12), uint8(1), true, true, false, uint8(5))
-	f.Add(int64(3), uint8(1), uint8(2), true, false, true, uint8(1))
-	f.Add(int64(4), uint8(9), uint8(1), false, true, true, uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, bins, aggSel uint8, accurate, filter, unsorted bool, rings uint8) {
+	f.Add(int64(1), uint8(6), uint8(0), false, false, false, uint8(3), uint8(0))
+	f.Add(int64(2), uint8(12), uint8(1), true, true, false, uint8(5), uint8(0))
+	f.Add(int64(3), uint8(1), uint8(2), true, false, true, uint8(1), uint8(0))
+	f.Add(int64(4), uint8(9), uint8(1), false, true, true, uint8(6), uint8(0))
+	f.Add(int64(5), uint8(7), uint8(3), true, true, false, uint8(4), uint8(1))
+	f.Add(int64(6), uint8(10), uint8(4), false, false, true, uint8(5), uint8(2))
+	f.Add(int64(7), uint8(5), uint8(3), false, true, true, uint8(3), uint8(2))
+	f.Add(int64(8), uint8(8), uint8(4), true, false, false, uint8(6), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, bins, aggSel uint8, accurate, filter, unsorted bool, rings, canvas uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		ps := &data.PointSet{Name: "fuzz"}
 		n := 200 + rng.Intn(800)
@@ -330,15 +294,11 @@ func FuzzSeriesMatchesPerBin(f *testing.F) {
 		if accurate {
 			mode = core.Accurate
 		}
-		rj := core.NewRasterJoin(core.WithResolution(16+rng.Intn(80)), core.WithMode(mode))
+		opts := []core.RJOption{core.WithResolution(16 + rng.Intn(80)), core.WithMode(mode)}
 		req := core.Request{Points: ps, Regions: rs}
-		switch aggSel % 3 {
-		case 0:
-			req.Agg = core.Count
-		case 1:
-			req.Agg, req.Attr = core.Sum, "v"
-		default:
-			req.Agg, req.Attr = core.Avg, "v"
+		req.Agg = []core.Agg{core.Count, core.Sum, core.Avg, core.Min, core.Max}[aggSel%5]
+		if req.Agg.NeedsAttr() {
+			req.Attr = "v"
 		}
 		if filter {
 			lo := rng.Float64() * 40
@@ -347,12 +307,12 @@ func FuzzSeriesMatchesPerBin(f *testing.F) {
 		nb := 1 + int(bins%16)
 		start := rng.Int63n(1200) - 100
 		end := start + 1 + rng.Int63n(1200)
-		sr, err := rj.SeriesJoinContext(context.Background(), req, start, end, nb)
-		if err != nil {
-			t.Fatal(err)
+		switch canvas % 3 {
+		case 1:
+			opts = append(opts, core.WithEpsilon(0.5+rng.Float64()*8))
+		case 2:
+			opts = append(opts, core.WithDevice(gpu.New(gpu.WithMaxTextureSize(8+rng.Intn(40)))))
 		}
-		for b := 0; b < nb; b++ {
-			requireBinMatchesJoin(t, rj, req, sr, b, end, "fuzz")
-		}
+		requireSeriesMatchesPerBin(t, core.NewRasterJoin(opts...), req, start, end, nb, "fuzz")
 	})
 }

@@ -30,9 +30,9 @@ import (
 // The polygon side of all three — spans, boundary mask and slots, interior
 // runs, row-edge tables — is one raster.RegionSpans from the span cache.
 // JoinContext, the scatter-gather gather and SeriesJoinContext all run on
-// one tile; a shard's partial pass runs on the bare targets. A series tile
-// resolves each bin with resolveBin (series.go), passes 2 and 3 over only
-// the pixels the bin hit.
+// this tile, through one tile loop (tileLoop); a shard's partial pass runs
+// on the bare targets. A series tile resolves each bin with resolveBin
+// (series.go), passes 2 and 3 over only the pixels the bin hit.
 
 // obs is one retained boundary observation: the point's coordinates (for
 // the exact fix-up test), its aggregated value, the pixel column it landed

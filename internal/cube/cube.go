@@ -60,6 +60,10 @@ func Build(ps *data.PointSet, cfg Config) (*Cube, error) {
 	return build(ps, ps.Source(), cfg)
 }
 
+// buildShards is the number of point ranges build cuts the points into,
+// whatever the worker count.
+const buildShards = 16
+
 // build is Build reading the points through src, which must hold ps's
 // points in ps's order (ps.Source(), or a segment store written from ps).
 func build(ps *data.PointSet, src data.PointSource, cfg Config) (*Cube, error) {
@@ -108,75 +112,78 @@ func build(ps *data.PointSet, src data.PointSource, cfg Config) (*Cube, error) {
 	}
 	cols.Need(attrIdxs...)
 
-	// Parallel over point shards with per-shard cells, merged at the end.
-	// Each shard walks its index range in source blocks (zero-copy for the
-	// in-RAM set; read block by block, projected to X, Y, T when binning by
-	// time and the summed attributes, for segment-backed sources), so the
-	// per-shard accumulation order — and the float sums — are unchanged.
+	// Parallel over buildShards point shards with per-shard cells, merged
+	// in shard order. The shard cuts and the merge order are fixed, so the
+	// float sums — and the cube's bits — do not depend on GOMAXPROCS; the
+	// workers only decide how many shards run at once. Each shard walks its
+	// index range in source blocks (zero-copy for the in-RAM set; read block
+	// by block, projected to X, Y, T when binning by time and the summed
+	// attributes, for segment-backed sources).
 	//
 	// Race audit (sharedwrite-clean): each goroutine owns the `partial`
-	// it receives as an argument (counts/sums allocated per shard); the
+	// it receives as an argument (counts/sums allocated per worker); the
 	// spatial index and source blocks are read-only. The merge into
-	// c.counts/c.sums runs single-threaded after wg.Wait().
-	workers := runtime.GOMAXPROCS(0)
-	shard := (ps.Len() + workers - 1) / workers
-	if shard < 1 {
-		shard = 1
-	}
+	// c.counts/c.sums runs single-threaded after each wave's wg.Wait().
+	n := ps.Len()
+	shard := max((n+buildShards-1)/buildShards, 1)
+	workers := min(runtime.GOMAXPROCS(0), buildShards)
 	type partial struct {
 		counts []int64
 		sums   [][]float64
 	}
-	var wg sync.WaitGroup
-	parts := make([]partial, 0, workers)
-	for s := 0; s < ps.Len(); s += shard {
-		e := s + shard
-		if e > ps.Len() {
-			e = ps.Len()
+	parts := make([]partial, workers)
+	for w := range parts {
+		parts[w] = partial{counts: make([]int64, cells), sums: make([][]float64, len(cfg.Attrs))}
+		for i := range parts[w].sums {
+			parts[w].sums[i] = make([]float64, cells)
 		}
-		p := partial{counts: make([]int64, cells), sums: make([][]float64, len(cfg.Attrs))}
-		for i := range p.sums {
-			p.sums[i] = make([]float64, cells)
-		}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(s, e int, p partial) {
-			defer wg.Done()
-			_ = data.WalkBlocks(src, s, e, cols, func(blk *data.Block, bs, be int) error {
-				base := blk.Base
-				for i := bs; i < be; i++ {
-					j := i - base
-					pt := geom.Point{X: blk.X[j], Y: blk.Y[j]}
-					bin := 0
-					if c.cfg.TimeBin > 0 && blk.T != nil {
-						bin = int((blk.T[j] - c.start) / c.cfg.TimeBin)
-					}
-					tree.SearchPoint(pt, func(id int32) {
-						if !regions[id].Poly.Contains(pt) {
-							return
-						}
-						cell := bin*c.nr + int(id)
-						p.counts[cell]++
-						for a, ai := range attrIdxs {
-							//lint:ignore floataccum build hot path; error bounded per shard, partials merged below
-							p.sums[a][cell] += blk.Attr[ai][j]
-						}
-					})
-				}
-				return nil
-			})
-		}(s, e, p)
 	}
-	wg.Wait()
-	for _, p := range parts {
-		for i, v := range p.counts {
-			c.counts[i] += v
+	for wave := 0; wave < n; wave += workers * shard {
+		var wg sync.WaitGroup
+		used := 0
+		for s := wave; s < min(wave+workers*shard, n); s += shard {
+			wg.Add(1)
+			go func(s, e int, p partial) {
+				defer wg.Done()
+				_ = data.WalkBlocks(src, s, e, cols, func(blk *data.Block, bs, be int) error {
+					base := blk.Base
+					for i := bs; i < be; i++ {
+						j := i - base
+						pt := geom.Point{X: blk.X[j], Y: blk.Y[j]}
+						bin := 0
+						if c.cfg.TimeBin > 0 && blk.T != nil {
+							bin = int((blk.T[j] - c.start) / c.cfg.TimeBin)
+						}
+						tree.SearchPoint(pt, func(id int32) {
+							if !regions[id].Poly.Contains(pt) {
+								return
+							}
+							cell := bin*c.nr + int(id)
+							p.counts[cell]++
+							for a, ai := range attrIdxs {
+								//lint:ignore floataccum build hot path; error bounded per shard, partials merged below
+								p.sums[a][cell] += blk.Attr[ai][j]
+							}
+						})
+					}
+					return nil
+				})
+			}(s, min(s+shard, n), parts[used])
+			used++
 		}
-		for a, name := range cfg.Attrs {
-			dst := c.sums[name]
-			for i, v := range p.sums[a] {
-				//lint:ignore floataccum merge of at most GOMAXPROCS shard partials per cell
-				dst[i] += v
+		wg.Wait()
+		for _, p := range parts[:used] {
+			for i, v := range p.counts {
+				c.counts[i] += v
+			}
+			clear(p.counts)
+			for a, name := range cfg.Attrs {
+				dst := c.sums[name]
+				for i, v := range p.sums[a] {
+					//lint:ignore floataccum merge of buildShards shard partials per cell, in shard order
+					dst[i] += v
+				}
+				clear(p.sums[a])
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -245,5 +246,49 @@ func TestCubeMemoryCells(t *testing.T) {
 	c, _ := Build(ps, Config{Regions: rs, TimeBin: 3600})
 	if c.MemoryCells() != c.Bins()*rs.Len() {
 		t.Errorf("cells = %d, want %d", c.MemoryCells(), c.Bins()*rs.Len())
+	}
+}
+
+// TestCubeBuildIndependentOfGOMAXPROCS: the build's shard cuts and merge
+// order are fixed, so cubes built at 1, 2, 3 and 4 P answer SUM and AVG —
+// over the whole range and over an aligned window — with the same bits.
+func TestCubeBuildIndependentOfGOMAXPROCS(t *testing.T) {
+	ps, rs := cubeScene(50_000, 13)
+	// Values with long mantissas, so every reassociation of a cell's sum
+	// shows in its bits.
+	for i, v := range ps.Attrs[0].Values {
+		ps.Attrs[0].Values[i] = v * math.Pi * 1e3
+	}
+	window := &core.TimeFilter{Start: 3600, End: 7 * 3600}
+	var want [][]core.RegionStat
+	for _, procs := range []int{1, 2, 3, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		c, err := Build(ps, Config{Regions: rs, TimeBin: 3600, Attrs: []string{"v"}})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]core.RegionStat
+		for _, agg := range []core.Agg{core.Sum, core.Avg} {
+			for _, tf := range []*core.TimeFilter{nil, window} {
+				res, err := c.Join(core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v", Time: tf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, res.Stats)
+			}
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		for q := range got {
+			for k := range got[q] {
+				g, w := got[q][k], want[q][k]
+				if g.Count != w.Count || math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
+					t.Fatalf("%d P, query %d, region %d: %+v, want %+v (1 P)", procs, q, k, g, w)
+				}
+			}
+		}
 	}
 }

@@ -329,10 +329,6 @@ func (ix *Index) Len() int {
 	return len(ix.order) + len(ix.tailOrder)
 }
 
-// TailLen returns the number of points held by the tail CSR — zero for a
-// freshly built index, the appended-point count for a patched one.
-func (ix *Index) TailLen() int { return len(ix.tailOrder) }
-
 // CellWidth returns the finest-level cell's world width.
 func (ix *Index) CellWidth() float64 {
 	return ix.bounds.Width() / float64(int(1)<<ix.maxLevel)

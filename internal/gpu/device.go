@@ -110,15 +110,6 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the device counters.
-func (d *Device) ResetStats() {
-	d.drawCalls.Store(0)
-	d.passes.Store(0)
-	d.pointsIn.Store(0)
-	d.polygonsIn.Store(0)
-	d.fragmentsShaded.Store(0)
-}
-
 // LiveCanvases returns the number of canvases acquired and not yet released.
 func (d *Device) LiveCanvases() int64 { return d.liveCanvases.Load() }
 
@@ -283,42 +274,10 @@ func (c *Canvas) CountPoints(n, shaded int) {
 	c.dev.fragmentsShaded.Add(int64(shaded))
 }
 
-// DrawPolygon rasterizes a polygon with pixel-center coverage. The device
-// consumes concave polygons directly through its scanline pipeline, which
-// produces the identical fragment set a triangulated draw would — each
-// pixel center is covered by exactly one triangle of any valid
-// triangulation — without the CPU tessellation cost.
-func (c *Canvas) DrawPolygon(pg geom.Polygon, shader FragmentShader) {
-	c.dev.drawCalls.Add(1)
-	c.dev.polygonsIn.Add(1)
-	var shaded int64
-	raster.FillPolygon(c.T, pg, func(px, py int) {
-		shaded++
-		shader(px, py)
-	})
-	c.dev.fragmentsShaded.Add(shaded)
-}
-
-// DrawPolygonOutline conservatively rasterizes the polygon's boundary: the
-// shader runs for every pixel any edge passes through (possibly repeatedly
-// when several edges cross one pixel). Raster Join's accurate variant uses
-// this pass to locate the fragments that need exact point-in-polygon tests.
-func (c *Canvas) DrawPolygonOutline(pg geom.Polygon, shader FragmentShader) {
-	c.dev.drawCalls.Add(1)
-	c.dev.polygonsIn.Add(1)
-	var shaded int64
-	raster.BoundaryPixels(c.T, pg, func(px, py int) {
-		shaded++
-		shader(px, py)
-	})
-	c.dev.fragmentsShaded.Add(shaded)
-}
-
 // DrawSpans replays precompiled scanline spans — a region's fill or
-// interior from raster.CompileRegions, the polygon pass of every join. A
-// region's fill visits the fragments DrawPolygon would on the geometry the
-// spans were compiled from, in the same row-major, left-to-right order, so
-// results are bit-identical to a direct draw.
+// interior from raster.CompileRegions. A region's fill visits the fragments
+// raster.FillPolygon visits on the geometry the spans were compiled from,
+// in the same row-major, left-to-right order.
 func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
 	var shaded int64
 	for _, s := range spans {

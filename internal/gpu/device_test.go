@@ -59,38 +59,6 @@ func TestDrawPointsCullsAndShades(t *testing.T) {
 	}
 }
 
-func TestDrawPolygonAdditiveBlend(t *testing.T) {
-	d := New()
-	c, _ := d.NewCanvas(testWorld(), 8, 8)
-	tex := NewTexture(8, 8)
-	pg := geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}))
-	c.DrawPolygon(pg, func(px, py int) { tex.Add(px, py, 1) })
-	c.DrawPolygon(pg, func(px, py int) { tex.Add(px, py, 1) })
-	if tex.At(1, 1) != 2 {
-		t.Errorf("double draw should blend to 2, got %v", tex.At(1, 1))
-	}
-	if tex.Sum() != 32 {
-		t.Errorf("sum = %v, want 2 draws x 16 pixels", tex.Sum())
-	}
-}
-
-func TestDrawPolygonOutline(t *testing.T) {
-	d := New()
-	c, _ := d.NewCanvas(testWorld(), 8, 8)
-	pg := geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 1.5, MinY: 1.5, MaxX: 6.5, MaxY: 6.5}))
-	marked := map[[2]int]bool{}
-	c.DrawPolygonOutline(pg, func(px, py int) { marked[[2]int{px, py}] = true })
-	// Every corner cell of the rect must be marked; the interior must not.
-	for _, cell := range [][2]int{{1, 1}, {6, 1}, {6, 6}, {1, 6}} {
-		if !marked[cell] {
-			t.Errorf("outline should mark corner cell %v", cell)
-		}
-	}
-	if marked[[2]int{4, 4}] {
-		t.Error("outline should not mark deep-interior cell")
-	}
-}
-
 func TestTiles(t *testing.T) {
 	d := New(WithMaxTextureSize(16))
 	full := raster.NewTransform(geom.BBox{MinX: 0, MinY: 0, MaxX: 40, MaxY: 40}, 40, 40)
@@ -138,16 +106,6 @@ func TestTilesPixelAlignment(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	d := New()
-	c, _ := d.NewCanvas(testWorld(), 4, 4)
-	c.DrawPoints(1, func(int) (float64, float64) { return 1, 1 }, func(int, int, int) {})
-	d.ResetStats()
-	if st := d.Stats(); st != (Stats{}) {
-		t.Errorf("stats after reset = %+v, want zero", st)
 	}
 }
 

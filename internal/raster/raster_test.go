@@ -132,10 +132,12 @@ func collect(fill func(visit func(x, y int))) map[[2]int]int {
 	return m
 }
 
+// The TestFillRing cases fill one ring as a hole-free polygon. Over the
+// full grid it covers every pixel once.
 func TestFillRingFullGrid(t *testing.T) {
 	tr := unit16()
-	ring := geom.RectRing(geom.BBox{MinX: 0, MinY: 0, MaxX: 16, MaxY: 16})
-	got := collect(func(v func(x, y int)) { FillRing(tr, ring, v) })
+	pg := geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 0, MinY: 0, MaxX: 16, MaxY: 16}))
+	got := collect(func(v func(x, y int)) { FillPolygon(tr, pg, v) })
 	if len(got) != 256 {
 		t.Errorf("full-grid fill = %d pixels, want 256", len(got))
 	}
@@ -151,8 +153,8 @@ func TestFillRingHalfPixelRect(t *testing.T) {
 	// Rectangle [2.5, 5.5] x [3.5, 4.5]: covers centers x in {3.5,4.5},
 	// wait — centers are at *.5; x-range [2.5,5.5) covers centers 2.5,3.5,4.5
 	// => px 2,3,4; y-range [3.5,4.5) covers center 3.5 => py 3.
-	ring := geom.RectRing(geom.BBox{MinX: 2.5, MinY: 3.5, MaxX: 5.5, MaxY: 4.5})
-	got := collect(func(v func(x, y int)) { FillRing(tr, ring, v) })
+	pg := geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 2.5, MinY: 3.5, MaxX: 5.5, MaxY: 4.5}))
+	got := collect(func(v func(x, y int)) { FillPolygon(tr, pg, v) })
 	want := map[[2]int]bool{{2, 3}: true, {3, 3}: true, {4, 3}: true}
 	if len(got) != len(want) {
 		t.Fatalf("fill = %v, want keys %v", got, want)
@@ -168,8 +170,8 @@ func TestFillRingTinyPolygonNoCenters(t *testing.T) {
 	tr := unit16()
 	// A polygon that covers no pixel center produces no fragments — exactly
 	// the GPU behaviour that makes unbounded raster join approximate.
-	ring := geom.RectRing(geom.BBox{MinX: 3.6, MinY: 3.6, MaxX: 3.9, MaxY: 3.9})
-	got := collect(func(v func(x, y int)) { FillRing(tr, ring, v) })
+	pg := geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 3.6, MinY: 3.6, MaxX: 3.9, MaxY: 3.9}))
+	got := collect(func(v func(x, y int)) { FillPolygon(tr, pg, v) })
 	if len(got) != 0 {
 		t.Errorf("sub-pixel fill = %v, want none", got)
 	}

@@ -62,11 +62,6 @@ func FillPolygonSpans(t Transform, pg geom.Polygon, visit func(py, x0, x1 int)) 
 	}
 }
 
-// FillRing scan-converts a single ring with center sampling.
-func FillRing(t Transform, r geom.Ring, visit func(px, py int)) {
-	FillPolygon(t, geom.Polygon{Outer: r}, visit)
-}
-
 // ringCrossings appends the x coordinates where the ring's edges cross the
 // horizontal line y=cy, using the half-open rule (an edge covers its lower
 // endpoint, excludes its upper) so shared vertices are counted exactly once.

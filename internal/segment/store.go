@@ -18,16 +18,15 @@ import (
 // for concurrent readers; columns are immutable once read and stay valid
 // for callers still holding them after eviction.
 type Store struct {
-	r         io.ReaderAt
-	closer    io.Closer
-	name      string
-	version   uint32
-	blockSize int
-	hasTime   bool
-	sorted    bool
-	attrs     []string
-	all       data.Columns
-	stamp     uint64
+	r       io.ReaderAt
+	closer  io.Closer
+	name    string
+	version uint32
+	hasTime bool
+	sorted  bool
+	attrs   []string
+	all     data.Columns
+	stamp   uint64
 
 	counts []int
 	starts []int // cumulative point index; starts[nb] == Len()
@@ -165,7 +164,8 @@ func (s *Store) load(size int64) error {
 	if s.version != Version {
 		return fmt.Errorf("segment: unsupported format version %d (reader supports %d)", s.version, Version)
 	}
-	s.blockSize = int(binary.LittleEndian.Uint32(head[8:]))
+	// head[8:12] is the writer's nominal block size; the TOC's block
+	// spans are what the reader uses.
 	s.hasTime = head[12]&flagHasTime != 0
 	// Variable-length tail of the header: name and attribute names.
 	// Bounded by the TOC offset; read it in one shot (names are tiny).
@@ -323,9 +323,6 @@ func (s *Store) BlockSpan(b int) (lo, hi int) { return s.starts[b], s.starts[b+1
 
 // Zone returns block b's zone map (resident; no IO).
 func (s *Store) Zone(b int) data.Zone { return s.zones[b] }
-
-// BlockSize returns the nominal points-per-block.
-func (s *Store) BlockSize() int { return s.blockSize }
 
 // CacheStats snapshots the column cache counters; Entries counts columns.
 func (s *Store) CacheStats() lru.Stats {

@@ -295,7 +295,7 @@ func TestCanServeRouting(t *testing.T) {
 // are untouched.
 func TestCacheRekey(t *testing.T) {
 	c := tcache.NewCache(1 << 20)
-	p := &tcache.Partial{Stats: []core.RegionStat{{Count: 1}}}
+	p := &core.Result{Stats: []core.RegionStat{{Count: 1}}}
 	for slab := int64(0); slab < 10; slab++ {
 		c.Put(1, "sig", slab*3600, p)
 	}
@@ -331,7 +331,7 @@ func TestCacheRekey(t *testing.T) {
 // and refuses entries larger than the whole cache.
 func TestCacheEviction(t *testing.T) {
 	c := tcache.NewCache(1000) // a few ~230-byte entries
-	small := &tcache.Partial{Stats: []core.RegionStat{{Count: 1}}}
+	small := &core.Result{Stats: []core.RegionStat{{Count: 1}}}
 	for slab := int64(0); slab < 20; slab++ {
 		c.Put(1, "sig", slab, small)
 	}
@@ -350,7 +350,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Error("oldest entry survived past the budget")
 	}
 
-	huge := &tcache.Partial{Stats: make([]core.RegionStat, 1<<10)}
+	huge := &core.Result{Stats: make([]core.RegionStat, 1<<10)}
 	c.Put(1, "sig", 999, huge)
 	if _, ok := c.Get(1, "sig", 999); ok {
 		t.Error("entry larger than the cache was admitted")

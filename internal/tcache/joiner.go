@@ -18,10 +18,11 @@ var ErrUnsupported = errors.New("tcache: unsupported")
 
 // Joiner answers slab-aligned time-windowed aggregation requests as a
 // chronological fold of cached slab partials, computing missing slabs
-// through the wrapped joiner. It implements core.ContextJoiner; requests
-// CanServe rejects delegate to the wrapped joiner unchanged.
+// as series joins of the wrapped raster joiner. It implements
+// core.ContextJoiner; requests CanServe rejects delegate to the wrapped
+// joiner unchanged.
 type Joiner struct {
-	next  core.ContextJoiner
+	next  *core.RasterJoin
 	gran  int64
 	limit int
 	cache *Cache
@@ -33,7 +34,7 @@ type Joiner struct {
 // New returns a slab joiner at the given granularity (the server's
 // -time-snap bucket, > 1) over next. cacheBytes <= 0 uses
 // DefaultCacheBytes; maxSlabs <= 0 uses DefaultMaxSlabs.
-func New(next core.ContextJoiner, gran int64, cacheBytes int64, maxSlabs int) *Joiner {
+func New(next *core.RasterJoin, gran int64, cacheBytes int64, maxSlabs int) *Joiner {
 	if maxSlabs <= 0 {
 		maxSlabs = DefaultMaxSlabs
 	}
@@ -107,13 +108,12 @@ func (j *Joiner) Join(req core.Request) (*core.Result, error) {
 // JoinContext answers the request as a chronological fold of slab
 // partials. Each maximal run of missing slabs is computed by one series join
 // of the wrapped joiner, one bin per slab, so the polygon side of the run is
-// prepared once; where series refuses (MIN/MAX, ε, oversized canvases) the
-// run computes slab by slab through JoinContext with the window narrowed to
-// one slab. Both forms are bit-identical to a JoinContext over the slab and
-// poll ctx themselves. The fold is the canonical compute path: a warm fold
-// and a cold fold of the same window are bit-identical, because per-slab
-// computes are deterministic and the merge runs in fixed chronological
-// order with one compensated sum per region.
+// prepared once; each bin is bit-identical to a JoinContext over its slab,
+// for every aggregate, mode and canvas, and the series polls ctx itself.
+// The fold is the canonical compute path: a warm fold and a cold fold of
+// the same window are bit-identical, because per-slab computes are
+// deterministic and the merge runs in fixed chronological order with one
+// compensated sum per region.
 func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
 	if err := j.CanServe(req); err != nil {
 		return j.next.JoinContext(ctx, req)
@@ -131,7 +131,7 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 
 	n := int((req.Time.End - req.Time.Start) / j.gran)
 	slab := func(i int) int64 { return req.Time.Start + int64(i)*j.gran }
-	parts := make([]*Partial, n)
+	parts := make([]*core.Result, n)
 	var reused, recomputed int64
 	for i := range parts {
 		if p, ok := j.cache.Get(stamp, sig, slab(i)); ok {
@@ -148,9 +148,11 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		for hi < n && parts[hi] == nil {
 			hi++
 		}
-		if err := j.compute(ctx, req, slab(lo), parts[lo:hi]); err != nil {
+		run, err := j.next.SeriesJoinContext(ctx, req, slab(lo), slab(hi), hi-lo)
+		if err != nil {
 			return nil, err
 		}
+		copy(parts[lo:hi], run)
 		for i := lo; i < hi; i++ {
 			j.cache.Put(stamp, sig, slab(i), parts[i])
 		}
@@ -201,56 +203,7 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 	// signature carries identical Algorithm/canvas fields. Reporting the
 	// wrapped joiner's own name keeps single-slab responses byte-identical
 	// to the legacy path.
-	first := parts[0]
-	return &core.Result{
-		Stats:     stats,
-		Algorithm: first.Algorithm,
-		CanvasW:   first.CanvasW, CanvasH: first.CanvasH,
-		Tiles: first.Tiles, PixelSize: first.PixelSize,
-	}, nil
-}
-
-// seriesJoiner is the wrapped joiner's optional series form
-// (core.RasterJoin.SeriesJoinContext).
-type seriesJoiner interface {
-	SeriesJoinContext(ctx context.Context, req core.Request, start, end int64, bins int) (*core.SeriesResult, error)
-}
-
-// compute fills out with the partials of the consecutive slabs from start:
-// one series join when the wrapped joiner has one that accepts the
-// request, one JoinContext per slab otherwise.
-func (j *Joiner) compute(ctx context.Context, req core.Request, start int64, out []*Partial) error {
-	if sj, ok := j.next.(seriesJoiner); ok {
-		sr, err := sj.SeriesJoinContext(ctx, req, start, start+int64(len(out))*j.gran, len(out))
-		if err == nil {
-			for b := range out {
-				out[b] = partialOf(sr.Bin(b))
-			}
-			return nil
-		}
-		if !errors.Is(err, core.ErrSeriesUnsupported) {
-			return err
-		}
-	}
-	for i := range out {
-		slab := start + int64(i)*j.gran
-		sreq := req
-		sreq.Time = &core.TimeFilter{Start: slab, End: slab + j.gran}
-		res, err := j.next.JoinContext(ctx, sreq)
-		if err != nil {
-			return err
-		}
-		out[i] = partialOf(res)
-	}
-	return nil
-}
-
-// partialOf keeps what the fold reproduces of one slab's result.
-func partialOf(res *core.Result) *Partial {
-	return &Partial{
-		Stats:     res.Stats,
-		Algorithm: res.Algorithm,
-		CanvasW:   res.CanvasW, CanvasH: res.CanvasH,
-		Tiles: res.Tiles, PixelSize: res.PixelSize,
-	}
+	res := *parts[0]
+	res.Stats = stats
+	return &res, nil
 }

@@ -1,10 +1,10 @@
 package tcache_test
 
 // Series-backed folds: every run of missing slabs is computed as the bins of
-// one series tile. Nothing observable may change — a cold fold via series
-// equals the per-slab fold and the warm fold field for field — and the
-// requests series refuses, appends landing mid-fold, the core.join fault
-// site and an empty data set behave as on the per-slab path.
+// one series, for every aggregate, mode and canvas. A cold fold equals the
+// per-slab fold, written out here over one JoinContext per slab, and the
+// warm fold field for field; appends landing mid-fold, the core.join fault
+// site and an empty data set behave as a per-slab fold would.
 
 import (
 	"context"
@@ -17,36 +17,81 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/fault"
+	"repro/internal/fsum"
+	"repro/internal/gpu"
 	"repro/internal/tcache"
 )
 
-// perSlab hides the wrapped joiner's series form, forcing the per-slab fold.
-type perSlab struct{ core.ContextJoiner }
-
-// counting wraps a raster joiner and counts the computes a fold issued:
-// series that ran, and per-slab joins. after, when set, runs once the first
-// series returns — between a fold's compute and its puts.
-type counting struct {
-	*core.RasterJoin
-	series, slabs int
-	after         func()
+// joinCounter returns a context that counts the passes of the core.join
+// fault site — one per series, one per plain join — and a func reading the
+// count.
+func joinCounter() (context.Context, func() uint64) {
+	reg := fault.New(1)
+	reg.Set("core.join", fault.Rule{Prob: 0})
+	return fault.NewContext(context.Background(), reg), func() uint64 { return reg.Counts()["core.join"][0] }
 }
 
-func (c *counting) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
-	c.slabs++
-	return c.RasterJoin.JoinContext(ctx, req)
+// onFirstPoll is a context that runs after once, at the first Err poll —
+// inside a fold's first series, after the fold read its snapshot stamp and
+// before its puts.
+type onFirstPoll struct {
+	context.Context
+	after func()
 }
 
-func (c *counting) SeriesJoinContext(ctx context.Context, req core.Request, start, end int64, bins int) (*core.SeriesResult, error) {
-	sr, err := c.RasterJoin.SeriesJoinContext(ctx, req, start, end, bins)
-	if err == nil {
-		c.series++
-		if c.after != nil {
-			c.after()
-			c.after = nil
+func (c *onFirstPoll) Err() error {
+	if c.after != nil {
+		c.after()
+		c.after = nil
+	}
+	return c.Context.Err()
+}
+
+// perSlabFold is the fold written out: one JoinContext per slab, merged in
+// chronological order — counts add, min/max are monotone over nonempty
+// slabs, sums go through one Kahan accumulator per region — with the first
+// slab's metadata.
+func perSlabFold(t *testing.T, rj *core.RasterJoin, req core.Request, gran int64) *core.Result {
+	t.Helper()
+	var out *core.Result
+	var sums []fsum.Kahan
+	for slab := req.Time.Start; slab < req.Time.End; slab += gran {
+		sreq := req
+		sreq.Time = &core.TimeFilter{Start: slab, End: slab + gran}
+		res, err := rj.JoinContext(context.Background(), sreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out == nil {
+			first := *res
+			first.Stats = make([]core.RegionStat, len(res.Stats))
+			out, sums = &first, make([]fsum.Kahan, len(res.Stats))
+		}
+		for r, ps := range res.Stats {
+			if ps.Count == 0 {
+				continue
+			}
+			s := &out.Stats[r]
+			if s.Count == 0 {
+				s.Min, s.Max = ps.Min, ps.Max
+			} else {
+				if ps.Min < s.Min {
+					s.Min = ps.Min
+				}
+				if ps.Max > s.Max {
+					s.Max = ps.Max
+				}
+			}
+			s.Count += ps.Count
+			sums[r].Add(ps.Sum)
 		}
 	}
-	return sr, err
+	for r := range out.Stats {
+		if out.Stats[r].Count > 0 {
+			out.Stats[r].Sum = sums[r].Sum()
+		}
+	}
+	return out
 }
 
 // requireSame is reflect.DeepEqual on two results, falling back to the
@@ -68,10 +113,9 @@ func shuffled(ps *data.PointSet, seed int64) *data.PointSet {
 
 // TestSeriesFoldMatchesPerSlabFold: over COUNT/SUM/AVG × both modes ×
 // filters × time-sorted and unsorted sources, a cold fold computed through
-// series equals the per-slab fold and the warm fold of the same window.
+// one series equals the per-slab fold and the warm fold of the same window.
 func TestSeriesFoldMatchesPerSlabFold(t *testing.T) {
 	sorted := buildTemporalScene(t, 3000, 77)
-	ctx := context.Background()
 	const gran = 3600
 	for _, src := range []struct {
 		name string
@@ -80,7 +124,7 @@ func TestSeriesFoldMatchesPerSlabFold(t *testing.T) {
 		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 			rng := rand.New(rand.NewSource(int64(mode) + 17))
 			rs := queryRegions(rng)
-			raster := &counting{RasterJoin: core.NewRasterJoin(core.WithMode(mode), core.WithResolution(96))}
+			raster := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(96))
 			for i, ac := range []struct {
 				agg  core.Agg
 				attr string
@@ -93,19 +137,15 @@ func TestSeriesFoldMatchesPerSlabFold(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s/%v/%d/%v", src.name, mode, i, filters != nil)
 					series := tcache.New(raster, gran, 0, 0)
-					before := raster.series
+					ctx, joins := joinCounter()
 					cold, err := series.JoinContext(ctx, req)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if raster.series != before+1 {
-						t.Fatalf("%s: cold fold ran %d series, want 1", label, raster.series-before)
+					if n := joins(); n != 1 {
+						t.Fatalf("%s: cold fold ran %d series, want 1", label, n)
 					}
-					perSlabFold, err := tcache.New(perSlab{raster.RasterJoin}, gran, 0, 0).JoinContext(ctx, req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSame(t, label+" series-vs-per-slab", cold, perSlabFold)
+					requireSame(t, label+" series-vs-per-slab", cold, perSlabFold(t, raster, req, gran))
 					warm, err := series.JoinContext(ctx, req)
 					if err != nil {
 						t.Fatal(err)
@@ -122,8 +162,8 @@ func TestSeriesFoldMatchesPerSlabFold(t *testing.T) {
 func TestPartiallyWarmFoldMatchesCold(t *testing.T) {
 	ps := buildTemporalScene(t, 3000, 19)
 	rs := queryRegions(rand.New(rand.NewSource(23)))
-	raster := &counting{RasterJoin: core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))}
-	ctx := context.Background()
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))
+	ctx, joins := joinCounter()
 	const gran = 1800
 	window := func(lo, hi int64) core.Request {
 		return core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "w",
@@ -136,13 +176,13 @@ func TestPartiallyWarmFoldMatchesCold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := raster.series
+	before := joins()
 	got, err := j.JoinContext(ctx, window(0, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Missing runs: [0,2), [4,7), [8,11), [12,14).
-	if n := raster.series - before; n != 4 {
+	if n := joins() - before; n != 4 {
 		t.Fatalf("partially warm fold ran %d series, want 4", n)
 	}
 	cold, err := tcache.New(raster, gran, 0, 0).JoinContext(ctx, window(0, 14))
@@ -152,12 +192,12 @@ func TestPartiallyWarmFoldMatchesCold(t *testing.T) {
 	requireSame(t, "partially-warm-vs-cold", got, cold)
 }
 
-// TestRefusedRequestsFoldPerSlab: MIN/MAX and the ε mode, which series
-// refuses, still fold one JoinContext per slab.
-func TestRefusedRequestsFoldPerSlab(t *testing.T) {
+// TestMinMaxEpsilonFoldOneSeriesPerRun: MIN/MAX, the ε mode and a canvas
+// tiled by the device fold one series per missing run, like every other
+// request, and equal the per-slab fold.
+func TestMinMaxEpsilonFoldOneSeriesPerRun(t *testing.T) {
 	ps := buildTemporalScene(t, 2000, 31)
 	rs := queryRegions(rand.New(rand.NewSource(37)))
-	ctx := context.Background()
 	const gran, slabs = 3600, 6
 	tf := &core.TimeFilter{Start: 3 * gran, End: (3 + slabs) * gran}
 	for _, tc := range []struct {
@@ -171,20 +211,29 @@ func TestRefusedRequestsFoldPerSlab(t *testing.T) {
 			core.Request{Points: ps, Regions: rs, Agg: core.Max, Attr: "w", Time: tf}},
 		{"epsilon", core.NewRasterJoin(core.WithMode(core.Accurate), core.WithEpsilon(12)),
 			core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "w", Time: tf}},
+		{"tiled-max", core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96),
+			core.WithDevice(gpu.New(gpu.WithMaxTextureSize(32)))),
+			core.Request{Points: ps, Regions: rs, Agg: core.Max, Attr: "v", Time: tf}},
 	} {
-		raster := &counting{RasterJoin: tc.rj}
-		got, err := tcache.New(raster, gran, 0, 0).JoinContext(ctx, tc.req)
+		j := tcache.New(tc.rj, gran, 0, 0)
+		ctx, joins := joinCounter()
+		// Warm the middle slab: the cold fold then has two missing runs.
+		mid := tc.req
+		mid.Time = &core.TimeFilter{Start: 5 * gran, End: 6 * gran}
+		if _, err := j.JoinContext(ctx, mid); err != nil {
+			t.Fatal(err)
+		}
+		got, err := j.JoinContext(ctx, tc.req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if raster.series != 0 || raster.slabs != slabs {
-			t.Fatalf("%s: %d series and %d slab joins, want 0 and %d", tc.name, raster.series, raster.slabs, slabs)
+		if n := joins(); n != 1+2 {
+			t.Fatalf("%s: %d series, want 3", tc.name, n)
 		}
-		want, err := tcache.New(perSlab{tc.rj}, gran, 0, 0).JoinContext(ctx, tc.req)
-		if err != nil {
-			t.Fatal(err)
+		if tc.name == "tiled-max" && got.Tiles < 2 {
+			t.Fatalf("tiled-max ran on %d tile", got.Tiles)
 		}
-		requireSame(t, tc.name, got, want)
+		requireSame(t, tc.name, got, perSlabFold(t, tc.rj, tc.req, gran))
 	}
 }
 
@@ -196,8 +245,7 @@ func TestRefusedRequestsFoldPerSlab(t *testing.T) {
 func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	ps := buildTemporalScene(t, 3000, 43)
 	rs := queryRegions(rand.New(rand.NewSource(47)))
-	raster := &counting{RasterJoin: core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))}
-	ctx := context.Background()
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))
 	const gran = 3600
 	j := tcache.New(raster, gran, 0, 0)
 
@@ -215,9 +263,9 @@ func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raster.after = func() {
+	ctx := &onFirstPoll{Context: context.Background(), after: func() {
 		j.Cache().Rekey(ps.Stamp(), grown.Stamp(), map[int64]bool{dirty: true})
-	}
+	}}
 	window := func(p *data.PointSet) core.Request {
 		return core.Request{Points: p, Regions: rs, Agg: core.Avg, Attr: "w",
 			Time: &core.TimeFilter{Start: 40 * gran, End: 48 * gran}}
@@ -225,7 +273,7 @@ func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	if _, err := j.JoinContext(ctx, window(ps)); err != nil {
 		t.Fatal(err)
 	}
-	if raster.after != nil {
+	if ctx.after != nil {
 		t.Fatal("the append never ran mid-fold")
 	}
 	if drops := j.Cache().Stats().RekeyDrops; drops != 1 {
@@ -248,8 +296,8 @@ func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 }
 
 // TestSeriesFoldFaultSite: a cold fold through series passes the core.join
-// site once per missing run, not once per slab; an injected fault there
-// fails the fold and caches nothing.
+// site once per missing run, not once per slab, MIN included; an injected
+// fault there fails the fold and caches nothing.
 func TestSeriesFoldFaultSite(t *testing.T) {
 	ps := buildTemporalScene(t, 2000, 53)
 	rs := queryRegions(rand.New(rand.NewSource(59)))
@@ -272,8 +320,8 @@ func TestSeriesFoldFaultSite(t *testing.T) {
 	if _, err := tcache.New(raster, gran, 0, 0).JoinContext(ctx, minReq); err != nil {
 		t.Fatal(err)
 	}
-	if calls := reg.Counts()["core.join"][0]; calls != 1+slabs {
-		t.Fatalf("per-slab fold passed core.join %d times, want %d", calls-1, slabs)
+	if calls := reg.Counts()["core.join"][0]; calls != 2 {
+		t.Fatalf("MIN fold passed core.join %d times, want 1", calls-1)
 	}
 
 	reg.Set("core.join", fault.Rule{Prob: 1, Kind: fault.Error})
@@ -292,20 +340,16 @@ func TestEmptyDataSetFold(t *testing.T) {
 	empty := &data.PointSet{Name: "empty", X: []float64{}, Y: []float64{}, T: []int64{},
 		Attrs: []data.Column{{Name: "w", Values: []float64{}}}}
 	rs := queryRegions(rand.New(rand.NewSource(61)))
-	raster := &counting{RasterJoin: core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))}
-	ctx := context.Background()
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))
+	ctx, joins := joinCounter()
 	req := core.Request{Points: empty, Regions: rs, Agg: core.Sum, Attr: "w",
 		Time: &core.TimeFilter{Start: 0, End: 4 * 3600}}
 	got, err := tcache.New(raster, 3600, 0, 0).JoinContext(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raster.series != 1 || got.CanvasW != 0 || got.Tiles != 0 {
-		t.Fatalf("empty fold: %d series, result %+v", raster.series, got)
+	if n := joins(); n != 1 || got.CanvasW != 0 || got.Tiles != 0 {
+		t.Fatalf("empty fold: %d series, result %+v", n, got)
 	}
-	want, err := tcache.New(perSlab{raster.RasterJoin}, 3600, 0, 0).JoinContext(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSame(t, "empty", got, want)
+	requireSame(t, "empty", got, perSlabFold(t, raster, req, 3600))
 }

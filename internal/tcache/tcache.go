@@ -58,23 +58,12 @@ func SlabOf(t, gran int64) int64 {
 	return q * gran
 }
 
-// Partial is one cached slab partial: the per-region aggregate state of the
-// query restricted to the slab's time window, plus the execution metadata
-// the fold reproduces on the final Result. Callers must treat Stats as
-// immutable — partials are shared between cache entries and folds.
-type Partial struct {
-	Stats            []core.RegionStat
-	Algorithm        string
-	CanvasW, CanvasH int
-	Tiles            int
-	PixelSize        float64
-}
-
 // partialOverhead approximates fixed per-entry bookkeeping (map slot, list
 // element, headers) charged on top of the stats payload.
 const partialOverhead = 192
 
-func (p *Partial) cost(sigLen int) int64 {
+// cost is the bytes a cached partial is charged.
+func cost(p *core.Result, sigLen int) int64 {
 	return int64(len(p.Stats))*32 + int64(sigLen) + partialOverhead
 }
 
@@ -100,7 +89,7 @@ type Stats struct {
 // sharding would buy nothing.
 type Cache struct {
 	mu  sync.Mutex
-	lru *lru.Cache[key, *Partial]
+	lru *lru.Cache[key, *core.Result]
 	// retired maps each stamp Rekey retired to its successor, so a Put
 	// from a compute that started before the append files its partial
 	// under the stamp requests now read.
@@ -127,13 +116,15 @@ func NewCache(capacityBytes int64) *Cache {
 		capacityBytes = DefaultCacheBytes
 	}
 	return &Cache{
-		lru:     lru.New[key, *Partial](capacityBytes),
+		lru:     lru.New[key, *core.Result](capacityBytes),
 		retired: lru.New[uint64, successor](retiredStamps),
 	}
 }
 
-// Get returns the cached partial for (stamp, sig, slab).
-func (c *Cache) Get(stamp uint64, sig string, slab int64) (*Partial, bool) {
+// Get returns the cached partial for (stamp, sig, slab): the slab's Result.
+// Callers must treat its Stats as immutable — partials are shared between
+// cache entries and folds.
+func (c *Cache) Get(stamp uint64, sig string, slab int64) (*core.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Get(key{stamp: stamp, sig: sig, slab: slab})
@@ -143,7 +134,7 @@ func (c *Cache) Get(stamp uint64, sig string, slab int64) (*Partial, bool) {
 // the byte budget. A partial computed under a stamp Rekey has since retired
 // gets Rekey's own rule: it follows the successors to the live stamp while
 // its slab stays clean, and is dropped at the first append that dirtied it.
-func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
+func (c *Cache) Put(stamp uint64, sig string, slab int64, p *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -157,7 +148,7 @@ func (c *Cache) Put(stamp uint64, sig string, slab int64, p *Partial) {
 		}
 		stamp = next.stamp
 	}
-	c.lru.Add(key{stamp: stamp, sig: sig, slab: slab}, p, p.cost(len(sig)))
+	c.lru.Add(key{stamp: stamp, sig: sig, slab: slab}, p, cost(p, len(sig)))
 }
 
 // Rekey migrates the entries of oldStamp to newStamp, dropping the slabs
@@ -180,10 +171,10 @@ func (c *Cache) Rekey(oldStamp, newStamp uint64, dirty map[int64]bool) (migrated
 	}
 	type move struct {
 		k key
-		p *Partial
+		p *core.Result
 	}
 	var clean []move
-	dropped = c.lru.DeleteFunc(func(k key, p *Partial) bool {
+	dropped = c.lru.DeleteFunc(func(k key, p *core.Result) bool {
 		if k.stamp != oldStamp {
 			return false
 		}
@@ -194,7 +185,7 @@ func (c *Cache) Rekey(oldStamp, newStamp uint64, dirty map[int64]bool) (migrated
 	}) - len(clean)
 	for _, m := range clean {
 		m.k.stamp = newStamp
-		c.lru.Add(m.k, m.p, m.p.cost(len(m.k.sig)))
+		c.lru.Add(m.k, m.p, cost(m.p, len(m.k.sig)))
 	}
 	c.rekeyDrops += uint64(dropped)
 	return len(clean), dropped

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/gpu"
 )
 
 // buildTestFramework registers two synthetic data sets and two layers over
@@ -251,65 +252,56 @@ func TestExplore(t *testing.T) {
 	}
 }
 
-// The exploration view's series fast path must agree with the per-bin
-// fallback path. An epsilon-mode raster joiner cannot build the fragment
-// cache, forcing the fallback, so the same request through both framework
-// configurations must match.
+// TestExploreFastPathMatchesFallback: the exploration view's one series per
+// data set equals the per-bin path — one ExecuteContext per bin, the path
+// cube-servable selections take — value for value, for a resolution-driven
+// and an ε-mode raster joiner, on one canvas and tiled by the device.
 func TestExploreFastPathMatchesFallback(t *testing.T) {
-	build := func(rj *core.RasterJoin) *Framework {
+	src, _, _ := buildTestFramework(t)
+	taxi, _ := src.PointSet("taxi")
+	nbhd, _ := src.RegionSet("nbhd")
+	req := ExplorationRequest{
+		Selection: Selection{Layer: "nbhd", Agg: core.Max, Attr: "fare"},
+		Datasets:  []string{"taxi"},
+		Start:     0, End: 8 * 3600, Bins: 6,
+		RegionIDs: []int{0, 1},
+	}
+	for _, rj := range []*core.RasterJoin{
+		core.NewRasterJoin(core.WithResolution(512)),
+		core.NewRasterJoin(core.WithEpsilon(1000.0/512*1.415), core.WithMode(core.Accurate)),
+		core.NewRasterJoin(core.WithResolution(512), core.WithDevice(gpu.New(gpu.WithMaxTextureSize(128)))),
+	} {
 		f := New(rj)
-		// Reuse the standard test data deterministically.
-		f2, _, _ := buildTestFramework(t)
-		taxi, _ := f2.PointSet("taxi")
-		nbhd, _ := f2.RegionSet("nbhd")
 		if err := f.AddPointSet(taxi); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.AddRegionSet(nbhd); err != nil {
 			t.Fatal(err)
 		}
-		return f
-	}
-	req := ExplorationRequest{
-		Selection: Selection{Layer: "nbhd", Agg: core.Count},
-		Datasets:  []string{"taxi"},
-		Start:     0, End: 8 * 3600, Bins: 6,
-		RegionIDs: []int{0, 1},
-	}
-	// Fast path: resolution mode, approximate.
-	fast := build(core.NewRasterJoin(core.WithResolution(512)))
-	a, err := fast.ExploreContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fallback: epsilon mode makes SeriesJoin fail; per-bin joins at the
-	// equivalent pixel size take over.
-	slow := build(core.NewRasterJoin(core.WithEpsilon(1000.0 / 512 * 1.415)))
-	b, err := slow.ExploreContext(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Series) != len(b.Series) {
-		t.Fatalf("series: %d vs %d", len(a.Series), len(b.Series))
-	}
-	// Totals agree closely (canvases differ by rounding, so allow the
-	// boundary-pixel wiggle).
-	var ta, tb float64
-	for i := range a.Series {
-		for b2 := range a.Series[i].Values {
-			ta += a.Series[i].Values[b2]
-			tb += b.Series[i].Values[b2]
+		ex, err := f.ExploreContext(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if ta == 0 || tb == 0 {
-		t.Fatal("empty exploration")
-	}
-	diff := ta - tb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > ta/50 {
-		t.Errorf("paths diverged: fast total %v vs fallback %v", ta, tb)
+		width := (req.End - req.Start) / int64(req.Bins)
+		nonzero := false
+		for b := 0; b < req.Bins; b++ {
+			res, err := f.ExecuteContext(context.Background(), core.Request{Points: taxi, Regions: nbhd,
+				Agg: req.Agg, Attr: req.Attr,
+				Time: &core.TimeFilter{Start: ex.BinStarts[b], End: ex.BinStarts[b] + width}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for si, k := range req.RegionIDs {
+				got, want := ex.Series[si].Values[b], res.Value(k, req.Agg)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s bin %d region %d: series %v, per-bin %v", rj.Name(), b, k, got, want)
+				}
+				nonzero = nonzero || got != 0
+			}
+		}
+		if !nonzero {
+			t.Fatalf("%s: empty exploration", rj.Name())
+		}
 	}
 }
 

@@ -6,8 +6,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 func testServer(t *testing.T) (*Server, *Framework) {
@@ -148,6 +151,41 @@ func TestExploreEndpoint(t *testing.T) {
 	rec = doJSON(t, s, http.MethodPost, "/api/explore", body)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("zero bins status = %d", rec.Code)
+	}
+}
+
+// TestExploreSeriesErrorIsReturned: a series that fails at the core.join
+// site answers the error envelope. The fault fires on the first pass only,
+// so a per-bin rerun after the failure would have answered 200.
+func TestExploreSeriesErrorIsReturned(t *testing.T) {
+	const bins = 4
+	var faults *fault.Registry
+	for seed := int64(1); faults == nil; seed++ {
+		reg := fault.New(seed)
+		reg.Set("core.join", fault.Rule{Prob: 0.5, Kind: fault.Error})
+		if sched := reg.Schedule("core.join", 1+bins); sched[0] && !slices.Contains(sched[1:], true) {
+			faults = reg
+		}
+	}
+	f, _, _ := buildTestFramework(t)
+	rec := doJSON(t, NewServer(f, WithFaults(faults)), http.MethodPost, "/api/explore", map[string]any{
+		"datasets": []string{"taxi"}, "layer": "nbhd", "agg": "count",
+		"start": 0, "end": 8 * 3600, "bins": bins, "regionIds": []int{0, 1},
+	})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status = %d, want %d: %s", rec.Code, http.StatusBadRequest, rec.Body)
+	}
+	var env struct {
+		Error errorBody `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Code != "bad_request" || !strings.Contains(env.Error.Message, fault.ErrInjected.Error()) {
+		t.Fatalf("envelope %+v, want the injected error", env.Error)
+	}
+	if calls := faults.Counts()["core.join"][0]; calls != 1 {
+		t.Fatalf("core.join passed %d times, want 1", calls)
 	}
 }
 

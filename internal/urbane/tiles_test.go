@@ -126,9 +126,12 @@ func TestTileEndpoint(t *testing.T) {
 
 func TestTileDensityCoversData(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	// The framework data lives in [0,1000]^2 mercator meters — find the
-	// covering tile at a zoom where it fits and confirm points land in it.
-	tile := mercator.TileAt(mercator.Unproject(geomPt(500, 500)), 14)
+	// The framework data lives in [0,1000]^2 mercator meters, in the
+	// zoom-14 tile northeast of the origin; confirm points land in it.
+	tile := mercator.Tile{Z: 14, X: 8192, Y: 8191}
+	if !tile.BBox().Contains(geom.Point{X: 500, Y: 500}) {
+		t.Fatalf("tile %v does not hold the data's center", tile)
+	}
 	hm, err := f.TileDensityContext(context.Background(), "taxi", tile, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +149,3 @@ func TestTileDensityCoversData(t *testing.T) {
 		t.Errorf("far tile total = %v", hm.Total)
 	}
 }
-
-// geomPt is a tiny helper to build a geom.Point without importing geom at
-// every call site in this file.
-func geomPt(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }

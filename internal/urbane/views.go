@@ -171,9 +171,10 @@ type Exploration struct {
 
 // ExploreContext evaluates the exploration view: for each data set and each
 // time bin, one spatial aggregation query over the layer; the per-region
-// results are transposed into time series. Cancellation is checked between
-// per-bin queries, and the series fast path inherits the raster joiner's
-// batch-granular cancellation.
+// results are transposed into time series. Each data set is one raster
+// series join, which inherits the raster joiner's batch-granular
+// cancellation and whose errors are returned; a cube-servable selection
+// runs one query per bin, with cancellation checked between them.
 func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) (*Exploration, error) {
 	if req.Bins < 1 {
 		return nil, fmt.Errorf("urbane: exploration needs at least 1 bin")
@@ -218,26 +219,23 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 			})
 		}
 
-		// Fast path: one raster series join rasterizes the polygons once
-		// for all bins. Cubes (microsecond lookups) and unusual canvases
-		// fall back to per-bin execution. The cube check uses the first
-		// bin's shape, since bin alignment decides servability.
+		// One raster series join rasterizes the polygons once for all bins.
+		// Cube-servable selections (microsecond lookups per bin) run one
+		// ExecuteContext per bin instead; the first bin's shape decides,
+		// since bin alignment decides servability.
 		probe := creq
 		probe.Time = &core.TimeFilter{Start: out.BinStarts[0], End: out.BinStarts[0] + width}
-		if !f.cubeServable(probe) && creq.Points.T != nil {
+		if !f.cubeServable(probe) {
 			series, err := f.rasterJoiner().SeriesJoinContext(ctx, creq, req.Start, req.End, req.Bins)
-			if err != nil && ctx.Err() != nil {
-				return nil, ctx.Err()
+			if err != nil {
+				return nil, err
 			}
-			if err == nil {
-				for b := 0; b < req.Bins; b++ {
-					for si, k := range regionIdx {
-						out.Series[base+si].Values[b] = series.Value(b, k, req.Agg)
-					}
+			for b, res := range series {
+				for si, k := range regionIdx {
+					out.Series[base+si].Values[b] = res.Value(k, req.Agg)
 				}
-				continue
 			}
-			// Fall through to the per-bin path on any series failure.
+			continue
 		}
 		for b := 0; b < req.Bins; b++ {
 			if err := ctx.Err(); err != nil {
