@@ -90,12 +90,12 @@ fuzz:
 # bit-identical property tests (parallel == sequential at every worker
 # count), the golden digests of joins, flows, density, series and tiled
 # renders (every worker count reproduces the recorded bits), the
-# cancellation-hygiene tests, the span cache and the compiled layer's
-# row-edge tables.
+# cancellation-hygiene tests, the span cache, the compiled layer's
+# row-edge tables and the data sets' bounds memo.
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel' \
-		./internal/gpu ./internal/raster ./internal/core
+		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds' \
+		./internal/gpu ./internal/raster ./internal/core ./internal/data
 
 # End-to-end deadline smoke test: boot the real server with a 1ms
 # -query-timeout, require a 504 on /api/mapview and a nonzero timeout

@@ -35,6 +35,7 @@ type PointSet struct {
 
 	stamp  atomic.Uint64
 	source atomic.Pointer[setSource]
+	bounds atomic.Pointer[geom.BBox]
 }
 
 // pointSetStamps issues process-unique PointSet identities; 0 is reserved
@@ -45,7 +46,7 @@ var pointSetStamps atomic.Uint64
 // lazily on first call. Caches keyed by point data (the geoblocks
 // hierarchy) use it instead of the Name — names can be reused across
 // re-registered data sets. Callers must treat the columns as immutable
-// once the set is stamped.
+// once the set is stamped; Bounds memoises its fold on that promise.
 func (ps *PointSet) Stamp() uint64 {
 	if s := ps.stamp.Load(); s != 0 {
 		return s
@@ -107,8 +108,23 @@ func (ps *PointSet) AddAttr(name string, values []float64) {
 	ps.Attrs = append(ps.Attrs, Column{Name: name, Values: values})
 }
 
-// Bounds returns the bounding box of all points.
+// Bounds returns the bounding box of all points. A stamped set's columns
+// are immutable, so its first call folds the points and every later call
+// returns that box; an unstamped set folds afresh on every call, following
+// in-place edits.
 func (ps *PointSet) Bounds() geom.BBox {
+	if ps.stamp.Load() == 0 {
+		return ps.foldBounds()
+	}
+	if b := ps.bounds.Load(); b != nil {
+		return *b
+	}
+	b := ps.foldBounds()
+	ps.bounds.CompareAndSwap(nil, &b)
+	return b
+}
+
+func (ps *PointSet) foldBounds() geom.BBox {
 	b := geom.EmptyBBox()
 	for i := range ps.X {
 		b = b.ExtendPoint(geom.Point{X: ps.X[i], Y: ps.Y[i]})
@@ -180,11 +196,11 @@ func (ps *PointSet) Select(idx []int) *PointSet {
 // stable with respect to nothing in particular; it exists so time-filtered
 // scans can binary-search their window.
 //
-// Reordering produces new data, so any previously issued stamp and cached
-// Source view are discarded: geoblocks/span/segment caches keyed on the old
-// stamp must never alias the reordered columns. The columns are assigned
-// field-wise — the whole struct cannot be copied over because the stamp and
-// source fields are atomics.
+// Reordering produces new data, so any previously issued stamp, cached
+// Source view and bounds memo are discarded: geoblocks/span/segment caches
+// keyed on the old stamp must never alias the reordered columns. The
+// columns are assigned field-wise — the whole struct cannot be copied over
+// because the stamp, source and bounds fields are atomics.
 func (ps *PointSet) SortByTime() {
 	if ps.T == nil {
 		return
@@ -198,6 +214,7 @@ func (ps *PointSet) SortByTime() {
 	ps.X, ps.Y, ps.T, ps.Attrs = sorted.X, sorted.Y, sorted.T, sorted.Attrs
 	ps.stamp.Store(0)
 	ps.source.Store(nil)
+	ps.bounds.Store(nil)
 }
 
 // AppendCOW returns a new PointSet holding ps's points followed by tail's,
@@ -210,8 +227,10 @@ func (ps *PointSet) SortByTime() {
 //
 // tail must match ps's schema exactly: the same presence of a time column
 // and the same attribute columns in the same order. ps itself is not
-// modified and keeps serving its old length; the returned set is unstamped,
-// so stamp-keyed caches (geoblocks, slab partials) treat it as new data.
+// modified and keeps serving its old length. The returned set carries a
+// fresh stamp, so stamp-keyed caches (geoblocks, slab partials) treat it as
+// new data, and its bounds are ps's bounds united with tail's: an append
+// folds only the tail, never the whole set again.
 func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	if err := tail.Validate(); err != nil {
 		return nil, err
@@ -242,6 +261,9 @@ func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	for i, c := range ps.Attrs {
 		out.Attrs[i] = Column{Name: c.Name, Values: append(c.Values, tail.Attrs[i].Values...)}
 	}
+	b := ps.Bounds().Union(tail.Bounds())
+	out.Stamp()
+	out.bounds.Store(&b)
 	return out, nil
 }
 

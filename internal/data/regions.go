@@ -23,7 +23,8 @@ type RegionSet struct {
 	Name    string
 	Regions []Region
 
-	stamp atomic.Uint64
+	stamp  atomic.Uint64
+	bounds atomic.Pointer[geom.BBox]
 }
 
 // regionSetStamps issues process-unique RegionSet identities; 0 is reserved
@@ -33,7 +34,8 @@ var regionSetStamps atomic.Uint64
 // Stamp returns a process-unique identity for this region set, assigned
 // lazily on first call. Caches keyed by geometry use it instead of the Name
 // (names can be reused across re-registered layers) — callers must treat
-// the Regions slice as immutable once the set is stamped.
+// the Regions slice as immutable once the set is stamped; Bounds memoises
+// its fold on that promise.
 func (rs *RegionSet) Stamp() uint64 {
 	if s := rs.stamp.Load(); s != 0 {
 		return s
@@ -48,8 +50,23 @@ func (rs *RegionSet) Stamp() uint64 {
 // Len returns the number of regions.
 func (rs *RegionSet) Len() int { return len(rs.Regions) }
 
-// Bounds returns the union of all region bounding boxes.
+// Bounds returns the union of all region bounding boxes. A stamped set's
+// regions are immutable, so its first call walks every vertex and every
+// later call returns that box; an unstamped set walks them afresh on every
+// call, following in-place edits such as ReadGeoJSONAuto's projection.
 func (rs *RegionSet) Bounds() geom.BBox {
+	if rs.stamp.Load() == 0 {
+		return rs.foldBounds()
+	}
+	if b := rs.bounds.Load(); b != nil {
+		return *b
+	}
+	b := rs.foldBounds()
+	rs.bounds.CompareAndSwap(nil, &b)
+	return b
+}
+
+func (rs *RegionSet) foldBounds() geom.BBox {
 	b := geom.EmptyBBox()
 	for _, r := range rs.Regions {
 		b = b.Union(r.Poly.BBox())

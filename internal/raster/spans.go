@@ -50,7 +50,8 @@ func (rr RowRuns) Row(y int) []Run { return rr.runs[rr.start[y]:rr.start[y+1]] }
 // boundary pixels, the interior spans (the fill cut at the region's own
 // boundary pixels) and the ring edges touching each canvas row; across
 // regions, the union of the boundary pixels as a 1-bit mask with dense slot
-// numbers, and the interior runs indexed by row.
+// numbers, each slot's positions in the boundary lists, and the interior
+// runs indexed by row.
 //
 // Replaying Fill(k) left-to-right visits exactly the pixels FillPolygon
 // visits for region k, in the same order, and Interior(k) the same pixels
@@ -74,6 +75,8 @@ type RegionSpans struct {
 	// row-major order: row y holds slots [rowSlot[y], rowSlot[y+1]).
 	mask    *Bitmap
 	rowSlot []int32
+	// slots lists each slot's positions in the boundary lists.
+	slots SlotIndex
 
 	interiorStart []int32
 	interior      []Span
@@ -110,7 +113,8 @@ func (rs *RegionSpans) Interior(k int) []Span {
 }
 
 // FillRows indexes every region's fill spans by row. Only approximate-mode
-// series need it, so it is built per call rather than cached.
+// series read it, once per canvas tile, so it is built per call and stays
+// out of the compiled layer's bytes.
 func (rs *RegionSpans) FillRows() RowRuns { return byRow(rs.fillStart, rs.fill, rs.T.H) }
 
 // InteriorRows returns every region's interior spans indexed by row.
@@ -154,25 +158,10 @@ type SlotIndex struct {
 // regions.
 func (si SlotIndex) Positions(s int32) []int32 { return si.pos[si.start[s]:si.start[s+1]] }
 
-// SlotIndex builds the slot index in O(boundary pixels). Only series joins
-// and the region-keyed passes read it, so it is built per call rather than
-// cached.
-func (rs *RegionSpans) SlotIndex() SlotIndex {
-	nslots := rs.Slots()
-	si := SlotIndex{start: make([]int32, nslots+1), pos: make([]int32, len(rs.bound))}
-	for _, s := range rs.boundSlot {
-		si.start[s+1]++
-	}
-	for s := 0; s < nslots; s++ {
-		si.start[s+1] += si.start[s]
-	}
-	next := slices.Clone(si.start[:nslots])
-	for q, s := range rs.boundSlot {
-		si.pos[next[s]] = int32(q)
-		next[s]++
-	}
-	return si
-}
+// SlotIndex returns the slot index compiled with the layer: series joins
+// and flows read it on every canvas tile, so it is built once, in
+// O(boundary pixels), and counted in Bytes.
+func (rs *RegionSpans) SlotIndex() SlotIndex { return rs.slots }
 
 // Slot returns the slot of pixel (px, py), or -1 when no region's boundary
 // crosses it.
@@ -234,6 +223,7 @@ func (rs *RegionSpans) Bytes() int64 {
 	n := capBytes(rs.fillStart) + capBytes(rs.fill) +
 		capBytes(rs.boundStart) + capBytes(rs.bound) + capBytes(rs.boundSlot) +
 		capBytes(rs.mask.words) + capBytes(rs.rowSlot) +
+		capBytes(rs.slots.start) + capBytes(rs.slots.pos) +
 		capBytes(rs.interiorStart) + capBytes(rs.interior) +
 		capBytes(rs.interiorRows.start) + capBytes(rs.interiorRows.runs) +
 		capBytes(rs.verts) + capBytes(rs.ringStart) + capBytes(rs.regionRing) +
@@ -248,11 +238,11 @@ func capBytes[T any](s []T) int {
 }
 
 // CompileRegions flattens every polygon's fill and conservative boundary
-// rasterization on the transform, numbers the boundary pixels, cuts each
-// fill at the region's own boundary, and tables each region's edges by
-// row. The context is checked between regions: compilation of a large
-// layer aborts with ctx.Err() when the request is canceled, exactly like
-// the draw passes it replaces.
+// rasterization on the transform, numbers the boundary pixels and indexes
+// them by slot, cuts each fill at the region's own boundary, and tables
+// each region's edges by row. The context is checked between regions:
+// compilation of a large layer aborts with ctx.Err() when the request is
+// canceled, exactly like the draw passes it replaces.
 func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*RegionSpans, error) {
 	rs := &RegionSpans{
 		T:             t,
@@ -326,8 +316,8 @@ func trim[T any](s *[]T) {
 	}
 }
 
-// numberSlots numbers the mask's pixels row-major and records each
-// boundary list entry's slot.
+// numberSlots numbers the mask's pixels row-major, records each boundary
+// list entry's slot and indexes the entries by slot.
 func (rs *RegionSpans) numberSlots() {
 	h, w := rs.T.H, rs.T.W
 	rs.rowSlot = make([]int32, h+1)
@@ -346,6 +336,21 @@ func (rs *RegionSpans) numberSlots() {
 		}
 		rs.boundSlot[q] = sr.Slot(int(idx) % w)
 	}
+
+	nslots := rs.Slots()
+	si := SlotIndex{start: make([]int32, nslots+1), pos: make([]int32, len(rs.bound))}
+	for _, s := range rs.boundSlot {
+		si.start[s+1]++
+	}
+	for s := 0; s < nslots; s++ {
+		si.start[s+1] += si.start[s]
+	}
+	next := slices.Clone(si.start[:nslots])
+	for q, s := range rs.boundSlot {
+		si.pos[next[s]] = int32(q)
+		next[s]++
+	}
+	rs.slots = si
 }
 
 // byRow indexes per-region spans by row: a stable bucket by row, then each

@@ -173,6 +173,28 @@ func TestRegionSpansBytesCountsEveryArray(t *testing.T) {
 	}
 }
 
+// TestRegionSpansBytesCountsSlotIndex: compiling the slot index with the
+// layer grows Bytes by exactly the index's capacity, which is exactly its
+// length: one start per slot plus one, one position per boundary entry.
+func TestRegionSpansBytesCountsSlotIndex(t *testing.T) {
+	tr := NewTransform(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 64, 64)
+	rs, err := CompileRegions(context.Background(), tr, spanTestPolys())
+	if err != nil {
+		t.Fatal(err)
+	}
+	si := rs.SlotIndex()
+	if cap(si.start) != rs.Slots()+1 || cap(si.pos) != len(rs.bound) {
+		t.Fatalf("slot index capacity %d/%d, want %d/%d",
+			cap(si.start), cap(si.pos), rs.Slots()+1, len(rs.bound))
+	}
+	without := *rs
+	without.slots = SlotIndex{}
+	want := int64(capBytes(si.start) + capBytes(si.pos))
+	if got := rs.Bytes() - without.Bytes(); got != want || want == 0 {
+		t.Fatalf("the slot index adds %d bytes, want its capacity %d", got, want)
+	}
+}
+
 // TestCompileRegionsCancel: an already-canceled context aborts compilation.
 func TestCompileRegionsCancel(t *testing.T) {
 	tr := NewTransform(geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, 32, 32)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/geom"
 )
 
 // appendBody builds a POST /api/append body of n points for the test
@@ -333,5 +334,59 @@ func TestFrameworkAppendCOWSnapshot(t *testing.T) {
 	// Segment-backed sets refuse appends.
 	if _, err := f.Append(context.Background(), "nosuch", tail); err == nil {
 		t.Error("append to unknown set succeeded")
+	}
+}
+
+// TestHeatmapAfterAppendOutsideExtent: appending points outside the data
+// set's extent grows the default-extent heatmap's bounds to the grown set's
+// and counts the tail, on the miss after the append and on the hit after
+// that.
+func TestHeatmapAfterAppendOutsideExtent(t *testing.T) {
+	s, f := testServer(t)
+	body := map[string]any{"dataset": "taxi", "w": 64}
+	heatmap := func(wantCache string) (Heatmap, []byte) {
+		t.Helper()
+		rec := doJSON(t, s, http.MethodPost, "/api/heatmap", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("heatmap status = %d: %s", rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-Urbane-Cache"); got != wantCache {
+			t.Fatalf("heatmap outcome = %q, want %s", got, wantCache)
+		}
+		var hm Heatmap
+		if err := json.Unmarshal(rec.Body.Bytes(), &hm); err != nil {
+			t.Fatal(err)
+		}
+		return hm, rec.Body.Bytes()
+	}
+	old, _ := f.PointSet("taxi")
+	before, _ := heatmap("miss")
+	if before.Bounds != old.Bounds() || before.Total != float64(old.Len()) {
+		t.Fatalf("heatmap before the append: bounds %v total %v, want %v and %d",
+			before.Bounds, before.Total, old.Bounds(), old.Len())
+	}
+
+	tail := appendBody("taxi", 3, 9*3600)
+	tail["x"] = []float64{-400, 1700, 600}
+	tail["y"] = []float64{300, 1250, -90}
+	postAppend(t, s, tail)
+	grown, _ := f.PointSet("taxi")
+	fold := geom.EmptyBBox()
+	for i := range grown.X {
+		fold = fold.ExtendPoint(geom.Point{X: grown.X[i], Y: grown.Y[i]})
+	}
+	if grown.Bounds() != fold || fold == old.Bounds() {
+		t.Fatalf("grown bounds %v, fold %v, old %v", grown.Bounds(), fold, old.Bounds())
+	}
+	cold, coldBody := heatmap("miss")
+	warm, warmBody := heatmap("hit")
+	if !bytes.Equal(coldBody, warmBody) {
+		t.Fatal("the cached heatmap differs from the computed one")
+	}
+	for _, hm := range []Heatmap{cold, warm} {
+		if hm.Bounds != fold || hm.Total != before.Total+3 {
+			t.Fatalf("heatmap after the append: bounds %v total %v, want %v and %v",
+				hm.Bounds, hm.Total, fold, before.Total+3)
+		}
 	}
 }

@@ -86,7 +86,9 @@ func New(rj *core.RasterJoin) *Framework {
 	}
 }
 
-// AddPointSet registers a point data set under its name.
+// AddPointSet registers a point data set under its name and stamps it: from
+// here on its columns are an immutable snapshot (writes go through Append),
+// so stamp-keyed state such as its bounds is computed once.
 func (f *Framework) AddPointSet(ps *data.PointSet) error {
 	if err := ps.Validate(); err != nil {
 		return err
@@ -99,6 +101,7 @@ func (f *Framework) AddPointSet(ps *data.PointSet) error {
 	if _, dup := f.points[ps.Name]; dup {
 		return fmt.Errorf("urbane: point set %q already registered", ps.Name)
 	}
+	ps.Stamp()
 	f.points[ps.Name] = ps
 	// Registration is non-invalidating: no cached response can mention a
 	// data set that did not exist when it was computed, and duplicate names
@@ -108,7 +111,8 @@ func (f *Framework) AddPointSet(ps *data.PointSet) error {
 	return nil
 }
 
-// AddRegionSet registers a polygonal layer under its name.
+// AddRegionSet registers a polygonal layer under its name and stamps it, as
+// AddPointSet does: the layer's regions are immutable from here on.
 func (f *Framework) AddRegionSet(rs *data.RegionSet) error {
 	if rs.Name == "" {
 		return fmt.Errorf("urbane: region set needs a name")
@@ -126,6 +130,7 @@ func (f *Framework) AddRegionSet(rs *data.RegionSet) error {
 	// Non-invalidating for the same reason as AddPointSet: a new layer
 	// cannot appear in any already-cached response, and error responses are
 	// never cached.
+	rs.Stamp()
 	f.regions[rs.Name] = rs
 	return nil
 }
