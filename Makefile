@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke shard-smoke verify
+.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke verify
 
 build:
 	$(GO) build ./...
@@ -117,7 +117,9 @@ stress:
 # server with admission control, a deterministic fault schedule on every
 # hook site, and aggressive client deadlines; asserts the response
 # envelope contract, zero leaks, and byte-identical post-chaos replay
-# against a pristine server. Plus the admission/fault unit suites.
+# against a pristine server. Also the committed replay digests of the
+# standard server across serving configurations (TestReplayDigests), and
+# the admission/fault unit suites.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'Chaos|Soak|Replay' ./internal/chaos
 	$(GO) test -race -count=1 ./internal/admit ./internal/fault
@@ -153,15 +155,5 @@ ingest-smoke:
 	$(GO) test -race -count=1 -run '^TestPatch' ./internal/geoblocks
 	$(GO) test -race -count=1 ./internal/tcache ./internal/workload
 	$(GO) test -race -count=1 -run '^TestIngestSoakReplay$$' ./internal/chaos
-
-# Spatial sharding gate under the race detector: the shard-count
-# equivalence matrix (sharded results bit-identical to the local path at
-# counts 1/2/4/8, both modes, all five aggregates, filtered and
-# post-append), the coordinator cancellation-hygiene and kill/restart
-# suites, and the seeded kill/restart chaos soak with its byte-identical
-# post-chaos replay against a pristine unsharded server.
-shard-smoke:
-	$(GO) test -race -count=1 ./internal/shard
-	$(GO) test -race -count=1 -run '^(TestShard|TestMixedDataset)' ./internal/chaos
 
 verify: build vet fmt lint test

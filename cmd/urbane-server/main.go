@@ -100,7 +100,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	incremental := fs.Bool("incremental", true, "incremental temporal view maintenance: answer slab-aligned time windows as a fold of cached per-slab partials (needs -time-snap > 1, which sets the slab width)")
 	slabCacheBytes := fs.Int64("slab-cache-bytes", tcache.DefaultCacheBytes, "slab partial cache capacity in bytes")
 	maxSlabs := fs.Int("max-slabs", tcache.DefaultMaxSlabs, "max slabs one window may decompose into; wider windows use the one-shot path")
-	shards := fs.Int("shards", 0, "split ad-hoc raster execution across this many spatial shards via scatter-gather; results are byte-identical at any count (0 = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -133,11 +132,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 		if err != nil {
 			return err
 		}
-	}
-
-	if *shards > 0 {
-		f.EnableSharding(*shards)
-		log.Printf("spatial sharding enabled: %d shards; layouts build lazily on first query per data set", *shards)
 	}
 
 	if *geoBlocks {

@@ -62,15 +62,6 @@ type Config struct {
 	// dropped append makes the post-soak replay-vs-pristine comparison
 	// meaningless. ReplayAppends re-issues the identical sequence.
 	Appends int
-	// Disrupt, when non-nil, runs in its own goroutine alongside the
-	// virtual users: it is called with an increasing step counter every
-	// DisruptEvery until the soak drains, then once more with step -1 so
-	// the disruptor can restore what it broke before the report's final
-	// checks. The shard suite uses it to kill and restart executors
-	// mid-query.
-	Disrupt func(step int)
-	// DisruptEvery is the pause between Disrupt calls (default 1ms).
-	DisruptEvery time.Duration
 	// Mix names the catalog the generated requests target.
 	Mix workload.MixConfig
 }
@@ -196,28 +187,6 @@ func Soak(ctx context.Context, h http.Handler, cfg Config) *Report {
 		}()
 	} else {
 		reports[cfg.VUs] = &Report{ByStatus: map[int]int{}, ByKind: map[string]int{}}
-	}
-	var disruptWG sync.WaitGroup
-	if cfg.Disrupt != nil {
-		every := cfg.DisruptEvery
-		if every <= 0 {
-			every = time.Millisecond
-		}
-		done := make(chan struct{})
-		disruptWG.Add(1)
-		go func() {
-			defer disruptWG.Done()
-			for step := 0; ; step++ {
-				select {
-				case <-done:
-					cfg.Disrupt(-1) // final call: restore before leak checks
-					return
-				case <-time.After(every):
-					cfg.Disrupt(step)
-				}
-			}
-		}()
-		defer func() { close(done); disruptWG.Wait() }()
 	}
 	wg.Wait()
 	total := &Report{ByStatus: map[int]int{}, ByKind: map[string]int{}}

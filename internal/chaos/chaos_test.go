@@ -341,3 +341,93 @@ func TestOversizeBodyHonorsContract(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// get issues one GET and returns the recorder.
+func get(h http.Handler, path string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// post issues one JSON POST and returns the recorder.
+func post(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestMixedDatasetEpochIsolation drives the two-dataset interleaved
+// workload family against a server and pins per-dataset epoch isolation:
+// an append to one dataset invalidates only that dataset's cached
+// responses — the sibling's stay warm — and both keep answering correctly
+// throughout.
+func TestMixedDatasetEpochIsolation(t *testing.T) {
+	srv := urbane.NewServer(buildFramework(t, gpu.New(), false), urbane.WithCache(8<<20))
+
+	// Two cacheable probes, one per dataset, with ad-hoc filters so they
+	// take the raster path.
+	probe := map[string]string{
+		"taxi": `{"dataset":"taxi","layer":"nbhd","agg":"sum","attr":"fare","filters":[{"attr":"fare","min":1,"max":30}]}`,
+		"311":  `{"dataset":"311","layer":"grid","agg":"count","filters":[{"attr":"fare","min":2,"max":25}]}`,
+	}
+	warm := func(ds string) string {
+		rec := post(srv, "/api/mapview", probe[ds])
+		if rec.Code != http.StatusOK {
+			t.Fatalf("probe %s: status %d (%s)", ds, rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get("X-Urbane-Cache")
+	}
+	warm("taxi")
+	warm("311")
+	if got := warm("taxi"); got != "hit" {
+		t.Fatalf("taxi probe not warm before interleave: %q", got)
+	}
+
+	// Run the deterministic interleave; every response must be 2xx.
+	mixed := workload.NewMixed(mixConfig(), 97)
+	lastAppend := "" // dataset of the most recent append step
+	for i := 0; i < 36; i++ {
+		ds := mixConfig().Datasets[mixed.Dataset(i)]
+		isAppend := mixed.IsAppend(i)
+		hr := mixed.Next()
+		var rec *httptest.ResponseRecorder
+		if hr.Method == http.MethodGet {
+			rec = get(srv, hr.Path)
+		} else {
+			rec = post(srv, hr.Path, hr.Body)
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("step %d (%s): status %d (%s)", i, hr.Kind, rec.Code, rec.Body.String())
+		}
+		if isAppend {
+			lastAppend = ds
+		}
+	}
+	if lastAppend == "" {
+		t.Fatal("interleave issued no appends")
+	}
+
+	// After appends to both datasets: re-warm both probes, then append to
+	// taxi only and verify isolation — taxi misses (fresh epoch), 311 hits.
+	warm("taxi")
+	warm("311")
+	app := workload.NewAppender(workload.MixConfig{
+		Datasets: []string{"taxi"},
+		TimeMin:  0, TimeMax: 10 * 86400, // past every soak append cursor
+		Bounds: [4]float64{0, 0, 1000, 1000},
+		Attrs:  map[string][]string{"taxi": {"fare"}},
+	}, 555)
+	hr := app.Next()
+	if rec := post(srv, hr.Path, hr.Body); rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if got := warm("taxi"); got == "hit" {
+		t.Fatal("taxi probe still warm after taxi append; epoch did not advance")
+	}
+	if got := warm("311"); got != "hit" {
+		t.Fatalf("311 probe outcome %q after taxi append, want hit (epoch isolation)", got)
+	}
+}

@@ -187,7 +187,7 @@ func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, err
 
 // join runs JoinContext and, with a plan, JoinScattered: with a nil plan
 // pass 1 scans the request's source locally; with a plan pass 1 is
-// scattered across shard executors and gathered into the same tile state.
+// scattered across shards and gathered into the same tile state.
 func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
 	out, err := r.tileLoop(ctx, req, 1, plan == nil, func(t *tile, sc *Scan, attrIdx int, out []*Result) error {
 		var err error

@@ -95,8 +95,6 @@ type Scan struct {
 	blocks   []int
 	owned    bool
 	xlo, xhi float64
-	// scanned and pruned total the blocks pieces drew vs. eliminated.
-	scanned, pruned atomic.Int64
 
 	// cols is the projection every block is read with: the residual
 	// predicate's columns and the aggregate attribute, plus whatever else
@@ -261,8 +259,6 @@ func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, l
 
 	var scanned, pruned int64
 	defer func() {
-		sc.scanned.Add(scanned)
-		sc.pruned.Add(pruned)
 		scanBlocksScanned.Add(scanned)
 		scanBlocksPruned.Add(pruned)
 		tr := trace.FromContext(ctx)

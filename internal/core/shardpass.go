@@ -12,7 +12,7 @@ import (
 )
 
 // This file implements the compute halves of spatially sharded execution:
-// the per-shard partial point pass an executor runs over its block
+// the per-shard partial point pass each shard runs over its block
 // assignment, and the scatter-gather driver the coordinator runs on top of
 // the ordinary tile pipeline.
 //
@@ -49,13 +49,10 @@ type shardFrag struct {
 // ShardPartial is one shard's contribution to one tile: pass-1 targets
 // limited to the shard's owned pixel-column band (cells in straddle columns
 // inside the band are never written, and the boundary observation lists
-// hold owned columns only), straddle-column fragments in ascending global
-// index order (targets.frags), and scan accounting.
+// hold owned columns only) and straddle-column fragments in ascending
+// global index order (targets.frags).
 type ShardPartial struct {
 	targets
-	// Scanned/Pruned count blocks; Points counts shaded fragments.
-	Scanned, Pruned int64
-	Points          int64
 }
 
 // ScatterPlan is what the scatter-gather driver needs from a coordinator:
@@ -129,15 +126,14 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	p := &ShardPartial{targets: newTargets(spec.Req.Agg, colLo, colHi-colLo, h,
 		spec.Mask, gpu.NewTexture)}
 	p.straddle = spec.Straddle
-	if p.Points, err = r.pass1(ctx, &p.targets, m, nil, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
+	if _, err = r.pass1(ctx, &p.targets, m, nil, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
 		return nil, err
 	}
-	p.Scanned, p.Pruned = sc.scanned.Load(), sc.pruned.Load()
 	return p, nil
 }
 
-// JoinScattered is JoinContext with the point pass scattered across shard
-// executors: per canvas tile the driver fans out through plan.Scatter,
+// JoinScattered is JoinContext with the point pass scattered across
+// shards: per canvas tile the driver fans out through plan.Scatter,
 // merges the partials in ascending shard order, replays straddle fragments
 // in global point-index order, and resolves the merged tile like any other.
 func (r *RasterJoin) JoinScattered(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {

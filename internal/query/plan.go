@@ -10,7 +10,6 @@ import (
 	"repro/internal/cube"
 	"repro/internal/data"
 	"repro/internal/geoblocks"
-	"repro/internal/shard"
 	"repro/internal/tcache"
 	"repro/internal/trace"
 )
@@ -35,7 +34,7 @@ type Plan struct {
 	Request core.Request
 	Joiner  core.Joiner
 	// Engine names the link of the routing chain that took the request:
-	// "cube", "geoblocks", "slabs", "shards" or "raster".
+	// "cube", "geoblocks", "slabs" or "raster".
 	Engine string
 	// Reason explains the routing decision for observability.
 	Reason string
@@ -61,12 +60,6 @@ type Planner struct {
 	// view maintenance). GeoBlocks rejects time-filtered requests, so the
 	// two never compete.
 	Slabs *tcache.Joiner
-	// Shards, when non-nil, replaces the local raster path with sharded
-	// scatter-gather execution, which decomposes every request bit-exactly.
-	// Because sharded results are byte-identical to the local path, this
-	// routing keeps the raster Reason string: topology is an execution
-	// detail, not a different answer.
-	Shards *shard.Coordinator
 	// Raster answers everything the engines before it refuse. Required.
 	Raster *core.RasterJoin
 }
@@ -87,10 +80,9 @@ type engine struct {
 }
 
 // chain is the routing order, written once: cubes, geoblocks, slabs,
-// shards, raster. Adding or removing an engine is one line here.
+// raster. Adding or removing an engine is one line here.
 func (pl *Planner) chain() []engine {
-	const adhoc = "ad-hoc query routed to raster join"
-	ch := make([]engine, 0, len(pl.Cubes)+4)
+	ch := make([]engine, 0, len(pl.Cubes)+3)
 	for _, c := range pl.Cubes {
 		ch = append(ch, engine{"cube", c, c.CanServe, "canned query served from pre-aggregation"})
 	}
@@ -102,11 +94,8 @@ func (pl *Planner) chain() []engine {
 		ch = append(ch, engine{"slabs", pl.Slabs, pl.Slabs.CanServe,
 			"time-windowed aggregation folded from cached slab partials"})
 	}
-	if pl.Shards != nil {
-		ch = append(ch, engine{"shards", pl.Shards, nil, adhoc})
-	}
 	if pl.Raster != nil {
-		ch = append(ch, engine{"raster", pl.Raster, nil, adhoc})
+		ch = append(ch, engine{"raster", pl.Raster, nil, "ad-hoc query routed to raster join"})
 	}
 	return ch
 }

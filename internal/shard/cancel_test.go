@@ -142,63 +142,3 @@ func TestGatherFaultReleasesResources(t *testing.T) {
 		}
 	}
 }
-
-// TestKillMidPassHonestError kills a shard while its pass is running: the
-// query must fail with ErrUnavailable — an honest degradation, never a
-// silently partial answer — and leak nothing.
-func TestKillMidPassHonestError(t *testing.T) {
-	ps, rs := scene(200_000, 8, 1213)
-	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	for _, n := range []int{2, 4, 8} {
-		dev := gpu.New()
-		rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(core.Accurate),
-			core.WithResolution(1024), core.WithPointBatch(512))
-		co := shard.New(rj, n)
-		baseline := runtime.NumGoroutine()
-
-		// A per-batch latency fault keeps every shard's pass running for
-		// hundreds of milliseconds, so the kill below reliably lands
-		// mid-pass rather than racing pass completion.
-		reg := fault.New(7)
-		reg.Set("core.pointpass", fault.Rule{Prob: 1, Kind: fault.Latency, Delay: 2 * time.Millisecond})
-		tr := trace.New("test")
-		ctx := trace.NewContext(fault.NewContext(context.Background(), reg), tr)
-		type joined struct {
-			res *core.Result
-			err error
-		}
-		done := make(chan joined, 1)
-		go func() {
-			res, err := co.JoinContext(ctx, req)
-			done <- joined{res, err}
-		}()
-		waitBatch := time.Now().Add(5 * time.Second)
-		for tr.Counters()["shard.batches"] == 0 {
-			if time.Now().After(waitBatch) {
-				t.Fatalf("shards %d: no shard batch ever ran", n)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		co.Kill(n / 2)
-		j := <-done
-		if j.err == nil || j.res != nil {
-			t.Fatalf("shards %d: kill mid-pass produced res=%v err=%v, want honest error", n, j.res, j.err)
-		}
-		if !errors.Is(j.err, shard.ErrUnavailable) {
-			t.Fatalf("shards %d: err=%v, want ErrUnavailable", n, j.err)
-		}
-		awaitGoroutines(t, baseline)
-		requireDrained(t, dev, "after kill mid-pass")
-
-		co.Restart(n / 2)
-		want, err := rj.JoinContext(context.Background(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := co.JoinContext(context.Background(), req)
-		if err != nil {
-			t.Fatalf("shards %d after restart: %v", n, err)
-		}
-		resultsBitIdentical(t, got, want, "post-restart")
-	}
-}

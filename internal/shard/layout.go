@@ -1,10 +1,11 @@
 // Package shard implements spatially sharded scatter-gather execution: a
 // cell-range sharding scheme that splits a dataset's points into N spatial
-// shards along world-x cuts, per-shard executor slots that run the partial
-// point pass over their block assignment in-process, and a coordinator that
-// fans a query out to every shard and merges the partials in deterministic
-// shard order so results are byte-identical to the unsharded path at any
-// shard count (see internal/core's scatter driver for the full argument).
+// shards along world-x cuts, and a coordinator that runs every shard's
+// partial point pass over its block assignment in-process and merges the
+// partials in deterministic shard order, so results are byte-identical to
+// the unsharded path at any shard count (see internal/core's scatter driver
+// for the full argument). No server path uses it; the benchmark's layer
+// tier times it against the local join.
 package shard
 
 import (
@@ -29,11 +30,8 @@ type Layout struct {
 	Cuts   []float64
 	Blocks [][]int
 	// Stamp identifies the source snapshot the assignment was computed
-	// for; NumBlocks is the block count at that snapshot.
-	Stamp     uint64
-	NumBlocks int
-	// Points is the source length at build time (diagnostics).
-	Points int
+	// for.
+	Stamp uint64
 }
 
 // Range returns shard i's half-open world-x ownership range; the first and
@@ -59,12 +57,7 @@ func Build(src data.PointSource, n int) *Layout {
 	if n < 1 {
 		n = 1
 	}
-	l := &Layout{
-		N:         n,
-		Stamp:     src.Stamp(),
-		NumBlocks: src.NumBlocks(),
-		Points:    src.Len(),
-	}
+	l := &Layout{N: n, Stamp: src.Stamp()}
 	if n > 1 {
 		l.Cuts = chooseCuts(src, n)
 	}
@@ -164,22 +157,4 @@ func assign(src data.PointSource, l *Layout) [][]int {
 		}
 	}
 	return blocks
-}
-
-// Patch re-derives the layout for a grown snapshot of the same dataset
-// keeping the cuts fixed, so appended points route to the shard that
-// already owns their x range and no other shard's assignment semantics
-// move. Block assignment is recomputed wholesale — the append may have
-// grown the previously-partial tail block — but it is a zone-only sweep,
-// never a point scan.
-func (l *Layout) Patch(src data.PointSource) *Layout {
-	nl := &Layout{
-		N:         l.N,
-		Cuts:      l.Cuts,
-		Stamp:     src.Stamp(),
-		NumBlocks: src.NumBlocks(),
-		Points:    src.Len(),
-	}
-	nl.Blocks = assign(src, nl)
-	return nl
 }

@@ -4,8 +4,7 @@ package shard_test
 // coordinator's result is bit-identical — Count exactly, Sum/Min/Max by
 // float64 bit pattern — to the plain single-process raster join. These
 // tests exercise both modes, all five aggregates, filtered requests (the
-// needPred path), tiny point batches, cold and warm span caches, and
-// appends routed through Patch.
+// needPred path), tiny point batches, and cold and warm span caches.
 
 import (
 	"context"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/gpu"
 	"repro/internal/shard"
@@ -170,50 +170,6 @@ func TestShardedJoinBitIdenticalSmallBatches(t *testing.T) {
 	}
 }
 
-// TestShardedJoinAfterPatch appends points through AppendCOW, patches the
-// layout (cuts stay fixed, appends route to their owning shard), and
-// requires the patched sharded result to match the local join of the grown
-// set bit-for-bit.
-func TestShardedJoinAfterPatch(t *testing.T) {
-	ps, rs := scene(10_000, 8, 613)
-	tail, _ := scene(3_000, 1, 617)
-	tail.Name = ps.Name
-	for i := range tail.T {
-		tail.T[i] = int64(len(ps.T) + i)
-	}
-	dev := gpu.New()
-	rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(core.Accurate),
-		core.WithResolution(128))
-	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-
-	for _, n := range shardCounts {
-		co := shard.New(rj, n)
-		if _, err := co.JoinContext(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-		grown, err := ps.AppendCOW(tail)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !co.Patch(ps.Name, grown.Source()) {
-			t.Fatalf("shards %d: patch found no cached layout", n)
-		}
-		greq := core.Request{Points: grown, Regions: rs, Agg: core.Sum, Attr: "v"}
-		want, err := rj.JoinContext(context.Background(), greq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := co.JoinContext(context.Background(), greq)
-		if err != nil {
-			t.Fatalf("shards %d after patch: %v", n, err)
-		}
-		resultsBitIdentical(t, got, want, "after patch")
-		if co.Layouts() != 1 {
-			t.Fatalf("shards %d: %d layouts cached, want 1", n, co.Layouts())
-		}
-	}
-}
-
 // TestLayoutOwnershipPartition checks the foundation of the identity
 // argument directly: every point index is claimed by exactly one shard's
 // (range, blocks) pair, at every shard count.
@@ -242,35 +198,31 @@ func TestLayoutOwnershipPartition(t *testing.T) {
 	}
 }
 
-// TestDeterministicFirstError kills shards 0 and 2 and requires the error
-// to name shard 0 every time — never whichever goroutine lost the race —
-// and to be the honest ErrUnavailable, not a silent partial.
+// TestDeterministicFirstError fails the point pass of every shard and
+// requires the error to name shard 0 every time — never whichever
+// goroutine lost the race — and to carry the injected error, not a
+// silently partial result.
 func TestDeterministicFirstError(t *testing.T) {
 	ps, rs := scene(5_000, 4, 907)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(64))
 	co := shard.New(rj, 4)
-	co.Kill(0)
-	co.Kill(2)
+	reg := fault.New(1)
+	reg.Set("core.pointpass", fault.Rule{Prob: 1, Kind: fault.Error})
+	ctx := fault.NewContext(context.Background(), reg)
 	for trial := 0; trial < 20; trial++ {
-		_, err := co.JoinContext(context.Background(), req)
-		if err == nil {
-			t.Fatal("two shards down, query succeeded")
+		res, err := co.JoinContext(ctx, req)
+		if err == nil || res != nil {
+			t.Fatalf("trial %d: every shard failed, join returned res=%v err=%v", trial, res, err)
 		}
-		if !errors.Is(err, shard.ErrUnavailable) {
-			t.Fatalf("trial %d: error %v, want ErrUnavailable", trial, err)
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("trial %d: error %v, want the injected fault", trial, err)
 		}
 		if !strings.Contains(err.Error(), "shard 0:") {
 			t.Fatalf("trial %d: error %q does not name lowest failed shard 0", trial, err)
 		}
 	}
-	co.Restart(0)
-	co.Restart(2)
 	if _, err := co.JoinContext(context.Background(), req); err != nil {
-		t.Fatalf("after restart: %v", err)
-	}
-	st := co.Stats()
-	if len(st) != 4 || st[0].Refused == 0 || st[2].Refused == 0 {
-		t.Fatalf("stats missing refusals: %+v", st)
+		t.Fatalf("without faults: %v", err)
 	}
 }

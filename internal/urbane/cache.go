@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/qcache"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -186,12 +185,6 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	}
 	switch {
 	case errors.Is(err, admit.ErrOverloaded):
-		s.writeShed(w, err)
-		return
-	case errors.Is(err, shard.ErrUnavailable):
-		// A killed shard is transient by design (chaos or operator restart):
-		// same standard envelope + Retry-After contract as an admission
-		// shed, never a silently partial answer.
 		s.writeShed(w, err)
 		return
 	case errors.Is(err, context.DeadlineExceeded):

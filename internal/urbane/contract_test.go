@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"repro/internal/admit"
-	"repro/internal/fault"
-	"repro/internal/shard"
 	"repro/internal/trace"
 )
 
@@ -36,7 +34,7 @@ func doRaw(t *testing.T, s *Server, ctx context.Context, method, path, body stri
 
 // TestResponseHeaderContract drives every compute endpoint into each
 // terminal status — 200, 304 (images), 400 (unknown data set, bad
-// aggregate), 499, 503 (admission shed, killed shard), 504 — and asserts
+// aggregate), 499, 503 (admission shed), 504 — and asserts
 // the cross-cutting response contract: one status, envelope code and
 // Retry-After rule per cause whatever the endpoint, the elapsed and trace
 // headers stamped no matter how the request ends. This is the header audit
@@ -49,12 +47,6 @@ func TestResponseHeaderContract(t *testing.T) {
 	cancelSrv := computeServer(t)
 	shedSrv := computeServer(t, WithAdmission(admit.New(0, 1, time.Millisecond)))
 	slowSrv := computeServer(t, WithQueryTimeout(time.Nanosecond))
-	// A killed shard surfaces as shard.ErrUnavailable out of the compute;
-	// injecting it at the site every cached compute passes reaches every
-	// view, whether or not its join is one the coordinator scatters.
-	faults := fault.New(1)
-	faults.Set("qcache.compute", fault.Rule{Prob: 1, Kind: fault.Error, Err: shard.ErrUnavailable})
-	downSrv := computeServer(t, WithFaults(faults))
 	canceledCtx, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -120,9 +112,6 @@ func TestResponseHeaderContract(t *testing.T) {
 		})
 		t.Run(p.route+"/admission shed", func(t *testing.T) {
 			checkCommon(t, probe(shedSrv, bg), http.StatusServiceUnavailable, "overloaded")
-		})
-		t.Run(p.route+"/killed shard", func(t *testing.T) {
-			checkCommon(t, probe(downSrv, bg), http.StatusServiceUnavailable, "overloaded")
 		})
 		t.Run(p.route+"/expired deadline", func(t *testing.T) {
 			checkCommon(t, probe(slowSrv, bg), trace.StatusGatewayTimeout, "query_timeout")

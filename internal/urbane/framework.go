@@ -23,7 +23,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/geoblocks"
 	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/tcache"
 )
 
@@ -182,28 +181,6 @@ func (f *Framework) Incremental() *tcache.Joiner {
 	return f.planner.Slabs
 }
 
-// EnableSharding splits ad-hoc raster execution across n spatial shards
-// behind a scatter-gather coordinator: the planner routes every request the
-// engines before it (cubes, geoblocks, slabs) refuse through it. Unlike the other
-// engine toggles this does NOT bump the catalog version: sharded answers
-// are byte-identical to the local path — same stats, same Algorithm and
-// Reason strings, same PNG bodies — so every cached response stays valid
-// and ETags match across sharded and unsharded servers by construction.
-func (f *Framework) EnableSharding(n int) *shard.Coordinator {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	c := shard.New(f.planner.Raster, n)
-	f.reroute(func(pl *query.Planner) { pl.Shards = c })
-	return c
-}
-
-// Sharding returns the scatter-gather coordinator, or nil when disabled.
-func (f *Framework) Sharding() *shard.Coordinator {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.planner.Shards
-}
-
 // reroute swaps in a copy of the planner with edit applied. The caller
 // holds f.mu for writing.
 func (f *Framework) reroute(edit func(pl *query.Planner)) {
@@ -304,11 +281,6 @@ func (f *Framework) Append(ctx context.Context, name string, tail *data.PointSet
 	f.points[name] = grown
 	f.epochs[name]++
 	info.Epoch = f.epochs[name]
-	if c := f.planner.Shards; c != nil {
-		// Keep the cuts fixed so appended points route to the shard that
-		// already owns their x range; only block assignment is re-derived.
-		c.Patch(name, grown.Source())
-	}
 	return info, nil
 }
 

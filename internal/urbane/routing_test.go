@@ -19,7 +19,6 @@ var routingReasons = map[string]string{
 	"cube":      "canned query served from pre-aggregation",
 	"geoblocks": "unfiltered polygon aggregation: geoblocks hierarchy, or raster join when its boundary fringe costs more",
 	"slabs":     "time-windowed aggregation folded from cached slab partials",
-	"shards":    "ad-hoc query routed to raster join",
 	"raster":    "ad-hoc query routed to raster join",
 }
 
@@ -60,7 +59,6 @@ func TestRoutingTable(t *testing.T) {
 	}
 	geoblocks := func(_ *testing.T, f *Framework) { f.EnableGeoBlocks(6) }
 	slabs := func(_ *testing.T, f *Framework) { f.EnableIncremental(3600, 0, 0) }
-	shards := func(_ *testing.T, f *Framework) { f.EnableSharding(2) }
 	configs := []struct {
 		name  string
 		setup []setup
@@ -72,9 +70,8 @@ func TestRoutingTable(t *testing.T) {
 		{"geoblocks", []setup{geoblocks},
 			[5]string{"geoblocks/declined", "geoblocks/hybrid", "raster", "raster", "geoblocks/declined"}},
 		{"slabs", []setup{slabs}, [5]string{"raster", "raster", "slabs", "raster", "raster"}},
-		{"shards", []setup{shards}, [5]string{"shards", "shards", "shards", "shards", "shards"}},
-		{"everything", []setup{cube, geoblocks, slabs, shards},
-			[5]string{"cube", "geoblocks/hybrid", "slabs", "shards", "geoblocks/declined"}},
+		{"everything", []setup{cube, geoblocks, slabs},
+			[5]string{"cube", "geoblocks/hybrid", "slabs", "raster", "geoblocks/declined"}},
 	}
 
 	for _, cfg := range configs {
@@ -123,14 +120,12 @@ func TestRoutingTable(t *testing.T) {
 				got = "cube"
 			case strings.HasPrefix(res.Algorithm, "geoblocks-hybrid") && spans["geoblocks.plan"] && declined == 0:
 				got = "geoblocks/hybrid"
-			case declined == 1 && res.Algorithm == rasterName && !spans["geoblocks.plan"] && !spans["shard.scatter"]:
+			case declined == 1 && res.Algorithm == rasterName && !spans["geoblocks.plan"]:
 				got = "geoblocks/declined"
 			case declined != 0:
 				got = "declined, then ran elsewhere"
 			case spans["tcache.fold"]:
 				got = "slabs"
-			case spans["shard.scatter"]:
-				got = "shards"
 			case res.Algorithm == rasterName:
 				got = "raster"
 			}

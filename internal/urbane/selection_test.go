@@ -141,7 +141,7 @@ func TestSelectionEntryAppend(t *testing.T) {
 
 // TestAvgIsSumOnEveryEngine pins what folding AVG onto SUM in the selection
 // key rests on: on every engine of the routing lattice — cube, geoblocks
-// (hybrid and declined), slabs, shards, the raster join in approximate and
+// (hybrid and declined), slabs, the raster join in approximate and
 // accurate mode, and segment-backed sources — a join of AVG(fare) and one
 // of SUM(fare) route to the same link with the same reason and return
 // bitwise-equal stats under the same Algorithm.
@@ -168,7 +168,6 @@ func TestAvgIsSumOnEveryEngine(t *testing.T) {
 	}
 	geoblocks := func(_ *testing.T, f *Framework) { f.EnableGeoBlocks(6) }
 	slabs := func(_ *testing.T, f *Framework) { f.EnableIncremental(3600, 0, 0) }
-	shards := func(_ *testing.T, f *Framework) { f.EnableSharding(2) }
 	segments := func(t *testing.T, f *Framework) { attachSegments(t, f, "taxi") }
 	configs := []struct {
 		name   string
@@ -180,9 +179,8 @@ func TestAvgIsSumOnEveryEngine(t *testing.T) {
 		{"cube", nil, []func(*testing.T, *Framework){cube}},
 		{"geoblocks", nil, []func(*testing.T, *Framework){geoblocks}},
 		{"slabs", nil, []func(*testing.T, *Framework){slabs}},
-		{"shards", nil, []func(*testing.T, *Framework){shards}},
 		{"segments", nil, []func(*testing.T, *Framework){segments}},
-		{"segments + every engine", nil, []func(*testing.T, *Framework){segments, cube, geoblocks, slabs, shards}},
+		{"segments + every engine", nil, []func(*testing.T, *Framework){segments, cube, geoblocks, slabs}},
 	}
 
 	answered := map[string]bool{}
@@ -242,7 +240,7 @@ func TestAvgIsSumOnEveryEngine(t *testing.T) {
 			answered[link] = true
 		}
 	}
-	for _, link := range []string{"cube", "geoblocks/hybrid", "geoblocks/declined", "slabs", "shards", "raster"} {
+	for _, link := range []string{"cube", "geoblocks/hybrid", "geoblocks/declined", "slabs", "raster"} {
 		if !answered[link] {
 			t.Errorf("no shape reached %s: the lattice lost an engine", link)
 		}

@@ -21,7 +21,6 @@ import (
 	"repro/internal/lru"
 	"repro/internal/qcache"
 	"repro/internal/query"
-	"repro/internal/shard"
 	"repro/internal/tcache"
 	"repro/internal/trace"
 )
@@ -623,7 +622,6 @@ type statsResponse struct {
 	SpanCache      lru.Stats             `json:"spanCache"`
 	GeoBlocks      geoblocks.Stats       `json:"geoblocks"`
 	Incremental    incrementalStats      `json:"incremental"`
-	Sharding       shardingStats         `json:"sharding"`
 	Gauges         map[string]int64      `json:"gauges"`
 	Endpoints      []trace.EndpointStats `json:"endpoints"`
 }
@@ -649,16 +647,6 @@ type segmentsStats struct {
 	BlocksScanned int64     `json:"blocksScanned"`
 	BlocksPruned  int64     `json:"blocksPruned"`
 	Cache         lru.Stats `json:"cache"`
-}
-
-// shardingStats reports scatter-gather execution: the shard count, cached
-// per-dataset layouts, and each executor slot's liveness and gauges in
-// shard order.
-type shardingStats struct {
-	Enabled  bool              `json:"enabled"`
-	Shards   int               `json:"shards"`
-	Layouts  int               `json:"layouts"`
-	PerShard []shard.NodeStats `json:"perShard"`
 }
 
 // handleStats reports the server's request statistics: GET /api/stats.
@@ -694,19 +682,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if g := s.f.GeoBlocks(); g != nil {
 		gb = g.Stats()
 	}
-	var sh shardingStats
-	if c := s.f.Sharding(); c != nil {
-		sh = shardingStats{
-			Enabled: true, Shards: c.NumShards(), Layouts: c.Layouts(),
-			PerShard: c.Stats(),
-		}
-		for _, ns := range sh.PerShard {
-			pfx := "shard." + strconv.Itoa(ns.Shard)
-			s.metrics.SetGauge(pfx+".inflight", ns.Inflight)
-			s.metrics.SetGauge(pfx+".scanned", ns.BlocksScanned)
-			s.metrics.SetGauge(pfx+".merged", ns.Merged)
-		}
-	}
 	// Mirror the admission snapshot into the trace registry's gauge map so
 	// any consumer of the registry sees shed/queued/inflight without knowing
 	// about the admit package.
@@ -727,7 +702,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SpanCache:      dev.SpanCache().Stats(),
 		GeoBlocks:      gb,
 		Incremental:    inc,
-		Sharding:       sh,
 		Gauges:         s.metrics.Gauges(),
 		Endpoints:      s.metrics.Snapshot(),
 	})

@@ -61,17 +61,15 @@ func shapeOf(v any, indent string, sb *strings.Builder) {
 }
 
 // TestStatsShapeGolden boots a server with every optional block populated
-// — sharding (so perShard rows exist), incremental maintenance, admission
-// — issues traffic so the gauges and endpoint histograms materialize, and
+// — incremental maintenance, admission — issues traffic so the gauges and endpoint histograms materialize, and
 // pins the full /api/stats document shape against testdata.
 func TestStatsShapeGolden(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
-	f.EnableSharding(2)
 	f.EnableIncremental(1800, 0, 0)
 	srv := NewServer(f, WithCache(1<<20), WithTimeSnap(1800))
 
-	// One compute query plus one stats poll so per-shard gauges, endpoint
-	// histograms, and cache counters all have rows.
+	// One compute query plus one stats poll so gauges, endpoint histograms,
+	// and cache counters all have rows.
 	body := `{"dataset":"taxi","layer":"nbhd","agg":"sum","attr":"fare","filters":[{"attr":"fare","min":0,"max":100}]}`
 	req := httptest.NewRequest(http.MethodPost, "/api/mapview", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")

@@ -5,10 +5,9 @@ import "fmt"
 // Mixed is a deterministic two-dataset interleave: read queries against
 // dataset A and dataset B alternating with appends to each, in a fixed
 // six-step cycle (read A, read B, append A, read A, read B, append B).
-// It exists to exercise per-dataset epoch isolation under shard routing:
-// an append to A must produce fresh response-cache keys for A's queries
-// while B's stay warm, and the coordinator must patch only A's shard
-// layout. Two Mixed streams built with the same config and seed yield the
+// It exists to exercise per-dataset epoch isolation: an append to A must
+// produce fresh response-cache keys for A's queries while B's stay warm.
+// Two Mixed streams built with the same config and seed yield the
 // identical request sequence. Not safe for concurrent use.
 type Mixed struct {
 	mixes [2]*Mix
