@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke verify
+.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -155,5 +155,13 @@ ingest-smoke:
 	$(GO) test -race -count=1 -run '^TestPatch' ./internal/geoblocks
 	$(GO) test -race -count=1 ./internal/tcache ./internal/workload
 	$(GO) test -race -count=1 -run '^TestIngestSoakReplay$$' ./internal/chaos
+
+# Non-test Go lines per package directory, then the total, outside
+# benchmark/ and testdata/: the size figure a simplicity change reports.
+# Informational, not a gate.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d] += $$1; sum += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
 verify: build vet fmt lint test

@@ -25,15 +25,17 @@ import (
 // bin the bits JoinContext gives it. The static polygon work is paid once
 // per tile instead of bins times.
 //
-// The request's own Time filter is ignored; the bin windows replace it. The
-// `core.join` fault site fires once per series. Cancellation is checked
-// between canvas tiles, time bins and point batches, and the canvas and
-// pooled textures are released on every exit path.
+// Bins split the range evenly, the last one taking the remainder; more bins
+// than seconds in the range is an error, as the later bins would lie past
+// end. The request's own Time filter is ignored; the bin windows replace
+// it. The `core.join` fault site fires once per series. Cancellation is
+// checked between canvas tiles, time bins and point batches, and the canvas
+// and pooled textures are released on every exit path.
 func (r *RasterJoin) SeriesJoinContext(ctx context.Context, req Request, start, end int64, bins int) ([]*Result, error) {
-	if bins < 1 || end <= start {
-		return nil, fmt.Errorf("core: series needs bins >= 1 and a non-empty range")
+	if bins < 1 || int64(bins) > end-start {
+		return nil, fmt.Errorf("core: series needs 1 <= bins <= end-start, got %d bins over [%d,%d)", bins, start, end)
 	}
-	width := max((end-start)/int64(bins), 1)
+	width := (end - start) / int64(bins)
 	// The whole range stands in for the request's window: Validate then
 	// requires timestamps, and each bin re-aims the scan at its own window.
 	req.Time = &TimeFilter{Start: start, End: end}

@@ -91,6 +91,10 @@ func TestSeriesJoinErrors(t *testing.T) {
 	if _, err := rj.SeriesJoinContext(context.Background(), req, 100, 100, 2); err == nil {
 		t.Error("empty range should fail")
 	}
+	// Five bins over three seconds would put bins 3 and 4 past the range.
+	if _, err := rj.SeriesJoinContext(context.Background(), req, 10, 13, 5); err == nil {
+		t.Error("more bins than seconds in the range should fail")
+	}
 	noT := &data.PointSet{Name: "noT", X: []float64{1}, Y: []float64{1}}
 	if _, err := rj.SeriesJoinContext(context.Background(), core.Request{Points: noT, Regions: rs, Agg: core.Count},
 		0, 100, 2); err == nil {

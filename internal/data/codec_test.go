@@ -2,7 +2,6 @@ package data
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -40,62 +39,6 @@ func TestCSVRoundTrip(t *testing.T) {
 				t.Fatalf("attr %q row %d differs", ps.Attrs[k].Name, i)
 			}
 		}
-	}
-}
-
-func TestStreamCSV(t *testing.T) {
-	ps := Generate(NYCTaxiConfig(1000, 2009, time.January, 41))
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, ps); err != nil {
-		t.Fatal(err)
-	}
-	var batches []int
-	total := 0
-	err := StreamCSV(bytes.NewReader(buf.Bytes()), "taxi", 300, func(b *PointSet) error {
-		if err := b.Validate(); err != nil {
-			return err
-		}
-		batches = append(batches, b.Len())
-		total += b.Len()
-		if len(b.Attrs) != len(ps.Attrs) {
-			t.Fatalf("batch attrs = %d, want %d", len(b.Attrs), len(ps.Attrs))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != ps.Len() {
-		t.Fatalf("streamed %d rows, want %d", total, ps.Len())
-	}
-	// 1000 rows at 300/batch: 300,300,300,100.
-	if len(batches) != 4 || batches[3] != 100 {
-		t.Errorf("batches = %v", batches)
-	}
-	// Default batch size kicks in for batchSize < 1.
-	calls := 0
-	err = StreamCSV(bytes.NewReader(buf.Bytes()), "taxi", 0, func(b *PointSet) error {
-		calls++
-		return nil
-	})
-	if err != nil || calls != 1 {
-		t.Errorf("default batch: calls=%d err=%v", calls, err)
-	}
-	// Callback errors propagate.
-	sentinel := strings.NewReader(buf.String())
-	err = StreamCSV(sentinel, "taxi", 100, func(b *PointSet) error {
-		return io.ErrUnexpectedEOF
-	})
-	if err != io.ErrUnexpectedEOF {
-		t.Errorf("callback error not propagated: %v", err)
-	}
-	// Bad input errors.
-	if err := StreamCSV(strings.NewReader("a,b,c\n"), "x", 10, nil); err == nil {
-		t.Error("bad header should fail")
-	}
-	if err := StreamCSV(strings.NewReader("x,y,t\n1,2,zzz\n"),
-		"x", 10, func(*PointSet) error { return nil }); err == nil {
-		t.Error("bad row should fail")
 	}
 }
 

@@ -39,65 +39,6 @@ func WriteCSV(w io.Writer, ps *PointSet) error {
 	return cw.Error()
 }
 
-// StreamCSV reads a CSV point stream in batches of up to batchSize rows,
-// invoking fn with each non-empty batch. Batches reuse nothing between
-// calls, so fn may retain or discard them freely — inputs larger than
-// memory flow through one batch at a time (examples/streaming appends each
-// to a segment file).
-func StreamCSV(r io.Reader, name string, batchSize int, fn func(*PointSet) error) error {
-	if batchSize < 1 {
-		batchSize = 1 << 16
-	}
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return fmt.Errorf("data: reading csv header: %w", err)
-	}
-	if len(header) < 3 || header[0] != "x" || header[1] != "y" || header[2] != "t" {
-		return fmt.Errorf("data: csv header %v, want x,y,t,...", header)
-	}
-	attrNames := append([]string(nil), header[3:]...)
-	newBatch := func() *PointSet {
-		ps := &PointSet{Name: name}
-		for _, n := range attrNames {
-			ps.Attrs = append(ps.Attrs, Column{Name: n})
-		}
-		return ps
-	}
-	ps := newBatch()
-	line := 1
-	flush := func() error {
-		if ps.Len() == 0 {
-			return nil
-		}
-		if err := fn(ps); err != nil {
-			return err
-		}
-		ps = newBatch()
-		return nil
-	}
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("data: reading csv line %d: %w", line+1, err)
-		}
-		line++
-		if err := appendRow(ps, rec, header, line); err != nil {
-			return err
-		}
-		if ps.Len() >= batchSize {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
-}
-
 // appendRow parses one CSV record into the point set.
 func appendRow(ps *PointSet, rec, header []string, line int) error {
 	if len(rec) != len(header) {
@@ -155,30 +96,8 @@ func ReadCSV(r io.Reader, name string) (*PointSet, error) {
 			return nil, fmt.Errorf("data: reading csv line %d: %w", line+1, err)
 		}
 		line++
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("data: csv line %d has %d fields, want %d", line, len(rec), len(header))
-		}
-		x, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("data: csv line %d x: %w", line, err)
-		}
-		y, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("data: csv line %d y: %w", line, err)
-		}
-		t, err := strconv.ParseInt(rec[2], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("data: csv line %d t: %w", line, err)
-		}
-		ps.X = append(ps.X, x)
-		ps.Y = append(ps.Y, y)
-		ps.T = append(ps.T, t)
-		for k := range ps.Attrs {
-			v, err := strconv.ParseFloat(rec[3+k], 64)
-			if err != nil {
-				return nil, fmt.Errorf("data: csv line %d attr %q: %w", line, ps.Attrs[k].Name, err)
-			}
-			ps.Attrs[k].Values = append(ps.Attrs[k].Values, v)
+		if err := appendRow(ps, rec, header, line); err != nil {
+			return nil, err
 		}
 	}
 	return ps, nil

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/geom"
 )
@@ -274,6 +273,3 @@ func (ps *PointSet) TimeWindow(start, end int64) (lo, hi int) {
 	hi = sort.Search(ps.Len(), func(i int) bool { return ps.T[i] >= end })
 	return lo, hi
 }
-
-// Unix returns t as a UTC time — a readability helper for examples.
-func Unix(t int64) time.Time { return time.Unix(t, 0).UTC() }

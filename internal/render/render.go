@@ -213,27 +213,5 @@ func Density(counts []float64, w, h int, ramp Ramp) (*image.RGBA, error) {
 	return img, nil
 }
 
-// Legend renders a horizontal color-scale bar for the ramp.
-func Legend(width, height int, ramp Ramp) *image.RGBA {
-	if width < 1 {
-		width = 1
-	}
-	if height < 1 {
-		height = 1
-	}
-	img := image.NewRGBA(image.Rect(0, 0, width, height))
-	denom := float64(width - 1)
-	if denom < 1 {
-		denom = 1
-	}
-	for x := 0; x < width; x++ {
-		c := ramp(float64(x) / denom)
-		for y := 0; y < height; y++ {
-			img.SetRGBA(x, y, c)
-		}
-	}
-	return img
-}
-
 // EncodePNG writes the image as PNG.
 func EncodePNG(w io.Writer, img image.Image) error { return png.Encode(w, img) }

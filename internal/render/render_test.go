@@ -110,12 +110,14 @@ func TestDensity(t *testing.T) {
 }
 
 func TestLegendAndPNGRoundTrip(t *testing.T) {
-	img := Legend(64, 8, HeatRamp)
-	if img.Bounds().Dx() != 64 {
-		t.Fatalf("legend dims = %v", img.Bounds())
+	// A 64x8 density ramp: the PNG must decode to the same pixels.
+	counts := make([]float64, 64*8)
+	for i := range counts {
+		counts[i] = float64(i % 64)
 	}
-	if img.RGBAAt(0, 0) == img.RGBAAt(63, 0) {
-		t.Error("legend should sweep the ramp")
+	img, err := Density(counts, 64, 8, HeatRamp)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := EncodePNG(&buf, img); err != nil {
@@ -125,10 +127,16 @@ func TestLegendAndPNGRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decoded.Bounds().Dx() != 64 {
-		t.Errorf("decoded dims = %v", decoded.Bounds())
+	if decoded.Bounds() != img.Bounds() {
+		t.Fatalf("decoded dims = %v, want %v", decoded.Bounds(), img.Bounds())
 	}
-	// 1x1 legend does not divide by zero.
-	_ = Legend(1, 1, BlueRamp)
-	_ = Legend(0, 0, BlueRamp)
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 64; x++ {
+			r0, g0, b0, a0 := img.At(x, y).RGBA()
+			r1, g1, b1, a1 := decoded.At(x, y).RGBA()
+			if [4]uint32{r0, g0, b0, a0} != [4]uint32{r1, g1, b1, a1} {
+				t.Fatalf("pixel (%d,%d) changed in the round trip", x, y)
+			}
+		}
+	}
 }

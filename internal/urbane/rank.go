@@ -22,8 +22,8 @@ type MetricSpec struct {
 }
 
 // RegionScore is one region's similarity result: its distance to the target
-// in normalized feature space (smaller = more similar) and its raw metric
-// values.
+// in normalized feature space (smaller = more similar) and its metric
+// values in that space (each metric z-normalized over the layer).
 type RegionScore struct {
 	ID       int       `json:"id"`
 	Name     string    `json:"name"`

@@ -152,6 +152,12 @@ func TestExploreEndpoint(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("zero bins status = %d", rec.Code)
 	}
+	// More bins than seconds: the later bins would lie past the range.
+	body["start"], body["end"], body["bins"] = 10, 13, 5
+	rec = doJSON(t, s, http.MethodPost, "/api/explore", body)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("5 bins over [10,13) status = %d: %s", rec.Code, rec.Body)
+	}
 }
 
 // TestExploreSeriesErrorIsReturned: a series that fails at the core.join

@@ -14,16 +14,6 @@ import (
 	"repro/internal/render"
 )
 
-// RenderChoroplethContext runs the map view and renders it to PNG bytes at
-// the given width — the programmatic form of /api/render/choropleth.png.
-func (f *Framework) RenderChoroplethContext(ctx context.Context, sel Selection, width int) ([]byte, error) {
-	ch, err := f.MapViewContext(ctx, sel)
-	if err != nil {
-		return nil, err
-	}
-	return f.renderChoropleth(ctx, ch, width)
-}
-
 // renderChoropleth paints a map view's values over its layer as PNG bytes
 // at the given width. The layer is replayed from the device's span cache at
 // the render transform, so only the first render of a layer at a width

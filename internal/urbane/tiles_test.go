@@ -14,9 +14,11 @@ import (
 
 func TestRenderChoropleth(t *testing.T) {
 	f, _, nbhd := buildTestFramework(t)
-	data, err := f.RenderChoroplethContext(context.Background(), Selection{
-		Dataset: "taxi", Layer: "nbhd", Agg: 0,
-	}, 400)
+	ch, err := f.MapViewContext(context.Background(), Selection{Dataset: "taxi", Layer: "nbhd", Agg: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := f.renderChoropleth(context.Background(), ch, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,18 +31,13 @@ func TestRenderChoropleth(t *testing.T) {
 	}
 	// The render replays the layer from the span cache: a warm render and
 	// render.Choropleth's compile-then-replay draw the same bytes.
-	sel := Selection{Dataset: "taxi", Layer: "nbhd", Agg: 0}
 	hits := f.rasterJoiner().Device().SpanCache().Stats().Hits
-	warm, err := f.RenderChoroplethContext(context.Background(), sel, 400)
+	warm, err := f.renderChoropleth(context.Background(), ch, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.rasterJoiner().Device().SpanCache().Stats().Hits == hits {
 		t.Error("warm render did not replay the cached layer")
-	}
-	ch, err := f.MapViewContext(context.Background(), sel)
-	if err != nil {
-		t.Fatal(err)
 	}
 	values := make([]float64, len(ch.Values))
 	for i, v := range ch.Values {
@@ -58,8 +55,8 @@ func TestRenderChoropleth(t *testing.T) {
 		t.Error("cold, warm and render.Choropleth PNGs differ")
 	}
 	// Errors propagate.
-	if _, err := f.RenderChoroplethContext(context.Background(), Selection{Dataset: "nope", Layer: "nbhd"}, 400); err == nil {
-		t.Error("unknown data set should fail")
+	if _, err := f.renderChoropleth(context.Background(), &Choropleth{Layer: "nope"}, 400); err == nil {
+		t.Error("unknown layer should fail")
 	}
 }
 

@@ -176,11 +176,9 @@ type Exploration struct {
 // cancellation and whose errors are returned; a cube-servable selection
 // runs one query per bin, with cancellation checked between them.
 func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) (*Exploration, error) {
-	if req.Bins < 1 {
-		return nil, fmt.Errorf("urbane: exploration needs at least 1 bin")
-	}
-	if req.End <= req.Start {
-		return nil, fmt.Errorf("urbane: empty time range [%d,%d)", req.Start, req.End)
+	if req.Bins < 1 || int64(req.Bins) > req.End-req.Start {
+		return nil, fmt.Errorf("urbane: exploration needs 1 <= bins <= end-start, got %d bins over [%d,%d)",
+			req.Bins, req.Start, req.End)
 	}
 	rs, err := f.layer(req.Layer)
 	if err != nil {
@@ -193,9 +191,6 @@ func (f *Framework) ExploreContext(ctx context.Context, req ExplorationRequest) 
 
 	start := time.Now()
 	width := (req.End - req.Start) / int64(req.Bins)
-	if width < 1 {
-		width = 1
-	}
 	out := &Exploration{BinStarts: make([]int64, req.Bins)}
 	for b := 0; b < req.Bins; b++ {
 		out.BinStarts[b] = req.Start + int64(b)*width

@@ -1,7 +1,8 @@
 // Package workload assembles the standard evaluation scenes shared by the
 // benchmark harness (cmd/urbane-bench), the root testing.B benchmarks, and
-// the examples: the synthetic NYC taxi workload over neighborhood, tract,
-// and grid layers, matching the paper's primary demo data.
+// the demo scenario tests (internal/urbane): the synthetic NYC taxi workload
+// over neighborhood, tract, and grid layers, matching the paper's primary
+// demo data.
 package workload
 
 import (
