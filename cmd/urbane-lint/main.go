@@ -1,5 +1,5 @@
 // Command urbane-lint is the project's static-analysis multichecker: it
-// type-checks the requested packages and runs the concurrency, numerics,
+// type-checks the requested packages and runs the numerics, determinism
 // and flow-sensitive invariant analyzers tuned to this codebase's failure
 // modes.
 //
@@ -27,14 +27,7 @@
 //
 // The checks:
 //
-//	sharedwrite — unsynchronized writes to captured variables in
-//	              goroutine fan-out loops
-//	waitgroup   — Add inside the goroutine, non-deferred Done,
-//	              WaitGroup copied by value
 //	floataccum  — naive float += reduction loops (suggests internal/fsum)
-//	handlerlock — HTTP handlers touching mutex-guarded state lock-free
-//	ctxflow     — exported query-path functions spawning goroutines or
-//	              looping over draw calls without a context.Context
 //	poolleak    — CFG/dataflow: texture/canvas acquires that miss their
 //	              release on some path to return
 //	gaugepair   — CFG/dataflow: gauge increments not balanced by a
@@ -52,26 +45,18 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/analysis/ctxflow"
 	"repro/internal/analysis/ctxpoll"
 	"repro/internal/analysis/detrand"
 	"repro/internal/analysis/envelope"
 	"repro/internal/analysis/floataccum"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/gaugepair"
-	"repro/internal/analysis/handlerlock"
 	"repro/internal/analysis/loader"
 	"repro/internal/analysis/poolleak"
-	"repro/internal/analysis/sharedwrite"
-	"repro/internal/analysis/waitgroup"
 )
 
 var all = []*framework.Analyzer{
-	sharedwrite.Analyzer,
-	waitgroup.Analyzer,
 	floataccum.Analyzer,
-	handlerlock.Analyzer,
-	ctxflow.Analyzer,
 	poolleak.Analyzer,
 	gaugepair.Analyzer,
 	ctxpoll.Analyzer,

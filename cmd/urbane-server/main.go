@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	resolution := fs.Int("resolution", 1024, "raster join canvas resolution (longest side, pixels)")
 	accurate := fs.Bool("accurate", true, "use the exact hybrid raster join")
 	cacheBytes := fs.Int64("cache-bytes", urbane.DefaultCacheBytes, "query-result cache capacity in bytes (0 disables)")
-	timeSnap := fs.Int64("time-snap", 1, "snap time filters outward to this granularity in seconds (1 = off)")
+	timeSnap := fs.Int64("time-snap", 1, "snap time filters outward to this granularity in seconds (1 = off); above 1 it is also the slab width of the incremental slab fold")
 	queryTimeout := fs.Duration("query-timeout", 0, "per-request query deadline; exceeded queries abort mid-join and return 504 (0 = unbounded)")
 	pointBatch := fs.Int("point-batch", 0, "max point vertices per draw call — the cancellation granularity of the point pass (0 = one draw)")
 	spanCacheBytes := fs.Int64("span-cache-bytes", gpu.DefaultSpanCacheBytes, "region span cache capacity in bytes — compiled polygon rasterizations reused across queries (0 disables)")
@@ -94,10 +94,8 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	faultSpec := fs.String("faults", "", "deterministic fault injection spec, e.g. \"core.pointpass=latency:0.2:5ms,qcache.compute=error:0.05\" (chaos testing only)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the -faults schedule; same seed = same schedule")
 	geoBlocks := fs.Bool("geoblocks", false, "enable the pre-aggregated spatial hierarchy: unfiltered polygon aggregation folds stored per-cell aggregates and refines only the boundary fringe")
-	geoBlocksMaxLevel := fs.Int("geoblocks-maxlevel", geoblocks.DefaultMaxLevel, "finest geoblocks pyramid level (2^L cells per side); higher = thinner fringes, more memory")
 	segments := fs.Bool("segments", false, "materialize every data set into a columnar segment file and execute ad-hoc queries block-at-a-time with zone-map pruning (out-of-core under -segment-cache-bytes)")
 	segCacheBytes := fs.Int64("segment-cache-bytes", segment.DefaultCacheBytes, "decoded-block cache budget per segment store in bytes; datasets larger than this stream from disk")
-	incremental := fs.Bool("incremental", true, "incremental temporal view maintenance: answer slab-aligned time windows as a fold of cached per-slab partials (needs -time-snap > 1, which sets the slab width)")
 	slabCacheBytes := fs.Int64("slab-cache-bytes", tcache.DefaultCacheBytes, "slab partial cache capacity in bytes")
 	maxSlabs := fs.Int("max-slabs", tcache.DefaultMaxSlabs, "max slabs one window may decompose into; wider windows use the one-shot path")
 	if err := fs.Parse(args); err != nil {
@@ -135,12 +133,12 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	}
 
 	if *geoBlocks {
-		f.EnableGeoBlocks(*geoBlocksMaxLevel)
+		f.EnableGeoBlocks(0)
 		log.Printf("geoblocks hierarchy enabled (maxlevel %d); indexes build lazily on first query per data set",
-			*geoBlocksMaxLevel)
+			geoblocks.DefaultMaxLevel)
 	}
 
-	if *incremental && *timeSnap > 1 {
+	if *timeSnap > 1 {
 		f.EnableIncremental(*timeSnap, *slabCacheBytes, *maxSlabs)
 		log.Printf("incremental maintenance enabled: %ds slabs, %.1f MiB partial cache, <=%d slabs per window",
 			*timeSnap, float64(*slabCacheBytes)/(1<<20), *maxSlabs)

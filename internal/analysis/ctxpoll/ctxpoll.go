@@ -1,6 +1,5 @@
-// Package ctxpoll enforces the body-level half of the cancellation
-// contract that ctxflow checks at the signature level: inside the render
-// kernels (internal/gpu, internal/core), a function that holds a request
+// Package ctxpoll enforces the cancellation contract inside the render
+// kernels (internal/gpu, internal/core): a function that holds a request
 // context and loops over per-item draw work — points, regions, tiles, bins
 // — must actually poll that context inside the loop, or the loop runs to
 // completion long after the client has gone:

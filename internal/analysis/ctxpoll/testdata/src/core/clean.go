@@ -69,7 +69,7 @@ func cleanNoWork(ctx context.Context, xs []int) int {
 }
 
 // cleanNoContext has no context in scope at all: out of ctxpoll's scope
-// (ctxflow owns the signature-level complaint).
+// (with no context there is nothing to poll).
 func cleanNoContext(c *canvas, regions []int) {
 	for _, k := range regions {
 		drawRegion(c, k)

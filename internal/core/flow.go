@@ -160,9 +160,9 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	for s := lo; s < hi; s += step {
 		parts = append(parts, flowPartial{lo: s, hi: min(s+step, hi), counts: make(map[int64]int64)})
 	}
-	// Race audit (sharedwrite-clean): parallelCtx hands each range index to
-	// exactly one goroutine, which writes only parts[i]; the lookup state
-	// is frozen before the fan-out and only read here.
+	// Race audit: parallelCtx hands each range index to exactly one
+	// goroutine, which writes only parts[i]; the lookup state is frozen
+	// before the fan-out and only read here.
 	err = r.parallelCtx(ctx, len(parts), func(i int) {
 		p := &parts[i]
 		p.err = r.batched(ctx, c, sc, p.lo, p.hi, "batches",

@@ -352,10 +352,10 @@ func polygonSpans(sp *raster.RegionSpans, k int, exact bool) []raster.Span {
 // pass over the region's boundary pixels. It records the boundary_obs and
 // refine_edge_tests trace counters once per tile.
 //
-// Race audit (sharedwrite-clean): parallelCtx hands each region
-// index k to exactly one goroutine, so stats[k] has a single writer; the
-// textures, observation lists and bins are frozen after collect and only
-// read here, and the edge-test total is atomic.
+// Race audit: parallelCtx hands each region index k to exactly one
+// goroutine, so stats[k] has a single writer; the textures, observation
+// lists and bins are frozen after collect and only read here, and the
+// edge-test total is atomic.
 func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 	if t.mask != nil {
 		trace.FromContext(ctx).Count("boundary_obs", int64(t.collect(t.rows, t.sp)))
@@ -404,11 +404,10 @@ func (t *tile) foldSpans(spans []raster.Span) RegionStat {
 // context between claims: a canceled request stops handing out work and
 // returns ctx.Err() once the in-flight indices drain.
 //
-// Race audit (sharedwrite-clean): k comes from an atomic cursor, so each
-// index is claimed by exactly one goroutine; fn must only write state
-// owned by index k (the callers write stats[k] or parts[k]), which
-// partitions every write. wg.Wait() sequences the caller's reads after all
-// writes.
+// Race audit: k comes from an atomic cursor, so each index is claimed by
+// exactly one goroutine; fn must only write state owned by index k (the
+// callers write stats[k] or parts[k]), which partitions every write.
+// wg.Wait() sequences the caller's reads after all writes.
 func (r *RasterJoin) parallelCtx(ctx context.Context, n int, fn func(k int)) error {
 	workers := r.workers
 	if workers > n {

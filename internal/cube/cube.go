@@ -120,10 +120,10 @@ func build(ps *data.PointSet, src data.PointSource, cfg Config) (*Cube, error) {
 	// by block, projected to X, Y, T when binning by time and the summed
 	// attributes, for segment-backed sources).
 	//
-	// Race audit (sharedwrite-clean): each goroutine owns the `partial`
-	// it receives as an argument (counts/sums allocated per worker); the
-	// spatial index and source blocks are read-only. The merge into
-	// c.counts/c.sums runs single-threaded after each wave's wg.Wait().
+	// Race audit: each goroutine owns the `partial` it receives as an
+	// argument (counts/sums allocated per worker); the spatial index and
+	// source blocks are read-only. The merge into c.counts/c.sums runs
+	// single-threaded after each wave's wg.Wait().
 	n := ps.Len()
 	shard := max((n+buildShards-1)/buildShards, 1)
 	workers := min(runtime.GOMAXPROCS(0), buildShards)

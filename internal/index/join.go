@@ -278,10 +278,10 @@ func (r *RTreeJoin) Join(req core.Request) (*core.Result, error) {
 	if shard < 1 {
 		shard = 1
 	}
-	// Race audit (sharedwrite-clean): each goroutine writes only its own
-	// `part` slice, passed as an argument; the shared `partials`,
-	// `res.Stats`, tree and attr are read-only until wg.Wait() establishes
-	// the happens-before edge for the single-threaded merge below.
+	// Race audit: each goroutine writes only its own `part` slice, passed
+	// as an argument; the shared `partials`, `res.Stats`, tree and attr
+	// are read-only until wg.Wait() establishes the happens-before edge
+	// for the single-threaded merge below.
 	var wg sync.WaitGroup
 	partials := make([][]core.RegionStat, 0, workers)
 	for s := lo; s < hi; s += shard {
@@ -330,9 +330,9 @@ func effectiveWorkers(n int) int {
 
 // parallelRegions fans region indices [0,n) across workers.
 //
-// Race audit (sharedwrite-clean): the atomic cursor hands each k to one
-// goroutine, so callers that write only stats[k] are partitioned;
-// wg.Wait() sequences the caller's reads after every write.
+// Race audit: the atomic cursor hands each k to one goroutine, so callers
+// that write only stats[k] are partitioned; wg.Wait() sequences the
+// caller's reads after every write.
 func parallelRegions(workers, n int, fn func(k int)) {
 	w := effectiveWorkers(workers)
 	if w > n {

@@ -175,14 +175,34 @@ func cmpFloat(a, b float64) int {
 // consecutive drags share cache entries. The server applies the same
 // snapped window to execution and to the cache key, so caching never
 // changes what a given request returns. gran <= 1 is the identity.
+//
+// Snapping saturates: a bound whose multiple of gran would leave int64
+// stays at math.MinInt64 or math.MaxInt64, so "everything after t" keeps
+// meaning everything. Such a window is unaligned or far wider than any
+// slab cap, so the slab fold declines it and the raster join answers.
 func SnapTime(t *core.TimeFilter, gran int64) *core.TimeFilter {
 	if t == nil || gran <= 1 {
 		return t
 	}
-	start := floorDiv(t.Start, gran) * gran
-	end := ceilDiv(t.End, gran) * gran
+	start := int64(math.MinInt64)
+	if q := floorDiv(t.Start, gran); q >= math.MinInt64/gran {
+		start = q * gran
+	}
+	end := int64(math.MaxInt64)
+	if q := ceilDiv(t.End, gran); q <= math.MaxInt64/gran {
+		end = q * gran
+	}
 	if end <= start {
-		end = start + gran
+		// An empty window snaps to the one slab at its start, clipped at
+		// math.MaxInt64; a start on math.MaxInt64 itself (gran divides
+		// it) moves back one slab.
+		if start == math.MaxInt64 {
+			start -= gran
+		}
+		end = math.MaxInt64
+		if start <= math.MaxInt64-gran {
+			end = start + gran
+		}
 	}
 	return &core.TimeFilter{Start: start, End: end}
 }

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -108,5 +109,44 @@ func TestSnapTimeProperties(t *testing.T) {
 	got := SnapTime(&core.TimeFilter{Start: -10, End: -1}, 60)
 	if got.Start != -60 || got.End != 0 {
 		t.Errorf("negative snap = [%d,%d), want [-60,0)", got.Start, got.End)
+	}
+}
+
+// TestSnapTimeExtremes: windows reaching the int64 extremes snap without
+// overflow. A bound with no multiple of gran between it and the extreme
+// saturates there, so the window still covers the request and the
+// properties of TestSnapTimeProperties hold, alignment aside.
+func TestSnapTimeExtremes(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, c := range []struct {
+		in   core.TimeFilter
+		gran int64
+		want core.TimeFilter // zero: check the properties only
+	}{
+		{core.TimeFilter{Start: 0, End: hi}, 3600, core.TimeFilter{Start: 0, End: hi}},
+		{core.TimeFilter{Start: 1230768000, End: hi - 100}, 3600, core.TimeFilter{Start: 1230768000, End: hi}},
+		{core.TimeFilter{Start: lo, End: 0}, 3600, core.TimeFilter{Start: lo, End: 0}},
+		{core.TimeFilter{Start: lo, End: hi}, 3600, core.TimeFilter{Start: lo, End: hi}},
+		{core.TimeFilter{Start: hi - 1, End: hi}, 3600, core.TimeFilter{}},
+		{core.TimeFilter{Start: hi - 5, End: hi - 5}, 3600, core.TimeFilter{}},
+		{core.TimeFilter{Start: hi, End: hi}, 7, core.TimeFilter{Start: hi - 7, End: hi}}, // 7 divides MaxInt64
+		{core.TimeFilter{Start: lo, End: lo}, 1024, core.TimeFilter{Start: lo, End: lo + 1024}},
+		{core.TimeFilter{Start: lo + 1, End: lo + 2}, 3600, core.TimeFilter{}},
+	} {
+		in := c.in
+		out := SnapTime(&in, c.gran)
+		covers := out.Start <= in.Start && out.End >= in.End
+		if !covers || out.End <= out.Start {
+			t.Errorf("SnapTime([%d,%d), %d) = [%d,%d): want a non-empty cover",
+				in.Start, in.End, c.gran, out.Start, out.End)
+		}
+		if again := SnapTime(out, c.gran); *again != *out {
+			t.Errorf("SnapTime([%d,%d), %d) not idempotent: [%d,%d) then [%d,%d)",
+				in.Start, in.End, c.gran, out.Start, out.End, again.Start, again.End)
+		}
+		if c.want != (core.TimeFilter{}) && *out != c.want {
+			t.Errorf("SnapTime([%d,%d), %d) = [%d,%d), want [%d,%d)",
+				in.Start, in.End, c.gran, out.Start, out.End, c.want.Start, c.want.End)
+		}
 	}
 }

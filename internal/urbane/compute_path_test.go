@@ -3,7 +3,9 @@ package urbane
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -191,5 +193,38 @@ func TestTimeSnapOnEveryTimeFilteredEndpoint(t *testing.T) {
 				t.Errorf("next bucket outcome = %q, want miss", got)
 			}
 		})
+	}
+}
+
+// TestTimeSnapOpenEndedWindow: on a snapping server with the slab fold on,
+// a window that ends at math.MaxInt64 ("everything from start on") snaps
+// without overflow and counts every point at or after start.
+func TestTimeSnapOpenEndedWindow(t *testing.T) {
+	f, taxi, _ := buildTestFramework(t)
+	f.EnableIncremental(3600, 0, 0)
+	s := NewServer(f, WithTimeSnap(3600))
+	const start = 3 * 3600
+	want := 0
+	for _, ts := range taxi.T {
+		if ts >= start {
+			want++
+		}
+	}
+	body := fmt.Sprintf(`{"dataset":"taxi","layer":"grid","agg":"count","time":{"start":%d,"end":%d}}`,
+		start, int64(math.MaxInt64))
+	rec := doRaw(t, s, bg, http.MethodPost, "/api/mapview", body, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	var ch Choropleth
+	if err := json.Unmarshal(rec.Body.Bytes(), &ch); err != nil {
+		t.Fatal(err)
+	}
+	got := 0.0
+	for _, v := range ch.Values {
+		got += v.Value
+	}
+	if got != float64(want) {
+		t.Errorf("count over [%d, MaxInt64) = %v, want %d (%s)", start, got, want, ch.Algorithm)
 	}
 }

@@ -128,6 +128,10 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad tile address %q", rest))
 		return
 	}
+	if n := 1 << z; x < 0 || x >= n || y < 0 || y >= n {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("tile %q is outside zoom %d's %dx%d grid", rest, z, n, n))
+		return
+	}
 	tile := mercator.Tile{Z: z, X: x, Y: y}
 	dataset := r.URL.Query().Get("dataset")
 	key := s.selectionSig(qcache.NewSig("tile"), Selection{Dataset: dataset}).

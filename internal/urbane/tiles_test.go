@@ -3,6 +3,7 @@ package urbane
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"image/png"
 	"net/http"
 	"testing"
@@ -109,15 +110,27 @@ func TestTileEndpoint(t *testing.T) {
 	if img.Bounds().Dx() != 256 || img.Bounds().Dy() != 256 {
 		t.Errorf("tile dims = %v", img.Bounds())
 	}
-	// Bad addresses.
+	// Bad addresses, including x or y outside the zoom level's 2^z grid.
 	for _, url := range []string{
 		"/api/tile/zzz/0/0.png?dataset=taxi",
 		"/api/tile/0/0.png?dataset=taxi",
 		"/api/tile/0/0/0.png?dataset=nope",
+		"/api/tile/2/9/1.png?dataset=taxi",
+		"/api/tile/2/-3/1.png?dataset=taxi",
+		"/api/tile/2/1/4.png?dataset=taxi",
+		"/api/tile/2/1/-1.png?dataset=taxi",
+		"/api/tile/0/5/5.png?dataset=taxi",
 	} {
-		if rec := doJSON(t, s, http.MethodGet, url, nil); rec.Code != http.StatusBadRequest {
-			t.Errorf("%s status = %d", url, rec.Code)
+		rec := doJSON(t, s, http.MethodGet, url, nil)
+		var env map[string]errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+			env["error"].Status != http.StatusBadRequest || env["error"].Code != "bad_request" {
+			t.Errorf("%s: status = %d (%s), want 400 in the error envelope",
+				url, rec.Code, rec.Header().Get("Content-Type"))
 		}
+	}
+	if got := s.CacheStats().Entries; got != 1 {
+		t.Errorf("cache entries = %d, want 1: rejected addresses must not be cached", got)
 	}
 }
 
