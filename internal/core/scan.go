@@ -158,14 +158,16 @@ func (sc *Scan) owns(x float64) bool { return x >= sc.xlo && x < sc.xhi }
 // by binary search on a time-sorted source, the residual predicate
 // otherwise. The series re-aims its scan once per bin; a scan whose source
 // is not time-sorted must have been compiled with a window, so its
-// projection reads the time column.
+// projection reads the time column. An inverted window (start > end)
+// searches to lo > hi; the range clamps to empty so no pass reads a
+// negative length.
 func (sc *Scan) setTime(start, end int64) error {
 	if sc.Src.TimeSorted() {
 		lo, hi, err := sourceTimeWindow(sc.Src, start, end)
 		if err != nil {
 			return err
 		}
-		sc.Lo, sc.Hi, sc.res.hasTime = lo, hi, false
+		sc.Lo, sc.Hi, sc.res.hasTime = lo, max(hi, lo), false
 		return nil
 	}
 	sc.Lo, sc.Hi = 0, sc.Src.Len()

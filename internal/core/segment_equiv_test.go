@@ -425,6 +425,30 @@ func TestSegmentFlowEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlowJoinInvertedWindow: a time window whose start is after its end
+// selects no point. On a time-sorted source the binary searches put the
+// window's start index past its end index; the scan must clamp that range
+// to empty rather than count its negative length as dropped points, on the
+// in-RAM source and on a segment store alike.
+func TestFlowJoinInvertedWindow(t *testing.T) {
+	ps, rs := equivScene(3000, 6, 321)
+	st := equivStore(t, ps, 512, 1<<20)
+	rj := core.NewRasterJoin(core.WithResolution(256))
+	req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
+		Time: &core.TimeFilter{Start: 7500, End: 1500}}
+	for _, src := range []data.PointSource{ps.Source(), st} {
+		req.Source = src
+		got, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Dropped != 0 || got.Filtered != 0 || len(got.Counts) != 0 {
+			t.Errorf("%T: dropped/filtered = %d/%d, %d OD cells; want an empty flow",
+				src, got.Dropped, got.Filtered, len(got.Counts))
+		}
+	}
+}
+
 // TestSegmentJoinOutOfCore is the bigger-than-budget proof: with a cache
 // holding a few blocks' columns, the full file never resides in memory
 // (evictions observed, resident bytes under budget) and the join still

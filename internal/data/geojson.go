@@ -91,30 +91,6 @@ func ReadGeoJSON(r io.Reader, name string) (*RegionSet, error) {
 	return rs, nil
 }
 
-// ReadGeoJSONGeographic decodes a FeatureCollection whose coordinates are
-// geographic degrees (EPSG:4326, the GeoJSON default) — e.g. NYC's real
-// published neighborhood polygons — projecting every vertex to Web-Mercator
-// meters on load.
-func ReadGeoJSONGeographic(r io.Reader, name string) (*RegionSet, error) {
-	rs, err := ReadGeoJSON(r, name)
-	if err != nil {
-		return nil, err
-	}
-	project := func(ring geom.Ring) {
-		for i, p := range ring {
-			ring[i] = mercator.Project(mercator.LngLat{Lng: p.X, Lat: p.Y})
-		}
-	}
-	for i := range rs.Regions {
-		project(rs.Regions[i].Poly.Outer)
-		for _, h := range rs.Regions[i].Poly.Holes {
-			project(h)
-		}
-		rs.Regions[i].Poly.Normalize()
-	}
-	return rs, nil
-}
-
 // ReadGeoJSONAuto decodes a FeatureCollection and detects its CRS: when
 // every coordinate fits in geographic degree ranges (|lng| <= 180,
 // |lat| <= 85.06) the file is treated as EPSG:4326 and projected to

@@ -165,7 +165,7 @@ func TestGeoJSONGeographicRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &probe); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGeoJSONGeographic(bytes.NewReader(buf.Bytes()), "nbhd")
+	got, err := ReadGeoJSONAuto(bytes.NewReader(buf.Bytes()), "nbhd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,7 @@ func TestGeoJSONGeographicRoundTrip(t *testing.T) {
 			t.Fatalf("region %d centroid moved %v m", i, a.Dist(b))
 		}
 	}
-	// Degrees input far outside mercator meters must fail plain ReadGeoJSON
-	// consumers expecting meters? (They'd succeed geometrically; just check
-	// the geographic reader rejects junk.)
-	if _, err := ReadGeoJSONGeographic(strings.NewReader("{"), "x"); err == nil {
+	if _, err := ReadGeoJSONAuto(strings.NewReader("{"), "x"); err == nil {
 		t.Error("bad json should fail")
 	}
 }

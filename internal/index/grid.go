@@ -1,6 +1,6 @@
 // Package index implements the geometric baselines Raster Join is compared
-// against: a brute-force join, a uniform-grid point index, a PR quadtree,
-// and an STR-packed R-tree, each with a Joiner adapter over the shared
+// against: a brute-force join, a uniform-grid point index and an
+// STR-packed R-tree, each with a Joiner adapter over the shared
 // Request/Result vocabulary in internal/core.
 //
 // The index join family is the paper's comparison point: index one side,

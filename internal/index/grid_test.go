@@ -3,7 +3,6 @@ package index
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/geom"
@@ -113,53 +112,6 @@ func TestDefaultGridSide(t *testing.T) {
 	}
 	if s := DefaultGridSide(4_000_000); s < 100 || s > 1000 {
 		t.Errorf("side(4M) = %d, want a few hundred", s)
-	}
-}
-
-func TestQuadtreeStructure(t *testing.T) {
-	ps := randomPoints(5000, 4, unitBounds())
-	qt := BuildQuadtree(ps, 32)
-	if qt.Size() != 5000 {
-		t.Fatalf("size = %d, want 5000", qt.Size())
-	}
-	if qt.Depth() < 2 {
-		t.Errorf("depth = %d, want splits to have happened", qt.Depth())
-	}
-}
-
-func TestQuadtreeCandidatesSuperset(t *testing.T) {
-	ps := randomPoints(3000, 5, unitBounds())
-	qt := BuildQuadtree(ps, 16)
-	rng := rand.New(rand.NewSource(6))
-	for iter := 0; iter < 100; iter++ {
-		b := geom.NewBBox(rng.Float64()*100, rng.Float64()*100,
-			rng.Float64()*100, rng.Float64()*100)
-		got := map[int32]bool{}
-		qt.CandidatesInBBox(b, func(id int32) { got[id] = true })
-		for i := 0; i < ps.Len(); i++ {
-			if b.Contains(geom.Point{X: ps.X[i], Y: ps.Y[i]}) && !got[int32(i)] {
-				t.Fatalf("point %d inside box missing from quadtree candidates", i)
-			}
-		}
-	}
-}
-
-func TestQuadtreeCoincidentPoints(t *testing.T) {
-	// More coincident points than the bucket size must not recurse forever.
-	n := 500
-	ps := &data.PointSet{X: make([]float64, n), Y: make([]float64, n)}
-	for i := range ps.X {
-		ps.X[i], ps.Y[i] = 42, 42
-	}
-	done := make(chan *Quadtree, 1)
-	go func() { done <- BuildQuadtree(ps, 8) }()
-	select {
-	case qt := <-done:
-		if qt.Size() != n {
-			t.Errorf("size = %d, want %d", qt.Size(), n)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("BuildQuadtree hung on coincident points")
 	}
 }
 

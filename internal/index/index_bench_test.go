@@ -21,14 +21,6 @@ func BenchmarkBuildGrid(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildQuadtree(b *testing.B) {
-	ps := randomPoints(100_000, 2, unitBounds())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildQuadtree(ps, 0)
-	}
-}
-
 func BenchmarkBuildRTree(b *testing.B) {
 	rs := data.VoronoiRegions("r", unitBounds(), 1000, 3, data.VoronoiOptions{})
 	boxes := make([]geom.BBox, rs.Len())
@@ -71,11 +63,9 @@ func BenchmarkJoiners(b *testing.B) {
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
 	grid := &GridJoin{}
 	grid.Prepare(ps)
-	quad := &QuadJoin{}
-	quad.Prepare(ps)
 	rtree := &RTreeJoin{}
 	rtree.Prepare(rs)
-	for _, j := range []core.Joiner{grid, quad, rtree, &BruteForce{}} {
+	for _, j := range []core.Joiner{grid, rtree, &BruteForce{}} {
 		b.Run(j.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := j.Join(req); err != nil {

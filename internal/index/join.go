@@ -119,52 +119,6 @@ func (g *GridJoin) Join(req core.Request) (*core.Result, error) {
 	return probeJoin(req, g.Name(), g.Workers, idx.CandidatesInBBox)
 }
 
-// QuadJoin is GridJoin's adaptive sibling: candidates come from a PR
-// quadtree, which handles the heavy skew of urban point data with balanced
-// buckets.
-type QuadJoin struct {
-	// Bucket is the leaf capacity (0 = QuadtreeBucket).
-	Bucket int
-	// Workers caps parallelism (0 = GOMAXPROCS).
-	Workers int
-
-	mu     sync.Mutex
-	cached *Quadtree
-}
-
-// Name implements core.Joiner.
-func (q *QuadJoin) Name() string { return "index-join-quadtree" }
-
-// Prepare builds (or rebuilds) the quadtree over the point set.
-func (q *QuadJoin) Prepare(ps *data.PointSet) {
-	idx := BuildQuadtree(ps, q.Bucket)
-	q.mu.Lock()
-	q.cached = idx
-	q.mu.Unlock()
-}
-
-func (q *QuadJoin) indexFor(ps *data.PointSet) *Quadtree {
-	q.mu.Lock()
-	idx := q.cached
-	q.mu.Unlock()
-	if idx == nil || idx.PointSet() != ps {
-		q.Prepare(ps)
-		q.mu.Lock()
-		idx = q.cached
-		q.mu.Unlock()
-	}
-	return idx
-}
-
-// Join implements core.Joiner.
-func (q *QuadJoin) Join(req core.Request) (*core.Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	idx := q.indexFor(req.Points)
-	return probeJoin(req, q.Name(), q.Workers, idx.CandidatesInBBox)
-}
-
 // probeJoin runs the polygon-probes-point-index join: for each region, pull
 // bbox candidates from the index and resolve them exactly.
 func probeJoin(req core.Request, name string, workers int,

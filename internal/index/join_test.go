@@ -42,7 +42,7 @@ func TestAllIndexJoinsMatchBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joiners := []core.Joiner{&GridJoin{Side: 32}, &QuadJoin{Bucket: 32}, &RTreeJoin{}}
+	joiners := []core.Joiner{&GridJoin{Side: 32}, &RTreeJoin{}}
 	for _, j := range joiners {
 		got, err := j.Join(req)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestJoinsWithFiltersMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []core.Joiner{&GridJoin{}, &QuadJoin{}, &RTreeJoin{}} {
+	for _, j := range []core.Joiner{&GridJoin{}, &RTreeJoin{}} {
 		got, err := j.Join(req)
 		if err != nil {
 			t.Fatalf("%s: %v", j.Name(), err)
@@ -140,7 +140,7 @@ func TestJoinValidationErrors(t *testing.T) {
 			Filters: []core.Filter{{Attr: "nope", Min: 0, Max: 1}}},
 	}
 	for i, req := range bad {
-		for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &QuadJoin{}, &RTreeJoin{}} {
+		for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &RTreeJoin{}} {
 			if _, err := j.Join(req); err == nil {
 				t.Errorf("case %d: %s accepted invalid request", i, j.Name())
 			}
@@ -190,7 +190,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	rs := data.GridRegions("g", unitBounds(), 2, 2)
 	empty := &data.PointSet{Name: "empty"}
-	for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &QuadJoin{}, &RTreeJoin{}} {
+	for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &RTreeJoin{}} {
 		res, err := j.Join(core.Request{Points: empty, Regions: rs, Agg: core.Count})
 		if err != nil {
 			t.Fatalf("%s on empty points: %v", j.Name(), err)

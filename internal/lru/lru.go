@@ -2,8 +2,7 @@
 // cache in the repo: the query-result cache's shards (qcache), the slab
 // partial cache (tcache), the compiled region span cache (raster) and the
 // segment column cache (segment) each hold a Cache and add only what is
-// genuinely theirs — locking, generation stamps, rekeying, (block, column)
-// keys.
+// genuinely theirs — locking, rekeying, (block, column) keys.
 //
 // A Cache is not safe for concurrent use; its owner guards it with the lock
 // it already needs for its own state.

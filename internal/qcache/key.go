@@ -86,9 +86,9 @@ func (s *Sig) Filters(name string, fs []core.Filter) *Sig {
 
 // Epoch appends the dataset's per-dataset epoch pair. Keys carry the
 // epoch so a write to one dataset produces fresh keys for that dataset
-// alone — the generation stays put and every other dataset's entries
-// remain reachable. The pair renders as `|eds="name"|ep=N`, which is what
-// EpochPrefix matches for targeted sweeps.
+// alone — every other dataset's entries remain reachable. The pair
+// renders as `|eds="name"|ep=N`, which is what EpochPrefix matches for
+// targeted sweeps.
 func (s *Sig) Epoch(dataset string, epoch uint64) *Sig {
 	return s.Str("eds", dataset).Int("ep", int64(epoch))
 }

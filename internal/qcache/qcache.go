@@ -1,9 +1,8 @@
-// Package qcache is the server's query-result cache: a sharded,
-// generation-stamped LRU over serialized response bodies and selection
-// entries (one join result several views render, see result.go), keyed by a
-// canonicalized query signature (see key.go), with singleflight request
-// coalescing so N concurrent identical queries compute once and fan the
-// result out.
+// Package qcache is the server's query-result cache: a sharded LRU over
+// serialized response bodies and selection entries (one join result several
+// views render, see result.go), keyed by a canonicalized query signature
+// (see key.go), with singleflight request coalescing so N concurrent
+// identical queries compute once and fan the result out.
 //
 // The design follows the observation (GeoBlocks, arXiv:1908.07753) that
 // interactive map exploration re-issues the same spatial aggregation
@@ -16,11 +15,10 @@
 //   - The key space is split across shards by FNV-1a hash; each shard is an
 //     independently locked lru.Cache with its own byte budget, so unrelated
 //     keys never contend on one mutex.
-//   - Invalidation is O(1): a single atomic generation counter. Entries are
-//     stamped with the generation current when their compute started; a
-//     lookup that finds an entry from an older generation treats it as a
-//     miss and drops it. Results computed across an invalidation are never
-//     inserted.
+//   - Invalidation lives in the key, not here: a key names every version
+//     its result depends on (the catalog version, each data set's epoch),
+//     so a change makes new requests ask for new keys and the old entries
+//     age out of the LRU; Sweep reclaims one data set's bytes eagerly.
 //   - Do coalesces concurrent identical requests: the first caller becomes
 //     the leader and computes, later callers block on the leader's flight
 //     and receive the same bytes. The leader publishes to the cache before
@@ -71,20 +69,12 @@ const defaultShards = 16
 // many callers looked the key up before it started.
 type Stats struct {
 	lru.Stats
-	Coalesced  uint64 `json:"coalesced"`
-	Generation uint64 `json:"generation"`
-}
-
-// entry is one cached body, stamped with the generation its compute
-// started at.
-type entry struct {
-	val []byte
-	gen uint64
+	Coalesced uint64 `json:"coalesced"`
 }
 
 type shard struct {
 	mu  sync.Mutex
-	lru *lru.Cache[string, entry]
+	lru *lru.Cache[string, []byte]
 }
 
 // flightCall is one in-flight compute plus the callers attached to it. The
@@ -121,8 +111,6 @@ type flightCall struct {
 type Cache struct {
 	shards []shard
 
-	gen atomic.Uint64
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	coalesced atomic.Uint64
@@ -147,7 +135,7 @@ func NewSharded(capacityBytes int64, shards int) *Cache {
 		flights: make(map[string]*flightCall),
 	}
 	for i := range c.shards {
-		c.shards[i].lru = lru.New[string, entry](capacityBytes / int64(shards))
+		c.shards[i].lru = lru.New[string, []byte](capacityBytes / int64(shards))
 	}
 	return c
 }
@@ -158,19 +146,12 @@ func (c *Cache) shardFor(key string) *shard {
 	return &c.shards[h.Sum64()%uint64(len(c.shards))]
 }
 
-// lookup finds a live entry without touching the hit/miss counters.
+// lookup finds an entry without touching the hit/miss counters.
 func (c *Cache) lookup(key string) ([]byte, bool) {
-	gen := c.gen.Load()
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.lru.Get(key)
-	if ok && e.gen != gen {
-		// Stale generation: lazily reclaim on access.
-		sh.lru.Remove(key)
-		return nil, false
-	}
-	return e.val, ok
+	return sh.lru.Get(key)
 }
 
 // Get returns the cached value for key, counting a hit or miss.
@@ -187,25 +168,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// Put inserts a value at the current generation.
+// Put inserts a value.
 func (c *Cache) Put(key string, val []byte) {
 	if c == nil {
-		return
-	}
-	c.putAt(key, val, c.gen.Load())
-}
-
-// putAt inserts a value stamped with the generation its compute started
-// at. If the cache has since been invalidated the stale result is dropped
-// instead of resurrecting pre-invalidation state.
-func (c *Cache) putAt(key string, val []byte, gen uint64) {
-	if gen != c.gen.Load() {
 		return
 	}
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.lru.Add(key, entry{val: val, gen: gen}, int64(len(key)+len(val))+entryOverhead)
+	sh.lru.Add(key, val, int64(len(key)+len(val))+entryOverhead)
 }
 
 // DoContext returns the cached value for key, or computes it exactly once
@@ -312,7 +283,6 @@ func (c *Cache) runFlight(cctx context.Context, key string, call *flightCall, co
 		return
 	}
 
-	gen := c.gen.Load()
 	// `qcache.compute` is a fault injection site: an injected error or
 	// cancel takes the exact path a failed compute does — surfaced to every
 	// waiter, never cached — which is what the chaos suite's
@@ -331,7 +301,7 @@ func (c *Cache) runFlight(cctx context.Context, key string, call *flightCall, co
 	}
 	// Publish before retiring the flight so late callers that missed the
 	// cache either joined this flight or will hit the stored value.
-	c.putAt(key, v, gen)
+	c.Put(key, v)
 	finish(v, nil, false, false)
 }
 
@@ -369,8 +339,8 @@ func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome, counted
 // many were dropped. It is the targeted-invalidation primitive behind
 // per-dataset epochs: an append bumps one dataset's epoch — making that
 // dataset's old-epoch keys unreachable — and Sweep reclaims their bytes
-// eagerly instead of waiting for LRU pressure. It leaves the generation
-// untouched, so every other dataset's entries stay warm.
+// eagerly instead of waiting for LRU pressure; every other dataset's
+// entries stay warm.
 // Sweep walks each shard under its lock; in-flight computes for swept keys
 // are unaffected (they re-insert under keys the predicate already judged).
 func (c *Cache) Sweep(pred func(key string) bool) int {
@@ -381,34 +351,10 @@ func (c *Cache) Sweep(pred func(key string) bool) int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.DeleteFunc(func(k string, _ entry) bool { return pred(k) })
+		n += sh.lru.DeleteFunc(func(k string, _ []byte) bool { return pred(k) })
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// AdvanceGeneration raises the generation to at least gen — the O(1)
-// whole-cache invalidation: entries stamped with an older generation are
-// reclaimed lazily on access. Callers slave it to an external monotonic
-// version (the framework's catalog version); lower values are ignored.
-func (c *Cache) AdvanceGeneration(gen uint64) {
-	if c == nil {
-		return
-	}
-	for {
-		cur := c.gen.Load()
-		if gen <= cur || c.gen.CompareAndSwap(cur, gen) {
-			return
-		}
-	}
-}
-
-// Generation returns the current generation stamp.
-func (c *Cache) Generation() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.gen.Load()
 }
 
 // Stats snapshots the counters.
@@ -416,7 +362,7 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{Coalesced: c.coalesced.Load(), Generation: c.gen.Load()}
+	s := Stats{Coalesced: c.coalesced.Load()}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

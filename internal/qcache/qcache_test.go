@@ -28,45 +28,6 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
-func TestGenerationInvalidation(t *testing.T) {
-	c := New(1 << 20)
-	c.Put("a", []byte("alpha"))
-	c.Put("b", []byte("beta"))
-	c.AdvanceGeneration(c.Generation() + 1)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("invalidated entry should miss")
-	}
-	// Stale entries are reclaimed on access.
-	if got := c.Stats().Entries; got != 1 {
-		t.Errorf("len after stale access = %d, want 1 (b not yet touched)", got)
-	}
-	// New puts at the new generation are live.
-	c.Put("a", []byte("alpha2"))
-	if v, ok := c.Get("a"); !ok || string(v) != "alpha2" {
-		t.Fatalf("post-invalidate put missed: %q %v", v, ok)
-	}
-	if gen := c.Generation(); gen != 1 {
-		t.Errorf("generation = %d", gen)
-	}
-}
-
-func TestAdvanceGenerationMonotonic(t *testing.T) {
-	c := New(1 << 20)
-	c.AdvanceGeneration(7)
-	if c.Generation() != 7 {
-		t.Fatalf("generation = %d", c.Generation())
-	}
-	c.AdvanceGeneration(3) // lower values ignored
-	if c.Generation() != 7 {
-		t.Fatalf("generation regressed to %d", c.Generation())
-	}
-	c.Put("k", []byte("v"))
-	c.AdvanceGeneration(8)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("advance should invalidate older entries")
-	}
-}
-
 func TestLRUEviction(t *testing.T) {
 	// One shard so the LRU order is fully observable. Each entry costs
 	// entryOverhead + len(key) + len(val) = 160 + 1 + 39 = 200.
@@ -159,28 +120,15 @@ func TestDoErrorNotCached(t *testing.T) {
 	}
 }
 
-func TestDoDropsResultComputedAcrossInvalidation(t *testing.T) {
-	c := New(1 << 20)
-	_, _, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) {
-		c.AdvanceGeneration(c.Generation() + 1) // the catalog changed mid-compute
-		return []byte("stale"), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("result computed across an invalidation must not be cached")
-	}
-}
-
 func TestNilCacheBypasses(t *testing.T) {
 	var c *Cache
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("nil cache should miss")
 	}
 	c.Put("k", []byte("v")) // must not panic
-	c.AdvanceGeneration(c.Generation() + 1)
-	c.AdvanceGeneration(5)
+	if n := c.Sweep(func(string) bool { return true }); n != 0 {
+		t.Errorf("nil Sweep = %d", n)
+	}
 	calls := 0
 	for i := 0; i < 2; i++ {
 		v, outcome, err := c.DoContext(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return []byte("v"), nil })

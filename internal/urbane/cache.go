@@ -113,15 +113,14 @@ func internalErr(err error) error {
 	return &statusError{status: http.StatusInternalServerError, err: err}
 }
 
-// syncGeneration slaves the cache generation to the framework's catalog
-// version, so an engine toggle (geoblocks, incremental) invalidates the
-// whole cache. Registrations and per-data-set writes don't move the
-// version — writes advance the data set's epoch, which is part of every
-// cache key, and an eager sweep reclaims the stale entries.
-func (s *Server) syncGeneration() {
-	if s.cache != nil {
-		s.cache.AdvanceGeneration(s.f.Version())
-	}
+// sig starts the cache key of one endpoint kind with the catalog version,
+// so an engine toggle (geoblocks, incremental) moves every later request to
+// a fresh key; writes advance a data set's epoch instead, which
+// selectionSig adds. Like the epochs, the version is read in the handler
+// before the compute: a result computed across a toggle is filed under the
+// pre-toggle key, which no later request asks for.
+func (s *Server) sig(kind string) *qcache.Sig {
+	return qcache.NewSig(kind).Int("v", int64(s.f.Version()))
 }
 
 // snapTime applies the server's time-snap granularity.
@@ -155,7 +154,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, conten
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, key, contentType string,
 	compute func(ctx context.Context) ([]byte, error), render func(val []byte, outcome qcache.Outcome) ([]byte, error)) {
 	start := time.Now()
-	s.syncGeneration()
 	compute = s.admitted(endpointWeight(endpointName(r.URL.Path)), compute)
 	body, outcome, err := s.cache.DoContext(r.Context(), key, compute)
 	if err == nil && render != nil {
@@ -196,13 +194,12 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 }
 
 // serveCachedImage wraps serveCached for the GET image endpoints with
-// HTTP revalidation: a strong ETag derived from the cache key and the
-// current generation, honored via If-None-Match with 304. Within one
-// generation the catalog is immutable and rendering is deterministic, so
-// key+generation fully determines the bytes — the validator is strong.
+// HTTP revalidation: a strong ETag derived from the cache key, honored via
+// If-None-Match with 304. The key names the catalog version and every
+// epoch the bytes depend on, and rendering is deterministic, so the key
+// fully determines the bytes — the validator is strong.
 func (s *Server) serveCachedImage(w http.ResponseWriter, r *http.Request, key, contentType string, compute func(ctx context.Context) ([]byte, error)) {
-	s.syncGeneration()
-	etag := s.etagFor(key)
+	etag := etagFor(key)
 	h := w.Header()
 	h.Set("ETag", etag)
 	h.Set("Cache-Control", "private, no-cache")
@@ -213,16 +210,11 @@ func (s *Server) serveCachedImage(w http.ResponseWriter, r *http.Request, key, c
 	s.serveCached(w, r, key, contentType, compute)
 }
 
-// etagFor derives the strong validator for a cache key at the current
-// generation.
-func (s *Server) etagFor(key string) string {
-	gen := s.f.Version()
-	if s.cache != nil {
-		gen = s.cache.Generation()
-	}
+// etagFor derives the strong validator for a cache key.
+func etagFor(key string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(key))
-	return fmt.Sprintf("\"%016x-%x\"", h.Sum64(), gen)
+	return fmt.Sprintf("\"%016x\"", h.Sum64())
 }
 
 // matchesETag implements the If-None-Match comparison: a comma-separated
@@ -267,7 +259,7 @@ func (s *Server) selectionSig(sig *qcache.Sig, sel Selection) *qcache.Sig {
 // stored under an epoch newer than the data it was computed from.
 func (s *Server) selectionKey(sel Selection) string {
 	sel.Agg = qcache.ResultAgg(sel.Agg)
-	return s.selectionSig(qcache.NewSig(qcache.SelectionKind), sel).Key()
+	return s.selectionSig(s.sig(qcache.SelectionKind), sel).Key()
 }
 
 // selectionRun is one view's way of computing a selection's join: the
@@ -339,14 +331,13 @@ type cacheStatsResponse struct {
 	qcache.Stats
 }
 
-// handleCacheStats reports hit/miss/evict/coalesce counters, occupancy,
-// and the current generation: GET /api/cachestats.
+// handleCacheStats reports hit/miss/evict/coalesce counters and
+// occupancy: GET /api/cachestats.
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
 		return
 	}
-	s.syncGeneration()
 	writeJSON(w, http.StatusOK, cacheStatsResponse{
 		Enabled:   s.cache != nil,
 		TimeSnap:  s.snap,

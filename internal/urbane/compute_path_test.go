@@ -120,8 +120,9 @@ func computeServer(t *testing.T, opts ...ServerOption) *Server {
 // its own execution path again. Every compute route goes through the
 // miss -> hit -> invalidate -> miss lifecycle: the second identical request
 // serves the same bytes from the query cache and bumps the hit counter; a
-// catalog-wide invalidation forces a recompute, which matches because the
-// queried data did not change; and no body carries wall-clock timing.
+// catalog-version bump moves the request to a fresh key, so it recomputes
+// beside the still-resident old entries, and the recompute matches because
+// the queried data did not change; and no body carries wall-clock timing.
 func TestEveryComputeEndpointIsCached(t *testing.T) {
 	for i, p := range probesFor(t, computeServer(t)) {
 		t.Run(p.route, func(t *testing.T) {
@@ -156,8 +157,11 @@ func TestEveryComputeEndpointIsCached(t *testing.T) {
 			if !bytes.Equal(first, do("miss")) {
 				t.Fatal("recomputed body diverged after invalidation")
 			}
-			if after := cacheStats(t, s); after.Generation <= mid.Generation {
-				t.Errorf("generation did not advance: %d -> %d", mid.Generation, after.Generation)
+			// The bump dropped nothing: every entry the first request filed
+			// is filed again under a key naming the new version.
+			if after := cacheStats(t, s); after.Misses != mid.Misses+1 || after.Entries != 2*mid.Entries {
+				t.Errorf("misses/entries = %d/%d after the bump, want %d/%d",
+					after.Misses, after.Entries, mid.Misses+1, 2*mid.Entries)
 			}
 		})
 	}

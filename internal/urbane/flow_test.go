@@ -115,6 +115,20 @@ func TestFlowsEndpoint(t *testing.T) {
 	if len(view.Edges) != 3 || view.Total == 0 {
 		t.Errorf("view = %+v", view)
 	}
+	// An inverted window selects no trip: nothing flows and nothing is
+	// dropped.
+	rec = doJSON(t, s, http.MethodPost, "/api/flows", map[string]any{"dataset": "trips", "layer": "nbhd",
+		"time": map[string]int64{"start": 600, "end": 400}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("inverted window status = %d: %s", rec.Code, rec.Body)
+	}
+	view = FlowView{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Total != 0 || view.Dropped != 0 || len(view.Edges) != 0 {
+		t.Errorf("inverted window view = %+v, want empty", view)
+	}
 	rec = doJSON(t, s, http.MethodPost, "/api/flows",
 		map[string]any{"dataset": "taxi", "layer": "nbhd"})
 	if rec.Code != http.StatusBadRequest {

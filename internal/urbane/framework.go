@@ -47,9 +47,9 @@ type Framework struct {
 	// set's entries stay warm.
 	epochs map[string]uint64
 	// version counts the catalog-wide mutations that can change response
-	// bytes across data sets (engine toggles); the server's query-result
-	// cache slaves its generation to it, so a bump invalidates every cached
-	// response. Per-data-set writes advance an epoch instead — see epochs.
+	// bytes across data sets (engine toggles). Every query-result cache key
+	// names it, so a bump moves every later request to a fresh key.
+	// Per-data-set writes advance an epoch instead — see epochs.
 	version atomic.Uint64
 }
 
@@ -58,7 +58,9 @@ type Framework struct {
 // EnableIncremental — the served Algorithm/Reason strings and SUM grouping
 // change), never on registrations or writes: adding a point set, layer, or
 // segment source cannot change any already-cached response's bytes, and
-// appends/cube builds advance the touched data set's Epoch instead.
+// appends/cube builds advance the touched data set's Epoch instead. A
+// toggle bumps the version after it swaps the routing chain, so a request
+// whose cache key names the new version always routes on the new chain.
 func (f *Framework) Version() uint64 { return f.version.Load() }
 
 // Epoch returns the per-data-set write epoch: 1 on registration, advanced
@@ -140,7 +142,8 @@ func (f *Framework) AddRegionSet(rs *data.RegionSet) error {
 // exactly) instead of the full raster join. maxLevel <= 0 uses
 // geoblocks.DefaultMaxLevel. Hierarchies build lazily on first query per
 // data-set snapshot, keyed by its stamp. Enabling bumps the version so
-// previously cached responses (which name their algorithm) are dropped.
+// previously cached responses (which name their algorithm) are no longer
+// asked for.
 func (f *Framework) EnableGeoBlocks(maxLevel int) *geoblocks.Engine {
 	f.mu.Lock()
 	eng := geoblocks.NewEngine(f.planner.Raster, maxLevel)
@@ -163,8 +166,8 @@ func (f *Framework) GeoBlocks() *geoblocks.Engine {
 // the server passes its -time-snap bucket, so every snapped window is
 // automatically slab-aligned). cacheBytes <= 0 and maxSlabs <= 0 use the
 // tcache defaults. Enabling bumps the catalog version: windowed responses
-// now carry a different routing Reason, so previously cached ones are
-// dropped.
+// now carry a different routing Reason, so previously cached ones are no
+// longer asked for.
 func (f *Framework) EnableIncremental(gran int64, cacheBytes int64, maxSlabs int) *tcache.Joiner {
 	f.mu.Lock()
 	j := tcache.New(f.planner.Raster, gran, cacheBytes, maxSlabs)

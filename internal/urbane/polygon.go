@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/geom"
-	"repro/internal/qcache"
 )
 
 // polygonWire is the POST /api/polygon request body: aggregate a data set
@@ -88,7 +87,7 @@ func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 		sb.WriteString(strconv.FormatFloat(p.Y, 'x', -1, 64))
 		sb.WriteByte(';')
 	}
-	key := s.selectionSig(qcache.NewSig("polygon"), sel).Str("ring", sb.String()).Key()
+	key := s.selectionSig(s.sig("polygon"), sel).Str("ring", sb.String()).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		// The ad-hoc region set lives for this compute only; its stamp
 		// keys nothing persistent (the span cache never sees it warm

@@ -41,7 +41,7 @@ type Server struct {
 	faults  *fault.Registry   // nil = fault injection disarmed
 
 	// epochEvictions counts cache entries reclaimed by per-data-set epoch
-	// sweeps (appends), as opposed to whole-generation invalidations.
+	// sweeps (appends).
 	epochEvictions atomic.Uint64
 	// crossView counts requests served by a selection entry another view
 	// computed (see readSelection).
@@ -476,7 +476,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	// The key carries the epoch of each data set the series read, so an
 	// append to any of them reclaims the entry.
-	sig := s.selectionSig(qcache.NewSig("explore"), sel).Int("ds.n", int64(len(req.Datasets)))
+	sig := s.selectionSig(s.sig("explore"), sel).Int("ds.n", int64(len(req.Datasets)))
 	for _, name := range req.Datasets {
 		sig.Epoch(name, s.f.Epoch(name))
 	}
@@ -506,7 +506,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	metrics := make([]MetricSpec, len(wreq.Metrics))
-	sig := qcache.NewSig("rank").Str("layer", wreq.Layer).
+	sig := s.sig("rank").Str("layer", wreq.Layer).
 		Int("target", int64(wreq.TargetID)).Int("m.n", int64(len(metrics)))
 	for i, m := range wreq.Metrics {
 		sel, err := s.parseSelection(m.selectionWire)
@@ -539,7 +539,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := DeltaRequest{Selection: sel, A: *s.snapWindow(wreq.A), B: *s.snapWindow(wreq.B)}
-	key := s.selectionSig(qcache.NewSig("delta"), sel).
+	key := s.selectionSig(s.sig("delta"), sel).
 		TimeRange("a", &req.A).TimeRange("b", &req.B).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return viewBody(s.f.DeltaContext(ctx, req))
@@ -563,7 +563,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		Dataset: sel.Dataset, W: wreq.W, H: wreq.H,
 		Weight: wreq.Weight, Filters: sel.Filters, Time: sel.Time,
 	}
-	key := s.selectionSig(qcache.NewSig("heatmap"), sel).
+	key := s.selectionSig(s.sig("heatmap"), sel).
 		Int("w", int64(req.W)).Int("h", int64(req.H)).Str("weight", req.Weight).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return viewBody(s.f.HeatmapContext(ctx, req))
@@ -582,7 +582,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := FlowViewRequest{Selection: sel, Top: wreq.Top}
-	key := s.selectionSig(qcache.NewSig("flows"), sel).Int("top", int64(req.Top)).Key()
+	key := s.selectionSig(s.sig("flows"), sel).Int("top", int64(req.Top)).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		return viewBody(s.f.FlowViewContext(ctx, req))
 	})

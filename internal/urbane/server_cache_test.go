@@ -2,14 +2,18 @@ package urbane
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/geom"
 	"repro/internal/qcache"
 )
 
@@ -40,6 +44,106 @@ func invalidateViaCatalog(t *testing.T, f *Framework, name string) {
 		t.Fatal(err)
 	}
 	f.version.Add(1)
+}
+
+// gatedSource is a point source whose block reads wait for release; the
+// first read closes entered, so a test knows a compute has routed and is
+// scanning points.
+type gatedSource struct {
+	data.PointSource
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedSource) Read(b int, cols data.Columns) (*data.Block, error) {
+	g.once.Do(func() { close(g.entered) })
+	<-g.release
+	return g.PointSource.Read(b, cols)
+}
+
+// waitSignal is a request context that closes waiting the first time Done is
+// called. Nothing on the mapview path selects on the request context before
+// qcache's wait does, and a caller reaches that wait only after it has
+// joined its key's flight.
+type waitSignal struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (w *waitSignal) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// TestComputeAcrossToggleStaysUnderOldKey: a /api/mapview compute still in
+// flight when EnableGeoBlocks swaps the routing answers every caller waiting
+// on it, and its result is filed under the pre-toggle key, which no later
+// request asks for: the next identical request misses and is served by the
+// geoblocks engine.
+func TestComputeAcrossToggleStaysUnderOldKey(t *testing.T) {
+	f, taxi, _ := buildTestFramework(t)
+	// An unfiltered polygon layer: the raster join serves it before the
+	// toggle, the geoblocks hybrid after.
+	if err := f.AddRegionSet(&data.RegionSet{Name: "ring", Regions: []data.Region{{ID: 0, Name: "ring",
+		Poly: geom.Polygon{Outer: geom.Ring{{X: 200, Y: 200}, {X: 800, Y: 250}, {X: 750, Y: 800}, {X: 250, Y: 750}}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedSource{PointSource: taxi.Source(), entered: make(chan struct{}), release: make(chan struct{})}
+	if err := f.AttachSegments("taxi", gate); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(f)
+	const body = `{"dataset":"taxi","layer":"ring","agg":"count"}`
+	mapview := func(ctx context.Context) *httptest.ResponseRecorder {
+		return doRaw(t, s, ctx, http.MethodPost, "/api/mapview", body, nil)
+	}
+
+	const waiters = 2
+	answers := make(chan *httptest.ResponseRecorder, 1+waiters)
+	go func() { answers <- mapview(bg) }()
+	<-gate.entered
+	for i := 0; i < waiters; i++ {
+		ctx := &waitSignal{Context: bg, waiting: make(chan struct{})}
+		go func() { answers <- mapview(ctx) }()
+		<-ctx.waiting
+	}
+	f.EnableGeoBlocks(6)
+	close(gate.release)
+
+	outcomes := map[string]int{}
+	var first []byte
+	for i := 0; i < 1+waiters; i++ {
+		rec := <-answers
+		if rec.Code != http.StatusOK {
+			t.Fatalf("in-flight caller: status = %d: %s", rec.Code, rec.Body)
+		}
+		outcomes[rec.Header().Get(cacheOutcomeHeader)]++
+		if first == nil {
+			first = rec.Body.Bytes()
+		} else if !bytes.Equal(first, rec.Body.Bytes()) {
+			t.Error("callers of one flight got different bodies")
+		}
+	}
+	if outcomes["miss"] != 1 || outcomes["coalesced"] != waiters {
+		t.Errorf("in-flight outcomes = %v, want 1 miss and %d coalesced", outcomes, waiters)
+	}
+
+	next := mapview(bg)
+	if next.Code != http.StatusOK {
+		t.Fatalf("post-toggle status = %d: %s", next.Code, next.Body)
+	}
+	if got := next.Header().Get(cacheOutcomeHeader); got != "miss" {
+		t.Errorf("post-toggle outcome = %q, want miss", got)
+	}
+	var ch Choropleth
+	if err := json.Unmarshal(next.Body.Bytes(), &ch); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(ch.Algorithm, "geoblocks-hybrid") {
+		t.Errorf("post-toggle algorithm = %q, want the geoblocks hybrid", ch.Algorithm)
+	}
 }
 
 // TestEquivalentRequestsShareEntry: canonicalization means filter order,
@@ -283,7 +387,7 @@ func TestConcurrentCachedRequests(t *testing.T) {
 }
 
 // TestTileETagRevalidation: tiles carry a strong ETag derived from the
-// cache key and generation; If-None-Match revalidates to 304 without
+// cache key, which names the catalog version; If-None-Match revalidates to 304 without
 // recomputing, and a catalog change rolls the validator.
 func TestTileETagRevalidation(t *testing.T) {
 	s, f := testServer(t)
@@ -336,7 +440,7 @@ func TestTileETagRevalidation(t *testing.T) {
 	}
 	// Same bytes either way — the data didn't change.
 	if !bytes.Equal(first.Body.Bytes(), rec.Body.Bytes()) {
-		t.Error("tile bytes diverged across generations")
+		t.Error("tile bytes diverged across catalog versions")
 	}
 }
 
@@ -406,17 +510,21 @@ func TestCoalescedHeaderSurfaces(t *testing.T) {
 	}
 }
 
-// qcacheStatsZero guards the embedded-stats JSON shape the endpoint
-// promises in the README.
+// TestCacheStatsJSONShape guards the embedded-stats JSON shape the
+// endpoint promises in the README. Invalidation lives in the cache keys, so
+// the payload reports no generation.
 func TestCacheStatsJSONShape(t *testing.T) {
 	b, err := json.Marshal(cacheStatsResponse{Enabled: true, TimeSnap: 1, Stats: qcache.Stats{}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, field := range []string{"enabled", "timeSnap", "hits", "misses",
-		"evictions", "coalesced", "entries", "bytes", "capacityBytes", "generation"} {
+		"evictions", "coalesced", "entries", "bytes", "capacityBytes", "crossView"} {
 		if !bytes.Contains(b, []byte(`"`+field+`"`)) {
 			t.Errorf("cachestats JSON missing %q: %s", field, b)
 		}
+	}
+	if bytes.Contains(b, []byte(`"generation"`)) {
+		t.Errorf("cachestats JSON still reports a generation: %s", b)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mercator"
-	"repro/internal/qcache"
 	"repro/internal/render"
 )
 
@@ -52,7 +51,7 @@ func (f *Framework) renderChoropleth(ctx context.Context, ch *Choropleth, width 
 //	    &agg=count[&attr=fare][&w=800]
 //
 // Rendered images are served through the query-result cache and carry a
-// strong ETag (cache key + generation), so revalidating clients get 304s
+// strong ETag (a hash of the cache key), so revalidating clients get 304s
 // without recomputing the aggregation. The PNG entry is per width; on a
 // miss its values come from the selection entry the map view and
 // /api/query share, read without counting a second cache outcome for the
@@ -78,7 +77,7 @@ func (s *Server) handleChoroplethPNG(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	key := s.selectionSig(qcache.NewSig("choropng"), sel).Int("w", int64(width)).Key()
+	key := s.selectionSig(s.sig("choropng"), sel).Int("w", int64(width)).Key()
 	selKey := s.selectionKey(sel)
 	view := "choropleth.png/" + sel.Agg.String() + "/w=" + strconv.Itoa(width)
 	s.serveCachedImage(w, r, key, "image/png", func(ctx context.Context) ([]byte, error) {
@@ -134,7 +133,7 @@ func (s *Server) handleTile(w http.ResponseWriter, r *http.Request) {
 	}
 	tile := mercator.Tile{Z: z, X: x, Y: y}
 	dataset := r.URL.Query().Get("dataset")
-	key := s.selectionSig(qcache.NewSig("tile"), Selection{Dataset: dataset}).
+	key := s.selectionSig(s.sig("tile"), Selection{Dataset: dataset}).
 		Int("z", int64(z)).Int("x", int64(x)).Int("y", int64(y)).Key()
 	s.serveCachedImage(w, r, key, "image/png", func(ctx context.Context) ([]byte, error) {
 		hm, err := s.f.TileDensityContext(ctx, dataset, tile, nil)
