@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke loc verify
+.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke loc flags verify
 
 build:
 	$(GO) build ./...
@@ -163,5 +163,13 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d] += $$1; sum += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
+
+# urbane-server's flag names, one a line, then their count, read from its
+# -h output: the knob figure a simplicity change reports beside make loc.
+# Informational, not a gate; README's flag table is pinned by
+# TestReadmeFlagTable.
+flags:
+	@out=$$($(GO) run ./cmd/urbane-server -h 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk '/^  -/ { print "  " substr($$1, 2); n++ } END { printf "%7d  flags\n", n }'
 
 verify: build vet fmt lint test

@@ -22,16 +22,15 @@
 // -time-snap to quantize time filters to the workload's bucket size).
 //
 // Every request runs under a context carrying the -query-timeout deadline;
-// the join kernels observe it between point batches (-point-batch sets the
-// granularity), so an exhausted deadline aborts the render mid-join and
-// returns 504. Per-stage timings travel in the X-Urbane-Trace header.
+// the join kernels observe it between point blocks, so an exhausted
+// deadline aborts the render mid-join and returns 504. Per-stage timings
+// travel in the X-Urbane-Trace header.
 //
 // -max-inflight arms admission control: at most that much weighted compute
 // runs concurrently, excess requests wait in a short deadline-aware queue
-// (-admit-queue, -admit-wait) and are shed with 503 + Retry-After when the
-// queue is full or too slow. Cache hits and the observability endpoints
-// bypass admission. -faults/-fault-seed arm deterministic fault injection
-// (chaos testing only; see internal/fault).
+// (admit.DefaultQueue slots, admit.DefaultMaxWait each) and are shed with
+// 503 + Retry-After when the queue is full or too slow. Cache hits and the
+// observability endpoints bypass admission.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, drains
 // in-flight requests (up to a 10s grace period), and exits cleanly.
@@ -54,9 +53,7 @@ import (
 	"repro/internal/admit"
 	"repro/internal/core"
 	"repro/internal/data"
-	"repro/internal/fault"
 	"repro/internal/geoblocks"
-	"repro/internal/gpu"
 	"repro/internal/segment"
 	"repro/internal/tcache"
 	"repro/internal/urbane"
@@ -66,9 +63,67 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], nil, nil); err != nil {
+	err := run(ctx, os.Args[1:], nil, nil)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
+}
+
+// config is urbane-server's command line.
+type config struct {
+	addr          string
+	points        int
+	seed          int64
+	cube          bool
+	resolution    int
+	accurate      bool
+	cacheBytes    int64
+	timeSnap      int64
+	queryTimeout  time.Duration
+	maxInflight   int64
+	geoBlocks     bool
+	segments      bool
+	segCacheBytes int64
+}
+
+// newFlagSet defines every urbane-server flag on c. run parses the command
+// line with it, and TestReadmeFlagTable holds README's flag table to it.
+func newFlagSet(c *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("urbane-server", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.points, "points", 1_000_000, "taxi points to generate")
+	fs.Int64Var(&c.seed, "seed", 2009, "generator seed")
+	fs.BoolVar(&c.cube, "cube", false, "materialize a daily pre-aggregation cube for taxi x neighborhoods")
+	fs.IntVar(&c.resolution, "resolution", 1024, "raster join canvas resolution (longest side, pixels)")
+	fs.BoolVar(&c.accurate, "accurate", true, "use the exact hybrid raster join")
+	fs.Int64Var(&c.cacheBytes, "cache-bytes", urbane.DefaultCacheBytes, "query-result cache capacity in bytes (0 disables)")
+	fs.Int64Var(&c.timeSnap, "time-snap", 1, "snap time filters outward to this granularity in seconds (1 = off); above 1 it is also the slab width of the incremental slab fold")
+	fs.DurationVar(&c.queryTimeout, "query-timeout", 0, "per-request query deadline; exceeded queries abort mid-join and return 504 (0 = unbounded)")
+	fs.Int64Var(&c.maxInflight, "max-inflight", 0, "admission control: max weighted concurrent query computes; excess requests queue briefly then shed with 503 (0 = disabled)")
+	fs.BoolVar(&c.geoBlocks, "geoblocks", false, "enable the pre-aggregated spatial hierarchy: unfiltered polygon aggregation folds stored per-cell aggregates and refines only the boundary fringe")
+	fs.BoolVar(&c.segments, "segments", false, "materialize every data set into a columnar segment file and execute ad-hoc queries block-at-a-time with zone-map pruning (out-of-core under -segment-cache-bytes)")
+	fs.Int64Var(&c.segCacheBytes, "segment-cache-bytes", segment.DefaultCacheBytes, "decoded-block cache budget per segment store in bytes; datasets larger than this stream from disk")
+	return fs
+}
+
+// validate rejects the values the server would otherwise crash on or
+// quietly reinterpret, naming the flag.
+func (c *config) validate() error {
+	switch {
+	case c.points < 0:
+		return fmt.Errorf("-points %d: must not be negative", c.points)
+	case c.resolution <= 0:
+		return fmt.Errorf("-resolution %d: must be positive", c.resolution)
+	case c.cacheBytes < 0:
+		return fmt.Errorf("-cache-bytes %d: must not be negative (0 disables the cache)", c.cacheBytes)
+	case c.segCacheBytes < 0:
+		return fmt.Errorf("-segment-cache-bytes %d: must not be negative", c.segCacheBytes)
+	case c.queryTimeout < 0:
+		return fmt.Errorf("-query-timeout %v: must not be negative (0 = unbounded)", c.queryTimeout)
+	case c.maxInflight < 0:
+		return fmt.Errorf("-max-inflight %d: must not be negative (0 disables admission)", c.maxInflight)
+	}
+	return nil
 }
 
 // run builds the workload and serves the API until ctx is cancelled, then
@@ -76,49 +131,28 @@ func main() {
 // address once the server accepts connections. wrap, when non-nil, wraps
 // the handler — the shutdown test uses it to hold a request in flight.
 func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(http.Handler) http.Handler) error {
-	fs := flag.NewFlagSet("urbane-server", flag.ContinueOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	points := fs.Int("points", 1_000_000, "taxi points to generate")
-	seed := fs.Int64("seed", 2009, "generator seed")
-	buildCube := fs.Bool("cube", false, "materialize a daily pre-aggregation cube for taxi x neighborhoods")
-	resolution := fs.Int("resolution", 1024, "raster join canvas resolution (longest side, pixels)")
-	accurate := fs.Bool("accurate", true, "use the exact hybrid raster join")
-	cacheBytes := fs.Int64("cache-bytes", urbane.DefaultCacheBytes, "query-result cache capacity in bytes (0 disables)")
-	timeSnap := fs.Int64("time-snap", 1, "snap time filters outward to this granularity in seconds (1 = off); above 1 it is also the slab width of the incremental slab fold")
-	queryTimeout := fs.Duration("query-timeout", 0, "per-request query deadline; exceeded queries abort mid-join and return 504 (0 = unbounded)")
-	pointBatch := fs.Int("point-batch", 0, "max point vertices per draw call — the cancellation granularity of the point pass (0 = one draw)")
-	spanCacheBytes := fs.Int64("span-cache-bytes", gpu.DefaultSpanCacheBytes, "region span cache capacity in bytes — compiled polygon rasterizations reused across queries (0 disables)")
-	maxInflight := fs.Int64("max-inflight", 0, "admission control: max weighted concurrent query computes; excess requests queue briefly then shed with 503 (0 = disabled)")
-	admitQueue := fs.Int("admit-queue", admit.DefaultQueue, "admission wait-queue length; requests beyond it shed immediately")
-	admitWait := fs.Duration("admit-wait", admit.DefaultMaxWait, "max time a request waits in the admission queue before shedding (bounded further by its own deadline)")
-	faultSpec := fs.String("faults", "", "deterministic fault injection spec, e.g. \"core.pointpass=latency:0.2:5ms,qcache.compute=error:0.05\" (chaos testing only)")
-	faultSeed := fs.Int64("fault-seed", 1, "seed for the -faults schedule; same seed = same schedule")
-	geoBlocks := fs.Bool("geoblocks", false, "enable the pre-aggregated spatial hierarchy: unfiltered polygon aggregation folds stored per-cell aggregates and refines only the boundary fringe")
-	segments := fs.Bool("segments", false, "materialize every data set into a columnar segment file and execute ad-hoc queries block-at-a-time with zone-map pruning (out-of-core under -segment-cache-bytes)")
-	segCacheBytes := fs.Int64("segment-cache-bytes", segment.DefaultCacheBytes, "decoded-block cache budget per segment store in bytes; datasets larger than this stream from disk")
-	slabCacheBytes := fs.Int64("slab-cache-bytes", tcache.DefaultCacheBytes, "slab partial cache capacity in bytes")
-	maxSlabs := fs.Int("max-slabs", tcache.DefaultMaxSlabs, "max slabs one window may decompose into; wider windows use the one-shot path")
-	if err := fs.Parse(args); err != nil {
+	var cfg config
+	if err := newFlagSet(&cfg).Parse(args); err != nil {
+		return err
+	}
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 
-	log.Printf("generating NYC workload: %d taxi points...", *points)
+	log.Printf("generating NYC workload: %d taxi points...", cfg.points)
 	start := time.Now()
-	scene := workload.NYC(*points, *seed)
+	scene := workload.NYC(cfg.points, cfg.seed)
 	aux := []*data.PointSet{
-		data.Generate(data.NYC311Config(*points/4, 2009, time.January, *seed+10)),
-		data.Generate(data.NYCPhotosConfig(*points/8, 2009, time.January, *seed+20)),
+		data.Generate(data.NYC311Config(cfg.points/4, 2009, time.January, cfg.seed+10)),
+		data.Generate(data.NYCPhotosConfig(cfg.points/8, 2009, time.January, cfg.seed+20)),
 	}
 	log.Printf("generated in %v", time.Since(start).Round(time.Millisecond))
 
 	mode := core.Approximate
-	if *accurate {
+	if cfg.accurate {
 		mode = core.Accurate
 	}
-	dev := gpu.New(gpu.WithSpanCacheBytes(*spanCacheBytes))
-	f := urbane.New(core.NewRasterJoin(core.WithDevice(dev),
-		core.WithMode(mode), core.WithResolution(*resolution),
-		core.WithPointBatch(*pointBatch)))
+	f := urbane.New(core.NewRasterJoin(core.WithMode(mode), core.WithResolution(cfg.resolution)))
 	for _, err := range []error{
 		f.AddPointSet(scene.Taxi),
 		f.AddPointSet(aux[0]),
@@ -132,19 +166,19 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 		}
 	}
 
-	if *geoBlocks {
+	if cfg.geoBlocks {
 		f.EnableGeoBlocks(0)
 		log.Printf("geoblocks hierarchy enabled (maxlevel %d); indexes build lazily on first query per data set",
 			geoblocks.DefaultMaxLevel)
 	}
 
-	if *timeSnap > 1 {
-		f.EnableIncremental(*timeSnap, *slabCacheBytes, *maxSlabs)
+	if cfg.timeSnap > 1 {
+		f.EnableIncremental(cfg.timeSnap, 0, 0)
 		log.Printf("incremental maintenance enabled: %ds slabs, %.1f MiB partial cache, <=%d slabs per window",
-			*timeSnap, float64(*slabCacheBytes)/(1<<20), *maxSlabs)
+			cfg.timeSnap, float64(tcache.DefaultCacheBytes)/(1<<20), tcache.DefaultMaxSlabs)
 	}
 
-	if *segments {
+	if cfg.segments {
 		dir, err := os.MkdirTemp("", "urbane-segments-")
 		if err != nil {
 			return err
@@ -165,7 +199,7 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 			if err := file.Close(); err != nil {
 				return err
 			}
-			st, err := segment.Open(path, segment.WithCacheBytes(*segCacheBytes))
+			st, err := segment.Open(path, segment.WithCacheBytes(cfg.segCacheBytes))
 			if err != nil {
 				return err
 			}
@@ -178,11 +212,11 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 			}
 		}
 		log.Printf("segment-backed execution enabled: %d sets, %.1f MiB on disk, %.1f MiB column cache each, built in %v",
-			3, float64(segBytes)/(1<<20), float64(*segCacheBytes)/(1<<20),
+			3, float64(segBytes)/(1<<20), float64(cfg.segCacheBytes)/(1<<20),
 			time.Since(start).Round(time.Millisecond))
 	}
 
-	if *buildCube {
+	if cfg.cube {
 		log.Printf("building daily pre-aggregation cube (taxi x neighborhoods)...")
 		start = time.Now()
 		c, err := f.BuildCube("taxi", "neighborhoods", 86400, []string{"fare"})
@@ -193,27 +227,19 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr, wrap func(ht
 	}
 
 	opts := []urbane.ServerOption{
-		urbane.WithCache(*cacheBytes), urbane.WithTimeSnap(*timeSnap),
-		urbane.WithQueryTimeout(*queryTimeout),
+		urbane.WithCache(cfg.cacheBytes), urbane.WithTimeSnap(cfg.timeSnap),
+		urbane.WithQueryTimeout(cfg.queryTimeout),
 	}
-	if *maxInflight > 0 {
-		opts = append(opts, urbane.WithAdmission(admit.New(*maxInflight, *admitQueue, *admitWait)))
+	if cfg.maxInflight > 0 {
+		opts = append(opts, urbane.WithAdmission(admit.New(cfg.maxInflight, 0, 0)))
 		log.Printf("admission control: max-inflight=%d queue=%d wait=%v",
-			*maxInflight, *admitQueue, *admitWait)
-	}
-	if *faultSpec != "" {
-		reg, err := fault.ParseSpec(*faultSeed, *faultSpec)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, urbane.WithFaults(reg))
-		log.Printf("fault injection ARMED (seed %d): %s — for chaos testing only", *faultSeed, *faultSpec)
+			cfg.maxInflight, admit.DefaultQueue, admit.DefaultMaxWait)
 	}
 	var handler http.Handler = urbane.NewServer(f, opts...)
 	if wrap != nil {
 		handler = wrap(handler)
 	}
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}

@@ -2,14 +2,21 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"regexp"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/admit"
 )
 
 // TestGracefulShutdownSIGTERM exercises the full signal path: the server
@@ -124,5 +131,117 @@ func TestShutdownViaContextCancel(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not exit after context cancel")
+	}
+}
+
+// TestMaxInflightUsesAdmitDefaults: -max-inflight is the one admission
+// flag; the queue and its wait bound are admit's defaults.
+func TestMaxInflightUsesAdmitDefaults(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ready := make(chan net.Addr, 1)
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- run(ctx, []string{"-addr", "127.0.0.1:0", "-points", "2000", "-max-inflight", "3"}, ready, nil)
+	}()
+	var addr net.Addr
+	select {
+	case addr = <-ready:
+	case err := <-runErr:
+		t.Fatalf("run exited before listening: %v", err)
+	case <-time.After(60 * time.Second):
+		t.Fatal("server did not come up")
+	}
+	resp, err := http.Get("http://" + addr.String() + "/api/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Admission struct {
+			Enabled     bool    `json:"enabled"`
+			MaxInFlight int64   `json:"maxInFlight"`
+			QueueCap    int     `json:"queueCap"`
+			MaxWaitMs   float64 `json:"maxWaitMs"`
+		} `json:"admission"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := stats.Admission
+	if !a.Enabled || a.MaxInFlight != 3 || a.QueueCap != admit.DefaultQueue ||
+		a.MaxWaitMs != float64(admit.DefaultMaxWait.Milliseconds()) {
+		t.Errorf("admission = %+v, want enabled, maxInFlight 3, queueCap %d, maxWaitMs %d",
+			a, admit.DefaultQueue, admit.DefaultMaxWait.Milliseconds())
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Fatalf("run returned error on cancel: %v", err)
+	}
+}
+
+// TestRunRejectsBadFlags: a value the server cannot use makes run return an
+// error naming its flag before anything is generated or bound. -points -1
+// used to panic in data.Generate; the others were quietly reinterpreted.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"points", "-1"},
+		{"resolution", "0"},
+		{"resolution", "-5"},
+		{"cache-bytes", "-1"},
+		{"segment-cache-bytes", "-1"},
+		{"query-timeout", "-1s"},
+		{"max-inflight", "-1"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("run panicked: %v", p)
+				}
+			}()
+			// A cancelled context: a run that wrongly accepts the value
+			// shuts down as soon as it has listened.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			ready := make(chan net.Addr, 1)
+			err := run(ctx, []string{"-addr", "127.0.0.1:0", "-points", "100",
+				"-" + tc.flag, tc.value}, ready, nil)
+			if err == nil || !strings.Contains(err.Error(), "-"+tc.flag) {
+				t.Errorf("run error = %v, want one naming -%s", err, tc.flag)
+			}
+			if len(ready) != 0 {
+				t.Errorf("run listened on %v", <-ready)
+			}
+		})
+	}
+}
+
+// readmeFlagRow matches one row of README's flag table:
+// "| `-name` | `default` | ... |".
+var readmeFlagRow = regexp.MustCompile("^\\| `-([a-z-]+)` \\| `([^`]*)` \\|")
+
+// TestReadmeFlagTable: README's "Server flags" table lists exactly the
+// binary's flags, each with the default the flag set declares.
+func TestReadmeFlagTable(t *testing.T) {
+	b, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n### Server flags\n")
+	if !ok {
+		t.Fatal(`README has no "### Server flags" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	documented := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if m := readmeFlagRow.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = m[2]
+		}
+	}
+	defined := map[string]string{}
+	newFlagSet(&config{}).VisitAll(func(f *flag.Flag) { defined[f.Name] = f.DefValue })
+	if !maps.Equal(documented, defined) {
+		t.Errorf("README flag table lists %v; urbane-server defines %v", documented, defined)
 	}
 }

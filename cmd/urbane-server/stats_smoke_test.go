@@ -27,8 +27,7 @@ func TestStatsSmoke(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run(ctx, []string{
-			"-addr", "127.0.0.1:0", "-points", "20000",
-			"-query-timeout", "1ms", "-point-batch", "64",
+			"-addr", "127.0.0.1:0", "-points", "20000", "-query-timeout", "1ms",
 		}, ready, nil)
 	}()
 

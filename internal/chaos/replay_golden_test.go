@@ -49,14 +49,14 @@ const (
 var digestSeeds = []int64{1, 2, 3}
 
 // serveConfig is one serving configuration of the digest table: the
-// server flags it mirrors are named in each field's comment.
+// server flag or Go option it mirrors is named in each field's comment.
 type serveConfig struct {
 	name    string
 	res     int   // -resolution (0 = 1024)
 	snap    int64 // -time-snap (1 = off); > 1 also enables incremental slabs
 	engines bool  // -cube and -geoblocks
 	approx  bool  // -accurate=false
-	batch   int   // -point-batch; the joiner then also runs on one worker
+	batch   int   // core.WithPointBatch; the joiner then also runs on one worker
 	texture int   // the device's max texture side (0 = default)
 	appends int   // appends issued before the replay
 }

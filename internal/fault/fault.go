@@ -16,8 +16,9 @@
 // The registry rides the request context (NewContext / Inject), exactly like
 // internal/trace, so the deep layers need no new plumbing. Everything is
 // nil-safe, and when no registry was ever created in the process the hook is
-// a single atomic load — production servers that never arm faults pay
-// nothing.
+// a single atomic load. Only code arms a registry, through
+// urbane.WithFaults; urbane-server has no switch for it, so production
+// servers pay that one load and nothing else.
 package fault
 
 import (
@@ -26,8 +27,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -279,69 +278,10 @@ func FromContext(ctx context.Context) *Registry {
 //
 // When no registry was ever created in the process this is one atomic load;
 // when the context carries no registry it is additionally one context
-// lookup. Faults therefore cost nothing unless a test or the -faults flag
-// armed them.
+// lookup. Faults therefore cost nothing unless a test armed them.
 func Inject(ctx context.Context, name string) error {
 	if !armed.Load() {
 		return nil
 	}
 	return FromContext(ctx).Inject(ctx, name)
-}
-
-// ParseSpec builds a registry from the -faults flag grammar: a
-// comma-separated list of
-//
-//	site=kind:prob[:delay]
-//
-// e.g. "core.pointpass=latency:0.2:5ms,server.decode=error:0.05". kind is
-// latency, error, or cancel; prob is a float in [0,1]; delay (latency only)
-// is a Go duration. An empty spec returns an empty registry.
-func ParseSpec(seed int64, spec string) (*Registry, error) {
-	r := New(seed)
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return r, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, rest, ok := strings.Cut(part, "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("fault: bad spec %q (want site=kind:prob[:delay])", part)
-		}
-		fields := strings.Split(rest, ":")
-		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("fault: bad spec %q (want site=kind:prob[:delay])", part)
-		}
-		var rule Rule
-		switch fields[0] {
-		case "latency":
-			rule.Kind = Latency
-		case "error":
-			rule.Kind = Error
-		case "cancel":
-			rule.Kind = Cancel
-		default:
-			return nil, fmt.Errorf("fault: unknown kind %q in %q", fields[0], part)
-		}
-		prob, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil || prob < 0 || prob > 1 {
-			return nil, fmt.Errorf("fault: bad probability %q in %q", fields[1], part)
-		}
-		rule.Prob = prob
-		if len(fields) == 3 {
-			if rule.Kind != Latency {
-				return nil, fmt.Errorf("fault: delay only applies to latency faults: %q", part)
-			}
-			d, err := time.ParseDuration(fields[2])
-			if err != nil || d < 0 {
-				return nil, fmt.Errorf("fault: bad delay %q in %q", fields[2], part)
-			}
-			rule.Delay = d
-		}
-		r.Set(name, rule)
-	}
-	return r, nil
 }

@@ -193,31 +193,6 @@ func TestKinds(t *testing.T) {
 	}
 }
 
-// TestParseSpec covers the -faults grammar.
-func TestParseSpec(t *testing.T) {
-	r, err := ParseSpec(9, "core.pointpass=latency:0.2:5ms, server.decode=error:0.05,qcache.compute=cancel:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(r.Sites()); n != 3 {
-		t.Fatalf("sites = %d, want 3", n)
-	}
-	if err := r.Inject(context.Background(), "qcache.compute"); !errors.Is(err, context.Canceled) {
-		t.Errorf("prob-1 cancel site: got %v", err)
-	}
-	if r, err := ParseSpec(9, ""); err != nil || len(r.Sites()) != 0 {
-		t.Errorf("empty spec: %v, %d sites", err, len(r.Sites()))
-	}
-	for _, bad := range []string{
-		"nosite", "x=latency", "x=latency:2", "x=warp:0.5",
-		"x=error:0.5:5ms", "x=latency:0.5:xyz", "=error:0.5",
-	} {
-		if _, err := ParseSpec(9, bad); err == nil {
-			t.Errorf("spec %q: want error", bad)
-		}
-	}
-}
-
 // TestConcurrentInject: concurrent hook calls on one site race-cleanly and
 // account every call.
 func TestConcurrentInject(t *testing.T) {
