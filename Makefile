@@ -106,11 +106,12 @@ stats-smoke:
 	$(GO) test -count=20 -run '^TestStatsSmoke$$' ./cmd/urbane-server
 
 # Concurrency suite under the race detector: cache stress, coalescing, and
-# the cache-on/cache-off byte-identical property over the HTTP handlers,
-# plus the model-based suite of the LRU underneath them.
+# the cache-on/cache-off byte-identical property over the HTTP handlers; the
+# slab fold racing appends and the geoblocks store's shared builds; plus the
+# model-based suite of the LRU underneath them.
 stress:
-	$(GO) test -race -count=1 -run 'Stress|Coalesce|Concurrent|CacheOnOff' \
-		./internal/qcache ./internal/urbane
+	$(GO) test -race -count=1 -run 'Stress|Coalesc|Concurrent|CacheOnOff|Store' \
+		./internal/qcache ./internal/urbane ./internal/tcache ./internal/geoblocks
 	$(GO) test -race -count=1 ./internal/lru
 
 # Seeded chaos soak under the race detector: 64 virtual users against a
@@ -158,11 +159,14 @@ ingest-smoke:
 
 # Non-test Go lines per package directory, then the total, outside
 # benchmark/ and testdata/: the size figure a simplicity change reports.
+# The last line is the total of _test.go lines under the same exclusions.
 # Informational, not a gate.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); sub("^[.]/", "", d); n[d] += $$1; sum += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
+	@find . -name '*_test.go' ! -path './.*' ! -path './benchmark/*' ! -path '*/testdata/*' \
+		| xargs cat | wc -l | awk '{ printf "%7d  test total\n", $$1 }'
 
 # urbane-server's flag names, one a line, then their count, read from its
 # -h output: the knob figure a simplicity change reports beside make loc.

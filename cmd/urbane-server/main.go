@@ -122,6 +122,8 @@ func (c *config) validate() error {
 		return fmt.Errorf("-query-timeout %v: must not be negative (0 = unbounded)", c.queryTimeout)
 	case c.maxInflight < 0:
 		return fmt.Errorf("-max-inflight %d: must not be negative (0 disables admission)", c.maxInflight)
+	case c.timeSnap < 1:
+		return fmt.Errorf("-time-snap %d: must be at least 1 (1 = off)", c.timeSnap)
 	}
 	return nil
 }

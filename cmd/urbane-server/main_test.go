@@ -193,6 +193,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"segment-cache-bytes", "-1"},
 		{"query-timeout", "-1s"},
 		{"max-inflight", "-1"},
+		{"time-snap", "0"},
+		{"time-snap", "-3600"},
 	} {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
 			defer func() {

@@ -130,6 +130,20 @@ func TestAppendCOWBounds(t *testing.T) {
 	sameBits(t, "appended to empty", fresh.Bounds(), foldPoints(tail))
 }
 
+// TestAppendCOWStampsParentFirst: a parent nobody has stamped yet gets its
+// stamp from AppendCOW, before the child's, so the newer snapshot carries
+// the larger stamp — the order the geoblocks store relies on.
+func TestAppendCOWStampsParentFirst(t *testing.T) {
+	ps := boundsTestPoints(100)
+	grown, err := ps.AppendCOW(ps.Select([]int{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, p := grown.Stamp(), ps.Stamp(); g <= p {
+		t.Fatalf("grown stamp %d, parent stamp %d: the newer snapshot must carry the larger stamp", g, p)
+	}
+}
+
 // TestBoundsConcurrentStamped: eight goroutines read the bounds of newly
 // stamped sets at once; every reader sees the fold, and -race sees no
 // unsynchronised access to the memo.

@@ -42,9 +42,12 @@ type PointSet struct {
 var pointSetStamps atomic.Uint64
 
 // Stamp returns a process-unique identity for this point set, assigned
-// lazily on first call. Caches keyed by point data (the geoblocks
-// hierarchy) use it instead of the Name — names can be reused across
-// re-registered data sets. Callers must treat the columns as immutable
+// lazily on first call from one increasing counter. Caches keyed by point
+// data (the geoblocks hierarchy, slab partials) use it instead of the Name
+// — names can be reused across re-registered data sets. AppendCOW stamps
+// the parent before the child, so along an append lineage a newer snapshot
+// always carries the larger stamp; the geoblocks store keeps the newest
+// one per name on that rule. Callers must treat the columns as immutable
 // once the set is stamped; Bounds memoises its fold on that promise.
 func (ps *PointSet) Stamp() uint64 {
 	if s := ps.stamp.Load(); s != 0 {
@@ -227,9 +230,9 @@ func (ps *PointSet) SortByTime() {
 // tail must match ps's schema exactly: the same presence of a time column
 // and the same attribute columns in the same order. ps itself is not
 // modified and keeps serving its old length. The returned set carries a
-// fresh stamp, so stamp-keyed caches (geoblocks, slab partials) treat it as
-// new data, and its bounds are ps's bounds united with tail's: an append
-// folds only the tail, never the whole set again.
+// fresh stamp larger than ps's, so stamp-keyed caches (geoblocks, slab
+// partials) treat it as new data, and its bounds are ps's bounds united
+// with tail's: an append folds only the tail, never the whole set again.
 func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	if err := tail.Validate(); err != nil {
 		return nil, err
@@ -261,6 +264,7 @@ func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 		out.Attrs[i] = Column{Name: c.Name, Values: append(c.Values, tail.Attrs[i].Values...)}
 	}
 	b := ps.Bounds().Union(tail.Bounds())
+	ps.Stamp() // before out's: the newer snapshot gets the larger stamp
 	out.Stamp()
 	out.bounds.Store(&b)
 	return out, nil

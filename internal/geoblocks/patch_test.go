@@ -165,8 +165,8 @@ func TestPatchAppendEquivalence(t *testing.T) {
 }
 
 // TestPatchRefusals: the situations where patching would be unsound fall
-// back (Patch returns false, the entry is dropped, the next query lazily
-// rebuilds a correct index).
+// back (Patch returns false, the old snapshot's entry stays, the next query
+// for the grown set lazily rebuilds a correct index).
 func TestPatchRefusals(t *testing.T) {
 	ctx := context.Background()
 	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(64))
@@ -265,5 +265,50 @@ func TestPatchRetiredSnapshotNotCached(t *testing.T) {
 	}
 	if st := s.Stats(); st.Patches != 1 {
 		t.Fatalf("patches = %d, want 1", st.Patches)
+	}
+}
+
+// TestPatchFallbackKeepsOneEntry: the store holds one hierarchy per data
+// set name. A refused patch leaves the old snapshot's entry in place, a late
+// Get for the old snapshot is served from it, and the first Get for the
+// grown snapshot replaces it — one entry after every step, each index over
+// the snapshot its caller asked for.
+func TestPatchFallbackKeepsOneEntry(t *testing.T) {
+	ctx := context.Background()
+	base := buildPatchScene(t, 500, 25)
+	s := geoblocks.NewStore(5)
+	step := func(name string, got *geoblocks.Index, err error, want int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != nil && got.Len() != want {
+			t.Fatalf("%s: index over %d points, want %d", name, got.Len(), want)
+		}
+		if st := s.Stats(); st.Entries != 1 {
+			t.Fatalf("%s: store holds %d hierarchies, want 1", name, st.Entries)
+		}
+	}
+	idx, err := s.Get(ctx, base)
+	step("Get(old)", idx, err, base.Len())
+
+	tail := deepSlice(base, 0, 1)
+	tail.X[0], tail.Y[0] = 5000, 5000 // outside the [0,1000]² grid
+	grown, err := base.AppendCOW(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Patch(ctx, base, grown) {
+		t.Fatal("out-of-bounds append was patched")
+	}
+	step("Patch(old→new) fallback", nil, nil, 0)
+
+	idx, err = s.Get(ctx, base)
+	step("late Get(old)", idx, err, base.Len())
+
+	idx, err = s.Get(ctx, grown)
+	step("Get(new)", idx, err, grown.Len())
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 2 || st.PatchFallbacks != 1 {
+		t.Fatalf("stats = %+v, want 1 hit (late Get(old)), 2 builds, 1 fallback", st)
 	}
 }

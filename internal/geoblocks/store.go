@@ -9,25 +9,20 @@ import (
 	"repro/internal/lru"
 )
 
-// retiredStamps bounds how many retired snapshot stamps a Store remembers.
-// A Get for a retired stamp can only come from a query already in flight
-// when its snapshot was appended to, and no query outlives this many
-// appends.
-const retiredStamps = 1024
-
-// Store caches one Index per point set, keyed by PointSet.Stamp(). A stamp
-// names one immutable snapshot, so an entry never goes stale; an append
-// retires the old snapshot's entry through Patch. Concurrent first queries
-// for the same point set coalesce on a single build; a build aborted by its
-// requester's context is not cached, and surviving waiters retry.
+// Store caches one Index per data set name, for the newest snapshot it has
+// seen: an entry carries the PointSet.Stamp() it was built from, and a stamp
+// names one immutable snapshot, so an entry never goes stale. Newer
+// snapshots carry larger stamps (see PointSet.Stamp), so a Get for a newer
+// stamp replaces the entry and a Get for an older one — a query that took
+// its snapshot before an append — builds for itself and caches nothing.
+// Concurrent first queries for the same snapshot coalesce on a single
+// build; a build aborted by its requester's context is not cached, and
+// surviving waiters retry.
 type Store struct {
 	maxLevel int
 
 	mu      sync.Mutex
-	entries map[uint64]*storeEntry
-	// retired remembers the stamps Patch has retired, so a Get that raced
-	// the append does not cache a hierarchy nobody will ask for again.
-	retired *lru.Cache[uint64, struct{}]
+	entries map[string]*storeEntry
 
 	hits           atomic.Uint64
 	misses         atomic.Uint64
@@ -36,9 +31,10 @@ type Store struct {
 }
 
 type storeEntry struct {
-	done chan struct{}
-	idx  *Index
-	err  error
+	stamp uint64
+	done  chan struct{}
+	idx   *Index
+	err   error
 }
 
 // NewStore returns an empty store building indexes at the given finest
@@ -50,44 +46,41 @@ func NewStore(maxLevel int) *Store {
 	if maxLevel > MaxMaxLevel {
 		maxLevel = MaxMaxLevel
 	}
-	return &Store{
-		maxLevel: maxLevel,
-		entries:  make(map[uint64]*storeEntry),
-		retired:  lru.New[uint64, struct{}](retiredStamps),
-	}
+	return &Store{maxLevel: maxLevel, entries: make(map[string]*storeEntry)}
 }
 
 // MaxLevel returns the finest level of built hierarchies.
 func (s *Store) MaxLevel() int { return s.maxLevel }
 
 // Get returns the hierarchy for ps, building it under ctx on first use.
-// Concurrent callers for the same point set share one build; if the
+// Concurrent callers for the same snapshot share one build; if the
 // builder's context dies mid-build the failure is not cached and a
-// surviving waiter takes over the build. A build for a snapshot Patch has
-// already retired is returned to its caller but not cached.
+// surviving waiter takes over the build. A build for a snapshot older than
+// the cached one is returned to its caller but not cached.
 func (s *Store) Get(ctx context.Context, ps *data.PointSet) (*Index, error) {
-	key := ps.Stamp()
+	stamp := ps.Stamp()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
-		e, ok := s.entries[key]
-		if !ok {
-			e = &storeEntry{done: make(chan struct{})}
-			if _, dead := s.retired.Get(key); !dead {
-				s.entries[key] = e
+		e, ok := s.entries[ps.Name]
+		if !ok || e.stamp != stamp {
+			older := ok && e.stamp > stamp
+			e = &storeEntry{stamp: stamp, done: make(chan struct{})}
+			if !older {
+				s.entries[ps.Name] = e
 			}
 			s.mu.Unlock()
 			s.misses.Add(1)
 			e.idx, e.err = BuildContext(ctx, ps, s.maxLevel)
 			close(e.done)
 			if e.err != nil {
-				// Never cache a failed build: remove the entry unless Patch
-				// already retired it (or it was never published).
+				// Never cache a failed build: remove the entry unless a newer
+				// snapshot already replaced it (or it was never published).
 				s.mu.Lock()
-				if s.entries[key] == e {
-					delete(s.entries, key)
+				if s.entries[ps.Name] == e {
+					delete(s.entries, ps.Name)
 				}
 				s.mu.Unlock()
 				return nil, e.err
@@ -108,22 +101,18 @@ func (s *Store) Get(ctx context.Context, ps *data.PointSet) (*Index, error) {
 	}
 }
 
-// Patch migrates the cached hierarchy for oldPS to newPS — which must be
-// oldPS plus appended points — by PatchAppend instead of a rebuild, and
-// reports whether a patched index is now cached under newPS's stamp. The
-// old entry is always retired: when no completed hierarchy exists (never
-// built, build in flight for the obsolete snapshot, or PatchAppend refuses
-// — out-of-bounds points, outgrown tail) the entry is simply dropped and
-// the next query lazily rebuilds from scratch. The old stamp is remembered
-// as retired: a query that took the old snapshot before the append and
-// reaches Get after it builds for itself and caches nothing.
+// Patch moves the cached hierarchy for oldPS to newPS — which must be oldPS
+// plus appended points — by PatchAppend instead of a rebuild, and reports
+// whether a patched index is now cached for newPS. When no completed
+// hierarchy for oldPS is cached (never built, build still in flight, or
+// replaced), or PatchAppend refuses (out-of-bounds points, outgrown tail),
+// the entry stays as it is and the next Get for newPS replaces it with a
+// fresh build.
 func (s *Store) Patch(ctx context.Context, oldPS, newPS *data.PointSet) bool {
 	s.mu.Lock()
-	e, ok := s.entries[oldPS.Stamp()]
-	delete(s.entries, oldPS.Stamp())
-	s.retired.Add(oldPS.Stamp(), struct{}{}, 1)
+	e, ok := s.entries[oldPS.Name]
 	s.mu.Unlock()
-	if !ok {
+	if !ok || e.stamp != oldPS.Stamp() {
 		return false
 	}
 	select {
@@ -139,17 +128,18 @@ func (s *Store) Patch(ctx context.Context, oldPS, newPS *data.PointSet) bool {
 		s.patchFallbacks.Add(1)
 		return false
 	}
-	ne := &storeEntry{done: make(chan struct{}), idx: idx}
+	ne := &storeEntry{stamp: newPS.Stamp(), done: make(chan struct{}), idx: idx}
 	close(ne.done)
 	s.mu.Lock()
-	s.entries[newPS.Stamp()] = ne
+	s.entries[newPS.Name] = ne
 	s.mu.Unlock()
 	s.patches.Add(1)
 	return true
 }
 
 // Stats is a point-in-time snapshot of store behavior: the shared cache
-// counters (the store is unbounded, so Capacity and Evictions stay zero)
+// counters (the store holds one entry per data set name and has no byte
+// budget, so Capacity and Evictions stay zero)
 // plus the append-patch outcomes. Declined counts the requests the engine's
 // cost rule handed to the raster join; Engine.Stats fills it in.
 type Stats struct {

@@ -1,5 +1,5 @@
 // Package lru is the one byte-bounded least-recently-used cache under every
-// cache in the repo: the query-result cache's shards (qcache), the slab
+// cache in the repo: the query-result cache (qcache), the slab
 // partial cache (tcache), the compiled region span cache (raster) and the
 // segment column cache (segment) each hold a Cache and add only what is
 // genuinely theirs — locking, rekeying, (block, column) keys.
@@ -10,7 +10,7 @@ package lru
 
 // Stats is the one counter shape every cache reports. Hits and Misses count
 // Get outcomes; Evictions counts entries pushed out by the byte budget (not
-// replacements, removals or clears).
+// replacements, deletions or clears).
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -21,7 +21,7 @@ type Stats struct {
 }
 
 // Add accumulates another snapshot, for owners that aggregate several
-// caches (qcache's shards, the server's attached segment stores).
+// caches (the server's attached segment stores).
 func (s *Stats) Add(o Stats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -114,15 +114,6 @@ func (c *Cache[K, V]) Add(k K, v V, cost int64) {
 	c.items[k] = n
 	c.pushFront(n)
 	c.bytes += cost
-}
-
-// Remove drops the entry under k and reports whether there was one.
-func (c *Cache[K, V]) Remove(k K) bool {
-	n, ok := c.items[k]
-	if ok {
-		c.remove(n)
-	}
-	return ok
 }
 
 // DeleteFunc drops every entry for which del returns true and returns how

@@ -1,4 +1,4 @@
-// Package qcache is the server's query-result cache: a sharded LRU over
+// Package qcache is the server's query-result cache: one LRU over
 // serialized response bodies and selection entries (one join result several
 // views render, see result.go), keyed by a canonicalized query signature
 // (see key.go), with singleflight request coalescing so N concurrent
@@ -12,9 +12,8 @@
 //
 // Concurrency model:
 //
-//   - The key space is split across shards by FNV-1a hash; each shard is an
-//     independently locked lru.Cache with its own byte budget, so unrelated
-//     keys never contend on one mutex.
+//   - One mutex guards one lru.Cache under one byte budget: a lookup holds
+//     it for a map probe, and every miss already takes flightMu.
 //   - Invalidation lives in the key, not here: a key names every version
 //     its result depends on (the catalog version, each data set's epoch),
 //     so a change makes new requests ask for new keys and the old entries
@@ -30,7 +29,6 @@ package qcache
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -60,21 +58,13 @@ const (
 // value bytes.
 const entryOverhead = 160
 
-// defaultShards balances contention against per-shard budget granularity.
-const defaultShards = 16
-
 // Stats is a point-in-time counter snapshot; see the /api/cachestats
-// endpoint. Hits and Misses count request outcomes, not shard lookups: a
+// endpoint. Hits and Misses count request outcomes, not LRU lookups: a
 // request that joins a flight is Coalesced, and a flight is one miss however
 // many callers looked the key up before it started.
 type Stats struct {
 	lru.Stats
 	Coalesced uint64 `json:"coalesced"`
-}
-
-type shard struct {
-	mu  sync.Mutex
-	lru *lru.Cache[string, []byte]
 }
 
 // flightCall is one in-flight compute plus the callers attached to it. The
@@ -105,11 +95,12 @@ type flightCall struct {
 	cancel  context.CancelFunc
 }
 
-// Cache is a sharded LRU result cache; safe for concurrent use. A nil
-// *Cache is a valid disabled cache: Get always misses, Put is a no-op, and
-// Do computes directly.
+// Cache is an LRU result cache; safe for concurrent use. A nil *Cache is a
+// valid disabled cache: Get always misses, Put is a no-op, and Do computes
+// directly.
 type Cache struct {
-	shards []shard
+	mu  sync.Mutex
+	lru *lru.Cache[string, []byte]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -119,39 +110,19 @@ type Cache struct {
 	flights  map[string]*flightCall
 }
 
-// New returns a cache bounded to capacityBytes across the default shard
-// count.
-func New(capacityBytes int64) *Cache { return NewSharded(capacityBytes, defaultShards) }
-
-// NewSharded returns a cache bounded to capacityBytes split evenly across
-// the given number of shards. Capacity is rounded down to a multiple of
-// the shard count so the bound is exact.
-func NewSharded(capacityBytes int64, shards int) *Cache {
-	if shards < 1 {
-		shards = 1
-	}
-	c := &Cache{
-		shards:  make([]shard, shards),
+// New returns a cache bounded to capacityBytes.
+func New(capacityBytes int64) *Cache {
+	return &Cache{
+		lru:     lru.New[string, []byte](capacityBytes),
 		flights: make(map[string]*flightCall),
 	}
-	for i := range c.shards {
-		c.shards[i].lru = lru.New[string, []byte](capacityBytes / int64(shards))
-	}
-	return c
-}
-
-func (c *Cache) shardFor(key string) *shard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return &c.shards[h.Sum64()%uint64(len(c.shards))]
 }
 
 // lookup finds an entry without touching the hit/miss counters.
 func (c *Cache) lookup(key string) ([]byte, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.lru.Get(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Get(key)
 }
 
 // Get returns the cached value for key, counting a hit or miss.
@@ -173,10 +144,9 @@ func (c *Cache) Put(key string, val []byte) {
 	if c == nil {
 		return
 	}
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.lru.Add(key, val, int64(len(key)+len(val))+entryOverhead)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lru.Add(key, val, int64(len(key)+len(val))+entryOverhead)
 }
 
 // DoContext returns the cached value for key, or computes it exactly once
@@ -341,20 +311,15 @@ func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome, counted
 // dataset's old-epoch keys unreachable — and Sweep reclaims their bytes
 // eagerly instead of waiting for LRU pressure; every other dataset's
 // entries stay warm.
-// Sweep walks each shard under its lock; in-flight computes for swept keys
+// Sweep walks the cache under its lock; in-flight computes for swept keys
 // are unaffected (they re-insert under keys the predicate already judged).
 func (c *Cache) Sweep(pred func(key string) bool) int {
 	if c == nil || pred == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.DeleteFunc(func(k string, _ []byte) bool { return pred(k) })
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.DeleteFunc(func(k string, _ []byte) bool { return pred(k) })
 }
 
 // Stats snapshots the counters.
@@ -362,14 +327,10 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	s := Stats{Coalesced: c.coalesced.Load()}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Stats.Add(sh.lru.Stats())
-		sh.mu.Unlock()
-	}
-	// The shards counted lookups; the cache reports request outcomes.
+	c.mu.Lock()
+	s := Stats{Stats: c.lru.Stats(), Coalesced: c.coalesced.Load()}
+	c.mu.Unlock()
+	// The LRU counted lookups; the cache reports request outcomes.
 	s.Hits, s.Misses = c.hits.Load(), c.misses.Load()
 	return s
 }

@@ -29,9 +29,9 @@ func TestGetPut(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// One shard so the LRU order is fully observable. Each entry costs
-	// entryOverhead + len(key) + len(val) = 160 + 1 + 39 = 200.
-	c := NewSharded(3*200, 1)
+	// Each entry costs entryOverhead + len(key) + len(val) = 160 + 1 + 39
+	// = 200.
+	c := New(3 * 200)
 	val := make([]byte, 39)
 	c.Put("a", val)
 	c.Put("b", val)
@@ -54,10 +54,10 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestOversizedEntryNotCached(t *testing.T) {
-	c := NewSharded(1024, 1)
+	c := New(1024)
 	c.Put("big", make([]byte, 4096))
 	if _, ok := c.Get("big"); ok {
-		t.Fatal("entry larger than the shard budget must not be cached")
+		t.Fatal("entry larger than the whole budget must not be cached")
 	}
 	if got := c.Stats().Bytes; got != 0 {
 		t.Errorf("bytes = %d, want 0", got)
@@ -70,9 +70,19 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	}
 }
 
+// TestLargeEntryUsesWholeBudget: an entry is refused only when it exceeds
+// the cache's whole budget, so a 128 KiB body fits a 1 MiB cache.
+func TestLargeEntryUsesWholeBudget(t *testing.T) {
+	c := New(1 << 20)
+	c.Put("big", make([]byte, 128<<10))
+	if _, ok := c.Get("big"); !ok {
+		t.Fatal("a 128 KiB entry in a 1 MiB cache was not stored")
+	}
+}
+
 func TestByteBoundHonored(t *testing.T) {
 	const capacity = 4096
-	c := NewSharded(capacity, 4)
+	c := New(capacity)
 	for i := 0; i < 500; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), make([]byte, i%200))
 		if got := c.Stats().Bytes; got > capacity {

@@ -74,7 +74,7 @@ func TestStressMixedOps(t *testing.T) {
 // moment, not just at rest.
 func TestStressByteBoundUnderConcurrentPuts(t *testing.T) {
 	const capacity = 16 << 10
-	c := NewSharded(capacity, 8)
+	c := New(capacity)
 	stop := make(chan struct{})
 	var violations atomic.Int64
 	var wg sync.WaitGroup

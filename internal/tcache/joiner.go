@@ -122,8 +122,8 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		return nil, err
 	}
 	sig := j.requestSig(req)
-	// An append may retire this stamp mid-fold; Cache.Put then files the
-	// late partials the way Rekey filed the cached ones.
+	// An append may land mid-fold; the partials still file under the stamp
+	// they were computed from (see Cache.Put).
 	stamp := req.Points.Stamp()
 	tr := trace.FromContext(ctx)
 	sp := tr.Start("tcache.fold")

@@ -28,6 +28,8 @@
 // Entries are keyed by the PointSet's identity stamp, so an append —
 // which produces a new stamp — cannot serve stale partials; Rekey migrates
 // the clean slabs of the old stamp to the new one and drops the dirty ones.
+// Every partial is a pure function of its key, so nothing else is tracked:
+// a partial put under a stamp no request reads again ages out of the LRU.
 package tcache
 
 import (
@@ -88,26 +90,10 @@ type Stats struct {
 // per query, orders of magnitude cheaper than the joins they save, so
 // sharding would buy nothing.
 type Cache struct {
-	mu  sync.Mutex
-	lru *lru.Cache[key, *core.Result]
-	// retired maps each stamp Rekey retired to its successor, so a Put
-	// from a compute that started before the append files its partial
-	// under the stamp requests now read.
-	retired    *lru.Cache[uint64, successor]
+	mu         sync.Mutex
+	lru        *lru.Cache[key, *core.Result]
 	rekeyDrops uint64
 }
-
-// successor is one Rekey: the stamp that replaced a retired one and the
-// slabs the append dirtied.
-type successor struct {
-	stamp uint64
-	dirty map[int64]bool
-}
-
-// retiredStamps bounds how many retirements a Cache remembers. A Put under
-// a retired stamp can only come from a fold already in flight at the
-// append, so only the most recent few ever matter.
-const retiredStamps = 1024
 
 // NewCache returns a cache bounded to capacityBytes (<= 0 uses
 // DefaultCacheBytes).
@@ -115,10 +101,7 @@ func NewCache(capacityBytes int64) *Cache {
 	if capacityBytes <= 0 {
 		capacityBytes = DefaultCacheBytes
 	}
-	return &Cache{
-		lru:     lru.New[key, *core.Result](capacityBytes),
-		retired: lru.New[uint64, successor](retiredStamps),
-	}
+	return &Cache{lru: lru.New[key, *core.Result](capacityBytes)}
 }
 
 // Get returns the cached partial for (stamp, sig, slab): the slab's Result.
@@ -131,23 +114,12 @@ func (c *Cache) Get(stamp uint64, sig string, slab int64) (*core.Result, bool) {
 }
 
 // Put stores a partial, evicting least-recently-used entries to stay under
-// the byte budget. A partial computed under a stamp Rekey has since retired
-// gets Rekey's own rule: it follows the successors to the live stamp while
-// its slab stays clean, and is dropped at the first append that dirtied it.
+// the byte budget. A partial from a fold that read its stamp before an
+// append is filed under that stamp: it is correct for the snapshot it
+// names, no later request asks for it, and the LRU ages it out.
 func (c *Cache) Put(stamp uint64, sig string, slab int64, p *core.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		next, ok := c.retired.Get(stamp)
-		if !ok {
-			break
-		}
-		if next.dirty[slab] {
-			c.rekeyDrops++
-			return
-		}
-		stamp = next.stamp
-	}
 	c.lru.Add(key{stamp: stamp, sig: sig, slab: slab}, p, cost(p, len(sig)))
 }
 
@@ -159,16 +131,10 @@ func (c *Cache) Put(stamp uint64, sig string, slab int64, p *core.Result) {
 // are evicted and recompute lazily. Returns (migrated, dropped).
 //
 // Computes in flight during a Rekey put under the stamp they read when they
-// started; Put applies the same rule to them, so Rekey keeps dirty.
+// started (see Put); Rekey moves only what is cached when it runs.
 func (c *Cache) Rekey(oldStamp, newStamp uint64, dirty map[int64]bool) (migrated, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if oldStamp != newStamp {
-		// newStamp is live again if it was ever retired, which also keeps
-		// the successor chains Put follows acyclic.
-		c.retired.Remove(newStamp)
-		c.retired.Add(oldStamp, successor{stamp: newStamp, dirty: dirty}, 1)
-	}
 	type move struct {
 		k key
 		p *core.Result
