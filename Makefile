@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke loc flags verify
+.PHONY: build test test-1p race vet fmt lint lint-json lint-baseline lru-single bench fuzz stress stats-smoke parallel-race chaos-smoke geoblocks-smoke segment-smoke ingest-smoke loc flags unlinked verify
 
 build:
 	$(GO) build ./...
@@ -175,5 +175,26 @@ loc:
 flags:
 	@out=$$($(GO) run ./cmd/urbane-server -h 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk '/^  -/ { print "  " substr($$1, 2); n++ } END { printf "%7d  flags\n", n }'
+
+# The non-test functions under internal/ that no binary links, then their
+# count: every main package (cmd/* and benchmark) is built without inlining
+# into a temporary directory, and a function is linked when go tool nm lists
+# it in one of them. Generic shape suffixes are stripped, so an instantiated
+# generic counts as its declaration. A function only tests call is dead
+# weight or a test knob. Informational, not a gate.
+unlinked:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+		$(GO) build -gcflags=all=-l -o "$$dir/$${p##*/}" "$$p" || exit 1; \
+	done; \
+	for b in "$$dir"/*; do $(GO) tool nm "$$b"; done \
+		| awk '{ print $$NF }' | sed 's/\[.*\]//' | sort -u > "$$dir/linked.txt"; \
+	find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs grep -H '^func ' \
+		| sed -E -e 's#^(.*)/[^/]*\.go:func #repro/\1 #' \
+			-e 's#^([^ ]+) \(([A-Za-z0-9_]+ )?\*([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*#\1.(*\3).\5#' \
+			-e 's#^([^ ]+) \(([A-Za-z0-9_]+ )?([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*#\1.\3.\5#' \
+			-e 's#^([^ ]+) ([A-Za-z0-9_]+).*#\1.\2#' \
+		| grep -v '\.init$$' | sort -u | comm -23 - "$$dir/linked.txt" \
+		| awk '{ print "  " $$0; n++ } END { printf "%7d  unlinked\n", n }'
 
 verify: build vet fmt lint test

@@ -56,7 +56,7 @@ func subsample(ps *data.PointSet, n int) *data.PointSet {
 
 func mustJoin(b *testing.B, j core.Joiner, req core.Request) *core.Result {
 	b.Helper()
-	res, err := j.Join(req)
+	res, err := j.JoinContext(context.Background(), req)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkE5Accuracy(b *testing.B) {
 	pts := subsample(scene.Taxi, 500_000)
 	regions := scene.Neighborhoods
 	req := core.Request{Points: pts, Regions: regions, Agg: core.Count}
-	exact, err := (&index.BruteForce{}).Join(req)
+	exact, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func runE2(scale float64) {
 	regions := data.VoronoiRegions("nbhd16", scene.Bounds, 16, 12,
 		data.VoronoiOptions{JitterFrac: 0.12})
 	req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count}
-	exact, err := (&index.BruteForce{}).Join(req)
+	exact, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	must(err)
 	fmt.Printf("workload: %d points, %d polygons, exact total %d\n",
 		n, regions.Len(), exact.TotalCount())
@@ -129,8 +129,8 @@ func runE2(scale float64) {
 		apx := core.NewRasterJoin(core.WithResolution(res))
 		acc := core.NewRasterJoin(core.WithResolution(res), core.WithMode(core.Accurate))
 		var ra, rb *core.Result
-		la := timeMedian(3, func() { ra, err = apx.Join(req); must(err) })
-		lb := timeMedian(3, func() { rb, err = acc.Join(req); must(err) })
+		la := timeMedian(3, func() { ra, err = apx.JoinContext(context.Background(), req); must(err) })
+		lb := timeMedian(3, func() { rb, err = acc.JoinContext(context.Background(), req); must(err) })
 		t.row(fmt.Sprintf("%dx%d", ra.CanvasW, ra.CanvasH), ra.PixelSize,
 			relErr(ra, exact), relErr(rb, exact), la, lb)
 	}
@@ -158,9 +158,9 @@ func runE3(scale float64) {
 	// Warm up allocators and caches so the first row isn't penalized.
 	warm := core.Request{Points: subsample(scene.Taxi, maxN/8), Regions: regions,
 		Agg: core.Count, Time: workload.JanWeek(1)}
-	_, err := apx.Join(warm)
+	_, err := apx.JoinContext(context.Background(), warm)
 	must(err)
-	_, err = acc.Join(warm)
+	_, err = acc.JoinContext(context.Background(), warm)
 	must(err)
 
 	t := newTable("points", "raster 1024px", "raster accurate", "index grid", "index rtree")
@@ -173,10 +173,10 @@ func runE3(scale float64) {
 		// Settle the heap so the subsample/index allocations don't tax the
 		// first timed runs.
 		runtime.GC()
-		la := timeMedian(3, func() { _, err := apx.Join(req); must(err) })
-		lb := timeMedian(3, func() { _, err := acc.Join(req); must(err) })
-		lc := timeMedian(3, func() { _, err := grid.Join(req); must(err) })
-		ld := timeMedian(3, func() { _, err := rtree.Join(req); must(err) })
+		la := timeMedian(3, func() { _, err := apx.JoinContext(context.Background(), req); must(err) })
+		lb := timeMedian(3, func() { _, err := acc.JoinContext(context.Background(), req); must(err) })
+		lc := timeMedian(3, func() { _, err := grid.JoinContext(context.Background(), req); must(err) })
+		ld := timeMedian(3, func() { _, err := rtree.JoinContext(context.Background(), req); must(err) })
 		t.row(n, la, lb, lc, ld)
 	}
 	t.flush()
@@ -197,7 +197,7 @@ func runE4(scale float64) {
 	apx := core.NewRasterJoin(core.WithResolution(1024))
 
 	// Warm up allocators and caches so the first row isn't penalized.
-	_, err := apx.Join(core.Request{Points: scene.Taxi,
+	_, err := apx.JoinContext(context.Background(), core.Request{Points: scene.Taxi,
 		Regions: scene.Neighborhoods, Agg: core.Count})
 	must(err)
 
@@ -207,9 +207,9 @@ func runE4(scale float64) {
 			data.VoronoiOptions{JitterFrac: 0.10})
 		req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count}
 		rtree.Prepare(regions)
-		la := timeMedian(3, func() { _, err := apx.Join(req); must(err) })
-		lb := timeMedian(3, func() { _, err := grid.Join(req); must(err) })
-		lc := timeMedian(3, func() { _, err := rtree.Join(req); must(err) })
+		la := timeMedian(3, func() { _, err := apx.JoinContext(context.Background(), req); must(err) })
+		lb := timeMedian(3, func() { _, err := grid.JoinContext(context.Background(), req); must(err) })
+		lc := timeMedian(3, func() { _, err := rtree.JoinContext(context.Background(), req); must(err) })
 		t.row(regions.Len(), regions.VertexCount(), la, lb, lc)
 	}
 	t.flush()
@@ -224,7 +224,7 @@ func runE5(scale float64) {
 	scene := workload.NYC(n, 2009)
 	regions := scene.Neighborhoods
 	req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count}
-	exact, err := (&index.BruteForce{}).Join(req)
+	exact, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	must(err)
 	fmt.Printf("workload: %d points, %d neighborhoods; ε is ground meters\n",
 		n, regions.Len())
@@ -233,7 +233,7 @@ func runE5(scale float64) {
 	for _, eps := range []float64{512, 256, 128, 64, 32, 16} {
 		rj := core.NewRasterJoin(core.WithEpsilon(workload.GroundMeters(eps)))
 		var res *core.Result
-		lat := timeMedian(3, func() { res, err = rj.Join(req); must(err) })
+		lat := timeMedian(3, func() { res, err = rj.JoinContext(context.Background(), req); must(err) })
 		t.row(eps, fmt.Sprintf("%dx%d", res.CanvasW, res.CanvasH), res.Tiles,
 			relErr(res, exact), lat)
 	}
@@ -277,9 +277,9 @@ func runE6(scale float64) {
 				cubeCell = "error"
 			}
 		} else {
-			cubeCell = timeMedian(5, func() { _, err := cb.Join(req); must(err) }).String()
+			cubeCell = timeMedian(5, func() { _, err := cb.JoinContext(context.Background(), req); must(err) }).String()
 		}
-		rl := timeMedian(3, func() { _, err := rj.Join(req); must(err) })
+		rl := timeMedian(3, func() { _, err := rj.JoinContext(context.Background(), req); must(err) })
 		t.row(name, cubeCell, rl)
 	}
 	row("canned: count, aligned week", canned)
@@ -305,8 +305,8 @@ func runE7(scale float64) {
 	for _, rs := range []*data.RegionSet{scene.Neighborhoods, scene.Tracts, scene.Grid} {
 		req := core.Request{Points: scene.Taxi, Regions: rs, Agg: core.Count,
 			Time: workload.JanWeek(2)}
-		la := timeMedian(3, func() { _, err := apx.Join(req); must(err) })
-		lb := timeMedian(3, func() { _, err := grid.Join(req); must(err) })
+		la := timeMedian(3, func() { _, err := apx.JoinContext(context.Background(), req); must(err) })
+		lb := timeMedian(3, func() { _, err := grid.JoinContext(context.Background(), req); must(err) })
 		t.row(rs.Name, rs.Len(), la, lb, la < 500*time.Millisecond)
 	}
 	t.flush()
@@ -364,7 +364,7 @@ func runE8(scale float64) {
 			r := req
 			r.Time = &core.TimeFilter{Start: jan.Start + int64(b)*width,
 				End: jan.Start + int64(b+1)*width}
-			_, err := rj.Join(r)
+			_, err := rj.JoinContext(context.Background(), r)
 			must(err)
 		}
 	})
@@ -385,7 +385,7 @@ func runE9(scale float64) {
 	scene := workload.NYC(n, 2009)
 	regions := scene.Neighborhoods
 	req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count}
-	exact, err := (&index.BruteForce{}).Join(req)
+	exact, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	must(err)
 	fmt.Printf("workload: %d points, %d neighborhoods\n", n, regions.Len())
 
@@ -399,7 +399,7 @@ func runE9(scale float64) {
 		grid,
 	} {
 		var res *core.Result
-		lat := timeMedian(3, func() { res, err = j.Join(req); must(err) })
+		lat := timeMedian(3, func() { res, err = j.JoinContext(context.Background(), req); must(err) })
 		e := relErr(res, exact)
 		t.row(j.Name(), lat, e, e == 0)
 	}
@@ -407,7 +407,7 @@ func runE9(scale float64) {
 
 	// The knob behind the cost: how much of the canvas is boundary.
 	apx := core.NewRasterJoin(core.WithResolution(1024))
-	res, err := apx.Join(req)
+	res, err := apx.JoinContext(context.Background(), req)
 	must(err)
 	fmt.Printf("\ncanvas %dx%d, pixel %.0fm: exactness costs only the boundary-pixel work\n",
 		res.CanvasW, res.CanvasH, res.PixelSize)
@@ -504,7 +504,7 @@ func runE12(scale float64) {
 	grid := &index.GridJoin{}
 	grid.Prepare(scene.Taxi)
 	// Warm up.
-	_, err := rj.Join(core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count})
+	_, err := rj.JoinContext(context.Background(), core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count})
 	must(err)
 
 	// Fare thresholds spanning selectivities from ~all to ~none.
@@ -513,8 +513,8 @@ func runE12(scale float64) {
 		req := core.Request{Points: scene.Taxi, Regions: regions, Agg: core.Count,
 			Filters: []core.Filter{{Attr: "fare", Min: minFare, Max: 1e18}}}
 		var res *core.Result
-		la := timeMedian(3, func() { res, err = rj.Join(req); must(err) })
-		lb := timeMedian(3, func() { _, err := grid.Join(req); must(err) })
+		la := timeMedian(3, func() { res, err = rj.JoinContext(context.Background(), req); must(err) })
+		lb := timeMedian(3, func() { _, err := grid.JoinContext(context.Background(), req); must(err) })
 		sel := float64(res.TotalCount()) / float64(n)
 		t.row(fmt.Sprintf("fare >= %g", minFare), sel, la, lb, "UNSUPPORTED")
 	}
@@ -533,7 +533,7 @@ func runE13(scale float64) {
 	full := scene.Neighborhoods
 	req := core.Request{Points: scene.Taxi, Regions: full, Agg: core.Count}
 	acc := core.NewRasterJoin(core.WithResolution(1024), core.WithMode(core.Accurate))
-	exact, err := acc.Join(req) // full-detail exact reference (also warms up)
+	exact, err := acc.JoinContext(context.Background(), req) // full-detail exact reference (also warms up)
 	must(err)
 	fmt.Printf("workload: %d points, %d neighborhoods (%d vertices), accurate join\n",
 		n, full.Len(), full.VertexCount())
@@ -546,7 +546,7 @@ func runE13(scale float64) {
 		}
 		lreq := core.Request{Points: scene.Taxi, Regions: layer, Agg: core.Count}
 		var res *core.Result
-		lat := timeMedian(3, func() { res, err = acc.Join(lreq); must(err) })
+		lat := timeMedian(3, func() { res, err = acc.JoinContext(context.Background(), lreq); must(err) })
 		t.row(tol, layer.VertexCount(), lat, relErr(res, exact))
 	}
 	t.flush()

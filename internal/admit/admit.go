@@ -232,8 +232,7 @@ func (c *Controller) RetryAfter() time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// Stats is the admission snapshot surfaced by /api/stats and the trace
-// registry gauges.
+// Stats is the admission snapshot surfaced by /api/stats.
 type Stats struct {
 	Enabled     bool    `json:"enabled"`
 	MaxInFlight int64   `json:"maxInFlight"`

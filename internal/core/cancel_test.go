@@ -103,7 +103,7 @@ func TestJoinContextCancelMidJoin(t *testing.T) {
 		t.Fatalf("join after cancel: %v", err)
 	}
 	want, err := core.NewRasterJoin(core.WithMode(core.Accurate),
-		core.WithResolution(1024)).Join(req)
+		core.WithResolution(1024)).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

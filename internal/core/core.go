@@ -255,33 +255,25 @@ func (r *Result) TotalCount() int64 {
 	return n
 }
 
-// Joiner evaluates spatial aggregation requests. Implementations: Raster
-// Join (this package), index join and brute force (internal/index), and the
-// pre-aggregation cube (internal/cube, canned queries only).
+// Joiner evaluates spatial aggregation requests under a request-scoped
+// context. Implementations: Raster Join (this package), the engines over it
+// (geoblocks, tcache, shard), index join and brute force (internal/index),
+// and the pre-aggregation cube (internal/cube, canned queries only).
+// RasterJoin checks the context between point batches and between region
+// claims, so a canceled request aborts within a couple of batch intervals;
+// the cube and the index joiners, fast enough that mid-flight cancellation
+// buys nothing, check it once up front so a dead request never starts.
 type Joiner interface {
 	Name() string
-	Join(req Request) (*Result, error)
-}
-
-// ContextJoiner is implemented by joiners that honor request-scoped
-// cancellation and deadlines. RasterJoin checks the context between point
-// batches and between region claims, so a canceled request aborts within a
-// couple of batch intervals instead of running to completion.
-type ContextJoiner interface {
-	Joiner
 	JoinContext(ctx context.Context, req Request) (*Result, error)
 }
 
-// JoinContext runs the request on j under ctx. Joiners that implement
-// ContextJoiner are canceled mid-flight; for the rest (cube, index — both
-// fast enough that mid-flight cancellation buys nothing) the context is
-// checked once up front so an already-dead request never starts.
+// ContextJoiner is Joiner under its old name, kept only because benchmark/
+// names it; ROADMAP item 5 deletes it with the benchmark's next change.
+type ContextJoiner = Joiner
+
+// JoinContext runs req on j under ctx, kept only because benchmark/ calls
+// it; ROADMAP item 5 deletes it with the benchmark's next change.
 func JoinContext(ctx context.Context, j Joiner, req Request) (*Result, error) {
-	if cj, ok := j.(ContextJoiner); ok {
-		return cj.JoinContext(ctx, req)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return j.Join(req)
+	return j.JoinContext(ctx, req)
 }

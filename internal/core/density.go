@@ -42,7 +42,7 @@ func (r *RasterJoin) DensityContext(ctx context.Context, req Request, world geom
 		attrIdx = data.AttrIndex(sc.Src, req.Attr)
 	}
 	t := newTargets(req.Agg, 0, w, h, nil, gpu.NewTexture)
-	if _, err := r.pass1(ctx, &t, c.PixelMap(), c, sc, sc.Lo, sc.Hi, attrIdx, "batches"); err != nil {
+	if err := r.pass1(ctx, &t, c.PixelMap(), sc, sc.Lo, sc.Hi, attrIdx, "batches"); err != nil {
 		return nil, geom.BBox{}, err
 	}
 	grid := t.count

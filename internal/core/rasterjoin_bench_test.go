@@ -18,7 +18,7 @@ func BenchmarkRasterJoinModes(b *testing.B) {
 		rj := core.NewRasterJoin(core.WithResolution(512), core.WithMode(mode))
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rj.Join(req); err != nil {
+				if _, err := rj.JoinContext(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -33,7 +33,7 @@ func BenchmarkRasterJoinResolution(b *testing.B) {
 		rj := core.NewRasterJoin(core.WithResolution(res))
 		b.Run(fmt.Sprintf("%dpx", res), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rj.Join(req); err != nil {
+				if _, err := rj.JoinContext(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -48,7 +48,7 @@ func BenchmarkRasterJoinAggregates(b *testing.B) {
 		req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"}
 		b.Run(agg.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rj.Join(req); err != nil {
+				if _, err := rj.JoinContext(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -146,7 +146,7 @@ func BenchmarkJoinContextOverhead(b *testing.B) {
 		core.WithPointBatch(4096))
 	b.Run("Join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rj.Join(req); err != nil {
+			if _, err := rj.JoinContext(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/index"
 	"repro/internal/shard"
+	"repro/internal/trace"
 )
 
 func scene(np, nr int, seed int64) (*data.PointSet, *data.RegionSet) {
@@ -72,13 +73,13 @@ func statsExactlyEqual(t *testing.T, got, want *core.Result, context string) {
 func TestAccurateRasterJoinIsExact(t *testing.T) {
 	ps, rs := scene(4000, 12, 41)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	want, err := (&index.BruteForce{}).Join(req)
+	want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, res := range []int{32, 64, 256, 1024} {
 		rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(res))
-		got, err := rj.Join(req)
+		got, err := rj.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatalf("res %d: %v", res, err)
 		}
@@ -93,12 +94,12 @@ func TestAccurateRasterJoinExactUnderFilters(t *testing.T) {
 		Filters: []core.Filter{{Attr: "v", Min: 3, Max: 8}},
 		Time:    &core.TimeFilter{Start: 200, End: 2500},
 	}
-	want, err := (&index.BruteForce{}).Join(req)
+	want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(128))
-	got, err := rj.Join(req)
+	got, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +117,13 @@ func TestAccurateRasterJoinExactUnderFilters(t *testing.T) {
 func TestBoundedRasterJoinErrorWithinEpsilon(t *testing.T) {
 	ps, rs := scene(3000, 8, 47)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	want, err := (&index.BruteForce{}).Join(req)
+	want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eps := range []float64{40, 20, 10} {
 		rj := core.NewRasterJoin(core.WithEpsilon(eps))
-		got, err := rj.Join(req)
+		got, err := rj.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +170,7 @@ func TestBoundedRasterJoinErrorWithinEpsilon(t *testing.T) {
 func TestApproximateErrorShrinksWithResolution(t *testing.T) {
 	ps, rs := scene(5000, 10, 53)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
-	want, _ := (&index.BruteForce{}).Join(req)
+	want, _ := (&index.BruteForce{}).JoinContext(context.Background(), req)
 
 	totalErr := func(res *core.Result) (e int64) {
 		for k := range res.Stats {
@@ -181,8 +182,8 @@ func TestApproximateErrorShrinksWithResolution(t *testing.T) {
 		}
 		return
 	}
-	coarse, _ := core.NewRasterJoin(core.WithResolution(64)).Join(req)
-	fine, _ := core.NewRasterJoin(core.WithResolution(1024)).Join(req)
+	coarse, _ := core.NewRasterJoin(core.WithResolution(64)).JoinContext(context.Background(), req)
+	fine, _ := core.NewRasterJoin(core.WithResolution(1024)).JoinContext(context.Background(), req)
 	ce, fe := totalErr(coarse), totalErr(fine)
 	if fe > ce {
 		t.Errorf("error grew with resolution: 64px=%d 1024px=%d", ce, fe)
@@ -203,11 +204,11 @@ func TestTiledRenderMatchesSinglePass(t *testing.T) {
 	tiled := core.NewRasterJoin(core.WithResolution(256),
 		core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
 
-	a, err := single.Join(req)
+	a, err := single.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tiled.Join(req)
+	b, err := tiled.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +221,10 @@ func TestTiledRenderMatchesSinglePass(t *testing.T) {
 	statsExactlyEqual(t, b, a, "tiled vs single (approximate)")
 
 	// Accurate mode under tiling is still exact.
-	want, _ := (&index.BruteForce{}).Join(req)
+	want, _ := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	accTiled := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
 		core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
-	c, err := accTiled.Join(req)
+	c, err := accTiled.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestTileEdgePointsCountOnce(t *testing.T) {
 		}
 	}
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	want, err := (&index.BruteForce{}).Join(req)
+	want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestTileEdgePointsCountOnce(t *testing.T) {
 	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 		rj := core.NewRasterJoin(core.WithMode(mode),
 			core.WithResolution(256), core.WithDevice(gpu.New(gpu.WithMaxTextureSize(64))))
-		got, err := rj.Join(req)
+		got, err := rj.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,11 +284,11 @@ func TestRasterJoinParallelDeterminism(t *testing.T) {
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count}
 	one := core.NewRasterJoin(core.WithWorkers(1), core.WithResolution(256))
 	many := core.NewRasterJoin(core.WithWorkers(8), core.WithResolution(256))
-	a, err := one.Join(req)
+	a, err := one.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := many.Join(req)
+	b, err := many.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestRasterJoinEmptyInputs(t *testing.T) {
 	_, rs := scene(10, 4, 67)
 	empty := &data.PointSet{Name: "empty"}
 	rj := core.NewRasterJoin()
-	res, err := rj.Join(core.Request{Points: empty, Regions: rs, Agg: core.Count})
+	res, err := rj.JoinContext(context.Background(), core.Request{Points: empty, Regions: rs, Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestRasterJoinEmptyInputs(t *testing.T) {
 		t.Errorf("empty points total = %d", res.TotalCount())
 	}
 	ps, _ := scene(100, 4, 68)
-	res, err = rj.Join(core.Request{Points: ps, Regions: &data.RegionSet{}, Agg: core.Count})
+	res, err = rj.JoinContext(context.Background(), core.Request{Points: ps, Regions: &data.RegionSet{}, Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestRasterJoinEmptyInputs(t *testing.T) {
 func TestRasterJoinValidates(t *testing.T) {
 	ps, rs := scene(100, 4, 69)
 	rj := core.NewRasterJoin()
-	if _, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "nope"}); err == nil {
+	if _, err := rj.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "nope"}); err == nil {
 		t.Error("invalid request should be rejected")
 	}
 }
@@ -331,9 +332,6 @@ func TestRasterJoinNames(t *testing.T) {
 	if got := rj.Name(); got != "raster-join-accurate-eps16" {
 		t.Errorf("bounded accurate name = %q", got)
 	}
-	if rj.Epsilon() != 16 {
-		t.Errorf("Epsilon = %v", rj.Epsilon())
-	}
 	if core.Approximate.String() != "approximate" || core.Accurate.String() != "accurate" {
 		t.Error("Mode.String wrong")
 	}
@@ -343,7 +341,7 @@ func TestRasterJoinResultMetadata(t *testing.T) {
 	ps, rs := scene(500, 4, 71)
 	rj := core.NewRasterJoin(core.WithEpsilon(5),
 		core.WithDevice(gpu.New(gpu.WithMaxTextureSize(128))))
-	res, err := rj.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count})
+	res, err := rj.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,13 +369,13 @@ func TestAccurateExactProperty(t *testing.T) {
 		ps, rs := scene(800+iter*300, 3+iter, seed)
 		for _, agg := range []core.Agg{core.Count, core.Sum, core.Avg} {
 			req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"}
-			want, err := (&index.BruteForce{}).Join(req)
+			want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rj := core.NewRasterJoin(core.WithMode(core.Accurate),
 				core.WithResolution(64+iter*32))
-			got, err := rj.Join(req)
+			got, err := rj.JoinContext(context.Background(), req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,24 +385,24 @@ func TestAccurateExactProperty(t *testing.T) {
 }
 
 // Streaming the points in small vertex-buffer batches must not change
-// results — the GPU-memory-bound path is pure re-batching.
+// results — the GPU-memory-bound path is pure re-batching — and each batch
+// is one point draw, counted once in the request trace.
 func TestPointBatchingInvariant(t *testing.T) {
 	ps, rs := scene(4000, 8, 211)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	whole := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate))
-	batched := core.NewRasterJoin(core.WithResolution(256), core.WithMode(core.Accurate),
-		core.WithPointBatch(137))
-	a, err := whole.Join(req)
-	if err != nil {
-		t.Fatal(err)
+	join := func(opts ...core.RJOption) (*core.Result, int64) {
+		tr := trace.New("test")
+		opts = append(opts, core.WithResolution(256), core.WithMode(core.Accurate))
+		res, err := core.NewRasterJoin(opts...).JoinContext(trace.NewContext(context.Background(), tr), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, tr.Counters()["batches"]
 	}
-	b, err := batched.Join(req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, whole := join()
+	b, batched := join(core.WithPointBatch(137))
 	statsExactlyEqual(t, b, a, "batched")
-	// The device must actually have issued more draw calls.
-	if ds, bs := whole.Device().Stats(), batched.Device().Stats(); bs.DrawCalls <= ds.DrawCalls {
-		t.Errorf("batched draw calls %d <= unbatched %d", bs.DrawCalls, ds.DrawCalls)
+	if want := int64((4000 + 136) / 137); whole != 1 || batched != want {
+		t.Errorf("batches = %d unbatched, %d batched; want 1 and %d", whole, batched, want)
 	}
 }

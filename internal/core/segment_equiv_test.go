@@ -196,11 +196,11 @@ func TestSegmentJoinEquivalence(t *testing.T) {
 						core.WithBlockPrune(prune), core.WithWorkers(workers))
 					for _, vr := range reqVariants(ps, us, rs, st, ust) {
 						label := fmt.Sprintf("%v/prune=%v/w%d/cache=%d/%s", mode, prune, workers, budget, vr.name)
-						ram, err := rj.Join(vr.ram)
+						ram, err := rj.JoinContext(context.Background(), vr.ram)
 						if err != nil {
 							t.Fatalf("%s ram: %v", label, err)
 						}
-						seg, err := rj.Join(vr.seg)
+						seg, err := rj.JoinContext(context.Background(), vr.seg)
 						if err != nil {
 							t.Fatalf("%s seg: %v", label, err)
 						}
@@ -460,12 +460,12 @@ func TestSegmentJoinOutOfCore(t *testing.T) {
 	st := equivStore(t, ps, 256, 20<<10)
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	ram, err := rj.Join(req)
+	ram, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Source = st
-	seg, err := rj.Join(req)
+	seg, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,21 +487,21 @@ func TestSegmentCacheColdWarm(t *testing.T) {
 	rj := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
 	req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Sum, Attr: "v",
 		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 9}}}
-	cold, err := rj.Join(req)
+	cold, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := rj.Join(req)
+	warm, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertStatsBits(t, warm.Stats, cold.Stats, "cold-vs-warm")
 	// Churn with a different query shape, then re-ask.
-	if _, err := rj.Join(core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Count,
+	if _, err := rj.JoinContext(context.Background(), core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Count,
 		Time: &core.TimeFilter{Start: 0, End: 3000}}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := rj.Join(req)
+	again, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,14 +522,14 @@ func TestSegmentPruneCounters(t *testing.T) {
 
 	off := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
 		core.WithBlockPrune(false))
-	want, err := off.Join(req)
+	want, err := off.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s0, p0 := core.ScanStats()
 	on := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256))
-	got, err := on.Join(req)
+	got, err := on.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

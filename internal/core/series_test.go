@@ -45,7 +45,7 @@ func TestSeriesJoinUnsortedTimes(t *testing.T) {
 	for _, bin := range series {
 		total += bin.TotalCount()
 	}
-	full, err := rj.Join(req)
+	full, err := rj.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

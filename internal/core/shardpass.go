@@ -126,7 +126,7 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	p := &ShardPartial{targets: newTargets(spec.Req.Agg, colLo, colHi-colLo, h,
 		spec.Mask, gpu.NewTexture)}
 	p.straddle = spec.Straddle
-	if _, err = r.pass1(ctx, &p.targets, m, nil, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
+	if err = r.pass1(ctx, &p.targets, m, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -214,10 +214,9 @@ func (t *tile) release() {
 // predicate and, on an owned scan, lie in the scan's x range; then cleared
 // of points on straddle columns, which are kept raw in frags; and the rest
 // blended, with values from attr (0 when attr is nil). Every step keeps
-// point order. It returns the points inside the window — the device's
-// shaded fragments, counted before the filter — and the points kept.
+// point order.
 func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []float64,
-	lo, hi int, needPred bool) (in, kept int) {
+	lo, hi int, needPred bool) {
 
 	var idx, pxs, pys, off [chunkSize]int32
 	bandW, x0 := t.count.W, t.x0
@@ -239,7 +238,6 @@ func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []flo
 			idx[n], pxs[n], pys[n], off[n] = int32(py*bandW+px-x0), int32(px), int32(py), int32(k)
 			n++
 		}
-		in += n
 		if needPred {
 			j := 0
 			for q := 0; q < n; q++ {
@@ -252,7 +250,6 @@ func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []flo
 			}
 			n = j
 		}
-		kept += n
 		if straddle != nil {
 			j := 0
 			for q := 0; q < n; q++ {
@@ -273,18 +270,15 @@ func (t *targets) fold(m *raster.PixelMap, sc *Scan, blk *data.Block, attr []flo
 		}
 		t.blend(mapped{idx: idx[:n], px: pxs[:n], py: pys[:n], off: off[:n]}, xs, ys, vs)
 	}
-	return in, kept
 }
 
 // batched runs fold over the surviving pieces of sc's [lo, hi) in batches
 // of at most pointBatch points: the context and the `core.pointpass` fault
 // site are polled once per batch — the batch size is the cancellation
 // granularity of the point pass — and each batch increments the request
-// trace's counter and, on canvas c, the device's draw counters with the
-// points fold reports inside the window (a shard's band draws on no device;
-// c is nil).
-func (r *RasterJoin) batched(ctx context.Context, c *gpu.Canvas, sc *Scan, lo, hi int, counter string,
-	fold func(blk *data.Block, s, e int, needPred bool) (in int)) error {
+// trace's counter.
+func (r *RasterJoin) batched(ctx context.Context, sc *Scan, lo, hi int, counter string,
+	fold func(blk *data.Block, s, e int, needPred bool)) error {
 
 	tr := trace.FromContext(ctx)
 	return sc.pieces(ctx, lo, hi, func(blk *data.Block, plo, phi int, needPred bool) error {
@@ -299,11 +293,7 @@ func (r *RasterJoin) batched(ctx context.Context, c *gpu.Canvas, sc *Scan, lo, h
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			e := min(s+batch, phi)
-			in := fold(blk, s, e, needPred)
-			if c != nil {
-				c.CountPoints(e-s, in)
-			}
+			fold(blk, s, min(s+batch, phi), needPred)
 			tr.Count(counter, 1)
 		}
 		return nil
@@ -313,27 +303,22 @@ func (r *RasterJoin) batched(ctx context.Context, c *gpu.Canvas, sc *Scan, lo, h
 // pass1 folds the surviving pieces of sc's [lo, hi) into t, mapped through
 // m, batched. It runs on the calling goroutine: once mapping a point is a
 // few instructions, a striped fan-out costs more in staged fragments than a
-// second core returns. It returns the points kept.
-func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap, c *gpu.Canvas,
-	sc *Scan, lo, hi, attrIdx int, counter string) (int64, error) {
+// second core returns.
+func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap,
+	sc *Scan, lo, hi, attrIdx int, counter string) error {
 
-	var kept int64
-	err := r.batched(ctx, c, sc, lo, hi, counter, func(blk *data.Block, s, e int, needPred bool) int {
+	return r.batched(ctx, sc, lo, hi, counter, func(blk *data.Block, s, e int, needPred bool) {
 		var attr []float64
 		if attrIdx >= 0 {
 			attr = blk.Attr[attrIdx]
 		}
-		in, k := t.fold(&m, sc, blk, attr, s, e, needPred)
-		kept += int64(k)
-		return in
+		t.fold(&m, sc, blk, attr, s, e, needPred)
 	})
-	return kept, err
 }
 
 // drawScan is pass 1 of a canvas tile over a compiled scan.
 func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) error {
-	_, err := t.r.pass1(ctx, &t.targets, t.c.PixelMap(), t.c, sc, lo, hi, attrIdx, "batches")
-	return err
+	return t.r.pass1(ctx, &t.targets, t.c.PixelMap(), sc, lo, hi, attrIdx, "batches")
 }
 
 // polygonSpans returns region k's pass-2 spans: its whole fill, or with

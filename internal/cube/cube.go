@@ -10,6 +10,7 @@
 package cube
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -240,10 +241,13 @@ func (c *Cube) CanServe(req core.Request) error {
 	return nil
 }
 
-// Join implements core.Joiner for the canned query family. It returns
-// ErrUnsupported (wrapped with the reason) for anything the cube cannot
-// answer exactly.
-func (c *Cube) Join(req core.Request) (*core.Result, error) {
+// JoinContext implements core.Joiner for the canned query family. It
+// returns ErrUnsupported (wrapped with the reason) for anything the cube
+// cannot answer exactly. The context is checked once up front.
+func (c *Cube) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := c.CanServe(req); err != nil {
 		return nil, err
 	}
@@ -290,30 +294,4 @@ func (c *Cube) Join(req core.Request) (*core.Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Series returns the per-bin aggregate values for one region — the canned
-// time series the exploration view can read straight out of the cube.
-func (c *Cube) Series(regionIdx int, agg core.Agg, attr string) ([]float64, error) {
-	if regionIdx < 0 || regionIdx >= c.nr {
-		return nil, fmt.Errorf("cube: region index %d out of range [0,%d)", regionIdx, c.nr)
-	}
-	var sums []float64
-	if agg.NeedsAttr() {
-		s, ok := c.sums[attr]
-		if !ok {
-			return nil, fmt.Errorf("%w: attribute %q not materialized", ErrUnsupported, attr)
-		}
-		sums = s
-	}
-	out := make([]float64, c.bins)
-	for b := 0; b < c.bins; b++ {
-		cell := b*c.nr + regionIdx
-		st := core.RegionStat{Count: c.counts[cell]}
-		if sums != nil {
-			st.Sum = sums[cell]
-		}
-		out[b] = st.Value(agg)
-	}
-	return out, nil
 }

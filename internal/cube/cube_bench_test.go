@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -27,7 +28,7 @@ func BenchmarkCubeJoin(b *testing.B) {
 		Time: &core.TimeFilter{Start: c.BinStart(1), End: c.BinStart(6)}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Join(req); err != nil {
+		if _, err := c.JoinContext(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
 	}

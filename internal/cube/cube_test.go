@@ -2,6 +2,7 @@ package cube
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -47,11 +48,11 @@ func TestCubeMatchesBruteForceUnfiltered(t *testing.T) {
 	}
 	for _, agg := range []core.Agg{core.Count, core.Sum, core.Avg} {
 		req := core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v"}
-		want, err := (&index.BruteForce{}).Join(req)
+		want, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Join(req)
+		got, err := c.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%v: %v", agg, err)
 		}
@@ -79,8 +80,8 @@ func TestCubeAlignedTimeRange(t *testing.T) {
 	end := c.BinStart(4)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Count,
 		Time: &core.TimeFilter{Start: start, End: end}}
-	want, _ := (&index.BruteForce{}).Join(req)
-	got, err := c.Join(req)
+	want, _ := (&index.BruteForce{}).JoinContext(context.Background(), req)
+	got, err := c.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +118,18 @@ func TestCubeRejectsAdHocQueries(t *testing.T) {
 	// passes request validation but not cube support.
 	ps.AddAttr("w", make([]float64, ps.Len()))
 	for _, tc := range cases {
-		_, err := c.Join(tc.req)
+		_, err := c.JoinContext(context.Background(), tc.req)
 		if !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: err = %v, want ErrUnsupported", tc.name, err)
 		}
 	}
 	// Foreign point set.
 	other, _ := cubeScene(10, 99)
-	if _, err := c.Join(core.Request{Points: other, Regions: rs, Agg: core.Count}); !errors.Is(err, ErrUnsupported) {
+	if _, err := c.JoinContext(context.Background(), core.Request{Points: other, Regions: rs, Agg: core.Count}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("foreign points: err = %v", err)
 	}
 	// MIN/MAX are not materialized.
-	if _, err := c.Join(core.Request{Points: ps, Regions: rs,
+	if _, err := c.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs,
 		Agg: core.Min, Attr: "v"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("min: err = %v", err)
 	}
@@ -143,44 +144,13 @@ func TestCubeNoTimeDimension(t *testing.T) {
 	if c.Bins() != 1 {
 		t.Errorf("bins = %d, want 1", c.Bins())
 	}
-	if _, err := c.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count,
+	if _, err := c.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count,
 		Time: &core.TimeFilter{Start: 0, End: 3600}}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("time filter without time dimension: err = %v", err)
 	}
 	// Untimed query works.
-	if _, err := c.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count}); err != nil {
+	if _, err := c.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count}); err != nil {
 		t.Errorf("untimed query: %v", err)
-	}
-}
-
-func TestCubeSeries(t *testing.T) {
-	ps, rs := cubeScene(3000, 17)
-	c, err := Build(ps, Config{Regions: rs, TimeBin: 3600, Attrs: []string{"v"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := c.Series(0, core.Count, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != c.Bins() {
-		t.Fatalf("series length %d, want %d bins", len(series), c.Bins())
-	}
-	// Series must sum to the region's total count.
-	var total float64
-	for _, v := range series {
-		total += v
-	}
-	full, _ := c.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count})
-	if total != float64(full.Stats[0].Count) {
-		t.Errorf("series total %v != region count %d", total, full.Stats[0].Count)
-	}
-	// Errors.
-	if _, err := c.Series(-1, core.Count, ""); err == nil {
-		t.Error("negative region index should error")
-	}
-	if _, err := c.Series(0, core.Sum, "nope"); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("unmaterialized series attr: err = %v", err)
 	}
 }
 
@@ -271,7 +241,7 @@ func TestCubeBuildIndependentOfGOMAXPROCS(t *testing.T) {
 		var got [][]core.RegionStat
 		for _, agg := range []core.Agg{core.Sum, core.Avg} {
 			for _, tf := range []*core.TimeFilter{nil, window} {
-				res, err := c.Join(core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v", Time: tf})
+				res, err := c.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v", Time: tf})
 				if err != nil {
 					t.Fatal(err)
 				}

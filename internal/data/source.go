@@ -67,12 +67,6 @@ type Block struct {
 // Len returns the number of points in the block.
 func (b *Block) Len() int { return len(b.X) }
 
-// XY returns the coordinates of absolute point index i.
-func (b *Block) XY(i int) (float64, float64) {
-	j := i - b.Base
-	return b.X[j], b.Y[j]
-}
-
 // Columns is the projection of a block read: X and Y always come back, T
 // when T is set (and the source has timestamps), and the attribute columns
 // at the positions listed in Attrs. Negative positions are ignored, so an

@@ -64,10 +64,6 @@ func TestPointSetSource(t *testing.T) {
 		if &blk.X[0] != &ps.X[lo] || &blk.T[0] != &ps.T[lo] || &blk.Attr[0][0] != &ps.Attrs[0].Values[lo] {
 			t.Fatalf("block %d is not a zero-copy view", b)
 		}
-		x, y := blk.XY(lo + 1)
-		if x != ps.X[lo+1] || y != ps.Y[lo+1] {
-			t.Fatalf("XY(%d) = (%v,%v)", lo+1, x, y)
-		}
 		z := src.Zone(b)
 		want := BuildZone(ps, lo, hi)
 		if z.X != want.X || z.Y != want.Y || z.MinT != want.MinT || z.MaxT != want.MaxT || z.Attr[0] != want.Attr[0] {

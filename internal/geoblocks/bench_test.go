@@ -166,7 +166,7 @@ func BenchmarkGeoBlocksLayers(b *testing.B) {
 			}
 			for _, path := range []struct {
 				name string
-				j    core.ContextJoiner
+				j    core.Joiner
 			}{{"hybrid", hybrid}, {"raster", raster}} {
 				b.Run(ps.Name+"/"+tg.name+"/"+path.name, func(b *testing.B) {
 					if _, err := path.j.JoinContext(ctx, req); err != nil { // warm caches

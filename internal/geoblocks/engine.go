@@ -61,7 +61,7 @@ type estimateKey struct{ points, regions uint64 }
 // stored aggregates cannot serve (ad-hoc filters, time windows, attributes
 // materialized after indexing) and for requests whose boundary fringe
 // would cost more to refine than the raster join's scan. It implements
-// core.ContextJoiner.
+// core.Joiner.
 type Engine struct {
 	raster *core.RasterJoin
 	store  *Store
@@ -114,11 +114,6 @@ func (e *Engine) CanServe(req core.Request) error {
 		return fmt.Errorf("%w: attribute %q not in point set", ErrUnsupported, req.Attr)
 	}
 	return nil
-}
-
-// Join implements core.Joiner.
-func (e *Engine) Join(req core.Request) (*core.Result, error) {
-	return e.JoinContext(context.Background(), req)
 }
 
 // JoinContext answers the request hybrid-style: per region, classify the

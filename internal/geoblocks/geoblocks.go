@@ -334,15 +334,6 @@ func (ix *Index) CellWidth() float64 {
 	return ix.bounds.Width() / float64(int(1)<<ix.maxLevel)
 }
 
-// Attrs returns the names of materialized attribute pyramids.
-func (ix *Index) Attrs() []string {
-	names := make([]string, 0, len(ix.attrs))
-	for n := range ix.attrs {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Bytes estimates the resident size of the hierarchy.
 func (ix *Index) Bytes() int {
 	b := len(ix.start)*4 + len(ix.order)*4 + len(ix.tailStart)*4 + len(ix.tailOrder)*4

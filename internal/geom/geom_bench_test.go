@@ -30,17 +30,6 @@ func BenchmarkPolygonContainsWithHoles(b *testing.B) {
 	}
 }
 
-func BenchmarkClipRingToBBox(b *testing.B) {
-	ring := benchRing(256)
-	box := BBox{MinX: -50, MinY: -50, MaxX: 50, MaxY: 50}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := ClipRingToBBox(ring, box); len(c) < 3 {
-			b.Fatal("clip vanished")
-		}
-	}
-}
-
 func BenchmarkSimplifyRing(b *testing.B) {
 	ring := benchRing(1024)
 	b.ResetTimer()

@@ -83,18 +83,6 @@ func (r Ring) Centroid() Point {
 	return Point{cx.Sum() * f, cy.Sum() * f}
 }
 
-// Perimeter returns the total edge length of the ring.
-func (r Ring) Perimeter() float64 {
-	if len(r) < 2 {
-		return 0
-	}
-	var s fsum.Kahan
-	for i, p := range r {
-		s.Add(p.Dist(r[(i+1)%len(r)]))
-	}
-	return s.Sum()
-}
-
 // Contains reports whether p is strictly inside the ring, using the crossing
 // number (even-odd) rule. Points exactly on the boundary may be classified
 // either way; use ContainsBoundary for closed containment.

@@ -59,15 +59,6 @@ func TestRingCentroid(t *testing.T) {
 	}
 }
 
-func TestRingPerimeter(t *testing.T) {
-	if p := unitSquare().Perimeter(); p != 4 {
-		t.Errorf("square perimeter = %v, want 4", p)
-	}
-	if p := (Ring{Pt(0, 0)}).Perimeter(); p != 0 {
-		t.Errorf("single point perimeter = %v, want 0", p)
-	}
-}
-
 func TestRingContains(t *testing.T) {
 	l := lShape()
 	in := []Point{{0.5, 0.5}, {1.5, 0.5}, {0.5, 1.5}, {0.99, 0.99}}

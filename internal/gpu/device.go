@@ -3,7 +3,7 @@
 // OpenGL functionality the paper's implementation uses — render targets
 // ("textures"), point and polygon draw calls whose per-fragment work is a
 // user-supplied shader function, additive blending, a maximum texture size
-// that forces tiled multi-pass rendering, and draw-call statistics.
+// that forces tiled multi-pass rendering, and live render-target gauges.
 //
 // Substituting a software rasterizer preserves the algorithmic content of
 // Raster Join (what is drawn, and how fragments combine) while removing the
@@ -19,27 +19,11 @@ import (
 	"repro/internal/raster"
 )
 
-// Stats counts the work a device has performed. Counters are cumulative
-// across all canvases created from the device and safe for concurrent draws.
-type Stats struct {
-	DrawCalls       int64 // point/polygon draw invocations
-	Passes          int64 // render passes (one per canvas per tile)
-	PointsIn        int64 // point vertices submitted
-	PolygonsIn      int64 // polygons submitted
-	FragmentsShaded int64 // fragment-shader invocations
-}
-
 // Device is a software GPU. The zero value is not usable; call New.
 type Device struct {
 	maxTextureSize int
 	spanCacheBytes int64
 	spans          *raster.SpanCache
-
-	drawCalls       atomic.Int64
-	passes          atomic.Int64
-	pointsIn        atomic.Int64
-	polygonsIn      atomic.Int64
-	fragmentsShaded atomic.Int64
 
 	// Render-target accounting: canvases and pooled textures currently
 	// acquired and not yet released. Cancellation hygiene tests assert both
@@ -98,17 +82,6 @@ func (d *Device) MaxTextureSize() int { return d.maxTextureSize }
 // SpanCache returns the device's region span cache (nil — a valid disabled
 // cache — when the device was built with WithSpanCacheBytes(0)).
 func (d *Device) SpanCache() *raster.SpanCache { return d.spans }
-
-// Stats returns a snapshot of the device's counters.
-func (d *Device) Stats() Stats {
-	return Stats{
-		DrawCalls:       d.drawCalls.Load(),
-		Passes:          d.passes.Load(),
-		PointsIn:        d.pointsIn.Load(),
-		PolygonsIn:      d.polygonsIn.Load(),
-		FragmentsShaded: d.fragmentsShaded.Load(),
-	}
-}
 
 // LiveCanvases returns the number of canvases acquired and not yet released.
 func (d *Device) LiveCanvases() int64 { return d.liveCanvases.Load() }
@@ -192,7 +165,6 @@ func (d *Device) NewCanvas(world geom.BBox, w, h int) (*Canvas, error) {
 		return nil, fmt.Errorf("gpu: canvas %dx%d exceeds max texture size %d (tile the render)",
 			w, h, d.maxTextureSize)
 	}
-	d.passes.Add(1)
 	d.liveCanvases.Add(1)
 	t := raster.NewTransform(world, w, h)
 	return &Canvas{dev: d, T: t, m: t.PixelMap()}, nil
@@ -252,26 +224,14 @@ type FragmentShader func(px, py int)
 // pos. Points outside the canvas window are culled (clipped) without shading.
 func (c *Canvas) DrawPoints(n int, pos func(i int) (x, y float64), shader PointShader) {
 	m := c.m
-	var shaded int
 	for i := 0; i < n; i++ {
 		x, y := pos(i)
 		px, py, ok := m.Map(x, y)
 		if !ok {
 			continue
 		}
-		shaded++
 		shader(px, py, i)
 	}
-	c.CountPoints(n, shaded)
-}
-
-// CountPoints records one point draw call of n vertices, shaded of them
-// inside the window, on the device counters — for a pass that maps and
-// folds its points itself through PixelMap instead of calling DrawPoints.
-func (c *Canvas) CountPoints(n, shaded int) {
-	c.dev.drawCalls.Add(1)
-	c.dev.pointsIn.Add(int64(n))
-	c.dev.fragmentsShaded.Add(int64(shaded))
 }
 
 // DrawSpans replays precompiled scanline spans — a region's fill or
@@ -279,21 +239,11 @@ func (c *Canvas) CountPoints(n, shaded int) {
 // raster.FillPolygon visits on the geometry the spans were compiled from,
 // in the same row-major, left-to-right order.
 func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
-	var shaded int64
 	for _, s := range spans {
 		for px := s.X0; px < s.X1; px++ {
-			shaded++
 			shader(int(px), int(s.Y))
 		}
 	}
-	c.countSpans(shaded)
-}
-
-// countSpans records one polygon draw call that shaded fragments.
-func (c *Canvas) countSpans(shaded int64) {
-	c.dev.drawCalls.Add(1)
-	c.dev.polygonsIn.Add(1)
-	c.dev.fragmentsShaded.Add(shaded)
 }
 
 // SumSpans is DrawSpans with the additive polygon-pass shader built in: it
@@ -302,13 +252,11 @@ func (c *Canvas) countSpans(shaded int64) {
 // the sum texels added left to right, in DrawSpans' fragment order, to +0.
 // No fragment is skipped: an empty pixel's +0 leaves the total's bits alone
 // unless the total is -0, which a sum from +0 of texels that are never -0
-// cannot be. The counters move as DrawSpans moves them.
+// cannot be.
 func (c *Canvas) SumSpans(spans []raster.Span, count, sum *Texture) (n int64, s float64) {
-	var shaded int64
 	for _, sp := range spans {
 		i, j := int(sp.Y)*count.W+int(sp.X0), int(sp.Y)*count.W+int(sp.X1)
 		cnt := count.Data[i:j]
-		shaded += int64(len(cnt))
 		if sum == nil {
 			for _, v := range cnt {
 				n += int64(v)
@@ -323,7 +271,6 @@ func (c *Canvas) SumSpans(spans []raster.Span, count, sum *Texture) (n int64, s 
 			s += vals[x]
 		}
 	}
-	c.countSpans(shaded)
 	return n, s
 }
 
@@ -332,13 +279,11 @@ func (c *Canvas) SumSpans(spans []raster.Span, count, sum *Texture) (n int64, s 
 // returns the count total and the least and greatest of val's texels, the
 // first such fragment's texel starting both. Empty fragments are skipped —
 // their texels hold the blend's ±Inf identity. lo and hi are 0 when no
-// fragment has a point. The counters move as DrawSpans moves them.
+// fragment has a point.
 func (c *Canvas) MinMaxSpans(spans []raster.Span, count, val *Texture) (n int64, lo, hi float64) {
-	var shaded int64
 	for _, sp := range spans {
 		i, j := int(sp.Y)*count.W+int(sp.X0), int(sp.Y)*count.W+int(sp.X1)
 		cnt := count.Data[i:j]
-		shaded += int64(len(cnt))
 		vals := val.Data[i:j]
 		vals = vals[:len(cnt)]
 		for x, v := range cnt {
@@ -359,6 +304,5 @@ func (c *Canvas) MinMaxSpans(spans []raster.Span, count, val *Texture) (n int64,
 			n += int64(v)
 		}
 	}
-	c.countSpans(shaded)
 	return n, lo, hi
 }

@@ -53,10 +53,6 @@ func TestDrawPointsCullsAndShades(t *testing.T) {
 	if tex.Sum() != 3 {
 		t.Errorf("total fragments = %v, want 3 (two culled)", tex.Sum())
 	}
-	st := d.Stats()
-	if st.PointsIn != 5 || st.FragmentsShaded != 3 || st.DrawCalls != 1 || st.Passes != 1 {
-		t.Errorf("stats = %+v", st)
-	}
 }
 
 func TestTiles(t *testing.T) {
@@ -85,9 +81,6 @@ func TestTiles(t *testing.T) {
 	}
 	if area != 1600 {
 		t.Errorf("tiles cover %d pixels, want 1600", area)
-	}
-	if st := d.Stats(); st.Passes != 9 {
-		t.Errorf("passes = %d, want 9", st.Passes)
 	}
 }
 

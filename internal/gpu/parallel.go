@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // The parallel point pass runs in two phases so that its results are
@@ -117,36 +116,29 @@ func (c *Canvas) DrawPointsParallel(ctx context.Context, workers, n int,
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		c.CountPoints(n, 0)
 		return err
 	}
 
 	// Phase 2: tile-striped merge. Stripe owner t replays shards 0..workers
 	// in order, so each pixel's fragments arrive in ascending vertex order.
-	var shaded atomic.Int64
 	for t := 0; t < workers; t++ {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
-			var count int64
 			for src := 0; src < workers; src++ {
 				frags := buckets[src*workers+t]
 				for s := 0; s < len(frags); s += fragChunk {
 					if ctx.Err() != nil {
-						shaded.Add(count)
 						return
 					}
 					//lint:ignore ctxpoll the enclosing chunk loop polls every fragChunk fragments; per-fragment polling would put an atomic load in the shader inner loop
 					for _, f := range frags[s:min(s+fragChunk, len(frags))] {
 						shader(int(f.pix)%w, int(f.pix)/w, int(f.i))
 					}
-					count += int64(min(fragChunk, len(frags)-s))
 				}
 			}
-			shaded.Add(count)
 		}(t)
 	}
 	wg.Wait()
-	c.CountPoints(n, int(shaded.Load()))
 	return ctx.Err()
 }

@@ -165,18 +165,6 @@ func TestRTreeSearchAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
-	// Box search.
-	for iter := 0; iter < 100; iter++ {
-		q := geom.NewBBox(rng.Float64()*1000, rng.Float64()*1000,
-			rng.Float64()*1000, rng.Float64()*1000)
-		got := map[int32]bool{}
-		tr.SearchBBox(q, func(id int32) { got[id] = true })
-		for i, b := range boxes {
-			if b.Intersects(q) != got[int32(i)] {
-				t.Fatalf("iter %d: box %d intersects=%v reported=%v", iter, i, b.Intersects(q), got[int32(i)])
-			}
-		}
-	}
 }
 
 func TestRTreeEmpty(t *testing.T) {

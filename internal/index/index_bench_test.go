@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -68,7 +69,7 @@ func BenchmarkJoiners(b *testing.B) {
 	for _, j := range []core.Joiner{grid, rtree, &BruteForce{}} {
 		b.Run(j.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := j.Join(req); err != nil {
+				if _, err := j.JoinContext(context.Background(), req); err != nil {
 					b.Fatal(err)
 				}
 			}

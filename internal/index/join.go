@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -22,8 +23,19 @@ type BruteForce struct {
 // Name implements core.Joiner.
 func (b *BruteForce) Name() string { return "brute-force" }
 
-// Join implements core.Joiner.
+// Join is JoinContext under a background context, kept only because
+// benchmark/ calls it; ROADMAP item 5 deletes it with the benchmark's next
+// change.
 func (b *BruteForce) Join(req core.Request) (*core.Result, error) {
+	return b.JoinContext(context.Background(), req)
+}
+
+// JoinContext implements core.Joiner. The context is checked once up
+// front.
+func (b *BruteForce) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -110,8 +122,12 @@ func (g *GridJoin) indexFor(ps *data.PointSet) *GridIndex {
 	return idx
 }
 
-// Join implements core.Joiner.
-func (g *GridJoin) Join(req core.Request) (*core.Result, error) {
+// JoinContext implements core.Joiner. The context is checked once up
+// front.
+func (g *GridJoin) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -206,8 +222,12 @@ func (r *RTreeJoin) treeFor(rs *data.RegionSet) *RTree {
 	return t
 }
 
-// Join implements core.Joiner.
-func (r *RTreeJoin) Join(req core.Request) (*core.Result, error) {
+// JoinContext implements core.Joiner. The context is checked once up
+// front.
+func (r *RTreeJoin) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}

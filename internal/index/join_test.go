@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,13 +39,13 @@ func TestAllIndexJoinsMatchBruteForce(t *testing.T) {
 	ps, rs := testScene(5000, 25, 11)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
 
-	want, err := (&BruteForce{}).Join(req)
+	want, err := (&BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	joiners := []core.Joiner{&GridJoin{Side: 32}, &RTreeJoin{}}
 	for _, j := range joiners {
-		got, err := j.Join(req)
+		got, err := j.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", j.Name(), err)
 		}
@@ -62,19 +63,19 @@ func TestJoinsWithFiltersMatch(t *testing.T) {
 		Filters: []core.Filter{{Attr: "v", Min: 2, Max: 7}},
 		Time:    &core.TimeFilter{Start: 500, End: 3000},
 	}
-	want, err := (&BruteForce{}).Join(req)
+	want, err := (&BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []core.Joiner{&GridJoin{}, &RTreeJoin{}} {
-		got, err := j.Join(req)
+		got, err := j.JoinContext(context.Background(), req)
 		if err != nil {
 			t.Fatalf("%s: %v", j.Name(), err)
 		}
 		statsEqual(t, got, want, j.Name())
 	}
 	// The filter must actually bite: total under filter < total unfiltered.
-	unfiltered, _ := (&BruteForce{}).Join(core.Request{Points: ps, Regions: rs, Agg: core.Count})
+	unfiltered, _ := (&BruteForce{}).JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count})
 	if want.TotalCount() >= unfiltered.TotalCount() {
 		t.Errorf("filtered total %d should be < unfiltered %d",
 			want.TotalCount(), unfiltered.TotalCount())
@@ -89,7 +90,7 @@ func TestBruteForceCountConservationOnPartition(t *testing.T) {
 	// exactly one region (up to boundary ties): total equals point count.
 	ps := randomPoints(3000, 17, unitBounds())
 	rs := data.VoronoiRegions("part", unitBounds(), 20, 18, data.VoronoiOptions{})
-	res, err := (&BruteForce{}).Join(core.Request{Points: ps, Regions: rs, Agg: core.Count})
+	res, err := (&BruteForce{}).JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,15 +118,15 @@ func TestJoinAggregates(t *testing.T) {
 	}}}
 
 	bf := &BruteForce{}
-	count, _ := bf.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count})
+	count, _ := bf.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count})
 	if count.Stats[0].Count != 3 {
 		t.Errorf("count = %d, want 3", count.Stats[0].Count)
 	}
-	sum, _ := bf.Join(core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"})
+	sum, _ := bf.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"})
 	if sum.Stats[0].Sum != 60 {
 		t.Errorf("sum = %v, want 60", sum.Stats[0].Sum)
 	}
-	avg, _ := bf.Join(core.Request{Points: ps, Regions: rs, Agg: core.Avg, Attr: "v"})
+	avg, _ := bf.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Avg, Attr: "v"})
 	if got := avg.Value(0, core.Avg); got != 20 {
 		t.Errorf("avg = %v, want 20", got)
 	}
@@ -141,7 +142,7 @@ func TestJoinValidationErrors(t *testing.T) {
 	}
 	for i, req := range bad {
 		for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &RTreeJoin{}} {
-			if _, err := j.Join(req); err == nil {
+			if _, err := j.JoinContext(context.Background(), req); err == nil {
 				t.Errorf("case %d: %s accepted invalid request", i, j.Name())
 			}
 		}
@@ -153,7 +154,7 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	g := &GridJoin{}
 	g.Prepare(ps)
 	idxBefore := g.cached
-	if _, err := g.Join(core.Request{Points: ps, Regions: rs, Agg: core.Count}); err != nil {
+	if _, err := g.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count}); err != nil {
 		t.Fatal(err)
 	}
 	if g.cached != idxBefore {
@@ -161,7 +162,7 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 	}
 	// A different point set triggers a rebuild.
 	ps2 := randomPoints(500, 29, unitBounds())
-	if _, err := g.Join(core.Request{Points: ps2, Regions: rs, Agg: core.Count}); err != nil {
+	if _, err := g.JoinContext(context.Background(), core.Request{Points: ps2, Regions: rs, Agg: core.Count}); err != nil {
 		t.Fatal(err)
 	}
 	if g.cached == idxBefore {
@@ -172,18 +173,18 @@ func TestIndexReusedAcrossQueries(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	ps, rs := testScene(3000, 12, 31)
 	req := core.Request{Points: ps, Regions: rs, Agg: core.Sum, Attr: "v"}
-	serial, err := (&BruteForce{Workers: 1}).Join(req)
+	serial, err := (&BruteForce{Workers: 1}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&BruteForce{Workers: 8}).Join(req)
+	parallel, err := (&BruteForce{Workers: 8}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	statsEqual(t, parallel, serial, "brute-force parallel vs serial")
 
-	rserial, _ := (&RTreeJoin{Workers: 1}).Join(req)
-	rparallel, _ := (&RTreeJoin{Workers: 8}).Join(req)
+	rserial, _ := (&RTreeJoin{Workers: 1}).JoinContext(context.Background(), req)
+	rparallel, _ := (&RTreeJoin{Workers: 8}).JoinContext(context.Background(), req)
 	statsEqual(t, rparallel, rserial, "rtree parallel vs serial")
 }
 
@@ -191,7 +192,7 @@ func TestEmptyInputs(t *testing.T) {
 	rs := data.GridRegions("g", unitBounds(), 2, 2)
 	empty := &data.PointSet{Name: "empty"}
 	for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &RTreeJoin{}} {
-		res, err := j.Join(core.Request{Points: empty, Regions: rs, Agg: core.Count})
+		res, err := j.JoinContext(context.Background(), core.Request{Points: empty, Regions: rs, Agg: core.Count})
 		if err != nil {
 			t.Fatalf("%s on empty points: %v", j.Name(), err)
 		}
@@ -203,7 +204,7 @@ func TestEmptyInputs(t *testing.T) {
 	ps := randomPoints(100, 1, unitBounds())
 	emptyRS := &data.RegionSet{Name: "none"}
 	for _, j := range []core.Joiner{&BruteForce{}, &GridJoin{}, &RTreeJoin{}} {
-		res, err := j.Join(core.Request{Points: ps, Regions: emptyRS, Agg: core.Count})
+		res, err := j.JoinContext(context.Background(), core.Request{Points: ps, Regions: emptyRS, Agg: core.Count})
 		if err != nil {
 			t.Fatalf("%s on empty regions: %v", j.Name(), err)
 		}

@@ -128,31 +128,6 @@ func (t *RTree) SearchPoint(p geom.Point, visit func(id int32)) {
 	walk(t.root)
 }
 
-// SearchBBox calls visit with the payload of every box intersecting q.
-func (t *RTree) SearchBBox(q geom.BBox, visit func(id int32)) {
-	if t.root == nil {
-		return
-	}
-	var walk func(n *rnode)
-	walk = func(n *rnode) {
-		if !n.box.Intersects(q) {
-			return
-		}
-		if n.leaf {
-			for i, b := range n.boxes {
-				if b.Intersects(q) {
-					visit(n.ids[i])
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-}
-
 // Height returns the tree height (leaf = 1), a structural diagnostic.
 func (t *RTree) Height() int {
 	h := 0

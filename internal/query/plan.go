@@ -162,7 +162,7 @@ func ExecuteContext(ctx context.Context, p *Plan) (*Execution, error) {
 	sp := trace.FromContext(ctx).Start("execute")
 	defer sp.End()
 	start := time.Now()
-	res, err := core.JoinContext(ctx, p.Joiner, p.Request)
+	res, err := p.Joiner.JoinContext(ctx, p.Request)
 	if err != nil {
 		// Cancellation and deadline errors pass through unwrapped so the
 		// server can map them to their HTTP statuses.

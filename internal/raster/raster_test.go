@@ -76,22 +76,8 @@ func TestPixelCenterBoxRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClampPixelAndIndex(t *testing.T) {
+func TestPixelIndex(t *testing.T) {
 	tr := unit16()
-	cases := []struct{ inX, inY, wantX, wantY int }{
-		{-3, 5, 0, 5},
-		{20, 5, 15, 5},
-		{5, -1, 5, 0},
-		{5, 99, 5, 15},
-		{7, 7, 7, 7},
-	}
-	for _, c := range cases {
-		gx, gy := tr.ClampPixel(c.inX, c.inY)
-		if gx != c.wantX || gy != c.wantY {
-			t.Errorf("ClampPixel(%d,%d) = %d,%d want %d,%d",
-				c.inX, c.inY, gx, gy, c.wantX, c.wantY)
-		}
-	}
 	if tr.Index(3, 2) != 2*16+3 {
 		t.Errorf("Index(3,2) = %d", tr.Index(3, 2))
 	}

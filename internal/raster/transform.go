@@ -177,21 +177,6 @@ func (t Transform) PixelBox(px, py int) geom.BBox {
 	return geom.BBox{MinX: x, MinY: y, MaxX: x + pw, MaxY: y + ph}
 }
 
-// ClampPixel clamps pixel coordinates into the grid.
-func (t Transform) ClampPixel(px, py int) (int, int) {
-	if px < 0 {
-		px = 0
-	} else if px >= t.W {
-		px = t.W - 1
-	}
-	if py < 0 {
-		py = 0
-	} else if py >= t.H {
-		py = t.H - 1
-	}
-	return px, py
-}
-
 // Index returns the row-major index of pixel (px,py).
 func (t Transform) Index(px, py int) int { return py*t.W + px }
 

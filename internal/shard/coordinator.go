@@ -11,7 +11,7 @@ import (
 )
 
 // Coordinator is the scatter-gather front of sharded execution. It
-// implements core.ContextJoiner by delegating the tile pipeline to the
+// implements core.Joiner by delegating the tile pipeline to the
 // wrapped raster joiner's scatter driver and providing the fan-out: one
 // goroutine per shard per tile, request-context propagation and
 // deterministic first-error selection. Safe for concurrent use.
@@ -36,11 +36,6 @@ func New(raster *core.RasterJoin, n int) *Coordinator {
 // byte-identical to the local path, so the Algorithm string must not
 // change with the topology.
 func (c *Coordinator) Name() string { return c.raster.Name() }
-
-// Join implements core.Joiner.
-func (c *Coordinator) Join(req core.Request) (*core.Result, error) {
-	return c.JoinContext(context.Background(), req)
-}
 
 // JoinContext plans the layout for the request's source snapshot and runs
 // the scatter driver over it.

@@ -19,7 +19,7 @@ var ErrUnsupported = errors.New("tcache: unsupported")
 // Joiner answers slab-aligned time-windowed aggregation requests as a
 // chronological fold of cached slab partials, computing missing slabs
 // as series joins of the wrapped raster joiner. It implements
-// core.ContextJoiner; requests CanServe rejects delegate to the wrapped
+// core.Joiner; requests CanServe rejects delegate to the wrapped
 // joiner unchanged.
 type Joiner struct {
 	next  *core.RasterJoin
@@ -100,11 +100,6 @@ func (j *Joiner) requestSig(req core.Request) string {
 		Filters("f", req.Filters).Key()
 }
 
-// Join implements core.Joiner.
-func (j *Joiner) Join(req core.Request) (*core.Result, error) {
-	return j.JoinContext(context.Background(), req)
-}
-
 // JoinContext answers the request as a chronological fold of slab
 // partials. Each maximal run of missing slabs is computed by one series join
 // of the wrapped joiner, one bin per slab, so the polygon side of the run is
@@ -113,10 +108,14 @@ func (j *Joiner) Join(req core.Request) (*core.Result, error) {
 // The fold is the canonical compute path: a warm fold and a cold fold of
 // the same window are bit-identical, because per-slab computes are
 // deterministic and the merge runs in fixed chronological order with one
-// compensated sum per region.
+// compensated sum per region. A fold whose slabs are all cached polls ctx
+// nowhere else, so it is checked once up front.
 func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Result, error) {
 	if err := j.CanServe(req); err != nil {
 		return j.next.JoinContext(ctx, req)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if err := req.Validate(); err != nil {
 		return nil, err

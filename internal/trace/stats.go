@@ -17,9 +17,6 @@ type Registry struct {
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-
-	gmu    sync.Mutex
-	gauges map[string]int64
 }
 
 // NewRegistry returns an empty registry.
@@ -27,27 +24,7 @@ func NewRegistry() *Registry {
 	return &Registry{
 		start:     time.Now(),
 		endpoints: make(map[string]*Endpoint),
-		gauges:    make(map[string]int64),
 	}
-}
-
-// SetGauge records a named process-level gauge (admission in-flight, queue
-// depth, shed totals...); /api/stats reports the full gauge map.
-func (r *Registry) SetGauge(name string, v int64) {
-	r.gmu.Lock()
-	r.gauges[name] = v
-	r.gmu.Unlock()
-}
-
-// Gauges snapshots the named gauges.
-func (r *Registry) Gauges() map[string]int64 {
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for k, v := range r.gauges {
-		out[k] = v
-	}
-	return out
 }
 
 // Endpoint returns (creating on first use) the named endpoint's recorder.

@@ -3,6 +3,7 @@ package urbane
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"image/png"
@@ -149,7 +150,7 @@ func (d *demo) do(method, path, body string, want expect, dst any) map[string]st
 // request against every region.
 func exact(t *testing.T, req core.Request) *core.Result {
 	t.Helper()
-	res, err := (&index.BruteForce{}).Join(req)
+	res, err := (&index.BruteForce{}).JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

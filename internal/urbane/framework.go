@@ -430,7 +430,7 @@ func (f *Framework) run(ctx context.Context, req core.Request) (*query.Plan, *co
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := core.JoinContext(ctx, p.Joiner, p.Request)
+	res, err := p.Joiner.JoinContext(ctx, p.Request)
 	return p, res, err
 }
 

@@ -90,8 +90,9 @@ func (s *Server) handlePolygon(w http.ResponseWriter, r *http.Request) {
 	key := s.selectionSig(s.sig("polygon"), sel).Str("ring", sb.String()).Key()
 	s.serveCached(w, r, key, "application/json", func(ctx context.Context) ([]byte, error) {
 		// The ad-hoc region set lives for this compute only; its stamp
-		// keys nothing persistent (the span cache never sees it warm
-		// twice, the hierarchy is keyed by the point set).
+		// keys nothing persistent (the span cache and geoblocks' fringe
+		// memo skip one-region sets, the hierarchy is keyed by the point
+		// set).
 		req, err := s.f.resolve(sel, &data.RegionSet{Name: "polygon", Regions: []data.Region{
 			{ID: 0, Name: "polygon", Poly: poly},
 		}})

@@ -159,3 +159,23 @@ func TestPolygonEndpointRejects(t *testing.T) {
 		t.Errorf("valid request after rejects: %d (%s)", rec.Code, rec.Body)
 	}
 }
+
+// TestPolygonsLeaveSpanCache: ad-hoc rings that reach the raster join
+// compile their one-region set without caching it — its fresh stamp is
+// never named again — so the span cache's entries stay those of the
+// registered layers.
+func TestPolygonsLeaveSpanCache(t *testing.T) {
+	s, f := testServer(t)
+	spans := f.rasterJoiner().Device().SpanCache()
+	before := spans.Stats().Entries
+	for i := 0; i < 20; i++ {
+		d := float64(10 * i)
+		ring := [][2]float64{{200 + d, 200}, {800, 250 + d}, {750, 800}, {250, 750}}
+		if rec := doJSON(t, s, http.MethodPost, "/api/polygon", polygonBody(ring, "count", "")); rec.Code != http.StatusOK {
+			t.Fatalf("polygon %d: status %d (%s)", i, rec.Code, rec.Body)
+		}
+	}
+	if got := spans.Stats().Entries; got != before {
+		t.Errorf("span cache entries %d after 20 polygons, want %d", got, before)
+	}
+}

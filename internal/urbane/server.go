@@ -36,7 +36,7 @@ type Server struct {
 	cache   *qcache.Cache     // nil = caching disabled
 	snap    int64             // time-filter snap granularity, >= 1
 	timeout time.Duration     // per-request query deadline; 0 = unbounded
-	metrics *trace.Registry   // per-endpoint latency histograms and gauges
+	metrics *trace.Registry   // per-endpoint latency histograms
 	admit   *admit.Controller // nil = admission control disabled
 	faults  *fault.Registry   // nil = fault injection disarmed
 
@@ -622,7 +622,6 @@ type statsResponse struct {
 	SpanCache      lru.Stats             `json:"spanCache"`
 	GeoBlocks      geoblocks.Stats       `json:"geoblocks"`
 	Incremental    incrementalStats      `json:"incremental"`
-	Gauges         map[string]int64      `json:"gauges"`
 	Endpoints      []trace.EndpointStats `json:"endpoints"`
 }
 
@@ -682,16 +681,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if g := s.f.GeoBlocks(); g != nil {
 		gb = g.Stats()
 	}
-	// Mirror the admission snapshot into the trace registry's gauge map so
-	// any consumer of the registry sees shed/queued/inflight without knowing
-	// about the admit package.
-	s.metrics.SetGauge("admit.inflight", adm.InFlight)
-	s.metrics.SetGauge("admit.queued", adm.Queued)
-	s.metrics.SetGauge("admit.shed", int64(adm.Shed))
-	s.metrics.SetGauge("incremental.slabs_reused", int64(inc.SlabsReused))
-	s.metrics.SetGauge("incremental.slabs_recomputed", int64(inc.SlabsRecomputed))
-	s.metrics.SetGauge("incremental.epoch_evictions", int64(inc.EpochEvictions))
-	s.metrics.SetGauge("qcache.cross_view", int64(s.crossView.Load()))
 	writeJSON(w, http.StatusOK, statsResponse{
 		UptimeSec:      s.metrics.Uptime().Seconds(),
 		QueryTimeoutMs: float64(s.timeout) / float64(time.Millisecond),
@@ -702,7 +691,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		SpanCache:      dev.SpanCache().Stats(),
 		GeoBlocks:      gb,
 		Incremental:    inc,
-		Gauges:         s.metrics.Gauges(),
 		Endpoints:      s.metrics.Snapshot(),
 	})
 }

@@ -61,15 +61,15 @@ func shapeOf(v any, indent string, sb *strings.Builder) {
 }
 
 // TestStatsShapeGolden boots a server with every optional block populated
-// — incremental maintenance, admission — issues traffic so the gauges and endpoint histograms materialize, and
-// pins the full /api/stats document shape against testdata.
+// — incremental maintenance, admission — issues traffic so the endpoint
+// histograms materialize, and pins the full /api/stats document shape against testdata.
 func TestStatsShapeGolden(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
 	f.EnableIncremental(1800, 0, 0)
 	srv := NewServer(f, WithCache(1<<20), WithTimeSnap(1800))
 
-	// One compute query plus one stats poll so gauges, endpoint histograms,
-	// and cache counters all have rows.
+	// One compute query plus one stats poll so endpoint histograms and cache
+	// counters all have rows.
 	body := `{"dataset":"taxi","layer":"nbhd","agg":"sum","attr":"fare","filters":[{"attr":"fare","min":0,"max":100}]}`
 	req := httptest.NewRequest(http.MethodPost, "/api/mapview", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -88,8 +88,6 @@ func TestStatsShapeGolden(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
 		t.Fatalf("stats not JSON: %v", err)
 	}
-	// The gauges map's keys are part of the served document and stable for
-	// this fixed request sequence; shapeOf records them via the map shape.
 	var sb strings.Builder
 	shapeOf(doc, "", &sb)
 	sb.WriteString("\n")
