@@ -65,16 +65,17 @@ lru-single:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Short-budget fuzzing of the input decoders, the segment reader over
-# corrupted files, the query parser, the cache key and the selection entry
-# encoding, the series join against per-bin joins (all five aggregates,
-# both modes, the ε mode and small-texture tiled devices), the row-edge
-# exact test against Polygon.Contains and the point pass's pixel map
-# against the reference mapping; go test accepts one -fuzz target per
-# invocation.
+# Short-budget fuzzing of the input decoders, the radix time sort against
+# sort.SliceStable, the segment reader over corrupted files, the query
+# parser, the cache key and the selection entry encoding, the series join
+# against per-bin joins (all five aggregates, both modes, the ε mode and
+# small-texture tiled devices), the row-edge exact test against
+# Polygon.Contains and the point pass's pixel map against the reference
+# mapping; go test accepts one -fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzSortByTime$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/query -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qcache -run='^$$' -fuzz='^FuzzCacheKey$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/qcache -run='^$$' -fuzz='^FuzzResultEntry$$' -fuzztime=$(FUZZTIME)

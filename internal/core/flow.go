@@ -21,10 +21,12 @@ type FlowResult struct {
 	// Counts maps origin*Regions+destination to the flow count. Only
 	// non-zero cells are present.
 	Counts map[int64]int64
-	// Dropped counts points whose origin or destination fell outside every
-	// region (or the canvas).
+	// Dropped counts points in the time window whose origin or
+	// destination fell outside every region (or the canvas).
 	Dropped int64
-	// Filtered counts points discarded by the filter conditions.
+	// Filtered counts points in the time window and on the canvas that
+	// the attribute filters discarded. A point outside the time window
+	// counts in neither tally, however the points are stored.
 	Filtered int64
 	// Algorithm, CanvasW/H, PixelSize mirror Result's metadata.
 	Algorithm        string
@@ -122,15 +124,13 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	out.CanvasW, out.CanvasH = c.T.W, c.T.H
 	out.PixelSize = c.T.PixelWidth()
 
-	// The flow scan restricts pruning to the coordinate zones: dropping a
-	// block on an attribute or time zone would reclassify its points from
-	// Filtered to Dropped (they would never be mapped), while spatially
-	// pruned points are canvas-culled and count as Dropped on both paths.
+	// The flow scan keeps the blocks its attribute zones would prune:
+	// dropping them would reclassify their points from Filtered to Dropped.
 	sc, err := r.newScan(req)
 	if err != nil {
 		return nil, err
 	}
-	sc.spatialOnly = true
+	sc.keepFiltered = true
 	sc.cols.Need(dxIdx, dyIdx)
 	sc.setWorld(c.T.World)
 
@@ -171,32 +171,34 @@ func (r *RasterJoin) FlowJoinContext(ctx context.Context, req Request, dxAttr, d
 	if err != nil {
 		return nil, err
 	}
-	var mapped int64
 	for i := range parts {
 		p := &parts[i]
 		if p.err != nil {
 			return nil, p.err
 		}
-		mapped += p.mapped
 		out.Filtered += p.filtered
-		out.Dropped += p.dropped
 		for cell, v := range p.counts {
 			out.Counts[cell] += v
 		}
 	}
-	// Points the canvas culls — or whose blocks the spatial zones pruned —
-	// lie outside every region.
-	out.Dropped += int64(hi-lo) - mapped
+	// Every point in the window that is neither counted nor filtered is
+	// dropped: an end outside every region, a point the canvas culls, or
+	// one in a block the spatial zones pruned.
+	inWindow, err := sc.inWindow(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out.Dropped = inWindow - out.Total() - out.Filtered
 	return out, nil
 }
 
-// flowPartial is one range's share of the OD pass: its matrix, its point
-// tallies and the error that ended it, if any.
+// flowPartial is one range's share of the OD pass: its matrix, its
+// filtered tally and the error that ended it, if any.
 type flowPartial struct {
-	lo, hi                    int
-	counts                    map[int64]int64
-	mapped, dropped, filtered int64
-	err                       error
+	lo, hi   int
+	counts   map[int64]int64
+	filtered int64
+	err      error
 }
 
 // odLookup is the flow join's frozen lookup state: the canvas pixel map,
@@ -267,37 +269,37 @@ func (od *odLookup) locate(x, y float64) int32 {
 }
 
 // fold is the OD pass over points [lo, hi) of blk into p: each point the
-// canvas maps that passes the filter resolves its origin and destination,
-// and a point with both ends in a region counts in its cell. Only the
+// canvas maps that lies in the time window and passes the filters resolves
+// its origin and destination, and a point with both ends in a region
+// counts in its cell. A mapped point in the window that fails a filter
+// counts as filtered; one outside the window counts nowhere. Only the
 // origin is the vertex position the canvas culls on; a destination outside
 // it drops the point.
 func (od *odLookup) fold(p *flowPartial, blk *data.Block, lo, hi int, needPred bool) {
 	j0, j1 := lo-blk.Base, hi-blk.Base
 	xs, ys := blk.X[j0:j1], blk.Y[j0:j1]
 	dxs, dys := blk.Attr[od.dx][j0:j1], blk.Attr[od.dy][j0:j1]
-	in := 0
 	for k, x := range xs {
 		y := ys[k]
 		px, py, ok := od.m.Map(x, y)
 		if !ok {
 			continue
 		}
-		in++
-		if needPred && !od.sc.pred(blk, lo+k) {
-			p.filtered++
-			continue
+		if needPred {
+			if !od.sc.res.inTime(blk, lo+k) {
+				continue
+			}
+			if !od.sc.pred(blk, lo+k) {
+				p.filtered++
+				continue
+			}
 		}
 		o := od.owner(px, py, x, y)
 		if o < 0 {
-			p.dropped++
 			continue
 		}
-		d := od.locate(dxs[k], dys[k])
-		if d < 0 {
-			p.dropped++
-			continue
+		if d := od.locate(dxs[k], dys[k]); d >= 0 {
+			p.counts[int64(o)*od.nr+int64(d)]++
 		}
-		p.counts[int64(o)*od.nr+int64(d)]++
 	}
-	p.mapped += int64(in)
 }

@@ -65,6 +65,13 @@ func (p *residualPred) need(cols *data.Columns) {
 // empty reports whether the predicate passes every point trivially.
 func (p *residualPred) empty() bool { return !p.hasTime && len(p.filters) == 0 }
 
+// inTime reports whether absolute point index i of blk lies in the
+// residual time window (always, when there is none).
+func (p *residualPred) inTime(blk *data.Block, i int) bool {
+	t := blk.T
+	return !p.hasTime || (t[i-blk.Base] >= p.tStart && t[i-blk.Base] < p.tEnd)
+}
+
 // eval tests absolute point index i of blk.
 func (p *residualPred) eval(blk *data.Block, i int) bool {
 	j := i - blk.Base
@@ -104,12 +111,13 @@ type Scan struct {
 	world    geom.BBox
 	worldSet bool
 	prune    bool
-	// spatialOnly restricts pruning to the coordinate zones. The flow join
-	// needs it: eliminating a block on an attribute or time zone would turn
-	// its points from Filtered into Dropped, changing the flow accounting,
-	// whereas spatially pruned points are canvas-culled (never shaded) and
-	// land in Dropped either way.
-	spatialOnly bool
+	// keepFiltered turns attribute-zone pruning off, so every point the
+	// filters reject reaches the per-point test. The flow join needs it:
+	// eliminating a block on an attribute zone would turn its points from
+	// Filtered into Dropped, whereas spatially pruned points are
+	// canvas-culled and land in Dropped either way, and points outside the
+	// time window count in neither tally.
+	keepFiltered bool
 }
 
 // newScan compiles the request into a Scan against req.Data(). The time
@@ -185,6 +193,45 @@ func (sc *Scan) setWorld(w geom.BBox) {
 	sc.worldSet = true
 }
 
+// inWindow counts the points of [Lo, Hi) in the scan's time window: the
+// whole range when the window was resolved by binary search or there is
+// none, else the points whose timestamps pass the residual window. A block
+// whose time zone lies wholly inside or outside the window is counted from
+// its zone; only the blocks it straddles read their time column.
+func (sc *Scan) inWindow(ctx context.Context) (int64, error) {
+	if !sc.res.hasTime {
+		return int64(sc.Hi - sc.Lo), nil
+	}
+	src, start, end := sc.Src, sc.res.tStart, sc.res.tEnd
+	var n int64
+	for b := range src.NumBlocks() {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		blo, bhi := src.BlockSpan(b)
+		blo, bhi = max(blo, sc.Lo), min(bhi, sc.Hi)
+		if blo >= bhi {
+			continue
+		}
+		switch z := src.Zone(b); {
+		case z.MaxT < start || z.MinT >= end:
+		case z.MinT >= start && z.MaxT < end:
+			n += int64(bhi - blo)
+		default:
+			blk, err := src.Read(b, data.Columns{T: true})
+			if err != nil {
+				return 0, fmt.Errorf("core: time window over %q: %w", src.Name(), err)
+			}
+			for i := blo; i < bhi; i++ {
+				if sc.res.inTime(blk, i) {
+					n++
+				}
+			}
+		}
+	}
+	return n, nil
+}
+
 // pred evaluates the residual predicate for absolute point index i of blk.
 func (sc *Scan) pred(blk *data.Block, i int) bool { return sc.res.eval(blk, i) }
 
@@ -214,7 +261,7 @@ func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 		}
 	}
 	if sc.res.hasTime {
-		if !sc.spatialOnly && (z.MaxT < sc.res.tStart || z.MinT >= sc.res.tEnd) {
+		if z.MaxT < sc.res.tStart || z.MinT >= sc.res.tEnd {
 			return false, false
 		}
 		if !(z.MinT >= sc.res.tStart && z.MaxT < sc.res.tEnd) {
@@ -223,7 +270,7 @@ func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 	}
 	for _, f := range sc.res.filters {
 		zc := z.Attr[f.idx]
-		if !sc.spatialOnly && (zc.Max < f.min || zc.Min >= f.max) {
+		if !sc.keepFiltered && (zc.Max < f.min || zc.Min >= f.max) {
 			return false, false
 		}
 		if zc.HasNaN || !(zc.Min >= f.min && zc.Max < f.max) {

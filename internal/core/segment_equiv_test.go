@@ -449,6 +449,54 @@ func TestFlowJoinInvertedWindow(t *testing.T) {
 	}
 }
 
+// TestFlowTalliesIgnoreStorageOrder: a point outside the time window is
+// in neither flow tally, whatever order the points are stored in. A
+// time-sorted set leaves such points out of the scanned range; the same
+// points reversed (not time-sorted) test them one by one, in RAM and from
+// a segment store, and must give the same matrix, Dropped and Filtered —
+// with every tenth origin off the canvas (culled) and with and without an
+// attribute filter.
+func TestFlowTalliesIgnoreStorageOrder(t *testing.T) {
+	ps, rs := equivScene(3000, 6, 321)
+	for i := 0; i < ps.Len(); i += 10 {
+		ps.X[i] = -500
+	}
+	rev := make([]int, ps.Len())
+	for i := range rev {
+		rev[i] = ps.Len() - 1 - i
+	}
+	reversed := ps.Select(rev)
+	st := equivStore(t, reversed, 512, 1<<20)
+	for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
+		rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256))
+		for _, filters := range [][]core.Filter{nil, {{Attr: "v", Min: 0, Max: 6}}} {
+			var want *core.FlowResult
+			for _, src := range []data.PointSource{ps.Source(), reversed.Source(), st} {
+				req := core.Request{Source: src, Regions: rs, Agg: core.Count, Filters: filters,
+					Time: &core.TimeFilter{Start: 1500, End: 4500}}
+				got, err := rj.FlowJoinContext(context.Background(), req, data.DropoffXAttr, data.DropoffYAttr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%v/filters=%d/%T/sorted=%v", mode, len(filters), src, src.TimeSorted())
+				if filters == nil && got.Filtered != 0 {
+					t.Errorf("%s: filtered = %d, want 0 (no attribute filter)", label, got.Filtered)
+				}
+				if want == nil {
+					want = got
+					continue
+				}
+				if got.Total() != want.Total() || got.Dropped != want.Dropped ||
+					got.Filtered != want.Filtered || !reflect.DeepEqual(got.Counts, want.Counts) {
+					t.Errorf("%s: total/dropped/filtered %d/%d/%d, time-sorted set %d/%d/%d",
+						label, got.Total(), got.Dropped, got.Filtered,
+						want.Total(), want.Dropped, want.Filtered)
+				}
+			}
+		}
+	}
+}
+
 // TestSegmentJoinOutOfCore is the bigger-than-budget proof: with a cache
 // holding a few blocks' columns, the full file never resides in memory
 // (evictions observed, resident bytes under budget) and the join still

@@ -194,9 +194,6 @@ func build(ps *data.PointSet, src data.PointSource, cfg Config) (*Cube, error) {
 // Name implements core.Joiner.
 func (c *Cube) Name() string { return "pre-aggregation-cube" }
 
-// Bins returns the number of time bins.
-func (c *Cube) Bins() int { return c.bins }
-
 // BinStart returns the start timestamp of bin b.
 func (c *Cube) BinStart(b int) int64 { return c.start + int64(b)*c.cfg.TimeBin }
 

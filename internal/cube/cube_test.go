@@ -141,8 +141,8 @@ func TestCubeNoTimeDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Bins() != 1 {
-		t.Errorf("bins = %d, want 1", c.Bins())
+	if c.bins != 1 {
+		t.Errorf("bins = %d, want 1", c.bins)
 	}
 	if _, err := c.JoinContext(context.Background(), core.Request{Points: ps, Regions: rs, Agg: core.Count,
 		Time: &core.TimeFilter{Start: 0, End: 3600}}); !errors.Is(err, ErrUnsupported) {
@@ -196,7 +196,7 @@ func TestCubeBuildOverSegments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Bins() != want.Bins() || !slices.Equal(got.counts, want.counts) {
+			if got.bins != want.bins || !slices.Equal(got.counts, want.counts) {
 				t.Fatalf("attrs %v cache %d: counts differ from the in-RAM build", attrs, budget)
 			}
 			for _, a := range attrs {
@@ -214,8 +214,8 @@ func TestCubeBuildOverSegments(t *testing.T) {
 func TestCubeMemoryCells(t *testing.T) {
 	ps, rs := cubeScene(1000, 23)
 	c, _ := Build(ps, Config{Regions: rs, TimeBin: 3600})
-	if c.MemoryCells() != c.Bins()*rs.Len() {
-		t.Errorf("cells = %d, want %d", c.MemoryCells(), c.Bins()*rs.Len())
+	if c.MemoryCells() != c.bins*rs.Len() {
+		t.Errorf("cells = %d, want %d", c.MemoryCells(), c.bins*rs.Len())
 	}
 }
 

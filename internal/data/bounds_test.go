@@ -73,7 +73,7 @@ func TestStampedBoundsMatchFold(t *testing.T) {
 func TestUnstampedBoundsFollowEdits(t *testing.T) {
 	meters := VoronoiRegions("m", mercator.NYCBounds(), 6, 9, VoronoiOptions{})
 	var buf bytes.Buffer
-	if err := WriteGeoJSONGeographic(&buf, meters); err != nil {
+	if err := writeGeographic(&buf, meters); err != nil {
 		t.Fatal(err)
 	}
 	rs, err := ReadGeoJSONAuto(bytes.NewReader(buf.Bytes()), "deg")

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 	"time"
@@ -241,5 +244,62 @@ func TestGenerateNoHotspots(t *testing.T) {
 		if n < 150 || n > 350 {
 			t.Errorf("quadrant %d has %d points, want 150-350", q, n)
 		}
+	}
+}
+
+// generateGolden is the recorded digest of TestGenerateDigest's data: any
+// change to generation, the time sort or the Voronoi construction that
+// moves one bit of one column or one vertex moves it.
+const generateGolden = "240bc2d2e0565c9233b8ee6bd0100ab07dcbe8b4d88cd24bb1c360387f4ba25f"
+
+// TestGenerateDigest hashes every column of 20 k taxi, 311 and photo points
+// and every vertex of the scene's three layers (neighborhoods, tracts and
+// the 64×64 grid, built as workload.NYC builds them), so a faster sort or
+// cell construction is proven byte-identical to the one it replaces.
+func TestGenerateDigest(t *testing.T) {
+	h := sha256.New()
+	put := func(v uint64) { h.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, cfg := range []GenConfig{
+		NYCTaxiConfig(20_000, 2009, time.January, 2009),
+		NYC311Config(20_000, 2009, time.January, 2010),
+		NYCPhotosConfig(20_000, 2009, time.January, 2011),
+	} {
+		ps := Generate(cfg)
+		h.Write([]byte(ps.Name))
+		put(uint64(ps.Len()))
+		for i := range ps.X {
+			put(math.Float64bits(ps.X[i]))
+			put(math.Float64bits(ps.Y[i]))
+			put(uint64(ps.T[i]))
+		}
+		for _, c := range ps.Attrs {
+			h.Write([]byte(c.Name))
+			for _, v := range c.Values {
+				put(math.Float64bits(v))
+			}
+		}
+	}
+	bounds := mercator.NYCBounds()
+	for _, rs := range []*RegionSet{
+		VoronoiRegions("neighborhoods", bounds, 260, 2010, VoronoiOptions{JitterFrac: 0.12}),
+		VoronoiRegions("tracts", bounds, 2048, 2011, VoronoiOptions{JitterFrac: 0.08}),
+		GridRegions("grid64", bounds, 64, 64),
+	} {
+		h.Write([]byte(rs.Name))
+		put(uint64(rs.Len()))
+		for _, r := range rs.Regions {
+			put(uint64(r.ID))
+			h.Write([]byte(r.Name))
+			for _, ring := range append([]geom.Ring{r.Poly.Outer}, r.Poly.Holes...) {
+				put(uint64(len(ring)))
+				for _, p := range ring {
+					put(math.Float64bits(p.X))
+					put(math.Float64bits(p.Y))
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generateGolden {
+		t.Errorf("generated data digest %s, want %s", got, generateGolden)
 	}
 }

@@ -132,29 +132,6 @@ func looksGeographic(rs *RegionSet) bool {
 		b.MinY >= -mercator.MaxLatitude && b.MaxY <= mercator.MaxLatitude
 }
 
-// WriteGeoJSONGeographic encodes the region set with coordinates converted
-// back to geographic degrees, producing standard EPSG:4326 GeoJSON that any
-// GIS tool can open.
-func WriteGeoJSONGeographic(w io.Writer, rs *RegionSet) error {
-	out := &RegionSet{Name: rs.Name, Regions: make([]Region, len(rs.Regions))}
-	unproject := func(ring geom.Ring) geom.Ring {
-		o := make(geom.Ring, len(ring))
-		for i, p := range ring {
-			ll := mercator.Unproject(p)
-			o[i] = geom.Point{X: ll.Lng, Y: ll.Lat}
-		}
-		return o
-	}
-	for i, reg := range rs.Regions {
-		pg := geom.Polygon{Outer: unproject(reg.Poly.Outer)}
-		for _, h := range reg.Poly.Holes {
-			pg.Holes = append(pg.Holes, unproject(h))
-		}
-		out.Regions[i] = Region{ID: reg.ID, Name: reg.Name, Poly: pg}
-	}
-	return WriteGeoJSON(w, out)
-}
-
 // closeRing converts a geom.Ring to GeoJSON coordinates with the first
 // vertex repeated at the end.
 func closeRing(r geom.Ring) [][2]float64 {

@@ -7,6 +7,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -194,9 +195,14 @@ func (ps *PointSet) Select(idx []int) *PointSet {
 	return out
 }
 
-// SortByTime reorders the points in ascending timestamp order. Sorting is
-// stable with respect to nothing in particular; it exists so time-filtered
-// scans can binary-search their window.
+// SortByTime reorders the points in ascending timestamp order, so
+// time-filtered scans can binary-search their window. The sort is stable:
+// points with equal timestamps keep their stored order, so the result is
+// the permutation sort.SliceStable gives. It is a least-significant-digit
+// radix sort over the timestamps' eight bytes that skips every byte all
+// timestamps share (a month of seconds needs three passes), then gathers
+// each column through the permutation into a fresh slice; no column's old
+// backing array is written.
 //
 // Reordering produces new data, so any previously issued stamp, cached
 // Source view and bounds memo are discarded: geoblocks/span/segment caches
@@ -207,16 +213,72 @@ func (ps *PointSet) SortByTime() {
 	if ps.T == nil {
 		return
 	}
-	idx := make([]int, ps.Len())
-	for i := range idx {
-		idx[i] = i
+	perm := timeOrder(ps.T)
+	ps.X, ps.Y, ps.T = gather(ps.X, perm), gather(ps.Y, perm), gather(ps.T, perm)
+	var attrs []Column
+	for _, c := range ps.Attrs {
+		attrs = append(attrs, Column{Name: c.Name, Values: gather(c.Values, perm)})
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return ps.T[idx[a]] < ps.T[idx[b]] })
-	sorted := ps.Select(idx)
-	ps.X, ps.Y, ps.T, ps.Attrs = sorted.X, sorted.Y, sorted.T, sorted.Attrs
+	ps.Attrs = attrs
 	ps.stamp.Store(0)
 	ps.source.Store(nil)
 	ps.bounds.Store(nil)
+}
+
+// timeOrder returns the stable ascending permutation of t: an LSD radix
+// sort of the keys with their sign bit flipped (so unsigned byte order is
+// signed order), carrying an int32 index payload. All eight byte
+// histograms are built in one pass; a byte position every key shares
+// needs no pass. Each pass is a counting sort, which is stable, so the
+// permutation ties resolve in index order.
+func timeOrder(t []int64) []int32 {
+	n := len(t)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("data: cannot sort %d points by time (max %d)", n, math.MaxInt32))
+	}
+	keys := make([]uint64, n)
+	perm := make([]int32, n)
+	var counts [8][256]int32
+	for i, v := range t {
+		k := uint64(v) ^ 1<<63
+		keys[i], perm[i] = k, int32(i)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	if n < 2 {
+		return perm
+	}
+	keys2, perm2 := make([]uint64, n), make([]int32, n)
+	for b := range counts {
+		shift := uint(8 * b)
+		c := &counts[b]
+		if c[byte(keys[0]>>shift)] == int32(n) {
+			continue // every key has this byte
+		}
+		var sum int32
+		for d, v := range c {
+			c[d], sum = sum, sum+v
+		}
+		for i, k := range keys {
+			d := byte(k >> shift)
+			j := c[d]
+			c[d]++
+			keys2[j], perm2[j] = k, perm[i]
+		}
+		keys, keys2 = keys2, keys
+		perm, perm2 = perm2, perm
+	}
+	return perm
+}
+
+// gather returns a new slice holding s[perm[0]], s[perm[1]], ...
+func gather[E any](s []E, perm []int32) []E {
+	out := make([]E, len(perm))
+	for j, i := range perm {
+		out[j] = s[i]
+	}
+	return out
 }
 
 // AppendCOW returns a new PointSet holding ps's points followed by tail's,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -84,16 +83,6 @@ func (rs *RegionSet) VertexCount() int {
 	return n
 }
 
-// ByID returns the region with the given ID, or nil.
-func (rs *RegionSet) ByID(id int) *Region {
-	for i := range rs.Regions {
-		if rs.Regions[i].ID == id {
-			return &rs.Regions[i]
-		}
-	}
-	return nil
-}
-
 // VoronoiOptions tunes the synthetic neighborhood generator.
 type VoronoiOptions struct {
 	// JitterFrac displaces densified boundary vertices by up to this
@@ -113,7 +102,10 @@ type VoronoiOptions struct {
 //
 // Construction is the classic half-plane intersection: each site's cell is
 // the bounds rectangle clipped against the perpendicular bisector of every
-// nearby site. A security-radius cutoff keeps it near O(n·k).
+// nearby site. The other sites are visited nearest-first, popped from a
+// heap ordered by (distance, index) that is built in O(n) per site, and a
+// security-radius cutoff stops the walk after the few dozen sites that can
+// still cut the cell, where sorting all n sites per cell cost O(n log n).
 func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts VoronoiOptions) *RegionSet {
 	if n < 1 {
 		n = 1
@@ -128,21 +120,13 @@ func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts Voron
 	}
 
 	rs := &RegionSet{Name: name, Regions: make([]Region, 0, n)}
-	order := make([]int, n)
+	near := &siteHeap{d: make([]float64, n), idx: make([]int32, 0, n)}
 	rect := geom.RectRing(bounds)
 	for i, si := range sites {
-		// Sort other sites by distance to si.
-		for j := range order {
-			order[j] = j
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return sites[order[a]].DistSq(si) < sites[order[b]].DistSq(si)
-		})
+		near.reset(sites, i)
 		cell := rect.Clone()
-		for _, j := range order {
-			if j == i {
-				continue
-			}
+		for len(near.idx) > 0 {
+			j := near.pop()
 			sj := sites[j]
 			// Security radius: once the cell lies entirely closer to si
 			// than half the distance to sj, no farther site can cut it.
@@ -152,7 +136,7 @@ func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts Voron
 					maxR2 = d
 				}
 			}
-			if si.DistSq(sj) > 4*maxR2 {
+			if near.d[j] > 4*maxR2 {
 				break
 			}
 			mid := si.Lerp(sj, 0.5)
@@ -175,6 +159,62 @@ func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts Voron
 		})
 	}
 	return rs
+}
+
+// siteHeap is a binary min-heap of site indices ordered by (squared
+// distance to the current site, index): the nearest-first walk of
+// VoronoiRegions. d holds every site's distance; idx is the heap.
+type siteHeap struct {
+	d   []float64
+	idx []int32
+}
+
+// reset computes every site's squared distance to sites[i] and heapifies
+// all sites but i.
+func (h *siteHeap) reset(sites []geom.Point, i int) {
+	h.idx = h.idx[:0]
+	for j, s := range sites {
+		h.d[j] = s.DistSq(sites[i])
+		if j != i {
+			h.idx = append(h.idx, int32(j))
+		}
+	}
+	for k := len(h.idx)/2 - 1; k >= 0; k-- {
+		h.down(k)
+	}
+}
+
+// pop removes and returns the nearest remaining site.
+func (h *siteHeap) pop() int {
+	top := h.idx[0]
+	last := len(h.idx) - 1
+	h.idx[0] = h.idx[last]
+	h.idx = h.idx[:last]
+	h.down(0)
+	return int(top)
+}
+
+func (h *siteHeap) less(a, b int32) bool {
+	return h.d[a] < h.d[b] || (h.d[a] == h.d[b] && a < b)
+}
+
+// down sifts the entry at position k toward the leaves.
+func (h *siteHeap) down(k int) {
+	n := len(h.idx)
+	for {
+		c := 2*k + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(h.idx[c+1], h.idx[c]) {
+			c++
+		}
+		if !h.less(h.idx[c], h.idx[k]) {
+			return
+		}
+		h.idx[k], h.idx[c] = h.idx[c], h.idx[k]
+		k = c
+	}
 }
 
 // jitterRing densifies the ring and displaces the inserted vertices

@@ -3,8 +3,11 @@ package data
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -35,14 +38,11 @@ func TestVoronoiPartition(t *testing.T) {
 	if !testBounds().ContainsBBox(rs.Bounds()) {
 		t.Error("cells escape bounds")
 	}
-	// IDs are dense and ByID works.
-	for i := 0; i < rs.Len(); i++ {
-		if r := rs.ByID(i); r == nil || r.ID != i {
-			t.Fatalf("ByID(%d) = %v", i, r)
+	// IDs are dense and follow storage order.
+	for i, r := range rs.Regions {
+		if r.ID != i {
+			t.Fatalf("region %d has ID %d", i, r.ID)
 		}
-	}
-	if rs.ByID(999) != nil {
-		t.Error("ByID(999) should be nil")
 	}
 }
 
@@ -157,7 +157,7 @@ func TestGeoJSONGeographicRoundTrip(t *testing.T) {
 	// back, and compare.
 	rs := VoronoiRegions("nbhd", mercator.NYCBounds(), 8, 3, VoronoiOptions{})
 	var buf bytes.Buffer
-	if err := WriteGeoJSONGeographic(&buf, rs); err != nil {
+	if err := writeGeographic(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
 	// The wire format is in plausible NYC degrees.
@@ -200,7 +200,7 @@ func TestReadGeoJSONAuto(t *testing.T) {
 	}
 	// Degrees input gets projected: centroids land in NYC mercator bounds.
 	buf.Reset()
-	if err := WriteGeoJSONGeographic(&buf, meters); err != nil {
+	if err := writeGeographic(&buf, meters); err != nil {
 		t.Fatal(err)
 	}
 	got, err = ReadGeoJSONAuto(bytes.NewReader(buf.Bytes()), "deg")
@@ -245,4 +245,127 @@ func TestRegionSetVertexCountAndBounds(t *testing.T) {
 	if !empty.Bounds().IsEmpty() {
 		t.Error("empty set bounds should be empty")
 	}
+}
+
+// referenceVoronoi is VoronoiRegions as it was before the nearest-first
+// heap: every site's cell clipped against all other sites in the order
+// sort.Slice puts their distances, up to the same security radius.
+func referenceVoronoi(name string, bounds geom.BBox, n int, seed int64, opts VoronoiOptions) *RegionSet {
+	if n < 1 {
+		n = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	sites := make([]geom.Point, n)
+	for i := range sites {
+		sites[i] = geom.Point{
+			X: bounds.MinX + rng.Float64()*bounds.Width(),
+			Y: bounds.MinY + rng.Float64()*bounds.Height(),
+		}
+	}
+	rs := &RegionSet{Name: name, Regions: make([]Region, 0, n)}
+	order := make([]int, n)
+	rect := geom.RectRing(bounds)
+	for i, si := range sites {
+		for j := range order {
+			order[j] = j
+		}
+		sort.Slice(order, func(a, b int) bool {
+			return sites[order[a]].DistSq(si) < sites[order[b]].DistSq(si)
+		})
+		cell := rect.Clone()
+		for _, j := range order {
+			if j == i {
+				continue
+			}
+			sj := sites[j]
+			maxR2 := 0.0
+			for _, v := range cell {
+				if d := v.DistSq(si); d > maxR2 {
+					maxR2 = d
+				}
+			}
+			if si.DistSq(sj) > 4*maxR2 {
+				break
+			}
+			cell = geom.ClipRingToHalfPlane(cell, si.Lerp(sj, 0.5), sj.Sub(si))
+			if cell == nil {
+				break
+			}
+		}
+		if cell == nil {
+			continue
+		}
+		if opts.JitterFrac > 0 {
+			cell = jitterRing(cell, rng, opts, bounds)
+		}
+		rs.Regions = append(rs.Regions, Region{
+			ID:   len(rs.Regions),
+			Name: fmt.Sprintf("%s-%03d", name, len(rs.Regions)),
+			Poly: geom.NewPolygon(cell),
+		})
+	}
+	return rs
+}
+
+// TestVoronoiMatchesReference: the nearest-first construction produces
+// the sort-based one's regions bit for bit — IDs, names and every vertex
+// of every ring — with and without jitter.
+func TestVoronoiMatchesReference(t *testing.T) {
+	bounds := mercator.NYCBounds()
+	for _, n := range []int{1, 2, 3, 260, 512} {
+		for _, opts := range []VoronoiOptions{{}, {JitterFrac: 0.1}} {
+			got := VoronoiRegions("v", bounds, n, int64(n)+7, opts)
+			want := referenceVoronoi("v", bounds, n, int64(n)+7, opts)
+			if got.Len() != want.Len() {
+				t.Fatalf("n=%d jitter=%v: %d regions, want %d", n, opts.JitterFrac, got.Len(), want.Len())
+			}
+			for k, r := range got.Regions {
+				w := want.Regions[k]
+				if r.ID != w.ID || r.Name != w.Name || !ringsBitEqual(r.Poly.Outer, w.Poly.Outer) ||
+					len(r.Poly.Holes) != len(w.Poly.Holes) {
+					t.Fatalf("n=%d jitter=%v: region %d differs from the reference", n, opts.JitterFrac, k)
+				}
+				for h := range r.Poly.Holes {
+					if !ringsBitEqual(r.Poly.Holes[h], w.Poly.Holes[h]) {
+						t.Fatalf("n=%d jitter=%v: region %d hole %d differs", n, opts.JitterFrac, k, h)
+					}
+				}
+			}
+		}
+	}
+}
+
+func ringsBitEqual(a, b geom.Ring) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
+			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// writeGeographic encodes the region set with coordinates converted back
+// to geographic degrees (EPSG:4326): the input ReadGeoJSONAuto projects.
+func writeGeographic(w io.Writer, rs *RegionSet) error {
+	out := &RegionSet{Name: rs.Name, Regions: make([]Region, len(rs.Regions))}
+	unproject := func(ring geom.Ring) geom.Ring {
+		o := make(geom.Ring, len(ring))
+		for i, p := range ring {
+			ll := mercator.Unproject(p)
+			o[i] = geom.Point{X: ll.Lng, Y: ll.Lat}
+		}
+		return o
+	}
+	for i, reg := range rs.Regions {
+		pg := geom.Polygon{Outer: unproject(reg.Poly.Outer)}
+		for _, h := range reg.Poly.Holes {
+			pg.Holes = append(pg.Holes, unproject(h))
+		}
+		out.Regions[i] = Region{ID: reg.ID, Name: reg.Name, Poly: pg}
+	}
+	return WriteGeoJSON(w, out)
 }

@@ -315,12 +315,6 @@ func (ix *Index) cellBox(level, cx, cy int) geom.BBox {
 	}
 }
 
-// MaxLevel returns the finest pyramid level.
-func (ix *Index) MaxLevel() int { return ix.maxLevel }
-
-// Bounds returns the grid extent (the point set's bounding box).
-func (ix *Index) Bounds() geom.BBox { return ix.bounds }
-
 // Len returns the number of indexed points.
 func (ix *Index) Len() int {
 	if ix.empty {

@@ -229,7 +229,7 @@ func TestClassifyDeterministicShapes(t *testing.T) {
 	ctx := context.Background()
 
 	shapes := map[string]geom.Polygon{
-		"coversGrid":   geom.NewPolygon(geom.RectRing(ix.Bounds().Expand(10))),
+		"coversGrid":   geom.NewPolygon(geom.RectRing(ix.bounds.Expand(10))),
 		"fullyOutside": geom.NewPolygon(geom.RectRing(geom.BBox{MinX: 5000, MinY: 5000, MaxX: 6000, MaxY: 6000})),
 		"halfPlane":    geom.NewPolygon(geom.Ring{{X: -100, Y: -100}, {X: 480, Y: -100}, {X: 480, Y: 1100}, {X: -100, Y: 1100}}),
 		"star":         geom.NewPolygon(geom.StarRing(geom.Point{X: 400, Y: 600}, 350, 120, 7)),

@@ -76,9 +76,6 @@ func BuildGrid(ps *data.PointSet, n int) *GridIndex {
 // PointSet returns the indexed point set.
 func (g *GridIndex) PointSet() *data.PointSet { return g.ps }
 
-// CellCount returns the total number of grid cells.
-func (g *GridIndex) CellCount() int { return g.nx * g.ny }
-
 // cellAt maps a coordinate (known to be inside bounds) to its cell index.
 func (g *GridIndex) cellAt(x, y float64) int {
 	cx := int((x - g.bounds.MinX) / g.cw)

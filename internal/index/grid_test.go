@@ -32,12 +32,12 @@ func unitBounds() geom.BBox { return geom.BBox{MinX: 0, MinY: 0, MaxX: 100, MaxY
 func TestBuildGridStructure(t *testing.T) {
 	ps := randomPoints(1000, 1, unitBounds())
 	g := BuildGrid(ps, 8)
-	if g.CellCount() != 64 {
-		t.Fatalf("cells = %d, want 64", g.CellCount())
+	if g.nx*g.ny != 64 {
+		t.Fatalf("cells = %d, want 64", g.nx*g.ny)
 	}
 	// Every point appears exactly once across all cells.
 	seen := make([]int, ps.Len())
-	for c := 0; c < g.CellCount(); c++ {
+	for c := 0; c < g.nx*g.ny; c++ {
 		for _, id := range g.Cell(c) {
 			seen[id]++
 		}
@@ -48,7 +48,7 @@ func TestBuildGridStructure(t *testing.T) {
 		}
 	}
 	// Each point is in the cell whose box contains it.
-	for c := 0; c < g.CellCount(); c++ {
+	for c := 0; c < g.nx*g.ny; c++ {
 		for _, id := range g.Cell(c) {
 			if got := g.cellAt(ps.X[id], ps.Y[id]); got != c {
 				t.Fatalf("point %d stored in cell %d but maps to %d", id, c, got)
@@ -95,7 +95,7 @@ func TestGridDegenerate(t *testing.T) {
 	if count != 3 {
 		t.Errorf("coincident points candidates = %d, want 3", count)
 	}
-	if BuildGrid(empty, 0).CellCount() != 1 {
+	if g := BuildGrid(empty, 0); g.nx*g.ny != 1 {
 		t.Error("n=0 should clamp")
 	}
 }
@@ -122,9 +122,6 @@ func TestRTreeSearchPoint(t *testing.T) {
 		{MinX: 20, MinY: 20, MaxX: 30, MaxY: 30},
 	}
 	tr := BuildRTree(boxes)
-	if tr.Len() != 3 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
 	got := map[int32]bool{}
 	tr.SearchPoint(geom.Pt(7, 7), func(id int32) { got[id] = true })
 	if !got[0] || !got[1] || got[2] || len(got) != 2 {
@@ -147,8 +144,8 @@ func TestRTreeSearchAgainstBruteForce(t *testing.T) {
 		boxes[i] = geom.BBox{MinX: cx, MinY: cy, MaxX: cx + w, MaxY: cy + h}
 	}
 	tr := BuildRTree(boxes)
-	if tr.Height() < 2 {
-		t.Errorf("height = %d, want a multi-level tree", tr.Height())
+	if tr.root == nil || tr.root.leaf {
+		t.Error("want a multi-level tree")
 	}
 	for iter := 0; iter < 200; iter++ {
 		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)

@@ -11,7 +11,6 @@ import (
 // point probe touches only the regions whose boxes contain it.
 type RTree struct {
 	root *rnode
-	size int
 }
 
 type rnode struct {
@@ -37,9 +36,7 @@ func BuildRTree(boxes []geom.BBox) *RTree {
 	for i, b := range boxes {
 		entries[i] = rentry{box: b, id: int32(i)}
 	}
-	t := &RTree{size: len(boxes)}
-	t.root = strPack(entries)
-	return t
+	return &RTree{root: strPack(entries)}
 }
 
 // strPack recursively packs entries into nodes using sort-tile-recursive.
@@ -100,9 +97,6 @@ func strPack(entries []rentry) *rnode {
 	return children[0]
 }
 
-// Len returns the number of indexed boxes.
-func (t *RTree) Len() int { return t.size }
-
 // SearchPoint calls visit with the payload of every box containing p.
 func (t *RTree) SearchPoint(p geom.Point, visit func(id int32)) {
 	if t.root == nil {
@@ -126,19 +120,6 @@ func (t *RTree) SearchPoint(p geom.Point, visit func(id int32)) {
 		}
 	}
 	walk(t.root)
-}
-
-// Height returns the tree height (leaf = 1), a structural diagnostic.
-func (t *RTree) Height() int {
-	h := 0
-	for n := t.root; n != nil; {
-		h++
-		if n.leaf || len(n.children) == 0 {
-			break
-		}
-		n = n.children[0]
-	}
-	return h
 }
 
 func isqrt(n int) int {

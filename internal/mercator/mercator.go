@@ -7,7 +7,6 @@
 package mercator
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -59,9 +58,6 @@ type Tile struct {
 	Z, X, Y int
 }
 
-// String implements fmt.Stringer in z/x/y form.
-func (t Tile) String() string { return fmt.Sprintf("%d/%d/%d", t.Z, t.X, t.Y) }
-
 // BBox returns the tile's extent in Web-Mercator meters.
 func (t Tile) BBox() geom.BBox {
 	n := math.Exp2(float64(t.Z))
@@ -70,25 +66,6 @@ func (t Tile) BBox() geom.BBox {
 	minX := -world/2 + float64(t.X)*size
 	maxY := world/2 - float64(t.Y)*size
 	return geom.BBox{MinX: minX, MinY: maxY - size, MaxX: minX + size, MaxY: maxY}
-}
-
-// Children returns the four tiles at the next zoom level covering t.
-func (t Tile) Children() [4]Tile {
-	return [4]Tile{
-		{t.Z + 1, 2 * t.X, 2 * t.Y},
-		{t.Z + 1, 2*t.X + 1, 2 * t.Y},
-		{t.Z + 1, 2 * t.X, 2*t.Y + 1},
-		{t.Z + 1, 2*t.X + 1, 2*t.Y + 1},
-	}
-}
-
-// Parent returns the tile one zoom level up containing t. The parent of a
-// zoom-0 tile is itself.
-func (t Tile) Parent() Tile {
-	if t.Z == 0 {
-		return t
-	}
-	return Tile{t.Z - 1, t.X / 2, t.Y / 2}
 }
 
 func clamp(v, lo, hi float64) float64 {

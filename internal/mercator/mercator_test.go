@@ -98,27 +98,6 @@ func TestTileBBoxContainsItsPoint(t *testing.T) {
 	}
 }
 
-func TestTileChildrenParent(t *testing.T) {
-	tl := Tile{5, 9, 13}
-	for _, c := range tl.Children() {
-		if c.Parent() != tl {
-			t.Errorf("child %v parent = %v, want %v", c, c.Parent(), tl)
-		}
-		if !tl.BBox().ContainsBBox(c.BBox().Expand(-1e-6)) {
-			t.Errorf("child %v bbox not inside parent", c)
-		}
-	}
-	if (Tile{0, 0, 0}).Parent() != (Tile{0, 0, 0}) {
-		t.Error("zoom-0 parent should be itself")
-	}
-}
-
-func TestTileString(t *testing.T) {
-	if s := (Tile{3, 2, 1}).String(); s != "3/2/1" {
-		t.Errorf("String = %q, want 3/2/1", s)
-	}
-}
-
 func TestNYCBounds(t *testing.T) {
 	b := NYCBounds()
 	if b.IsEmpty() {

@@ -4,11 +4,12 @@
 // per-endpoint latency histograms the /api/stats endpoint reports.
 //
 // A Trace is created per request, attached with NewContext, and recovered
-// anywhere downstream with FromContext. Stages open spans —
+// anywhere downstream with FromContext. Stages open spans and deep layers
+// add trace-level counters —
 //
 //	sp := trace.FromContext(ctx).Start("execute")
 //	defer sp.End()
-//	sp.Add("batches", 1)
+//	trace.FromContext(ctx).Count("batches", 1)
 //
 // — and the server renders the finished trace into the X-Urbane-Trace
 // response header. Every entry point is nil-safe: code instrumented with
@@ -89,7 +90,6 @@ func (t *Trace) Name() string {
 }
 
 // Span is one timed stage of a request (parse, plan, execute, encode...).
-// Counters attached with Add travel with the stage in the header summary.
 type Span struct {
 	name  string
 	start time.Time
@@ -97,8 +97,6 @@ type Span struct {
 	mu       sync.Mutex
 	duration time.Duration
 	ended    bool
-	keys     []string
-	counters map[string]int64
 }
 
 // Start opens a span. Nil-safe: a nil trace returns a nil span whose
@@ -128,42 +126,10 @@ func (sp *Span) End() {
 	sp.mu.Unlock()
 }
 
-// Add accumulates a named counter on the span (batch counts, tile counts).
-// Safe to call from multiple goroutines of a parallel stage.
-func (sp *Span) Add(key string, n int64) {
-	if sp == nil {
-		return
-	}
-	sp.mu.Lock()
-	if sp.counters == nil {
-		sp.counters = make(map[string]int64)
-	}
-	if _, ok := sp.counters[key]; !ok {
-		sp.keys = append(sp.keys, key)
-	}
-	sp.counters[key] += n
-	sp.mu.Unlock()
-}
-
-// Duration returns the span's frozen wall time (the running time so far if
-// the span has not ended).
-func (sp *Span) Duration() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if sp.ended {
-		return sp.duration
-	}
-	return time.Since(sp.start)
-}
-
 // SpanSummary is one rendered span (for tests and the stats endpoint).
 type SpanSummary struct {
 	Name     string
 	Duration time.Duration
-	Counters map[string]int64
 }
 
 // Spans snapshots the recorded spans in start order.
@@ -181,12 +147,6 @@ func (t *Trace) Spans() []SpanSummary {
 		if !sp.ended {
 			s.Duration = time.Since(sp.start)
 		}
-		if len(sp.counters) > 0 {
-			s.Counters = make(map[string]int64, len(sp.counters))
-			for k, v := range sp.counters {
-				s.Counters[k] = v
-			}
-		}
 		sp.mu.Unlock()
 		out[i] = s
 	}
@@ -194,8 +154,8 @@ func (t *Trace) Spans() []SpanSummary {
 }
 
 // Header renders the trace as the X-Urbane-Trace value: semicolon-separated
-// stages with millisecond wall times and their counters, then the
-// trace-level counters, ending with the total elapsed time —
+// stages with millisecond wall times, then the trace-level counters,
+// ending with the total elapsed time —
 //
 //	parse=0.05;plan=0.02;execute=41.80;batches=12;tiles=1;total=42.95
 //
@@ -211,21 +171,6 @@ func (t *Trace) Header() string {
 			b.WriteByte(';')
 		}
 		fmt.Fprintf(&b, "%s=%.2f", s.Name, ms(s.Duration))
-		if len(s.Counters) > 0 {
-			keys := make([]string, 0, len(s.Counters))
-			for k := range s.Counters {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			b.WriteByte('(')
-			for i, k := range keys {
-				if i > 0 {
-					b.WriteByte(',')
-				}
-				fmt.Fprintf(&b, "%s=%d", k, s.Counters[k])
-			}
-			b.WriteByte(')')
-		}
 	}
 	counters := t.Counters()
 	keys := make([]string, 0, len(counters))

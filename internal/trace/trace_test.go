@@ -12,7 +12,6 @@ import (
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	sp := tr.Start("x")
-	sp.Add("n", 1)
 	sp.End()
 	if got := tr.Header(); got != "" {
 		t.Fatalf("nil trace header = %q, want empty", got)
@@ -44,13 +43,13 @@ func TestHeaderFormat(t *testing.T) {
 	sp := tr.Start("parse")
 	sp.End()
 	ex := tr.Start("execute")
-	ex.Add("batches", 3)
-	ex.Add("tiles", 1)
-	ex.Add("batches", 2)
 	ex.End()
+	tr.Count("tiles", 1)
+	tr.Count("batches", 3)
+	tr.Count("batches", 2)
 	h := tr.Header()
-	// Stage order preserved, counters sorted, total last.
-	re := regexp.MustCompile(`^parse=\d+\.\d{2};execute=\d+\.\d{2}\(batches=5,tiles=1\);total=\d+\.\d{2}$`)
+	// Stage order preserved, counters sorted after the stages, total last.
+	re := regexp.MustCompile(`^parse=\d+\.\d{2};execute=\d+\.\d{2};batches=5;tiles=1;total=\d+\.\d{2}$`)
 	if !re.MatchString(h) {
 		t.Fatalf("header %q does not match %v", h, re)
 	}
@@ -78,25 +77,29 @@ func TestTraceCounters(t *testing.T) {
 	}
 }
 
+// TestSpanDurationFreezes: End freezes a span's wall time, and a second
+// End keeps the first.
 func TestSpanDurationFreezes(t *testing.T) {
 	tr := New("x")
 	sp := tr.Start("s")
 	time.Sleep(2 * time.Millisecond)
 	sp.End()
-	d := sp.Duration()
+	d := tr.Spans()[0].Duration
 	if d <= 0 {
 		t.Fatalf("duration = %v, want > 0", d)
 	}
 	time.Sleep(2 * time.Millisecond)
-	if got := sp.Duration(); got != d {
+	if got := tr.Spans()[0].Duration; got != d {
 		t.Fatalf("duration moved after End: %v != %v", got, d)
 	}
 	sp.End() // second End keeps the first duration
-	if got := sp.Duration(); got != d {
+	if got := tr.Spans()[0].Duration; got != d {
 		t.Fatalf("duration moved after second End: %v != %v", got, d)
 	}
 }
 
+// TestConcurrentSpanCounters: counters added by the goroutines of a
+// parallel stage while its span is open all land.
 func TestConcurrentSpanCounters(t *testing.T) {
 	tr := New("x")
 	sp := tr.Start("execute")
@@ -106,15 +109,14 @@ func TestConcurrentSpanCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				sp.Add("batches", 1)
+				tr.Count("batches", 1)
 			}
 		}()
 	}
 	wg.Wait()
 	sp.End()
-	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Counters["batches"] != 8000 {
-		t.Fatalf("spans = %+v, want batches=8000", spans)
+	if got := tr.Counters()["batches"]; got != 8000 {
+		t.Fatalf("batches = %d, want 8000", got)
 	}
 }
 

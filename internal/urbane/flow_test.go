@@ -62,7 +62,12 @@ func TestFlowView(t *testing.T) {
 	// must be a region intersecting that corner.
 	corner := geom.BBox{MinX: 800, MinY: 800, MaxX: 1000, MaxY: 1000}
 	for _, e := range view.Edges {
-		reg := nbhd.ByID(e.ToID)
+		var reg *data.Region
+		for i := range nbhd.Regions {
+			if nbhd.Regions[i].ID == e.ToID {
+				reg = &nbhd.Regions[i]
+			}
+		}
 		if reg == nil {
 			t.Fatalf("edge names unknown region %d", e.ToID)
 		}
