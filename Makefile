@@ -108,11 +108,13 @@ stats-smoke:
 
 # Concurrency suite under the race detector: cache stress, coalescing, and
 # the cache-on/cache-off byte-identical property over the HTTP handlers; the
-# slab fold racing appends and the geoblocks store's shared builds; plus the
+# slab fold racing appends and the geoblocks store's shared builds; readers
+# of a snapshot's zone maps racing the appends that inherit them; plus the
 # model-based suite of the LRU underneath them.
 stress:
 	$(GO) test -race -count=1 -run 'Stress|Coalesc|Concurrent|CacheOnOff|Store' \
 		./internal/qcache ./internal/urbane ./internal/tcache ./internal/geoblocks
+	$(GO) test -race -count=1 -run '^TestAppendCOWConcurrentZoneReads$$' ./internal/data
 	$(GO) test -race -count=1 ./internal/lru
 
 # Seeded chaos soak under the race detector: 64 virtual users against a
@@ -148,12 +150,15 @@ segment-smoke:
 
 # Incremental-maintenance gate under the race detector: append-while-query
 # smoke over every maintained structure (slab fold, geoblocks patch, tiles,
-# per-dataset epoch sweeps), the geoblocks patch-vs-rebuild metamorphic
-# suite, the slab fold property suite, and the concurrent-ingest chaos soak
-# with its byte-identical replay against a pristine server fed the same
-# appends.
+# per-dataset epoch sweeps), the inherited zone maps of an appended set
+# (against fresh builds, and racing readers of the parent), the geoblocks
+# patch-vs-rebuild metamorphic suite and the sparse patch against the dense
+# reference, the slab fold property suite, and the concurrent-ingest chaos
+# soak with its byte-identical replay against a pristine server fed the
+# same appends.
 ingest-smoke:
 	$(GO) test -race -count=1 -run '^TestIngestSmoke$$|^TestAppend' ./internal/urbane
+	$(GO) test -race -count=1 -run '^TestAppendCOW' ./internal/data
 	$(GO) test -race -count=1 -run '^TestPatch' ./internal/geoblocks
 	$(GO) test -race -count=1 ./internal/tcache ./internal/workload
 	$(GO) test -race -count=1 -run '^TestIngestSoakReplay$$' ./internal/chaos

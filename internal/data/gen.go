@@ -111,6 +111,11 @@ func Generate(cfg GenConfig) *PointSet {
 		center = cfg.Bounds.Center()
 	}
 
+	diurnal := diurnalTable{amplitude: cfg.DiurnalAmplitude}
+	if cfg.DiurnalAmplitude > 0 {
+		diurnal.w = make([]float64, 86400)
+	}
+
 	for i := 0; i < n; i++ {
 		// Location: mixture sample, redrawn uniformly when out of bounds.
 		var p geom.Point
@@ -132,7 +137,7 @@ func Generate(cfg GenConfig) *PointSet {
 		ts := start + rng.Int63n(dur)
 		if cfg.DiurnalAmplitude > 0 {
 			for tries := 0; tries < 8; tries++ {
-				if rng.Float64() < diurnalWeight(ts, cfg.DiurnalAmplitude) {
+				if rng.Float64() < diurnal.weight(ts) {
 					break
 				}
 				ts = start + rng.Int63n(dur)
@@ -227,6 +232,30 @@ func diurnalWeight(ts int64, amplitude float64) float64 {
 }
 
 func sq(v float64) float64 { return v * v }
+
+// diurnalTable memoises diurnalWeight for one amplitude over the second of
+// the day, ts % 86400, the only part of ts the weight reads: an entry is
+// computed on first use (0 marks it unset; a weight is at least 0.05), so a
+// generation takes each second's two exponentials once and returns the
+// same bits as a direct call. A negative ts, whose remainder is negative,
+// calls diurnalWeight directly.
+type diurnalTable struct {
+	amplitude float64
+	w         []float64
+}
+
+func (d *diurnalTable) weight(ts int64) float64 {
+	r := ts % 86400
+	if r < 0 {
+		return diurnalWeight(ts, d.amplitude)
+	}
+	if w := d.w[r]; w != 0 {
+		return w
+	}
+	w := diurnalWeight(ts, d.amplitude)
+	d.w[r] = w
+	return w
+}
 
 // nycHotspots returns a Manhattan-weighted mixture over the NYC mercator
 // bounds: heavy mass in midtown/downtown Manhattan, secondary mass at the

@@ -303,3 +303,21 @@ func TestGenerateDigest(t *testing.T) {
 		t.Errorf("generated data digest %s, want %s", got, generateGolden)
 	}
 }
+
+// TestDiurnalTableMatchesDirect: the memoised weight is the direct call's,
+// bit for bit, on both its first and its repeated lookups, for timestamps
+// of either sign.
+func TestDiurnalTableMatchesDirect(t *testing.T) {
+	for _, amp := range []float64{0.3, 0.7, 1} {
+		d := diurnalTable{amplitude: amp, w: make([]float64, 86400)}
+		for _, ts := range []int64{0, 1, 3599, 28_800, 86_399, 86_400, 1_230_768_000, 1_230_796_799,
+			-1, -3600, -86_399, -86_400, -86_401, -1_230_768_000} {
+			want := math.Float64bits(diurnalWeight(ts, amp))
+			for pass := 0; pass < 2; pass++ {
+				if got := math.Float64bits(d.weight(ts)); got != want {
+					t.Fatalf("amp %v ts %d pass %d: table weight %x, direct %x", amp, ts, pass, got, want)
+				}
+			}
+		}
+	}
+}

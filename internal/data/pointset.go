@@ -293,8 +293,9 @@ func gather[E any](s []E, perm []int32) []E {
 // and the same attribute columns in the same order. ps itself is not
 // modified and keeps serving its old length. The returned set carries a
 // fresh stamp larger than ps's, so stamp-keyed caches (geoblocks, slab
-// partials) treat it as new data, and its bounds are ps's bounds united
-// with tail's: an append folds only the tail, never the whole set again.
+// partials) treat it as new data, its bounds are ps's bounds united with
+// tail's, and its source view starts from ps's (see grownSource): an
+// append folds and zones only the tail, never the whole set again.
 func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	if err := tail.Validate(); err != nil {
 		return nil, err
@@ -329,6 +330,9 @@ func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	ps.Stamp() // before out's: the newer snapshot gets the larger stamp
 	out.Stamp()
 	out.bounds.Store(&b)
+	if src := ps.grownSource(out, tail); src != nil {
+		out.source.Store(src)
+	}
 	return out, nil
 }
 

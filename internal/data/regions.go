@@ -102,10 +102,11 @@ type VoronoiOptions struct {
 //
 // Construction is the classic half-plane intersection: each site's cell is
 // the bounds rectangle clipped against the perpendicular bisector of every
-// nearby site. The other sites are visited nearest-first, popped from a
-// heap ordered by (distance, index) that is built in O(n) per site, and a
-// security-radius cutoff stops the walk after the few dozen sites that can
-// still cut the cell, where sorting all n sites per cell cost O(n log n).
+// nearby site. The other sites are visited nearest-first in (distance,
+// index) order by a siteWalk, which heapifies only the grid rings around
+// the site it needs, and a security-radius cutoff stops the walk after the
+// few dozen sites that can still cut the cell, where sorting all n sites
+// per cell cost O(n log n).
 func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts VoronoiOptions) *RegionSet {
 	if n < 1 {
 		n = 1
@@ -120,13 +121,16 @@ func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts Voron
 	}
 
 	rs := &RegionSet{Name: name, Regions: make([]Region, 0, n)}
-	near := &siteHeap{d: make([]float64, n), idx: make([]int32, 0, n)}
+	near := newSiteWalk(sites, bounds)
 	rect := geom.RectRing(bounds)
 	for i, si := range sites {
-		near.reset(sites, i)
+		near.reset(i)
 		cell := rect.Clone()
-		for len(near.idx) > 0 {
-			j := near.pop()
+		for {
+			j, ok := near.next()
+			if !ok {
+				break
+			}
 			sj := sites[j]
 			// Security radius: once the cell lies entirely closer to si
 			// than half the distance to sj, no farther site can cut it.
@@ -161,58 +165,159 @@ func VoronoiRegions(name string, bounds geom.BBox, n int, seed int64, opts Voron
 	return rs
 }
 
-// siteHeap is a binary min-heap of site indices ordered by (squared
-// distance to the current site, index): the nearest-first walk of
-// VoronoiRegions. d holds every site's distance; idx is the heap.
-type siteHeap struct {
-	d   []float64
-	idx []int32
+// siteWalk visits the sites other than one chosen site nearest-first, in
+// (squared distance, index) order: the walk of VoronoiRegions. The sites
+// are bucketed in a uniform grid of about two sites a cell, and a walk
+// heapifies the square rings of cells around its site one at a time,
+// adding the next ring only while a site not yet on the heap could still
+// precede the heap's nearest. A walk the security radius stops after a few
+// dozen sites so touches a few rings; one that runs on reaches every ring
+// and so every site.
+type siteWalk struct {
+	sites  []geom.Point
+	bounds geom.BBox
+	nx, ny int
+	cw, ch float64 // cell size
+	step   float64 // min(cw, ch): the distance each ring adds
+	// cells[cy*nx+cx] lists the sites in cell (cx, cy) in index order.
+	cells [][]int32
+
+	// The current walk: around site i in cell (cx, cy), rings 0..ring are
+	// on the heap; d holds the squared distance of every site put there.
+	i, cx, cy, ring int
+	d               []float64
+	heap            []int32
 }
 
-// reset computes every site's squared distance to sites[i] and heapifies
-// all sites but i.
-func (h *siteHeap) reset(sites []geom.Point, i int) {
-	h.idx = h.idx[:0]
+func newSiteWalk(sites []geom.Point, bounds geom.BBox) *siteWalk {
+	n := len(sites)
+	w := &siteWalk{sites: sites, bounds: bounds, nx: 1, ny: 1, d: make([]float64, n)}
+	if bw, bh := bounds.Width(), bounds.Height(); bw > 0 && bh > 0 {
+		cells := float64(n) / 2
+		w.nx = max(1, int(math.Round(math.Sqrt(cells*bw/bh))))
+		w.ny = max(1, int(math.Round(math.Sqrt(cells*bh/bw))))
+		w.cw, w.ch = bw/float64(w.nx), bh/float64(w.ny)
+		w.step = math.Min(w.cw, w.ch)
+	}
+	w.cells = make([][]int32, w.nx*w.ny)
 	for j, s := range sites {
-		h.d[j] = s.DistSq(sites[i])
-		if j != i {
-			h.idx = append(h.idx, int32(j))
+		cx, cy := w.cellOf(s)
+		c := cy*w.nx + cx
+		w.cells[c] = append(w.cells[c], int32(j))
+	}
+	return w
+}
+
+// cellOf returns the grid cell of p, clamped into the grid.
+func (w *siteWalk) cellOf(p geom.Point) (cx, cy int) {
+	if w.step > 0 {
+		cx = min(max(int((p.X-w.bounds.MinX)/w.cw), 0), w.nx-1)
+		cy = min(max(int((p.Y-w.bounds.MinY)/w.ch), 0), w.ny-1)
+	}
+	return cx, cy
+}
+
+// reset starts a walk around sites[i] with its own cell on the heap.
+func (w *siteWalk) reset(i int) {
+	w.i, w.heap, w.ring = i, w.heap[:0], 0
+	w.cx, w.cy = w.cellOf(w.sites[i])
+	w.addCell(w.cx, w.cy)
+}
+
+// next removes and returns the nearest site not yet returned, or false
+// when the walk has returned every other site.
+func (w *siteWalk) next() (int, bool) {
+	last := max(w.nx, w.ny) - 1
+	for w.ring < last && (len(w.heap) == 0 || w.d[w.heap[0]] >= w.bound()) {
+		w.ring++
+		w.addRing(w.ring)
+	}
+	if len(w.heap) == 0 {
+		return 0, false
+	}
+	top := w.heap[0]
+	end := len(w.heap) - 1
+	w.heap[0] = w.heap[end]
+	w.heap = w.heap[:end]
+	w.down(0)
+	return int(top), true
+}
+
+// bound is a lower bound on the squared distance of every site not yet on
+// the heap. Those lie in rings past w.ring, so they are more than
+// w.ring·step away; the bound gives up one ring of that, which absorbs any
+// rounding in the bucketing.
+func (w *siteWalk) bound() float64 {
+	r := float64(w.ring-1) * w.step
+	if r <= 0 {
+		return 0
+	}
+	return r * r
+}
+
+// addRing puts the sites of the cells at Chebyshev distance r from the
+// walk's cell on the heap.
+func (w *siteWalk) addRing(r int) {
+	for y := max(w.cy-r, 0); y <= min(w.cy+r, w.ny-1); y++ {
+		for x := max(w.cx-r, 0); x <= min(w.cx+r, w.nx-1); x++ {
+			if max(abs(x-w.cx), abs(y-w.cy)) == r {
+				w.addCell(x, y)
+			}
 		}
 	}
-	for k := len(h.idx)/2 - 1; k >= 0; k-- {
-		h.down(k)
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// addCell puts the sites of cell (x, y) but the walk's own on the heap.
+func (w *siteWalk) addCell(x, y int) {
+	si := w.sites[w.i]
+	for _, j := range w.cells[y*w.nx+x] {
+		if int(j) == w.i {
+			continue
+		}
+		w.d[j] = w.sites[j].DistSq(si)
+		w.heap = append(w.heap, j)
+		w.up(len(w.heap) - 1)
 	}
 }
 
-// pop removes and returns the nearest remaining site.
-func (h *siteHeap) pop() int {
-	top := h.idx[0]
-	last := len(h.idx) - 1
-	h.idx[0] = h.idx[last]
-	h.idx = h.idx[:last]
-	h.down(0)
-	return int(top)
+func (w *siteWalk) less(a, b int32) bool {
+	return w.d[a] < w.d[b] || (w.d[a] == w.d[b] && a < b)
 }
 
-func (h *siteHeap) less(a, b int32) bool {
-	return h.d[a] < h.d[b] || (h.d[a] == h.d[b] && a < b)
+// up sifts the entry at position k toward the root.
+func (w *siteWalk) up(k int) {
+	for k > 0 {
+		p := (k - 1) / 2
+		if !w.less(w.heap[k], w.heap[p]) {
+			return
+		}
+		w.heap[k], w.heap[p] = w.heap[p], w.heap[k]
+		k = p
+	}
 }
 
 // down sifts the entry at position k toward the leaves.
-func (h *siteHeap) down(k int) {
-	n := len(h.idx)
+func (w *siteWalk) down(k int) {
+	n := len(w.heap)
 	for {
 		c := 2*k + 1
 		if c >= n {
 			return
 		}
-		if c+1 < n && h.less(h.idx[c+1], h.idx[c]) {
+		if c+1 < n && w.less(w.heap[c+1], w.heap[c]) {
 			c++
 		}
-		if !h.less(h.idx[c], h.idx[k]) {
+		if !w.less(w.heap[c], w.heap[k]) {
 			return
 		}
-		h.idx[k], h.idx[c] = h.idx[c], h.idx[k]
+		w.heap[k], w.heap[c] = w.heap[c], w.heap[k]
 		k = c
 	}
 }

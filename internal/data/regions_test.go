@@ -369,3 +369,58 @@ func writeGeographic(w io.Writer, rs *RegionSet) error {
 	}
 	return WriteGeoJSON(w, out)
 }
+
+// TestSiteWalkOrder: a walk run to the end returns every other site
+// exactly in (squared distance, index) order — the order a sort of all
+// sites gives — with coincident sites, sites on the bounds' edges, and
+// bounds too thin for a grid.
+func TestSiteWalkOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		n      int
+		bounds geom.BBox
+	}{
+		{1, geom.BBox{MaxX: 10, MaxY: 10}},
+		{2, geom.BBox{MaxX: 10, MaxY: 10}},
+		{9, geom.BBox{MinX: -5, MaxX: 5, MaxY: 1}},
+		{300, geom.BBox{MaxX: 1000, MaxY: 250}},
+		{300, geom.BBox{MinX: 7, MaxX: 7, MaxY: 100}},
+	} {
+		sites := make([]geom.Point, tc.n)
+		for i := range sites {
+			switch {
+			case i%10 == 3 && i > 0: // coincident with the previous site
+				sites[i] = sites[i-1]
+			case i%10 == 7: // on the max corner
+				sites[i] = geom.Point{X: tc.bounds.MaxX, Y: tc.bounds.MaxY}
+			default:
+				sites[i] = geom.Point{
+					X: tc.bounds.MinX + rng.Float64()*tc.bounds.Width(),
+					Y: tc.bounds.MinY + rng.Float64()*tc.bounds.Height(),
+				}
+			}
+		}
+		w := newSiteWalk(sites, tc.bounds)
+		for i := range sites {
+			var want []int
+			for j := range sites {
+				if j != i {
+					want = append(want, j)
+				}
+			}
+			sort.SliceStable(want, func(a, b int) bool {
+				return sites[want[a]].DistSq(sites[i]) < sites[want[b]].DistSq(sites[i])
+			})
+			w.reset(i)
+			for k, wj := range want {
+				j, ok := w.next()
+				if !ok || j != wj {
+					t.Fatalf("n=%d bounds=%v site %d: pop %d is %d (ok=%v), want %d", tc.n, tc.bounds, i, k, j, ok, wj)
+				}
+			}
+			if j, ok := w.next(); ok {
+				t.Fatalf("n=%d site %d: walk returned %d past the last site", tc.n, i, j)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultBlockSize is the number of points per block a PointSource exposes
@@ -161,13 +162,17 @@ func AttrIndex(src PointSource, name string) int {
 // setSource adapts an in-RAM PointSet to the PointSource interface:
 // blocks are zero-copy sub-slices of the set's columns, zone maps are
 // computed once on first use, and Slab serves arbitrary contiguous runs.
+// The source of a set AppendCOW grew starts from its parent's: see
+// grownSource.
 type setSource struct {
 	ps        *PointSet
 	attrNames []string
 	sorted    bool
 
+	// zones is nil until the zone maps are built; zonesOnce builds them
+	// once. A grown set's source is published with zones already set.
 	zonesOnce sync.Once
-	zones     []Zone
+	zones     atomic.Pointer[[]Zone]
 }
 
 // Source returns the PointSource view of the point set, computed on first
@@ -183,6 +188,41 @@ func (ps *PointSet) Source() PointSource {
 		return s
 	}
 	return ps.source.Load()
+}
+
+// grownSource returns the source view of grown, which AppendCOW built as
+// ps's points followed by tail's, derived from ps's view in time and space
+// proportional to the tail: grown is time-sorted when ps was, the tail is,
+// and ps's last timestamp does not follow the tail's first; the zone maps
+// of ps's full blocks carry over, because a full block's points are the
+// same in both sets, and only ps's last partial block and the tail's
+// blocks are zoned afresh — at most ⌈tail/DefaultBlockSize⌉+1 zones. A ps
+// without a source view gives nil, leaving grown's view to its first
+// Source call; a ps whose zones were never built leaves grown's lazy too.
+// The result refers to neither ps nor ps's view — the zones it copies
+// share only their immutable attribute entries — so a chain of appends
+// pins no old snapshot's columns.
+func (ps *PointSet) grownSource(grown, tail *PointSet) *setSource {
+	parent := ps.source.Load()
+	if parent == nil {
+		return nil
+	}
+	sorted := parent.sorted && timeSorted(tail.T)
+	if n := len(ps.T); n > 0 && len(tail.T) > 0 && ps.T[n-1] > tail.T[0] {
+		sorted = false
+	}
+	s := &setSource{ps: grown, attrNames: parent.attrNames, sorted: sorted}
+	if pz := parent.zones.Load(); pz != nil {
+		full := ps.Len() / DefaultBlockSize
+		zs := make([]Zone, s.NumBlocks())
+		copy(zs, (*pz)[:full])
+		for b := full; b < len(zs); b++ {
+			lo, hi := s.BlockSpan(b)
+			zs[b] = BuildZone(grown, lo, hi)
+		}
+		s.zones.Store(&zs)
+	}
+	return s
 }
 
 // timeSorted reports whether t is non-decreasing.
@@ -216,17 +256,20 @@ func (s *setSource) BlockSpan(b int) (lo, hi int) {
 }
 
 func (s *setSource) Zone(b int) Zone {
+	if zs := s.zones.Load(); zs != nil {
+		return (*zs)[b]
+	}
 	s.zonesOnce.Do(s.buildZones)
-	return s.zones[b]
+	return (*s.zones.Load())[b]
 }
 
 func (s *setSource) buildZones() {
-	nb := s.NumBlocks()
-	s.zones = make([]Zone, nb)
-	for b := 0; b < nb; b++ {
+	zs := make([]Zone, s.NumBlocks())
+	for b := range zs {
 		lo, hi := s.BlockSpan(b)
-		s.zones[b] = BuildZone(s.ps, lo, hi)
+		zs[b] = BuildZone(s.ps, lo, hi)
 	}
+	s.zones.Store(&zs)
 }
 
 // BuildZone computes the zone map of points [lo, hi) of an in-RAM set.

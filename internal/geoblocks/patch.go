@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/fsum"
@@ -12,8 +13,9 @@ import (
 
 // PatchAppend returns a new Index over newPS — which must be ix's point set
 // plus appended points (the framework's copy-on-write append) — without
-// rebuilding the pyramid: it computes aggregate pyramids over only the
-// appended tail and merges them into the base cell by cell. Counts add
+// rebuilding the pyramid: it computes delta aggregates over only the cells
+// the appended points land in and their ancestors, and merges them into
+// copies of the base levels cell by cell. Counts add
 // exactly and min/max update monotonically, so both stay bit-identical to a
 // from-scratch rebuild; sums merge one compensated tail partial into one
 // compensated base partial with a single add per cell, which carries the
@@ -99,23 +101,15 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 		cursor[c]++
 	}
 
-	// Delta count pyramid over only the newly appended ids [oldLen, n),
-	// reduced with the same machinery as a build, then merged exactly.
-	dfin := make([]int64, cells)
-	for i := oldLen; i < n; i++ {
-		dfin[out.finestCell(newPS.X[i], newPS.Y[i])]++
-	}
-	dcounts := make([][]int64, ix.maxLevel+1)
-	dcounts[ix.maxLevel] = dfin
-	for l := ix.maxLevel - 1; l >= 0; l-- {
-		dcounts[l] = reduceCounts(dcounts[l+1], 1<<(l+1))
-	}
+	// Delta pyramids over only the cells the newly appended ids [oldLen, n)
+	// land in and their ancestors, reduced four children per parent in
+	// reduceAttr's order, then merged into copies of the base levels.
+	lv := touchedPyramid(tailCell[oldLen-ix.baseLen:], ix.maxLevel)
 	out.counts = make([][]int64, ix.maxLevel+1)
 	for l := range out.counts {
-		merged := make([]int64, len(ix.counts[l]))
-		copy(merged, ix.counts[l])
-		for c, d := range dcounts[l] {
-			merged[c] += d
+		merged := append([]int64(nil), ix.counts[l]...)
+		for i, c := range lv[l].cells {
+			merged[c] += lv[l].counts[i]
 		}
 		out.counts[l] = merged
 	}
@@ -124,6 +118,7 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 	// points per cell in id order (walking the tail CSR and skipping ids the
 	// base pyramid already holds), so repeated patches accumulate in the
 	// same deterministic order the appends arrived in.
+	fin := &lv[ix.maxLevel]
 	for name, ap := range ix.attrs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -132,18 +127,17 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 		if col == nil {
 			return nil, fmt.Errorf("geoblocks: patch: new set lost attribute %q", name)
 		}
-		dsums := make([]float64, cells)
-		dmins := make([]float64, cells)
-		dmaxs := make([]float64, cells)
-		for c := 0; c < cells; c++ {
-			lo, hi := out.tailStart[c], out.tailStart[c+1]
-			if lo == hi {
-				continue
-			}
+		dS := make([][]float64, ix.maxLevel+1)
+		dM := make([][]float64, ix.maxLevel+1)
+		dX := make([][]float64, ix.maxLevel+1)
+		for l := range lv {
+			k := len(lv[l].cells)
+			dS[l], dM[l], dX[l] = make([]float64, k), make([]float64, k), make([]float64, k)
+		}
+		for i, c := range fin.cells {
 			var ks fsum.Kahan
 			mn, mx := math.Inf(1), math.Inf(-1)
-			any := false
-			for _, id := range out.tailOrder[lo:hi] {
+			for _, id := range out.tailOrder[out.tailStart[c]:out.tailStart[c+1]] {
 				if int(id) < oldLen {
 					continue
 				}
@@ -155,19 +149,27 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 				if v > mx {
 					mx = v
 				}
-				any = true
 			}
-			if !any {
-				continue
-			}
-			dsums[c], dmins[c], dmaxs[c] = ks.Sum(), mn, mx
+			dS[ix.maxLevel][i], dM[ix.maxLevel][i], dX[ix.maxLevel][i] = ks.Sum(), mn, mx
 		}
-		dS := make([][]float64, ix.maxLevel+1)
-		dM := make([][]float64, ix.maxLevel+1)
-		dX := make([][]float64, ix.maxLevel+1)
-		dS[ix.maxLevel], dM[ix.maxLevel], dX[ix.maxLevel] = dsums, dmins, dmaxs
 		for l := ix.maxLevel - 1; l >= 0; l-- {
-			dS[l], dM[l], dX[l] = reduceAttr(dS[l+1], dM[l+1], dX[l+1], dcounts[l+1], 1<<(l+1))
+			for i, kids := range lv[l].kids {
+				var ks fsum.Kahan
+				mn, mx := math.Inf(1), math.Inf(-1)
+				for _, j := range kids {
+					if j < 0 {
+						continue // no new id in this child
+					}
+					ks.Add(dS[l+1][j])
+					if dM[l+1][j] < mn {
+						mn = dM[l+1][j]
+					}
+					if dX[l+1][j] > mx {
+						mx = dX[l+1][j]
+					}
+				}
+				dS[l][i], dM[l][i], dX[l][i] = ks.Sum(), mn, mx
+			}
 		}
 
 		nap := &attrPyr{
@@ -180,23 +182,20 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 			ms := append([]float64(nil), ap.sums[l]...)
 			mmn := append([]float64(nil), ap.mins[l]...)
 			mmx := append([]float64(nil), ap.maxs[l]...)
-			for c, d := range dcounts[l] {
-				if d == 0 {
-					continue
-				}
+			for i, c := range lv[l].cells {
 				if ix.counts[l][c] == 0 {
 					// The cell was empty before the append: the delta partial
 					// is the whole cell, no merge rounding at all.
-					ms[c], mmn[c], mmx[c] = dS[l][c], dM[l][c], dX[l][c]
+					ms[c], mmn[c], mmx[c] = dS[l][i], dM[l][i], dX[l][i]
 					continue
 				}
 				//lint:ignore floataccum exactly one add per cell per patch: delta partial into base partial, the documented single-merge ε bound
-				ms[c] += dS[l][c]
-				if dM[l][c] < mmn[c] {
-					mmn[c] = dM[l][c]
+				ms[c] += dS[l][i]
+				if dM[l][i] < mmn[c] {
+					mmn[c] = dM[l][i]
 				}
-				if dX[l][c] > mmx[c] {
-					mmx[c] = dX[l][c]
+				if dX[l][i] > mmx[c] {
+					mmx[c] = dX[l][i]
 				}
 			}
 			nap.sums[l], nap.mins[l], nap.maxs[l] = ms, mmn, mmx
@@ -204,4 +203,66 @@ func (ix *Index) PatchAppend(ctx context.Context, newPS *data.PointSet) (*Index,
 		out.attrs[name] = nap
 	}
 	return out, nil
+}
+
+// touchedLevel lists the cells of one pyramid level that appended points
+// land in, in increasing cell order, with each cell's count of appended
+// points. Above the finest level, kids holds each cell's four children as
+// positions in the finer level's list, in reduceAttr's order, -1 for a
+// child no appended point lands in.
+type touchedLevel struct {
+	cells  []int32
+	counts []int64
+	kids   [][4]int32
+}
+
+// touchedPyramid returns the touched cells of every level 0..maxLevel
+// given the finest cell of each appended point: the work of a patch is
+// proportional to the tail and the pyramid's depth, never to its cells.
+func touchedPyramid(finest []int32, maxLevel int) []touchedLevel {
+	lv := make([]touchedLevel, maxLevel+1)
+	sorted := slices.Clone(finest)
+	slices.Sort(sorted)
+	fin := &lv[maxLevel]
+	for _, c := range sorted {
+		if k := len(fin.cells); k > 0 && fin.cells[k-1] == c {
+			fin.counts[k-1]++
+			continue
+		}
+		fin.cells = append(fin.cells, c)
+		fin.counts = append(fin.counts, 1)
+	}
+	for l := maxLevel - 1; l >= 0; l-- {
+		child := &lv[l+1]
+		childSide := int32(1) << (l + 1)
+		side := childSide / 2
+		cells := make([]int32, len(child.cells))
+		for i, c := range child.cells {
+			cells[i] = (c/childSide/2)*side + (c%childSide)/2
+		}
+		slices.Sort(cells)
+		cells = slices.Compact(cells)
+		p := &lv[l]
+		p.cells = cells
+		p.counts = make([]int64, len(cells))
+		p.kids = make([][4]int32, len(cells))
+		for i, c := range cells {
+			cy, cx := c/side, c%side
+			for k, ci := range [4]int32{
+				(2 * cy * childSide) + 2*cx,
+				(2 * cy * childSide) + 2*cx + 1,
+				((2*cy + 1) * childSide) + 2*cx,
+				((2*cy + 1) * childSide) + 2*cx + 1,
+			} {
+				j, ok := slices.BinarySearch(child.cells, ci)
+				if !ok {
+					p.kids[i][k] = -1
+					continue
+				}
+				p.kids[i][k] = int32(j)
+				p.counts[i] += child.counts[j]
+			}
+		}
+	}
+	return lv
 }

@@ -92,11 +92,14 @@ func (j *Joiner) CanServe(req core.Request) error {
 // field a slab partial depends on except the slab window itself. The
 // granularity participates so resizing the slab width can never alias
 // partials; the region set's identity stamp stands in for its geometry.
+// The aggregate files under qcache.ResultAgg, as the selection cache does:
+// an AVG partial holds the same counts and sums as the SUM partial of the
+// same attribute and filters, so the two share one entry.
 func (j *Joiner) requestSig(req core.Request) string {
 	return qcache.NewSig("slab").
 		Int("gran", j.gran).
 		Int("regions", int64(req.Regions.Stamp())).
-		Str("agg", req.Agg.String()).Str("attr", req.Attr).
+		Str("agg", qcache.ResultAgg(req.Agg).String()).Str("attr", req.Attr).
 		Filters("f", req.Filters).Key()
 }
 

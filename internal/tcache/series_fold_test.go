@@ -192,6 +192,39 @@ func TestPartiallyWarmFoldMatchesCold(t *testing.T) {
 	requireSame(t, "partially-warm-vs-cold", got, cold)
 }
 
+// TestAvgFoldReusesSumPartials: AVG and SUM partials of one attribute and
+// filters are the same stats, so an AVG fold over a window a SUM fold just
+// cached recomputes no slab and answers bit for bit as a cold AVG fold.
+func TestAvgFoldReusesSumPartials(t *testing.T) {
+	ps := buildTemporalScene(t, 3000, 41)
+	rs := queryRegions(rand.New(rand.NewSource(43)))
+	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))
+	const gran = 1800
+	window := func(agg core.Agg) core.Request {
+		return core.Request{Points: ps, Regions: rs, Agg: agg, Attr: "v",
+			Filters: []core.Filter{{Attr: "w", Min: 5, Max: 55}},
+			Time:    &core.TimeFilter{Start: 3 * gran, End: 17 * gran}}
+	}
+	ctx := context.Background()
+	j := tcache.New(raster, gran, 0, 0)
+	if _, err := j.JoinContext(ctx, window(core.Sum)); err != nil {
+		t.Fatal(err)
+	}
+	recomputed := j.SlabsRecomputed()
+	got, err := j.JoinContext(ctx, window(core.Avg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.SlabsRecomputed() - recomputed; n != 0 {
+		t.Fatalf("AVG fold after a SUM fold recomputed %d slabs, want 0", n)
+	}
+	cold, err := tcache.New(raster, gran, 0, 0).JoinContext(ctx, window(core.Avg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, "avg-from-sum-vs-cold-avg", got, cold)
+}
+
 // TestMinMaxEpsilonFoldOneSeriesPerRun: MIN/MAX, the ε mode and a canvas
 // tiled by the device fold one series per missing run, like every other
 // request, and equal the per-slab fold.
