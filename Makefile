@@ -92,10 +92,11 @@ fuzz:
 # count), the golden digests of joins, flows, density, series and tiled
 # renders (every worker count reproduces the recorded bits), the
 # cancellation-hygiene tests, the span cache, the compiled layer's
-# row-edge tables and the data sets' bounds memo.
+# row-edge tables, the data sets' bounds memo, and resolve against its
+# per-fragment reference with three workers (its region-parallel pass 3).
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds' \
+		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds|ResolveMatchesMerge' \
 		./internal/gpu ./internal/raster ./internal/core ./internal/data
 
 # End-to-end deadline smoke test: boot the real server with a 1ms

@@ -216,6 +216,16 @@ type odLookup struct {
 	nr    int64
 }
 
+// polygonSpans returns region k's pass-2 spans: its whole fill, or with
+// exact (accurate mode) its interior, whose boundary pixels pass 3
+// resolves.
+func polygonSpans(sp *raster.RegionSpans, k int, exact bool) []raster.Span {
+	if exact {
+		return sp.Interior(k)
+	}
+	return sp.Fill(k)
+}
+
 // drawIDs writes the region-ID texture: the first region whose pass-2 spans
 // cover a pixel owns it. In accurate mode only each region's interior is
 // written — a pixel on its own boundary is resolved exactly by owner, while

@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/mercator"
+	"repro/internal/raster"
 )
 
 // benchTaxi is the 1 M-point taxi set both kernel benchmarks draw.
@@ -95,40 +97,64 @@ func BenchmarkPointPass(b *testing.B) {
 	}
 }
 
-// BenchmarkResolve measures passes 2 and 3 alone: SUM(fare) over 1 M taxi
-// points at 1024 px, pass 1 drawn once, then resolve timed per iteration on
-// each scene layer in both modes. Accurate mode's observation lists, which
-// resolve empties, are restored from a copy outside the timer.
+// BenchmarkResolve measures passes 2 and 3 alone: SUM(fare) at 1024 px, pass
+// 1 drawn once, then resolve timed per iteration on each scene layer in both
+// modes, over all 1 M taxi points and over a narrow one-hour window of them
+// (the -1h rows). resolve clears what it reads, so the textures, the hit
+// bitmap and accurate mode's observation lists are restored from copies
+// outside the timer.
 func BenchmarkResolve(b *testing.B) {
 	taxi := benchTaxi()
 	layers := benchLayers()
+	hour := taxi.T[taxi.Len()/2]
 	ctx := context.Background()
 	for _, mode := range []Mode{Approximate, Accurate} {
 		for _, layer := range layers {
-			b.Run(mode.String()+"/"+layer.Name, func(b *testing.B) {
-				rj := NewRasterJoin(WithResolution(1024), WithMode(mode))
-				t, sc, attrIdx := benchTile(b, rj, taxi, layer, Sum)
-				if err := t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx); err != nil {
-					b.Fatal(err)
+			for _, narrow := range []bool{false, true} {
+				name := mode.String() + "/" + layer.Name
+				if narrow {
+					name += "-1h"
 				}
-				saved := make([][]obs, len(t.rows))
-				for y, row := range t.rows {
-					saved[y] = append([]obs(nil), row...)
-				}
-				stats := make([]RegionStat, layer.Len())
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for y := range t.rows {
-						t.rows[y] = append(t.rows[y][:0], saved[y]...)
+				b.Run(name, func(b *testing.B) {
+					rj := NewRasterJoin(WithResolution(1024), WithMode(mode))
+					t, sc, attrIdx := benchTile(b, rj, taxi, layer, Sum)
+					if narrow {
+						if err := sc.setTime(hour, hour+3600); err != nil {
+							b.Fatal(err)
+						}
 					}
-					clear(stats)
-					b.StartTimer()
-					if err := t.resolve(ctx, stats); err != nil {
+					if err := t.drawScan(ctx, sc, sc.Lo, sc.Hi, attrIdx); err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					count, sum := slices.Clone(t.count.Data), slices.Clone(t.sum.Data)
+					hit := raster.NewBitmap(t.hit.W, t.hit.H)
+					for y := 0; y < hit.H; y++ {
+						copy(hit.Row(y), t.hit.Row(y))
+					}
+					rows := make([][]obs, len(t.rows))
+					for y, row := range t.rows {
+						rows[y] = slices.Clone(row)
+					}
+					stats := make([]RegionStat, layer.Len())
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						copy(t.count.Data, count)
+						copy(t.sum.Data, sum)
+						for y := 0; y < hit.H; y++ {
+							copy(t.hit.Row(y), hit.Row(y))
+						}
+						for y := range t.rows {
+							t.rows[y] = append(t.rows[y][:0], rows[y]...)
+						}
+						clear(stats)
+						b.StartTimer()
+						if err := t.resolve(ctx, stats); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

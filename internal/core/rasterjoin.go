@@ -186,7 +186,20 @@ func (r *RasterJoin) JoinContext(ctx context.Context, req Request) (*Result, err
 // pass 1 scans the request's source locally; with a plan pass 1 is
 // scattered across shards and gathered into the same tile state.
 func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*Result, error) {
-	out, err := r.tileLoop(ctx, req, 1, plan == nil, func(t *tile, sc *Scan, attrIdx int, out []*Result) error {
+	out, err := r.tileLoop(ctx, req, 1, plan == nil, joinTile(ctx, req, plan))
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// tileBody is one join shape's work on a canvas tile: pass 1 into t and
+// resolve into out.
+type tileBody func(t *tile, sc *Scan, attrIdx int, out []*Result) error
+
+// joinTile is join's tile body: pass 1, local or gathered, then resolve.
+func joinTile(ctx context.Context, req Request, plan ScatterPlan) tileBody {
+	return func(t *tile, sc *Scan, attrIdx int, out []*Result) error {
 		var err error
 		if plan != nil {
 			err = t.gather(ctx, req, attrIdx, plan)
@@ -197,11 +210,7 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 			return err
 		}
 		return t.resolve(ctx, out[0].Stats)
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out[0], nil
 }
 
 // tileLoop is the pipeline every join shares, plain and series alike. It
@@ -211,9 +220,11 @@ func (r *RasterJoin) join(ctx context.Context, req Request, plan ScatterPlan) (*
 // canvas, on a fresh tile released on every exit path, the scan compiled
 // from req and re-aimed at the tile (nil unless scan: the scatter-gather
 // draws pass 1 on the shards) and the aggregate's attribute column, and the
-// results carry the canvas metadata.
+// results carry the canvas metadata. In accurate mode each tile that
+// completes records the boundary_obs and refine_edge_tests trace counters
+// of its resolves.
 func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan bool,
-	body func(t *tile, sc *Scan, attrIdx int, out []*Result) error) ([]*Result, error) {
+	body tileBody) ([]*Result, error) {
 
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -263,7 +274,14 @@ func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan b
 			return err
 		}
 		defer t.release()
-		return body(t, sc, attrIdx, out)
+		if err := body(t, sc, attrIdx, out); err != nil {
+			return err
+		}
+		if t.mask != nil {
+			tr.Count("boundary_obs", t.nobs)
+			tr.Count("refine_edge_tests", t.tests)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

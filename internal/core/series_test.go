@@ -177,7 +177,7 @@ func requireSeriesMatchesPerBin(t *testing.T, rj *core.RasterJoin, req core.Requ
 	return sr
 }
 
-// TestSeriesSparseCases: resolveBin visits only touched pixels, so the
+// TestSeriesSparseCases: resolve visits only touched pixels, so the
 // cases a full-canvas pass handles for free are pinned against per-bin
 // joins: bins with no points, bins whose points all fall between the
 // regions, and a layer of overlapping regions (a pixel in several

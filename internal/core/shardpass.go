@@ -32,9 +32,9 @@ import (
 // the shard-local folds; their fragments come back raw, tagged with the
 // global point index, and the coordinator replays them through the
 // same pass-1 shader in ascending index order — again the unsharded
-// per-pixel order. After the gather the textures and each pixel's boundary
-// observations are bit-for-bit what a local pass 1 would have produced, and
-// passes 2 and 3 run on the same tile state either way, so the entire
+// per-pixel order. After the gather the textures, the hit bitmap and each
+// pixel's boundary observations are bit-for-bit what a local pass 1 would
+// have produced, and passes 2 and 3 run on the same tile state either way, so the entire
 // Result is byte-identical at any shard count.
 
 // shardFrag is one raw fragment from a straddle column: the pixel it landed
@@ -141,8 +141,9 @@ func (r *RasterJoin) JoinScattered(ctx context.Context, req Request, plan Scatte
 }
 
 // gather is pass 1 scattered: fan the tile's point pass out through plan
-// and merge the partials into t, leaving textures and each pixel's boundary
-// observations bit-for-bit what a local drawScan would have produced.
+// and merge the partials into t, leaving textures, hit bits and each pixel's
+// boundary observations bit-for-bit what a local drawScan would have
+// produced.
 func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan ScatterPlan) error {
 	w, h := t.c.T.W, t.c.T.H
 	tr := trace.FromContext(ctx)
@@ -200,6 +201,7 @@ func (t *tile) gather(ctx context.Context, req Request, attrIdx int, plan Scatte
 				}
 				ti := py*w + px
 				t.count.Data[ti] = cnt
+				t.hit.Set(px, py)
 				switch {
 				case t.sum != nil:
 					t.sum.Data[ti] = p.sum.Data[bi]

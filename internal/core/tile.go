@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -20,19 +22,20 @@ import (
 //  1. Point pass — filtered points are drawn with additive blending into a
 //     per-pixel count texture and, by aggregate, a sum texture (SUM/AVG) or
 //     a min/max texture (the MIN/MAX blend equations over ±Inf).
-//  2. Polygon pass — each region is drawn; every covered fragment folds the
-//     point textures into the region's accumulator.
+//  2. Polygon pass — each region is drawn; every covered fragment that holds
+//     points folds the point textures into the region's accumulator.
 //  3. (Accurate only) Exact pass — pass 2 draws each region's interior,
 //     its fill minus its own boundary pixels, and the points that pass 1
 //     binned in those boundary pixels take exact point-in-polygon tests
 //     against the region's edges in their row.
 //
-// The polygon side of all three — spans, boundary mask and slots, interior
-// runs, row-edge tables — is one raster.RegionSpans from the span cache.
-// JoinContext, the scatter-gather gather and SeriesJoinContext all run on
-// this tile, through one tile loop (tileLoop); a shard's partial pass runs
-// on the bare targets. A series tile resolves each bin with resolveBin
-// (series.go), passes 2 and 3 over only the pixels the bin hit.
+// The polygon side of all three — spans, boundary mask and slots, fill and
+// interior runs, row-edge tables — is one raster.RegionSpans from the span
+// cache. JoinContext, the scatter-gather gather and SeriesJoinContext all
+// run on this tile, through one tile loop (tileLoop), and resolve it with
+// one kernel (resolve): passes 2 and 3 over only the pixels pass 1 hit and
+// the boundary slots that got observations. A shard's partial pass runs on
+// the bare targets.
 
 // obs is one retained boundary observation: the point's coordinates (for
 // the exact fix-up test), its aggregated value, the pixel column it landed
@@ -57,8 +60,8 @@ type targets struct {
 	// pixel's observations keep point order.
 	mask *raster.Bitmap
 	rows [][]obs
-	// hit, when non-nil (a series tile), marks the pixels the pass shaded,
-	// so resolveBin visits and clears only those.
+	// hit, on a canvas tile, marks the pixels the pass shaded, so resolve
+	// visits and clears only those (nil on a shard's band).
 	hit *raster.Bitmap
 	// straddle, on a shard's band, marks the canvas columns that hold a
 	// shard cut: points landing there are not folded but kept raw in frags,
@@ -106,7 +109,7 @@ type mapped struct {
 
 // blend folds pts into the targets, one loop per target, each in point
 // order: the count, the aggregate's value (sum, min or max) read from vs,
-// the series hit bitmap, and the boundary mask, whose points append their
+// the hit bitmap, and the boundary mask, whose points append their
 // coordinates and value to their row's observation list. vs nil folds value
 // 0. Every points-first path — local draws, straddle replay, shard bands —
 // folds through here, so each pixel and each row list sees the same
@@ -170,14 +173,22 @@ func (t *targets) shade(px, py int, x, y, v float64) {
 }
 
 // tile is the points-first state of one canvas pass: the pass-1 targets
-// plus the compiled polygon side passes 2 and 3 replay, and the slot-keyed
-// bins pass 3 reads.
+// plus the compiled polygon side passes 2 and 3 replay, the slot-keyed bins
+// pass 3 reads, and resolve's scratch.
 type tile struct {
 	targets
 	r  *RasterJoin
 	c  *gpu.Canvas
 	sp *raster.RegionSpans
 	bins
+	// local accumulates each region's stat over one resolve from zero;
+	// marks (accurate mode) is a bitmap over the concatenated Boundary
+	// lists marking the positions whose slot got observations.
+	local []RegionStat
+	marks []uint64
+	// nobs and tests total, over the tile's resolves, the boundary
+	// observations binned and the edge crossing tests made.
+	nobs, tests int64
 }
 
 // newTile prepares a canvas for the points-first passes: the compiled
@@ -189,14 +200,16 @@ func (r *RasterJoin) newTile(ctx context.Context, c *gpu.Canvas, regions *data.R
 	if err != nil {
 		return nil, err
 	}
-	t := &tile{r: r, c: c, sp: sp}
+	t := &tile{r: r, c: c, sp: sp, local: make([]RegionStat, sp.Regions())}
 	var mask *raster.Bitmap
 	if r.mode == Accurate {
 		mask = sp.Mask()
 	}
 	t.targets = newTargets(agg, 0, c.T.W, c.T.H, mask, r.dev.AcquireTexture)
+	t.hit = raster.NewBitmap(c.T.W, c.T.H)
 	if mask != nil {
 		t.bins = bins{n: make([]int32, sp.Slots()), end: make([]int32, sp.Slots())}
+		t.marks = make([]uint64, (sp.BoundaryOffset(sp.Regions())+63)/64)
 	}
 	return t, nil
 }
@@ -321,70 +334,178 @@ func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) erro
 	return t.r.pass1(ctx, &t.targets, t.c.PixelMap(), sc, lo, hi, attrIdx, "batches")
 }
 
-// polygonSpans returns region k's pass-2 spans: its whole fill, or with
-// exact (accurate mode) its interior, whose boundary pixels pass 3
-// resolves.
-func polygonSpans(sp *raster.RegionSpans, k int, exact bool) []raster.Span {
-	if exact {
-		return sp.Interior(k)
-	}
-	return sp.Fill(k)
-}
-
-// resolve runs passes 2 and 3 over finished pass-1 targets, merging each
-// region's aggregate into stats[k]: per-region accumulation over the
-// region's interior, parallel across regions, plus the accurate-mode exact
-// pass over the region's boundary pixels. It records the boundary_obs and
-// refine_edge_tests trace counters once per tile.
+// resolve runs passes 2 and 3 over finished pass-1 targets and merges each
+// region's aggregate over the tile into stats[k]. Its work scales with the
+// pixels pass 1 hit and the observations it kept, plus one word test per 64
+// canvas pixels and per 64 boundary positions — not with the pixels the
+// layer covers. Pass 2 (accumulate) folds every hit pixel into the regions
+// whose runs cover it. In accurate mode pass 3 bins the boundary
+// observations, marks every position of the observed slots in marks and,
+// parallel across runs of consecutive regions, runs fixup on each region's
+// marked positions in Boundary order (refine). Each region's stat
+// accumulates from zero in local and is merged into stats[k] within the
+// fan-out. Every hit pixel, texel, bin and mark is cleared on the way, so
+// the tile is ready for another pass 1 — a series' next bin.
 //
-// Race audit: parallelCtx hands each region index k to exactly one
-// goroutine, so stats[k] has a single writer; the textures, observation
-// lists and bins are frozen after collect and only read here, and the
-// edge-test total is atomic.
+// Race audit: parallelCtx hands each claim, regions [k0, k1), to exactly
+// one goroutine, which writes only local[k] and stats[k] of those regions;
+// the textures, observation lists, bins and marks are only read during the
+// fan-out, and the edge-test total is atomic. marks is cleared after the
+// fan-out, not inside it, because one word can hold two regions' positions.
 func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
+	if err := t.accumulate(ctx); err != nil {
+		return err
+	}
+	slots := t.sp.SlotIndex()
 	if t.mask != nil {
-		trace.FromContext(ctx).Count("boundary_obs", int64(t.collect(t.rows, t.sp)))
-		defer t.clear(t.rows)
+		t.nobs += int64(t.collect(t.rows, t.sp))
+		for _, s := range t.touched {
+			for _, q := range slots.Positions(s) {
+				t.marks[q>>6] |= 1 << uint(q&63)
+			}
+		}
 	}
 	var tests atomic.Int64
-	err := t.r.parallelCtx(ctx, t.sp.Regions(), func(k int) {
-		local := t.foldSpans(polygonSpans(t.sp, k, t.mask != nil))
+	n := t.sp.Regions()
+	claims := min(n, claimsPerWorker*t.r.workers)
+	err := t.r.parallelCtx(ctx, claims, func(c int) {
+		k0, k1 := c*n/claims, (c+1)*n/claims
 		if t.mask != nil {
-			n := int64(0)
-			slots := t.sp.BoundarySlots(k)
-			for i, idx := range t.sp.Boundary(k) {
-				n += t.fixup(k, idx, slots[i], &local)
-			}
-			tests.Add(n)
+			tests.Add(t.refine(k0, k1))
 		}
-		stats[k].Merge(local)
+		for k := k0; k < k1; k++ {
+			if local := &t.local[k]; local.Count != 0 {
+				stats[k].Merge(*local)
+				*local = RegionStat{}
+			}
+		}
 	})
+	t.tests += tests.Load()
 	if t.mask != nil {
-		trace.FromContext(ctx).Count("refine_edge_tests", tests.Load())
+		for _, s := range t.touched {
+			for _, q := range slots.Positions(s) {
+				t.marks[q>>6] = 0
+			}
+		}
+		t.clear(t.rows)
 	}
 	return err
 }
 
-// foldSpans is pass 2 over one region's spans, each read as rows of the
-// count and value textures: the stat RegionStat.Merge of every covered
-// pixel with points — its count, and its sum or its min/max texel as both
-// Min and Max — gives, bit for bit. COUNT, SUM and AVG fold every pixel with
-// no per-pixel branch (gpu.Canvas.SumSpans says why that is exact); MIN and
-// MAX skip the pixels without points, whose texels hold ±Inf.
-func (t *tile) foldSpans(spans []raster.Span) RegionStat {
-	ext := t.min
-	if ext == nil {
-		ext = t.max
+// accumulate is pass 2. It visits the hit pixels in ascending canvas index —
+// rows down, each row's hit words left to right — and folds each into
+// local[k] of every region k whose runs cover it: the interior runs in
+// accurate mode, the fill runs in approximate mode. A region's runs are
+// drawn row by row, left to right, so every region sees its pixels in the
+// order DrawSpans replays its spans. A pixel folds its count and its sum,
+// or — for MIN/MAX — merges its count with its extremum texel as both Min
+// and Max; then its hit bit and texels are cleared, the extremum texel to
+// the blend's ±Inf identity. ctx is polled once per pollRows rows.
+func (t *tile) accumulate(ctx context.Context) error {
+	runs := t.sp.FillRows()
+	if t.mask != nil {
+		runs = t.sp.InteriorRows()
 	}
-	if ext != nil {
-		n, lo, hi := t.c.MinMaxSpans(spans, t.count, ext)
-		return RegionStat{Count: n, Min: lo, Max: hi}
+	w, local, hit := t.c.T.W, t.local, t.hit
+	count := t.count.Data
+	var sum, ext []float64
+	var identity float64
+	switch {
+	case t.sum != nil:
+		sum = t.sum.Data
+	case t.min != nil:
+		ext, identity = t.min.Data, math.Inf(1)
+	case t.max != nil:
+		ext, identity = t.max.Data, math.Inf(-1)
 	}
-	n, sum := t.c.SumSpans(spans, t.count, t.sum)
-	return RegionStat{Count: n, Sum: sum}
+	for y := 0; y < t.c.T.H; y++ {
+		if y%pollRows == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		words := hit.Row(y)
+		row := runs.Row(y)
+		i := 0
+		for wi, word := range words {
+			if word == 0 {
+				continue
+			}
+			words[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				x := int32(wi<<6 | bits.TrailingZeros64(word))
+				idx := y*w + int(x)
+				// i becomes the number of the row's runs starting at or left
+				// of x, galloping on from the previous hit.
+				for step := 1; i < len(row) && row[i].X0 <= x; step <<= 1 {
+					j := min(i+step, len(row))
+					if row[j-1].X0 > x {
+						i += sort.Search(j-1-i, func(n int) bool { return row[i+n].X0 > x })
+						break
+					}
+					i = j
+				}
+				for j := i - 1; j >= 0 && row[j].Reach > x; j-- {
+					if row[j].X1 <= x {
+						continue
+					}
+					s := &local[row[j].K]
+					if ext != nil {
+						s.Merge(RegionStat{Count: int64(count[idx]), Min: ext[idx], Max: ext[idx]})
+						continue
+					}
+					s.Count += int64(count[idx])
+					if sum != nil {
+						s.Sum += sum[idx]
+					}
+				}
+				count[idx] = 0
+				if sum != nil {
+					sum[idx] = 0
+				}
+				if ext != nil {
+					ext[idx] = identity
+				}
+			}
+		}
+	}
+	return nil
 }
 
-// parallelCtx fans indices [0,n) — regions of the polygon pass, point
+// pollRows is the number of canvas rows pass 2 walks between context polls.
+const pollRows = 64
+
+// claimsPerWorker is how many runs of consecutive regions pass 3 splits
+// the layer into per worker: enough that a worker finishing early finds
+// more, few enough that a claim's cost is its marks, not its bookkeeping.
+const claimsPerWorker = 8
+
+// refine is pass 3 for regions [k0, k1): fixup, into local[k], on each
+// boundary position of region k set in marks, region by region in Boundary
+// order — one walk over the marks of the regions' concatenated Boundary
+// lists. It returns the number of edge crossing tests made.
+func (t *tile) refine(k0, k1 int) (tests int64) {
+	marks, sp := t.marks, t.sp
+	k := k0
+	for q, hi := int(sp.BoundaryOffset(k0)), int(sp.BoundaryOffset(k1)); q < hi; q++ {
+		word := marks[q>>6] >> uint(q&63)
+		if word == 0 {
+			q |= 63 // on to the next word
+			continue
+		}
+		if q += bits.TrailingZeros64(word); q >= hi {
+			break
+		}
+		for q >= int(sp.BoundaryOffset(k+1)) {
+			k++
+		}
+		i := q - int(sp.BoundaryOffset(k))
+		tests += t.fixup(k, sp.Boundary(k)[i], sp.BoundarySlots(k)[i], &t.local[k])
+	}
+	return tests
+}
+
+// parallelCtx fans indices [0,n) — resolve's runs of regions, the point
 // ranges of the flow join — across the joiner's workers, checking the
 // context between claims: a canceled request stops handing out work and
 // returns ctx.Err() once the in-flight indices drain.
@@ -429,9 +550,9 @@ func (r *RasterJoin) parallelCtx(ctx context.Context, n int, fn func(k int)) err
 // fixup is pass 3 for idx, one of region k's own boundary pixels, with
 // boundary slot slot: every observation binned there takes the exact
 // point-in-polygon test against the region's edges in the pixel's row and,
-// when inside, folds into local. resolve runs it over the region's boundary
-// pixels in order, resolveBin over the ones the bin's points reached. It
-// returns the number of edge crossing tests made.
+// when inside, folds into local. refine runs it over the region's boundary
+// pixels whose slots got observations, in Boundary order. It returns the
+// number of edge crossing tests made.
 func (t *tile) fixup(k int, idx, slot int32, local *RegionStat) int64 {
 	bin := t.bin(slot)
 	if len(bin) == 0 {

@@ -245,64 +245,3 @@ func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
 		}
 	}
 }
-
-// SumSpans is DrawSpans with the additive polygon-pass shader built in: it
-// reads each span as a row slice of the count texture and, when sum is
-// non-nil, of the sum texture, and returns the total of the count texels and
-// the sum texels added left to right, in DrawSpans' fragment order, to +0.
-// No fragment is skipped: an empty pixel's +0 leaves the total's bits alone
-// unless the total is -0, which a sum from +0 of texels that are never -0
-// cannot be.
-func (c *Canvas) SumSpans(spans []raster.Span, count, sum *Texture) (n int64, s float64) {
-	for _, sp := range spans {
-		i, j := int(sp.Y)*count.W+int(sp.X0), int(sp.Y)*count.W+int(sp.X1)
-		cnt := count.Data[i:j]
-		if sum == nil {
-			for _, v := range cnt {
-				n += int64(v)
-			}
-			continue
-		}
-		vals := sum.Data[i:j]
-		vals = vals[:len(cnt)]
-		for x, v := range cnt {
-			n += int64(v)
-			//lint:ignore floataccum pass 2 must add a region's pixels in fragment order to match the per-pixel fold bit for bit; trip count bounded by the region's pixels
-			s += vals[x]
-		}
-	}
-	return n, s
-}
-
-// MinMaxSpans is DrawSpans with the MIN/MAX polygon-pass shader built in:
-// over the fragments whose count texel is non-zero, in DrawSpans' order, it
-// returns the count total and the least and greatest of val's texels, the
-// first such fragment's texel starting both. Empty fragments are skipped —
-// their texels hold the blend's ±Inf identity. lo and hi are 0 when no
-// fragment has a point.
-func (c *Canvas) MinMaxSpans(spans []raster.Span, count, val *Texture) (n int64, lo, hi float64) {
-	for _, sp := range spans {
-		i, j := int(sp.Y)*count.W+int(sp.X0), int(sp.Y)*count.W+int(sp.X1)
-		cnt := count.Data[i:j]
-		vals := val.Data[i:j]
-		vals = vals[:len(cnt)]
-		for x, v := range cnt {
-			if v == 0 {
-				continue
-			}
-			m := vals[x]
-			if n == 0 {
-				lo, hi = m, m
-			} else {
-				if m < lo {
-					lo = m
-				}
-				if m > hi {
-					hi = m
-				}
-			}
-			n += int64(v)
-		}
-	}
-	return n, lo, hi
-}

@@ -50,8 +50,8 @@ func (rr RowRuns) Row(y int) []Run { return rr.runs[rr.start[y]:rr.start[y+1]] }
 // boundary pixels, the interior spans (the fill cut at the region's own
 // boundary pixels) and the ring edges touching each canvas row; across
 // regions, the union of the boundary pixels as a 1-bit mask with dense slot
-// numbers, each slot's positions in the boundary lists, and the interior
-// runs indexed by row.
+// numbers, each slot's positions in the boundary lists, and the fill and
+// interior runs indexed by row.
 //
 // Replaying Fill(k) left-to-right visits exactly the pixels FillPolygon
 // visits for region k, in the same order, and Interior(k) the same pixels
@@ -81,7 +81,7 @@ type RegionSpans struct {
 	interiorStart []int32
 	interior      []Span
 
-	interiorRows RowRuns
+	fillRows, interiorRows RowRuns
 
 	// Region k's rings are verts[ringStart[r]:ringStart[r+1]] for r in
 	// [regionRing[k], regionRing[k+1]), outer ring first. Its edges are
@@ -112,12 +112,13 @@ func (rs *RegionSpans) Interior(k int) []Span {
 	return rs.interior[rs.interiorStart[k]:rs.interiorStart[k+1]]
 }
 
-// FillRows indexes every region's fill spans by row. Only approximate-mode
-// series read it, once per canvas tile, so it is built per call and stays
-// out of the compiled layer's bytes.
-func (rs *RegionSpans) FillRows() RowRuns { return byRow(rs.fillStart, rs.fill, rs.T.H) }
+// FillRows returns every region's fill spans indexed by row: the runs an
+// approximate join's pass 2 folds each hit pixel into. It is compiled with
+// the layer and counted in Bytes.
+func (rs *RegionSpans) FillRows() RowRuns { return rs.fillRows }
 
-// InteriorRows returns every region's interior spans indexed by row.
+// InteriorRows returns every region's interior spans indexed by row: the
+// runs an accurate join's pass 2 folds each hit pixel into.
 func (rs *RegionSpans) InteriorRows() RowRuns { return rs.interiorRows }
 
 // Boundary returns region k's deduplicated boundary pixel indices in
@@ -225,6 +226,7 @@ func (rs *RegionSpans) Bytes() int64 {
 		capBytes(rs.mask.words) + capBytes(rs.rowSlot) +
 		capBytes(rs.slots.start) + capBytes(rs.slots.pos) +
 		capBytes(rs.interiorStart) + capBytes(rs.interior) +
+		capBytes(rs.fillRows.start) + capBytes(rs.fillRows.runs) +
 		capBytes(rs.interiorRows.start) + capBytes(rs.interiorRows.runs) +
 		capBytes(rs.verts) + capBytes(rs.ringStart) + capBytes(rs.regionRing) +
 		capBytes(rs.bandRow0) + capBytes(rs.bandStart) +
@@ -305,6 +307,7 @@ func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*Re
 	trim(&rs.bandOff)
 	trim(&rs.bandEdge)
 	rs.numberSlots()
+	rs.fillRows = byRow(rs.fillStart, rs.fill, t.H)
 	rs.interiorRows = byRow(rs.interiorStart, rs.interior, t.H)
 	return rs, nil
 }
