@@ -61,7 +61,8 @@ type targets struct {
 	mask *raster.Bitmap
 	rows [][]obs
 	// hit, on a canvas tile, marks the pixels the pass shaded, so resolve
-	// visits and clears only those (nil on a shard's band).
+	// visits and clears only those (nil on a shard's band and the density
+	// grid).
 	hit *raster.Bitmap
 	// straddle, on a shard's band, marks the canvas columns that hold a
 	// shard cut: points landing there are not folded but kept raw in frags,
