@@ -92,11 +92,13 @@ fuzz:
 # count), the golden digests of joins, flows, density, series and tiled
 # renders (every worker count reproduces the recorded bits), the
 # cancellation-hygiene tests, the span cache, the compiled layer's
-# row-edge tables, the data sets' bounds memo, and resolve against its
-# per-fragment reference with three workers (its region-parallel pass 3).
+# row-edge tables, the data sets' bounds memo, resolve against its
+# per-fragment reference with three workers (its region-parallel pass 3),
+# and the texture and scratch pools: marks that hold after faults and
+# cancellations, and two goroutines sharing one joiner's pools.
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds|ResolveMatchesMerge' \
+		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds|ResolveMatchesMerge|Pooled' \
 		./internal/gpu ./internal/raster ./internal/core ./internal/data
 
 # End-to-end deadline smoke test: boot the real server with a 1ms

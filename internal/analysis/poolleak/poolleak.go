@@ -22,7 +22,8 @@
 // Matching is by method name, so fixtures and future device-like types are
 // covered without importing internal/gpu:
 //
-//	acquire: AcquireTexture, NewCanvas   release: ReleaseTexture, Release
+//	acquire: AcquireTexture, AcquireTextureFilled, NewCanvas
+//	release: ReleaseTexture, ReleaseTextureFilled, Release
 //
 // Precision notes (see DESIGN.md):
 //   - A resource that escapes — assigned to a field, slice, map or
@@ -51,13 +52,15 @@ var Analyzer = &framework.Analyzer{
 }
 
 var acquireNames = map[string]string{
-	"AcquireTexture": "texture",
-	"NewCanvas":      "canvas",
+	"AcquireTexture":       "texture",
+	"AcquireTextureFilled": "texture",
+	"NewCanvas":            "canvas",
 }
 
 var releaseNames = map[string]bool{
-	"ReleaseTexture": true,
-	"Release":        true,
+	"ReleaseTexture":       true,
+	"ReleaseTextureFilled": true,
+	"Release":              true,
 }
 
 // fact is one tracked acquisition: the local it is bound to, plus the

@@ -159,3 +159,18 @@ func leakPatchAbortPath(ctx context.Context, d *Device, n int) error {
 	d.ReleaseTexture(tex)
 	return nil
 }
+
+func (d *Device) AcquireTextureFilled(w, h int, v float64) *Texture { return &Texture{} }
+func (d *Device) ReleaseTextureFilled(t *Texture, v float64)        {}
+
+// leakFilledOnAbort marks its texture clean on the happy path and forgets
+// the texture on the abort path: the filled entry points pair like the
+// plain ones.
+func leakFilledOnAbort(ctx context.Context, d *Device) error {
+	tex := d.AcquireTextureFilled(8, 8, 1) // want "texture acquired here is not released on every path"
+	if err := doWork(ctx); err != nil {
+		return err // leak: tex still live here
+	}
+	d.ReleaseTextureFilled(tex, 1)
+	return nil
+}

@@ -139,3 +139,15 @@ func cleanPatchDefer(ctx context.Context, d *Device, n int) error {
 	}
 	return nil
 }
+
+// cleanFilledBothPaths releases a filled texture marked on success and
+// unmarked on the abort path.
+func cleanFilledBothPaths(ctx context.Context, d *Device) error {
+	tex := d.AcquireTextureFilled(8, 8, 1)
+	if err := doWork(ctx); err != nil {
+		d.ReleaseTexture(tex)
+		return err
+	}
+	d.ReleaseTextureFilled(tex, 1)
+	return nil
+}

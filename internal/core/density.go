@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/geom"
-	"repro/internal/gpu"
 )
 
 // DensityContext renders the raw-density view: pass 1 of the pipeline with
@@ -41,7 +40,7 @@ func (r *RasterJoin) DensityContext(ctx context.Context, req Request, world geom
 	if req.Agg == Sum {
 		attrIdx = data.AttrIndex(sc.Src, req.Attr)
 	}
-	t := newTargets(req.Agg, 0, w, h, nil, gpu.NewTexture)
+	t := newTargets(req.Agg, 0, w, h, nil, newTexture)
 	if err := r.pass1(ctx, &t, c.PixelMap(), sc, sc.Lo, sc.Hi, attrIdx, "batches"); err != nil {
 		return nil, geom.BBox{}, err
 	}

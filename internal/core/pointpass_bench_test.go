@@ -53,7 +53,7 @@ func benchTile(b *testing.B, rj *RasterJoin, taxi *data.PointSet, layer *data.Re
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(t.release)
+	b.Cleanup(func() { t.release(false) })
 	return t, sc, attrIdx
 }
 

@@ -217,12 +217,12 @@ func joinTile(ctx context.Context, req Request, plan ScatterPlan) tileBody {
 // validates req, passes the `core.join` fault site and returns bins results
 // with zeroed stats: when the layer's window or the data set is empty, with
 // no canvas; otherwise body runs once per tile of the full-resolution
-// canvas, on a fresh tile released on every exit path, the scan compiled
-// from req and re-aimed at the tile (nil unless scan: the scatter-gather
-// draws pass 1 on the shards) and the aggregate's attribute column, and the
-// results carry the canvas metadata. In accurate mode each tile that
-// completes records the boundary_obs and refine_edge_tests trace counters
-// of its resolves.
+// canvas, on a fresh tile released on every exit path (clean only when body
+// returned nil, see tile.release), the scan compiled from req and re-aimed
+// at the tile (nil unless scan: the scatter-gather draws pass 1 on the
+// shards) and the aggregate's attribute column, and the results carry the
+// canvas metadata. In accurate mode each tile that completes records the
+// boundary_obs and refine_edge_tests trace counters of its resolves.
 func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan bool,
 	body tileBody) ([]*Result, error) {
 
@@ -273,10 +273,12 @@ func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan b
 		if err != nil {
 			return err
 		}
-		defer t.release()
+		clean := false
+		defer func() { t.release(clean) }()
 		if err := body(t, sc, attrIdx, out); err != nil {
 			return err
 		}
+		clean = true
 		if t.mask != nil {
 			tr.Count("boundary_obs", t.nobs)
 			tr.Count("refine_edge_tests", t.tests)

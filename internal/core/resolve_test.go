@@ -180,7 +180,7 @@ func TestResolveMatchesMerge(t *testing.T) {
 						}
 					}
 				}
-				tl.release()
+				tl.release(true)
 			}
 		}
 		c.Release()

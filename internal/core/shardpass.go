@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/fault"
-	"repro/internal/gpu"
 	"repro/internal/raster"
 	"repro/internal/trace"
 )
@@ -124,7 +123,7 @@ func (r *RasterJoin) ShardPointPass(ctx context.Context, spec *ShardSpec, xlo, x
 	// Band buffers are plain allocations, not pooled textures: a partial
 	// dropped on a sibling's failure is simply garbage.
 	p := &ShardPartial{targets: newTargets(spec.Req.Agg, colLo, colHi-colLo, h,
-		spec.Mask, gpu.NewTexture)}
+		spec.Mask, newTexture)}
 	p.straddle = spec.Straddle
 	if err = r.pass1(ctx, &p.targets, m, sc, sc.Lo, sc.Hi, spec.AttrIdx, "shard.batches"); err != nil {
 		return nil, err

@@ -72,25 +72,33 @@ type targets struct {
 }
 
 // newTargets allocates the texture set for agg over bandW×h pixels through
-// alloc (the device pool for a canvas tile, plain allocation for a shard's
-// band, which outlives no pool discipline) and, given a boundary mask,
-// empty per-row observation lists.
+// alloc (the device pool for a canvas tile, newTexture for a shard's band,
+// which outlives no pool discipline), each texel at its blend's identity — 0
+// for count and sum, ±Inf for MIN/MAX — and, given a boundary mask, empty
+// per-row observation lists.
 func newTargets(agg Agg, x0, bandW, h int, mask *raster.Bitmap,
-	alloc func(w, h int) *gpu.Texture) targets {
+	alloc func(w, h int, fill float64) *gpu.Texture) targets {
 
-	t := targets{x0: x0, count: alloc(bandW, h), mask: mask}
+	t := targets{x0: x0, count: alloc(bandW, h, 0), mask: mask}
 	switch agg {
 	case Sum, Avg:
-		t.sum = alloc(bandW, h)
+		t.sum = alloc(bandW, h, 0)
 	case Min:
-		t.min = alloc(bandW, h)
-		t.min.Fill(math.Inf(1))
+		t.min = alloc(bandW, h, math.Inf(1))
 	case Max:
-		t.max = alloc(bandW, h)
-		t.max.Fill(math.Inf(-1))
+		t.max = alloc(bandW, h, math.Inf(-1))
 	}
 	if mask != nil {
 		t.rows = make([][]obs, h)
+	}
+	return t
+}
+
+// newTexture is a w×h texture outside the device pool, every texel at fill.
+func newTexture(w, h int, fill float64) *gpu.Texture {
+	t := gpu.NewTexture(w, h)
+	if fill != 0 {
+		t.Fill(fill)
 	}
 	return t
 }
@@ -190,35 +198,75 @@ type tile struct {
 	// nobs and tests total, over the tile's resolves, the boundary
 	// observations binned and the edge crossing tests made.
 	nobs, tests int64
+	// pooled is where the hit bitmap, bins, local and marks came from and
+	// go back to (see scratch).
+	pooled *scratch
+}
+
+// scratch is the part of a tile sized to its compiled layer rather than to
+// its points: the hit bitmap over the canvas, the bins' per-slot counts
+// and their grown lists, the per-region stats and the marks over the
+// Boundary lists. It lives in the layer's own pool (RegionSpans.Scratch),
+// so an evicted layer, or an ad-hoc polygon compiled for one request, takes
+// its scratch with it. Only a tile whose body returned nil puts it back:
+// resolve has then left every bit, count and stat of it clean.
+type scratch struct {
+	hit   *raster.Bitmap
+	bins  bins
+	local []RegionStat
+	marks []uint64
 }
 
 // newTile prepares a canvas for the points-first passes: the compiled
-// region layer (cache hit or one-time compile) and the texture set from the
-// device pool. Callers pair it with a deferred release, which runs on every
+// region layer (cache hit or one-time compile), the texture set from the
+// device pool, each texture at its blend's identity, and the layer's
+// scratch, reused clean or allocated. The per-row observation lists are the
+// tile's own. Callers pair it with a deferred release, which runs on every
 // exit path including cancellation.
 func (r *RasterJoin) newTile(ctx context.Context, c *gpu.Canvas, regions *data.RegionSet, agg Agg) (*tile, error) {
 	sp, err := r.CompiledSpans(ctx, regions, c.T)
 	if err != nil {
 		return nil, err
 	}
-	t := &tile{r: r, c: c, sp: sp, local: make([]RegionStat, sp.Regions())}
 	var mask *raster.Bitmap
 	if r.mode == Accurate {
 		mask = sp.Mask()
 	}
-	t.targets = newTargets(agg, 0, c.T.W, c.T.H, mask, r.dev.AcquireTexture)
-	t.hit = raster.NewBitmap(c.T.W, c.T.H)
-	if mask != nil {
-		t.bins = bins{n: make([]int32, sp.Slots()), end: make([]int32, sp.Slots())}
-		t.marks = make([]uint64, (sp.BoundaryOffset(sp.Regions())+63)/64)
+	s, _ := sp.Scratch().Get().(*scratch)
+	if s == nil {
+		s = &scratch{hit: raster.NewBitmap(c.T.W, c.T.H), local: make([]RegionStat, sp.Regions())}
 	}
+	if mask != nil && s.marks == nil {
+		s.bins = bins{n: make([]int32, sp.Slots()), end: make([]int32, sp.Slots())}
+		s.marks = make([]uint64, (sp.BoundaryOffset(sp.Regions())+63)/64)
+	}
+	t := &tile{r: r, c: c, sp: sp, bins: s.bins, local: s.local, marks: s.marks, pooled: s}
+	t.targets = newTargets(agg, 0, c.T.W, c.T.H, mask, r.dev.AcquireTextureFilled)
+	t.hit = s.hit
 	return t, nil
 }
 
-// release returns the tile's textures to the device pool.
-func (t *tile) release() {
-	for _, tex := range []*gpu.Texture{t.count, t.sum, t.min, t.max} {
-		t.r.dev.ReleaseTexture(tex)
+// release returns the tile's textures to the device pool. A clean tile —
+// one whose body returned nil, so that every pass 1 was resolved and
+// resolve left each texel at its blend's identity — releases them marked
+// with it, for the next tile to take without a clear, and puts its scratch
+// back in the layer's pool. Any other tile, stopped by an error or a
+// cancellation, releases its textures unmarked and drops its scratch.
+func (t *tile) release(clean bool) {
+	dev := t.r.dev
+	identity := [...]float64{0, 0, math.Inf(1), math.Inf(-1)}
+	for i, tex := range [...]*gpu.Texture{t.count, t.sum, t.min, t.max} {
+		switch {
+		case tex == nil:
+		case clean:
+			dev.ReleaseTextureFilled(tex, identity[i])
+		default:
+			dev.ReleaseTexture(tex)
+		}
+	}
+	if clean {
+		t.pooled.bins = t.bins
+		t.sp.Scratch().Put(t.pooled)
 	}
 }
 
@@ -346,7 +394,8 @@ func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) erro
 // marked positions in Boundary order (refine). Each region's stat
 // accumulates from zero in local and is merged into stats[k] within the
 // fan-out. Every hit pixel, texel, bin and mark is cleared on the way, so
-// the tile is ready for another pass 1 — a series' next bin.
+// the tile is ready for another pass 1 — a series' next bin — and, once its
+// body is done, its textures and scratch for the next request (release).
 //
 // Race audit: parallelCtx hands each claim, regions [k0, k1), to exactly
 // one goroutine, which writes only local[k] and stats[k] of those regions;

@@ -12,6 +12,8 @@ package gpu
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +35,15 @@ type Device struct {
 	liveTextures atomic.Int64
 
 	texMu   sync.Mutex
-	texFree map[int][]*Texture // free lists keyed by pixel count
+	texFree map[int][]freeTexture // free lists keyed by pixel count
+}
+
+// freeTexture is a pooled texture and what the pool knows of its texels:
+// when marked, every one holds fill, bit for bit; otherwise, anything.
+type freeTexture struct {
+	t      *Texture
+	fill   float64
+	marked bool
 }
 
 // Option configures a Device.
@@ -96,46 +106,84 @@ func (d *Device) LiveTextures() int64 { return d.liveTextures.Load() }
 // 1024 px every pooled texture is 8 MiB of live heap, and live heap sets
 // the collector's target. On session_mix (two clients) caps of 8, 4 and 2
 // measured RSS peaks of 561–586, 576–581 and 531–550 MB at equal latency.
+// The two a completed join releases come back marked with the values their
+// texels hold (0, or a MIN/MAX identity), so the next join of the same
+// canvas size takes both without a clear.
 const poolClassCap = 2
 
-// AcquireTexture returns a cleared w×h texture, reusing a pooled allocation
-// of the same pixel count when one is free. Pair with ReleaseTexture; a
-// canceled join must still release its textures or the device's live gauge
-// reports the leak.
-func (d *Device) AcquireTexture(w, h int) *Texture {
-	n := w * h
+// AcquireTexture returns a w×h texture whose every texel is 0: see
+// AcquireTextureFilled.
+func (d *Device) AcquireTexture(w, h int) *Texture { return d.AcquireTextureFilled(w, h, 0) }
+
+// AcquireTextureFilled returns a w×h texture whose every texel holds v,
+// reusing a pooled allocation of the same pixel count when one is free. It
+// prefers one released marked with v (ReleaseTextureFilled), which it hands
+// out as it is; any other it fills first — clears, for 0. Pair with
+// ReleaseTexture or ReleaseTextureFilled; a canceled join must still release
+// its textures or the device's live gauge reports the leak.
+func (d *Device) AcquireTextureFilled(w, h int, v float64) *Texture {
+	n, bits := w*h, math.Float64bits(v)
+	d.liveTextures.Add(1)
 	d.texMu.Lock()
 	free := d.texFree[n]
-	if l := len(free); l > 0 {
-		t := free[l-1]
-		d.texFree[n] = free[:l-1]
-		d.texMu.Unlock()
-		d.liveTextures.Add(1)
-		t.W, t.H = w, h
-		t.Clear()
-		return t
+	i := len(free) - 1
+	for j := i; j >= 0; j-- {
+		if free[j].marked && math.Float64bits(free[j].fill) == bits {
+			i = j
+			break
+		}
+	}
+	f := freeTexture{marked: true} // a new texture: every texel 0
+	if i >= 0 {
+		f = free[i]
+		d.texFree[n] = slices.Delete(free, i, i+1)
 	}
 	d.texMu.Unlock()
-	d.liveTextures.Add(1)
-	return NewTexture(w, h)
+	if f.t == nil {
+		f.t = NewTexture(w, h)
+	}
+	t := f.t
+	t.W, t.H = w, h
+	switch {
+	case f.marked && math.Float64bits(f.fill) == bits:
+	case bits == 0:
+		t.Clear()
+	default:
+		t.Fill(v)
+	}
+	return t
 }
 
-// ReleaseTexture returns a texture to the pool. Nil is ignored; releasing
-// the same texture twice corrupts the pool, so callers release exactly once
-// (the core joiners do it through defers that run on both the success and
-// the cancellation path).
-func (d *Device) ReleaseTexture(t *Texture) {
-	if t == nil {
+// ReleaseTexture returns a texture to the pool unmarked: whatever its texels
+// hold, the next acquire clears or fills it. Nil is ignored; releasing the
+// same texture twice corrupts the pool, so callers release exactly once (the
+// core joiners do it through defers that run on both the success and the
+// cancellation path).
+func (d *Device) ReleaseTexture(t *Texture) { d.release(freeTexture{t: t}) }
+
+// ReleaseTextureFilled is ReleaseTexture for a texture whose every texel
+// holds v, bit for bit: the pool marks it, and the next acquire of v takes
+// it without a clear. A caller that cannot vouch for every texel — one that
+// stopped midway on an error or a cancellation, or drew outside a join's
+// own clean-up — releases through ReleaseTexture: a wrong mark hands the
+// next join a dirty texture.
+func (d *Device) ReleaseTextureFilled(t *Texture, v float64) {
+	d.release(freeTexture{t: t, fill: v, marked: true})
+}
+
+// release files f in its free list, unless the list is full.
+func (d *Device) release(f freeTexture) {
+	if f.t == nil {
 		return
 	}
 	d.liveTextures.Add(-1)
-	n := len(t.Data)
+	n := len(f.t.Data)
 	d.texMu.Lock()
 	if d.texFree == nil {
-		d.texFree = make(map[int][]*Texture)
+		d.texFree = make(map[int][]freeTexture)
 	}
 	if len(d.texFree[n]) < poolClassCap {
-		d.texFree[n] = append(d.texFree[n], t)
+		d.texFree[n] = append(d.texFree[n], f)
 	}
 	d.texMu.Unlock()
 }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -46,6 +47,68 @@ func TestTexturePoolReuse(t *testing.T) {
 	}
 
 	d.ReleaseTexture(nil) // no-op
+}
+
+// requireFilled fails unless every texel of tex holds v, bit for bit.
+func requireFilled(t *testing.T, tex *Texture, v float64, what string) {
+	t.Helper()
+	for i, x := range tex.Data {
+		if math.Float64bits(x) != math.Float64bits(v) {
+			t.Fatalf("%s: texel %d holds %v, want %v", what, i, x, v)
+		}
+	}
+}
+
+// TestTexturePoolMarks: a texture released marked goes to the next acquire
+// of its mark as it is, and to any other acquire filled; one released
+// unmarked is always filled; FreeMarks reports a mark a texel breaks.
+func TestTexturePoolMarks(t *testing.T) {
+	d := New()
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+
+	lo := d.AcquireTextureFilled(4, 4, inf)
+	requireFilled(t, lo, inf, "fresh MIN texture")
+	d.ReleaseTextureFilled(lo, inf)
+	sum := d.AcquireTexture(4, 4)
+	if &sum.Data[0] != &lo.Data[0] {
+		t.Fatal("expected the pooled MIN texture to be reused")
+	}
+	requireFilled(t, sum, 0, "MIN texture handed to a SUM target")
+
+	// Drawn on and released unmarked, as a caller outside a join does: the
+	// next acquire fills it whatever it asks for.
+	sum.Set(2, 3, 7)
+	d.ReleaseTexture(sum)
+	requireFilled(t, d.AcquireTextureFilled(2, 8, math.Inf(-1)), math.Inf(-1), "unmarked texture")
+
+	// Each acquire prefers the texture marked with its value, and -0 is not
+	// a mark of 0.
+	a, b, c := d.AcquireTexture(4, 4), d.AcquireTextureFilled(4, 4, negZero), d.AcquireTextureFilled(4, 4, inf)
+	d.ReleaseTextureFilled(a, 0)
+	d.ReleaseTextureFilled(c, inf)
+	if got := d.AcquireTextureFilled(4, 4, inf); got != c {
+		t.Fatal("the +Inf acquire did not take the +Inf texture")
+	}
+	if got := d.AcquireTexture(4, 4); got != a {
+		t.Fatal("the 0 acquire did not take the 0 texture")
+	}
+	d.ReleaseTextureFilled(b, negZero)
+	requireFilled(t, d.AcquireTexture(4, 4), 0, "-0 texture acquired as 0")
+
+	// A marked texture is handed out without a fill: a mark its texels
+	// break comes back as it was released, and FreeMarks names it.
+	a.Set(1, 1, 5)
+	d.ReleaseTextureFilled(a, 0)
+	if _, err := FreeMarks(d); err == nil {
+		t.Fatal("FreeMarks passed a texture that breaks its mark")
+	}
+	if got := d.AcquireTexture(4, 4); got != a || got.At(1, 1) != 5 {
+		t.Fatal("a marked texture was filled on acquire")
+	}
+	d.ReleaseTextureFilled(c, inf)
+	if n, err := FreeMarks(d); n != 1 || err != nil {
+		t.Fatalf("FreeMarks = %d, %v; want 1 marked texture holding its mark", n, err)
+	}
 }
 
 func TestTexturePoolClassCap(t *testing.T) {

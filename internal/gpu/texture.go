@@ -1,7 +1,5 @@
 package gpu
 
-import "repro/internal/fsum"
-
 // Texture is a single-channel float64 render-target attachment. Raster Join
 // binds two of these per pass: a per-pixel point count and a per-pixel
 // attribute sum. Additive blending is expressed through Add, matching
@@ -20,9 +18,6 @@ func NewTexture(w, h int) *Texture {
 
 // At returns the value at pixel (x,y).
 func (t *Texture) At(x, y int) float64 { return t.Data[y*t.W+x] }
-
-// Set stores v at pixel (x,y).
-func (t *Texture) Set(x, y int, v float64) { t.Data[y*t.W+x] = v }
 
 // Add accumulates v into pixel (x,y) — additive blending.
 func (t *Texture) Add(x, y int, v float64) { t.AddAt(y*t.W+x, v) }
@@ -59,11 +54,4 @@ func (t *Texture) TakeMaxAt(i int, v float64) {
 	if v > t.Data[i] {
 		t.Data[i] = v
 	}
-}
-
-// Sum returns the total of all pixels (useful for conservation checks),
-// pairwise-summed so the readback of a multi-megapixel target does not
-// drift.
-func (t *Texture) Sum() float64 {
-	return fsum.Pairwise(t.Data)
 }

@@ -95,7 +95,16 @@ type RegionSpans struct {
 	bandStart  []int32
 	bandOff    []int32
 	bandEdge   []int32
+
+	scratch *sync.Pool
 }
+
+// Scratch is a pool for a joiner's working memory sized to this layer on
+// this transform. It lives and dies with the compiled layer, so an evicted
+// layer, or an ad-hoc polygon compiled for one request, takes its scratch
+// with it; like any sync.Pool the collector may empty it at any time.
+// Bytes does not count it, and the package never reads it.
+func (rs *RegionSpans) Scratch() *sync.Pool { return rs.scratch }
 
 // Regions returns the number of compiled regions.
 func (rs *RegionSpans) Regions() int { return len(rs.fillStart) - 1 }
@@ -256,6 +265,7 @@ func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*Re
 		regionRing:    make([]int32, 1, len(polys)+1),
 		bandRow0:      make([]int32, 0, len(polys)),
 		bandStart:     make([]int32, 1, len(polys)+1),
+		scratch:       new(sync.Pool),
 	}
 	own := NewBitmap(t.W, t.H)
 	var touched, cursor []int32
