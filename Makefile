@@ -152,11 +152,12 @@ segment-smoke:
 	$(GO) test -race -count=1 -run '^TestChaosSoak$$' ./internal/chaos
 
 # Incremental-maintenance gate under the race detector: append-while-query
-# smoke over every maintained structure (slab fold, geoblocks patch, tiles,
-# per-dataset epoch sweeps), the inherited zone maps of an appended set
-# (against fresh builds, and racing readers of the parent), the geoblocks
-# patch-vs-rebuild metamorphic suite and the sparse patch against the dense
-# reference, the slab fold property suite, and the concurrent-ingest chaos
+# smoke over every path an append reaches (slab fold, geoblocks patch,
+# tiles, per-dataset epoch keys), the lineage an appended set inherits and
+# its inherited zone maps (against fresh builds, and racing readers of the
+# parent), the geoblocks patch-vs-rebuild metamorphic suite and the sparse
+# patch against the dense reference, the slab fold property suites (sealed
+# slabs along an append lineage included), and the concurrent-ingest chaos
 # soak with its byte-identical replay against a pristine server fed the
 # same appends.
 ingest-smoke:

@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -186,11 +187,10 @@ func TestChaosSoak(t *testing.T) {
 	// poll, which need not come while it holds a canvas: poll the gauge
 	// like the others instead of reading it once.
 	waitIdle(t, "admission", func() bool {
-		adm := srv.AdmissionStats()
+		adm := admission(t, srv)
 		return adm.InFlight == 0 && adm.Queued == 0
 	})
-	adm := srv.AdmissionStats()
-	if adm.Admitted == 0 {
+	if adm := admission(t, srv); adm.Admitted == 0 {
 		t.Error("admission controller admitted nothing; wiring is broken")
 	}
 
@@ -240,9 +240,10 @@ func TestSoakCleanServer(t *testing.T) {
 // TestChaosSoak: readers hammer the cached endpoints while a writer
 // streams appends, and afterwards a pristine server is fed the identical
 // append sequence sequentially (ReplayAppends). Replaying the read mix
-// against both must be byte-identical — concurrent maintenance (epoch
-// sweeps, slab rekeys, geoblocks patches) may never leave the soaked
-// server answering differently than a server that ingested at leisure.
+// against both must be byte-identical — appends racing reads (new epochs,
+// slab partials keyed by snapshot, geoblocks patches) may never leave the
+// soaked server answering differently than a server that ingested at
+// leisure.
 func TestIngestSoakReplay(t *testing.T) {
 	const appends = 24
 	cfg := mixConfig()
@@ -348,6 +349,18 @@ func get(h http.Handler, path string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// admission reads the admission block of the server's /api/stats.
+func admission(t *testing.T, h http.Handler) admit.Stats {
+	t.Helper()
+	var st struct {
+		Admission admit.Stats `json:"admission"`
+	}
+	if err := json.Unmarshal(get(h, "/api/stats").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st.Admission
 }
 
 // post issues one JSON POST and returns the recorder.

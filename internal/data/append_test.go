@@ -281,3 +281,56 @@ func TestAppendCOWConcurrentZoneReads(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAppendCOWLineage: a tail that starts at or after its parent's last
+// timestamp (equal included) keeps the parent's lineage, so a chain of such
+// appends shares the root's; a tail with any earlier timestamp starts a
+// lineage at its own stamp, and SortByTime gives the set a new one.
+func TestAppendCOWLineage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	root := appendTestSet(rng, 50, 100, true, 0)
+	if root.Lineage() != root.Stamp() {
+		t.Fatalf("root lineage %d, want its stamp %d", root.Lineage(), root.Stamp())
+	}
+	grow := func(ps *PointSet, t0 int64) *PointSet { // the tail's first timestamp is t0
+		t.Helper()
+		tail := appendTestSet(rng, 5, t0, true, 0)
+		tail.T[0] = t0
+		out, err := ps.AppendCOW(tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	equal := grow(root, lastT(root))
+	later := grow(equal, lastT(equal)+10)
+	for _, ps := range []*PointSet{equal, later} {
+		if ps.Lineage() != root.Lineage() || ps.Stamp() == root.Stamp() {
+			t.Fatalf("in-order child: lineage %d stamp %d, want lineage %d and a stamp of its own",
+				ps.Lineage(), ps.Stamp(), root.Lineage())
+		}
+	}
+
+	early := grow(later, lastT(later)-1)
+	if early.Lineage() != early.Stamp() || early.Lineage() == root.Lineage() {
+		t.Fatalf("out-of-order child: lineage %d, want its own stamp %d", early.Lineage(), early.Stamp())
+	}
+	if child := grow(early, lastT(early)); child.Lineage() != early.Lineage() {
+		t.Fatalf("in-order child of a new lineage: lineage %d, want %d", child.Lineage(), early.Lineage())
+	}
+
+	untimed := appendTestSet(rng, 10, 0, false, 0)
+	grownUntimed, err := untimed.AppendCOW(appendTestSet(rng, 3, 0, false, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grownUntimed.Lineage() != untimed.Lineage() {
+		t.Fatal("an append to a set without a time column left its lineage")
+	}
+
+	before := later.Lineage()
+	later.SortByTime()
+	if later.Lineage() == before || later.Lineage() != later.Stamp() {
+		t.Fatalf("SortByTime kept lineage %d (stamp %d)", later.Lineage(), later.Stamp())
+	}
+}

@@ -33,9 +33,10 @@ type PointSet struct {
 	// Attrs are the attribute columns, all of length Len().
 	Attrs []Column
 
-	stamp  atomic.Uint64
-	source atomic.Pointer[setSource]
-	bounds atomic.Pointer[geom.BBox]
+	stamp   atomic.Uint64
+	lineage atomic.Uint64
+	source  atomic.Pointer[setSource]
+	bounds  atomic.Pointer[geom.BBox]
 }
 
 // pointSetStamps issues process-unique PointSet identities; 0 is reserved
@@ -59,6 +60,20 @@ func (ps *PointSet) Stamp() uint64 {
 		return s
 	}
 	return ps.stamp.Load()
+}
+
+// Lineage returns the stamp of the root of ps's AppendCOW chain: the set
+// itself, unless AppendCOW grew it in time order from a parent, in which
+// case the parent's lineage. Along one lineage every tail starts at or
+// after its parent's last timestamp (its horizon), so a time slab that ends
+// by a snapshot's horizon holds the same points, in the same order, on
+// every later snapshot of the lineage; the slab fold keys such slabs by
+// lineage instead of stamp.
+func (ps *PointSet) Lineage() uint64 {
+	if l := ps.lineage.Load(); l != 0 {
+		return l
+	}
+	return ps.Stamp()
 }
 
 // Len returns the number of points.
@@ -204,11 +219,12 @@ func (ps *PointSet) Select(idx []int) *PointSet {
 // each column through the permutation into a fresh slice; no column's old
 // backing array is written.
 //
-// Reordering produces new data, so any previously issued stamp, cached
-// Source view and bounds memo are discarded: geoblocks/span/segment caches
-// keyed on the old stamp must never alias the reordered columns. The
+// Reordering produces new data, so any previously issued stamp and
+// lineage, cached Source view and bounds memo are discarded:
+// geoblocks/span/segment/slab caches keyed on the old stamp or lineage
+// must never alias the reordered columns. The
 // columns are assigned field-wise — the whole struct cannot be copied over
-// because the stamp, source and bounds fields are atomics.
+// because the stamp, lineage, source and bounds fields are atomics.
 func (ps *PointSet) SortByTime() {
 	if ps.T == nil {
 		return
@@ -221,6 +237,7 @@ func (ps *PointSet) SortByTime() {
 	}
 	ps.Attrs = attrs
 	ps.stamp.Store(0)
+	ps.lineage.Store(0)
 	ps.source.Store(nil)
 	ps.bounds.Store(nil)
 }
@@ -295,7 +312,9 @@ func gather[E any](s []E, perm []int32) []E {
 // fresh stamp larger than ps's, so stamp-keyed caches (geoblocks, slab
 // partials) treat it as new data, its bounds are ps's bounds united with
 // tail's, and its source view starts from ps's (see grownSource): an
-// append folds and zones only the tail, never the whole set again.
+// append folds and zones only the tail, never the whole set again. It
+// inherits ps's lineage when no tail timestamp precedes ps's last one, and
+// starts a lineage of its own otherwise.
 func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	if err := tail.Validate(); err != nil {
 		return nil, err
@@ -329,11 +348,28 @@ func (ps *PointSet) AppendCOW(tail *PointSet) (*PointSet, error) {
 	b := ps.Bounds().Union(tail.Bounds())
 	ps.Stamp() // before out's: the newer snapshot gets the larger stamp
 	out.Stamp()
+	if inOrder(ps.T, tail.T) {
+		out.lineage.Store(ps.Lineage())
+	}
 	out.bounds.Store(&b)
 	if src := ps.grownSource(out, tail); src != nil {
 		out.source.Store(src)
 	}
 	return out, nil
+}
+
+// inOrder reports whether no timestamp of tail precedes the last of t.
+func inOrder(t, tail []int64) bool {
+	if len(t) == 0 {
+		return true
+	}
+	horizon := t[len(t)-1]
+	for _, v := range tail {
+		if v < horizon {
+			return false
+		}
+	}
+	return true
 }
 
 // TimeWindow returns the index range [lo, hi) of points with timestamps in

@@ -34,8 +34,17 @@ type Device struct {
 	liveCanvases atomic.Int64
 	liveTextures atomic.Int64
 
-	texMu   sync.Mutex
-	texFree map[int][]freeTexture // free lists keyed by pixel count
+	texMu    sync.Mutex
+	texFree  map[int]*freeClass // free lists keyed by pixel count
+	texBytes int64              // texel bytes held in texFree
+	releases uint64             // texture releases so far: the pool's clock
+}
+
+// freeClass is the free list of one pixel count, and the pool clock at its
+// latest release.
+type freeClass struct {
+	free     []freeTexture
+	released uint64
 }
 
 // freeTexture is a pooled texture and what the pool knows of its texels:
@@ -111,6 +120,14 @@ func (d *Device) LiveTextures() int64 { return d.liveTextures.Load() }
 // canvas size takes both without a clear.
 const poolClassCap = 2
 
+// poolBytes bounds the texels the pool holds over all its size classes. A
+// canvas size is a class, and ad-hoc polygons or rectangles each bring a
+// size of their own, so without a bound the pool would keep two textures
+// of every size it ever served. Past the bound it drops the whole class
+// released least recently: a class in steady use is released on every
+// join and stays. Eight classes at 1024 px fit.
+const poolBytes = 128 << 20
+
 // AcquireTexture returns a w×h texture whose every texel is 0: see
 // AcquireTextureFilled.
 func (d *Device) AcquireTexture(w, h int) *Texture { return d.AcquireTextureFilled(w, h, 0) }
@@ -124,19 +141,22 @@ func (d *Device) AcquireTexture(w, h int) *Texture { return d.AcquireTextureFill
 func (d *Device) AcquireTextureFilled(w, h int, v float64) *Texture {
 	n, bits := w*h, math.Float64bits(v)
 	d.liveTextures.Add(1)
-	d.texMu.Lock()
-	free := d.texFree[n]
-	i := len(free) - 1
-	for j := i; j >= 0; j-- {
-		if free[j].marked && math.Float64bits(free[j].fill) == bits {
-			i = j
-			break
-		}
-	}
 	f := freeTexture{marked: true} // a new texture: every texel 0
-	if i >= 0 {
-		f = free[i]
-		d.texFree[n] = slices.Delete(free, i, i+1)
+	d.texMu.Lock()
+	if c := d.texFree[n]; c != nil {
+		i := len(c.free) - 1
+		for j := i; j >= 0; j-- {
+			if c.free[j].marked && math.Float64bits(c.free[j].fill) == bits {
+				i = j
+				break
+			}
+		}
+		f = c.free[i]
+		c.free = slices.Delete(c.free, i, i+1)
+		d.texBytes -= texelBytes(n)
+		if len(c.free) == 0 {
+			delete(d.texFree, n)
+		}
 	}
 	d.texMu.Unlock()
 	if f.t == nil {
@@ -171,7 +191,8 @@ func (d *Device) ReleaseTextureFilled(t *Texture, v float64) {
 	d.release(freeTexture{t: t, fill: v, marked: true})
 }
 
-// release files f in its free list, unless the list is full.
+// release files f in its free list, unless the list is full, then drops
+// the classes released least recently until the pool is within poolBytes.
 func (d *Device) release(f freeTexture) {
 	if f.t == nil {
 		return
@@ -179,14 +200,35 @@ func (d *Device) release(f freeTexture) {
 	d.liveTextures.Add(-1)
 	n := len(f.t.Data)
 	d.texMu.Lock()
+	defer d.texMu.Unlock()
 	if d.texFree == nil {
-		d.texFree = make(map[int][]freeTexture)
+		d.texFree = make(map[int]*freeClass)
 	}
-	if len(d.texFree[n]) < poolClassCap {
-		d.texFree[n] = append(d.texFree[n], f)
+	c := d.texFree[n]
+	if c == nil {
+		c = &freeClass{}
+		d.texFree[n] = c
 	}
-	d.texMu.Unlock()
+	d.releases++
+	c.released = d.releases
+	if len(c.free) < poolClassCap {
+		c.free = append(c.free, f)
+		d.texBytes += texelBytes(n)
+	}
+	for d.texBytes > poolBytes {
+		oldest := n
+		for m, o := range d.texFree {
+			if o.released < d.texFree[oldest].released {
+				oldest = m
+			}
+		}
+		d.texBytes -= int64(len(d.texFree[oldest].free)) * texelBytes(oldest)
+		delete(d.texFree, oldest)
+	}
 }
+
+// texelBytes is the size of an n-pixel texture's texels.
+func texelBytes(n int) int64 { return int64(n) * 8 }
 
 // Canvas is a render target bound to a world window: draws against it
 // rasterize world-space geometry onto its pixel grid. A Canvas corresponds

@@ -121,7 +121,7 @@ func TestTexturePoolClassCap(t *testing.T) {
 		d.ReleaseTexture(tx)
 	}
 	d.texMu.Lock()
-	free := len(d.texFree[4])
+	free := len(d.texFree[4].free)
 	d.texMu.Unlock()
 	if free != poolClassCap {
 		t.Fatalf("free list = %d, want capped at %d", free, poolClassCap)
@@ -129,6 +129,37 @@ func TestTexturePoolClassCap(t *testing.T) {
 	if got := d.LiveTextures(); got != 0 {
 		t.Fatalf("live textures = %d, want 0", got)
 	}
+}
+
+// TestTexturePoolBytesBound: textures of 60 distinct sizes, released as
+// the canvases of 60 ad-hoc rectangles release theirs, leave the pool
+// within poolBytes, and a hot class released between the one-off ones
+// keeps its two marked textures throughout.
+func TestTexturePoolBytesBound(t *testing.T) {
+	d := New()
+	const side = 512 // 2 MiB a texture: 60 one-off classes would pool 240 MiB
+	inf := math.Inf(1)
+	var hot [2]*Texture
+	for h := 1; h <= 60; h++ {
+		sum, lo := d.AcquireTexture(side, side), d.AcquireTextureFilled(side, side, inf)
+		if h > 1 && (sum != hot[0] || lo != hot[1]) {
+			t.Fatalf("round %d: the hot class lost its pooled textures", h)
+		}
+		hot = [2]*Texture{sum, lo}
+		d.ReleaseTextureFilled(sum, 0)
+		d.ReleaseTextureFilled(lo, inf)
+
+		a, b := d.AcquireTexture(side, side-h), d.AcquireTexture(side, side-h)
+		d.ReleaseTextureFilled(a, 0)
+		d.ReleaseTexture(b)
+		if got := PooledBytes(d); got > poolBytes {
+			t.Fatalf("after %d one-off sizes the pool holds %d bytes, bound %d", h, got, poolBytes)
+		}
+	}
+	if _, err := FreeMarks(d); err != nil {
+		t.Fatal(err)
+	}
+	requireFilled(t, d.AcquireTextureFilled(side, side, inf), inf, "hot MIN texture")
 }
 
 func TestCanvasReleaseIdempotent(t *testing.T) {

@@ -2,7 +2,7 @@
 // cache in the repo: the query-result cache (qcache), the slab
 // partial cache (tcache), the compiled region span cache (raster) and the
 // segment column cache (segment) each hold a Cache and add only what is
-// genuinely theirs — locking, rekeying, (block, column) keys.
+// genuinely theirs — locking, flight coalescing, (block, column) keys.
 //
 // A Cache is not safe for concurrent use; its owner guards it with the lock
 // it already needs for its own state.
@@ -10,7 +10,7 @@ package lru
 
 // Stats is the one counter shape every cache reports. Hits and Misses count
 // Get outcomes; Evictions counts entries pushed out by the byte budget (not
-// replacements, deletions or clears).
+// replacements or clears).
 type Stats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -114,19 +114,6 @@ func (c *Cache[K, V]) Add(k K, v V, cost int64) {
 	c.items[k] = n
 	c.pushFront(n)
 	c.bytes += cost
-}
-
-// DeleteFunc drops every entry for which del returns true and returns how
-// many it dropped. del must not call back into the cache.
-func (c *Cache[K, V]) DeleteFunc(del func(k K, v V) bool) int {
-	dropped := 0
-	for k, n := range c.items {
-		if del(k, n.val) {
-			c.remove(n)
-			dropped++
-		}
-	}
-	return dropped
 }
 
 // Clear drops every entry; the counters keep counting.

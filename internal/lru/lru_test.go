@@ -66,12 +66,6 @@ func (m *model) remove(k int) {
 	}
 }
 
-func (m *model) deleteFunc(del func(k, v int) bool) int {
-	before := len(m.cells)
-	m.cells = slices.DeleteFunc(m.cells, func(c cell) bool { return del(c.k, c.v) })
-	return before - len(m.cells)
-}
-
 func (m *model) snapshot() Stats {
 	s := m.stats
 	s.Entries, s.Bytes, s.Capacity = len(m.cells), m.bytes(), m.capacity
@@ -107,7 +101,7 @@ func TestCacheMatchesModel(t *testing.T) {
 				if gv != wv || gok != wok {
 					t.Fatalf("seed %d step %d: Get(%d) = (%d, %v), model (%d, %v)", seed, step, k, gv, gok, wv, wok)
 				}
-			case op < 93:
+			case op < 98:
 				cost := int64(1 + rng.Intn(60))
 				if rng.Intn(20) == 0 {
 					cost += capacity // sometimes larger than the whole budget
@@ -126,11 +120,6 @@ func TestCacheMatchesModel(t *testing.T) {
 				}
 				if !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: Add(%d, cost %d) evicted %v, model %v", seed, step, k, cost, got, want)
-				}
-			case op < 98:
-				del := func(k, _ int) bool { return k%3 == step%3 }
-				if got, want := c.DeleteFunc(del), m.deleteFunc(del); got != want {
-					t.Fatalf("seed %d step %d: DeleteFunc dropped %d, model %d", seed, step, got, want)
 				}
 			default:
 				c.Clear()

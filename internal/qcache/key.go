@@ -86,19 +86,10 @@ func (s *Sig) Filters(name string, fs []core.Filter) *Sig {
 
 // Epoch appends the dataset's per-dataset epoch pair. Keys carry the
 // epoch so a write to one dataset produces fresh keys for that dataset
-// alone — every other dataset's entries remain reachable. The pair
-// renders as `|eds="name"|ep=N`, which is what EpochPrefix matches for
-// targeted sweeps.
+// alone — every other dataset's entries remain reachable, and the old
+// epoch's entries, which no key reaches again, age out of the byte budget.
 func (s *Sig) Epoch(dataset string, epoch uint64) *Sig {
 	return s.Str("eds", dataset).Int("ep", int64(epoch))
-}
-
-// EpochPrefix returns the substring every key tagged with
-// Epoch(dataset, ·) contains up to (and excluding) the epoch number.
-// Sweep predicates use it to select one dataset's entries and spare the
-// ones already keyed at the current epoch.
-func EpochPrefix(dataset string) string {
-	return "|eds=" + strconv.Quote(dataset) + "|ep="
 }
 
 // TimeRange appends an optional time filter; presence is encoded

@@ -17,7 +17,7 @@
 //   - Invalidation lives in the key, not here: a key names every version
 //     its result depends on (the catalog version, each data set's epoch),
 //     so a change makes new requests ask for new keys and the old entries
-//     age out of the LRU; Sweep reclaims one data set's bytes eagerly.
+//     age out of the LRU.
 //   - Do coalesces concurrent identical requests: the first caller becomes
 //     the leader and computes, later callers block on the leader's flight
 //     and receive the same bytes. The leader publishes to the cache before
@@ -303,23 +303,6 @@ func (c *Cache) wait(ctx context.Context, call *flightCall, own Outcome, counted
 		c.flightMu.Unlock()
 		return nil, own, ctx.Err(), false
 	}
-}
-
-// Sweep removes every live entry whose key satisfies pred and returns how
-// many were dropped. It is the targeted-invalidation primitive behind
-// per-dataset epochs: an append bumps one dataset's epoch — making that
-// dataset's old-epoch keys unreachable — and Sweep reclaims their bytes
-// eagerly instead of waiting for LRU pressure; every other dataset's
-// entries stay warm.
-// Sweep walks the cache under its lock; in-flight computes for swept keys
-// are unaffected (they re-insert under keys the predicate already judged).
-func (c *Cache) Sweep(pred func(key string) bool) int {
-	if c == nil || pred == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.DeleteFunc(func(k string, _ []byte) bool { return pred(k) })
 }
 
 // Stats snapshots the counters.

@@ -11,7 +11,7 @@ import (
 )
 
 // TestStressMixedOps hammers one cache from 64 goroutines with a mix of
-// gets, puts, coalesced computes, sweeps, and stats snapshots. Run
+// gets, puts, coalesced computes and stats snapshots. Run
 // under -race (the Makefile's `stress` target and CI do); the assertions
 // here check the byte bound and counter sanity, the race detector checks
 // everything else.
@@ -36,13 +36,10 @@ func TestStressMixedOps(t *testing.T) {
 					c.Get(key)
 				case op < 70:
 					c.Put(key, make([]byte, rng.Intn(256)))
-				case op < 95:
+				case op < 97:
 					_, _, _ = c.DoContext(context.Background(), key, func(context.Context) ([]byte, error) {
 						return []byte(key), nil
 					})
-				case op < 97:
-					// An invalidation: an append sweeping one data set's keys.
-					c.Sweep(func(k string) bool { return k == key })
 				default:
 					if got := c.Stats().Bytes; got > capacity {
 						t.Errorf("bytes %d exceeds capacity %d", got, capacity)

@@ -14,19 +14,19 @@ import (
 )
 
 // TestConcurrentFoldsAcrossAppends: folds over the current snapshot and the
-// one before it race four appends, each applied the way Framework.Append
-// does (Rekey, then publish the grown set). Whatever the interleaving — a
-// partial put under a stamp Rekey already moved past, a clean slab migrated
-// while a fold reads it — every fold equals a cold fold of the snapshot it
-// was asked about, and so does a fold over the final snapshot once the
-// appends are done. The cache stays inside its budget.
+// one before it race four appends, each published the way Framework.Append
+// does, by swapping in the grown set and touching no cache. Whatever the
+// interleaving — a fold over an old snapshot putting partials after a newer
+// one was published, a sealed partial of one snapshot read by a fold over
+// the next — every fold equals a cold fold of the snapshot it was asked
+// about, and so does a fold over the final snapshot once the appends are
+// done. The cache stays inside its budget.
 func TestConcurrentFoldsAcrossAppends(t *testing.T) {
 	ps := buildTemporalScene(t, 2000, 67)
 	rs := queryRegions(rand.New(rand.NewSource(71)))
 	raster := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(96))
 	const gran = 3600
 	_, last, _ := ps.TimeRange()
-	dirty := map[int64]bool{tcache.SlabOf(last, gran): true}
 
 	snaps := []*data.PointSet{ps}
 	for i := 1; i <= 4; i++ {
@@ -40,7 +40,8 @@ func TestConcurrentFoldsAcrossAppends(t *testing.T) {
 		}
 		snaps = append(snaps, grown)
 	}
-	// Windows wholly clean, wholly dirty-ending, and spanning both.
+	// Windows wholly sealed, ending in the open slab that holds every
+	// appended timestamp, and spanning both.
 	windows := [][2]int64{{32, 40}, {40, 48}, {24, 48}}
 	req := func(s, w int) core.Request {
 		return core.Request{Points: snaps[s], Regions: rs, Agg: core.Sum, Attr: "w",
@@ -94,7 +95,6 @@ func TestConcurrentFoldsAcrossAppends(t *testing.T) {
 		for done.Load() < int32(8*i) {
 			runtime.Gosched()
 		}
-		j.Cache().Rekey(snaps[i-1].Stamp(), snaps[i].Stamp(), dirty)
 		cur.Store(int32(i))
 	}
 	wg.Wait()
@@ -112,7 +112,7 @@ func TestConcurrentFoldsAcrossAppends(t *testing.T) {
 			requireSame(t, "concurrent fold", f.res, cold[f.s][f.w])
 		}
 	}
-	if st := j.Cache().Stats(); st.Bytes > st.Capacity {
+	if st := j.CacheStats(); st.Bytes > st.Capacity {
 		t.Fatalf("cache over budget: %d > %d", st.Bytes, st.Capacity)
 	}
 }

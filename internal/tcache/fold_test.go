@@ -289,70 +289,3 @@ func TestCanServeRouting(t *testing.T) {
 		})
 	}
 }
-
-// TestCacheRekey covers the append-invalidation primitive: clean slabs
-// migrate to the new stamp, dirty ones drop, foreign stamps and signatures
-// are untouched.
-func TestCacheRekey(t *testing.T) {
-	c := tcache.NewCache(1 << 20)
-	p := &core.Result{Stats: []core.RegionStat{{Count: 1}}}
-	for slab := int64(0); slab < 10; slab++ {
-		c.Put(1, "sig", slab*3600, p)
-	}
-	c.Put(1, "othersig", 0, p)
-	c.Put(99, "sig", 0, p)
-
-	dirty := map[int64]bool{3 * 3600: true, 7 * 3600: true}
-	migrated, dropped := c.Rekey(1, 2, dirty)
-	if migrated != 9 || dropped != 2 {
-		t.Fatalf("rekey = (%d migrated, %d dropped), want (9, 2)", migrated, dropped)
-	}
-	if _, ok := c.Get(2, "sig", 0); !ok {
-		t.Error("clean slab did not migrate to the new stamp")
-	}
-	if _, ok := c.Get(2, "othersig", 0); !ok {
-		t.Error("other signature's clean slab did not migrate")
-	}
-	if _, ok := c.Get(2, "sig", 3*3600); ok {
-		t.Error("dirty slab survived the rekey")
-	}
-	if _, ok := c.Get(1, "sig", 0); ok {
-		t.Error("entry still readable under the old stamp")
-	}
-	if _, ok := c.Get(99, "sig", 0); !ok {
-		t.Error("foreign stamp was disturbed")
-	}
-	if st := c.Stats(); st.RekeyDrops != 2 || st.Entries != 10 {
-		t.Errorf("stats after rekey = %+v", st)
-	}
-}
-
-// TestCacheEviction: the LRU respects its byte budget, counts evictions,
-// and refuses entries larger than the whole cache.
-func TestCacheEviction(t *testing.T) {
-	c := tcache.NewCache(1000) // a few ~230-byte entries
-	small := &core.Result{Stats: []core.RegionStat{{Count: 1}}}
-	for slab := int64(0); slab < 20; slab++ {
-		c.Put(1, "sig", slab, small)
-	}
-	st := c.Stats()
-	if st.Bytes > st.Capacity {
-		t.Fatalf("cache over budget: %d > %d", st.Bytes, st.Capacity)
-	}
-	if st.Evictions == 0 || st.Entries >= 20 {
-		t.Fatalf("no eviction happened: %+v", st)
-	}
-	// Most-recently-used entries survive; the oldest are gone.
-	if _, ok := c.Get(1, "sig", 19); !ok {
-		t.Error("most recent entry was evicted")
-	}
-	if _, ok := c.Get(1, "sig", 0); ok {
-		t.Error("oldest entry survived past the budget")
-	}
-
-	huge := &core.Result{Stats: make([]core.RegionStat, 1<<10)}
-	c.Put(1, "sig", 999, huge)
-	if _, ok := c.Get(1, "sig", 999); ok {
-		t.Error("entry larger than the cache was admitted")
-	}
-}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fsum"
+	"repro/internal/lru"
 	"repro/internal/qcache"
 	"repro/internal/trace"
 )
@@ -25,7 +26,7 @@ type Joiner struct {
 	next  *core.RasterJoin
 	gran  int64
 	limit int
-	cache *Cache
+	cache *cache
 
 	reused     atomic.Uint64
 	recomputed atomic.Uint64
@@ -38,7 +39,7 @@ func New(next *core.RasterJoin, gran int64, cacheBytes int64, maxSlabs int) *Joi
 	if maxSlabs <= 0 {
 		maxSlabs = DefaultMaxSlabs
 	}
-	return &Joiner{next: next, gran: gran, limit: maxSlabs, cache: NewCache(cacheBytes)}
+	return &Joiner{next: next, gran: gran, limit: maxSlabs, cache: newCache(cacheBytes)}
 }
 
 // Name implements core.Joiner.
@@ -50,8 +51,8 @@ func (j *Joiner) Gran() int64 { return j.gran }
 // MaxSlabs returns the per-window slab cap.
 func (j *Joiner) MaxSlabs() int { return j.limit }
 
-// Cache exposes the slab partial cache (append rekeying, stats).
-func (j *Joiner) Cache() *Cache { return j.cache }
+// CacheStats snapshots the slab partial cache's counters.
+func (j *Joiner) CacheStats() lru.Stats { return j.cache.stats() }
 
 // SlabsReused returns the lifetime count of partials served from cache.
 func (j *Joiner) SlabsReused() uint64 { return j.reused.Load() }
@@ -60,7 +61,7 @@ func (j *Joiner) SlabsReused() uint64 { return j.reused.Load() }
 func (j *Joiner) SlabsRecomputed() uint64 { return j.recomputed.Load() }
 
 // CanServe reports whether the request decomposes into slabs: it needs an
-// in-RAM point set (the identity stamp keys the cache), a time window
+// in-RAM point set (its stamp and lineage key the cache), a time window
 // aligned to the slab granularity on both ends — which every window the
 // server snapped outward with the same granularity is — and a slab count
 // within the cap.
@@ -124,19 +125,18 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		return nil, err
 	}
 	sig := j.requestSig(req)
-	// An append may land mid-fold; the partials still file under the stamp
-	// they were computed from (see Cache.Put).
-	stamp := req.Points.Stamp()
 	tr := trace.FromContext(ctx)
 	sp := tr.Start("tcache.fold")
 	defer sp.End()
 
 	n := int((req.Time.End - req.Time.Start) / j.gran)
 	slab := func(i int) int64 { return req.Time.Start + int64(i)*j.gran }
+	keys := make([]key, n)
 	parts := make([]*core.Result, n)
 	var reused, recomputed int64
 	for i := range parts {
-		if p, ok := j.cache.Get(stamp, sig, slab(i)); ok {
+		keys[i] = slabKey(req.Points, j.gran, sig, slab(i))
+		if p, ok := j.cache.get(keys[i]); ok {
 			parts[i] = p
 			reused++
 		}
@@ -156,7 +156,7 @@ func (j *Joiner) JoinContext(ctx context.Context, req core.Request) (*core.Resul
 		}
 		copy(parts[lo:hi], run)
 		for i := lo; i < hi; i++ {
-			j.cache.Put(stamp, sig, slab(i), parts[i])
+			j.cache.put(keys[i], parts[i])
 		}
 		recomputed += int64(hi - lo)
 		lo = hi

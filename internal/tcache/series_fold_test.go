@@ -47,14 +47,11 @@ func (c *onFirstPoll) Err() error {
 	return c.Context.Err()
 }
 
-// perSlabFold is the fold written out: one JoinContext per slab, merged in
-// chronological order — counts add, min/max are monotone over nonempty
-// slabs, sums go through one Kahan accumulator per region — with the first
-// slab's metadata.
+// perSlabFold is the fold written out: one JoinContext per slab, merged by
+// foldBins.
 func perSlabFold(t *testing.T, rj *core.RasterJoin, req core.Request, gran int64) *core.Result {
 	t.Helper()
-	var out *core.Result
-	var sums []fsum.Kahan
+	var bins []*core.Result
 	for slab := req.Time.Start; slab < req.Time.End; slab += gran {
 		sreq := req
 		sreq.Time = &core.TimeFilter{Start: slab, End: slab + gran}
@@ -62,11 +59,19 @@ func perSlabFold(t *testing.T, rj *core.RasterJoin, req core.Request, gran int64
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out == nil {
-			first := *res
-			first.Stats = make([]core.RegionStat, len(res.Stats))
-			out, sums = &first, make([]fsum.Kahan, len(res.Stats))
-		}
+		bins = append(bins, res)
+	}
+	return foldBins(bins)
+}
+
+// foldBins merges per-slab results in chronological order — counts add,
+// min/max are monotone over nonempty slabs, sums go through one Kahan
+// accumulator per region — with the first slab's metadata.
+func foldBins(bins []*core.Result) *core.Result {
+	out := *bins[0]
+	out.Stats = make([]core.RegionStat, len(out.Stats))
+	sums := make([]fsum.Kahan, len(out.Stats))
+	for _, res := range bins {
 		for r, ps := range res.Stats {
 			if ps.Count == 0 {
 				continue
@@ -91,7 +96,7 @@ func perSlabFold(t *testing.T, rj *core.RasterJoin, req core.Request, gran int64
 			out.Stats[r].Sum = sums[r].Sum()
 		}
 	}
-	return out
+	return &out
 }
 
 // requireSame is reflect.DeepEqual on two results, falling back to the
@@ -270,11 +275,12 @@ func TestMinMaxEpsilonFoldOneSeriesPerRun(t *testing.T) {
 	}
 }
 
-// TestAppendMidFoldFilesLatePartials: an append whose Rekey lands between a
-// fold's series and its puts leaves the fold's partials under the stamp it
-// read. Each is correct for that snapshot, no request over the grown set
-// asks for it, so the next fold over the grown set reuses none of them and
-// still equals a cold fold of the grown set.
+// TestAppendMidFoldFilesLatePartials: an append that publishes a grown set
+// between a fold's series and its puts leaves the fold's partials filed
+// under the snapshot it read — the sealed slabs under the set's lineage,
+// the open slab holding the latest timestamp under its stamp. The next fold
+// over the grown set reuses every sealed partial, recomputes the open slab
+// the tail landed in, and equals a cold fold of the grown set.
 func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	ps := buildTemporalScene(t, 3000, 43)
 	rs := queryRegions(rand.New(rand.NewSource(47)))
@@ -285,19 +291,18 @@ func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	// The tail lands in the window's last slab, the one holding the set's
 	// latest timestamp.
 	_, last, _ := ps.TimeRange()
-	dirty := tcache.SlabOf(last, gran)
-	if dirty != 47*gran {
+	if last/gran != 47 {
 		t.Fatalf("latest timestamp %d outside the window's last slab", last)
 	}
 	tail := &data.PointSet{Name: ps.Name, X: []float64{500, 510}, Y: []float64{500, 490},
 		T:     []int64{last, last},
 		Attrs: []data.Column{{Name: "v", Values: []float64{1, 2}}, {Name: "w", Values: []float64{3, 4}}}}
-	grown, err := ps.AppendCOW(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var grown *data.PointSet
 	ctx := &onFirstPoll{Context: context.Background(), after: func() {
-		j.Cache().Rekey(ps.Stamp(), grown.Stamp(), map[int64]bool{dirty: true})
+		var err error
+		if grown, err = ps.AppendCOW(tail); err != nil {
+			t.Error(err)
+		}
 	}}
 	window := func(p *data.PointSet) core.Request {
 		return core.Request{Points: p, Regions: rs, Agg: core.Avg, Attr: "w",
@@ -306,17 +311,17 @@ func TestAppendMidFoldFilesLatePartials(t *testing.T) {
 	if _, err := j.JoinContext(ctx, window(ps)); err != nil {
 		t.Fatal(err)
 	}
-	if ctx.after != nil {
+	if grown == nil {
 		t.Fatal("the append never ran mid-fold")
 	}
 
-	reused := j.SlabsReused()
+	reused, recomputed := j.SlabsReused(), j.SlabsRecomputed()
 	got, err := j.JoinContext(ctx, window(grown))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := j.SlabsReused() - reused; n != 0 {
-		t.Fatalf("fold over the grown set reused %d late partials of the old snapshot, want 0", n)
+	if n, m := j.SlabsReused()-reused, j.SlabsRecomputed()-recomputed; n != 7 || m != 1 {
+		t.Fatalf("fold over the grown set reused %d and recomputed %d slabs, want 7 and 1", n, m)
 	}
 	cold, err := tcache.New(raster, gran, 0, 0).JoinContext(ctx, window(grown))
 	if err != nil {
@@ -359,7 +364,7 @@ func TestSeriesFoldFaultSite(t *testing.T) {
 	if _, err := j.JoinContext(ctx, req); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("faulted fold returned %v, want the injected error", err)
 	}
-	if st := j.Cache().Stats(); st.Entries != 0 {
+	if st := j.CacheStats(); st.Entries != 0 {
 		t.Fatalf("faulted fold cached %d partials", st.Entries)
 	}
 }

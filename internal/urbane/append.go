@@ -3,11 +3,8 @@ package urbane
 import (
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"repro/internal/data"
-	"repro/internal/qcache"
 )
 
 // appendWire is the POST /api/append body: columnar arrays of new points
@@ -21,27 +18,24 @@ type appendWire struct {
 	Attrs   map[string][]float64 `json:"attrs"`
 }
 
-// appendResponse reports how the catalog and the incremental structures
-// moved: the new epoch keys all future cached responses for the data set,
-// Swept counts the old-epoch cache entries reclaimed eagerly.
+// appendResponse reports how the catalog moved: the new epoch keys all
+// future cached responses for the data set.
 type appendResponse struct {
 	Dataset          string `json:"dataset"`
 	Appended         int    `json:"appended"`
 	Len              int    `json:"len"`
 	Epoch            uint64 `json:"epoch"`
-	Swept            int    `json:"swept"`
 	GeoBlocksPatched bool   `json:"geoBlocksPatched"`
-	SlabsMigrated    int    `json:"slabsMigrated"`
-	SlabsDropped     int    `json:"slabsDropped"`
 }
 
 // handleAppend ingests new points into a data set: POST /api/append.
-// The append is copy-on-write (queries in flight keep their snapshot), the
-// geoblocks pyramid is patched rather than rebuilt, clean slab partials
-// migrate to the new snapshot, and only this data set's cached responses
-// are invalidated — via its epoch, so other data sets' entries stay warm.
-// Appends skip admission control: they are O(tail), far cheaper than the
-// join computes admission exists to bound.
+// The append is copy-on-write (queries in flight keep their snapshot) and
+// the geoblocks pyramid is patched rather than rebuilt. No cache is
+// touched: this data set's cached responses go stale through its epoch,
+// which their keys carry, so other data sets' entries stay warm, and the
+// stale ones age out of the byte budget. Appends skip admission control:
+// they are O(tail), far cheaper than the join computes admission exists
+// to bound.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var wreq appendWire
 	if !s.decodePost(w, r, &wreq) {
@@ -62,20 +56,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, err)
 		return
 	}
-	swept := 0
-	if s.cache != nil && info.Appended > 0 {
-		swept = s.cache.Sweep(epochSweepPred(wreq.Dataset, info.Epoch))
-		s.epochEvictions.Add(uint64(swept))
-	}
 	writeJSON(w, http.StatusOK, appendResponse{
 		Dataset:          wreq.Dataset,
 		Appended:         info.Appended,
 		Len:              info.Len,
 		Epoch:            info.Epoch,
-		Swept:            swept,
 		GeoBlocksPatched: info.GeoBlocksPatched,
-		SlabsMigrated:    info.SlabsMigrated,
-		SlabsDropped:     info.SlabsDropped,
 	})
 }
 
@@ -113,25 +99,4 @@ func tailFor(base *data.PointSet, wreq appendWire) (*data.PointSet, error) {
 		return nil, err
 	}
 	return tail, nil
-}
-
-// epochSweepPred selects the named data set's cache entries that are NOT
-// keyed at the current epoch: the key carries the dataset's epoch prefix,
-// but the exact current-epoch form — followed by a field separator or the
-// end of the key, so epoch 3 can never match epoch 30 — is absent.
-func epochSweepPred(dataset string, epoch uint64) func(key string) bool {
-	prefix := qcache.EpochPrefix(dataset)
-	current := prefix + strconv.FormatUint(epoch, 10)
-	return func(key string) bool {
-		if !strings.Contains(key, prefix) {
-			return false
-		}
-		if i := strings.Index(key, current); i >= 0 {
-			j := i + len(current)
-			if j == len(key) || key[j] == '|' {
-				return false
-			}
-		}
-		return true
-	}
 }

@@ -12,8 +12,8 @@ import (
 
 // BenchmarkAppendThenSlide times what one append costs the slider session
 // that follows it: a 100-point append to the taxi set (the geoblocks
-// pyramid patched, clean slab partials migrated) plus the first 8-slab
-// slide after it, whose last slab the append dirtied. Run on bases of
+// pyramid patched) plus the first 8-slab slide after it, whose last slab
+// the append landed in. Run on bases of
 // 250 k and 1 M points, the two times should be close: an append costs
 // its tail, not the base.
 func BenchmarkAppendThenSlide(b *testing.B) {
@@ -32,8 +32,8 @@ func BenchmarkAppendThenSlide(b *testing.B) {
 			ctx := context.Background()
 
 			// The window ends at the slab holding the set's last timestamp,
-			// which every appended point repeats, so each append dirties
-			// exactly the window's last slab.
+			// which every appended point repeats, so each append leaves that
+			// slab open and the window recomputes exactly it.
 			last := sc.Taxi.T[sc.Taxi.Len()-1]
 			end := (last/slab + 1) * slab
 			slide := func() error {

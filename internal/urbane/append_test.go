@@ -45,17 +45,24 @@ func postAppend(t *testing.T, s *Server, body map[string]any) appendResponse {
 }
 
 // TestAppendEpochIsolation is the per-data-set invalidation regression:
-// appending to taxi must evict taxi's cached responses (via its epoch) and
-// leave 311's entries warm, with the ETag rolling for taxi tiles only.
+// appending to taxi must make every cached response that read taxi
+// unreachable — its key carries taxi's epoch, so the next request misses
+// and answers the grown set's bytes — and leave 311's entries warm, with
+// the ETag rolling for taxi tiles only. The append itself touches no cache.
 func TestAppendEpochIsolation(t *testing.T) {
 	s, f := testServer(t)
 	taxiReq := map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count"}
 	c311Req := map[string]any{"dataset": "311", "layer": "nbhd", "agg": "count"}
 
 	// Warm both data sets, and grab tile validators for both.
+	var taxiBefore []byte
 	for _, body := range []map[string]any{taxiReq, c311Req} {
-		if rec := doJSON(t, s, http.MethodPost, "/api/mapview", body); rec.Code != 200 {
+		rec := doJSON(t, s, http.MethodPost, "/api/mapview", body)
+		if rec.Code != 200 {
 			t.Fatalf("warmup status = %d: %s", rec.Code, rec.Body)
+		}
+		if body["dataset"] == "taxi" {
+			taxiBefore = rec.Body.Bytes()
 		}
 	}
 	taxiTile := doJSON(t, s, http.MethodGet, "/api/tile/0/0/0.png?dataset=taxi", nil)
@@ -109,6 +116,7 @@ func TestAppendEpochIsolation(t *testing.T) {
 		}
 	}
 
+	entries := s.cache.Stats().Entries
 	epochBefore := f.Epoch("taxi")
 	lenBefore, _ := f.PointSet("taxi")
 
@@ -122,11 +130,11 @@ func TestAppendEpochIsolation(t *testing.T) {
 	if f.Epoch("311") != 1 {
 		t.Fatalf("311 epoch moved to %d on a taxi append", f.Epoch("311"))
 	}
-	// The eager sweep reclaimed taxi's stale entries (mapview, tile,
-	// polygon, and the explore and rank that read taxi beside 311) and
-	// reported them.
-	if resp.Swept != 5 {
-		t.Fatalf("swept = %d, want 5 (mapview, tile, polygon, explore, rank)", resp.Swept)
+	// Nothing was swept: taxi's stale entries (mapview, tile, polygon, and
+	// the explore and rank that read taxi beside 311) are still resident,
+	// unreachable under the new epoch.
+	if st := s.cache.Stats(); st.Entries != entries {
+		t.Fatalf("entries after the append = %d, want %d", st.Entries, entries)
 	}
 
 	// 311 stays warm: its next identical request is a cache hit.
@@ -134,10 +142,13 @@ func TestAppendEpochIsolation(t *testing.T) {
 	if got := rec.Header().Get("X-Urbane-Cache"); got != "hit" {
 		t.Fatalf("311 outcome after taxi append = %q, want hit", got)
 	}
-	// taxi recomputes: new epoch, new key, and the count reflects the tail.
+	// taxi recomputes: new epoch, new key, and the counts reflect the tail.
 	rec = doJSON(t, s, http.MethodPost, "/api/mapview", taxiReq)
 	if got := rec.Header().Get("X-Urbane-Cache"); got != "miss" {
 		t.Fatalf("taxi outcome after append = %q, want miss", got)
+	}
+	if bytes.Equal(rec.Body.Bytes(), taxiBefore) {
+		t.Fatal("taxi mapview after append answered the pre-append bytes")
 	}
 
 	// The repeated ring sees exactly the appended points on taxi (a stale
@@ -175,28 +186,19 @@ func TestAppendEpochIsolation(t *testing.T) {
 	if w.Code != http.StatusNotModified {
 		t.Fatalf("311 tile after taxi append = %d, want 304 (entry stays warm)", w.Code)
 	}
-
-	// The stats endpoint surfaces the eviction counter.
-	var st statsResponse
-	rec = doJSON(t, s, http.MethodGet, "/api/stats", nil)
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Incremental.EpochEvictions != uint64(resp.Swept) {
-		t.Errorf("stats epochEvictions = %d, want %d", st.Incremental.EpochEvictions, resp.Swept)
-	}
 }
 
 // TestAppendSlabMigration is the warm-slide story end to end: with the
-// slab fold enabled, an append dirties only the slab its timestamps land
-// in; re-asking a multi-slab window recomputes that one slab and folds the
-// rest from migrated partials.
+// slab fold enabled, an in-order append leaves every slab that ends by the
+// set's last timestamp sealed and reachable; re-asking a multi-slab window
+// recomputes only the slab the appended timestamps land in and folds the
+// rest from the partials the first ask cached.
 func TestAppendSlabMigration(t *testing.T) {
 	f, _, _ := buildTestFramework(t)
 	f.EnableIncremental(3600, 0, 0)
 	s := NewServer(f, WithTimeSnap(3600))
 	// Cache the tail half of the day — slabs 4..7 — because appends must be
-	// time-ordered, so the dirty slab has to sit at the end of the range.
+	// time-ordered, so the appended slab has to sit at the end of the range.
 	body := map[string]any{
 		"dataset": "taxi", "layer": "nbhd", "agg": "count",
 		"time": map[string]int64{"start": 4 * 3600, "end": 8 * 3600},
@@ -209,42 +211,27 @@ func TestAppendSlabMigration(t *testing.T) {
 		t.Fatalf("warmup recomputed %d slabs, want 4", got)
 	}
 
-	// Append at the set's last timestamp (inside slab 7 for this seed);
-	// only the slabs an appended timestamp lands in may drop, and only if
-	// they were cached — a dirty slab past the window was never cached, so
-	// it neither drops nor recomputes.
+	// Append at the set's last timestamp, inside slab 7 for this seed; the
+	// tail runs on into slab 8, past the window, which seals slab 7.
 	taxi, _ := f.PointSet("taxi")
 	t0 := taxi.T[taxi.Len()-1]
-	resp := postAppend(t, s, appendBody("taxi", 3, t0))
-	wantDirty := map[int64]bool{}
-	for i := int64(0); i < 3; i++ {
-		wantDirty[(t0+i)/3600] = true
+	if t0/3600 != 7 {
+		t.Fatalf("seed drift: the set's last timestamp %d is outside slab 7", t0)
 	}
-	dirtyCached := 0
-	for slab := range wantDirty {
-		if slab >= 4 && slab < 8 {
-			dirtyCached++
-		}
-	}
-	if dirtyCached == 0 {
-		t.Fatalf("seed drift: appended slab(s) %v missed the cached window", wantDirty)
-	}
-	if resp.SlabsDropped != dirtyCached || resp.SlabsMigrated != 4-dirtyCached {
-		t.Fatalf("append rekey = %+v, want %d dropped / %d migrated",
-			resp, dirtyCached, 4-dirtyCached)
-	}
+	postAppend(t, s, appendBody("taxi", 3, t0))
 
-	// Same window again: only the dirty slab recomputes, the rest fold
-	// from migrated partials.
+	// Same window again: slab 7 recomputes — the warmup cached it open,
+	// and an open partial never answers for a sealed slab — and slabs 4..6
+	// fold from the partials the warmup cached.
 	reused0, recomp0 := sj.SlabsReused(), sj.SlabsRecomputed()
 	if rec := doJSON(t, s, http.MethodPost, "/api/mapview", body); rec.Code != 200 {
 		t.Fatalf("post-append status = %d: %s", rec.Code, rec.Body)
 	}
-	if got := sj.SlabsRecomputed() - recomp0; got != uint64(dirtyCached) {
-		t.Errorf("recomputed %d slabs after append, want %d", got, dirtyCached)
+	if got := sj.SlabsRecomputed() - recomp0; got != 1 {
+		t.Errorf("recomputed %d slabs after append, want 1", got)
 	}
-	if got := sj.SlabsReused() - reused0; got != uint64(4-dirtyCached) {
-		t.Errorf("reused %d slabs after append, want %d", got, 4-dirtyCached)
+	if got := sj.SlabsReused() - reused0; got != 3 {
+		t.Errorf("reused %d slabs after append, want 3", got)
 	}
 }
 

@@ -91,13 +91,6 @@ func WithTimeSnap(gran int64) ServerOption {
 	}
 }
 
-// CacheStats snapshots the cache counters (zero-valued when disabled).
-func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
-
-// AdmissionStats snapshots the admission controller (zero-valued when
-// admission is disabled).
-func (s *Server) AdmissionStats() admit.Stats { return s.admit.Stats() }
-
 // statusError carries a non-default HTTP status through a cached compute
 // function; plain errors map to 400 Bad Request.
 type statusError struct {
@@ -242,8 +235,8 @@ func matchesETag(header, etag string) bool {
 // parseSelection) — to sig; each endpoint adds only its own extra fields.
 // The data set travels as an Epoch pair (name + per-data-set write epoch),
 // so an append or cube build against one data set changes only that set's
-// keys — every other set's entries stay warm, handleAppend's sweep reclaims
-// the stale ones, and the image endpoints' ETags (which hash the key) roll
+// keys — every other set's entries stay warm, the stale ones age out of
+// the byte budget, and the image endpoints' ETags (which hash the key) roll
 // over automatically. A view reading several data sets appends one Epoch
 // pair per set.
 func (s *Server) selectionSig(sig *qcache.Sig, sel Selection) *qcache.Sig {

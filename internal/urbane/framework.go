@@ -200,8 +200,8 @@ func (f *Framework) routing() *query.Planner {
 	return f.planner
 }
 
-// AppendInfo summarizes one Append: how the catalog and the incremental
-// structures moved.
+// AppendInfo summarizes one Append: how the catalog and the geoblocks
+// pyramid moved.
 type AppendInfo struct {
 	// Appended is the number of points added; Len the set's new size.
 	Appended int
@@ -212,27 +212,26 @@ type AppendInfo struct {
 	// (false when geoblocks is disabled, nothing was cached, or the patch
 	// fell back to a lazy rebuild).
 	GeoBlocksPatched bool
-	// SlabsMigrated / SlabsDropped count slab partials rekeyed to the new
-	// snapshot versus evicted because an appended timestamp dirtied them.
-	SlabsMigrated int
-	SlabsDropped  int
 }
 
 // Append grows the named data set with tail's points via a copy-on-write
 // append: in-flight queries keep reading the old snapshot, new queries see
-// the grown one. The incremental structures are maintained, not rebuilt —
-// the geoblocks pyramid is patched with tail-only aggregates, and slab
-// partials whose windows contain no appended timestamp migrate to the new
-// snapshot while dirtied slabs are evicted. The set's epoch advances, so
-// response-cache keys for this data set change while every other set's
-// entries stay warm.
+// the grown one. Publishing the snapshot is all it does to the caches:
+// the set's epoch advances, so response-cache keys for this data set
+// change while every other set's entries stay warm, and slab partials are
+// keyed by the snapshot they cover (see package tcache), so the sealed
+// ones stay reachable and the rest go stale. The geoblocks pyramid is the
+// one structure maintained here, patched with tail-only aggregates: the
+// patch lineage sets the pyramid's SUM bits, so a patch deferred to the
+// next read would make those bits depend on when reads happen.
 //
 // tail must match the set's schema and — for sets with a time column —
 // arrive in time order, no earlier than the set's last timestamp: the
 // query scan binary-searches the time column, so an out-of-order append
-// would silently corrupt every windowed query. Appends to segment-backed
-// sets are rejected (the attached source would no longer agree with the
-// set). An empty tail is a no-op that reports the current state.
+// would silently corrupt every windowed query, and the slab fold's sealed
+// partials rely on it. Appends to segment-backed sets are rejected (the
+// attached source would no longer agree with the set). An empty tail is a
+// no-op that reports the current state.
 func (f *Framework) Append(ctx context.Context, name string, tail *data.PointSet) (AppendInfo, error) {
 	if err := tail.Validate(); err != nil {
 		return AppendInfo{}, err
@@ -267,19 +266,9 @@ func (f *Framework) Append(ctx context.Context, name string, tail *data.PointSet
 	if err != nil {
 		return AppendInfo{}, err
 	}
-	oldStamp, newStamp := ps.Stamp(), grown.Stamp()
 	info := AppendInfo{Appended: tail.Len(), Len: grown.Len()}
 	if g := f.planner.GeoBlocks; g != nil {
 		info.GeoBlocksPatched = g.Store().Patch(ctx, ps, grown)
-	}
-	if sj := f.planner.Slabs; sj != nil {
-		// Only the slabs an appended timestamp lands in change; partials for
-		// every other slab are byte-identical over the grown set and migrate.
-		dirty := make(map[int64]bool)
-		for _, t := range tail.T {
-			dirty[tcache.SlabOf(t, sj.Gran())] = true
-		}
-		info.SlabsMigrated, info.SlabsDropped = sj.Cache().Rekey(oldStamp, newStamp, dirty)
 	}
 	f.points[name] = grown
 	f.epochs[name]++

@@ -83,7 +83,7 @@ func TestPolygonEndpointCached(t *testing.T) {
 	if b.Code != http.StatusOK || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
 		t.Fatalf("cached response diverged: %s vs %s", a.Body, b.Body)
 	}
-	st := s.CacheStats()
+	st := s.cache.Stats()
 	if st.Hits == 0 {
 		t.Errorf("no cache hit recorded: %+v", st)
 	}

@@ -93,10 +93,10 @@ func TestSelectionEntryShared(t *testing.T) {
 }
 
 // TestSelectionEntryAppend: an append between two views of a selection
-// makes the second run a fresh join — its key carries the new epoch — and
-// handleAppend's sweep reclaims the old selection entry with the PNGs
-// rendered from it. The fresh entry is shared again, and every body
-// matches an uncached server fed the same append.
+// makes the second run a fresh join — its key carries the new epoch, so
+// the old selection entry and the PNGs rendered from it are never served
+// again, though the append leaves them resident. The fresh entry is shared
+// again, and every body matches an uncached server fed the same append.
 func TestSelectionEntryAppend(t *testing.T) {
 	s, _ := testServer(t)
 	off, _ := testServer(t)
@@ -117,18 +117,19 @@ func TestSelectionEntryAppend(t *testing.T) {
 		t.Fatalf("entries before the append = %d, want 2", st.Entries)
 	}
 	body := appendBody("taxi", 40, 8*3600)
-	if resp := postAppend(t, s, body); resp.Swept != 2 {
-		t.Errorf("append swept %d entries, want 2 (the selection entry and its PNG)", resp.Swept)
-	}
+	postAppend(t, s, body)
 	postAppend(t, off, body)
-	if st := cacheStats(t, s); st.Entries != 0 {
-		t.Errorf("entries after the sweep = %d, want 0", st.Entries)
+	if st := cacheStats(t, s); st.Entries != 2 {
+		t.Errorf("entries after the append = %d, want 2: an append touches no cache", st.Entries)
 	}
 
-	for _, i := range []int{5, 1, 0, 3} { // mapview AVG, mapview SUM, query SUM, PNG w=256
+	for _, i := range []int{2, 5, 1, 0, 3} { // PNG w=128, mapview AVG, mapview SUM, query SUM, PNG w=256
 		got, h := get(s, i)
-		if wantJoin := i == 5; ranJoin(h) != wantJoin {
+		if wantJoin := i == 2; ranJoin(h) != wantJoin {
 			t.Errorf("%s %s after the append: ran a join = %v, want %v", views[i].path, views[i].body, ranJoin(h), wantJoin)
+		}
+		if wantMiss := i == 2 || i == 3; (h.Get(cacheOutcomeHeader) == "miss") != wantMiss {
+			t.Errorf("%s %s after the append: cache %q", views[i].path, views[i].body, h.Get(cacheOutcomeHeader))
 		}
 		if want, _ := get(off, i); !bytes.Equal(got, want) {
 			t.Errorf("%s %s: body differs from the uncached server's after the append", views[i].path, views[i].body)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/lru"
 	"repro/internal/qcache"
 	"repro/internal/query"
-	"repro/internal/tcache"
 	"repro/internal/trace"
 )
 
@@ -40,9 +39,6 @@ type Server struct {
 	admit   *admit.Controller // nil = admission control disabled
 	faults  *fault.Registry   // nil = fault injection disarmed
 
-	// epochEvictions counts cache entries reclaimed by per-data-set epoch
-	// sweeps (appends).
-	epochEvictions atomic.Uint64
 	// crossView counts requests served by a selection entry another view
 	// computed (see readSelection).
 	crossView atomic.Uint64
@@ -626,15 +622,14 @@ type statsResponse struct {
 }
 
 // incrementalStats reports the incremental-maintenance machinery: slab-fold
-// reuse counters, the slab partial cache, and per-data-set epoch sweeps.
+// reuse counters and the slab partial cache.
 type incrementalStats struct {
-	Enabled         bool         `json:"enabled"`
-	GranSec         int64        `json:"granSec"`
-	MaxSlabs        int          `json:"maxSlabs"`
-	SlabsReused     uint64       `json:"slabsReused"`
-	SlabsRecomputed uint64       `json:"slabsRecomputed"`
-	EpochEvictions  uint64       `json:"epochEvictions"`
-	Cache           tcache.Stats `json:"cache"`
+	Enabled         bool      `json:"enabled"`
+	GranSec         int64     `json:"granSec"`
+	MaxSlabs        int       `json:"maxSlabs"`
+	SlabsReused     uint64    `json:"slabsReused"`
+	SlabsRecomputed uint64    `json:"slabsRecomputed"`
+	Cache           lru.Stats `json:"cache"`
 }
 
 // segmentsStats reports segment-backed execution: which data sets run on
@@ -668,14 +663,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	inc := incrementalStats{EpochEvictions: s.epochEvictions.Load()}
+	var inc incrementalStats
 	if j := s.f.Incremental(); j != nil {
 		inc.Enabled = true
 		inc.GranSec = j.Gran()
 		inc.MaxSlabs = j.MaxSlabs()
 		inc.SlabsReused = j.SlabsReused()
 		inc.SlabsRecomputed = j.SlabsRecomputed()
-		inc.Cache = j.Cache().Stats()
+		inc.Cache = j.CacheStats()
 	}
 	var gb geoblocks.Stats
 	if g := s.f.GeoBlocks(); g != nil {

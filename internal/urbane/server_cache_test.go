@@ -342,7 +342,7 @@ func TestCacheOnOffResponsesByteIdentical(t *testing.T) {
 		}
 	}
 	// The cached server actually cached: some of the repeats were hits.
-	if st := cached.CacheStats(); st.Hits == 0 {
+	if st := cached.cache.Stats(); st.Hits == 0 {
 		t.Error("randomized sequence produced no cache hits; domain too wide?")
 	}
 }
@@ -402,7 +402,7 @@ func TestTileETagRevalidation(t *testing.T) {
 			etag, first.Header().Get("Cache-Control"))
 	}
 
-	misses0 := s.CacheStats().Misses
+	misses0 := s.cache.Stats().Misses
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	req.Header.Set("If-None-Match", etag)
 	rec := httptest.NewRecorder()
@@ -413,7 +413,7 @@ func TestTileETagRevalidation(t *testing.T) {
 	if rec.Body.Len() != 0 {
 		t.Errorf("304 carried a %d-byte body", rec.Body.Len())
 	}
-	if got := s.CacheStats().Misses; got != misses0 {
+	if got := s.cache.Stats().Misses; got != misses0 {
 		t.Errorf("304 recomputed: misses %d -> %d", misses0, got)
 	}
 
@@ -503,7 +503,7 @@ func TestCoalescedHeaderSurfaces(t *testing.T) {
 			if misses != 1 {
 				t.Errorf("computes = %d, want exactly 1 across concurrent identical requests", misses)
 			}
-			if st := s.CacheStats(); st.Misses != 1 {
+			if st := s.cache.Stats(); st.Misses != 1 {
 				t.Errorf("stats.misses = %d, want 1", st.Misses)
 			}
 		})

@@ -129,7 +129,7 @@ func TestTileEndpoint(t *testing.T) {
 				url, rec.Code, rec.Header().Get("Content-Type"))
 		}
 	}
-	if got := s.CacheStats().Entries; got != 1 {
+	if got := s.cache.Stats().Entries; got != 1 {
 		t.Errorf("cache entries = %d, want 1: rejected addresses must not be cached", got)
 	}
 }
