@@ -69,9 +69,10 @@ bench:
 # sort.SliceStable, the segment reader over corrupted files, the query
 # parser, the cache key and the selection entry encoding, the series join
 # against per-bin joins (all five aggregates, both modes, the ε mode and
-# small-texture tiled devices), the row-edge exact test against
-# Polygon.Contains and the point pass's pixel map against the reference
-# mapping; go test accepts one -fuzz target per invocation.
+# small-texture tiled devices), the row-edge exact test and the compiled
+# boundary membership records against Polygon.Contains and the point pass's
+# pixel map against the reference mapping; go test accepts one -fuzz target
+# per invocation.
 fuzz:
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/data -run='^$$' -fuzz='^FuzzReadGeoJSON$$' -fuzztime=$(FUZZTIME)
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test ./internal/segment -run='^$$' -fuzz='^FuzzSegmentOpen$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/core -run='^$$' -fuzz='^FuzzSeriesMatchesPerBin$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzRowEdgeContains$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzBoundaryMembership$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/raster -run='^$$' -fuzz='^FuzzPixelMap$$' -fuzztime=$(FUZZTIME)
 
 # Parallel passes and span cache suite under the race detector: the
@@ -92,13 +94,16 @@ fuzz:
 # count), the golden digests of joins, flows, density, series and tiled
 # renders (every worker count reproduces the recorded bits), the
 # cancellation-hygiene tests, the span cache, the compiled layer's
-# row-edge tables, the data sets' bounds memo, resolve against its
-# per-fragment reference with three workers (its region-parallel pass 3),
-# and the texture and scratch pools: marks that hold after faults and
-# cancellations, and two goroutines sharing one joiner's pools.
+# row-edge reference and boundary membership records, the data sets'
+# bounds memo, resolve against its per-fragment reference and leaving its
+# tile clean, the accurate flow join, and the texture and scratch pools:
+# marks that hold after faults and cancellations, and two goroutines sharing
+# one joiner's pools. The region-parallel refine of pass 3 runs at 1, 2, 3
+# and 4 workers among them (TestParallelWorkersBitIdentical, the goldens,
+# TestResolveMatchesMerge).
 parallel-race:
 	$(GO) test -race -count=1 \
-		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Cancel|Bounds|ResolveMatchesMerge|Pooled' \
+		-run 'Parallel|Golden|SpanCache|CompileRegions|RowEdge|Membership|Cancel|Bounds|Resolve|AccurateFlow|Pooled' \
 		./internal/gpu ./internal/raster ./internal/core ./internal/data
 
 # End-to-end deadline smoke test: boot the real server with a 1ms

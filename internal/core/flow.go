@@ -259,9 +259,8 @@ func (od *odLookup) drawIDs(ctx context.Context) error {
 func (od *odLookup) owner(px, py int, x, y float64) int32 {
 	if od.mask != nil && od.mask.Get(px, py) {
 		for _, q := range od.slots.Positions(od.sp.Slot(px, py)) {
-			k := od.sp.RegionOf(q)
-			if od.sp.RowEdges(k, py).Contains(geom.Point{X: x, Y: y}) {
-				return int32(k)
+			if od.sp.Member(q).Contains(geom.Point{X: x, Y: y}) {
+				return int32(od.sp.RegionOf(q))
 			}
 		}
 	}

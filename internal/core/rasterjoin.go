@@ -221,8 +221,11 @@ func joinTile(ctx context.Context, req Request, plan ScatterPlan) tileBody {
 // returned nil, see tile.release), the scan compiled from req and re-aimed
 // at the tile (nil unless scan: the scatter-gather draws pass 1 on the
 // shards) and the aggregate's attribute column, and the results carry the
-// canvas metadata. In accurate mode each tile that completes records the
-// boundary_obs and refine_edge_tests trace counters of its resolves.
+// canvas metadata. Each tile that completes adds its stage times to the
+// join's stage spans — core.pass1 (over a local scan; the scatter-gather
+// traces shard.scatter and shard.gather instead) and core.accumulate, and
+// in accurate mode core.collect and core.refine, which carries the
+// boundary_obs and refine_edge_tests counters of the tile's resolves.
 func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan bool,
 	body tileBody) ([]*Result, error) {
 
@@ -257,6 +260,13 @@ func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan b
 	}
 
 	tr := trace.FromContext(ctx)
+	var spans [stages]*trace.Span
+	for s := range spans {
+		if s == stagePass1 && !scan || s >= stageCollect && r.mode != Accurate {
+			continue
+		}
+		spans[s] = tr.Stage(stageNames[s])
+	}
 	tiles := 0
 	err := r.dev.Tiles(full, func(c *gpu.Canvas, offX, offY int) error {
 		if err := ctx.Err(); err != nil {
@@ -279,9 +289,12 @@ func (r *RasterJoin) tileLoop(ctx context.Context, req Request, bins int, scan b
 			return err
 		}
 		clean = true
+		for s, sp := range spans {
+			sp.Add(t.spent[s])
+		}
 		if t.mask != nil {
-			tr.Count("boundary_obs", t.nobs)
-			tr.Count("refine_edge_tests", t.tests)
+			spans[stageRefine].Count("boundary_obs", t.nobs)
+			spans[stageRefine].Count("refine_edge_tests", t.tests)
 		}
 		return nil
 	})

@@ -227,8 +227,11 @@ func requireClean(t *testing.T, tl *tile, label string) {
 			}
 		}
 	}
-	if n := tl.hit.Count(); n != 0 {
-		t.Fatalf("%s: %d hit bits left set", label, n)
+	hit, _ := tl.hit.Words()
+	for i, w := range hit {
+		if w != 0 {
+			t.Fatalf("%s: hit word %d left %#x", label, i, w)
+		}
 	}
 	for i, w := range tl.marks {
 		if w != 0 {

@@ -185,7 +185,7 @@ func (sc *Scan) setTime(start, end int64) error {
 
 // setWorld bounds the scan spatially: blocks whose coordinate zones are
 // disjoint from the canvas window are pruned. The test keeps blocks that
-// touch the window edge — raster.Transform.ToPixel is inclusive at the max
+// touch the window edge — raster.PixelMap.Map is inclusive at the max
 // edge — and a block of all-NaN coordinates (zone Min=+Inf) is pruned,
 // matching the canvas cull of NaN positions.
 func (sc *Scan) setWorld(w geom.BBox) {

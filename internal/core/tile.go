@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/fault"
@@ -116,13 +117,13 @@ type mapped struct {
 	idx, px, py, off []int32
 }
 
-// blend folds pts into the targets, one loop per target, each in point
-// order: the count, the aggregate's value (sum, min or max) read from vs,
-// the hit bitmap, and the boundary mask, whose points append their
-// coordinates and value to their row's observation list. vs nil folds value
-// 0. Every points-first path — local draws, straddle replay, shard bands —
-// folds through here, so each pixel and each row list sees the same
-// operations in the same order on all of them.
+// blend folds pts, at most chunkSize points, into the targets, one loop per
+// target, each in point order: the count, the aggregate's value (sum, min
+// or max) read from vs, the hit bitmap, and the boundary mask, whose points
+// append their coordinates and value to their row's observation list. vs
+// nil folds value 0. Every points-first path — local draws, straddle
+// replay, shard bands — folds through here, so each pixel and each row list
+// sees the same operations in the same order on all of them.
 func (t *targets) blend(pts mapped, xs, ys, vs []float64) {
 	idx := pts.idx
 	off := pts.off[:len(idx)]
@@ -154,17 +155,23 @@ func (t *targets) blend(pts mapped, xs, ys, vs []float64) {
 		}
 	}
 	if mask := t.mask; mask != nil {
+		// Select the points in boundary pixels first, without a branch on
+		// the mask bit — one point in six lands in one, at random — then
+		// append only those.
+		words, stride := mask.Words()
+		var sel [chunkSize]int32
+		n := 0
 		for q, x := range px {
-			y := int(py[q])
-			if !mask.Get(int(x), y) {
-				continue
-			}
+			sel[n] = int32(q)
+			n += int(words[int(py[q])*stride+int(x>>6)] >> uint(x&63) & 1)
+		}
+		for _, q := range sel[:n] {
 			k := off[q]
 			var v float64
 			if vs != nil {
 				v = vs[k]
 			}
-			t.rows[y] = append(t.rows[y], obs{x: xs[k], y: ys[k], v: v, px: x})
+			t.rows[py[q]] = append(t.rows[py[q]], obs{x: xs[k], y: ys[k], v: v, px: px[q]})
 		}
 	}
 }
@@ -196,8 +203,10 @@ type tile struct {
 	local []RegionStat
 	marks []uint64
 	// nobs and tests total, over the tile's resolves, the boundary
-	// observations binned and the edge crossing tests made.
+	// observations binned and the local edge tests made; spent totals the
+	// wall time of each stage over the tile's passes.
 	nobs, tests int64
+	spent       [stages]time.Duration
 	// pooled is where the hit bitmap, bins, local and marks came from and
 	// go back to (see scratch).
 	pooled *scratch
@@ -380,7 +389,28 @@ func (r *RasterJoin) pass1(ctx context.Context, t *targets, m raster.PixelMap,
 
 // drawScan is pass 1 of a canvas tile over a compiled scan.
 func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) error {
+	defer t.since(stagePass1, time.Now())
 	return t.r.pass1(ctx, &t.targets, t.c.PixelMap(), sc, lo, hi, attrIdx, "batches")
+}
+
+// The stages of a canvas tile whose wall time tileLoop traces, one span
+// each per join: pass 1 over a local scan, pass 2, binning and pass 3.
+const (
+	stagePass1 = iota
+	stageAccumulate
+	stageCollect
+	stageRefine
+	stages
+)
+
+// stageNames are the stages' span names.
+var stageNames = [stages]string{"core.pass1", "core.accumulate", "core.collect", "core.refine"}
+
+// since adds the time from start to now to stage s and returns now.
+func (t *tile) since(s int, start time.Time) time.Time {
+	now := time.Now()
+	t.spent[s] += now.Sub(start)
+	return now
 }
 
 // resolve runs passes 2 and 3 over finished pass-1 targets and merges each
@@ -389,13 +419,14 @@ func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) erro
 // canvas pixels and per 64 boundary positions — not with the pixels the
 // layer covers. Pass 2 (accumulate) folds every hit pixel into the regions
 // whose runs cover it. In accurate mode pass 3 bins the boundary
-// observations, marks every position of the observed slots in marks and,
-// parallel across runs of consecutive regions, runs fixup on each region's
-// marked positions in Boundary order (refine). Each region's stat
-// accumulates from zero in local and is merged into stats[k] within the
-// fan-out. Every hit pixel, texel, bin and mark is cleared on the way, so
-// the tile is ready for another pass 1 — a series' next bin — and, once its
-// body is done, its textures and scratch for the next request (release).
+// observations (collect), marks every position of the observed slots in
+// marks and, parallel across runs of consecutive regions, folds each
+// region's marked positions in Boundary order through their membership
+// records (refine). Each region's stat accumulates from zero in local and
+// is merged into stats[k] within the fan-out. Every hit pixel, texel, bin
+// and mark is cleared on the way, so the tile is ready for another pass 1 —
+// a series' next bin — and, once its body is done, its textures and scratch
+// for the next request (release). The time of each stage adds to spent.
 //
 // Race audit: parallelCtx hands each claim, regions [k0, k1), to exactly
 // one goroutine, which writes only local[k] and stats[k] of those regions;
@@ -403,9 +434,11 @@ func (t *tile) drawScan(ctx context.Context, sc *Scan, lo, hi, attrIdx int) erro
 // fan-out, and the edge-test total is atomic. marks is cleared after the
 // fan-out, not inside it, because one word can hold two regions' positions.
 func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
+	start := time.Now()
 	if err := t.accumulate(ctx); err != nil {
 		return err
 	}
+	start = t.since(stageAccumulate, start)
 	slots := t.sp.SlotIndex()
 	if t.mask != nil {
 		t.nobs += int64(t.collect(t.rows, t.sp))
@@ -414,6 +447,7 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 				t.marks[q>>6] |= 1 << uint(q&63)
 			}
 		}
+		start = t.since(stageCollect, start)
 	}
 	var tests atomic.Int64
 	n := t.sp.Regions()
@@ -438,6 +472,7 @@ func (t *tile) resolve(ctx context.Context, stats []RegionStat) error {
 			}
 		}
 		t.clear(t.rows)
+		t.since(stageRefine, start)
 	}
 	return err
 }
@@ -533,7 +568,8 @@ const claimsPerWorker = 8
 // refine is pass 3 for regions [k0, k1): fixup, into local[k], on each
 // boundary position of region k set in marks, region by region in Boundary
 // order — one walk over the marks of the regions' concatenated Boundary
-// lists. It returns the number of edge crossing tests made.
+// lists, reading each marked position's membership record. It returns the
+// number of local edge tests made.
 func (t *tile) refine(k0, k1 int) (tests int64) {
 	marks, sp := t.marks, t.sp
 	k := k0
@@ -549,8 +585,10 @@ func (t *tile) refine(k0, k1 int) (tests int64) {
 		for q >= int(sp.BoundaryOffset(k+1)) {
 			k++
 		}
-		i := q - int(sp.BoundaryOffset(k))
-		tests += t.fixup(k, sp.Boundary(k)[i], sp.BoundarySlots(k)[i], &t.local[k])
+		rec := sp.Member(int32(q))
+		bin := t.bin(sp.PixelSlot(sp.Boundary(k)[q-int(sp.BoundaryOffset(k))]))
+		tests += int64(len(bin) * rec.Local())
+		t.fixup(rec, bin, &t.local[k])
 	}
 	return tests
 }
@@ -597,61 +635,85 @@ func (r *RasterJoin) parallelCtx(ctx context.Context, n int, fn func(k int)) err
 	return ctx.Err()
 }
 
-// fixup is pass 3 for idx, one of region k's own boundary pixels, with
-// boundary slot slot: every observation binned there takes the exact
-// point-in-polygon test against the region's edges in the pixel's row and,
-// when inside, folds into local. refine runs it over the region's boundary
-// pixels whose slots got observations, in Boundary order. It returns the
-// number of edge crossing tests made.
-func (t *tile) fixup(k int, idx, slot int32, local *RegionStat) int64 {
-	bin := t.bin(slot)
-	if len(bin) == 0 {
-		return 0
-	}
-	y := int(idx) / t.c.T.W
-	row, edges := t.rows[y], t.sp.RowEdges(k, y)
-	for _, i := range bin {
-		o := &row[i]
-		if !edges.Contains(geom.Point{X: o.x, Y: o.y}) {
-			continue
+// fixup is pass 3 at one boundary position: every observation of bin, the
+// position's pixel's, in point order, takes the exact point-in-polygon
+// test of rec, the position's membership record, and folds into local when
+// inside.
+//
+// The fold does not branch on the test either. The count adds 0 or 1; a
+// sum, min or max takes its new value or keeps its old one by selecting
+// bits (pick), never by multiplying by the test: a product would turn a −0
+// sum into +0, and an outside ±Inf or NaN value would turn any sum into
+// NaN. Every field carries exactly the bits RegionStat.Observe, or Count++
+// and Sum += v, would leave behind an if.
+func (t *tile) fixup(rec raster.Member, bin []xyv, local *RegionStat) {
+	switch {
+	case t.min != nil || t.max != nil:
+		for _, o := range bin {
+			in := b2u(rec.Contains(geom.Point{X: o.x, Y: o.y}))
+			first := b2u(local.Count == 0)
+			local.Min = pick(in&(first|b2u(o.v < local.Min)), o.v, local.Min)
+			local.Max = pick(in&(first|b2u(o.v > local.Max)), o.v, local.Max)
+			local.Count += int64(in)
+			local.Sum = pick(in, local.Sum+o.v, local.Sum)
 		}
-		switch {
-		case t.min != nil || t.max != nil:
-			local.Observe(o.v)
-		case t.sum != nil:
-			local.Count++
-			//lint:ignore floataccum boundary fix-up over one pixel's point bin; dozens of terms at most
-			local.Sum += o.v
-		default:
-			local.Count++
+	case t.sum != nil:
+		for _, o := range bin {
+			in := b2u(rec.Contains(geom.Point{X: o.x, Y: o.y}))
+			local.Count += int64(in)
+			local.Sum = pick(in, local.Sum+o.v, local.Sum)
+		}
+	default:
+		for _, o := range bin {
+			local.Count += int64(b2u(rec.Contains(geom.Point{X: o.x, Y: o.y})))
 		}
 	}
-	return int64(len(bin) * edges.Len())
 }
 
-// bins groups pass 1's boundary observations by slot without moving them:
-// after collect, slot s's observations are rows[y][i] for i in
-// order[end[s]-n[s]:end[s]], in point order, where y is the slot's row;
-// touched lists the slots with any.
+// b2u is 1 for true and 0 for false; the compiler lowers it to the flag
+// byte the comparison already produced, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// pick returns x when c is 1 and y when c is 0, bit for bit: a mask selects
+// between the two bit patterns.
+func pick(c uint64, x, y float64) float64 {
+	xb, yb := math.Float64bits(x), math.Float64bits(y)
+	return math.Float64frombits(yb ^ (xb^yb)&-c)
+}
+
+// bins groups pass 1's boundary observations by slot: after collect, slot
+// s's observations are binned[end[s]-n[s]:end[s]], in point order, where
+// they lie side by side for pass 3 to read; touched lists the slots with
+// any.
 type bins struct {
-	order   []int32
+	binned  []xyv
 	n, end  []int32
 	touched []int32
-	ranks   raster.SlotRow // scratch
 }
 
+// xyv is a binned observation: the point's coordinates and its value.
+type xyv struct{ x, y, v float64 }
+
 // collect bins the per-row observation lists — a stable counting sort by
-// slot whose cost is the observations plus one word rank per mask word of
-// each non-empty row — and returns the number of observations.
+// slot, copying each observation into its bin — and returns the number of
+// observations. An observation's slot is its mask word's first slot, from
+// the layer's compiled per-word prefix, plus the mask bits below its
+// pixel's. Slots number the pixels row-major and touched lists a row's
+// slots together, so the copies of one row land in one stretch of binned.
 func (b *bins) collect(rows [][]obs, sp *raster.RegionSpans) int {
+	mask, stride := sp.Mask().Words()
+	first := sp.WordSlots()
 	total := 0
 	for y, row := range rows {
-		if len(row) == 0 {
-			continue
-		}
-		b.ranks = sp.SlotRow(y, b.ranks)
 		for i := range row {
-			s := b.ranks.Slot(int(row[i].px))
+			x := row[i].px
+			w := y*stride + int(x>>6)
+			s := first[w] + int32(bits.OnesCount64(mask[w]&(1<<uint(x&63)-1)))
 			row[i].slot = s
 			if b.n[s] == 0 {
 				b.touched = append(b.touched, s)
@@ -665,23 +727,23 @@ func (b *bins) collect(rows [][]obs, sp *raster.RegionSpans) int {
 		b.end[s] = off
 		off += b.n[s]
 	}
-	b.order = slices.Grow(b.order[:0], total)[:total]
+	b.binned = slices.Grow(b.binned[:0], total)[:total]
 	for _, row := range rows {
-		for i, o := range row {
-			b.order[b.end[o.slot]] = int32(i)
+		for _, o := range row {
+			b.binned[b.end[o.slot]] = xyv{o.x, o.y, o.v}
 			b.end[o.slot]++
 		}
 	}
 	return total
 }
 
-// bin returns the row-local indices of slot s's observations.
-func (b *bins) bin(s int32) []int32 {
+// bin returns slot s's observations.
+func (b *bins) bin(s int32) []xyv {
 	n := b.n[s]
 	if n == 0 {
 		return nil
 	}
-	return b.order[b.end[s]-n : b.end[s]]
+	return b.binned[b.end[s]-n : b.end[s]]
 }
 
 // clear empties the bins and the per-row lists.

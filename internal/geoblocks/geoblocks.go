@@ -279,7 +279,7 @@ func reduceAttr(sums, mins, maxs []float64, counts []int64, childSide int) (s, m
 
 // finestCell returns the finest-level cell index of world point (x, y),
 // clamped into the grid (points exactly on the max edge land in the last
-// cell, matching raster.Transform.ToPixel's rule).
+// cell, matching raster.PixelMap.Map's rule).
 func (ix *Index) finestCell(x, y float64) int32 {
 	side := 1 << ix.maxLevel
 	cx := int((x - ix.bounds.MinX) / ix.finW)

@@ -326,7 +326,7 @@ func (c *Canvas) DrawPoints(n int, pos func(i int) (x, y float64), shader PointS
 
 // DrawSpans replays precompiled scanline spans — a region's fill or
 // interior from raster.CompileRegions. A region's fill visits the fragments
-// raster.FillPolygon visits on the geometry the spans were compiled from,
+// raster.FillPolygonSpans covers on the geometry the spans were compiled from,
 // in the same row-major, left-to-right order.
 func (c *Canvas) DrawSpans(spans []raster.Span, shader FragmentShader) {
 	for _, s := range spans {

@@ -89,9 +89,13 @@ func TestTilesPixelAlignment(t *testing.T) {
 	// full-resolution pixel center, or tiled results would drift.
 	d := New(WithMaxTextureSize(8))
 	full := raster.NewTransform(geom.BBox{MinX: -3, MinY: 2, MaxX: 29, MaxY: 34}, 20, 20)
+	center := func(t raster.Transform, px, py int) geom.Point {
+		return geom.Point{X: t.World.MinX + (float64(px)+0.5)*t.PixelWidth(),
+			Y: t.World.MinY + (float64(py)+0.5)*t.PixelHeight()}
+	}
 	err := d.Tiles(full, func(c *Canvas, offX, offY int) error {
-		want := full.PixelCenter(offX, offY)
-		got := c.T.PixelCenter(0, 0)
+		want := center(full, offX, offY)
+		got := center(c.T, 0, 0)
 		if !got.NearEq(want, 1e-9) {
 			t.Errorf("tile (%d,%d) misaligned: %v vs %v", offX, offY, got, want)
 		}

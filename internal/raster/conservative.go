@@ -136,6 +136,10 @@ func (b *Bitmap) Unset(x, y int) { b.words[y*b.stride+x>>6] &^= 1 << uint(x&63) 
 // Get reports whether pixel (x,y) is marked.
 func (b *Bitmap) Get(x, y int) bool { return b.words[y*b.stride+x>>6]&(1<<uint(x&63)) != 0 }
 
+// Words returns the bitmap's words and the number of words per row: bit
+// x&63 of word y*stride + x>>6 is pixel (x, y).
+func (b *Bitmap) Words() (words []uint64, stride int) { return b.words, b.stride }
+
 // Row returns row y's words: bit x&63 of word x>>6 is pixel (x, y).
 func (b *Bitmap) Row(y int) []uint64 { return b.words[y*b.stride : (y+1)*b.stride] }
 
@@ -150,20 +154,4 @@ func (b *Bitmap) NextSet(y, x, end int) int {
 		x = (x | 63) + 1
 	}
 	return end
-}
-
-// Clear unmarks all pixels, retaining the allocation.
-func (b *Bitmap) Clear() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
-
-// Count returns the number of marked pixels.
-func (b *Bitmap) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

@@ -6,26 +6,13 @@ import (
 	"repro/internal/geom"
 )
 
-// FillPolygon scan-converts a polygon (outer ring and holes) onto the grid,
-// calling visit for every pixel whose center lies inside the polygon, in
-// row-major order. This is the same center-sampling coverage rule the GPU
-// rasterizer applies when Raster Join draws its polygon pass.
-//
-// Holes are handled by the even-odd rule: hole edges flip coverage exactly
-// like outer edges.
-func FillPolygon(t Transform, pg geom.Polygon, visit func(px, py int)) {
-	FillPolygonSpans(t, pg, func(py, x0, x1 int) {
-		for px := x0; px < x1; px++ {
-			visit(px, py)
-		}
-	})
-}
-
-// FillPolygonSpans is the span-level form of FillPolygon: visit receives
-// each covered scanline run as pixels [x0, x1) of row py, in row-major
-// order. Expanding every span left-to-right yields exactly FillPolygon's
-// pixel sequence — the span compiler banks these runs so repeated queries
-// replay them instead of re-scan-converting the polygon.
+// FillPolygonSpans scan-converts a polygon (outer ring and holes) onto the
+// grid: visit receives each run of pixels whose centers lie inside the
+// polygon as pixels [x0, x1) of row py, in row-major order. This is the
+// same center-sampling coverage rule the GPU rasterizer applies when Raster
+// Join draws its polygon pass; holes flip coverage by the even-odd rule
+// exactly like outer edges. The span compiler banks these runs so repeated
+// queries replay them instead of re-scan-converting the polygon.
 func FillPolygonSpans(t Transform, pg geom.Polygon, visit func(py, x0, x1 int)) {
 	bb := pg.BBox().Intersect(t.World)
 	if bb.IsEmpty() {

@@ -48,13 +48,13 @@ func (rr RowRuns) Row(y int) []Run { return rr.runs[rr.start[y]:rr.start[y+1]] }
 // transform: everything the raster join's polygon side needs, as flat
 // arrays. Per region (CSR layout) it holds the fill spans, the deduplicated
 // boundary pixels, the interior spans (the fill cut at the region's own
-// boundary pixels) and the ring edges touching each canvas row; across
-// regions, the union of the boundary pixels as a 1-bit mask with dense slot
-// numbers, each slot's positions in the boundary lists, and the fill and
-// interior runs indexed by row.
+// boundary pixels) and its rings; per boundary position, one membership
+// record (Member); across regions, the union of the boundary pixels as a
+// 1-bit mask with dense slot numbers, each slot's positions in the boundary
+// lists, and the fill and interior runs indexed by row.
 //
-// Replaying Fill(k) left-to-right visits exactly the pixels FillPolygon
-// visits for region k, in the same order, and Interior(k) the same pixels
+// Replaying Fill(k) left-to-right visits exactly the pixels FillPolygonSpans
+// covers for region k, in the same order, and Interior(k) the same pixels
 // minus Boundary(k). Boundary(k) lists the pixels BoundaryPixels would
 // visit, in first-visit order with duplicates removed. Everything is a pure
 // function of the polygons and the transform, so one compile serves every
@@ -68,13 +68,11 @@ type RegionSpans struct {
 
 	boundStart []int32
 	bound      []int32
-	// boundSlot[q] is the slot of boundary pixel bound[q].
-	boundSlot []int32
 
 	// mask marks every region's boundary pixels. Slots number them in
-	// row-major order: row y holds slots [rowSlot[y], rowSlot[y+1]).
-	mask    *Bitmap
-	rowSlot []int32
+	// row-major order: the pixels of mask word i hold slots wordSlot[i] on.
+	mask     *Bitmap
+	wordSlot []int32
 	// slots lists each slot's positions in the boundary lists.
 	slots SlotIndex
 
@@ -84,17 +82,14 @@ type RegionSpans struct {
 	fillRows, interiorRows RowRuns
 
 	// Region k's rings are verts[ringStart[r]:ringStart[r+1]] for r in
-	// [regionRing[k], regionRing[k+1]), outer ring first. Its edges are
-	// listed per canvas row: for row bandRow0[k]+i, the edges ending at the
-	// vertices bandEdge[off[i]:off[i+1]], with off =
-	// bandOff[bandStart[k]:bandStart[k+1]].
-	verts      []geom.Point
-	ringStart  []int32
-	regionRing []int32
-	bandRow0   []int32
-	bandStart  []int32
-	bandOff    []int32
-	bandEdge   []int32
+	// [regionRing[k], regionRing[k+1]), outer ring first, each behind a copy
+	// of its last vertex. Position q's membership record is
+	// member[memberStart[q]:memberStart[q+1]].
+	verts       []geom.Point
+	ringStart   []int32
+	regionRing  []int32
+	memberStart []int32
+	member      []uint32
 
 	scratch *sync.Pool
 }
@@ -136,12 +131,6 @@ func (rs *RegionSpans) Boundary(k int) []int32 {
 	return rs.bound[rs.boundStart[k]:rs.boundStart[k+1]]
 }
 
-// BoundarySlots returns the slots of Boundary(k)'s pixels, position for
-// position.
-func (rs *RegionSpans) BoundarySlots(k int) []int32 {
-	return rs.boundSlot[rs.boundStart[k]:rs.boundStart[k+1]]
-}
-
 // BoundaryOffset returns where region k's pixels start in the concatenation
 // of every region's Boundary list (k = Regions() gives its length).
 func (rs *RegionSpans) BoundaryOffset(k int) int32 { return rs.boundStart[k] }
@@ -156,7 +145,13 @@ func (rs *RegionSpans) RegionOf(q int32) int {
 func (rs *RegionSpans) Mask() *Bitmap { return rs.mask }
 
 // Slots returns the number of distinct boundary pixels.
-func (rs *RegionSpans) Slots() int { return int(rs.rowSlot[len(rs.rowSlot)-1]) }
+func (rs *RegionSpans) Slots() int { return int(rs.wordSlot[len(rs.wordSlot)-1]) }
+
+// WordSlots returns, per word of the mask's Words, the slot of the first
+// boundary pixel at or after the word's first column, and the number of
+// slots last: pixel bit b of word i holds slot WordSlots()[i] plus the
+// number of set bits below b.
+func (rs *RegionSpans) WordSlots() []int32 { return rs.wordSlot }
 
 // SlotIndex lists, per slot, the positions at which the slot's pixel
 // appears in the concatenation of every region's Boundary list.
@@ -173,53 +168,22 @@ func (si SlotIndex) Positions(s int32) []int32 { return si.pos[si.start[s]:si.st
 // O(boundary pixels), and counted in Bytes.
 func (rs *RegionSpans) SlotIndex() SlotIndex { return rs.slots }
 
+// PixelSlot returns the slot of the boundary pixel with canvas index idx,
+// an entry of a Boundary list.
+func (rs *RegionSpans) PixelSlot(idx int32) int32 {
+	return rs.Slot(int(idx)%rs.T.W, int(idx)/rs.T.W)
+}
+
 // Slot returns the slot of pixel (px, py), or -1 when no region's boundary
 // crosses it.
 func (rs *RegionSpans) Slot(px, py int) int32 {
-	if !rs.mask.Get(px, py) {
+	words, stride := rs.mask.Words()
+	i := py*stride + px>>6
+	bit := uint64(1) << uint(px&63)
+	if words[i]&bit == 0 {
 		return -1
 	}
-	row, s := rs.mask.Row(py), rs.rowSlot[py]
-	for _, w := range row[:px>>6] {
-		s += int32(bits.OnesCount64(w))
-	}
-	return s + int32(bits.OnesCount64(row[px>>6]&(1<<uint(px&63)-1)))
-}
-
-// SlotRow ranks row y's boundary pixels for repeated lookups, reusing the
-// storage of a SlotRow it returned before.
-func (rs *RegionSpans) SlotRow(y int, reuse SlotRow) SlotRow {
-	words := rs.mask.Row(y)
-	first := reuse.first[:0]
-	s := rs.rowSlot[y]
-	for _, w := range words {
-		first = append(first, s)
-		s += int32(bits.OnesCount64(w))
-	}
-	return SlotRow{words: words, first: first}
-}
-
-// SlotRow is one row of the boundary mask with, per word, the slot of the
-// first boundary pixel at or right of the word's first column.
-type SlotRow struct {
-	words []uint64
-	first []int32
-}
-
-// Slot returns the slot of boundary pixel px of the row.
-func (r SlotRow) Slot(px int) int32 {
-	return r.first[px>>6] + int32(bits.OnesCount64(r.words[px>>6]&(1<<uint(px&63)-1)))
-}
-
-// RowEdges returns region k's edges that touch canvas row y.
-func (rs *RegionSpans) RowEdges(k, y int) RowEdges {
-	off := rs.bandOff[rs.bandStart[k]:rs.bandStart[k+1]]
-	i := y - int(rs.bandRow0[k])
-	if i < 0 || i+1 >= len(off) {
-		return RowEdges{}
-	}
-	return RowEdges{verts: rs.verts, rings: rs.ringStart[rs.regionRing[k] : rs.regionRing[k+1]+1],
-		idx: rs.bandEdge[off[i]:off[i+1]]}
+	return rs.wordSlot[i] + int32(bits.OnesCount64(words[i]&(bit-1)))
 }
 
 // spansOverhead is what Bytes adds to the arrays for the struct and the
@@ -231,15 +195,14 @@ const spansOverhead = 512
 // accounted in.
 func (rs *RegionSpans) Bytes() int64 {
 	n := capBytes(rs.fillStart) + capBytes(rs.fill) +
-		capBytes(rs.boundStart) + capBytes(rs.bound) + capBytes(rs.boundSlot) +
-		capBytes(rs.mask.words) + capBytes(rs.rowSlot) +
+		capBytes(rs.boundStart) + capBytes(rs.bound) +
+		capBytes(rs.mask.words) + capBytes(rs.wordSlot) +
 		capBytes(rs.slots.start) + capBytes(rs.slots.pos) +
 		capBytes(rs.interiorStart) + capBytes(rs.interior) +
 		capBytes(rs.fillRows.start) + capBytes(rs.fillRows.runs) +
 		capBytes(rs.interiorRows.start) + capBytes(rs.interiorRows.runs) +
 		capBytes(rs.verts) + capBytes(rs.ringStart) + capBytes(rs.regionRing) +
-		capBytes(rs.bandRow0) + capBytes(rs.bandStart) +
-		capBytes(rs.bandOff) + capBytes(rs.bandEdge)
+		capBytes(rs.memberStart) + capBytes(rs.member)
 	return int64(n) + spansOverhead
 }
 
@@ -250,8 +213,8 @@ func capBytes[T any](s []T) int {
 
 // CompileRegions flattens every polygon's fill and conservative boundary
 // rasterization on the transform, numbers the boundary pixels and indexes
-// them by slot, cuts each fill at the region's own boundary, and tables
-// each region's edges by row. The context is checked between regions:
+// them by slot, cuts each fill at the region's own boundary, and compiles
+// one membership record per boundary position. The context is checked between regions:
 // compilation of a large layer aborts with ctx.Err() when the request is
 // canceled, exactly like the draw passes it replaces.
 func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*RegionSpans, error) {
@@ -263,12 +226,10 @@ func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*Re
 		mask:          NewBitmap(t.W, t.H),
 		ringStart:     []int32{0},
 		regionRing:    make([]int32, 1, len(polys)+1),
-		bandRow0:      make([]int32, 0, len(polys)),
-		bandStart:     make([]int32, 1, len(polys)+1),
 		scratch:       new(sync.Pool),
 	}
 	own := NewBitmap(t.W, t.H)
-	var touched, cursor []int32
+	var touched []int32
 	for k := range polys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -304,8 +265,17 @@ func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*Re
 		for _, idx := range touched {
 			own.Unset(int(idx)%t.W, int(idx)/t.W)
 		}
-
-		cursor = rs.tableEdges(t, polys[k], cursor)
+	}
+	// With every boundary list known, the records' arrays are sized once: a
+	// record is about four words on the scene layers.
+	rs.memberStart = append(make([]int32, 0, len(rs.bound)+1), 0)
+	rs.member = make([]uint32, 0, 4*len(rs.bound))
+	var mc memberCompiler
+	for k := range polys {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		mc.region(rs, t, polys[k], rs.Boundary(k))
 	}
 	// The layer is cached for as long as it is used: give back what append
 	// over-allocated.
@@ -314,8 +284,7 @@ func CompileRegions(ctx context.Context, t Transform, polys []geom.Polygon) (*Re
 	trim(&rs.interior)
 	trim(&rs.verts)
 	trim(&rs.ringStart)
-	trim(&rs.bandOff)
-	trim(&rs.bandEdge)
+	trim(&rs.member)
 	rs.numberSlots()
 	rs.fillRows = byRow(rs.fillStart, rs.fill, t.H)
 	rs.interiorRows = byRow(rs.interiorStart, rs.interior, t.H)
@@ -329,37 +298,29 @@ func trim[T any](s *[]T) {
 	}
 }
 
-// numberSlots numbers the mask's pixels row-major, records each boundary
-// list entry's slot and indexes the entries by slot.
+// numberSlots numbers the mask's pixels row-major and indexes the boundary
+// list entries by slot.
 func (rs *RegionSpans) numberSlots() {
-	h, w := rs.T.H, rs.T.W
-	rs.rowSlot = make([]int32, h+1)
-	for y := 0; y < h; y++ {
-		n := int32(0)
-		for _, word := range rs.mask.Row(y) {
-			n += int32(bits.OnesCount64(word))
-		}
-		rs.rowSlot[y+1] = rs.rowSlot[y] + n
+	words, _ := rs.mask.Words()
+	rs.wordSlot = make([]int32, len(words)+1)
+	for i, word := range words {
+		rs.wordSlot[i+1] = rs.wordSlot[i] + int32(bits.OnesCount64(word))
 	}
-	rs.boundSlot = make([]int32, len(rs.bound))
-	row, sr := -1, SlotRow{}
+	slot := make([]int32, len(rs.bound))
 	for q, idx := range rs.bound {
-		if y := int(idx) / w; y != row {
-			row, sr = y, rs.SlotRow(y, sr)
-		}
-		rs.boundSlot[q] = sr.Slot(int(idx) % w)
+		slot[q] = rs.PixelSlot(idx)
 	}
 
 	nslots := rs.Slots()
 	si := SlotIndex{start: make([]int32, nslots+1), pos: make([]int32, len(rs.bound))}
-	for _, s := range rs.boundSlot {
+	for _, s := range slot {
 		si.start[s+1]++
 	}
 	for s := 0; s < nslots; s++ {
 		si.start[s+1] += si.start[s]
 	}
 	next := slices.Clone(si.start[:nslots])
-	for q, s := range rs.boundSlot {
+	for q, s := range slot {
 		si.pos[next[s]] = int32(q)
 		next[s]++
 	}

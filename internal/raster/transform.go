@@ -63,37 +63,22 @@ func (t Transform) PixelWidth() float64 { return t.World.Width() / float64(t.W) 
 // PixelHeight returns the world-space height of one pixel.
 func (t Transform) PixelHeight() float64 { return t.World.Height() / float64(t.H) }
 
-// PixelDiagonal returns the world-space diagonal of one pixel — the
-// worst-case distance between a point in a pixel and the pixel's far corner,
-// which bounds Raster Join's misassignment distance.
-func (t Transform) PixelDiagonal() float64 {
-	return math.Hypot(t.PixelWidth(), t.PixelHeight())
-}
-
-// ToPixel maps a world point to its containing pixel. ok is false when the
-// point is outside the window. Points exactly on the max edge map to the
-// last pixel.
-func (t Transform) ToPixel(p geom.Point) (px, py int, ok bool) {
-	m := t.PixelMap()
-	return m.Map(p.X, p.Y)
-}
-
 // Col returns the pixel column world x falls into, clamped to the grid
-// (NaN maps to column 0). It is ToPixel's column for every in-window point,
-// and it is monotone non-decreasing in x.
+// (NaN maps to column 0). It is PixelMap.Map's column for every in-window
+// point, and it is monotone non-decreasing in x.
 func (t Transform) Col(x float64) int { return cell((x-t.World.MinX)/t.PixelWidth(), t.W) }
 
 // Row returns the pixel row world y falls into, clamped to the grid (NaN
-// maps to row 0). It is ToPixel's row for every in-window point, and it is
+// maps to row 0). It is PixelMap.Map's row for every in-window point, and it is
 // monotone non-decreasing in y: a segment whose y-extent contains a point's
 // y touches the point's row in [Row(minY), Row(maxY)].
 func (t Transform) Row(y float64) int { return cell((y-t.World.MinY)/t.PixelHeight(), t.H) }
 
 // PixelMap is a transform's world-to-pixel mapping with its per-point
 // constants — the window and the pixel size — computed once, for the point
-// pass to map every vertex of a draw through. Map is ToPixel and Col is the
-// transform's Col: the same cell arithmetic over the same pixel size, so
-// they agree bit for bit.
+// pass to map every vertex of a draw through. Map's column and row are the
+// transform's Col and Row: the same cell arithmetic over the same pixel
+// size, so they agree bit for bit.
 type PixelMap struct {
 	// MinX..MaxY is the window Map keeps, inclusive at every edge.
 	MinX, MinY, MaxX, MaxY float64
@@ -160,25 +145,6 @@ func cell(f float64, n int) int {
 	}
 	return 0
 }
-
-// PixelCenter returns the world coordinates of the center of pixel (px,py).
-func (t Transform) PixelCenter(px, py int) geom.Point {
-	return geom.Point{
-		X: t.World.MinX + (float64(px)+0.5)*t.PixelWidth(),
-		Y: t.World.MinY + (float64(py)+0.5)*t.PixelHeight(),
-	}
-}
-
-// PixelBox returns the world-space extent of pixel (px,py).
-func (t Transform) PixelBox(px, py int) geom.BBox {
-	pw, ph := t.PixelWidth(), t.PixelHeight()
-	x := t.World.MinX + float64(px)*pw
-	y := t.World.MinY + float64(py)*ph
-	return geom.BBox{MinX: x, MinY: y, MaxX: x + pw, MaxY: y + ph}
-}
-
-// Index returns the row-major index of pixel (px,py).
-func (t Transform) Index(px, py int) int { return py*t.W + px }
 
 // Sub returns a transform over the sub-rectangle of pixels
 // [x0,x0+w) × [y0,y0+h), used for tiled multi-pass rendering.

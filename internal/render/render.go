@@ -121,7 +121,7 @@ func ChoroplethTransform(rs *data.RegionSet, width int) (raster.Transform, error
 // ChoroplethSpans paints a layer compiled on a choropleth transform: every
 // region's Fill spans in its value's color, in region order, then every
 // region's Boundary pixels in the outline color. Fill(k) replays
-// FillPolygon's pixels in order and Boundary(k) the set BoundaryPixels
+// FillPolygonSpans' pixels in order and Boundary(k) the set BoundaryPixels
 // visits, so the image is the one rasterizing the polygons draws.
 func ChoroplethSpans(sp *raster.RegionSpans, values []float64, ramp Ramp) (*image.RGBA, error) {
 	if len(values) != sp.Regions() {

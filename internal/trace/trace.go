@@ -90,6 +90,7 @@ func (t *Trace) Name() string {
 }
 
 // Span is one timed stage of a request (parse, plan, execute, encode...).
+// Counters attached with Count travel with the stage in the header.
 type Span struct {
 	name  string
 	start time.Time
@@ -97,19 +98,55 @@ type Span struct {
 	mu       sync.Mutex
 	duration time.Duration
 	ended    bool
+	counters map[string]int64
 }
 
 // Start opens a span. Nil-safe: a nil trace returns a nil span whose
 // methods are all no-ops, so instrumented code never branches.
 func (t *Trace) Start(name string) *Span {
+	return t.open(&Span{name: name, start: time.Now()})
+}
+
+// Stage opens a span that sums the wall time of work done in pieces: it
+// starts at zero and each Add adds one piece, so a stage that runs once per
+// canvas tile or per time bin renders as one span. Nil-safe like Start.
+func (t *Trace) Stage(name string) *Span {
+	return t.open(&Span{name: name, ended: true})
+}
+
+// open records sp in the trace; a nil trace records nothing and returns nil.
+func (t *Trace) open(sp *Span) *Span {
 	if t == nil {
 		return nil
 	}
-	sp := &Span{name: name, start: time.Now()}
 	t.mu.Lock()
 	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 	return sp
+}
+
+// Add adds d to the span's wall time.
+func (sp *Span) Add(d time.Duration) {
+	if sp == nil {
+		return
+	}
+	sp.mu.Lock()
+	sp.duration += d
+	sp.mu.Unlock()
+}
+
+// Count accumulates a named counter on the span. Safe to call from
+// multiple goroutines of a parallel stage.
+func (sp *Span) Count(key string, n int64) {
+	if sp == nil {
+		return
+	}
+	sp.mu.Lock()
+	if sp.counters == nil {
+		sp.counters = make(map[string]int64)
+	}
+	sp.counters[key] += n
+	sp.mu.Unlock()
 }
 
 // End closes the span, freezing its wall time. Ending twice keeps the
@@ -130,6 +167,7 @@ func (sp *Span) End() {
 type SpanSummary struct {
 	Name     string
 	Duration time.Duration
+	Counters map[string]int64
 }
 
 // Spans snapshots the recorded spans in start order.
@@ -147,6 +185,12 @@ func (t *Trace) Spans() []SpanSummary {
 		if !sp.ended {
 			s.Duration = time.Since(sp.start)
 		}
+		if len(sp.counters) > 0 {
+			s.Counters = make(map[string]int64, len(sp.counters))
+			for k, v := range sp.counters {
+				s.Counters[k] = v
+			}
+		}
 		sp.mu.Unlock()
 		out[i] = s
 	}
@@ -154,10 +198,10 @@ func (t *Trace) Spans() []SpanSummary {
 }
 
 // Header renders the trace as the X-Urbane-Trace value: semicolon-separated
-// stages with millisecond wall times, then the trace-level counters,
-// ending with the total elapsed time —
+// stages with millisecond wall times and their counters, then the
+// trace-level counters, ending with the total elapsed time —
 //
-//	parse=0.05;plan=0.02;execute=41.80;batches=12;tiles=1;total=42.95
+//	parse=0.05;plan=0.02;execute=41.80;core.refine=9.12(boundary_obs=812);batches=12;tiles=1;total=42.95
 //
 // Durations are milliseconds with two decimals; counters are sorted by
 // name for deterministic output.
@@ -171,14 +215,19 @@ func (t *Trace) Header() string {
 			b.WriteByte(';')
 		}
 		fmt.Fprintf(&b, "%s=%.2f", s.Name, ms(s.Duration))
+		if len(s.Counters) > 0 {
+			b.WriteByte('(')
+			for i, k := range sortedKeys(s.Counters) {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "%s=%d", k, s.Counters[k])
+			}
+			b.WriteByte(')')
+		}
 	}
 	counters := t.Counters()
-	keys := make([]string, 0, len(counters))
-	for k := range counters {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedKeys(counters) {
 		if b.Len() > 0 {
 			b.WriteByte(';')
 		}
@@ -189,6 +238,16 @@ func (t *Trace) Header() string {
 	}
 	fmt.Fprintf(&b, "total=%.2f", ms(time.Since(t.start)))
 	return b.String()
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Elapsed returns the wall time since the trace began.

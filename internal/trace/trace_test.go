@@ -55,6 +55,32 @@ func TestHeaderFormat(t *testing.T) {
 	}
 }
 
+// TestStageSumsPieces: a stage span is the sum of the pieces added to it,
+// renders once with its counters in key order, and is nil-safe.
+func TestStageSumsPieces(t *testing.T) {
+	tr := New("mapview")
+	st := tr.Stage("core.refine")
+	st.Add(1500 * time.Microsecond)
+	st.Add(2 * time.Millisecond)
+	st.Count("refine_edge_tests", 7)
+	st.Count("boundary_obs", 3)
+	st.Count("boundary_obs", 2)
+	if got := tr.Spans()[0]; got.Duration != 3500*time.Microsecond || got.Counters["boundary_obs"] != 5 {
+		t.Fatalf("stage = %+v, want 3.5ms and boundary_obs=5", got)
+	}
+	re := regexp.MustCompile(`^core\.refine=3\.50\(boundary_obs=5,refine_edge_tests=7\);total=\d+\.\d{2}$`)
+	if h := tr.Header(); !re.MatchString(h) {
+		t.Fatalf("header %q does not match %v", h, re)
+	}
+	var none *Trace
+	sp := none.Stage("core.pass1")
+	sp.Add(time.Second)
+	sp.Count("x", 1)
+	if none.Spans() != nil {
+		t.Fatal("nil trace recorded a stage")
+	}
+}
+
 func TestTraceCounters(t *testing.T) {
 	tr := New("query")
 	sp := tr.Start("execute")

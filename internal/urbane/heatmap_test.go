@@ -208,7 +208,7 @@ func TestHeatmapMatchesSequentialFold(t *testing.T) {
 				t.Fatalf("%s/%d: %v", name, i, err)
 			}
 			want := make([]float64, hm.W*hm.H)
-			tr := raster.NewTransform(hm.Bounds, hm.W, hm.H)
+			m := raster.NewTransform(hm.Bounds, hm.W, hm.H).PixelMap()
 			for p := range ps.X {
 				if req.Time != nil && (ps.T[p] < req.Time.Start || ps.T[p] >= req.Time.End) {
 					continue
@@ -220,7 +220,7 @@ func TestHeatmapMatchesSequentialFold(t *testing.T) {
 				if len(req.Filters) > 0 && !(v >= req.Filters[0].Min && v < req.Filters[0].Max) {
 					continue
 				}
-				if px, py, ok := tr.ToPixel(geom.Pt(ps.X[p], ps.Y[p])); ok {
+				if px, py, ok := m.Map(ps.X[p], ps.Y[p]); ok {
 					want[py*hm.W+px] += v
 				}
 			}

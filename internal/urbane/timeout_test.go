@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,30 @@ func TestTraceHeaderStages(t *testing.T) {
 		if !strings.Contains(h, stage) {
 			t.Errorf("trace header lacks %q: %q", stage, h)
 		}
+	}
+}
+
+// TestMapviewTraceStageSpans: a cold accurate /api/mapview traces the
+// raster join's four stage spans, each once, and core.refine carries the
+// boundary observation and edge test counters.
+func TestMapviewTraceStageSpans(t *testing.T) {
+	s, _ := testServer(t)
+	rec := doJSON(t, s, http.MethodPost, "/api/mapview",
+		map[string]any{"dataset": "taxi", "layer": "nbhd", "agg": "count"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+	}
+	if got := rec.Header().Get("X-Urbane-Cache"); got != "miss" {
+		t.Fatalf("X-Urbane-Cache = %q, want a cold request", got)
+	}
+	h := rec.Header().Get("X-Urbane-Trace")
+	for _, span := range []string{"core.pass1", "core.accumulate", "core.collect", "core.refine"} {
+		if n := strings.Count(h, span+"="); n != 1 {
+			t.Errorf("trace header holds %d %s spans, want 1: %q", n, span, h)
+		}
+	}
+	if !regexp.MustCompile(`core\.refine=\d+\.\d\d\(boundary_obs=[1-9]\d*,refine_edge_tests=\d+\)`).MatchString(h) {
+		t.Errorf("core.refine lacks its counters: %q", h)
 	}
 }
 
