@@ -1,4 +1,4 @@
-# Tier-1 verify is `make verify`: build, vet, gofmt, lint, test.
+# Tier-1 verify is `make verify`: build, vet, gofmt, lint, the unlinked gate, test.
 GO ?= go
 FUZZTIME ?= 10s
 
@@ -191,25 +191,54 @@ flags:
 	@out=$$($(GO) run ./cmd/urbane-server -h 2>&1) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk '/^  -/ { print "  " substr($$1, 2); n++ } END { printf "%7d  flags\n", n }'
 
-# The non-test functions under internal/ that no binary links, then their
-# count: every main package (cmd/* and benchmark) is built without inlining
-# into a temporary directory, and a function is linked when go tool nm lists
-# it in one of them. Generic shape suffixes are stripped, so an instantiated
-# generic counts as its declaration. A function only tests call is dead
-# weight or a test knob. Informational, not a gate.
+# The gate on code no binary runs: every non-test function under internal/
+# is linked by a binary (cmd/* and benchmark, built without inlining into a
+# temporary directory and read with go tool nm), or sits on UNLINKED_ALLOW
+# below with its reason. Generic shape suffixes are stripped, so an
+# instantiated generic counts as its declaration. A test-support package —
+# one whose name ends in "test" and that no binary imports — is exempt. The
+# target prints the unlinked functions and their count, and fails on one
+# that is not on the allowlist and on an allowlist entry that is now linked
+# or gone, so the list cannot rot.
+define UNLINKED_ALLOW
+repro/internal/core.WithPointBatch         replay lattice knob: TestReplayDigests serves one configuration at a small point batch
+repro/internal/core.WithWorkers            replay lattice knob: that configuration runs on one worker; property tests pin 1-4
+repro/internal/urbane.WithFaults           replay lattice knob: arms a fault registry on a server, the chaos suite's only switch
+repro/internal/fault.New                   fault arming API: a registry for WithFaults and the fault-site tests
+repro/internal/fault.(*Registry).Set       fault arming API: arms one site with a rule
+repro/internal/fault.(*Registry).Schedule  fault arming API: previews a site's decisions
+repro/internal/fault.(*Registry).Counts    fault arming API: per-site call and fire counts
+repro/internal/fault.(*Registry).Clear     fault arming API: disarms a soaked server before its replay
+repro/internal/gpu.WithMaxTextureSize      test scale: a small device limit forces tiled canvases
+repro/internal/gpu.WithSpanCacheBytes      test scale: a small or disabled span cache
+repro/internal/segment.WithBlockSize       test scale: many blocks from a few thousand points
+endef
+export UNLINKED_ALLOW
+
 unlinked:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do \
+	mains=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); \
+	for p in $$mains; do \
 		$(GO) build -gcflags=all=-l -o "$$dir/$${p##*/}" "$$p" || exit 1; \
 	done; \
 	for b in "$$dir"/*; do $(GO) tool nm "$$b"; done \
-		| awk '{ print $$NF }' | sed 's/\[.*\]//' | sort -u > "$$dir/linked.txt"; \
+		| sed -E -e 's/^ *([0-9a-f]+ +)?[A-Za-z] +//' -e 's/\[.*\]//' | sort -u > "$$dir/linked.txt"; \
+	$(GO) list -deps $$mains | sort -u > "$$dir/deps.txt"; \
+	$(GO) list -f '{{.ImportPath}} {{.Name}}' ./internal/... | awk '$$2 ~ /test$$/ { print $$1 }' \
+		| sort | comm -23 - "$$dir/deps.txt" | sed 's/$$/./' > "$$dir/exempt.txt"; \
 	find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs grep -H '^func ' \
 		| sed -E -e 's#^(.*)/[^/]*\.go:func #repro/\1 #' \
 			-e 's#^([^ ]+) \(([A-Za-z0-9_]+ )?\*([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*#\1.(*\3).\5#' \
 			-e 's#^([^ ]+) \(([A-Za-z0-9_]+ )?([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*#\1.\3.\5#' \
 			-e 's#^([^ ]+) ([A-Za-z0-9_]+).*#\1.\2#' \
-		| grep -v '\.init$$' | sort -u | comm -23 - "$$dir/linked.txt" \
-		| awk '{ print "  " $$0; n++ } END { printf "%7d  unlinked\n", n }'
+		| grep -v '\.init$$' | grep -v -F -f "$$dir/exempt.txt" \
+		| sort -u | comm -23 - "$$dir/linked.txt" > "$$dir/unlinked.txt"; \
+	awk '{ print "  " $$0; n++ } END { printf "%7d  unlinked\n", n }' "$$dir/unlinked.txt"; \
+	echo "$$UNLINKED_ALLOW" | awk 'NF { print $$1 }' | sort > "$$dir/allow.txt"; \
+	off=$$(comm -23 "$$dir/unlinked.txt" "$$dir/allow.txt"); \
+	stale=$$(comm -13 "$$dir/unlinked.txt" "$$dir/allow.txt"); \
+	if [ -n "$$off" ]; then echo "unlinked and not on UNLINKED_ALLOW (delete, move into a test, or allowlist with a reason):"; echo "$$off"; fi; \
+	if [ -n "$$stale" ]; then echo "on UNLINKED_ALLOW but linked or gone (drop the entry):"; echo "$$stale"; fi; \
+	[ -z "$$off$$stale" ]
 
-verify: build vet fmt lint test
+verify: build vet fmt lint unlinked test

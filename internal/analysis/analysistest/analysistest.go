@@ -146,7 +146,7 @@ func analyze(t *testing.T, a *framework.Analyzer, pkg string) ([]framework.Diagn
 	if err != nil {
 		t.Fatalf("type-checking fixture %s: %v", pkg, err)
 	}
-	diags, err := framework.RunAnalyzer(a, fset, files, tpkg, info)
+	diags, err := framework.RunAll([]*framework.Analyzer{a}, fset, files, tpkg, info, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,9 @@ package cfg
 
 import (
 	"bytes"
-	"fmt"
 	"go/ast"
 	"go/printer"
 	"go/token"
-	"strings"
 )
 
 // Block is one basic block.
@@ -426,44 +424,4 @@ func (b *builder) labelBlock(name string) *Block {
 	blk := b.newBlock("label." + name)
 	b.labels[name] = blk
 	return blk
-}
-
-// Dump renders the graph in a stable text form for golden tests: one line
-// per block with its kind, abbreviated statements, condition, and successor
-// indices.
-func (g *Graph) Dump(fset *token.FileSet) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "func %s:\n", g.Name)
-	for _, blk := range g.Blocks {
-		fmt.Fprintf(&sb, "  b%d %s:", blk.Index, blk.Kind)
-		for _, n := range blk.Nodes {
-			fmt.Fprintf(&sb, " {%s}", render(fset, n))
-		}
-		if blk.Cond != nil {
-			fmt.Fprintf(&sb, " if {%s}", render(fset, blk.Cond))
-		}
-		if len(blk.Succs) > 0 {
-			sb.WriteString(" ->")
-			for _, s := range blk.Succs {
-				fmt.Fprintf(&sb, " b%d", s.Index)
-			}
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
-}
-
-// render prints a node as single-line source, truncated for readability.
-func render(fset *token.FileSet, n ast.Node) string {
-	var buf bytes.Buffer
-	cfg := printer.Config{Mode: printer.RawFormat}
-	if err := cfg.Fprint(&buf, fset, n); err != nil {
-		return fmt.Sprintf("<%T>", n)
-	}
-	s := strings.Join(strings.Fields(buf.String()), " ")
-	const max = 48
-	if len(s) > max {
-		s = s[:max] + "…"
-	}
-	return s
 }

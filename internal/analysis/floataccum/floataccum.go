@@ -12,7 +12,7 @@
 // over the iterated data. Loop-invariant stepping (x += dx in a DDA
 // traversal) and integer counters are not reductions and stay quiet.
 //
-// The fix is repro/internal/fsum (fsum.Sum / fsum.Pairwise / an fsum.Kahan
+// The fix is repro/internal/fsum (fsum.Pairwise or an fsum.Kahan
 // accumulator); sites where naive accumulation is deliberate — bounded trip
 // counts, per-pixel hot paths with bounded magnitude spread — carry a
 // //lint:ignore floataccum directive with the justification.
@@ -89,7 +89,7 @@ func checkAssign(pass *framework.Pass, as *ast.AssignStmt, loop ast.Node) {
 	if !dependsOnLoop(pass, rhs, loop) {
 		return // loop-invariant stepping, not a reduction
 	}
-	pass.Reportf(as.Pos(), "naive float accumulation into %q over loop-varying terms; rounding error grows with trip count — use fsum.Sum/fsum.Pairwise or an fsum.Kahan accumulator", root.Name)
+	pass.Reportf(as.Pos(), "naive float accumulation into %q over loop-varying terms; rounding error grows with trip count — use fsum.Pairwise or an fsum.Kahan accumulator", root.Name)
 }
 
 // withinLoop reports whether obj is declared inside the loop statement.

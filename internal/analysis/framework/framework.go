@@ -94,12 +94,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return p.TypesInfo.TypeOf(e)
 }
 
-// RunAnalyzer executes a on one package and returns its diagnostics with
-// //lint:ignore suppressions already filtered out.
-func RunAnalyzer(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Diagnostic, error) {
-	return RunAll([]*Analyzer{a}, fset, files, pkg, info, false)
-}
-
 // RunAll executes every analyzer over one package through a single shared
 // suppression index, so //lint:ignore usage is tracked across the whole
 // set. When audit is true the suppression audit runs afterwards and its

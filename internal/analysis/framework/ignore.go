@@ -68,15 +68,6 @@ func (ig *Ignores) Ignored(pos token.Position, name string) bool {
 	return hit
 }
 
-// Directives returns every parsed directive, malformed ones included, in
-// source order.
-func (ig *Ignores) Directives() []*Directive {
-	if ig == nil {
-		return nil
-	}
-	return ig.directives
-}
-
 // Audit returns one diagnostic per problematic directive: malformed,
 // naming an unknown analyzer, or no longer suppressing anything. Staleness
 // is only meaningful when every analyzer a directive names has actually

@@ -65,7 +65,7 @@ func parseAudit(t *testing.T) (*token.FileSet, []*ast.File) {
 
 func TestIgnoreSuppresses(t *testing.T) {
 	fset, files := parseAudit(t)
-	diags, err := RunAnalyzer(demoAnalyzer, fset, files, nil, nil)
+	diags, err := RunAll([]*Analyzer{demoAnalyzer}, fset, files, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,6 @@ type FlowResult struct {
 	PixelSize        float64
 }
 
-// At returns the flow count from origin region o to destination region d.
-func (f *FlowResult) At(o, d int) int64 { return f.Counts[int64(o)*int64(f.Regions)+int64(d)] }
-
 // Total returns the total assigned flow.
 func (f *FlowResult) Total() int64 {
 	var n int64

@@ -45,6 +45,9 @@ type RasterJoin struct {
 	epsilon    float64
 	workers    int
 	pointBatch int
+	// blockPrune turns zone-map block pruning on (always, outside tests):
+	// off, the scan decodes and draws every block, the reference the
+	// segment equivalence suite compares pruned scans against.
 	blockPrune bool
 }
 
@@ -105,12 +108,6 @@ func WithPointBatch(n int) RJOption {
 		}
 	}
 }
-
-// WithBlockPrune enables (default) or disables zone-map block pruning on
-// the point scan. Disabling it decodes and draws every block — the
-// baseline the pruning benchmarks compare against. Results are identical
-// either way; pruned blocks provably contribute no fragments.
-func WithBlockPrune(on bool) RJOption { return func(r *RasterJoin) { r.blockPrune = on } }
 
 // CompiledSpans returns the region set compiled on transform t — spans,
 // boundary mask and slots, interior runs and row-edge tables — from the

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/gpu"
 	"repro/internal/raster"
 )
@@ -103,9 +104,9 @@ func resolveLayer(rng *rand.Rand) *data.RegionSet {
 	for k := 2; k < 20; k++ {
 		c := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 		r := 3 + rng.Float64()*30
-		pg := geom.NewPolygon(geom.RegularRing(c, r, 3+rng.Intn(10)))
+		pg := geom.NewPolygon(geomtest.RegularRing(c, r, 3+rng.Intn(10)))
 		if rng.Intn(3) == 0 {
-			pg.Holes = []geom.Ring{geom.RegularRing(c, r*(0.2+0.5*rng.Float64()), 3+rng.Intn(8))}
+			pg.Holes = []geom.Ring{geomtest.RegularRing(c, r*(0.2+0.5*rng.Float64()), 3+rng.Intn(8))}
 		}
 		rs.Regions = append(rs.Regions, data.Region{ID: k, Poly: pg})
 	}

@@ -281,21 +281,18 @@ func (sc *Scan) survives(z data.Zone) (ok, full bool) {
 }
 
 // pieces streams the surviving blocks overlapping [s, e) ∩ [Lo, Hi) to fn
-// in ascending index order, with the clipped absolute range and whether the
-// residual predicate still needs evaluating. The walk covers every block of
-// the source, or only sc.blocks when a shard's assignment is set. On a
-// Slabber source (in-RAM columns) maximal runs of contiguous surviving
-// blocks with equal needPred collapse into one zero-copy piece, so an
-// unpruned in-RAM scan issues exactly the draws the pre-source code did.
-// The context is checked once per block — pruning sweeps over cold zones
-// stay cancelable.
+// in ascending index order, one call per block, with the clipped absolute
+// range and whether the residual predicate still needs evaluating. The walk
+// covers every block of the source, or only sc.blocks when a shard's
+// assignment is set; in-RAM and segment sources take the same walk. The
+// context is checked once per block — pruning sweeps over cold zones stay
+// cancelable.
 func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, lo, hi int, needPred bool) error) error {
 	s, e = max(s, sc.Lo), min(e, sc.Hi)
 	if s >= e {
 		return nil
 	}
 	src := sc.Src
-	slabber, _ := src.(data.Slabber)
 	// Walk positions index sc.blocks when set, block numbers otherwise;
 	// either way ascending, starting at the first block reaching past s.
 	n := src.NumBlocks()
@@ -319,20 +316,6 @@ func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, l
 		}
 	}()
 
-	runS, runE := -1, -1
-	runPred := false
-	flush := func() error {
-		if runS < 0 {
-			return nil
-		}
-		blk, ok := slabber.Slab(runS, runE)
-		if !ok {
-			return fmt.Errorf("core: source %q refused slab [%d,%d)", src.Name(), runS, runE)
-		}
-		err := fn(blk, runS, runE, runPred)
-		runS = -1
-		return err
-	}
 	for i := i0; i < n; i++ {
 		b := blockAt(i)
 		blo, bhi := src.BlockSpan(b)
@@ -342,53 +325,28 @@ func (sc *Scan) pieces(ctx context.Context, s, e int, fn func(blk *data.Block, l
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cs, ce := max(blo, s), min(bhi, e)
 		ok, full := sc.survives(src.Zone(b))
 		if !ok {
 			pruned++
-			if err := flush(); err != nil {
-				return err
-			}
 			continue
 		}
 		scanned++
-		needPred := !full
-		if slabber != nil {
-			if runS >= 0 && runE == cs && runPred == needPred {
-				runE = ce
-				continue
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-			runS, runE, runPred = cs, ce, needPred
-			continue
-		}
 		blk, err := src.Read(b, sc.cols)
 		if err != nil {
 			return fmt.Errorf("core: reading block %d of %q: %w", b, src.Name(), err)
 		}
-		if err := fn(blk, cs, ce, needPred); err != nil {
+		if err := fn(blk, max(blo, s), min(bhi, e), !full); err != nil {
 			return err
 		}
 	}
-	return flush()
+	return nil
 }
 
 // sourceTimeWindow returns the index range [lo, hi) of points with
 // timestamps in [start, end) on a time-sorted source. The block to probe
 // is found from the resident zone maps, so at most two blocks' time columns
-// are read; an in-RAM Slabber source is binary-searched directly with no
-// zone cost.
+// are read.
 func sourceTimeWindow(src data.PointSource, start, end int64) (lo, hi int, err error) {
-	if sl, ok := src.(data.Slabber); ok {
-		if blk, ok := sl.Slab(0, src.Len()); ok && blk.T != nil {
-			t := blk.T
-			lo = sort.Search(len(t), func(i int) bool { return t[i] >= start })
-			hi = sort.Search(len(t), func(i int) bool { return t[i] >= end })
-			return lo, hi, nil
-		}
-	}
 	searchT := func(t int64) (int, error) {
 		nb := src.NumBlocks()
 		// Sorted source: block MinT/MaxT are ordered, so the first block

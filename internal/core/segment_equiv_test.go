@@ -192,8 +192,8 @@ func TestSegmentJoinEquivalence(t *testing.T) {
 		for _, mode := range []core.Mode{core.Approximate, core.Accurate} {
 			for _, prune := range []bool{true, false} {
 				for _, workers := range []int{1, 3} {
-					rj := core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
-						core.WithBlockPrune(prune), core.WithWorkers(workers))
+					rj := core.SetBlockPrune(core.NewRasterJoin(core.WithMode(mode), core.WithResolution(256),
+						core.WithWorkers(workers)), prune)
 					for _, vr := range reqVariants(ps, us, rs, st, ust) {
 						label := fmt.Sprintf("%v/prune=%v/w%d/cache=%d/%s", mode, prune, workers, budget, vr.name)
 						ram, err := rj.JoinContext(context.Background(), vr.ram)
@@ -327,7 +327,11 @@ func TestSegmentStreamEquivalence(t *testing.T) {
 				w := segment.NewWriter(file, segment.WithBlockSize(256))
 				n := ps.Len()
 				for _, cut := range [][2]int{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-					if err := w.Append(ps.Slice(cut[0], cut[1])); err != nil {
+					batch := make([]int, cut[1]-cut[0])
+					for i := range batch {
+						batch[i] = cut[0] + i
+					}
+					if err := w.Append(ps.Select(batch)); err != nil {
 						return nil, err
 					}
 				}
@@ -568,8 +572,7 @@ func TestSegmentPruneCounters(t *testing.T) {
 	req := core.Request{Points: ps, Source: st, Regions: rs, Agg: core.Count,
 		Filters: []core.Filter{{Attr: "hot", Min: 100, Max: 160}}}
 
-	off := core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256),
-		core.WithBlockPrune(false))
+	off := core.SetBlockPrune(core.NewRasterJoin(core.WithMode(core.Accurate), core.WithResolution(256)), false)
 	want, err := off.JoinContext(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)

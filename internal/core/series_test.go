@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/gpu"
 )
 
@@ -212,11 +213,11 @@ func TestSeriesSparseCases(t *testing.T) {
 	}}
 	overlapping := &data.RegionSet{Name: "overlapping", Regions: []data.Region{
 		{ID: 0, Poly: square(0, 0, 100, 100)},
-		{ID: 1, Poly: geom.NewPolygon(geom.RegularRing(geom.Point{X: 40, Y: 50}, 30, 7))},
-		{ID: 2, Poly: geom.NewPolygon(geom.RegularRing(geom.Point{X: 60, Y: 45}, 28, 11))},
+		{ID: 1, Poly: geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 40, Y: 50}, 30, 7))},
+		{ID: 2, Poly: geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 60, Y: 45}, 28, 11))},
 		{ID: 3, Poly: geom.Polygon{
-			Outer: geom.RegularRing(geom.Point{X: 50, Y: 50}, 45, 16),
-			Holes: []geom.Ring{geom.RegularRing(geom.Point{X: 50, Y: 50}, 15, 9)},
+			Outer: geomtest.RegularRing(geom.Point{X: 50, Y: 50}, 45, 16),
+			Holes: []geom.Ring{geomtest.RegularRing(geom.Point{X: 50, Y: 50}, 15, 9)},
 		}},
 		{ID: 4, Poly: square(20, 20, 35, 35)},
 	}}
@@ -288,9 +289,9 @@ func FuzzSeriesMatchesPerBin(f *testing.F) {
 		for k := 0; k < 1+int(rings%7); k++ {
 			c := geom.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}
 			r := 5 + rng.Float64()*45
-			pg := geom.NewPolygon(geom.RegularRing(c, r, 3+rng.Intn(10)))
+			pg := geom.NewPolygon(geomtest.RegularRing(c, r, 3+rng.Intn(10)))
 			if rng.Intn(3) == 0 {
-				pg.Holes = []geom.Ring{geom.RegularRing(c, r*(0.2+0.5*rng.Float64()), 3+rng.Intn(8))}
+				pg.Holes = []geom.Ring{geomtest.RegularRing(c, r*(0.2+0.5*rng.Float64()), 3+rng.Intn(8))}
 			}
 			rs.Regions = append(rs.Regions, data.Region{ID: k, Poly: pg})
 		}

@@ -80,7 +80,7 @@ func TestUnstampedBoundsFollowEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mercator.NYCBounds().Expand(10).ContainsBBox(rs.Bounds()) {
+	if nyc := mercator.NYCBounds().Expand(10); nyc.Union(rs.Bounds()) != nyc {
 		t.Fatalf("bounds %v still in degrees after the projection", rs.Bounds())
 	}
 	sameBits(t, "projected layer", rs.Bounds(), foldRegions(rs))

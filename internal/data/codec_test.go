@@ -95,8 +95,14 @@ func TestGeoJSONRoundTrip(t *testing.T) {
 		if len(g.Poly.Holes) != len(r.Poly.Holes) {
 			t.Fatalf("region %d holes %d vs %d", i, len(g.Poly.Holes), len(r.Poly.Holes))
 		}
-		if d := g.Poly.Area() - r.Poly.Area(); d > 1e-9 || d < -1e-9 {
-			t.Fatalf("region %d area drifted by %v", i, d)
+		for j, ring := range append([]geom.Ring{r.Poly.Outer}, r.Poly.Holes...) {
+			gring := g.Poly.Outer
+			if j > 0 {
+				gring = g.Poly.Holes[j-1]
+			}
+			if d := gring.Area() - ring.Area(); d > 1e-9 || d < -1e-9 {
+				t.Fatalf("region %d ring %d area drifted by %v", i, j, d)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ func TestGenerateTaxiBasics(t *testing.T) {
 	}
 	// All points inside NYC bounds.
 	bounds := mercator.NYCBounds()
-	if !bounds.ContainsBBox(ps.Bounds()) {
+	if bounds.Union(ps.Bounds()) != bounds {
 		t.Errorf("points escape bounds: %v vs %v", ps.Bounds(), bounds)
 	}
 	// Timestamps inside January 2009 and sorted.

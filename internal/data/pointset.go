@@ -168,22 +168,6 @@ func (ps *PointSet) TimeRange() (min, max int64, ok bool) {
 	return min, max, true
 }
 
-// Slice returns a view-style copy containing points [lo, hi).
-func (ps *PointSet) Slice(lo, hi int) *PointSet {
-	out := &PointSet{
-		Name: ps.Name,
-		X:    ps.X[lo:hi],
-		Y:    ps.Y[lo:hi],
-	}
-	if ps.T != nil {
-		out.T = ps.T[lo:hi]
-	}
-	for _, c := range ps.Attrs {
-		out.Attrs = append(out.Attrs, Column{Name: c.Name, Values: c.Values[lo:hi]})
-	}
-	return out
-}
-
 // Select returns a new PointSet containing the points at the given indices.
 func (ps *PointSet) Select(idx []int) *PointSet {
 	out := &PointSet{

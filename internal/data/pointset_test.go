@@ -136,12 +136,8 @@ func TestSortByTimeAndWindow(t *testing.T) {
 	}
 }
 
-func TestSliceAndSelect(t *testing.T) {
+func TestSelect(t *testing.T) {
 	ps := smallSet()
-	s := ps.Slice(1, 3)
-	if s.Len() != 2 || s.X[0] != 10 || s.T[1] != 30 {
-		t.Errorf("Slice = %+v", s)
-	}
 	sel := ps.Select([]int{3, 0})
 	if sel.Len() != 2 || sel.X[0] != 2 || sel.X[1] != 0 ||
 		sel.Attrs[0].Values[0] != 4 || sel.T[1] != 40 {

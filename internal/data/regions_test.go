@@ -29,13 +29,13 @@ func TestVoronoiPartition(t *testing.T) {
 		if err := r.Poly.Validate(); err != nil {
 			t.Fatalf("region %d invalid: %v", r.ID, err)
 		}
-		area += r.Poly.Area()
+		area += r.Poly.Outer.Area()
 	}
 	if math.Abs(area-testBounds().Area()) > 1e-6*testBounds().Area() {
 		t.Errorf("cell areas sum to %v, want %v", area, testBounds().Area())
 	}
 	// Every cell inside bounds.
-	if !testBounds().ContainsBBox(rs.Bounds()) {
+	if b := testBounds(); b.Union(rs.Bounds()) != b {
 		t.Error("cells escape bounds")
 	}
 	// IDs are dense and follow storage order.
@@ -50,7 +50,7 @@ func TestVoronoiPartitionCoversRandomPoints(t *testing.T) {
 	rs := VoronoiRegions("nbhd", testBounds(), 30, 5, VoronoiOptions{})
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 500; i++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		hits := 0
 		for _, r := range rs.Regions {
 			if r.Poly.Contains(p) {
@@ -73,7 +73,7 @@ func TestVoronoiJitter(t *testing.T) {
 			jit.VertexCount(), plain.VertexCount())
 	}
 	// Jittered regions stay inside bounds.
-	if !testBounds().ContainsBBox(jit.Bounds()) {
+	if b := testBounds(); b.Union(jit.Bounds()) != b {
 		t.Error("jittered cells escape bounds")
 	}
 	// Region count preserved.
@@ -87,7 +87,7 @@ func TestVoronoiSingleRegion(t *testing.T) {
 	if rs.Len() != 1 {
 		t.Fatalf("regions = %d", rs.Len())
 	}
-	if math.Abs(rs.Regions[0].Poly.Area()-testBounds().Area()) > 1e-9 {
+	if math.Abs(rs.Regions[0].Poly.Outer.Area()-testBounds().Area()) > 1e-9 {
 		t.Error("single cell should be the whole bounds")
 	}
 	// n < 1 clamps.
@@ -103,7 +103,7 @@ func TestGridRegions(t *testing.T) {
 	}
 	var area float64
 	for _, r := range rs.Regions {
-		area += r.Poly.Area()
+		area += r.Poly.Outer.Area()
 	}
 	if math.Abs(area-1e6) > 1e-6 {
 		t.Errorf("grid area = %v, want 1e6", area)
@@ -136,7 +136,7 @@ func TestSimplifyRegions(t *testing.T) {
 		if err := lod.Regions[i].Poly.Validate(); err != nil {
 			t.Fatalf("region %d invalid after LOD: %v", i, err)
 		}
-		areaDrift += math.Abs(lod.Regions[i].Poly.Area() - rs.Regions[i].Poly.Area())
+		areaDrift += math.Abs(lod.Regions[i].Poly.Outer.Area() - rs.Regions[i].Poly.Outer.Area())
 	}
 	if total := testBounds().Area(); areaDrift > total/20 {
 		t.Errorf("area drift %v too large vs total %v", areaDrift, total)
@@ -173,10 +173,10 @@ func TestGeoJSONGeographicRoundTrip(t *testing.T) {
 		t.Fatalf("regions: %d vs %d", got.Len(), rs.Len())
 	}
 	for i := range rs.Regions {
-		a := rs.Regions[i].Poly.Centroid()
-		b := got.Regions[i].Poly.Centroid()
+		a := rs.Regions[i].Poly.BBox().Center()
+		b := got.Regions[i].Poly.BBox().Center()
 		if a.Dist(b) > 0.5 { // half a meter after the double projection
-			t.Fatalf("region %d centroid moved %v m", i, a.Dist(b))
+			t.Fatalf("region %d box center moved %v m", i, a.Dist(b))
 		}
 	}
 	if _, err := ReadGeoJSONAuto(strings.NewReader("{"), "x"); err == nil {
@@ -195,10 +195,10 @@ func TestReadGeoJSONAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := got.Regions[0].Poly.Centroid().Dist(meters.Regions[0].Poly.Centroid()); d > 1e-9 {
+	if d := got.Regions[0].Poly.BBox().Center().Dist(meters.Regions[0].Poly.BBox().Center()); d > 1e-9 {
 		t.Errorf("meters input moved by %v", d)
 	}
-	// Degrees input gets projected: centroids land in NYC mercator bounds.
+	// Degrees input gets projected: it lands in NYC mercator bounds.
 	buf.Reset()
 	if err := writeGeographic(&buf, meters); err != nil {
 		t.Fatal(err)
@@ -207,28 +207,28 @@ func TestReadGeoJSONAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mercator.NYCBounds().Expand(10).ContainsBBox(got.Bounds()) {
+	if nyc := mercator.NYCBounds().Expand(10); nyc.Union(got.Bounds()) != nyc {
 		t.Errorf("degrees input not projected: bounds %v", got.Bounds())
 	}
-	if d := got.Regions[0].Poly.Centroid().Dist(meters.Regions[0].Poly.Centroid()); d > 0.5 {
-		t.Errorf("projected centroid moved %v m", d)
+	if d := got.Regions[0].Poly.BBox().Center().Dist(meters.Regions[0].Poly.BBox().Center()); d > 0.5 {
+		t.Errorf("projected box center moved %v m", d)
 	}
 }
 
 func TestUserPolygon(t *testing.T) {
-	pg := UserPolygon(geom.Pt(500, 500), 100, 4)
+	pg := UserPolygon(geom.Point{X: 500, Y: 500}, 100, 4)
 	if err := pg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !pg.Contains(geom.Pt(500, 500)) {
+	if !pg.Contains(geom.Point{X: 500, Y: 500}) {
 		t.Error("user polygon should contain its center")
 	}
 	if pg.VertexCount() < 10 {
 		t.Errorf("user polygon has %d vertices, want >= 10", pg.VertexCount())
 	}
 	// Deterministic per seed.
-	pg2 := UserPolygon(geom.Pt(500, 500), 100, 4)
-	if !pg.Outer[0].Eq(pg2.Outer[0]) {
+	pg2 := UserPolygon(geom.Point{X: 500, Y: 500}, 100, 4)
+	if pg.Outer[0] != pg2.Outer[0] {
 		t.Error("same seed should give same polygon")
 	}
 }

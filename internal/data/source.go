@@ -135,14 +135,6 @@ type PointSource interface {
 	Read(b int, cols Columns) (*Block, error)
 }
 
-// Slabber is an optional PointSource fast path: sources whose storage is
-// already contiguous in RAM can serve one zero-copy Block spanning an
-// arbitrary index range, letting scan loops draw a maximal run of
-// surviving blocks in a single draw instead of one per block.
-type Slabber interface {
-	Slab(lo, hi int) (*Block, bool)
-}
-
 // NewStamp issues a fresh process-unique data identity from the same
 // namespace as PointSet.Stamp, for PointSource implementations that are
 // not backed by a PointSet.
@@ -160,8 +152,8 @@ func AttrIndex(src PointSource, name string) int {
 }
 
 // setSource adapts an in-RAM PointSet to the PointSource interface:
-// blocks are zero-copy sub-slices of the set's columns, zone maps are
-// computed once on first use, and Slab serves arbitrary contiguous runs.
+// blocks are zero-copy sub-slices of the set's columns and zone maps are
+// computed once on first use.
 // The source of a set AppendCOW grew starts from its parent's: see
 // grownSource.
 type setSource struct {
@@ -299,15 +291,10 @@ func BuildZone(ps *PointSet, lo, hi int) Zone {
 	return z
 }
 
-// Read serves every column whatever the projection: the views cost nothing.
+// Read serves every column whatever the projection: the block is a
+// zero-copy view of the set's columns, so the extra columns cost nothing.
 func (s *setSource) Read(b int, _ Columns) (*Block, error) {
 	lo, hi := s.BlockSpan(b)
-	blk, _ := s.Slab(lo, hi)
-	return blk, nil
-}
-
-// Slab implements Slabber: a zero-copy block over [lo, hi).
-func (s *setSource) Slab(lo, hi int) (*Block, bool) {
 	ps := s.ps
 	blk := &Block{Base: lo, X: ps.X[lo:hi], Y: ps.Y[lo:hi]}
 	if ps.T != nil {
@@ -319,25 +306,19 @@ func (s *setSource) Slab(lo, hi int) (*Block, bool) {
 			blk.Attr[a] = ps.Attrs[a].Values[lo:hi]
 		}
 	}
-	return blk, true
+	return blk, nil
 }
 
 // WalkBlocks reads each block of src overlapping [lo, hi) in order,
 // projected to cols, and invokes fn with the block and the clipped absolute
 // range [s, e). Offline builds (cube, geoblocks) use it to stream a source
-// without assuming the data is resident; a Slabber source is served one
-// zero-copy run.
+// without assuming the data is resident.
 func WalkBlocks(src PointSource, lo, hi int, cols Columns, fn func(blk *Block, s, e int) error) error {
 	if hi > src.Len() {
 		hi = src.Len()
 	}
 	if lo >= hi {
 		return nil
-	}
-	if sl, ok := src.(Slabber); ok {
-		if blk, ok := sl.Slab(lo, hi); ok {
-			return fn(blk, lo, hi)
-		}
 	}
 	for b := 0; b < src.NumBlocks(); b++ {
 		blo, bhi := src.BlockSpan(b)

@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -114,41 +115,20 @@ func TestZoneColNaN(t *testing.T) {
 func TestSlabAndWalkBlocks(t *testing.T) {
 	ps := sourceTestSet(DefaultBlockSize+500, true)
 	src := ps.Source()
-	sl, ok := src.(Slabber)
-	if !ok {
-		t.Fatal("setSource does not implement Slabber")
-	}
-	blk, ok := sl.Slab(100, DefaultBlockSize+50)
-	if !ok {
-		t.Fatal("Slab refused")
-	}
-	if blk.Base != 100 || blk.Len() != DefaultBlockSize-50 {
-		t.Fatalf("slab geometry: Base=%d Len=%d", blk.Base, blk.Len())
-	}
-	if &blk.X[0] != &ps.X[100] {
-		t.Error("slab is not zero-copy")
-	}
-
-	// WalkBlocks over a Slabber: one call spanning the clipped range.
-	calls := 0
-	err := WalkBlocks(src, 10, 20_000, Columns{}, func(b *Block, s, e int) error {
-		calls++
-		if s != 10 || e != ps.Len() {
-			t.Errorf("walk range [%d,%d)", s, e)
-		}
-		return nil
-	})
+	blk, err := src.Read(1, Columns{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Errorf("Slabber walk made %d calls, want 1", calls)
+	if blk.Base != DefaultBlockSize || blk.Len() != 500 {
+		t.Fatalf("block geometry: Base=%d Len=%d", blk.Base, blk.Len())
+	}
+	if &blk.X[0] != &ps.X[DefaultBlockSize] {
+		t.Error("in-RAM block is not a zero-copy slab of the set's columns")
 	}
 
-	// WalkBlocks over a non-Slabber: per-block calls, clipped at the edges.
-	plain := plainSource{src}
+	// WalkBlocks: per-block calls, clipped at the edges.
 	var seen []int
-	err = WalkBlocks(plain, 100, DefaultBlockSize+50, Columns{}, func(b *Block, s, e int) error {
+	err = WalkBlocks(src, 100, DefaultBlockSize+50, Columns{}, func(b *Block, s, e int) error {
 		seen = append(seen, s, e)
 		return nil
 	})
@@ -156,18 +136,10 @@ func TestSlabAndWalkBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantSeen := []int{100, DefaultBlockSize, DefaultBlockSize, DefaultBlockSize + 50}
-	if len(seen) != len(wantSeen) {
+	if !slices.Equal(seen, wantSeen) {
 		t.Fatalf("walk ranges %v, want %v", seen, wantSeen)
 	}
-	for i := range seen {
-		if seen[i] != wantSeen[i] {
-			t.Fatalf("walk ranges %v, want %v", seen, wantSeen)
-		}
-	}
 }
-
-// plainSource hides the Slabber fast path.
-type plainSource struct{ PointSource }
 
 func TestAttrIndex(t *testing.T) {
 	ps := sourceTestSet(10, true)
@@ -195,10 +167,6 @@ func TestStampPropagation(t *testing.T) {
 		t.Fatal("stamp not stable")
 	}
 
-	sl := ps.Slice(10, 500)
-	if s := sl.Stamp(); s == orig || s == 0 {
-		t.Errorf("Slice stamp %d aliases parent %d", s, orig)
-	}
 	sel := ps.Select([]int{5, 3, 1})
 	if s := sel.Stamp(); s == orig || s == 0 {
 		t.Errorf("Select stamp %d aliases parent %d", s, orig)

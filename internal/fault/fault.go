@@ -74,8 +74,11 @@ type Rule struct {
 
 // site is one armed site: its rule plus a private PRNG so decision
 // sequences are per-site deterministic regardless of what other sites do.
+// The PRNG's seed mixes the registry seed with the site name; Schedule
+// replays it.
 type site struct {
 	rule  Rule
+	seed  int64
 	mu    sync.Mutex
 	rng   *rand.Rand
 	calls uint64
@@ -103,14 +106,6 @@ func New(seed int64) *Registry {
 	return &Registry{seed: seed, sites: make(map[string]*site)}
 }
 
-// siteSeed mixes the registry seed with the site name so each site draws an
-// independent, reproducible stream.
-func (r *Registry) siteSeed(name string) int64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return r.seed ^ int64(h.Sum64())
-}
-
 // Set arms (or re-arms, resetting its PRNG) the named site. Prob is clamped
 // to [0, 1].
 func (r *Registry) Set(name string, rule Rule) {
@@ -123,9 +118,12 @@ func (r *Registry) Set(name string, rule Rule) {
 	if rule.Prob > 1 {
 		rule.Prob = 1
 	}
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(name))
+	seed := r.seed ^ int64(h.Sum64())
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.sites[name] = &site{rule: rule, rng: rand.New(rand.NewSource(r.siteSeed(name)))}
+	r.sites[name] = &site{rule: rule, seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Clear disarms every site: subsequent Inject calls are no-ops. The chaos
@@ -137,20 +135,6 @@ func (r *Registry) Clear() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.sites = make(map[string]*site)
-}
-
-// Sites returns the armed site names, unordered.
-func (r *Registry) Sites() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.sites))
-	for n := range r.sites {
-		names = append(names, n)
-	}
-	return names
 }
 
 // Counts reports, per armed site, how many hook calls were seen and how
@@ -208,7 +192,7 @@ func (r *Registry) Schedule(name string, n int) []bool {
 	s.mu.Lock()
 	prob := s.rule.Prob
 	s.mu.Unlock()
-	rng := rand.New(rand.NewSource(r.siteSeed(name)))
+	rng := rand.New(rand.NewSource(s.seed))
 	out := make([]bool, n)
 	for i := range out {
 		out[i] = rng.Float64() < prob

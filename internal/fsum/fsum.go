@@ -5,8 +5,7 @@
 // per element.
 //
 // It is a leaf package so that geometry code can use it without importing
-// the kernel layer; internal/core re-exports the slice helpers under the
-// names the floataccum analyzer suggests.
+// the kernel layer.
 package fsum
 
 // Kahan is a running compensated accumulator (Neumaier's variant, which
@@ -29,15 +28,6 @@ func (k *Kahan) Add(v float64) {
 
 // Sum returns the compensated total.
 func (k *Kahan) Sum() float64 { return k.sum + k.c }
-
-// Sum returns the Neumaier-compensated sum of xs.
-func Sum(xs []float64) float64 {
-	var k Kahan
-	for _, v := range xs {
-		k.Add(v)
-	}
-	return k.Sum()
-}
 
 // Pairwise returns the pairwise (cascade) sum of xs: error O(eps·log n)
 // with plain adds, and it vectorizes better than Kahan on long slices.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/geoblocks"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/workload"
 )
 
@@ -19,9 +20,9 @@ var benchShapes = []struct {
 	name string
 	pg   geom.Polygon
 }{
-	{"tiny", geom.NewPolygon(geom.RegularRing(geom.Point{X: 420, Y: 610}, 12, 8))},
+	{"tiny", geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 420, Y: 610}, 12, 8))},
 	{"city", geom.NewPolygon(geom.StarRing(geom.Point{X: 500, Y: 450}, 180, 90, 9))},
-	{"borough", geom.NewPolygon(geom.RegularRing(geom.Point{X: 480, Y: 520}, 430, 20))},
+	{"borough", geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 480, Y: 520}, 430, 20))},
 }
 
 // BenchmarkGeoBlocksWarm measures steady-state hybrid queries: the index

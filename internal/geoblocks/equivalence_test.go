@@ -20,6 +20,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/geoblocks"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/gpu"
 	"repro/internal/urbane"
 )
@@ -69,7 +70,7 @@ func randomPolygon(rng *rand.Rand) geom.Polygon {
 	size := 20 + rng.Float64()*450
 	switch rng.Intn(5) {
 	case 0:
-		return geom.NewPolygon(geom.RegularRing(c, size, 3+rng.Intn(10)))
+		return geom.NewPolygon(geomtest.RegularRing(c, size, 3+rng.Intn(10)))
 	case 1:
 		return geom.NewPolygon(geom.StarRing(c, size, size*(0.25+rng.Float64()*0.5), 4+rng.Intn(6)))
 	case 2:
@@ -87,8 +88,8 @@ func randomPolygon(rng *rand.Rand) geom.Polygon {
 		return geom.NewPolygon(geom.RectRing(geom.BBox{MinX: x0, MinY: y0, MaxX: x0 + w, MaxY: y0 + h}))
 	case 3:
 		return geom.Polygon{
-			Outer: geom.RegularRing(c, size, 16),
-			Holes: []geom.Ring{geom.RegularRing(c, size*0.45, 12)},
+			Outer: geomtest.RegularRing(c, size, 16),
+			Holes: []geom.Ring{geomtest.RegularRing(c, size*0.45, 12)},
 		}
 	default:
 		// Sliver: long thin quad at a random angle.

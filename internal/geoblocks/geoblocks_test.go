@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 // genPoints builds a deterministic mixed point set: a uniform wash, two
@@ -235,10 +236,10 @@ func TestClassifyDeterministicShapes(t *testing.T) {
 		"star":         geom.NewPolygon(geom.StarRing(geom.Point{X: 400, Y: 600}, 350, 120, 7)),
 		"degenerate":   geom.NewPolygon(geom.Ring{{X: 100, Y: 100}, {X: 500, Y: 500}, {X: 300, Y: 300}}),
 		"withHole": {
-			Outer: geom.RegularRing(geom.Point{X: 500, Y: 500}, 450, 24),
-			Holes: []geom.Ring{geom.RegularRing(geom.Point{X: 500, Y: 500}, 200, 16)},
+			Outer: geomtest.RegularRing(geom.Point{X: 500, Y: 500}, 450, 24),
+			Holes: []geom.Ring{geomtest.RegularRing(geom.Point{X: 500, Y: 500}, 200, 16)},
 		},
-		"tiny": geom.NewPolygon(geom.RegularRing(geom.Point{X: 250.25, Y: 250.25}, 3, 8)),
+		"tiny": geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 250.25, Y: 250.25}, 3, 8)),
 	}
 	for name, pg := range shapes {
 		pl, err := ix.Classify(ctx, pg)
@@ -285,7 +286,7 @@ func TestEmptyAndDegenerateSets(t *testing.T) {
 
 	empty := &data.PointSet{Name: "empty"}
 	ix := mustBuild(t, empty, 4)
-	pl, err := ix.Classify(ctx, geom.NewPolygon(geom.RegularRing(geom.Point{X: 0, Y: 0}, 10, 6)))
+	pl, err := ix.Classify(ctx, geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 0, Y: 0}, 10, 6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestEmptyAndDegenerateSets(t *testing.T) {
 	co := &data.PointSet{Name: "co", X: []float64{5, 5, 5}, Y: []float64{7, 7, 7},
 		Attrs: []data.Column{{Name: "v", Values: []float64{1, 2, 3}}}}
 	ix = mustBuild(t, co, 3)
-	pg := geom.NewPolygon(geom.RegularRing(geom.Point{X: 5, Y: 7}, 2, 8))
+	pg := geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 5, Y: 7}, 2, 8))
 	pl, err = ix.Classify(ctx, pg)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestStoreReuseAndCoalescing(t *testing.T) {
 func TestEngineCanServe(t *testing.T) {
 	ps := genPoints(t, 100, 6)
 	rs := &data.RegionSet{Name: "r", Regions: []data.Region{
-		{ID: 0, Name: "r0", Poly: geom.NewPolygon(geom.RegularRing(geom.Point{X: 500, Y: 500}, 100, 8))},
+		{ID: 0, Name: "r0", Poly: geom.NewPolygon(geomtest.RegularRing(geom.Point{X: 500, Y: 500}, 100, 8))},
 	}}
 	eng := NewEngine(core.NewRasterJoin(core.WithMode(core.Accurate)), 4)
 

@@ -71,19 +71,6 @@ func (b BBox) Contains(p Point) bool {
 	return p.X >= b.MinX && p.X <= b.MaxX && p.Y >= b.MinY && p.Y <= b.MaxY
 }
 
-// ContainsBBox reports whether o lies entirely inside b. An empty o is
-// contained in everything.
-func (b BBox) ContainsBBox(o BBox) bool {
-	if o.IsEmpty() {
-		return true
-	}
-	if b.IsEmpty() {
-		return false
-	}
-	return o.MinX >= b.MinX && o.MaxX <= b.MaxX &&
-		o.MinY >= b.MinY && o.MaxY <= b.MaxY
-}
-
 // Intersects reports whether the two closed boxes share at least one point.
 func (b BBox) Intersects(o BBox) bool {
 	if b.IsEmpty() || o.IsEmpty() {

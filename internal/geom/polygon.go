@@ -58,34 +58,9 @@ func (r Ring) Clone() Ring {
 // BBox returns the bounding box of the ring's vertices.
 func (r Ring) BBox() BBox { return BBoxOf(r...) }
 
-// Centroid returns the area centroid of the ring. For degenerate rings
-// (fewer than three vertices or zero area) it falls back to the vertex mean.
-func (r Ring) Centroid() Point {
-	a := r.SignedArea()
-	if len(r) < 3 || a == 0 {
-		var c Point
-		for _, p := range r {
-			c = c.Add(p)
-		}
-		if len(r) > 0 {
-			c = c.Scale(1 / float64(len(r)))
-		}
-		return c
-	}
-	var cx, cy fsum.Kahan
-	for i, p := range r {
-		q := r[(i+1)%len(r)]
-		w := p.Cross(q)
-		cx.Add((p.X + q.X) * w)
-		cy.Add((p.Y + q.Y) * w)
-	}
-	f := 1 / (6 * a)
-	return Point{cx.Sum() * f, cy.Sum() * f}
-}
-
 // Contains reports whether p is strictly inside the ring, using the crossing
 // number (even-odd) rule. Points exactly on the boundary may be classified
-// either way; use ContainsBoundary for closed containment.
+// either way.
 func (r Ring) Contains(p Point) bool {
 	if len(r) < 3 {
 		return false
@@ -104,21 +79,6 @@ func (r Ring) Contains(p Point) bool {
 		j = i
 	}
 	return inside
-}
-
-// ContainsBoundary reports whether p is inside the ring or within eps of its
-// boundary.
-func (r Ring) ContainsBoundary(p Point, eps float64) bool {
-	if r.Contains(p) {
-		return true
-	}
-	for i, a := range r {
-		b := r[(i+1)%len(r)]
-		if OnSegment(p, a, b, eps) {
-			return true
-		}
-	}
-	return false
 }
 
 // Polygon is a simple polygon with optional holes. The outer ring should
@@ -180,34 +140,6 @@ func (pg Polygon) Clone() Polygon {
 // BBox returns the bounding box of the polygon's outer ring.
 func (pg Polygon) BBox() BBox { return pg.Outer.BBox() }
 
-// Area returns the enclosed area: outer area minus hole areas.
-func (pg Polygon) Area() float64 {
-	a := pg.Outer.Area()
-	for _, h := range pg.Holes {
-		//lint:ignore floataccum a handful of holes per polygon; each term is already compensated
-		a -= h.Area()
-	}
-	return a
-}
-
-// Centroid returns the area centroid of the polygon, accounting for holes.
-func (pg Polygon) Centroid() Point {
-	// Weighted combination of ring centroids using signed areas with holes
-	// negated.
-	total := pg.Outer.Area()
-	c := pg.Outer.Centroid().Scale(total)
-	for _, h := range pg.Holes {
-		ha := h.Area()
-		c = c.Sub(h.Centroid().Scale(ha))
-		//lint:ignore floataccum a handful of holes per polygon; each term is already compensated
-		total -= ha
-	}
-	if total == 0 {
-		return pg.Outer.Centroid()
-	}
-	return c.Scale(1 / total)
-}
-
 // VertexCount returns the total number of vertices across all rings.
 func (pg Polygon) VertexCount() int {
 	n := len(pg.Outer)
@@ -229,26 +161,6 @@ func (pg Polygon) Contains(p Point) bool {
 		}
 	}
 	return true
-}
-
-// ContainsBoundary reports whether p is inside the polygon or within eps of
-// any ring boundary.
-func (pg Polygon) ContainsBoundary(p Point, eps float64) bool {
-	if pg.Contains(p) {
-		return true
-	}
-	if pg.Outer.ContainsBoundary(p, eps) {
-		return true
-	}
-	for _, h := range pg.Holes {
-		for i, a := range h {
-			b := h[(i+1)%len(h)]
-			if OnSegment(p, a, b, eps) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Edges calls fn for every directed edge of every ring (outer and holes).
@@ -277,20 +189,6 @@ func (pg Polygon) Edges(fn func(a, b Point) bool) {
 func RectRing(b BBox) Ring {
 	c := b.Corners()
 	return Ring{c[0], c[1], c[2], c[3]}
-}
-
-// RegularRing returns an n-vertex regular polygon ring of the given radius
-// centered at c, counter-clockwise, starting at angle 0.
-func RegularRing(c Point, radius float64, n int) Ring {
-	if n < 3 {
-		n = 3
-	}
-	r := make(Ring, n)
-	for i := range r {
-		theta := 2 * math.Pi * float64(i) / float64(n)
-		r[i] = Point{c.X + radius*math.Cos(theta), c.Y + radius*math.Sin(theta)}
-	}
-	return r
 }
 
 // StarRing returns a 2n-vertex star-shaped (strongly non-convex) ring

@@ -9,13 +9,13 @@ import (
 func TestSimplifyLineKeepsEndpoints(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0.01}, {2, -0.01}, {3, 0}, {4, 5}, {5, 0}}
 	got := SimplifyLine(pts, 0.1)
-	if !got[0].Eq(pts[0]) || !got[len(got)-1].Eq(pts[len(pts)-1]) {
+	if got[0] != pts[0] || got[len(got)-1] != pts[len(pts)-1] {
 		t.Error("endpoints must be retained")
 	}
 	// The spike at (4,5) must survive.
 	found := false
 	for _, p := range got {
-		if p.Eq(Pt(4, 5)) {
+		if p == (Point{4, 5}) {
 			found = true
 		}
 	}
@@ -35,8 +35,8 @@ func TestSimplifyLineNoTolerance(t *testing.T) {
 		t.Errorf("tol=0 should keep everything, got %d", len(got))
 	}
 	// Result must be a copy.
-	got[0] = Pt(99, 99)
-	if pts[0].Eq(Pt(99, 99)) {
+	got[0] = Point{99, 99}
+	if pts[0] == (Point{99, 99}) {
 		t.Error("SimplifyLine should not alias its input")
 	}
 }
@@ -46,22 +46,6 @@ func TestSimplifyLineCollinear(t *testing.T) {
 	got := SimplifyLine(pts, 0.001)
 	if len(got) != 2 {
 		t.Errorf("collinear line should simplify to 2 points, got %d", len(got))
-	}
-}
-
-func TestSimplifyRingPreservesShape(t *testing.T) {
-	// Dense circle: simplification with a small tolerance should keep the
-	// area close to the original.
-	ring := RegularRing(Pt(0, 0), 10, 256)
-	got := SimplifyRing(ring, 0.05)
-	if len(got) >= len(ring) {
-		t.Errorf("ring did not shrink: %d -> %d", len(ring), len(got))
-	}
-	if len(got) < 3 {
-		t.Fatalf("ring degenerated to %d vertices", len(got))
-	}
-	if math.Abs(got.Area()-ring.Area())/ring.Area() > 0.02 {
-		t.Errorf("area drifted: %v -> %v", ring.Area(), got.Area())
 	}
 }
 
@@ -83,7 +67,7 @@ func TestSimplifyLineErrorBound(t *testing.T) {
 		x := 0.0
 		for i := range pts {
 			x += rng.Float64()
-			pts[i] = Pt(x, rng.Float64()*10)
+			pts[i] = Point{x, rng.Float64() * 10}
 		}
 		tol := 0.5 + rng.Float64()*2
 		simp := SimplifyLine(pts, tol)

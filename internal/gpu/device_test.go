@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/raster"
 )
 
@@ -96,7 +97,7 @@ func TestTilesPixelAlignment(t *testing.T) {
 	err := d.Tiles(full, func(c *Canvas, offX, offY int) error {
 		want := center(full, offX, offY)
 		got := center(c.T, 0, 0)
-		if !got.NearEq(want, 1e-9) {
+		if !geomtest.NearEq(got, want, 1e-9) {
 			t.Errorf("tile (%d,%d) misaligned: %v vs %v", offX, offY, got, want)
 		}
 		return nil

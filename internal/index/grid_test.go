@@ -123,12 +123,12 @@ func TestRTreeSearchPoint(t *testing.T) {
 	}
 	tr := BuildRTree(boxes)
 	got := map[int32]bool{}
-	tr.SearchPoint(geom.Pt(7, 7), func(id int32) { got[id] = true })
+	tr.SearchPoint(geom.Point{X: 7, Y: 7}, func(id int32) { got[id] = true })
 	if !got[0] || !got[1] || got[2] || len(got) != 2 {
 		t.Errorf("SearchPoint(7,7) = %v, want {0,1}", got)
 	}
 	got = map[int32]bool{}
-	tr.SearchPoint(geom.Pt(100, 100), func(id int32) { got[id] = true })
+	tr.SearchPoint(geom.Point{X: 100, Y: 100}, func(id int32) { got[id] = true })
 	if len(got) != 0 {
 		t.Errorf("SearchPoint far away = %v, want none", got)
 	}
@@ -148,7 +148,7 @@ func TestRTreeSearchAgainstBruteForce(t *testing.T) {
 		t.Error("want a multi-level tree")
 	}
 	for iter := 0; iter < 200; iter++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		got := map[int32]bool{}
 		tr.SearchPoint(p, func(id int32) {
 			if got[id] {
@@ -167,7 +167,7 @@ func TestRTreeSearchAgainstBruteForce(t *testing.T) {
 func TestRTreeEmpty(t *testing.T) {
 	tr := BuildRTree(nil)
 	count := 0
-	tr.SearchPoint(geom.Pt(0, 0), func(int32) { count++ })
+	tr.SearchPoint(geom.Point{X: 0, Y: 0}, func(int32) { count++ })
 	if count != 0 {
 		t.Error("empty tree should return nothing")
 	}

@@ -54,7 +54,7 @@ func BenchmarkRTreeSearchPoint(b *testing.B) {
 	tr := BuildRTree(boxes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := geom.Pt(float64(i%100), float64((i*7)%100))
+		p := geom.Point{X: float64(i % 100), Y: float64((i * 7) % 100)}
 		tr.SearchPoint(p, func(int32) {})
 	}
 }

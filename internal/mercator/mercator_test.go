@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 func TestProjectOrigin(t *testing.T) {
 	p := Project(LngLat{0, 0})
-	if !p.NearEq(geom.Pt(0, 0), 1e-9) {
+	if !geomtest.NearEq(p, geom.Point{}, 1e-9) {
 		t.Errorf("Project(0,0) = %v, want origin", p)
 	}
 }

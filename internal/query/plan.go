@@ -19,12 +19,9 @@ import (
 type Catalog interface {
 	PointSet(name string) (*data.PointSet, bool)
 	RegionSet(name string) (*data.RegionSet, bool)
-}
-
-// SourceCatalog is an optional Catalog extension: a catalog that can also
-// resolve a data set name to a columnar block source (e.g. an out-of-core
-// segment store). See Planner.Route.
-type SourceCatalog interface {
+	// PointSource resolves a data set name to the columnar block source
+	// attached to it (e.g. an out-of-core segment store), if any. See
+	// Planner.Route.
 	PointSource(name string) (data.PointSource, bool)
 }
 
@@ -107,8 +104,8 @@ func (pl *Planner) chain() []engine {
 // alongside for engines that need random access), validates the request, and
 // hands it to the first engine of the chain that can serve it.
 func (pl *Planner) Route(req core.Request, cat Catalog) (*Plan, error) {
-	if sc, ok := cat.(SourceCatalog); ok && req.Source == nil && req.Points != nil {
-		if src, found := sc.PointSource(req.Points.Name); found {
+	if req.Source == nil && req.Points != nil {
+		if src, found := cat.PointSource(req.Points.Name); found {
 			req.Source = src
 		}
 	}

@@ -138,6 +138,7 @@ func (c *mapCatalog) RegionSet(n string) (*data.RegionSet, bool) {
 	r, ok := c.regions[n]
 	return r, ok
 }
+func (c *mapCatalog) PointSource(string) (data.PointSource, bool) { return nil, false }
 
 func planScene(t *testing.T) (*mapCatalog, *data.PointSet, *data.RegionSet) {
 	t.Helper()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 func benchTransform(res int) Transform {
@@ -14,7 +15,7 @@ func benchTransform(res int) Transform {
 func BenchmarkFillPolygon(b *testing.B) {
 	for _, res := range []int{256, 1024} {
 		tr := benchTransform(res)
-		pg := geom.NewPolygon(geom.StarRing(geom.Pt(500, 500), 450, 200, 16))
+		pg := geom.NewPolygon(geom.StarRing(geom.Point{X: 500, Y: 500}, 450, 200, 16))
 		b.Run(strconv.Itoa(res), func(b *testing.B) {
 			count := 0
 			for i := 0; i < b.N; i++ {
@@ -29,10 +30,10 @@ func BenchmarkFillPolygon(b *testing.B) {
 func BenchmarkFillPolygonWithHoles(b *testing.B) {
 	tr := benchTransform(1024)
 	pg := geom.Polygon{
-		Outer: geom.RegularRing(geom.Pt(500, 500), 450, 64),
+		Outer: geomtest.RegularRing(geom.Point{X: 500, Y: 500}, 450, 64),
 		Holes: []geom.Ring{
-			geom.RegularRing(geom.Pt(400, 400), 80, 32),
-			geom.RegularRing(geom.Pt(650, 600), 120, 32),
+			geomtest.RegularRing(geom.Point{X: 400, Y: 400}, 80, 32),
+			geomtest.RegularRing(geom.Point{X: 650, Y: 600}, 120, 32),
 		},
 	}
 	pg.Normalize()
@@ -46,13 +47,13 @@ func BenchmarkTraceSegment(b *testing.B) {
 	tr := benchTransform(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TraceSegment(tr, geom.Pt(3, 7), geom.Pt(997, 843), func(x, y int) {})
+		TraceSegment(tr, geom.Point{X: 3, Y: 7}, geom.Point{X: 997, Y: 843}, func(x, y int) {})
 	}
 }
 
 func BenchmarkBoundaryPixels(b *testing.B) {
 	tr := benchTransform(1024)
-	pg := geom.NewPolygon(geom.StarRing(geom.Pt(500, 500), 450, 200, 16))
+	pg := geom.NewPolygon(geom.StarRing(geom.Point{X: 500, Y: 500}, 450, 200, 16))
 	bm := NewBitmap(1024, 1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

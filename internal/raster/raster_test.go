@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 func unit16() Transform {
@@ -29,7 +30,7 @@ func TestSquareTransform(t *testing.T) {
 		t.Errorf("pixel size = %v,%v, want 2,2", tr.PixelWidth(), tr.PixelHeight())
 	}
 	// The grown window must contain the original.
-	if !tr.World.ContainsBBox(world) {
+	if tr.World.Union(world) != tr.World {
 		t.Errorf("grown world %v does not contain %v", tr.World, world)
 	}
 	// Degenerate input.
@@ -46,12 +47,12 @@ func TestToPixel(t *testing.T) {
 		px, py int
 		ok     bool
 	}{
-		{geom.Pt(0.5, 0.5), 0, 0, true},
-		{geom.Pt(15.9, 15.9), 15, 15, true},
-		{geom.Pt(16, 16), 15, 15, true},  // max edge maps to last pixel
-		{geom.Pt(8, 8), 8, 8, true},      // cell boundary belongs to upper cell
-		{geom.Pt(-0.1, 5), 0, 0, false},  // outside
-		{geom.Pt(5, 16.01), 0, 0, false}, // outside
+		{geom.Point{X: 0.5, Y: 0.5}, 0, 0, true},
+		{geom.Point{X: 15.9, Y: 15.9}, 15, 15, true},
+		{geom.Point{X: 16, Y: 16}, 15, 15, true},  // max edge maps to last pixel
+		{geom.Point{X: 8, Y: 8}, 8, 8, true},      // cell boundary belongs to upper cell
+		{geom.Point{X: -0.1, Y: 5}, 0, 0, false},  // outside
+		{geom.Point{X: 5, Y: 16.01}, 0, 0, false}, // outside
 	}
 	for i, c := range cases {
 		px, py, ok := tr.ToPixel(c.p)
@@ -102,7 +103,7 @@ func TestTransformSub(t *testing.T) {
 		t.Errorf("sub world = %v, want %v", sub.World, wantWorld)
 	}
 	// Sub pixel (0,0) is parent pixel (4,8).
-	if c := sub.PixelCenter(0, 0); !c.Eq(tr.PixelCenter(4, 8)) {
+	if c := sub.PixelCenter(0, 0); c != tr.PixelCenter(4, 8) {
 		t.Errorf("sub pixel center mismatch: %v vs %v", c, tr.PixelCenter(4, 8))
 	}
 	// Overflow is clipped.
@@ -165,7 +166,7 @@ func TestFillRingTinyPolygonNoCenters(t *testing.T) {
 
 func TestFillPolygonMatchesContains(t *testing.T) {
 	tr := unit16()
-	star := geom.StarRing(geom.Pt(8, 8), 7, 3, 9)
+	star := geom.StarRing(geom.Point{X: 8, Y: 8}, 7, 3, 9)
 	pg := geom.NewPolygon(star)
 	got := collect(func(v func(x, y int)) { FillPolygon(tr, pg, v) })
 	// Every pixel's coverage must equal the pixel-center containment test.
@@ -199,7 +200,7 @@ func TestFillPolygonWithHole(t *testing.T) {
 func TestTraceSegmentHorizontal(t *testing.T) {
 	tr := unit16()
 	got := collect(func(v func(x, y int)) {
-		TraceSegment(tr, geom.Pt(1.5, 3.5), geom.Pt(9.5, 3.5), v)
+		TraceSegment(tr, geom.Point{X: 1.5, Y: 3.5}, geom.Point{X: 9.5, Y: 3.5}, v)
 	})
 	if len(got) != 9 {
 		t.Errorf("horizontal trace = %d cells, want 9", len(got))
@@ -214,7 +215,7 @@ func TestTraceSegmentHorizontal(t *testing.T) {
 func TestTraceSegmentDiagonal(t *testing.T) {
 	tr := unit16()
 	got := collect(func(v func(x, y int)) {
-		TraceSegment(tr, geom.Pt(0.5, 0.5), geom.Pt(3.5, 3.5), v)
+		TraceSegment(tr, geom.Point{X: 0.5, Y: 0.5}, geom.Point{X: 3.5, Y: 3.5}, v)
 	})
 	// Diagonal through corners: visits (0,0),(1,1),(2,2),(3,3) plus possibly
 	// corner-adjacent cells depending on tie-breaking; must include the four
@@ -229,14 +230,14 @@ func TestTraceSegmentDiagonal(t *testing.T) {
 func TestTraceSegmentClipsOutside(t *testing.T) {
 	tr := unit16()
 	got := collect(func(v func(x, y int)) {
-		TraceSegment(tr, geom.Pt(-100, 100), geom.Pt(-50, 120), v)
+		TraceSegment(tr, geom.Point{X: -100, Y: 100}, geom.Point{X: -50, Y: 120}, v)
 	})
 	if len(got) != 0 {
 		t.Errorf("outside trace = %v, want none", got)
 	}
 	// Segment crossing the window gets clipped to it.
 	got = collect(func(v func(x, y int)) {
-		TraceSegment(tr, geom.Pt(-10, 8.5), geom.Pt(30, 8.5), v)
+		TraceSegment(tr, geom.Point{X: -10, Y: 8.5}, geom.Point{X: 30, Y: 8.5}, v)
 	})
 	if len(got) != 16 {
 		t.Errorf("crossing trace = %d cells, want 16", len(got))
@@ -246,7 +247,7 @@ func TestTraceSegmentClipsOutside(t *testing.T) {
 func TestTraceSegmentPoint(t *testing.T) {
 	tr := unit16()
 	got := collect(func(v func(x, y int)) {
-		TraceSegment(tr, geom.Pt(5.5, 5.5), geom.Pt(5.5, 5.5), v)
+		TraceSegment(tr, geom.Point{X: 5.5, Y: 5.5}, geom.Point{X: 5.5, Y: 5.5}, v)
 	})
 	if len(got) != 1 || got[[2]int{5, 5}] != 1 {
 		t.Errorf("point trace = %v, want {(5,5):1}", got)
@@ -260,8 +261,8 @@ func TestTraceSegmentProperty(t *testing.T) {
 	tr := unit16()
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 500; i++ {
-		a := geom.Pt(rng.Float64()*16, rng.Float64()*16)
-		b := geom.Pt(rng.Float64()*16, rng.Float64()*16)
+		a := geom.Point{X: rng.Float64() * 16, Y: rng.Float64() * 16}
+		b := geom.Point{X: rng.Float64() * 16, Y: rng.Float64() * 16}
 		visited := map[[2]int]bool{}
 		TraceSegment(tr, a, b, func(x, y int) { visited[[2]int{x, y}] = true })
 		ax, ay, _ := tr.ToPixel(a)
@@ -337,8 +338,8 @@ func TestFillBoundaryPartitionProperty(t *testing.T) {
 	tr := unit16()
 	rng := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 100; iter++ {
-		ring := geom.RegularRing(
-			geom.Pt(4+rng.Float64()*8, 4+rng.Float64()*8),
+		ring := geomtest.RegularRing(
+			geom.Point{X: 4 + rng.Float64()*8, Y: 4 + rng.Float64()*8},
 			1+rng.Float64()*6, 3+rng.Intn(12))
 		pg := geom.NewPolygon(ring)
 		bm := NewBitmap(16, 16)
@@ -349,7 +350,7 @@ func TestFillBoundaryPartitionProperty(t *testing.T) {
 				return // boundary pixel: exactness not required
 			}
 			for _, c := range tr.PixelBox(x, y).Corners() {
-				if !pg.ContainsBoundary(c, 1e-9) {
+				if !geomtest.ContainsBoundary(pg, c, 1e-9) {
 					bad = true
 				}
 			}

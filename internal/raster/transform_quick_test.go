@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 )
 
 // Property: for any grid and any in-window point, the pixel returned by
@@ -61,7 +62,7 @@ func TestSubPartitionProperty(t *testing.T) {
 				sub := tr.Sub(x0, y0, step, step)
 				covered += sub.W * sub.H
 				// The sub's first pixel center matches the parent's.
-				if !sub.PixelCenter(0, 0).NearEq(tr.PixelCenter(x0, y0), 1e-9) {
+				if !geomtest.NearEq(sub.PixelCenter(0, 0), tr.PixelCenter(x0, y0), 1e-9) {
 					return false
 				}
 			}

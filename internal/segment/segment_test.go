@@ -210,15 +210,14 @@ func TestSegmentMultiBatchAppend(t *testing.T) {
 	}
 	w := NewWriter(f, WithBlockSize(1024))
 	// Append in uneven batches; block boundaries must not align with them.
-	for lo := 0; lo < full.Len(); {
-		hi := lo + 700
-		if hi > full.Len() {
-			hi = full.Len()
+	for lo := 0; lo < full.Len(); lo += 700 {
+		batch := make([]int, min(700, full.Len()-lo))
+		for i := range batch {
+			batch[i] = lo + i
 		}
-		if err := w.Append(full.Slice(lo, hi)); err != nil {
+		if err := w.Append(full.Select(batch)); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		lo = hi
 	}
 	if err := w.Close(); err != nil {
 		t.Fatalf("Close: %v", err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/geom"
+	"repro/internal/geom/geomtest"
 	"repro/internal/tcache"
 )
 
@@ -69,15 +70,15 @@ func buildTemporalScene(t testing.TB, n int, seed int64) *data.PointSet {
 func queryRegions(rng *rand.Rand) *data.RegionSet {
 	rs := &data.RegionSet{Name: "q"}
 	polys := []geom.Polygon{
-		geom.NewPolygon(geom.RegularRing(
+		geom.NewPolygon(geomtest.RegularRing(
 			geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000},
 			50+rng.Float64()*400, 3+rng.Intn(9))),
 		geom.NewPolygon(geom.RectRing(geom.BBox{
 			MinX: rng.Float64() * 500, MinY: rng.Float64() * 500,
 			MaxX: 500 + rng.Float64()*500, MaxY: 500 + rng.Float64()*500})),
 		{
-			Outer: geom.RegularRing(geom.Point{X: 400, Y: 500}, 300, 16),
-			Holes: []geom.Ring{geom.RegularRing(geom.Point{X: 400, Y: 500}, 140, 12)},
+			Outer: geomtest.RegularRing(geom.Point{X: 400, Y: 500}, 300, 16),
+			Holes: []geom.Ring{geomtest.RegularRing(geom.Point{X: 400, Y: 500}, 140, 12)},
 		},
 	}
 	for i, pg := range polys {

@@ -104,9 +104,6 @@ const (
 	StatusServiceUnavailable  = 503
 )
 
-// InFlight returns the number of requests currently being served.
-func (ep *Endpoint) InFlight() int64 { return ep.inflight.Load() }
-
 // EndpointStats is one endpoint's aggregate view, JSON-shaped for the
 // /api/stats response.
 type EndpointStats struct {

@@ -154,7 +154,7 @@ func TestRegistryOutcomes(t *testing.T) {
 	}
 
 	end := ep.Begin()
-	if got := ep.InFlight(); got != 1 {
+	if got := ep.Stats().InFlight; got != 1 {
 		t.Fatalf("inflight = %d, want 1", got)
 	}
 	end(200, 5*time.Millisecond)

@@ -338,7 +338,7 @@ func (f *Framework) AttachSegments(dataset string, src data.PointSource) error {
 	return nil
 }
 
-// PointSource implements query.SourceCatalog: it resolves a data set name
+// PointSource implements query.Catalog: it resolves a data set name
 // to its attached segment source, if any.
 func (f *Framework) PointSource(name string) (data.PointSource, bool) {
 	f.mu.RLock()

@@ -79,7 +79,7 @@ func TestHeatmapCrop(t *testing.T) {
 	// Only points inside the crop are rendered.
 	in := 0
 	for i := range taxi.X {
-		if crop.Contains(geom.Pt(taxi.X[i], taxi.Y[i])) {
+		if crop.Contains(geom.Point{X: taxi.X[i], Y: taxi.Y[i]}) {
 			in++
 		}
 	}

@@ -20,10 +20,10 @@ func TestNYCScene(t *testing.T) {
 	if s.Grid.Len() != 64*64 {
 		t.Errorf("grid = %d", s.Grid.Len())
 	}
-	if !s.Bounds.ContainsBBox(s.Taxi.Bounds()) {
+	if s.Bounds.Union(s.Taxi.Bounds()) != s.Bounds {
 		t.Error("taxi points escape NYC bounds")
 	}
-	if !s.Bounds.Expand(1).ContainsBBox(s.Neighborhoods.Bounds()) {
+	if b := s.Bounds.Expand(1); b.Union(s.Neighborhoods.Bounds()) != b {
 		t.Error("neighborhoods escape NYC bounds")
 	}
 }
